@@ -213,7 +213,7 @@ func BenchmarkExecutor(b *testing.B) {
 	g := prog.NewGen(tgt, 1)
 	progs := make([]*prog.Prog, 64)
 	for i := range progs {
-		progs[i] = g.Generate(8)
+		progs[i] = g.Generate(8).Detach()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -46,7 +46,7 @@ func genSeeds(t *testing.T, tgt *prog.Target, n int) []seedpool.SeedState {
 		}
 		seen[text] = true
 		out = append(out, seedpool.SeedState{
-			Prog:  p,
+			Prog:  p.Detach(),
 			Prio:  len(out) + 1,
 			Bonus: len(out) % 3,
 			Op:    []string{"", "splice", "insert"}[len(out)%3],

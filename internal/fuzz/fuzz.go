@@ -601,6 +601,8 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 			stats.Ops[opIdx].NewBlocks += newBlocks
 			opName = stats.Ops[opIdx].Name
 		}
+		// p is g's scratch, overwritten by the next iteration; the pool
+		// copies it out only if it admits it.
 		corpus.Add(p, newBlocks, opName)
 	}
 	stats.CorpusSize = corpus.Len()

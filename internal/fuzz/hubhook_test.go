@@ -72,7 +72,7 @@ func TestHubSyncImportsRemoteSeeds(t *testing.T) {
 	remoteTexts := map[string]bool{}
 	for i := 0; i < 5; i++ {
 		p := g.Generate(4)
-		hub.remote = append(hub.remote, seedpool.SeedState{Prog: p, Prio: 100 + i})
+		hub.remote = append(hub.remote, seedpool.SeedState{Prog: p.Detach(), Prio: 100 + i})
 		remoteTexts[p.Serialize()] = true
 	}
 	cfg := DefaultConfig(2000, 5)
@@ -134,7 +134,7 @@ func TestRunParallelHubSyncsMergedState(t *testing.T) {
 	remoteTexts := map[string]bool{}
 	for i := 0; i < 4; i++ {
 		p := g.Generate(4)
-		hub.remote = append(hub.remote, seedpool.SeedState{Prog: p, Prio: 100 + i})
+		hub.remote = append(hub.remote, seedpool.SeedState{Prog: p.Detach(), Prio: 100 + i})
 		remoteTexts[p.Serialize()] = true
 	}
 	cfg := DefaultConfig(4096, 9)

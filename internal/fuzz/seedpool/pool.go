@@ -115,6 +115,13 @@ func (p *Pool) Stats() (added, evicted, rejected int) {
 // rejected. When the pool is full, the offer replaces the
 // lowest-weight seed if it ranks strictly above it, otherwise it is
 // rejected. O(log n).
+//
+// pr may be a Gen's scratch candidate: the pool keeps its own copy
+// (prog.Prog.Detach) on admission only, so a rejected offer — almost
+// every offer in a saturated campaign — costs no copy, and the caller
+// may let the Gen overwrite pr either way. A heap-owned program is
+// retained as is, like the ones Import and Reconcile take ownership
+// of.
 func (p *Pool) Add(pr *prog.Prog, prio int, op string) bool {
 	if prio <= 0 {
 		return false
@@ -123,12 +130,14 @@ func (p *Pool) Add(pr *prog.Prog, prio int, op string) bool {
 }
 
 // admit runs the admission policy for a fully formed seed (possibly
-// carrying an imported lineage bonus), assigning its seq.
+// carrying an imported lineage bonus), assigning its seq. The program
+// is detached only once the seed is in.
 func (p *Pool) admit(s Seed) bool {
 	s.seq = p.seq
 	p.seq++
 	w := int64(s.Weight())
 	if len(p.seeds) < p.cap {
+		s.Prog = s.Prog.Detach()
 		p.seeds = append(p.seeds, s)
 		i := len(p.seeds) - 1
 		p.slot[s.seq] = i
@@ -147,6 +156,7 @@ func (p *Pool) admit(s Seed) bool {
 	d := w - int64(p.seeds[0].Weight())
 	p.fenAdd(0, d)
 	p.total += d
+	s.Prog = s.Prog.Detach()
 	p.seeds[0] = s
 	p.slot[s.seq] = 0
 	p.siftDown(0)
@@ -258,7 +268,9 @@ func (p *Pool) Export() []SeedState {
 // and lineage state (bonuses are clamped to the lineage cap).
 // Admission follows the normal policy — a full pool keeps only offers
 // that outrank its current victim — and the number admitted is
-// returned.
+// returned. The pool takes ownership of the admitted programs, which
+// are heap-owned (exports, store loads, hub pulls): they are retained
+// as is and must not be mutated afterwards.
 func (p *Pool) Import(seeds []SeedState) int {
 	n := 0
 	for _, st := range seeds {
@@ -288,7 +300,8 @@ func (p *Pool) Import(seeds []SeedState) int {
 // bonus to the incoming copy's when the incoming copy weighs more
 // (weights never decrease — a remote's colder view must not demote a
 // locally productive lineage). New programs go through the normal
-// admission policy. Returns seeds admitted and seeds reconciled
+// admission policy, and like Import the pool takes ownership of the
+// programs it admits. Returns seeds admitted and seeds reconciled
 // upward.
 //
 // Unlike Import, Reconcile serializes every retained program to build

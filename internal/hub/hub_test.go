@@ -86,7 +86,7 @@ func TestRegisterSyncPullRoundTrip(t *testing.T) {
 		cover.Add(b)
 	}
 	for i := 0; i < 3; i++ {
-		seeds = append(seeds, seedpool.SeedState{Prog: g.Generate(3), Prio: i + 1})
+		seeds = append(seeds, seedpool.SeedState{Prog: g.Generate(3).Detach(), Prio: i + 1})
 	}
 	crash := fuzz.CrashReport{Title: "bug-a", Repro: seeds[0].Prog.Serialize(), Count: 2}
 	remote, err := c1.Sync(ctx, fuzz.SyncState{
@@ -193,7 +193,7 @@ func TestHubRestartClientReregisters(t *testing.T) {
 		cover.Add(b)
 	}
 	state := fuzz.SyncState{
-		Seeds:   []seedpool.SeedState{{Prog: g.Generate(3), Prio: 2}},
+		Seeds:   []seedpool.SeedState{{Prog: g.Generate(3).Detach(), Prio: 2}},
 		Cover:   cover,
 		Execs:   200,
 		Crashes: []fuzz.CrashReport{{Title: "bug-r", Repro: g.Generate(2).Serialize(), Count: 3}},
@@ -335,7 +335,7 @@ func TestHubServesLegacyGenZeroStore(t *testing.T) {
 	g := prog.NewGen(tgt, 21)
 	var seeds []seedpool.SeedState
 	for i := 0; i < 3; i++ {
-		seeds = append(seeds, seedpool.SeedState{Prog: g.Generate(3), Prio: i + 1})
+		seeds = append(seeds, seedpool.SeedState{Prog: g.Generate(3).Detach(), Prio: i + 1})
 	}
 	if err := store.Save(seeds, 7); err != nil {
 		t.Fatal(err)

@@ -390,7 +390,7 @@ func TestHierarchicalHub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	downProg := g.Generate(5)
+	downProg := g.Generate(5).Detach()
 	if _, err := c3.Sync(ctx, fuzz.SyncState{
 		Seeds: []seedpool.SeedState{{Prog: downProg, Prio: 4}},
 		Cover: coverOf(7),

@@ -1,0 +1,194 @@
+package prog
+
+// slab bump-allocates []T from fixed-capacity chunks. Chunks are
+// never grown in place, so issued slices stay valid until reset;
+// reset rewinds every chunk without freeing it, so a reused slab
+// reaches a steady state in which alloc never touches the heap.
+// Issued memory is NOT zeroed: it holds whatever the previous cycle
+// left, and every caller overwrites all of what it is handed.
+type slab[T any] struct {
+	// cur is the chunk being filled; len(cur) is the used part.
+	cur []T
+	// rest holds the other chunks: rest[:next] were filled this cycle,
+	// rest[next:] are rewound and free.
+	rest [][]T
+	next int
+}
+
+// alloc carves n elements, capped at n so that an append by the
+// caller reallocates instead of clobbering a neighbour. A new chunk
+// holds max(n, chunk) elements.
+func (s *slab[T]) alloc(n, chunk int) []T {
+	for {
+		if i := len(s.cur); i+n <= cap(s.cur) {
+			s.cur = s.cur[:i+n]
+			return s.cur[i : i+n : i+n]
+		}
+		if s.next < len(s.rest) {
+			s.cur, s.rest[s.next] = s.rest[s.next], s.cur
+			s.next++
+			continue
+		}
+		if cap(s.cur) > 0 {
+			s.rest = append(s.rest, s.cur)
+			s.next++
+		}
+		if chunk < n {
+			chunk = n
+		}
+		s.cur = make([]T, 0, chunk)
+	}
+}
+
+func (s *slab[T]) reset() {
+	s.cur = s.cur[:0]
+	for i := 0; i < s.next; i++ {
+		s.rest[i] = s.rest[i][:0]
+	}
+	s.next = 0
+}
+
+// Chunk sizes, in elements. A dm+cec candidate is ~1000 nodes, so a
+// Gen's arena settles at a handful of chunks per slab.
+const (
+	nodeChunk    = 256
+	ptrChunk     = 1024
+	dataChunk    = 8192
+	callChunk    = 32
+	callPtrChunk = 64
+)
+
+// arena is the one allocator programs are built from: Value nodes,
+// Fields/Args pointer slices, Data payload bytes, Call structs, the
+// Calls backing array and the Prog header. Prog.Clone uses a fresh
+// arena per clone, presized by Prog.reserve, and never resets it: the
+// clone owns its arena and the garbage collector frees both together.
+// A Gen owns one arena for its lifetime and resets it at the top of
+// Generate/Mutate/MutateOp, so every candidate it returns is scratch
+// that the next such call overwrites (see Prog.Detach).
+type arena struct {
+	nodes    slab[Value]
+	ptrs     slab[*Value]
+	data     slab[byte]
+	calls    slab[Call]
+	callPtrs slab[*Call]
+	prog     Prog
+}
+
+func (a *arena) reset() {
+	a.nodes.reset()
+	a.ptrs.reset()
+	a.data.reset()
+	a.calls.reset()
+	a.callPtrs.reset()
+}
+
+// newProg returns the arena's (single) program header, empty, with
+// room for ncalls calls before appendCall has to move the backing.
+func (a *arena) newProg(ncalls int, scratch bool) *Prog {
+	a.prog = Prog{Calls: a.callPtrs.alloc(ncalls, callPtrChunk)[:0], scratch: scratch}
+	return &a.prog
+}
+
+// node returns an uninitialized value node; the caller assigns all of
+// it.
+func (a *arena) node() *Value {
+	return &a.nodes.alloc(1, nodeChunk)[0]
+}
+
+// fields carves an n-element pointer slice (nil for n == 0).
+func (a *arena) fields(n int) []*Value {
+	if n == 0 {
+		return nil
+	}
+	return a.ptrs.alloc(n, ptrChunk)
+}
+
+// bytes carves an n-byte payload (nil for n == 0).
+func (a *arena) bytes(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	return a.data.alloc(n, dataChunk)
+}
+
+// call returns a call to sc with nargs unset argument slots.
+func (a *arena) call(sc *Syscall, nargs int) *Call {
+	c := &a.calls.alloc(1, callChunk)[0]
+	*c = Call{Sc: sc, Args: a.fields(nargs)}
+	return c
+}
+
+// appendField is append(fs, v) with the grown slice taken from the
+// arena.
+func (a *arena) appendField(fs []*Value, v *Value) []*Value {
+	out := a.ptrs.alloc(len(fs)+1, ptrChunk)
+	copy(out, fs)
+	out[len(fs)] = v
+	return out
+}
+
+// appendCall is append(calls, c); a full backing array moves to a
+// doubled one from the arena.
+func (a *arena) appendCall(calls []*Call, c *Call) []*Call {
+	if len(calls) == cap(calls) {
+		grown := a.callPtrs.alloc(2*len(calls)+4, callPtrChunk)
+		calls = grown[:copy(grown, calls)]
+	}
+	return append(calls, c)
+}
+
+// cloneValue deep-copies one value tree into the arena.
+func (a *arena) cloneValue(v *Value) *Value {
+	if v == nil {
+		return nil
+	}
+	c := a.node()
+	*c = *v
+	c.Data = a.bytes(len(v.Data))
+	copy(c.Data, v.Data)
+	c.Fields = a.fields(len(v.Fields))
+	for i, f := range v.Fields {
+		c.Fields[i] = a.cloneValue(f)
+	}
+	c.Ptr = a.cloneValue(v.Ptr)
+	return c
+}
+
+// cloneCall deep-copies one call into the arena.
+func (a *arena) cloneCall(c *Call) *Call {
+	nc := a.call(c.Sc, len(c.Args))
+	for i, arg := range c.Args {
+		nc.Args[i] = a.cloneValue(arg)
+	}
+	return nc
+}
+
+// cloneProg deep-copies p into the arena, leaving room for spare more
+// calls.
+func (a *arena) cloneProg(p *Prog, spare int, scratch bool) *Prog {
+	c := a.newProg(len(p.Calls)+spare, scratch)
+	for _, call := range p.Calls {
+		c.Calls = append(c.Calls, a.cloneCall(call))
+	}
+	return c
+}
+
+// reserve sizes a fresh arena's first chunks to hold exactly one
+// clone of p, so Clone costs one allocation per slab it uses.
+func (a *arena) reserve(p *Prog) {
+	var nodes, ptrs, data int
+	for _, c := range p.Calls {
+		ptrs += len(c.Args)
+		c.ForEachValue(func(v *Value) {
+			nodes++
+			ptrs += len(v.Fields)
+			data += len(v.Data)
+		})
+	}
+	a.nodes.cur = make([]Value, 0, nodes)
+	a.ptrs.cur = make([]*Value, 0, ptrs)
+	a.data.cur = make([]byte, 0, data)
+	a.calls.cur = make([]Call, 0, len(p.Calls))
+	a.callPtrs.cur = make([]*Call, 0, len(p.Calls))
+}

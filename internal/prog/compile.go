@@ -32,9 +32,11 @@ func Compile(f *syzlang.File, env *syzlang.Env) (*Target, error) {
 	t := &Target{
 		ByName:    map[string]*Syscall{},
 		Resources: map[string]*ResourceDesc{},
-		creators:  map[string][]int{},
-		consumers: map[string][]int{},
+		creators:  map[string][]*Syscall{},
 	}
+	// direct maps resource name → IDs of the syscalls taking it as an
+	// argument (once per such argument, like the lookups it feeds).
+	direct := map[string][]int{}
 	for _, r := range f.Resources {
 		t.Resources[r.Name] = &ResourceDesc{Name: r.Name, Base: r.Base}
 	}
@@ -55,13 +57,13 @@ func Compile(f *syzlang.File, env *syzlang.Env) (*Target, error) {
 		t.ByName[sc.Name] = sc
 		for _, a := range sc.Args {
 			if a.Type.Kind == KindResource {
-				t.consumers[a.Type.Res] = append(t.consumers[a.Type.Res], sc.ID)
+				direct[a.Type.Res] = append(direct[a.Type.Res], sc.ID)
 			}
 		}
 		if s.Ret != "" {
 			// Register as creator for the resource and all its bases.
 			for cur := s.Ret; cur != ""; {
-				t.creators[cur] = append(t.creators[cur], sc.ID)
+				t.creators[cur] = append(t.creators[cur], sc)
 				r := t.Resources[cur]
 				if r == nil {
 					break
@@ -70,6 +72,7 @@ func Compile(f *syzlang.File, env *syzlang.Env) (*Target, error) {
 			}
 		}
 	}
+	t.memoConsumers(direct)
 	return t, nil
 }
 

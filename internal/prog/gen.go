@@ -4,6 +4,11 @@ import "math/rand"
 
 // Gen generates and mutates programs for a Target. All randomness
 // flows through the seeded source, so campaigns are reproducible.
+//
+// Every program a Gen returns is scratch: it is built in the Gen's
+// reusable arena and stays valid only until the Gen's next
+// Generate/Mutate/MutateOp, which overwrites it. Keep one with
+// Prog.Detach. A Gen is not safe for concurrent use.
 type Gen struct {
 	T *Target
 	R *rand.Rand
@@ -22,6 +27,24 @@ type Gen struct {
 	// after the consumer.
 	resLimited bool
 	resLimit   int
+
+	// a is the scratch arena candidates are built in; it is rewound at
+	// the top of Generate, Mutate and MutateOp.
+	a arena
+	// Work buffers, each reset by the one helper that fills it and
+	// dead before that helper can run again.
+	enabled   []*Syscall // enabledSyscalls
+	creators  []*Syscall // creatorsEnabled
+	related   []*Syscall // chooseCall
+	seen      []int      // chooseCall: seen[sc.ID] == seenEpoch
+	seenEpoch int
+	producers []int      // findOrMakeResource, findCompatible
+	values    []*Value   // mutateArg
+	refs      []valueRef // collectValues
+	dropped   []bool     // removeCall
+	queue     []int      // removeCall
+	indices   []int      // removeCall's remap, OpShuffle's perm
+	rotated   []*Call    // OpShuffle
 }
 
 // NewGen returns a generator with the given seed.
@@ -34,19 +57,23 @@ func (g *Gen) enabledSyscalls() []*Syscall {
 	if g.Enabled == nil {
 		return g.T.Syscalls
 	}
-	var out []*Syscall
+	out := g.enabled[:0]
 	for _, s := range g.T.Syscalls {
 		if g.Enabled[s.Name] {
 			out = append(out, s)
 		}
 	}
+	g.enabled = out
 	return out
 }
 
 // Generate produces a program of up to maxCalls calls, inserting
 // resource-creator calls as needed so dependencies are satisfied.
+// The result is scratch: valid until g's next Generate/Mutate/
+// MutateOp; Detach it to keep it.
 func (g *Gen) Generate(maxCalls int) *Prog {
-	p := &Prog{}
+	g.a.reset()
+	p := g.a.newProg(maxCalls+scratchSpare, true)
 	calls := g.enabledSyscalls()
 	if len(calls) == 0 {
 		return p
@@ -68,20 +95,24 @@ func (g *Gen) Generate(maxCalls int) *Prog {
 // use-after-free chain) is essentially unreachable in large suites.
 func (g *Gen) chooseCall(p *Prog, calls []*Syscall) *Syscall {
 	if !g.NoLocality && len(p.Calls) > 0 && g.R.Intn(3) != 0 {
-		var related []*Syscall
-		seen := map[int]bool{}
+		if len(g.seen) < len(g.T.Syscalls) {
+			g.seen = make([]int, len(g.T.Syscalls))
+		}
+		g.seenEpoch++
+		related := g.related[:0]
 		for _, c := range p.Calls {
 			if c.Sc.Ret == "" {
 				continue
 			}
 			for _, sc := range g.T.Consumers(c.Sc.Ret) {
-				if seen[sc.ID] || (g.Enabled != nil && !g.Enabled[sc.Name]) {
+				if g.seen[sc.ID] == g.seenEpoch || (g.Enabled != nil && !g.Enabled[sc.Name]) {
 					continue
 				}
-				seen[sc.ID] = true
+				g.seen[sc.ID] = g.seenEpoch
 				related = append(related, sc)
 			}
 		}
+		g.related = related
 		if len(related) > 0 {
 			return related[g.R.Intn(len(related))]
 		}
@@ -91,19 +122,23 @@ func (g *Gen) chooseCall(p *Prog, calls []*Syscall) *Syscall {
 
 const maxCreatorDepth = 6
 
+// scratchSpare is the room for growth, in calls, a scratch program's
+// Calls backing starts with beyond its expected length (the +4 slack
+// Generate and the growing operators allow, plus a creator chain).
+const scratchSpare = 12
+
 // appendCall appends a call to sc, first ensuring creators exist for
 // its resource arguments.
 func (g *Gen) appendCall(p *Prog, sc *Syscall, depth int) int {
 	if depth > maxCreatorDepth {
 		return -1
 	}
-	args := make([]*Value, len(sc.Args))
+	call := g.a.call(sc, len(sc.Args))
 	for i, f := range sc.Args {
-		args[i] = g.genValue(p, f.Type, depth)
+		call.Args[i] = g.genValue(p, f.Type, depth)
 	}
-	call := &Call{Sc: sc, Args: args}
 	call.FixupLens()
-	p.Calls = append(p.Calls, call)
+	p.Calls = g.a.appendCall(p.Calls, call)
 	return len(p.Calls) - 1
 }
 
@@ -121,7 +156,8 @@ func (g *Gen) genValueAt(p *Prog, ty *Type, callIdx int) *Value {
 // genValue builds a random value for ty, possibly appending creator
 // calls to p first (so resource ResultOf indices stay valid).
 func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
-	v := &Value{Type: ty, ResultOf: -1}
+	v := g.a.node()
+	*v = Value{Type: ty, ResultOf: -1}
 	switch ty.Kind {
 	case KindConst:
 		v.Scalar = ty.Val
@@ -142,7 +178,8 @@ func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
 		v.Ptr = g.genValue(p, ty.Elem, depth)
 	case KindString:
 		if ty.Str != "" {
-			v.Data = []byte(ty.Str)
+			v.Data = g.a.bytes(len(ty.Str))
+			copy(v.Data, ty.Str)
 		} else {
 			v.Data = g.randBytes(1 + g.R.Intn(16))
 		}
@@ -157,17 +194,20 @@ func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
 				count = g.R.Intn(8)
 			}
 		}
-		for i := 0; i < count; i++ {
-			v.Fields = append(v.Fields, g.genValue(p, ty.Elem, depth))
+		v.Fields = g.a.fields(count)
+		for i := range v.Fields {
+			v.Fields[i] = g.genValue(p, ty.Elem, depth)
 		}
 	case KindStruct:
-		for i := range ty.Fields {
-			v.Fields = append(v.Fields, g.genValue(p, ty.Fields[i].Type, depth))
+		v.Fields = g.a.fields(len(ty.Fields))
+		for i := range v.Fields {
+			v.Fields[i] = g.genValue(p, ty.Fields[i].Type, depth)
 		}
 	case KindUnion:
 		if len(ty.Fields) > 0 {
 			v.UnionIdx = g.R.Intn(len(ty.Fields))
-			v.Fields = []*Value{g.genValue(p, ty.Fields[v.UnionIdx].Type, depth)}
+			v.Fields = g.a.fields(1)
+			v.Fields[0] = g.genValue(p, ty.Fields[v.UnionIdx].Type, depth)
 		}
 	}
 	return v
@@ -203,7 +243,7 @@ func (g *Gen) genInt(ty *Type) uint64 {
 }
 
 func (g *Gen) randBytes(n int) []byte {
-	b := make([]byte, n)
+	b := g.a.bytes(n)
 	for i := range b {
 		b[i] = byte(g.R.Intn(256))
 	}
@@ -222,12 +262,13 @@ func (g *Gen) findOrMakeResource(p *Prog, res string, depth int) int {
 	if g.resLimited && g.resLimit < limit {
 		limit = g.resLimit
 	}
-	var candidates []int
+	candidates := g.producers[:0]
 	for i, c := range p.Calls[:limit] {
 		if c.Sc.Ret != "" && g.T.compatible(c.Sc.Ret, res) {
 			candidates = append(candidates, i)
 		}
 	}
+	g.producers = candidates
 	if g.resLimited {
 		// Mid-program regeneration: bind to an existing producer or
 		// pass a bad fd; appending a creator here would place it after
@@ -257,11 +298,12 @@ func (g *Gen) creatorsEnabled(res string) []*Syscall {
 	if g.Enabled == nil {
 		return all
 	}
-	var out []*Syscall
+	out := g.creators[:0]
 	for _, s := range all {
 		if g.Enabled[s.Name] {
 			out = append(out, s)
 		}
 	}
+	g.creators = out
 	return out
 }

@@ -8,8 +8,10 @@ package prog
 // Mutate returns a mutated copy of p (p itself is never modified),
 // applying 1–3 uniformly chosen operators. It is the
 // feedback-agnostic path; scheduler-driven campaigns use MutateOp.
+// The result is scratch: valid until g's next Generate/Mutate/
+// MutateOp; Detach it to keep it. p may be g's own previous result.
 func (g *Gen) Mutate(p *Prog, maxCalls int) *Prog {
-	m := p.Clone()
+	m := g.scratchCopy(p)
 	if len(m.Calls) == 0 {
 		return g.Generate(maxCalls)
 	}
@@ -36,8 +38,11 @@ var defaultOps = DefaultOperators()
 // the operator that actually mutated the program — the requested op,
 // the fallback, or nil when nothing applied (coverage credit must
 // follow the operator that did the work, not the one that was asked).
+// The returned program is scratch: valid until g's next Generate/
+// Mutate/MutateOp; Detach it to keep it. p may be g's own previous
+// result.
 func (g *Gen) MutateOp(p *Prog, op Operator, ctx *MutateCtx) (*Prog, Operator) {
-	m := p.Clone()
+	m := g.scratchCopy(p)
 	if len(m.Calls) == 0 {
 		return g.Generate(ctx.maxCalls()), nil
 	}
@@ -46,6 +51,17 @@ func (g *Gen) MutateOp(p *Prog, op Operator, ctx *MutateCtx) (*Prog, Operator) {
 		applied = g.fallbackMutate(m, ctx)
 	}
 	return g.finishMutation(m, ctx.maxCalls()), applied
+}
+
+// scratchCopy rewinds the arena and copies the seed into it — the
+// candidate every operator then edits in place. A seed that is itself
+// scratch would be overwritten by the rewind, so it is detached first
+// (the one heap copy on this path; pool seeds are heap-owned and take
+// none).
+func (g *Gen) scratchCopy(p *Prog) *Prog {
+	p = p.Detach()
+	g.a.reset()
+	return g.a.cloneProg(p, scratchSpare, true)
 }
 
 // fallbackMutate guarantees an inapplicable operator draw still
@@ -81,7 +97,7 @@ func (g *Gen) finishMutation(m *Prog, maxCalls int) *Prog {
 func (g *Gen) mutateArg(p *Prog) bool {
 	idx := g.R.Intn(len(p.Calls))
 	call := p.Calls[idx]
-	var mutable []*Value
+	mutable := g.values[:0]
 	call.ForEachValue(func(v *Value) {
 		switch v.Type.Kind {
 		case KindInt, KindArray:
@@ -109,6 +125,7 @@ func (g *Gen) mutateArg(p *Prog) bool {
 			}
 		}
 	})
+	g.values = mutable
 	if len(mutable) == 0 {
 		return false
 	}
@@ -135,7 +152,8 @@ func (g *Gen) mutateArg(p *Prog) bool {
 		g.mutateArray(p, idx, v)
 	case KindUnion:
 		v.UnionIdx = g.R.Intn(len(v.Type.Fields))
-		v.Fields = []*Value{g.genValueAt(p, v.Type.Fields[v.UnionIdx].Type, idx)}
+		v.Fields = g.a.fields(1)
+		v.Fields[0] = g.genValueAt(p, v.Type.Fields[v.UnionIdx].Type, idx)
 	}
 	return true
 }
@@ -154,12 +172,12 @@ func (g *Gen) mutateArray(p *Prog, callIdx int, v *Value) {
 	}
 	if len(v.Fields) == 0 {
 		// Shrinking or re-rolling an empty array is a no-op; grow it.
-		v.Fields = append(v.Fields, g.genValueAt(p, v.Type.Elem, callIdx))
+		v.Fields = g.a.appendField(v.Fields, g.genValueAt(p, v.Type.Elem, callIdx))
 		return
 	}
 	switch g.R.Intn(3) {
 	case 0: // grow
-		v.Fields = append(v.Fields, g.genValueAt(p, v.Type.Elem, callIdx))
+		v.Fields = g.a.appendField(v.Fields, g.genValueAt(p, v.Type.Elem, callIdx))
 	case 1: // shrink
 		v.Fields = v.Fields[:len(v.Fields)-1]
 	case 2: // mutate element
@@ -178,11 +196,14 @@ func (g *Gen) removeCall(p *Prog) bool {
 		return false
 	}
 	victim := g.R.Intn(len(p.Calls))
-	dropped := map[int]bool{victim: true}
-	queue := []int{victim}
-	for len(queue) > 0 {
-		d := queue[0]
-		queue = queue[1:]
+	dropped := append(g.dropped[:0], make([]bool, len(p.Calls))...)
+	g.dropped = dropped
+	dropped[victim] = true
+	ndropped := 1
+	skip := func(i int) bool { return dropped[i] }
+	queue := append(g.queue[:0], victim)
+	for head := 0; head < len(queue); head++ {
+		d := queue[head]
 		for ci := d + 1; ci < len(p.Calls); ci++ {
 			if dropped[ci] {
 				continue
@@ -192,7 +213,7 @@ func (g *Gen) removeCall(p *Prog) bool {
 				if v.Type.Kind != KindResource || v.ResultOf != d {
 					return
 				}
-				if alt := g.findCompatible(p, ci, v.Type.Res, func(i int) bool { return dropped[i] }); alt >= 0 {
+				if alt := g.findCompatible(p, ci, v.Type.Res, skip); alt >= 0 {
 					v.ResultOf = alt
 				} else {
 					keep = false
@@ -200,25 +221,28 @@ func (g *Gen) removeCall(p *Prog) bool {
 			})
 			if !keep {
 				dropped[ci] = true
+				ndropped++
 				queue = append(queue, ci)
 			}
 		}
 	}
-	if len(dropped) >= len(p.Calls) {
+	g.queue = queue
+	if ndropped >= len(p.Calls) {
 		return false // would empty the program; let another operator act
 	}
 	// Compact and remap the surviving references.
-	remap := make([]int, len(p.Calls))
+	remap := g.indices[:0]
 	n := 0
 	for i, c := range p.Calls {
 		if dropped[i] {
-			remap[i] = -1
+			remap = append(remap, -1)
 			continue
 		}
-		remap[i] = n
+		remap = append(remap, n)
 		p.Calls[n] = c
 		n++
 	}
+	g.indices = remap
 	p.Calls = p.Calls[:n]
 	for _, c := range p.Calls {
 		c.ForEachValue(func(v *Value) {

@@ -58,7 +58,7 @@ func TestMutationsKeepProgramsValid(t *testing.T) {
 	ops := DefaultOperators()
 	var donorPool []*Prog
 	for i := 0; i < 8; i++ {
-		donorPool = append(donorPool, g.Generate(6))
+		donorPool = append(donorPool, g.Generate(6).Detach())
 	}
 	ctx := &MutateCtx{
 		MaxCalls: 6,
@@ -73,7 +73,8 @@ func TestMutationsKeepProgramsValid(t *testing.T) {
 		}
 		p = m
 		if i%50 == 0 { // refresh donors so splice sees varied shapes
-			donorPool[i/50%len(donorPool)] = g.Generate(6)
+			p = p.Detach() // the chain's head must survive this Generate
+			donorPool[i/50%len(donorPool)] = g.Generate(6).Detach()
 		}
 	}
 }
@@ -175,7 +176,7 @@ func TestMutateStreamDeterministic(t *testing.T) {
 		ops := sched.Ops()
 		var donors []*Prog
 		for i := 0; i < 4; i++ {
-			donors = append(donors, g.Generate(6))
+			donors = append(donors, g.Generate(6).Detach())
 		}
 		ctx := &MutateCtx{MaxCalls: 6, Donor: func() *Prog { return donors[g.R.Intn(len(donors))] }}
 		p := g.Generate(6)
@@ -244,10 +245,10 @@ func TestSchedulerAdapts(t *testing.T) {
 func TestSpliceGraftsDonorSuffix(t *testing.T) {
 	tgt := resTarget(t)
 	g := NewGen(tgt, 5)
-	donor := g.Generate(6)
+	donor := g.Generate(6).Detach()
 	ctx := &MutateCtx{MaxCalls: 6, Donor: func() *Prog { return donor }}
 	spliced := 0
-	p := g.Generate(6)
+	p := g.Generate(6).Detach()
 	for i := 0; i < 200; i++ {
 		m, _ := g.MutateOp(p, OpSplice{}, ctx)
 		if err := m.Validate(tgt); err != nil {

@@ -15,7 +15,10 @@ type MutateCtx struct {
 	MaxCalls int
 	// Donor supplies a second corpus program for crossover operators
 	// (splice). It may be nil, or return nil, when no corpus exists;
-	// donor-needing operators then report inapplicability.
+	// donor-needing operators then report inapplicability. The returned
+	// program is read-only — operators copy what they graft — and must
+	// outlive the mutation: Donor must not hand back the mutating Gen's
+	// own scratch or call that Gen's Generate/Mutate/MutateOp.
 	Donor func() *Prog
 }
 
@@ -31,6 +34,8 @@ func (ctx *MutateCtx) maxCalls() int {
 // all randomness from g.R, and reports whether it changed the
 // program. Implementations must keep p valid under p.Validate —
 // resource references only ever point at compatible earlier calls.
+// Apply is invoked by Gen.Mutate/MutateOp on g's scratch copy of the
+// seed; what the built-in operators add to p lives in g's arena too.
 type Operator interface {
 	Name() string
 	Apply(g *Gen, p *Prog, ctx *MutateCtx) bool
@@ -70,7 +75,7 @@ func (OpArray) Name() string { return "array" }
 
 // Apply implements Operator.
 func (OpArray) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
-	refs := collectValues(p, func(v *Value) bool { return v.Type.Kind == KindArray })
+	refs := g.collectValues(p, func(v *Value) bool { return v.Type.Kind == KindArray })
 	if len(refs) == 0 {
 		return false
 	}
@@ -122,11 +127,7 @@ func (OpDuplicate) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 		return false
 	}
 	src := p.Calls[g.R.Intn(len(p.Calls))]
-	nc := &Call{Sc: src.Sc, Args: make([]*Value, len(src.Args))}
-	for i, a := range src.Args {
-		nc.Args[i] = a.clone()
-	}
-	p.Calls = append(p.Calls, nc)
+	p.Calls = g.a.appendCall(p.Calls, g.a.cloneCall(src))
 	return true
 }
 
@@ -150,9 +151,8 @@ func (OpSplice) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 	if donor == nil || len(donor.Calls) == 0 {
 		return false
 	}
-	graft := donor.Clone()
 	j := 1 + g.R.Intn(len(p.Calls)) // keep p.Calls[:j]
-	k := g.R.Intn(len(graft.Calls)) // graft donor.Calls[k:]
+	k := g.R.Intn(len(donor.Calls)) // graft donor.Calls[k:]
 	max := ctx.maxCalls() + 4
 	if j == len(p.Calls) && j >= max {
 		// Keep-everything cut on a size-capped program: nothing would
@@ -160,8 +160,8 @@ func (OpSplice) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 		return false
 	}
 	p.Calls = p.Calls[:j]
-	for di := k; di < len(graft.Calls) && len(p.Calls) < max; di++ {
-		c := graft.Calls[di]
+	for di := k; di < len(donor.Calls) && len(p.Calls) < max; di++ {
+		c := g.a.cloneCall(donor.Calls[di])
 		at := len(p.Calls)
 		c.ForEachValue(func(v *Value) {
 			if v.Type.Kind != KindResource || v.ResultOf < 0 {
@@ -175,7 +175,7 @@ func (OpSplice) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 			// the spliced program or degrade to bad fd.
 			v.ResultOf = g.findCompatible(p, at, v.Type.Res, nil)
 		})
-		p.Calls = append(p.Calls, c)
+		p.Calls = g.a.appendCall(p.Calls, c)
 	}
 	return true
 }
@@ -201,7 +201,7 @@ func (OpConstants) Name() string { return "constants" }
 
 // Apply implements Operator.
 func (OpConstants) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
-	refs := collectValues(p, func(v *Value) bool {
+	refs := g.collectValues(p, func(v *Value) bool {
 		return v.Type.Kind == KindInt || v.Type.Kind == KindFlags
 	})
 	if len(refs) == 0 {
@@ -255,17 +255,18 @@ func (OpShuffle) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
 	b := a + size
 	m := 1 + g.R.Intn(size-1) // left-rotation amount
 	// perm maps old index -> new index.
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	perm := g.indices[:0]
+	for i := 0; i < n; i++ {
+		perm = append(perm, i)
 	}
-	rotated := make([]*Call, size)
+	g.indices = perm
+	rotated := append(g.rotated[:0], p.Calls[a:b]...)
+	g.rotated = rotated
 	for i := 0; i < size; i++ {
 		ni := a + ((i-m)%size+size)%size
 		perm[a+i] = ni
-		rotated[ni-a] = p.Calls[a+i]
+		p.Calls[ni] = rotated[i]
 	}
-	copy(p.Calls[a:b], rotated)
 	// Remap references through the permutation; any reference the
 	// rotation made forward-pointing is rewired or degraded.
 	for ni, c := range p.Calls {
@@ -294,8 +295,8 @@ type valueRef struct {
 // collectValues gathers every value matching pred, tagged with its
 // call index (mutation sites need the index to bound resource
 // binding).
-func collectValues(p *Prog, pred func(*Value) bool) []valueRef {
-	var out []valueRef
+func (g *Gen) collectValues(p *Prog, pred func(*Value) bool) []valueRef {
+	out := g.refs[:0]
 	for i, c := range p.Calls {
 		c.ForEachValue(func(v *Value) {
 			if pred(v) {
@@ -303,6 +304,7 @@ func collectValues(p *Prog, pred func(*Value) bool) []valueRef {
 			}
 		})
 	}
+	g.refs = out
 	return out
 }
 
@@ -311,7 +313,7 @@ func collectValues(p *Prog, pred func(*Value) bool) []valueRef {
 // none exists. skip, when non-nil, filters out candidate indices
 // (the rotation's displaced producer, a removal's dropped set).
 func (g *Gen) findCompatible(p *Prog, limit int, res string, skip func(int) bool) int {
-	var candidates []int
+	candidates := g.producers[:0]
 	for i := 0; i < limit && i < len(p.Calls); i++ {
 		if skip != nil && skip(i) {
 			continue
@@ -320,6 +322,7 @@ func (g *Gen) findCompatible(p *Prog, limit int, res string, skip func(int) bool
 			candidates = append(candidates, i)
 		}
 	}
+	g.producers = candidates
 	if len(candidates) == 0 {
 		return -1
 	}

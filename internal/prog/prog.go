@@ -35,97 +35,31 @@ type Call struct {
 // Prog is a sequence of calls (the fuzzer's unit of execution).
 type Prog struct {
 	Calls []*Call
+	// scratch marks a program that lives in a Gen's reusable arena:
+	// it is valid only until that Gen's next Generate/Mutate/MutateOp.
+	scratch bool
 }
 
-// Clone deep-copies the program. Value nodes and Fields slices are
-// bump-allocated from chunked arenas: cloning is the fuzzing loop's
-// hottest allocation site (every mutation clones its seed), and
-// collapsing the per-node allocations into chunks roughly halves the
-// loop's GC pressure. Cloned nodes are ordinary addressable values;
-// callers may mutate them freely.
+// Clone deep-copies the program into one freshly allocated arena
+// (the same allocator a Gen builds candidates in, sized here to fit
+// exactly). The result is heap-owned: ordinary addressable values the
+// caller may keep and mutate freely.
 func (p *Prog) Clone() *Prog {
-	a := cloneArena{chunk: arenaChunk}
-	c := &Prog{Calls: make([]*Call, len(p.Calls))}
-	for i, call := range p.Calls {
-		nc := &Call{Sc: call.Sc, Args: a.fields(len(call.Args))}
-		for j, arg := range call.Args {
-			nc.Args[j] = arg.cloneInto(&a)
-		}
-		c.Calls[i] = nc
-	}
-	return c
+	a := new(arena)
+	a.reserve(p)
+	return a.cloneProg(p, 0, false)
 }
 
-// cloneArena bump-allocates Value nodes and []*Value backing arrays
-// in fixed-size chunks. Chunks are never grown in place, so issued
-// pointers and slices stay valid for the life of the clone.
-type cloneArena struct {
-	nodes []Value
-	ptrs  []*Value
-	// chunk is the size of the next chunk, doubling up to arenaChunk:
-	// single-value clones (Value.clone) allocate only a handful of
-	// nodes, whole-program clones quickly reach full-size chunks.
-	chunk int
-}
-
-const arenaChunk = 128
-
-func (a *cloneArena) nextChunk() int {
-	switch {
-	case a.chunk == 0:
-		a.chunk = 8
-	case a.chunk < arenaChunk:
-		a.chunk *= 2
+// Detach returns a program the caller may keep: p itself when it is
+// heap-owned, a Clone when it is a Gen's scratch candidate. This is
+// the one ownership rule — whoever retains a candidate past the Gen's
+// next Generate/Mutate/MutateOp detaches it first (the seed pool does
+// so on admission).
+func (p *Prog) Detach() *Prog {
+	if p.scratch {
+		return p.Clone()
 	}
-	return a.chunk
-}
-
-func (a *cloneArena) node() *Value {
-	if len(a.nodes) == cap(a.nodes) {
-		a.nodes = make([]Value, 0, a.nextChunk())
-	}
-	a.nodes = a.nodes[:len(a.nodes)+1]
-	return &a.nodes[len(a.nodes)-1]
-}
-
-// fields carves an n-element pointer slice, capped at its own length
-// so a later append reallocates instead of clobbering neighbors.
-func (a *cloneArena) fields(n int) []*Value {
-	if n == 0 {
-		return nil
-	}
-	if len(a.ptrs)+n > cap(a.ptrs) {
-		c := a.nextChunk()
-		if n > c {
-			c = n
-		}
-		a.ptrs = make([]*Value, 0, c)
-	}
-	i := len(a.ptrs)
-	a.ptrs = a.ptrs[:i+n]
-	return a.ptrs[i : i+n : i+n]
-}
-
-func (v *Value) cloneInto(a *cloneArena) *Value {
-	if v == nil {
-		return nil
-	}
-	c := a.node()
-	*c = *v
-	c.Data = append([]byte(nil), v.Data...)
-	c.Fields = a.fields(len(v.Fields))
-	for i, f := range v.Fields {
-		c.Fields[i] = f.cloneInto(a)
-	}
-	c.Ptr = v.Ptr.cloneInto(a)
-	return c
-}
-
-// clone deep-copies one value tree (single-node use; Prog.Clone
-// amortizes allocation across the whole program instead).
-func (v *Value) clone() *Value {
-	var a cloneArena
-	return v.cloneInto(&a)
+	return p
 }
 
 // String renders the program in a syz-prog-like text form.
@@ -207,9 +141,7 @@ func (v *Value) fixupLensRec() {
 			v.Ptr.fixupLensRec()
 		}
 	case KindStruct:
-		fields := make([]*Value, len(v.Fields))
-		copy(fields, v.Fields)
-		fixupValueGroup(v.Type, fields)
+		fixupValueGroup(v.Type, v.Fields)
 		for _, f := range v.Fields {
 			f.fixupLensRec()
 		}
@@ -246,14 +178,72 @@ func measure(v *Value, inBytes bool) uint64 {
 		return measure(v.Ptr, inBytes)
 	case KindArray:
 		if inBytes {
-			return uint64(len(v.Encode()))
+			return uint64(v.encodedSize())
 		}
 		return uint64(len(v.Fields))
 	case KindString, KindBuffer:
 		return uint64(len(v.Data))
 	default:
-		return uint64(len(v.Encode()))
+		return uint64(v.encodedSize())
 	}
+}
+
+// encodedSize is len(v.Encode()) computed without encoding: the same
+// walk as encodeTo with the same alignment, padding and union-size
+// rules, counting bytes instead of appending them.
+func (v *Value) encodedSize() int {
+	if v == nil {
+		return 0
+	}
+	switch v.Type.Kind {
+	case KindInt, KindConst, KindFlags, KindLen, KindResource:
+		if v.Type.Bytes == 0 {
+			return 4
+		}
+		return v.Type.Bytes
+	case KindString:
+		return len(v.Data) + 1
+	case KindBuffer:
+		return len(v.Data)
+	case KindPtr:
+		return 8
+	case KindArray:
+		size := 0
+		for _, f := range v.Fields {
+			size += f.encodedSize()
+		}
+		return size
+	case KindStruct:
+		size := 0
+		for i, f := range v.Fields {
+			var ft *Type
+			if i < len(v.Type.Fields) {
+				ft = v.Type.Fields[i].Type
+			} else {
+				ft = f.Type
+			}
+			size = alignUp(size, ft.align()) + f.encodedSize()
+		}
+		return alignUp(size, v.Type.align())
+	case KindUnion:
+		size := 0
+		if len(v.Fields) > 0 {
+			size = v.Fields[0].encodedSize()
+		}
+		if want := v.Type.Size(); size < want {
+			size = want
+		}
+		return size
+	}
+	return 0
+}
+
+// alignUp rounds n up to a multiple of a.
+func alignUp(n, a int) int {
+	if rem := n % a; rem != 0 {
+		n += a - rem
+	}
+	return n
 }
 
 // Encode serializes the value to raw bytes under C layout rules

@@ -217,7 +217,7 @@ func TestMutatePreservesValidity(t *testing.T) {
 func TestMutateChangesPrograms(t *testing.T) {
 	tgt := testTarget(t)
 	g := NewGen(tgt, 11)
-	p := g.Generate(5)
+	p := g.Generate(5).Detach() // compared against every later candidate
 	changed := 0
 	for i := 0; i < 50; i++ {
 		m := g.Mutate(p, 8)
@@ -235,7 +235,7 @@ func TestMutateChangesPrograms(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	tgt := testTarget(t)
 	g := NewGen(tgt, 5)
-	p := g.Generate(5)
+	p := g.Generate(5).Detach() // must survive the Mutate calls below
 	c := p.Clone()
 	before := p.String()
 	for i := 0; i < 20; i++ {

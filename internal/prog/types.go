@@ -104,43 +104,73 @@ type Target struct {
 	Syscalls  []*Syscall
 	ByName    map[string]*Syscall
 	Resources map[string]*ResourceDesc
-	// creators maps resource name → syscall IDs producing it.
-	creators map[string][]int
-	// consumers maps resource name → syscall IDs taking it as an
-	// argument.
-	consumers map[string][]int
+	// creators maps resource name → the syscalls producing it or a
+	// resource derived from it, in syscall order.
+	creators map[string][]*Syscall
+	// consumers maps resource name → the memoised Consumers result,
+	// built once by Compile (the Target is immutable afterwards).
+	consumers map[string][]*Syscall
 }
 
 // Consumers returns the syscalls that can consume a value of the
-// given resource kind (direct consumers plus consumers of any
-// ancestor resource the value is compatible with).
-func (t *Target) Consumers(res string) []*Syscall {
-	var out []*Syscall
-	seen := map[int]bool{}
-	for cur := res; cur != ""; {
-		for _, id := range t.consumers[cur] {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, t.Syscalls[id])
-			}
-		}
-		r := t.Resources[cur]
-		if r == nil {
-			break
-		}
-		cur = r.Base
-	}
-	return out
-}
+// given resource kind: direct consumers, then consumers of each
+// ancestor resource the value is compatible with, each syscall once.
+// The slice is shared — callers must not modify it.
+func (t *Target) Consumers(res string) []*Syscall { return t.consumers[res] }
 
 // Creators returns the syscalls whose return value satisfies the
-// given resource (the resource itself or any derived resource).
-func (t *Target) Creators(res string) []*Syscall {
-	var out []*Syscall
-	for _, id := range t.creators[res] {
-		out = append(out, t.Syscalls[id])
+// given resource (the resource itself or any derived resource). The
+// slice is shared — callers must not modify it.
+func (t *Target) Creators(res string) []*Syscall { return t.creators[res] }
+
+// memoConsumers fills t.consumers from the per-resource direct
+// consumer IDs Compile collected. A resource's list is its own direct
+// consumers followed by each ancestor's, first occurrence winning —
+// the order Gen.chooseCall's draw indexes, so it is part of the RNG
+// stream contract.
+func (t *Target) memoConsumers(direct map[string][]int) {
+	t.consumers = make(map[string][]*Syscall, len(direct)+len(t.Resources))
+	seen := make([]int, len(t.Syscalls)) // seen[id] == epoch: already listed
+	epoch := 0
+	memo := func(res string) {
+		if _, done := t.consumers[res]; done {
+			return
+		}
+		// chain visits res and its ancestors; the first pass sizes the
+		// list so the second fills it without regrowing.
+		chain := func(visit func(ids []int)) {
+			for cur := res; cur != ""; {
+				visit(direct[cur])
+				r := t.Resources[cur]
+				if r == nil {
+					break
+				}
+				cur = r.Base
+			}
+		}
+		n := 0
+		chain(func(ids []int) { n += len(ids) })
+		if n == 0 {
+			return // no entry: Consumers returns nil
+		}
+		epoch++
+		out := make([]*Syscall, 0, n)
+		chain(func(ids []int) {
+			for _, id := range ids {
+				if seen[id] != epoch {
+					seen[id] = epoch
+					out = append(out, t.Syscalls[id])
+				}
+			}
+		})
+		t.consumers[res] = out
 	}
-	return out
+	for res := range direct {
+		memo(res)
+	}
+	for res := range t.Resources {
+		memo(res)
+	}
 }
 
 // compatible reports whether a value of resource kind "have" can be
@@ -182,18 +212,9 @@ func (ty *Type) Size() int {
 	case KindStruct:
 		size := 0
 		for _, f := range ty.Fields {
-			a := f.Type.align()
-			if rem := size % a; rem != 0 {
-				size += a - rem
-			}
-			size += f.Type.Size()
+			size = alignUp(size, f.Type.align()) + f.Type.Size()
 		}
-		if a := ty.align(); a > 0 {
-			if rem := size % a; rem != 0 {
-				size += a - rem
-			}
-		}
-		return size
+		return alignUp(size, ty.align())
 	case KindUnion:
 		max := 0
 		for _, f := range ty.Fields {

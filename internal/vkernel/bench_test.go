@@ -21,7 +21,7 @@ func benchProgs(b *testing.B) []*prog.Prog {
 	g := prog.NewGen(tgt, 1)
 	progs := make([]*prog.Prog, 64)
 	for i := range progs {
-		progs[i] = g.Generate(8)
+		progs[i] = g.Generate(8).Detach()
 	}
 	return progs
 }

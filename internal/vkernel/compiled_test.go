@@ -128,7 +128,7 @@ func TestRunBatchIsolation(t *testing.T) {
 	g := prog.NewGen(tgt, 11)
 	progs := make([]*prog.Prog, 0, 66)
 	for i := 0; i < 64; i++ {
-		progs = append(progs, g.Generate(2+i%12))
+		progs = append(progs, g.Generate(2+i%12).Detach())
 	}
 	// Plant a crashing chain followed by its stripped tail: if history
 	// or the crash flag leaked, the tail would crash too.

@@ -13,7 +13,10 @@ import (
 //
 // Run must be deterministic for a given program, and the returned
 // Result must not alias executor-internal state (callers retain it
-// across subsequent runs).
+// across subsequent runs). Run must not retain p, or anything
+// reachable from it, past its return: campaign candidates are a
+// prog.Gen's scratch, overwritten by the next generation or mutation
+// (an executor that needs the program later keeps p.Detach()).
 type Executor interface {
 	Run(p *prog.Prog) *Result
 }

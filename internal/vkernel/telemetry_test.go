@@ -20,7 +20,7 @@ func TestPoolCounters(t *testing.T) {
 	const runs = 32
 	var wg sync.WaitGroup
 	for i := 0; i < runs; i++ {
-		p := g.Generate(3)
+		p := g.Generate(3).Detach() // read concurrently with the next Generate
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

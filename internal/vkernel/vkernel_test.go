@@ -68,7 +68,7 @@ func appendCallPublic(g *prog.Gen, p *prog.Prog, sc *prog.Syscall) int {
 	// on the full target and scan.
 	g.Enabled = nil
 	for tries := 0; tries < 200; tries++ {
-		q := g.Generate(4)
+		q := g.Generate(4).Detach() // its calls are kept in p
 		for i, c := range q.Calls {
 			if c.Sc.Name == sc.Name {
 				base := len(p.Calls)
