@@ -114,7 +114,6 @@ func main() {
 	checkpoint := flag.Bool("checkpoint", false, "flush the corpus store at shard-unit boundaries, not only at campaign end")
 	hubURL := flag.String("hub", "", "coordination hub base URL (e.g. http://127.0.0.1:7700): sync corpus/coverage/crashes at checkpoint boundaries")
 	hubName := flag.String("hub-name", "", "worker label in the hub's stats (default hostname:pid)")
-	hubProto := flag.String("hub-proto", "binary", "sync encoding: binary (compact frames + compressed cover deltas) or json (PR-5 interop)")
 	statsJSON := flag.String("stats-json", "", "write the final merged stats as JSON to FILE (the hub wire schema; \"-\" = stdout)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics on HOST:PORT as a campaign sidecar (e.g. 127.0.0.1:7071)")
 	flightDir := flag.String("flight-record", "", "crash flight recorder: dump the last telemetry events to DIR on each crash")
@@ -262,7 +261,7 @@ func main() {
 			// independent campaign whose counters restart from zero,
 			// so reusing a client would make the hub see regressing
 			// stats and stale crash deltas.
-			cl, err := dialHub(ctx, *hubURL, *hubName, *hubProto, i, *reps, tgt)
+			cl, err := dialHub(ctx, *hubURL, *hubName, i, *reps, tgt)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -372,7 +371,7 @@ func printOpStats(statsList []*fuzz.Stats) {
 
 // dialHub registers one repetition's worker with the hub, labeling it
 // name/repN when several repetitions share a run.
-func dialHub(ctx context.Context, url, name, proto string, rep, reps int, tgt *prog.Target) (*hub.Client, error) {
+func dialHub(ctx context.Context, url, name string, rep, reps int, tgt *prog.Target) (*hub.Client, error) {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
@@ -380,7 +379,7 @@ func dialHub(ctx context.Context, url, name, proto string, rep, reps int, tgt *p
 	if reps > 1 {
 		name = fmt.Sprintf("%s/rep%d", name, rep+1)
 	}
-	cl, err := hub.Dial(ctx, url, name, tgt, hub.WithProtocol(proto))
+	cl, err := hub.Dial(ctx, url, name, tgt)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@
 // Endpoints:
 //
 //	POST /v1/register   worker announce, lease grant  (internal/hub proto)
-//	POST /v1/sync       push deltas, pull merged corpus diff (JSON or binary)
+//	POST /v1/sync       push deltas, pull merged corpus diff (binary frames)
 //	POST /v1/heartbeat  lease renewal between syncs
 //	GET  /v1/stats      aggregated live stats (JSON)
 //	GET  /v1/crashes    global deduplicated crash table (JSON)

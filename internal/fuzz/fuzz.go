@@ -650,52 +650,59 @@ func replayCompiled(ctx context.Context, cfg Config, vm *vkernel.VM, seeds []see
 	}
 }
 
-// hubSync runs one hub exchange when the campaign is hub-attached:
-// push the cumulative snapshot, reconcile returned remote seeds into
-// the live pool (skipped on the final sync — there is no campaign
-// left to use them). Best-effort: errors leave the campaign running
-// detached until the next boundary retries.
+// hubSync runs the serial campaign's hub exchange when it is
+// hub-attached: push the cumulative snapshot, reconcile returned
+// remote seeds into the live pool.
 func hubSync(ctx context.Context, cfg Config, corpus *seedpool.Pool, stats *Stats, final bool, start time.Time) {
 	if cfg.Hub == nil {
 		return
 	}
-	clk := cfg.Clock
-	t0 := clk.Now()
-	defer func() {
-		d := clk.Now().Sub(t0)
-		stats.SyncTime += d
-		stats.Syncs++
-		cfg.Metrics.syncDone(d.Nanoseconds())
-		detail := ""
-		if final {
-			detail = "final"
-		}
-		cfg.Flight.Record(telemetry.Event{
-			Span: "sync", ElapsedNs: t0.Sub(start).Nanoseconds(),
-			DurNs: d.Nanoseconds(), Execs: int64(stats.Execs), Detail: detail,
-		})
-	}()
-	remote, err := cfg.Hub.Sync(ctx, SyncState{
-		Seeds:   corpus.Export(),
-		Cover:   stats.Cover,
-		Execs:   stats.Execs,
-		Crashes: crashList(stats),
-		Ops:     append([]OpStat(nil), stats.Ops...),
-		Final:   final,
-	})
-	if err != nil || final {
-		return
-	}
+	// The exchange is synchronous, so it can borrow the live cover set.
+	remote, d := hubExchange(ctx, cfg, syncState(stats, stats.Cover, corpus.Export(), final), start)
+	stats.SyncTime += d
+	stats.Syncs++
 	corpus.Reconcile(remote)
 }
 
-// crashList snapshots the crash table in sorted-title order.
-func crashList(stats *Stats) []CrashReport {
-	out := make([]CrashReport, 0, len(stats.Crashes))
-	for _, title := range stats.CrashTitles() {
-		out = append(out, *stats.Crashes[title])
+// hubExchange runs one Hub.Sync for either campaign driver: it times
+// the exchange on the campaign clock, feeds the sync-latency metric
+// and records the "sync" flight event. The caller adds the returned
+// duration to its Stats (RunParallel under its merge lock). No seeds
+// come back from a failed exchange (best-effort: the campaign runs
+// detached until the next boundary retries) or from a Final one (no
+// campaign is left to use them).
+func hubExchange(ctx context.Context, cfg Config, st SyncState, start time.Time) ([]seedpool.SeedState, time.Duration) {
+	t0 := cfg.Clock.Now()
+	remote, err := cfg.Hub.Sync(ctx, st)
+	d := cfg.Clock.Now().Sub(t0)
+	cfg.Metrics.syncDone(d.Nanoseconds())
+	detail := ""
+	if st.Final {
+		detail = "final"
 	}
-	return out
+	cfg.Flight.Record(telemetry.Event{
+		Span: "sync", ElapsedNs: t0.Sub(start).Nanoseconds(),
+		DurNs: d.Nanoseconds(), Execs: int64(st.Execs), Detail: detail,
+	})
+	if err != nil || st.Final {
+		return nil, d
+	}
+	return remote, d
+}
+
+// syncState snapshots a campaign's counters, crash table (in sorted-
+// title order) and operator stats, with the given cover set and seeds,
+// for one hub exchange.
+func syncState(stats *Stats, cover *vkernel.CoverSet, seeds []seedpool.SeedState, final bool) SyncState {
+	st := SyncState{
+		Seeds: seeds, Cover: cover, Execs: stats.Execs, Final: final,
+		Crashes: make([]CrashReport, 0, len(stats.Crashes)),
+		Ops:     append([]OpStat(nil), stats.Ops...),
+	}
+	for _, title := range stats.CrashTitles() {
+		st.Crashes = append(st.Crashes, *stats.Crashes[title])
+	}
+	return st
 }
 
 // newSched builds the campaign's operator scheduler: adaptive by

@@ -2,10 +2,13 @@ package fuzz
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
+	"kernelgpt/internal/telemetry"
 )
 
 // recordingHub is a fake HubSync that captures every sync and hands
@@ -177,5 +180,80 @@ func TestRunParallelHubSyncsMergedState(t *testing.T) {
 	}
 	if found != len(remoteTexts) {
 		t.Fatalf("final export holds %d of %d pulled remote seeds", found, len(remoteTexts))
+	}
+}
+
+// TestSyncAccountingSharedByDrivers: RunContext and RunParallel run
+// their hub exchanges through one helper, so on the same hub hook both
+// must account each exchange identically — one Stats.Syncs tick, one
+// fuzz_sync_ns observation and one "sync" flight event carrying the
+// pushed exec count. The clock steps 1ms per reading, so every
+// exchange measures exactly one step (no sleeps).
+func TestSyncAccountingSharedByDrivers(t *testing.T) {
+	const step = time.Millisecond
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		run       func(f *Fuzzer, cfg Config) (*Stats, error)
+		wantSyncs int
+	}{
+		// Boundaries at 1024 and 2048, plus the final sync.
+		{"RunContext", func(f *Fuzzer, cfg Config) (*Stats, error) { return f.RunContext(ctx, cfg) }, 3},
+		// One unit spanning the budget: its boundary, plus the final sync.
+		{"RunParallel", func(f *Fuzzer, cfg Config) (*Stats, error) {
+			cfg.ShardExecs = cfg.Execs
+			return f.RunParallel(ctx, cfg, 1)
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ticks atomic.Int64
+			clock := telemetry.Clock(func() time.Time {
+				return time.Unix(1_700_000_000, 0).Add(time.Duration(ticks.Add(1)) * step)
+			})
+			hub := &recordingHub{}
+			metrics := NewMetrics(telemetry.NewRegistry())
+			flight := telemetry.NewFlightRecorder(t.TempDir(), 1<<12, clock)
+			cfg := DefaultConfig(3000, 5)
+			cfg.Hub, cfg.Clock, cfg.Metrics, cfg.Flight = hub, clock, metrics, flight
+			stats, err := tc.run(New(targetFor(t, "dm"), testKernel), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hub.syncs) != tc.wantSyncs || stats.Syncs != tc.wantSyncs {
+				t.Fatalf("hub saw %d exchanges, Stats.Syncs = %d, want %d", len(hub.syncs), stats.Syncs, tc.wantSyncs)
+			}
+			if want := time.Duration(tc.wantSyncs) * step; stats.SyncTime != want {
+				t.Errorf("Stats.SyncTime = %v, want %v (one clock step per exchange)", stats.SyncTime, want)
+			}
+			if n, sum := metrics.SyncNs.Count(), metrics.SyncNs.Sum(); n != int64(tc.wantSyncs) || sum != stats.SyncTime.Nanoseconds() {
+				t.Errorf("fuzz_sync_ns count/sum = %d/%d, want %d/%d", n, sum, tc.wantSyncs, stats.SyncTime.Nanoseconds())
+			}
+			path, err := flight.Dump("end")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, events, err := telemetry.ReadFlightDump(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var syncs []telemetry.Event
+			for _, ev := range events {
+				if ev.Span == "sync" {
+					syncs = append(syncs, ev)
+				}
+			}
+			if len(syncs) != tc.wantSyncs {
+				t.Fatalf("flight ring holds %d sync events, want %d", len(syncs), tc.wantSyncs)
+			}
+			for i, ev := range syncs {
+				wantDetail := ""
+				if i == len(syncs)-1 {
+					wantDetail = "final"
+				}
+				if ev.DurNs != step.Nanoseconds() || ev.Execs != int64(hub.syncs[i].Execs) || ev.Detail != wantDetail || ev.ElapsedNs <= 0 {
+					t.Errorf("sync event %d = %+v, want dur %d, execs %d, detail %q", i, ev, step.Nanoseconds(), hub.syncs[i].Execs, wantDetail)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/pool"
-	"kernelgpt/internal/telemetry"
 )
 
 // shardPlan decomposes a campaign budget into independent work units.
@@ -142,40 +141,23 @@ func (f *Fuzzer) RunParallel(ctx context.Context, cfg Config, shards int) (*Stat
 			ElapsedNs: clk.Now().Sub(start).Nanoseconds(),
 		})
 	}
+	// exports holds every completed unit's corpus in unit order, so a
+	// flush of the snapshot plus exports is deterministic for a fixed
+	// set of completed units.
 	exports := make([][]seedpool.SeedState, plan.units)
-	// flush merges the snapshot with every completed unit's corpus —
-	// in unit order, so the content is deterministic for a fixed set
-	// of completed units — and saves the store.
-	flush := func() error {
-		sets := append([][]seedpool.SeedState{seeds}, exports...)
-		return store.Save(corpusstore.Merge(corpusCap(cfg), sets...), merged.CoverCount())
-	}
 	// Hub attachment: units must not inherit cfg.Hub — each would push
 	// its unit-local counters as the worker's cumulative stats.
 	// Instead, one exchange runs at every unit boundary with the
 	// merged (cumulative, monotone) campaign state, and pulled remote
 	// seeds warm-start the units that launch afterwards.
 	var remote []seedpool.SeedState
-	hubExchange := func(st SyncState) {
-		t0 := clk.Now()
-		pulled, err := cfg.Hub.Sync(ctx, st)
-		d := clk.Now().Sub(t0)
+	exchange := func(st SyncState) {
+		pulled, d := hubExchange(ctx, cfg, st, start)
 		mu.Lock()
 		merged.SyncTime += d
 		merged.Syncs++
-		if err == nil && !st.Final {
-			remote = append(remote, pulled...)
-		}
-		mu.Unlock() // errors are best-effort, like every hub sync
-		cfg.Metrics.syncDone(d.Nanoseconds())
-		detail := ""
-		if st.Final {
-			detail = "final"
-		}
-		cfg.Flight.Record(telemetry.Event{
-			Span: "sync", ElapsedNs: t0.Sub(start).Nanoseconds(),
-			DurNs: d.Nanoseconds(), Execs: int64(st.Execs), Detail: detail,
-		})
+		remote = append(remote, pulled...)
+		mu.Unlock()
 	}
 	pool.Run(pool.Clamp(plan.units, shards, runtime.GOMAXPROCS(0)), plan.units, func(i int) {
 		c := cfg
@@ -217,37 +199,30 @@ func (f *Fuzzer) RunParallel(ctx context.Context, cfg Config, shards int) (*Stat
 			exports[i] = corpus.Export()
 		}
 		if store != nil && !cfg.ReadOnlyCorpus && cfg.Checkpoint {
-			flush() // best-effort; the final flush surfaces errors
+			// Best-effort; the final flush surfaces errors.
+			flushStore(store, cfg, merged.CoverCount(), seeds, exports...)
 		}
-		var sync *SyncState
+		var sync SyncState
 		if cfg.Hub != nil {
-			sync = &SyncState{
-				Seeds: exports[i], Cover: merged.Cover.Clone(),
-				Execs: merged.Execs, Crashes: crashList(merged),
-				Ops: append([]OpStat(nil), merged.Ops...),
-			}
+			sync = syncState(merged, merged.Cover.Clone(), exports[i], false)
 		}
 		if cfg.Progress != nil {
 			emit()
 		}
 		mu.Unlock()
-		if sync != nil {
-			hubExchange(*sync) // outside mu: a slow hub must not stall merges
+		if cfg.Hub != nil {
+			exchange(sync) // outside mu: a slow hub must not stall merges
 		}
 	})
 	if cfg.Hub != nil {
 		// Campaign-end push: the deterministic merged corpus and final
 		// counters, marked Final so the hub can close out the worker.
-		hubExchange(SyncState{
-			Seeds: corpusstore.Merge(corpusCap(cfg), append([][]seedpool.SeedState{seeds}, exports...)...),
-			Cover: merged.Cover.Clone(), Execs: merged.Execs,
-			Crashes: crashList(merged), Ops: append([]OpStat(nil), merged.Ops...),
-			Final: true,
-		})
+		final := corpusstore.Merge(corpusCap(cfg), append([][]seedpool.SeedState{seeds}, exports...)...)
+		exchange(syncState(merged, merged.Cover.Clone(), final, true))
 	}
 	var saveErr error
 	if store != nil && !cfg.ReadOnlyCorpus {
-		saveErr = flush()
+		saveErr = flushStore(store, cfg, merged.CoverCount(), seeds, exports...)
 	}
 	merged.Elapsed = clk.Now().Sub(start)
 	return merged, errors.Join(ctx.Err(), saveErr)

@@ -37,7 +37,6 @@ type Client struct {
 	backoff     time.Duration
 	name        string
 	fingerprint string
-	binary      bool
 
 	mu       sync.Mutex
 	workerID string            // guarded by mu
@@ -70,14 +69,6 @@ func WithRetry(attempts int, backoff time.Duration) ClientOption {
 	return func(c *Client) { c.attempts = attempts; c.backoff = backoff }
 }
 
-// WithProtocol selects the /v1/sync encoding: "binary" (the default;
-// compact frame streams with compressed cover deltas) or "json" (the
-// PR-5 wire format, interoperable with any hub). Register, heartbeat,
-// and monitoring endpoints always speak JSON.
-func WithProtocol(proto string) ClientOption {
-	return func(c *Client) { c.binary = proto != "json" }
-}
-
 // Dial registers a worker with the hub at baseURL and returns the
 // connected client. The worker's fingerprint is derived from its
 // compiled target; name labels it in the hub's stats.
@@ -90,7 +81,6 @@ func Dial(ctx context.Context, baseURL, name string, t *prog.Target, opts ...Cli
 		backoff:     100 * time.Millisecond,
 		name:        name,
 		fingerprint: Fingerprint(t),
-		binary:      true,
 		pushed:      map[string]bool{},
 		lastCov:     &vkernel.CoverSet{},
 		crashes:     map[string]int{},
@@ -119,7 +109,7 @@ func Dial(ctx context.Context, baseURL, name string, t *prog.Target, opts ...Cli
 //syzlint:locked mu
 func (c *Client) register(ctx context.Context) (RegisterResponse, error) {
 	var resp RegisterResponse
-	err := c.do(ctx, "/v1/register", RegisterRequest{
+	err := c.post(ctx, "/v1/register", RegisterRequest{
 		Version: ProtoVersion, Name: c.name, Fingerprint: c.fingerprint,
 		LeaseID: c.leaseID,
 	}, &resp)
@@ -145,7 +135,7 @@ func (c *Client) Heartbeat(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var resp HeartbeatResponse
-	err := c.do(ctx, "/v1/heartbeat", HeartbeatRequest{
+	err := c.post(ctx, "/v1/heartbeat", HeartbeatRequest{
 		Version: ProtoVersion, WorkerID: c.workerID, LeaseID: c.leaseID,
 	}, &resp)
 	if err != nil {
@@ -203,22 +193,25 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 		sentFiles = append(sentFiles, file)
 	}
 	// Coverage delta: blocks covered since the previous successful
-	// sync.
-	st.Cover.ForEach(func(b vkernel.BlockID) {
-		if !c.lastCov.Has(b) {
-			req.NewBlocks = append(req.NewBlocks, b)
-		}
-	})
-	// Crashes: new titles, or titles whose hit count grew, with
+	// sync. Crashes: new titles, or titles whose hit count grew, with
 	// cumulative counts (the hub differences per worker, so a retry
 	// that repeats a committed report adds nothing).
-	for _, cr := range st.Crashes {
-		if cr.Count > c.crashes[cr.Title] {
-			req.Crashes = append(req.Crashes, WireCrash{Title: cr.Title, Repro: cr.Repro, Count: cr.Count})
+	deltas := func() {
+		req.NewBlocks, req.Crashes = nil, nil
+		st.Cover.ForEach(func(b vkernel.BlockID) {
+			if !c.lastCov.Has(b) {
+				req.NewBlocks = append(req.NewBlocks, b)
+			}
+		})
+		for _, cr := range st.Crashes {
+			if cr.Count > c.crashes[cr.Title] {
+				req.Crashes = append(req.Crashes, WireCrash{Title: cr.Title, Repro: cr.Repro, Count: cr.Count})
+			}
 		}
 	}
+	deltas()
 
-	resp, err := c.doSync(ctx, &req)
+	resp, err := c.postSync(ctx, &req)
 	if err != nil {
 		if !isUnknownWorker(err) {
 			return nil, err
@@ -241,18 +234,12 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 			c.lastCov = &vkernel.CoverSet{}
 			c.crashes = map[string]int{}
 			req.SinceGen = 0
-			req.NewBlocks = st.Cover.Blocks()
-			req.Crashes = nil
-			for _, cr := range st.Crashes {
-				if cr.Count > 0 {
-					req.Crashes = append(req.Crashes, WireCrash{Title: cr.Title, Repro: cr.Repro, Count: cr.Count})
-				}
-			}
+			deltas()
 		}
 		// A resumed lease keeps all delta bookkeeping: the hub still
 		// holds our cover/crash attribution, so the original request
 		// is retried as-is.
-		if resp, err = c.doSync(ctx, &req); err != nil {
+		if resp, err = c.postSync(ctx, &req); err != nil {
 			return nil, err
 		}
 	}
@@ -314,63 +301,6 @@ func retryable(err error) bool {
 	return true
 }
 
-// withRetry runs one exchange with retry/backoff (the retry
-// discipline mirrors the llm middleware: doubling sleeps, context
-// cancellation is never retried and interrupts the backoff). A 429's
-// Retry-After overrides the backoff for that sleep — the hub said
-// when it wants us back.
-func (c *Client) withRetry(ctx context.Context, fn func() error) error {
-	delay := c.backoff
-	attempts := c.attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			wait := delay
-			if se, ok := err.(*statusError); ok && se.retryAfter > 0 {
-				wait = se.retryAfter
-			}
-			if wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return ctx.Err()
-				case <-t.C:
-				}
-			}
-			delay *= 2
-		}
-		err = fn()
-		if err == nil || ctx.Err() != nil || !retryable(err) {
-			return err
-		}
-	}
-	return err
-}
-
-// do POSTs one JSON request with retry/backoff.
-func (c *Client) do(ctx context.Context, path string, in, out any) error {
-	return c.withRetry(ctx, func() error { return c.post(ctx, path, in, out) })
-}
-
-// doSync runs one /v1/sync exchange in the negotiated protocol with
-// retry/backoff.
-func (c *Client) doSync(ctx context.Context, req *SyncRequest) (*SyncResponse, error) {
-	var resp *SyncResponse
-	err := c.withRetry(ctx, func() error {
-		r, err := c.postSync(ctx, req)
-		if err != nil {
-			return err
-		}
-		resp = r
-		return nil
-	})
-	return resp, err
-}
-
 // readError turns a non-2xx reply into a statusError, capturing the
 // Retry-After hint.
 func readError(resp *http.Response) error {
@@ -385,69 +315,96 @@ func readError(resp *http.Response) error {
 	return se
 }
 
-// post performs one JSON POST exchange.
+// roundTrip POSTs body as contentType and returns the 200 reply's body
+// and Content-Type, retrying with backoff (the retry discipline
+// mirrors the llm middleware: doubling sleeps, context cancellation is
+// never retried and interrupts the backoff). A 429's Retry-After
+// overrides the backoff for that sleep — the hub said when it wants us
+// back.
+func (c *Client) roundTrip(ctx context.Context, path, contentType string, body []byte, limit int64) (data []byte, replyType string, err error) {
+	delay := c.backoff
+	attempts := c.attempts
+	if attempts < 1 {
+		attempts = 1
+	}
+	for try := 0; try < attempts; try++ {
+		if try > 0 {
+			wait := delay
+			if se, ok := err.(*statusError); ok && se.retryAfter > 0 {
+				wait = se.retryAfter
+			}
+			if wait > 0 {
+				t := time.NewTimer(wait)
+				select {
+				case <-ctx.Done():
+					t.Stop()
+					return nil, "", ctx.Err()
+				case <-t.C:
+				}
+			}
+			delay *= 2
+		}
+		data, replyType, err = c.send(ctx, path, contentType, body, limit)
+		if err == nil || ctx.Err() != nil || !retryable(err) {
+			break
+		}
+	}
+	return data, replyType, err
+}
+
+// send is one attempt of roundTrip. The reply body is read up to limit
+// bytes; any status but 200 becomes a statusError (error replies are
+// always JSON).
+func (c *Client) send(ctx context.Context, path, contentType string, body []byte, limit int64) ([]byte, string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, "", err
+	}
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Accept", contentType)
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, "", readError(resp)
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, "", err
+	}
+	if int64(len(data)) > limit {
+		return nil, "", fmt.Errorf("hub: %s reply exceeds %d bytes", path, limit)
+	}
+	return data, resp.Header.Get("Content-Type"), nil
+}
+
+// post performs one JSON exchange with a control endpoint, with
+// retry/backoff.
 func (c *Client) post(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+path, bytes.NewReader(body))
+	data, _, err := c.roundTrip(ctx, path, JSONContentType, body, maxControlBody)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", JSONContentType)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return readError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.Unmarshal(data, out)
 }
 
-// postSync performs one /v1/sync exchange, encoding per the client's
-// protocol: the binary frame stream (with Accept negotiating a binary
-// response) or plain JSON. Error replies are always JSON.
+// postSync performs one /v1/sync exchange as binary frame streams,
+// with retry/backoff. A 200 reply in any other encoding is an error:
+// decoding it as something else would import nothing and report
+// success.
 func (c *Client) postSync(ctx context.Context, sreq *SyncRequest) (*SyncResponse, error) {
-	var body []byte
-	contentType := JSONContentType
-	if c.binary {
-		body = EncodeSyncRequest(sreq)
-		contentType = BinaryContentType
-	} else {
-		var err error
-		if body, err = json.Marshal(sreq); err != nil {
-			return nil, err
-		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/v1/sync", bytes.NewReader(body))
+	data, replyType, err := c.roundTrip(ctx, "/v1/sync", BinaryContentType, EncodeSyncRequest(sreq), maxSyncBody)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
-	if c.binary {
-		req.Header.Set("Accept", BinaryContentType)
+	if !strings.HasPrefix(replyType, BinaryContentType) {
+		return nil, fmt.Errorf("hub: /v1/sync replied with Content-Type %q, want %s", replyType, BinaryContentType)
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, readError(resp)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), BinaryContentType) {
-		return DecodeSyncResponse(data)
-	}
-	out := &SyncResponse{}
-	if err := json.Unmarshal(data, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return DecodeSyncResponse(data)
 }

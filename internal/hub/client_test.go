@@ -195,13 +195,13 @@ func TestReRegistrationPreservesDialSnapshot(t *testing.T) {
 			writeError(w, http.StatusNotFound, "unknown worker")
 			return
 		}
-		writeJSON(w, http.StatusOK, SyncResponse{Version: ProtoVersion, Generation: 1, LeaseTTLMs: 60_000})
+		writeSyncResponse(w, SyncResponse{Version: ProtoVersion, Generation: 1, LeaseTTLMs: 60_000})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	ctx := context.Background()
-	c, err := Dial(ctx, srv.URL, "w", targetFor(t, "dm"), WithProtocol("json"))
+	c, err := Dial(ctx, srv.URL, "w", targetFor(t, "dm"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func runGoldenScenario(t *testing.T) (statsBody, stateBody, metrics1, metrics2 [
 		t.Fatal(err)
 	}
 	h, err := New(tgt, store,
-		withNow(func() time.Time { return clock }),
+		WithClock(func() time.Time { return clock }),
 		WithStatePath(statePath),
 		WithMetrics(telemetry.NewRegistry()))
 	if err != nil {

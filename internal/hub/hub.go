@@ -2,6 +2,7 @@ package hub
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -110,9 +111,9 @@ type worker struct {
 	crashCounts map[string]int
 }
 
-// observeSync folds one exchange's service time, wire payload size,
-// and JSON-equivalent size into a sync aggregate.
-func observeSync(a *SyncAggJSON, serviceNs, payloadBytes, jsonBytes int64) {
+// observeSync folds one exchange's service time and wire payload size
+// into a sync aggregate.
+func observeSync(a *SyncAggJSON, serviceNs, payloadBytes int64) {
 	a.Count++
 	a.ServiceNsSum += serviceNs
 	if serviceNs > a.ServiceNsMax {
@@ -122,7 +123,6 @@ func observeSync(a *SyncAggJSON, serviceNs, payloadBytes, jsonBytes int64) {
 	if payloadBytes > a.BytesMax {
 		a.BytesMax = payloadBytes
 	}
-	a.JSONBytesSum += jsonBytes
 }
 
 // crashRecord is one globally deduplicated crash, keyed in
@@ -176,9 +176,6 @@ func WithStatePath(path string) Option { return func(h *Hub) { h.statePath = pat
 // caller via SyncParent).
 func WithParent(url string) Option { return func(h *Hub) { h.parentURL = url } }
 
-// withNow overrides the hub clock (tests).
-func withNow(now func() time.Time) Option { return func(h *Hub) { h.now = now } }
-
 // WithClock injects the hub's time source — the same
 // telemetry.Clock the campaigns thread through fuzz.Config.Clock, so
 // worker traces and hub-side aggregates (SyncAggJSON service times,
@@ -193,7 +190,7 @@ func WithClock(c telemetry.Clock) Option {
 }
 
 // WithMetrics attaches a telemetry registry: hub metrics (sync
-// service time, payload bytes by protocol, lease events, backpressure
+// service time, payload bytes, lease events, backpressure
 // sheds, HTTP request counts) are recorded into it and Handler serves
 // it at /metrics next to /v1/stats. Scrapes of /metrics itself are
 // not counted, so identical hub state always scrapes to identical
@@ -340,7 +337,7 @@ func (h *Hub) instrument(next http.Handler) http.Handler {
 
 // writeJSON serializes one response body.
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", JSONContentType)
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
 }
@@ -349,28 +346,53 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decode parses a JSON request body and enforces the protocol
-// version, writing the error response itself on failure. It returns
-// the payload size in bytes so handlers can account sync cost.
-func decode(w http.ResponseWriter, r *http.Request, version *int, body any) (int64, bool) {
+// Request body caps. A request is admitted (and a sync counted in
+// flight) before its body is read, so an unbounded read would let one
+// POST buffer arbitrary memory. Control requests carry a few short
+// strings; wire.go bounds one frame (maxFramePayload), this the stream.
+const (
+	maxControlBody = 1 << 20
+	maxSyncBody    = 4 * maxFramePayload
+)
+
+// readBody reads a POST body of at most limit bytes, writing the error
+// response itself on failure: 405 for another method, 413 for a body
+// over the limit, 400 for a broken read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return 0, false
+		return nil, false
 	}
-	data, err := io.ReadAll(r.Body)
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return 0, false
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "bad request body: %v", err)
+		return nil, false
+	}
+	return data, true
+}
+
+// decode parses a JSON control request (register, heartbeat) and
+// enforces the protocol version, writing the error response itself on
+// failure.
+func decode(w http.ResponseWriter, r *http.Request, version *int, body any) bool {
+	data, ok := readBody(w, r, maxControlBody)
+	if !ok {
+		return false
 	}
 	if err := json.Unmarshal(data, body); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return int64(len(data)), false
+		return false
 	}
 	if *version != ProtoVersion {
 		writeError(w, http.StatusBadRequest, "protocol version %d not supported (hub speaks %d)", *version, ProtoVersion)
-		return int64(len(data)), false
+		return false
 	}
-	return int64(len(data)), true
+	return true
 }
 
 // reapLocked expires leases whose TTL lapsed. Expired workers keep
@@ -405,7 +427,7 @@ func (h *Hub) grantLease(wk *worker) {
 
 func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if _, ok := decode(w, r, &req.Version, &req); !ok {
+	if !decode(w, r, &req.Version, &req) {
 		return
 	}
 	h.mu.Lock()
@@ -450,17 +472,14 @@ func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (h *Hub) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if _, ok := decode(w, r, &req.Version, &req); !ok {
+	if !decode(w, r, &req.Version, &req) {
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.reapLocked()
-	wk := h.workers[req.WorkerID]
-	if wk == nil || !h.leaseOKLocked(w, wk, req.LeaseID) {
-		if wk == nil {
-			writeError(w, http.StatusNotFound, "unknown worker %q (hub restarted? re-register)", req.WorkerID)
-		}
+	wk := h.leasedWorkerLocked(w, req.WorkerID, req.LeaseID)
+	if wk == nil {
 		return
 	}
 	if wk.leaseState == LeaseActive {
@@ -472,57 +491,58 @@ func (h *Hub) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// leaseOKLocked validates a presented lease against a worker's,
-// writing the 404 re-register hint itself on mismatch or expiry. An
-// empty presented lease is tolerated for legacy clients as long as
-// the worker's lease is live. Callers hold h.mu.
-func (h *Hub) leaseOKLocked(w http.ResponseWriter, wk *worker, leaseID string) bool {
-	if leaseID != "" && leaseID != wk.leaseID {
-		writeError(w, http.StatusNotFound, "stale lease for %q: re-register", wk.id)
-		return false
+// leasedWorkerLocked looks a worker up and validates the presented
+// lease against its own, writing the 404 re-register hint itself (and
+// returning nil) when the worker is unknown or the lease is stale or
+// expired. An empty presented lease is tolerated for legacy clients as
+// long as the worker's lease is live. Callers hold h.mu.
+func (h *Hub) leasedWorkerLocked(w http.ResponseWriter, id, leaseID string) *worker {
+	wk := h.workers[id]
+	switch {
+	case wk == nil:
+		writeError(w, http.StatusNotFound, "unknown worker %q (hub restarted? re-register)", id)
+	case leaseID != "" && leaseID != wk.leaseID:
+		writeError(w, http.StatusNotFound, "stale lease for %q: re-register", id)
+	case wk.leaseState == LeaseExpired:
+		writeError(w, http.StatusNotFound, "lease for %q expired: re-register (send lease_id to resume)", id)
+	default:
+		return wk
 	}
-	if wk.leaseState == LeaseExpired {
-		writeError(w, http.StatusNotFound, "lease for %q expired: re-register (send lease_id to resume)", wk.id)
-		return false
-	}
-	return true
+	return nil
 }
 
-// decodeSync parses a /v1/sync body by Content-Type: the binary frame
-// stream when negotiated, JSON otherwise. It returns the request, the
-// wire payload size, and the JSON-equivalent size (what the same
-// request measures in the default encoding — the baseline the binary
-// protocol is judged against in /v1/stats).
-func decodeSync(w http.ResponseWriter, r *http.Request) (*SyncRequest, int64, int64, bool) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return nil, 0, 0, false
+// decodeSync reads and parses a /v1/sync body. The binary frame
+// stream is the endpoint's only encoding: any other Content-Type is
+// refused with 415 before the body is read. It returns the request and
+// its wire payload size, writing the error response itself on failure.
+func decodeSync(w http.ResponseWriter, r *http.Request) (*SyncRequest, int64, bool) {
+	if r.Method == http.MethodPost && !strings.HasPrefix(r.Header.Get("Content-Type"), BinaryContentType) {
+		writeError(w, http.StatusUnsupportedMediaType, "/v1/sync requires Content-Type %s", BinaryContentType)
+		return nil, 0, false
 	}
-	data, err := io.ReadAll(r.Body)
+	data, ok := readBody(w, r, maxSyncBody)
+	if !ok {
+		return nil, 0, false
+	}
+	req, err := DecodeSyncRequest(data)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return nil, 0, 0, false
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return nil, 0, false
 	}
-	payload := int64(len(data))
-	if strings.HasPrefix(r.Header.Get("Content-Type"), BinaryContentType) {
-		req, err := DecodeSyncRequest(data)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return nil, payload, 0, false
-		}
-		jsonBody, _ := json.Marshal(req)
-		return req, payload, int64(len(jsonBody)), true
+	return req, int64(len(data)), true
+}
+
+// mergeLocked folds incoming seeds into the authoritative corpus image
+// and persists it. Memory is committed only after the store accepts
+// the image, so a failed save leaves stats, pull diffs, and disk
+// agreeing (the sender retries the whole exchange). Callers hold h.mu.
+func (h *Hub) mergeLocked(incoming []seedpool.SeedState) error {
+	merged := corpusstore.Merge(h.cap, h.states, incoming)
+	if err := h.store.Save(merged, h.cover.Count()); err != nil {
+		return fmt.Errorf("store save: %w", err)
 	}
-	req := &SyncRequest{}
-	if err := json.Unmarshal(data, req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return nil, payload, 0, false
-	}
-	if req.Version != ProtoVersion {
-		writeError(w, http.StatusBadRequest, "protocol version %d not supported (hub speaks %d)", req.Version, ProtoVersion)
-		return nil, payload, 0, false
-	}
-	return req, payload, payload, true
+	h.states = merged
+	return h.refreshIndex()
 }
 
 func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
@@ -538,12 +558,10 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 		}
 		defer h.inflight.Add(-1)
 	}
-	req, payload, jsonBytes, ok := decodeSync(w, r)
+	req, payload, ok := decodeSync(w, r)
 	if !ok {
 		return
 	}
-	gotBinary := strings.HasPrefix(r.Header.Get("Content-Type"), BinaryContentType)
-	wantBinary := strings.Contains(r.Header.Get("Accept"), BinaryContentType)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	// Service time is measured from lock acquisition: the hub's own
@@ -552,12 +570,8 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	// derives FROM this number, so baking it in would double-count.
 	svcStart := h.now()
 	h.reapLocked()
-	wk := h.workers[req.WorkerID]
+	wk := h.leasedWorkerLocked(w, req.WorkerID, req.LeaseID)
 	if wk == nil {
-		writeError(w, http.StatusNotFound, "unknown worker %q (hub restarted? re-register)", req.WorkerID)
-		return
-	}
-	if !h.leaseOKLocked(w, wk, req.LeaseID) {
 		return
 	}
 	// Per-worker rate limit. Final syncs are exempt — a campaign must
@@ -575,8 +589,8 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() {
 		serviceNs := h.now().Sub(svcStart).Nanoseconds()
-		observeSync(&wk.sync, serviceNs, payload, jsonBytes)
-		h.metrics.syncObserved(serviceNs, payload, gotBinary)
+		observeSync(&wk.sync, serviceNs, payload)
+		h.metrics.syncObserved(serviceNs, payload)
 	}()
 	// Push: validate incoming programs against the hub target, merge
 	// into the authoritative image, persist, refresh the generation
@@ -593,16 +607,7 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	h.rejectedSeeds += rejected
 	if len(incoming) > 0 {
-		// Commit to memory only after the store accepts the image, so
-		// a failed save leaves stats, pull diffs, and disk agreeing
-		// (the client retries the whole sync).
-		merged := corpusstore.Merge(h.cap, h.states, incoming)
-		if err := h.store.Save(merged, h.cover.Count()); err != nil {
-			writeError(w, http.StatusInternalServerError, "store save: %v", err)
-			return
-		}
-		h.states = merged
-		if err := h.refreshIndex(); err != nil {
+		if err := h.mergeLocked(incoming); err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
@@ -636,17 +641,12 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	h.persistLocked()
 	h.logf("hub: sync %s: +%d seeds (%d rejected), +%d blocks, %d crash reports -> %d seeds at gen %d",
 		req.WorkerID, len(incoming), rejected, len(req.NewBlocks), len(req.Crashes), len(seeds), gen)
-	resp := &SyncResponse{
+	w.Header().Set("Content-Type", BinaryContentType)
+	w.WriteHeader(http.StatusOK)
+	w.Write(EncodeSyncResponse(&SyncResponse{
 		Version: ProtoVersion, Generation: gen, Seeds: seeds, RejectedSeeds: rejected,
 		LeaseTTLMs: h.leaseTTL.Milliseconds(),
-	}
-	if wantBinary {
-		w.Header().Set("Content-Type", BinaryContentType)
-		w.WriteHeader(http.StatusOK)
-		w.Write(EncodeSyncResponse(resp))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	}))
 }
 
 // diff collects the corpus entries admitted after generation since,
@@ -760,8 +760,7 @@ func (h *Hub) statsLocked() HubStats {
 		RejectedSeeds: h.rejectedSeeds,
 		Parent:        h.parentURL,
 	}
-	ops := map[string]*OpJSON{}
-	var opOrder []string
+	st.Execs, st.Ops = h.totalsLocked()
 	ids := make([]string, 0, len(h.workers))
 	for id := range h.workers {
 		ids = append(ids, id)
@@ -795,34 +794,36 @@ func (h *Hub) statsLocked() HubStats {
 		st.Sync.Count += wk.sync.Count
 		st.Sync.ServiceNsSum += wk.sync.ServiceNsSum
 		st.Sync.BytesSum += wk.sync.BytesSum
-		st.Sync.JSONBytesSum += wk.sync.JSONBytesSum
 		if wk.sync.ServiceNsMax > st.Sync.ServiceNsMax {
 			st.Sync.ServiceNsMax = wk.sync.ServiceNsMax
 		}
 		if wk.sync.BytesMax > st.Sync.BytesMax {
 			st.Sync.BytesMax = wk.sync.BytesMax
 		}
-		st.Execs += wk.stats.Execs
-		for _, op := range wk.stats.Ops {
-			o := ops[op.Name]
-			if o == nil {
-				o = &OpJSON{Name: op.Name}
-				ops[op.Name] = o
-				opOrder = append(opOrder, op.Name)
-			}
-			o.Picks += op.Picks
-			o.NewBlocks += op.NewBlocks
-		}
-	}
-	sort.Strings(opOrder)
-	for _, name := range opOrder {
-		st.Ops = append(st.Ops, *ops[name])
 	}
 	if up := h.now().Sub(h.start).Seconds(); up > 0 {
 		st.ExecsPerSec = float64(st.Execs) / up
 	}
-	st.SyncBytesRatio = st.Sync.BytesRatio()
 	return st
+}
+
+// totalsLocked sums the workers' latest cumulative exec counts and
+// their per-operator yields, the latter as a name-sorted slice.
+// Callers hold h.mu.
+func (h *Hub) totalsLocked() (execs int, ops []OpJSON) {
+	sum := map[string]OpJSON{}
+	for _, wk := range h.workers {
+		execs += wk.stats.Execs
+		for _, op := range wk.stats.Ops {
+			o := sum[op.Name]
+			sum[op.Name] = OpJSON{Name: op.Name, Picks: o.Picks + op.Picks, NewBlocks: o.NewBlocks + op.NewBlocks}
+		}
+	}
+	for _, o := range sum {
+		ops = append(ops, o)
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i].Name < ops[j].Name })
+	return execs, ops
 }
 
 func (h *Hub) handleCrashes(w http.ResponseWriter, r *http.Request) {

@@ -393,22 +393,28 @@ func TestCrashReportRetryIdempotent(t *testing.T) {
 		Crashes: []WireCrash{{Title: "bug-i", Repro: repro, Count: 5}},
 		Stats:   WorkerStats{Execs: 100},
 	}
-	var resp SyncResponse
-	postJSON(t, srv.URL+"/v1/sync", req, &resp)
-	postJSON(t, srv.URL+"/v1/sync", req, &resp) // the retry
+	sync := func() {
+		t.Helper()
+		if code, _ := rawSync(t, srv.URL, req); code != http.StatusOK {
+			t.Fatalf("sync answered %d", code)
+		}
+	}
+	sync()
+	sync() // the retry
 	crashes := hub.Crashes()
 	if len(crashes) != 1 || crashes[0].Count != 5 || crashes[0].Reports != 1 {
 		t.Fatalf("retry inflated the crash table: %+v", crashes)
 	}
 	// A genuinely grown cumulative count folds in the difference.
 	req.Crashes[0].Count = 8
-	postJSON(t, srv.URL+"/v1/sync", req, &resp)
+	sync()
 	if got := hub.Crashes()[0]; got.Count != 8 || got.Reports != 2 {
 		t.Fatalf("grown count not differenced: %+v", got)
 	}
 }
 
-// postJSON is a minimal raw client for protocol-level tests.
+// postJSON is a minimal raw client for protocol-level tests of the
+// JSON control endpoints (rawSync is its /v1/sync counterpart).
 func postJSON(t *testing.T, url string, in, out any) {
 	t.Helper()
 	body, err := json.Marshal(in)
@@ -438,7 +444,7 @@ func TestSyncServiceAggregates(t *testing.T) {
 		tick++
 		return time.Unix(0, tick*int64(time.Millisecond))
 	}
-	hub, srv := newHub(t, tgt, withNow(clock))
+	hub, srv := newHub(t, tgt, WithClock(clock))
 	ctx := context.Background()
 	c, err := Dial(ctx, srv.URL, "w", tgt)
 	if err != nil {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -51,7 +53,7 @@ func coverOf(blocks ...vkernel.BlockID) *vkernel.CoverSet {
 func TestLeaseExpiryUnderPartition(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	hub, srv := newHub(t, tgt, withNow(clock.Now), WithLeaseTTL(time.Second))
+	hub, srv := newHub(t, tgt, WithClock(clock.Now), WithLeaseTTL(time.Second))
 	ctx := context.Background()
 	c, err := Dial(ctx, srv.URL, "w", tgt)
 	if err != nil {
@@ -119,7 +121,7 @@ func TestLeaseExpiryUnderPartition(t *testing.T) {
 func TestHeartbeatRenewsLease(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	clock := &fakeClock{t: time.Unix(2000, 0)}
-	hub, srv := newHub(t, tgt, withNow(clock.Now), WithLeaseTTL(10*time.Second))
+	hub, srv := newHub(t, tgt, WithClock(clock.Now), WithLeaseTTL(10*time.Second))
 	ctx := context.Background()
 	c, err := Dial(ctx, srv.URL, "w", tgt)
 	if err != nil {
@@ -150,20 +152,37 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 	}
 }
 
-// postForStatus posts JSON and returns the HTTP status and the
-// Retry-After header (protocol-level backpressure checks).
-func postForStatus(t *testing.T, url string, in any) (int, string) {
+// rawSync is the raw /v1/sync client for protocol-level tests: it
+// POSTs req as a binary frame stream and returns the HTTP status and
+// the Retry-After header. A 200 reply must itself be a decodable binary
+// stream.
+func rawSync(t *testing.T, base string, req SyncRequest) (int, string) {
 	t.Helper()
-	body, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, JSONContentType, bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/sync", BinaryContentType, bytes.NewReader(EncodeSyncRequest(&req)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != BinaryContentType {
+			t.Fatalf("200 sync reply has Content-Type %q, want %s", ct, BinaryContentType)
+		}
+		if _, err := DecodeSyncResponse(data); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return resp.StatusCode, resp.Header.Get("Retry-After")
+}
+
+// writeSyncResponse answers a stub hub's /v1/sync the way the real one
+// does: 200 with a binary frame stream.
+func writeSyncResponse(w http.ResponseWriter, resp SyncResponse) {
+	w.Header().Set("Content-Type", BinaryContentType)
+	w.Write(EncodeSyncResponse(&resp))
 }
 
 // TestSyncBackpressure: a hub at its in-flight bound sheds syncs with
@@ -172,7 +191,7 @@ func postForStatus(t *testing.T, url string, in any) (int, string) {
 func TestSyncBackpressure(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	clock := &fakeClock{t: time.Unix(3000, 0)}
-	hub, srv := newHub(t, tgt, withNow(clock.Now),
+	hub, srv := newHub(t, tgt, WithClock(clock.Now),
 		WithMaxInflight(2), WithMinSyncInterval(10*time.Second))
 	var reg RegisterResponse
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
@@ -181,23 +200,24 @@ func TestSyncBackpressure(t *testing.T) {
 	// Occupy both in-flight slots; the next sync is shed before it
 	// queues.
 	hub.inflight.Add(2)
-	if code, ra := postForStatus(t, srv.URL+"/v1/sync", req); code != http.StatusTooManyRequests || ra == "" {
+	if code, ra := rawSync(t, srv.URL, req); code != http.StatusTooManyRequests || ra == "" {
 		t.Fatalf("full hub answered %d (Retry-After %q), want 429 with hint", code, ra)
 	}
 	hub.inflight.Add(-2)
 
-	var resp SyncResponse
-	postJSON(t, srv.URL+"/v1/sync", req, &resp)
+	if code, _ := rawSync(t, srv.URL, req); code != http.StatusOK {
+		t.Fatalf("first sync answered %d", code)
+	}
 	// Too soon: rate-limited with a Retry-After hint.
 	clock.Advance(3 * time.Second)
-	if code, ra := postForStatus(t, srv.URL+"/v1/sync", req); code != http.StatusTooManyRequests || ra == "" {
+	if code, ra := rawSync(t, srv.URL, req); code != http.StatusTooManyRequests || ra == "" {
 		t.Fatalf("rapid re-sync answered %d (Retry-After %q), want 429 with hint", code, ra)
 	}
 	// A Final sync is never rate-limited — campaigns must be able to
 	// deliver their last exchange.
 	final := req
 	final.Final = true
-	if code, _ := postForStatus(t, srv.URL+"/v1/sync", final); code != http.StatusOK {
+	if code, _ := rawSync(t, srv.URL, final); code != http.StatusOK {
 		t.Fatalf("final sync rate-limited: %d", code)
 	}
 	if st := hub.Stats(); st.Sync.Count != 2 {
@@ -221,10 +241,10 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 			writeError(w, http.StatusTooManyRequests, "busy")
 			return
 		}
-		writeJSON(w, http.StatusOK, SyncResponse{Version: ProtoVersion})
+		writeSyncResponse(w, SyncResponse{Version: ProtoVersion})
 	}))
 	defer srv.Close()
-	c, err := Dial(context.Background(), srv.URL, "w", tgt, WithProtocol("json"))
+	c, err := Dial(context.Background(), srv.URL, "w", tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +332,32 @@ func TestHubRestartWithStateSidecar(t *testing.T) {
 	}
 	if st.Seeds != 1 || st.Generation == 0 {
 		t.Fatalf("store lineage broken: %d seeds at gen %d", st.Seeds, st.Generation)
+	}
+
+	// A sidecar written before /v1/sync went binary-only (testdata
+	// fixture, as PR 12 wrote it) still carries the JSON-equivalent byte
+	// sum in every sync aggregate; it must restore as before, the dropped
+	// field ignored.
+	old, err := os.ReadFile(filepath.Join("testdata", "hubstate_pr12.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict := json.NewDecoder(bytes.NewReader(old))
+	strict.DisallowUnknownFields()
+	if strict.Decode(&hubStateJSON{}) == nil {
+		t.Fatal("fixture carries no field this build has dropped")
+	}
+	oldPath := filepath.Join(dir, "old-hubstate.json")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h3, err := New(tgt, store2, WithStatePath(oldPath))
+	if err != nil {
+		t.Fatalf("restart over the PR 12 sidecar: %v", err)
+	}
+	st = h3.Stats()
+	if len(st.Workers) != 2 || st.Sync.Count != 1 || st.Sync.BytesSum != 19616 || st.UnionCover != 3 || st.Crashes != 1 {
+		t.Fatalf("old sidecar restored wrong: %+v", st)
 	}
 }
 

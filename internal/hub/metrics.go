@@ -8,7 +8,7 @@ import (
 )
 
 // hubMetrics is the hub-side telemetry bundle. Fixed label sets
-// (protocols, lease events, shed kinds) are pre-registered so every
+// (lease events, shed kinds) are pre-registered so every
 // series appears in the first scrape at zero — the CI monotonicity
 // checks difference scrapes and must never see a series pop into
 // existence between them. Per-path request counters register lazily
@@ -20,9 +20,10 @@ type hubMetrics struct {
 	// /v1/stats sync.service_ns_sum/count — the same measurements,
 	// two views.
 	syncSvc *telemetry.Histogram
-	// syncBytes counts sync payload bytes by wire protocol
-	// (syzhub_sync_bytes_total{proto="binary"|"json"}).
-	syncBytes map[string]*telemetry.Counter
+	// syncBytes counts sync request payload bytes as they arrived on the
+	// wire (syzhub_sync_bytes_total); it reconciles with /v1/stats
+	// sync.bytes_sum.
+	syncBytes *telemetry.Counter
 	// leaseEvents counts lease lifecycle transitions
 	// (syzhub_lease_events_total{event=...}).
 	leaseEvents map[string]*telemetry.Counter
@@ -41,13 +42,10 @@ func newHubMetrics(reg *telemetry.Registry) *hubMetrics {
 	m := &hubMetrics{
 		reg:         reg,
 		syncSvc:     reg.Histogram("syzhub_sync_service_ns", nil),
-		syncBytes:   map[string]*telemetry.Counter{},
+		syncBytes:   reg.Counter("syzhub_sync_bytes_total"),
 		leaseEvents: map[string]*telemetry.Counter{},
 		sheds:       map[string]*telemetry.Counter{},
 		reqNs:       reg.Histogram("syzhub_request_ns", nil),
-	}
-	for _, proto := range []string{"binary", "json"} {
-		m.syncBytes[proto] = reg.Counter(fmt.Sprintf("syzhub_sync_bytes_total{proto=%q}", proto))
 	}
 	for _, ev := range []string{"grant", "renew", "expire", "release", "resume"} {
 		m.leaseEvents[ev] = reg.Counter(fmt.Sprintf("syzhub_lease_events_total{event=%q}", ev))
@@ -59,16 +57,12 @@ func newHubMetrics(reg *telemetry.Registry) *hubMetrics {
 }
 
 // syncObserved records one exchange's service time and payload size.
-func (m *hubMetrics) syncObserved(serviceNs, payloadBytes int64, binary bool) {
+func (m *hubMetrics) syncObserved(serviceNs, payloadBytes int64) {
 	if m == nil {
 		return
 	}
 	m.syncSvc.Observe(serviceNs)
-	proto := "json"
-	if binary {
-		proto = "binary"
-	}
-	m.syncBytes[proto].Add(payloadBytes)
+	m.syncBytes.Add(payloadBytes)
 }
 
 // lease records one lease lifecycle transition.

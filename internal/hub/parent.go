@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"kernelgpt/internal/fuzz"
-	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
 )
 
@@ -40,24 +39,10 @@ func (h *Hub) parentState(final bool) fuzz.SyncState {
 			Title: rec.title, Repro: rec.repro, Count: rec.count,
 		})
 	}
-	ops := map[string]*fuzz.OpStat{}
-	var names []string
-	for _, wk := range h.workers {
-		st.Execs += wk.stats.Execs
-		for _, op := range wk.stats.Ops {
-			o := ops[op.Name]
-			if o == nil {
-				o = &fuzz.OpStat{Name: op.Name}
-				ops[op.Name] = o
-				names = append(names, op.Name)
-			}
-			o.Picks += op.Picks
-			o.NewBlocks += op.NewBlocks
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		st.Ops = append(st.Ops, *ops[name])
+	execs, ops := h.totalsLocked()
+	st.Execs = execs
+	for _, op := range ops {
+		st.Ops = append(st.Ops, fuzz.OpStat(op))
 	}
 	return st
 }
@@ -80,12 +65,7 @@ func (h *Hub) SyncParent(ctx context.Context, client *Client, final bool) (int, 
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	merged := corpusstore.Merge(h.cap, h.states, imported)
-	if err := h.store.Save(merged, h.cover.Count()); err != nil {
-		return 0, err
-	}
-	h.states = merged
-	if err := h.refreshIndex(); err != nil {
+	if err := h.mergeLocked(imported); err != nil {
 		return 0, err
 	}
 	h.persistLocked()

@@ -8,11 +8,13 @@
 // wins, duplicate reports tracked), and live aggregated stats served
 // as JSON for monitoring.
 //
-// The wire protocol is versioned JSON over HTTP: POST /v1/register
-// and /v1/sync carry the types below; GET /v1/stats and /v1/crashes
-// serve the monitoring views; GET /healthz answers liveness probes.
-// Syncs are batched in both directions — a push ships at most
-// MaxPushBatch seeds (the client keeps the rest for the next
+// The wire protocol is versioned and runs over HTTP. POST /v1/register
+// and /v1/heartbeat carry the JSON types below; POST /v1/sync carries
+// SyncRequest/SyncResponse as the binary frame stream of wire.go, its
+// only encoding (error replies are JSON everywhere); GET /v1/stats and
+// /v1/crashes serve the monitoring views as JSON; GET /healthz answers
+// liveness probes. Syncs are batched in both directions — a push ships
+// at most MaxPushBatch seeds (the client keeps the rest for the next
 // boundary) and a pull response ships whole store generations up to
 // MaxPullBatch seeds, returning the generation the client should
 // resume from.
@@ -224,10 +226,6 @@ type HubStats struct {
 	// Sync is the hub-wide sync cost aggregate (sums over workers;
 	// maxes are the worst single sync seen anywhere).
 	Sync SyncAggJSON `json:"sync"`
-	// SyncBytesRatio is Sync.BytesRatio() materialized for scripts:
-	// wire bytes over the JSON-equivalent baseline (0 until a sync
-	// arrives, 1.0 for pure-JSON traffic, < 1 when binary wins).
-	SyncBytesRatio float64 `json:"sync_bytes_ratio"`
 	// ActiveLeases/ExpiredLeases/ReleasedLeases count the lease table:
 	// live workers, leases reaped after missing their TTL, and leases
 	// released by a Final sync. ActiveLeases == 0 after a clean
@@ -253,15 +251,9 @@ type SyncAggJSON struct {
 	ServiceNsSum int64 `json:"service_ns_sum"`
 	ServiceNsMax int64 `json:"service_ns_max"`
 	// BytesSum/BytesMax aggregate request payload sizes as they
-	// arrived on the wire (binary or JSON).
+	// arrived on the wire.
 	BytesSum int64 `json:"bytes_sum"`
 	BytesMax int64 `json:"bytes_max"`
-	// JSONBytesSum aggregates what the same requests measure in the
-	// JSON encoding — for binary syncs the hub re-encodes the decoded
-	// request to get the equivalent, for JSON syncs it equals the
-	// payload. BytesSum/JSONBytesSum is the binary protocol's payload
-	// ratio against the JSON baseline.
-	JSONBytesSum int64 `json:"json_bytes_sum,omitempty"`
 }
 
 // MeanServiceNs returns the average per-sync service time.
@@ -278,15 +270,6 @@ func (a SyncAggJSON) MeanBytes() float64 {
 		return 0
 	}
 	return float64(a.BytesSum) / float64(a.Count)
-}
-
-// BytesRatio returns wire bytes over the JSON-equivalent baseline
-// (1.0 for pure-JSON traffic, < 1 when the binary protocol wins).
-func (a SyncAggJSON) BytesRatio() float64 {
-	if a.JSONBytesSum == 0 {
-		return 0
-	}
-	return float64(a.BytesSum) / float64(a.JSONBytesSum)
 }
 
 // WorkerJSON is one registered worker in the stats view.

@@ -1,0 +1,178 @@
+package hub
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"kernelgpt/internal/fuzz"
+	"kernelgpt/internal/vkernel"
+)
+
+// statsBytes fetches GET /v1/stats verbatim.
+func statsBytes(t *testing.T, base string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// postRaw POSTs a body with the given Content-Type ("" = none) and
+// returns the status and the decoded JSON error message.
+func postRaw(t *testing.T, url, contentType string, body io.Reader) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatalf("POST %s: HTTP %d without a JSON error body: %v", url, resp.StatusCode, err)
+	}
+	return resp.StatusCode, er.Error
+}
+
+// TestSyncRejectsNonBinary: the binary frame stream is /v1/sync's only
+// encoding. A well-formed JSON SyncRequest (what a PR-5 worker sends),
+// with or without a Content-Type, is refused with 415 naming the
+// required media type and leaves the hub untouched; the client does not
+// retry the rejection.
+func TestSyncRejectsNonBinary(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	fixed := time.Unix(1_700_000_000, 0)
+	hub, srv := newHub(t, tgt, WithClock(func() time.Time { return fixed }))
+	var reg RegisterResponse
+	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
+	body, err := json.Marshal(SyncRequest{
+		Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID,
+		NewBlocks: []vkernel.BlockID{1, 2, 3}, Stats: WorkerStats{Execs: 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := statsBytes(t, srv.URL)
+	for _, contentType := range []string{JSONContentType, ""} {
+		code, msg := postRaw(t, srv.URL+"/v1/sync", contentType, bytes.NewReader(body))
+		if code != http.StatusUnsupportedMediaType || !strings.Contains(msg, BinaryContentType) {
+			t.Errorf("Content-Type %q: HTTP %d %q, want 415 naming %s", contentType, code, msg, BinaryContentType)
+		}
+	}
+	if after := statsBytes(t, srv.URL); !bytes.Equal(before, after) {
+		t.Errorf("rejected syncs changed /v1/stats:\nbefore: %s\nafter:  %s", before, after)
+	}
+	if st := hub.Stats(); st.UnionCover != 0 || st.Sync.Count != 0 {
+		t.Errorf("rejected syncs reached hub state: %+v", st)
+	}
+
+	// The same rejection as hub.Client sees it: a proxy relabels the
+	// client's syncs as JSON, the way a worker on the removed JSON
+	// protocol would have sent them.
+	var syncs atomic.Int32
+	handler := hub.Handler()
+	relabel := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/sync" {
+			syncs.Add(1)
+			r.Header.Set("Content-Type", JSONContentType)
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	defer relabel.Close()
+	ctx := context.Background()
+	c, err := Dial(ctx, relabel.URL, "w2", tgt, WithRetry(5, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Sync(ctx, fuzz.SyncState{Cover: coverOf(7)})
+	if se, ok := err.(*statusError); !ok || se.code != http.StatusUnsupportedMediaType {
+		t.Fatalf("sync error = %v, want HTTP 415", err)
+	}
+	if got := syncs.Load(); got != 1 {
+		t.Errorf("415 was retried: %d attempts", got)
+	}
+}
+
+// TestClientRejectsNonBinaryReply: a hub that answers a sync 200 in
+// JSON (a PR-5 hub) must make Client.Sync fail; decoding the reply as
+// something else would import nothing and report success.
+func TestClientRejectsNonBinaryReply(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/register" {
+			writeJSON(w, http.StatusOK, RegisterResponse{Version: ProtoVersion, WorkerID: "w1", LeaseID: "L1"})
+			return
+		}
+		writeJSON(w, http.StatusOK, SyncResponse{Version: ProtoVersion, Generation: 3, Seeds: []WireSeed{{Text: "x", Prio: 1}}})
+	}))
+	defer srv.Close()
+	ctx := context.Background()
+	c, err := Dial(ctx, srv.URL, "w", targetFor(t, "dm"), WithRetry(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := c.Sync(ctx, fuzz.SyncState{Cover: coverOf(1)})
+	if err == nil || !strings.Contains(err.Error(), BinaryContentType) {
+		t.Fatalf("JSON 200 reply: got %d seeds, err %v; want an error naming %s", len(seeds), err, BinaryContentType)
+	}
+	if c.Generation() != 0 {
+		t.Errorf("failed sync advanced the client generation to %d", c.Generation())
+	}
+}
+
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 0
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodiesRejected: request bodies are capped. One byte
+// over the cap gets 413 on a control endpoint and on /v1/sync, the hub
+// state is untouched, and the shed sync's in-flight slot is returned.
+func TestOversizedBodiesRejected(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	fixed := time.Unix(1_700_000_000, 0)
+	hub, srv := newHub(t, tgt, WithClock(func() time.Time { return fixed }), WithMaxInflight(2))
+	before := statsBytes(t, srv.URL)
+	for _, tc := range []struct {
+		path, contentType string
+		limit             int64
+	}{
+		{"/v1/register", JSONContentType, maxControlBody},
+		{"/v1/sync", BinaryContentType, maxSyncBody},
+	} {
+		code, msg := postRaw(t, srv.URL+tc.path, tc.contentType, io.LimitReader(zeros{}, tc.limit+1))
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with %d bytes: HTTP %d %q, want 413", tc.path, tc.limit+1, code, msg)
+		}
+	}
+	if after := statsBytes(t, srv.URL); !bytes.Equal(before, after) {
+		t.Errorf("oversized requests changed /v1/stats:\nbefore: %s\nafter:  %s", before, after)
+	}
+	if n := hub.inflight.Load(); n != 0 {
+		t.Errorf("in-flight counter stuck at %d after the rejected sync", n)
+	}
+}

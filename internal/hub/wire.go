@@ -9,13 +9,11 @@ import (
 
 // Binary wire format
 //
-// The fleet-scale sync path ships /v1/sync exchanges as a compact
-// binary frame stream negotiated per request: a client that POSTs
-// with Content-Type BinaryContentType is decoded from this format,
-// and one whose Accept header names it gets its response encoded the
-// same way. JSON remains the default and the two formats are
-// semantically identical — every stream decodes to the same
-// SyncRequest/SyncResponse structs the JSON path unmarshals to.
+// /v1/sync exchanges travel as a compact binary frame stream, the
+// endpoint's only encoding: requests are POSTed with Content-Type
+// BinaryContentType (anything else is refused with 415) and every 200
+// reply is encoded the same way. Streams decode to the
+// SyncRequest/SyncResponse structs of proto.go.
 //
 // A stream is the 4-byte magic "SHB" + version, then length-prefixed
 // frames until an end frame:
@@ -32,9 +30,10 @@ import (
 // extensible-by-skipping, so accidental format drift fails loudly
 // (the golden-frame tests pin the bytes).
 const (
-	// BinaryContentType negotiates the binary sync framing.
+	// BinaryContentType is the media type of /v1/sync bodies.
 	BinaryContentType = "application/x-syzhub-bin"
-	// JSONContentType is the default protocol's media type.
+	// JSONContentType is the media type of the control endpoints
+	// (register, heartbeat), the monitoring views, and error replies.
 	JSONContentType = "application/json"
 )
 

@@ -129,6 +129,20 @@ func TestWireSmallerThanJSON(t *testing.T) {
 	if len(bin)*2 > jsonBytes {
 		t.Fatalf("binary encoding %dB not under half of JSON %dB", len(bin), jsonBytes)
 	}
+	// The same on the checked-in frame: this test is the one place the
+	// binary-vs-JSON saving is pinned (the hub no longer re-encodes
+	// every request as JSON to report a live ratio).
+	golden, err := os.ReadFile(filepath.Join("testdata", "sync_request.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeSyncRequest(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goldenJSON := mustJSONLen(t, dec); len(golden)*2 > goldenJSON {
+		t.Fatalf("golden sync_request.bin is %dB, not under half of its JSON form %dB", len(golden), goldenJSON)
+	}
 }
 
 func TestWireRejectsMalformed(t *testing.T) {
