@@ -130,13 +130,13 @@ func TestGateReportsMissingEntries(t *testing.T) {
 // workflow: a benchmark present in the run but absent from the gate
 // is reported as INFO — visible, but with no effect on the verdict —
 // so landing new benchmarks (BenchmarkVMRunCompiled,
-// BenchmarkVMRunBatch) never demands a same-commit re-record, even
+// BenchmarkCoverDeltaEncode) never demands a same-commit re-record, even
 // when the new numbers would look like wild regressions of nothing.
 func TestNewBenchmarksAreInformational(t *testing.T) {
 	observed := map[string]Sample{
-		"kernelgpt/internal/fuzz.BenchmarkCampaign":         {NsPerOp: 100, AllocsPerOp: 100, HasAllocs: true},
-		"kernelgpt/internal/vkernel.BenchmarkVMRunCompiled": {NsPerOp: 1e12, AllocsPerOp: 1e6, HasAllocs: true},
-		"kernelgpt/internal/vkernel.BenchmarkVMRunBatch":    {NsPerOp: 1e12},
+		"kernelgpt/internal/fuzz.BenchmarkCampaign":            {NsPerOp: 100, AllocsPerOp: 100, HasAllocs: true},
+		"kernelgpt/internal/vkernel.BenchmarkVMRunCompiled":    {NsPerOp: 1e12, AllocsPerOp: 1e6, HasAllocs: true},
+		"kernelgpt/internal/vkernel.BenchmarkCoverDeltaEncode": {NsPerOp: 1e12},
 	}
 	results := Compare(gateFor(100, 100), observed, 0.15)
 	if len(results) != 3 {

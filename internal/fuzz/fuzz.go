@@ -8,7 +8,9 @@
 //
 // The execution hot path recycles its heavy state across programs:
 // each campaign runs on one reusable executor VM (vkernel.Executor),
-// coverage is tracked in dense vkernel.CoverSet bitmaps, and the seed
+// every program — candidate, warm-start replay, triage trial — is
+// lowered to a flat prog.ExecProg and run compiled, coverage is
+// tracked in dense vkernel.CoverSet bitmaps, and the seed
 // corpus lives in a seedpool.Pool with O(log n) priority eviction and
 // priority-weighted scheduling. Crash repros are triaged (minimized)
 // at discovery time.
@@ -426,14 +428,13 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 	g.Enabled = cfg.Enabled
 	g.NoLocality = cfg.NoLocality
 	x := f.executor()
-	// Compiled fast path: when the campaign's executor is a reusable
-	// VM, every candidate is lowered once into a recycled ExecProg and
-	// run via RunCompiled, with coverage read back into a recycled
-	// buffer — zero per-exec allocations. Results are identical to the
-	// interpreted Run (same coverage, crashes, errno), so stats and
-	// the RNG stream are bit-for-bit unchanged; custom Executors (a
-	// recorder, a real-executor bridge) keep the interpreted path, as
-	// does triage (cold path, runs on clones).
+	// execute is the campaign's one exec site (candidates and warm-start
+	// replays alike). On a reusable VM the program is lowered into a
+	// recycled ExecProg and coverage is read back into a recycled buffer
+	// — zero per-exec allocations — which is exactly what VM.Run does
+	// minus its fresh Result; the returned Result is overwritten by the
+	// next call. Custom Executors (a recorder, a real-executor bridge)
+	// only offer Run.
 	vm, _ := x.(*vkernel.VM)
 	var cep prog.ExecProg
 	var cres vkernel.Result
@@ -540,21 +541,12 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 	// budget and can (re)discover crashes like any other execution.
 	if len(camp.seeds) > 0 {
 		corpus.Import(camp.seeds)
-		if vm != nil {
-			// Replays are the natural batch site: the seed set is known
-			// up front and feedback is folded in after the fact, so they
-			// run through RunBatch in chunks (budget trimmed per batch,
-			// cancellation checked at batch granularity) with outcomes —
-			// and therefore stats — identical to the serial replay.
-			replayCompiled(ctx, cfg, vm, camp.seeds, stats, observe)
-		} else {
-			for _, st := range camp.seeds {
-				if stats.Execs >= cfg.Execs || ctx.Err() != nil {
-					break
-				}
-				observe(st.Prog, x.Run(st.Prog), stats.Execs)
-				stats.Execs++
+		for _, st := range camp.seeds {
+			if stats.Execs >= cfg.Execs || ctx.Err() != nil {
+				break
 			}
+			observe(st.Prog, execute(st.Prog), stats.Execs)
+			stats.Execs++
 		}
 	}
 	for i := stats.Execs; i < cfg.Execs; i++ {
@@ -609,45 +601,6 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 	emit(1)
 	hubSync(ctx, cfg, corpus, stats, true, start)
 	return stats, corpus, nil
-}
-
-// replayBatch is the chunk size warm-start replays run through
-// RunBatch with: big enough to amortize dispatch overhead, small
-// enough that cancellation (checked once per batch) stays responsive.
-const replayBatch = 64
-
-// replayCompiled replays the imported seed snapshot through the
-// batched compiled path: each chunk is compiled into recycled
-// ExecProgs, executed with RunBatch, and observed in seed order, so
-// the resulting stats match the serial interpreted replay exactly.
-func replayCompiled(ctx context.Context, cfg Config, vm *vkernel.VM, seeds []seedpool.SeedState, stats *Stats, observe func(*prog.Prog, *vkernel.Result, int) int) {
-	eps := make([]*prog.ExecProg, replayBatch)
-	for i := range eps {
-		eps[i] = &prog.ExecProg{}
-	}
-	out := make([]vkernel.Result, replayBatch)
-	for len(seeds) > 0 {
-		if stats.Execs >= cfg.Execs || ctx.Err() != nil {
-			return
-		}
-		n := replayBatch
-		if n > len(seeds) {
-			n = len(seeds)
-		}
-		if rem := cfg.Execs - stats.Execs; n > rem {
-			n = rem
-		}
-		batch := seeds[:n]
-		seeds = seeds[n:]
-		for i, st := range batch {
-			prog.CompileExecInto(st.Prog, eps[i])
-		}
-		vm.RunBatch(eps[:n], out[:n])
-		for i, st := range batch {
-			observe(st.Prog, &out[i], stats.Execs)
-			stats.Execs++
-		}
-	}
 }
 
 // hubSync runs the serial campaign's hub exchange when it is

@@ -22,7 +22,7 @@ func findCrash(t *testing.T, tgt *prog.Target, title string, seed int64) *prog.P
 			return p
 		}
 	}
-	t.Skipf("crash %q not found within budget", title)
+	t.Fatalf("crash %q not found within budget", title)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"kernelgpt/internal/prog"
@@ -56,15 +57,33 @@ func TestSerialProgress(t *testing.T) {
 	}
 }
 
+// zeros renders an n-element all-zero array the way Serialize does.
+func zeros(n int) string {
+	return "[" + strings.TrimSuffix(strings.Repeat("0x0, ", n), ", ") + "]"
+}
+
 // TestCrashReprosMinimized is the triage acceptance check: campaign
 // crash reports carry minimized repros, not the raw crashing program.
+// The exact repro text was recorded with the interpreted executor, so
+// it also shows triage on the compiled path is byte-identical.
 func TestCrashReprosMinimized(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	f := New(tgt, testKernel)
 	stats := f.Run(DefaultConfig(6000, 3))
 	cr, ok := stats.Crashes["kmalloc bug in ctl_ioctl"]
 	if !ok {
-		t.Skip("ctl_ioctl crash not found at this seed")
+		t.Fatal("ctl_ioctl crash not found at seed 3")
+	}
+	// open + the triggering ioctl, every payload field zeroed except
+	// data_size (the trigger).
+	want := "r0 = openat$dm(0xffffff9c, &\"/dev/mapper/control\", 0x2, 0x0)\n" +
+		"ioctl$DM_LIST_VERSIONS(r0, 0xc138fd0d, &{" + zeros(3) + ", 0xffffffff, 0x0, 0x0, 0x0, 0x0, 0x0, 0x0, " +
+		zeros(128) + ", " + zeros(129) + ", []})\n"
+	if cr.Repro != want {
+		t.Fatalf("minimized repro moved:\n got %q\nwant %q", cr.Repro, want)
+	}
+	if cr.FirstExec != 9 || cr.Count != 897 {
+		t.Fatalf("crash discovery moved: first exec %d (want 9), count %d (want 897)", cr.FirstExec, cr.Count)
 	}
 	p, err := prog.Deserialize(tgt, cr.Repro)
 	if err != nil {
@@ -72,10 +91,6 @@ func TestCrashReprosMinimized(t *testing.T) {
 	}
 	if !crashesWith(testKernel, p, cr.Title) {
 		t.Fatalf("triaged repro does not reproduce:\n%s", cr.Repro)
-	}
-	// The dm kvmalloc bug needs exactly open + the triggering ioctl.
-	if len(p.Calls) > 2 {
-		t.Fatalf("repro not minimized (%d calls):\n%s", len(p.Calls), cr.Repro)
 	}
 }
 
@@ -87,7 +102,7 @@ func TestNoTriageKeepsRawRepro(t *testing.T) {
 	stats := f.Run(cfg)
 	cr, ok := stats.Crashes["kmalloc bug in ctl_ioctl"]
 	if !ok {
-		t.Skip("ctl_ioctl crash not found at this seed")
+		t.Fatal("ctl_ioctl crash not found at seed 3")
 	}
 	p, err := prog.Deserialize(tgt, cr.Repro)
 	if err != nil {

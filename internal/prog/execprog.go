@@ -4,7 +4,7 @@ package prog
 // instruction array whose argument scalars are pre-evaluated, pointer
 // payloads pre-encoded into a shared byte arena, and resource
 // references lowered to plain indices into the executor's register
-// file (the per-call fd table). Executors interpret it without
+// file (the per-call fd table). Executors dispatch on it without
 // touching the rich Value tree — no per-exec argument re-evaluation,
 // no per-exec encoding, no allocation.
 //
@@ -90,7 +90,7 @@ func CompileExecInto(p *Prog, ep *ExecProg) {
 					ep.blob = a.Ptr.encodeTo(ep.blob)
 					ea.blobOff, ea.blobLen = int32(off), int32(len(ep.blob)-off)
 					// The open path is the first non-empty string/buffer
-					// pointee, matching the interpreter's scan order.
+					// pointee in argument order.
 					if ec.pathOff < 0 && (a.Ptr.Type.Kind == KindString || a.Ptr.Type.Kind == KindBuffer) && len(a.Ptr.Data) > 0 {
 						po := len(ep.blob)
 						ep.blob = append(ep.blob, a.Ptr.Data...)

@@ -71,6 +71,77 @@ func TestCompileExecLowering(t *testing.T) {
 	if ep.Calls[2].Args[0].Res != -1 {
 		t.Fatal("unbound resource must lower to Res=-1")
 	}
+
+	// The oracle sweep: the generator's whole output space, then the
+	// shapes it rarely or never emits.
+	checkLowering(t, p)
+	g := NewGen(plumbedTarget(t), 3)
+	for i := 0; i < 2000; i++ {
+		checkLowering(t, g.Generate(2+i%12))
+	}
+	intT := &Type{Kind: KindInt, Bytes: 8}
+	resT := &Type{Kind: KindResource}
+	ptrT := &Type{Kind: KindPtr}
+	strPtr := func(s string) *Value {
+		return &Value{Type: ptrT, Ptr: &Value{Type: &Type{Kind: KindString}, Data: []byte(s)}}
+	}
+	edges := &Prog{Calls: []*Call{
+		// Empty first string pointer: the device path is the second.
+		{Sc: &Syscall{Name: "openat$x", CallName: "openat"}, Args: []*Value{
+			{Type: intT, Scalar: 1}, strPtr(""), strPtr("/dev/x"), nil,
+		}},
+		{Sc: &Syscall{Name: "ioctl$x", CallName: "ioctl"}, Args: []*Value{
+			{Type: resT, ResultOf: -1}, {Type: resT, ResultOf: 99}, {Type: ptrT},
+			{Type: ptrT, Ptr: &Value{Type: &Type{Kind: KindBuffer}}},
+		}},
+		{Sc: &Syscall{Name: "socket$x", CallName: "socket"}},
+	}}
+	checkLowering(t, edges)
+	if ec := CompileExec(edges).Calls; string(ec[0].Path) != "/dev/x" || ec[1].Args[1].Res != 99 || len(ec[2].Args) != 0 {
+		t.Fatalf("edge lowering: path %q, out-of-range res %d, socket args %d", ec[0].Path, ec[1].Args[1].Res, len(ec[2].Args))
+	}
+}
+
+// checkLowering compares CompileExec field by field against a direct
+// reading of the Value tree — what an executor walking the program
+// itself would see for each argument.
+func checkLowering(t *testing.T, p *Prog) {
+	t.Helper()
+	ep := CompileExec(p)
+	if len(ep.Calls) != len(p.Calls) {
+		t.Fatalf("call count: got %d want %d", len(ep.Calls), len(p.Calls))
+	}
+	for i, c := range p.Calls {
+		ec := ep.Calls[i]
+		if ec.Sc != c.Sc || len(ec.Args) != len(c.Args) {
+			t.Fatalf("call %d: descriptor or arity not preserved:\n%s", i, p.String())
+		}
+		var path []byte
+		for j, v := range c.Args {
+			var scalar uint64
+			var blob []byte
+			res := -1
+			if v != nil {
+				scalar = v.Scalar
+				if v.Type.Kind == KindResource {
+					res = v.ResultOf
+				}
+				if v.Type.Kind == KindPtr && v.Ptr != nil {
+					blob = v.Ptr.Encode()
+					if k := v.Ptr.Type.Kind; path == nil && len(v.Ptr.Data) > 0 && (k == KindString || k == KindBuffer) {
+						path = v.Ptr.Data
+					}
+				}
+			}
+			if ea := ec.Args[j]; ea.Scalar != scalar || int(ea.Res) != res || !bytes.Equal(ea.Blob, blob) {
+				t.Fatalf("call %d arg %d: lowered {%#x r%d %x}, tree says {%#x r%d %x}:\n%s",
+					i, j, ea.Scalar, ea.Res, ea.Blob, scalar, res, blob, p.String())
+			}
+		}
+		if (ec.Path != nil) != (path != nil) || !bytes.Equal(ec.Path, path) {
+			t.Fatalf("call %d: lowered path %q, tree says %q:\n%s", i, ec.Path, path, p.String())
+		}
+	}
 }
 
 func TestCompileExecIntoReusesArenas(t *testing.T) {

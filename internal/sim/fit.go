@@ -17,7 +17,6 @@ const CampaignBenchExecs = 500
 const (
 	benchCampaign         = "kernelgpt/internal/fuzz.BenchmarkCampaign"
 	benchCampaignNoTriage = "kernelgpt/internal/fuzz.BenchmarkCampaignNoTriage"
-	benchVMRun            = "kernelgpt/internal/vkernel.BenchmarkVMRun"
 	benchVMRunCompiled    = "kernelgpt/internal/vkernel.BenchmarkVMRunCompiled"
 )
 
@@ -60,14 +59,14 @@ func LoadBenchMedians(path string) (map[string]float64, error) {
 
 // FitCosts derives per-exec cost coefficients from benchmark medians:
 //
-//	ExecNs   = VMRunCompiled ns/op when present, else VMRun ns/op
+//	ExecNs   = VMRunCompiled ns/op
 //	TriageNs = (Campaign − CampaignNoTriage) / CampaignBenchExecs
 //	MutateNs = CampaignNoTriage / CampaignBenchExecs − ExecNs
 //
-// The campaign loop executes compiled programs, so VMRunCompiled is
-// the hot-path exec cost; with it, MutateNs absorbs the per-candidate
-// compile step alongside mutation proper (the identity ExecNs +
-// MutateNs ≈ CampaignNoTriage/CampaignBenchExecs still holds).
+// VMRunCompiled is the campaign loop's per-exec cost; MutateNs absorbs
+// the per-candidate compile step alongside mutation proper (the
+// identity ExecNs + MutateNs ≈ CampaignNoTriage/CampaignBenchExecs
+// holds).
 // Because the coefficients are a pure function of the medians, the
 // CostModel must be re-fitted whenever the benchgate baseline is
 // re-recorded — a stale fit silently plans against the old kernel.
@@ -78,13 +77,10 @@ func LoadBenchMedians(path string) (map[string]float64, error) {
 func FitCosts(medians map[string]float64) (CostModel, error) {
 	full := medians[benchCampaign]
 	noTriage := medians[benchCampaignNoTriage]
-	vm := medians[benchVMRun]
+	vm := medians[benchVMRunCompiled]
 	if full <= 0 || noTriage <= 0 || vm <= 0 {
 		return CostModel{}, fmt.Errorf("sim: medians missing %s, %s, or %s",
-			benchCampaign, benchCampaignNoTriage, benchVMRun)
-	}
-	if cv := medians[benchVMRunCompiled]; cv > 0 {
-		vm = cv
+			benchCampaign, benchCampaignNoTriage, benchVMRunCompiled)
 	}
 	c := CostModel{ExecNs: vm}
 	c.TriageNs = math.Max(0, (full-noTriage)/CampaignBenchExecs)

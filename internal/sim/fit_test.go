@@ -132,34 +132,32 @@ func TestFitCostsFromGateFile(t *testing.T) {
 	}
 }
 
+// TestFitCostsPrefersCompiledExec: ExecNs is the compiled-exec median
+// and nothing else — a medians file that only carries BenchmarkVMRun
+// (compile + run + fresh Result) is an error, not a fallback.
 func TestFitCostsPrefersCompiledExec(t *testing.T) {
 	medians := map[string]float64{
 		benchCampaign:         50_000_000,
 		benchCampaignNoTriage: 40_000_000,
-		benchVMRun:            6000,
+		"kernelgpt/internal/vkernel.BenchmarkVMRun": 6000,
 	}
-	interp, err := FitCosts(medians)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interp.ExecNs != 6000 {
-		t.Fatalf("without a compiled median ExecNs must fall back to VMRun: %+v", interp)
+	if _, err := FitCosts(medians); err == nil || !strings.Contains(err.Error(), benchVMRunCompiled) {
+		t.Fatalf("fit without a compiled-exec median must name it as missing, got %v", err)
 	}
 	medians[benchVMRunCompiled] = 400
-	compiled, err := FitCosts(medians)
+	c, err := FitCosts(medians)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compiled.ExecNs != 400 {
-		t.Fatalf("compiled median not preferred for ExecNs: %+v", compiled)
+	if c.ExecNs != 400 {
+		t.Fatalf("ExecNs is not the compiled median: %+v", c)
 	}
-	// The split moves between ExecNs and MutateNs; their sum — the
-	// per-exec busy time outside triage — is invariant.
-	if got, want := compiled.ExecNs+compiled.MutateNs, interp.ExecNs+interp.MutateNs; got != want {
-		t.Fatalf("ExecNs+MutateNs changed with the compiled median: %v vs %v", got, want)
+	// ExecNs + MutateNs is the per-exec busy time outside triage.
+	if got, want := c.ExecNs+c.MutateNs, 40_000_000.0/CampaignBenchExecs; got != want {
+		t.Fatalf("ExecNs+MutateNs = %v, want %v", got, want)
 	}
-	if compiled.TriageNs != interp.TriageNs {
-		t.Fatalf("TriageNs depends on the exec benchmark: %+v vs %+v", compiled, interp)
+	if want := 10_000_000.0 / CampaignBenchExecs; c.TriageNs != want {
+		t.Fatalf("TriageNs = %v, want %v", c.TriageNs, want)
 	}
 }
 

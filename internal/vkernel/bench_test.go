@@ -36,8 +36,9 @@ func BenchmarkKernelRun(b *testing.B) {
 	}
 }
 
-// BenchmarkVMRun measures the single-goroutine reusable-VM path the
-// fuzzing loop uses.
+// BenchmarkVMRun measures the convenience path triage and custom
+// executors use: lower into the VM's scratch ExecProg, RunCompiled,
+// fresh Result.
 func BenchmarkVMRun(b *testing.B) {
 	progs := benchProgs(b)
 	vm := testKernel.NewVM()
@@ -60,9 +61,9 @@ func benchExecProgs(b *testing.B, vm *VM) []*prog.ExecProg {
 	return eps
 }
 
-// BenchmarkVMRunCompiled measures the compiled hot path: pre-lowered
-// programs interpreted with coverage read back into a recycled
-// buffer. Compare against BenchmarkVMRun for the compilation win.
+// BenchmarkVMRunCompiled measures the campaign loop's exec cost:
+// pre-lowered programs dispatched with coverage read back into a
+// recycled buffer. BenchmarkVMRun adds the lowering and the Result.
 func BenchmarkVMRunCompiled(b *testing.B) {
 	vm := testKernel.NewVM()
 	eps := benchExecProgs(b, vm)
@@ -80,24 +81,6 @@ func BenchmarkVMRunCompiled(b *testing.B) {
 		cov = vm.AppendCover(cov[:0])
 	}
 	_ = cov
-}
-
-// BenchmarkVMRunBatch measures batched dispatch; ns/op is still
-// per-program (each iteration runs one batch element's share).
-func BenchmarkVMRunBatch(b *testing.B) {
-	vm := testKernel.NewVM()
-	eps := benchExecProgs(b, vm)
-	out := make([]Result, len(eps))
-	vm.RunBatch(eps, out)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(eps) {
-		n := len(eps)
-		if rem := b.N - i; rem < n {
-			n = rem
-		}
-		vm.RunBatch(eps[:n], out[:n])
-	}
 }
 
 // BenchmarkCoverDeltaEncode measures the hub sync path's cover-delta

@@ -1,9 +1,10 @@
 package vkernel
 
-// Tests for the compiled execution path: compiled-vs-interpreted
-// equivalence over the full bundled-driver + plumbing corpus, state
-// isolation across RunBatch elements, and the zero-allocation
-// guarantee of the non-crash path.
+// Tests for the compiled execution path: the stateful-bug chain, state
+// isolation across successive RunCompiled calls on one VM, and the
+// zero-allocation guarantee of the non-crash path. (The recorded
+// behaviour contract over the full bundled-driver + plumbing corpus is
+// TestExecContract in contract_test.go.)
 
 import (
 	"testing"
@@ -58,45 +59,10 @@ func sameCrash(a, b *Crash) bool {
 	return a == nil || a.Title == b.Title
 }
 
-// TestCompiledMatchesInterpreted is the equivalence acceptance check:
-// for a wide generated corpus over every bundled handler plus the
-// plumbing surface, RunCompiled must produce exactly the coverage,
-// crash verdict, and errno count of the interpreted Run.
-func TestCompiledMatchesInterpreted(t *testing.T) {
-	tgt := fullPlumbedTarget(t)
-	g := prog.NewGen(tgt, 7)
-	ivm := testKernel.NewVM()
-	cvm := testKernel.NewVM()
-	var ep prog.ExecProg
-	var cov []BlockID
-	crashes := 0
-	for i := 0; i < 2000; i++ {
-		p := g.Generate(2 + i%12)
-		want := ivm.Run(p)
-		prog.CompileExecInto(p, &ep)
-		crash, errno := cvm.RunCompiled(&ep)
-		cov = cvm.AppendCover(cov[:0])
-		if !sameCov(want.Cov, cov) {
-			t.Fatalf("coverage diverged on:\n%s\ninterpreted %d blocks, compiled %d", p.String(), len(want.Cov), len(cov))
-		}
-		if !sameCrash(want.Crash, crash) {
-			t.Fatalf("crash verdict diverged on:\n%s\ninterpreted %+v, compiled %+v", p.String(), want.Crash, crash)
-		}
-		if want.Errno != errno {
-			t.Fatalf("errno diverged on:\n%s\ninterpreted %d, compiled %d", p.String(), want.Errno, errno)
-		}
-		if want.Crash != nil {
-			crashes++
-		}
-	}
-	if crashes == 0 {
-		t.Fatal("equivalence corpus never crashed; the crash path went untested")
-	}
-}
-
 // TestCompiledStatefulCrash pins the stateful-bug path: the CEC
-// PriorCmds chain must crash compiled exactly as interpreted, and the
-// stripped chain must not.
+// PriorCmds chain must crash when run from a caller-held ExecProg
+// exactly as it does through Kernel.Run (how cecChainProg found it),
+// and the stripped chain must not.
 func TestCompiledStatefulCrash(t *testing.T) {
 	_, p := cecChainProg(t)
 	vm := testKernel.NewVM()
@@ -118,12 +84,11 @@ func TestCompiledStatefulCrash(t *testing.T) {
 	}
 }
 
-// TestRunBatchIsolation runs a batch whose elements open fds, map
-// regions, register epoll watches, and crash, and checks every
-// element's outcome equals the same program run alone on a fresh VM —
-// no fd-table, vma, watch, history, or coverage leakage between batch
-// elements.
-func TestRunBatchIsolation(t *testing.T) {
+// TestRunCompiledIsolation runs programs that open fds, map regions,
+// register epoll watches, and crash back to back on one VM, and checks
+// every outcome equals the same program run alone on a fresh VM — no
+// fd-table, vma, watch, history, or coverage leakage between runs.
+func TestRunCompiledIsolation(t *testing.T) {
 	tgt := fullPlumbedTarget(t)
 	g := prog.NewGen(tgt, 11)
 	progs := make([]*prog.Prog, 0, 66)
@@ -143,25 +108,24 @@ func TestRunBatchIsolation(t *testing.T) {
 	tail.Calls = calls
 	progs = append(progs, chain, tail)
 
-	eps := make([]*prog.ExecProg, len(progs))
-	for i, p := range progs {
-		eps[i] = prog.CompileExec(p)
-	}
-	out := make([]Result, len(eps))
+	out := make([]Result, len(progs))
 	vm := testKernel.NewVM()
-	vm.RunBatch(eps, out)
+	for i, p := range progs {
+		out[i].Crash, out[i].Errno = vm.RunCompiled(prog.CompileExec(p))
+		out[i].Cov = vm.AppendCover(nil)
+	}
 	for i, p := range progs {
 		want := testKernel.NewVM().Run(p)
 		if !sameCov(want.Cov, out[i].Cov) || !sameCrash(want.Crash, out[i].Crash) || want.Errno != out[i].Errno {
-			t.Fatalf("batch element %d diverged from a fresh VM on:\n%s\nfresh {cov %d, crash %+v, errno %d} vs batch {cov %d, crash %+v, errno %d}",
+			t.Fatalf("run %d diverged from a fresh VM on:\n%s\nfresh {cov %d, crash %+v, errno %d} vs reused {cov %d, crash %+v, errno %d}",
 				i, p.String(), len(want.Cov), want.Crash, want.Errno, len(out[i].Cov), out[i].Crash, out[i].Errno)
 		}
 	}
 	if out[len(out)-2].Crash == nil {
-		t.Fatal("planted chain did not crash in the batch")
+		t.Fatal("planted chain did not crash on the reused VM")
 	}
 	if out[len(out)-1].Crash != nil {
-		t.Fatal("state leaked across batch elements: stripped tail crashed")
+		t.Fatal("state leaked across runs: stripped tail crashed")
 	}
 }
 

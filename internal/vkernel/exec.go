@@ -98,176 +98,88 @@ func (e *exec) seenBits(bits []uint32) bool {
 	return true
 }
 
-// scalar evaluates an argument to its runtime scalar (resources are
-// not scalars here; use fd()).
-func scalar(v *prog.Value) uint64 {
-	if v == nil {
-		return 0
-	}
-	return v.Scalar
-}
-
-// blob returns the encoded payload behind a pointer argument.
-func blob(v *prog.Value) []byte {
-	if v == nil || v.Type.Kind != prog.KindPtr || v.Ptr == nil {
-		return nil
-	}
-	return v.Ptr.Encode()
-}
-
-// str returns the string behind a pointer argument.
-func str(v *prog.Value) string {
-	if v == nil || v.Type.Kind != prog.KindPtr || v.Ptr == nil {
-		return ""
-	}
-	if v.Ptr.Type.Kind == prog.KindString || v.Ptr.Type.Kind == prog.KindBuffer {
-		return string(v.Ptr.Data)
-	}
-	return ""
-}
-
-// callView is the engine's uniform view of one call: either a rich
-// *prog.Call (interpreted mode — arguments evaluated on demand,
-// pointer payloads encoded per run) or a compiled *prog.ExecCall
-// (arguments pre-evaluated, payloads pre-encoded). Exactly one of
-// c/ec is non-nil; the handlers below are the single semantics shared
-// by both paths, so compiled-vs-interpreted equivalence holds by
-// construction.
-type callView struct {
-	sc *prog.Syscall
-	c  *prog.Call
-	ec *prog.ExecCall
-}
-
-// scalar returns argument i's immediate value (0 when absent).
-func (cv callView) scalar(i int) uint64 {
-	if cv.ec != nil {
-		if i < len(cv.ec.Args) {
-			return cv.ec.Args[i].Scalar
-		}
-		return 0
-	}
-	if i < len(cv.c.Args) {
-		return scalar(cv.c.Args[i])
+// scalarAt returns argument i's immediate value (0 when absent).
+func scalarAt(c *prog.ExecCall, i int) uint64 {
+	if i < len(c.Args) {
+		return c.Args[i].Scalar
 	}
 	return 0
 }
 
-// res returns argument i's resource binding (the producing call
+// resAt returns argument i's resource binding (the producing call
 // index), or -1 when the argument is absent, not a resource, or
 // unbound.
-func (cv callView) res(i int) int {
-	if cv.ec != nil {
-		if i < len(cv.ec.Args) {
-			return int(cv.ec.Args[i].Res)
-		}
-		return -1
-	}
-	if i < len(cv.c.Args) {
-		if v := cv.c.Args[i]; v != nil && v.Type.Kind == prog.KindResource {
-			return v.ResultOf
-		}
+func resAt(c *prog.ExecCall, i int) int {
+	if i < len(c.Args) {
+		return int(c.Args[i].Res)
 	}
 	return -1
 }
 
-// blob returns argument i's encoded pointee payload (nil when absent
+// blobAt returns argument i's encoded pointee payload (nil when absent
 // or not a pointer).
-func (cv callView) blob(i int) []byte {
-	if cv.ec != nil {
-		if i < len(cv.ec.Args) {
-			return cv.ec.Args[i].Blob
-		}
-		return nil
-	}
-	if i < len(cv.c.Args) {
-		return blob(cv.c.Args[i])
+func blobAt(c *prog.ExecCall, i int) []byte {
+	if i < len(c.Args) {
+		return c.Args[i].Blob
 	}
 	return nil
 }
 
 // fdAt resolves argument i's resource binding to the handler whose fd
 // that call returned.
-func (e *exec) fdAt(cv callView, i int) *khandler {
-	r := cv.res(i)
+func (e *exec) fdAt(c *prog.ExecCall, i int) *khandler {
+	r := resAt(c, i)
 	if r < 0 || r >= len(e.fds) {
 		return nil
 	}
 	return e.fds[r]
 }
 
-// runCall executes one interpreted call: generic entry block, lazy
-// handler resolution for open/socket, then shared dispatch.
-func (e *exec) runCall(idx int, c *prog.Call) {
-	if g, ok := e.k.genericBlocks[c.Sc.CallName]; ok {
-		e.cover(g)
-	}
-	op := opOf[c.Sc.CallName]
-	cv := callView{sc: c.Sc, c: c}
-	var kh *khandler
-	switch op {
-	case opOpen:
-		// The path is the first string-pointer argument.
-		var path string
-		for _, a := range c.Args {
-			if s := str(a); s != "" {
-				path = s
-				break
-			}
-		}
-		kh = e.k.byPath[path]
-	case opSocket:
-		kh = e.k.byDomain[int(cv.scalar(0))]
-	}
-	e.dispatch(idx, op, kh, cv)
-}
-
-// dispatch routes one call (interpreted or compiled) to its handler
-// implementation. kh is the pre-resolved target handler for
-// open/socket opcodes (nil = no such device/domain) and unused
-// otherwise.
-func (e *exec) dispatch(idx int, op exop, kh *khandler, cv callView) {
+// dispatch routes one compiled call to its handler implementation. kh
+// is the pre-resolved target handler for open/socket opcodes (nil = no
+// such device/domain) and unused otherwise.
+func (e *exec) dispatch(idx int, op exop, kh *khandler, c *prog.ExecCall) {
 	switch op {
 	case opOpen:
 		e.runOpen(idx, kh)
 	case opSocket:
 		e.runSocket(idx, kh)
 	case opIoctl:
-		e.runIoctl(idx, cv)
+		e.runIoctl(idx, c)
 	case opSockopt:
-		e.runSockopt(cv)
+		e.runSockopt(c)
 	case opBind:
-		e.runAddrCall(cv, corpus.SockBind)
+		e.runAddrCall(c, corpus.SockBind)
 	case opConnect:
-		e.runAddrCall(cv, corpus.SockConnect)
+		e.runAddrCall(c, corpus.SockConnect)
 	case opSendto:
-		e.runSendRecv(cv, corpus.SockSendto, 4, 5)
+		e.runSendRecv(c, corpus.SockSendto, 4, 5)
 	case opRecvfrom:
-		e.runSendRecv(cv, corpus.SockRecvfrom, 4, 5)
+		e.runSendRecv(c, corpus.SockRecvfrom, 4, 5)
 	case opSendmsg:
-		e.runSimpleSock(cv, corpus.SockSendmsg)
+		e.runSimpleSock(c, corpus.SockSendmsg)
 	case opRecvmsg:
-		e.runSimpleSock(cv, corpus.SockRecvmsg)
+		e.runSimpleSock(c, corpus.SockRecvmsg)
 	case opListen:
-		e.runSimpleSock(cv, corpus.SockListen)
+		e.runSimpleSock(c, corpus.SockListen)
 	case opAccept:
-		e.runAccept(idx, cv)
+		e.runAccept(idx, c)
 	case opDup:
-		e.runDup(idx, cv)
+		e.runDup(idx, c)
 	case opPipe:
 		e.runPipe(idx)
 	case opEpollCreate:
 		e.runEpollCreate(idx)
 	case opEpollCtl:
-		e.runEpollCtl(cv)
+		e.runEpollCtl(c)
 	case opEpollWait:
-		e.runEpollWait(cv)
+		e.runEpollWait(c)
 	case opMmap:
-		e.runMmap(idx, cv)
+		e.runMmap(idx, c)
 	case opMunmap:
-		e.runMunmap(cv)
+		e.runMunmap(c)
 	case opReadWrite:
-		e.runReadWrite(cv)
+		e.runReadWrite(c)
 	default:
 		// close/poll: generic entry only.
 	}
@@ -293,13 +205,13 @@ func (e *exec) runSocket(idx int, kh *khandler) {
 	e.rec(kh.socketBit)
 }
 
-func (e *exec) runIoctl(idx int, cv callView) {
-	kh := e.fdAt(cv, 0)
+func (e *exec) runIoctl(idx int, c *prog.ExecCall) {
+	kh := e.fdAt(c, 0)
 	if kh == nil {
 		e.errs++
 		return
 	}
-	cmdVal := cv.scalar(1)
+	cmdVal := scalarAt(c, 1)
 	kc := kh.cmds[cmdVal]
 	if kc == nil {
 		e.errs++
@@ -307,7 +219,7 @@ func (e *exec) runIoctl(idx int, cv callView) {
 	}
 	e.cover(kc.entry)
 	e.cover(kc.body...)
-	payload := cv.blob(2)
+	payload := blobAt(c, 2)
 	e.rec(kc.recBit)
 	e.evalGatesAndBug(kc, payload)
 	if e.crash != nil {
@@ -356,26 +268,26 @@ func (e *exec) evalGatesAndBug(kc *kcmd, payload []byte) {
 	e.crash = &Crash{Title: bug.Title, Bug: bug}
 }
 
-func (e *exec) runSockopt(cv callView) {
-	kh := e.fdAt(cv, 0)
+func (e *exec) runSockopt(c *prog.ExecCall) {
+	kh := e.fdAt(c, 0)
 	if kh == nil || kh.h.Kind != corpus.KindSocket {
 		e.errs++
 		return
 	}
-	level := int(cv.scalar(1))
+	level := int(scalarAt(c, 1))
 	if level != kh.h.Socket.LevelVal {
 		e.errs++
 		return
 	}
-	opt := cv.scalar(2)
+	opt := scalarAt(c, 2)
 	kc := kh.cmds[opt]
 	if kc == nil {
 		e.errs++
 		return
 	}
 	e.cover(kc.entry)
-	payload := cv.blob(3)
-	optlen := cv.scalar(4)
+	payload := blobAt(c, 3)
+	optlen := scalarAt(c, 4)
 	if kc.layout != nil && int(optlen) < kc.layout.Size {
 		// The rendered sockopt worker rejects short optlen before
 		// doing any work.
@@ -387,8 +299,8 @@ func (e *exec) runSockopt(cv callView) {
 	e.evalGatesAndBug(kc, payload)
 }
 
-func (e *exec) runAddrCall(cv callView, kind corpus.SockCallKind) {
-	kh := e.fdAt(cv, 0)
+func (e *exec) runAddrCall(c *prog.ExecCall, kind corpus.SockCallKind) {
+	kh := e.fdAt(c, 0)
 	if kh == nil {
 		e.errs++
 		return
@@ -399,8 +311,8 @@ func (e *exec) runAddrCall(cv callView, kind corpus.SockCallKind) {
 		return
 	}
 	e.cover(kc.entry)
-	addr := cv.blob(1)
-	addrlen := cv.scalar(2)
+	addr := blobAt(c, 1)
+	addrlen := scalarAt(c, 2)
 	if !e.addrValid(kh, kc, addr, addrlen) {
 		e.errs++
 		return
@@ -410,8 +322,8 @@ func (e *exec) runAddrCall(cv callView, kind corpus.SockCallKind) {
 	e.fireSockBug(kc)
 }
 
-func (e *exec) runSendRecv(cv callView, kind corpus.SockCallKind, addrIdx, lenIdx int) {
-	kh := e.fdAt(cv, 0)
+func (e *exec) runSendRecv(c *prog.ExecCall, kind corpus.SockCallKind, addrIdx, lenIdx int) {
+	kh := e.fdAt(c, 0)
 	if kh == nil {
 		e.errs++
 		return
@@ -422,8 +334,8 @@ func (e *exec) runSendRecv(cv callView, kind corpus.SockCallKind, addrIdx, lenId
 		return
 	}
 	e.cover(kc.entry)
-	addr := cv.blob(addrIdx)
-	addrlen := cv.scalar(lenIdx)
+	addr := blobAt(c, addrIdx)
+	addrlen := scalarAt(c, lenIdx)
 	if !e.addrValid(kh, kc, addr, addrlen) {
 		e.errs++
 		return
@@ -433,8 +345,8 @@ func (e *exec) runSendRecv(cv callView, kind corpus.SockCallKind, addrIdx, lenId
 	e.fireSockBug(kc)
 }
 
-func (e *exec) runSimpleSock(cv callView, kind corpus.SockCallKind) {
-	kh := e.fdAt(cv, 0)
+func (e *exec) runSimpleSock(c *prog.ExecCall, kind corpus.SockCallKind) {
+	kh := e.fdAt(c, 0)
 	if kh == nil {
 		e.errs++
 		return
@@ -450,8 +362,8 @@ func (e *exec) runSimpleSock(cv callView, kind corpus.SockCallKind) {
 	e.fireSockBug(kc)
 }
 
-func (e *exec) runAccept(idx int, cv callView) {
-	kh := e.fdAt(cv, 0)
+func (e *exec) runAccept(idx int, c *prog.ExecCall) {
+	kh := e.fdAt(c, 0)
 	if kh == nil {
 		e.errs++
 		return
@@ -480,8 +392,8 @@ const (
 
 // runDup duplicates an fd: the new call index aliases the same
 // handler, so later calls can drive the device through either fd.
-func (e *exec) runDup(idx int, cv callView) {
-	kh := e.fdAt(cv, 0)
+func (e *exec) runDup(idx int, c *prog.ExecCall) {
+	kh := e.fdAt(c, 0)
 	if kh == nil {
 		e.errs++
 		return
@@ -508,14 +420,14 @@ func (e *exec) runEpollCreate(idx int) {
 // runEpollCtl registers, modifies, or removes a watch. Registering a
 // handler-backed fd covers the handler's poll-registration block —
 // per-handler territory only reachable through the epoll surface.
-func (e *exec) runEpollCtl(cv callView) {
-	ep := e.fdAt(cv, 0)
+func (e *exec) runEpollCtl(c *prog.ExecCall) {
+	ep := e.fdAt(c, 0)
 	if ep != e.k.epoll || ep == nil {
 		e.errs++
 		return
 	}
-	op := cv.scalar(1)
-	target := e.fdAt(cv, 2)
+	op := scalarAt(c, 1)
+	target := e.fdAt(c, 2)
 	if target == nil {
 		e.errs++
 		return
@@ -545,8 +457,8 @@ func (e *exec) runEpollCtl(cv callView) {
 
 // runEpollWait polls the instance; the ready path needs at least one
 // live watch.
-func (e *exec) runEpollWait(cv callView) {
-	ep := e.fdAt(cv, 0)
+func (e *exec) runEpollWait(c *prog.ExecCall) {
+	ep := e.fdAt(c, 0)
 	if ep != e.k.epoll || ep == nil {
 		e.errs++
 		return
@@ -562,20 +474,20 @@ func (e *exec) runEpollWait(cv callView) {
 // empty and oversized lengths; the fault path covers blocks gated on
 // protection bits and page alignment, and a successful mapping enters
 // the region table for munmap.
-func (e *exec) runMmap(idx int, cv callView) {
-	kh := e.fdAt(cv, 4)
+func (e *exec) runMmap(idx int, c *prog.ExecCall) {
+	kh := e.fdAt(c, 4)
 	if kh == nil || !kh.mappable {
 		// Unmappable device (or bad fd): generic entry only.
 		e.errs++
 		return
 	}
 	e.cover(kh.mmapEntry)
-	length := cv.scalar(1)
+	length := scalarAt(c, 1)
 	if length == 0 || length > maxMmapBytes {
 		e.errs++
 		return
 	}
-	prot := cv.scalar(2)
+	prot := scalarAt(c, 2)
 	body := kh.mmapBody
 	e.cover(body[0])
 	gates := [4]bool{
@@ -602,8 +514,8 @@ func (e *exec) runMmap(idx int, cv callView) {
 // runMunmap tears down a mapping: munmap(map, len). The map argument
 // is the resource produced by an earlier mmap; unmapping twice is an
 // error.
-func (e *exec) runMunmap(cv callView) {
-	r := cv.res(0)
+func (e *exec) runMunmap(c *prog.ExecCall) {
+	r := resAt(c, 0)
 	if r < 0 || r >= len(e.vmas) {
 		e.errs++
 		return
@@ -620,9 +532,9 @@ func (e *exec) runMunmap(cv callView) {
 
 // runReadWrite models pipe I/O; on any other fd the generic entry
 // block is all there is (matching the historical behavior).
-func (e *exec) runReadWrite(cv callView) {
-	if kh := e.fdAt(cv, 0); kh == e.k.pipe && kh != nil {
-		if cv.sc.CallName == "read" {
+func (e *exec) runReadWrite(c *prog.ExecCall) {
+	if kh := e.fdAt(c, 0); kh == e.k.pipe && kh != nil {
+		if c.Sc.CallName == "read" {
 			e.cover(e.k.plumb["pipe_read"])
 			e.rec(kh.readBit)
 		} else {

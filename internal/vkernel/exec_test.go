@@ -15,7 +15,7 @@ import (
 // cecChainProg builds the stateful CEC chain open → CEC_TRANSMIT →
 // CEC_S_MODE, which fires "WARNING in cec_data_cancel" (PriorCmds:
 // CEC_TRANSMIT), by generating with only those calls enabled.
-func cecChainProg(t *testing.T) (*prog.Target, *prog.Prog) {
+func cecChainProg(t testing.TB) (*prog.Target, *prog.Prog) {
 	t.Helper()
 	tgt := targetFor(t, "cec")
 	g := prog.NewGen(tgt, 17)

@@ -9,7 +9,9 @@ import (
 // virtual kernel implements it twice (*Kernel for shared concurrent
 // use, *VM for single-goroutine reuse), and alternative backends —
 // other kernel images, a real-executor bridge, a record/replay shim —
-// can slot in behind the same interface.
+// can slot in behind the same interface. (*VM).Run is
+// prog.CompileExecInto + RunCompiled on a VM-owned scratch ExecProg;
+// (*Kernel).Run is the same on a pooled VM.
 //
 // Run must be deterministic for a given program, and the returned
 // Result must not alias executor-internal state (callers retain it
@@ -27,10 +29,11 @@ type Executor interface {
 // path — a campaign executes every program on one VM instead of
 // allocating fresh maps per execution.
 //
-// Beyond the interpreted Run, a VM executes compiled programs
-// (prog.ExecProg) via RunCompiled/RunBatch with zero allocations on
-// the non-crash path: coverage stays in the VM's internal CoverSet
-// (Cover/AppendCover) and results go into caller-provided buffers.
+// Every program runs compiled: RunCompiled executes a prog.ExecProg
+// with zero allocations on the non-crash path — coverage stays in the
+// VM's internal CoverSet (Cover/AppendCover) and the outcome is
+// returned directly — and Run is the convenience form that lowers a
+// *prog.Prog into a VM-owned scratch ExecProg first.
 //
 // A VM is not safe for concurrent use; run one VM per goroutine (or
 // use Kernel.Run, which pools VMs internally). A compiled program's
@@ -38,6 +41,8 @@ type Executor interface {
 // ExecProg must not be shared across concurrently running VMs either.
 type VM struct {
 	st exec
+	// ep is Run's scratch lowering, recompiled in place per program.
+	ep prog.ExecProg
 }
 
 // NewVM returns a fresh executor VM backed by the kernel image.
@@ -49,18 +54,13 @@ func (k *Kernel) NewVM() *VM {
 	}}
 }
 
-// Run executes a program, recycling the VM's exec state. Execution is
-// deterministic; the Result is freshly allocated and safe to retain.
+// Run lowers p into the VM's scratch ExecProg and executes it with
+// RunCompiled. Execution is deterministic; the Result is freshly
+// allocated and safe to retain.
 func (v *VM) Run(p *prog.Prog) *Result {
-	e := &v.st
-	e.reset(len(p.Calls))
-	for i, c := range p.Calls {
-		e.runCall(i, c)
-		if e.crash != nil {
-			break
-		}
-	}
-	return &Result{Cov: e.cov.Blocks(), Crash: e.crash, Errno: e.errs}
+	prog.CompileExecInto(p, &v.ep)
+	crash, errs := v.RunCompiled(&v.ep)
+	return &Result{Cov: v.st.cov.Blocks(), Crash: crash, Errno: errs}
 }
 
 // rprog is a compiled program resolved against one kernel image: the
@@ -110,11 +110,7 @@ func (k *Kernel) resolve(ep *prog.ExecProg) *rprog {
 		case opOpen:
 			rc.kh = k.byPath[string(ec.Path)]
 		case opSocket:
-			var dom uint64
-			if len(ec.Args) > 0 {
-				dom = ec.Args[0].Scalar
-			}
-			rc.kh = k.byDomain[int(dom)]
+			rc.kh = k.byDomain[int(scalarAt(ec, 0))]
 		}
 		rp.calls[i] = rc
 	}
@@ -136,7 +132,7 @@ func (v *VM) RunCompiled(ep *prog.ExecProg) (*Crash, int) {
 		if rc.hasGeneric {
 			e.cover(rc.generic)
 		}
-		e.dispatch(i, rc.op, rc.kh, callView{sc: ep.Calls[i].Sc, ec: &ep.Calls[i]})
+		e.dispatch(i, rc.op, rc.kh, &ep.Calls[i])
 		if e.crash != nil {
 			break
 		}
@@ -154,21 +150,6 @@ func (v *VM) Cover() *CoverSet { return v.st.cov }
 // recycled dst this is allocation-free.
 func (v *VM) AppendCover(dst []BlockID) []BlockID {
 	return v.st.cov.AppendBlocks(dst)
-}
-
-// RunBatch executes compiled programs back to back on one VM,
-// amortizing dispatch overhead and reusing out[i].Cov capacity across
-// batches. Each element runs in a fresh VM state (full reset — no fd,
-// mapping, or history leakage between elements), and a crashing
-// element does not stop the batch: out[i] records each program's own
-// outcome. len(out) must be at least len(eps).
-func (v *VM) RunBatch(eps []*prog.ExecProg, out []Result) {
-	for i, ep := range eps {
-		crash, errs := v.RunCompiled(ep)
-		out[i].Cov = v.st.cov.AppendBlocks(out[i].Cov[:0])
-		out[i].Crash = crash
-		out[i].Errno = errs
-	}
 }
 
 var _ Executor = (*VM)(nil)

@@ -162,9 +162,8 @@ const (
 	opReadWrite
 )
 
-// opOf lowers syscall base names to dispatch opcodes (the string
-// switch the interpreter used to run per call, folded into one table
-// shared by the interpreted and compiled paths).
+// opOf lowers syscall base names to dispatch opcodes, looked up once
+// per compiled call when Kernel.resolve builds the rcall table.
 var opOf = map[string]exop{
 	"openat": opOpen, "open": opOpen, "syz_open_dev": opOpen,
 	"socket":     opSocket,

@@ -134,21 +134,6 @@ func TestBindFamilyValidation(t *testing.T) {
 	}
 }
 
-func TestAcceptReturnsUsableSocket(t *testing.T) {
-	// Find any socket with an accept call in the corpus.
-	var h *corpus.Handler
-	for _, cand := range testCorpus.Loaded(corpus.KindSocket) {
-		for _, sc := range cand.Socket.Calls {
-			if sc.Kind == corpus.SockAccept {
-				h = cand
-			}
-		}
-	}
-	if h == nil {
-		t.Skip("no socket with accept in test corpus")
-	}
-}
-
 func TestUnknownDomainErrors(t *testing.T) {
 	tgt := rdsTarget(t)
 	// Craft socket() with a bogus domain by mutating the const.

@@ -16,7 +16,7 @@ var (
 
 // targetFor compiles the oracle spec of one handler (plus ancestors)
 // into a prog.Target.
-func targetFor(t *testing.T, names ...string) *prog.Target {
+func targetFor(t testing.TB, names ...string) *prog.Target {
 	t.Helper()
 	f := &syzlang.File{}
 	for _, n := range names {
