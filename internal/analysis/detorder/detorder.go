@@ -19,6 +19,19 @@
 //     function (collect-then-sort is the sanctioned pattern).
 //
 // Pure reductions — map writes, delete, counters, min/max — pass.
+//
+// Not reported: a `return` (or break-with-result) from inside the
+// range — a first-match search such as
+//
+//	for name, m := range macros { if matches(m) { return name } }
+//
+// is order-dependent exactly when more than one entry can match, and
+// is the ordinary way to look up a unique entry when only one can;
+// the checker cannot tell the two apart, so flagging the shape would
+// bury the tree in //syzlint:unordered annotations. Such searches are
+// held by output contracts instead (llm.invertNr was one until it
+// became a min reduction; engine's TestSpecgenContract pins it), and
+// the fixture's firstMatch/minMatch pair documents the blind spot.
 // An iteration whose order provably cannot matter but that trips the
 // heuristics opts out with //syzlint:unordered.
 package detorder

@@ -127,3 +127,27 @@ func fieldCollect(m map[string]int) struct{ Names []string } {
 	}
 	return doc
 }
+
+// firstMatch returns from inside the range: which key wins depends on
+// iteration order whenever more than one entry matches. The checker
+// deliberately stays silent here (see the package comment): the same
+// shape is an ordinary unique-key lookup when at most one entry can
+// match, and uniqueness is not visible in the syntax.
+func firstMatch(m map[string]int, want int) (string, bool) {
+	for k, v := range m {
+		if v == want {
+			return k, true
+		}
+	}
+	return "", false
+}
+
+// minMatch is the order-free form of firstMatch: a min reduction.
+func minMatch(m map[string]int, want int) (best string, found bool) {
+	for k, v := range m {
+		if v == want && (!found || k < best) {
+			best, found = k, true
+		}
+	}
+	return best, found
+}

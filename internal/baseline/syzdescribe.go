@@ -118,12 +118,14 @@ func (g *Generator) deviceName(h *corpus.Handler, ix *ccode.Index) (string, bool
 	}
 	// Char devices: the registration name.
 	if fn := g.initFunction(h, ix); fn != nil {
-		info := ccode.AnalyzeBody(fn.Body)
-		for _, call := range append(info.Calls, info.Delegations...) {
-			if call.Name == "register_chrdev" && len(call.Args) >= 3 {
-				for _, a := range call.Args {
-					if strings.HasPrefix(a, `"`) {
-						return "/dev/" + ccode.StringValue(strings.ReplaceAll(a, " ", "")), true
+		info := fn.Info()
+		for _, calls := range [][]ccode.CallSite{info.Calls, info.Delegations} {
+			for _, call := range calls {
+				if call.Name == "register_chrdev" && len(call.Args) >= 3 {
+					for _, a := range call.Args {
+						if strings.HasPrefix(a, `"`) {
+							return "/dev/" + ccode.StringValue(strings.ReplaceAll(a, " ", "")), true
+						}
 					}
 				}
 			}
@@ -171,7 +173,7 @@ func (g *Generator) commands(ix *ccode.Index, src, entry string) []cmdInfo {
 	if fn == nil {
 		return nil
 	}
-	info := ccode.AnalyzeBody(fn.Body)
+	info := fn.Info()
 	hops := 0
 	for len(info.Switches) == 0 && hops < 1 {
 		// One delegation hop only.
@@ -182,8 +184,7 @@ func (g *Generator) commands(ix *ccode.Index, src, entry string) []cmdInfo {
 		if next == nil {
 			break
 		}
-		fn = next
-		info = ccode.AnalyzeBody(fn.Body)
+		info = next.Info()
 		hops++
 	}
 	var out []cmdInfo

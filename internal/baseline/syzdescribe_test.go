@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"kernelgpt/internal/corpus"
@@ -72,7 +73,7 @@ func TestPositionalFieldNames(t *testing.T) {
 	g := New(testCorpus)
 	res := g.GenerateFor(testCorpus.Handler("loop0"))
 	if res.Spec == nil || len(res.Spec.Structs) == 0 {
-		t.Skip("no structs recovered for loop0")
+		t.Fatal("no structs recovered for loop0")
 	}
 	for _, st := range res.Spec.Structs {
 		for _, f := range st.Fields {
@@ -141,4 +142,39 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestConcurrentGenerateSharesIndex: the baseline reads the memoised
+// BodyInfos of the corpus-wide Index, which engine workers share.
+// Eight goroutines generating every driver at once must agree with a
+// serial run (and, under -race, must not write to what they share).
+func TestConcurrentGenerateSharesIndex(t *testing.T) {
+	c := corpus.Build(corpus.TestConfig())
+	drivers := c.Incomplete(corpus.KindDriver)
+	render := func() string {
+		var b strings.Builder
+		g := New(c)
+		for _, h := range drivers {
+			if res := g.GenerateFor(h); res.Spec != nil {
+				b.WriteString(syzlang.Format(res.Spec))
+			}
+		}
+		return b.String()
+	}
+	want := render()
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = render()
+		}(w)
+	}
+	wg.Wait()
+	for w, text := range got {
+		if text != want {
+			t.Fatalf("goroutine %d diverged from the serial run", w)
+		}
+	}
 }

@@ -6,6 +6,12 @@ import "strings"
 // simulated analysis LLM and the SyzDescribe baseline consume:
 // switch dispatch tables, call sites, simple assignments, and
 // delegations ("return f(...)").
+//
+// A BodyInfo is immutable once built: (*Function).Info hands the same
+// value to every goroutine working on an Index (engine workers, the
+// sim, the baseline), so readers must not write to it — including
+// appending to one of its slices, which would write into spare
+// capacity the other readers share.
 type BodyInfo struct {
 	// Switches lists switch statements with the switched-on
 	// expression and the case labels.
@@ -62,9 +68,14 @@ var controlKeywords = map[string]bool{
 }
 
 // AnalyzeBody parses a function body (text including outer braces)
-// into a BodyInfo.
+// into a fresh BodyInfo, lexing the text once. For an indexed
+// function use (*Function).Info, which memoises the result; call
+// AnalyzeBody directly only for text that is not a Function's body
+// (a switch-case fragment, a test fixture).
 func AnalyzeBody(body string) *BodyInfo {
-	toks := LexC(body)
+	buf := lexPooled(body)
+	defer release(buf)
+	toks := *buf
 	info := &BodyInfo{Assigns: map[string]string{}}
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]
@@ -139,18 +150,46 @@ func destStructType(args []string) string {
 	return ""
 }
 
-func collectUntil(toks []CToken, i int, stop string) string {
-	var parts []string
-	for ; i < len(toks); i++ {
-		if toks[i].Kind == CPunct && toks[i].Text == stop {
-			break
+// joinTexts renders toks as their texts separated by single spaces —
+// the normalised form every BodyInfo string has — in one allocation
+// (none for a single token). Comment tokens are left out unless
+// comments is set.
+func joinTexts(toks []CToken, comments bool) string {
+	size, kept, first := 0, 0, 0
+	for i := range toks {
+		if comments || toks[i].Kind != CComment {
+			if kept == 0 {
+				first = i
+			}
+			kept++
+			size += len(toks[i].Text) + 1
 		}
-		if toks[i].Kind == CComment {
-			continue
-		}
-		parts = append(parts, toks[i].Text)
 	}
-	return strings.Join(parts, " ")
+	switch kept {
+	case 0:
+		return ""
+	case 1:
+		return toks[first].Text
+	}
+	var b strings.Builder
+	b.Grow(size - 1)
+	for _, t := range toks[first:] {
+		if comments || t.Kind != CComment {
+			if b.Len() > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(t.Text)
+		}
+	}
+	return b.String()
+}
+
+func collectUntil(toks []CToken, i int, stop string) string {
+	end := i
+	for end < len(toks) && !(toks[end].Kind == CPunct && toks[end].Text == stop) {
+		end++
+	}
+	return joinTexts(toks[i:end], false)
 }
 
 // parseCall parses a call expression at toks[i] (an identifier
@@ -161,40 +200,31 @@ func parseCall(toks []CToken, i int) *CallSite {
 		return nil
 	}
 	end := matchParen(toks, i+1, "(", ")")
-	if end <= i+1 || end > len(toks) {
-		return nil
+	if end < i+3 {
+		return nil // "f(" at the very end of the text
 	}
-	cs := &CallSite{Name: name}
-	var parts []string
-	depth := 0
-	for _, t := range toks[i+2 : end-1] {
-		if t.Kind == CComment {
+	cs := &CallSite{Name: name, Raw: joinTexts(toks[i:end], true)}
+	inner := toks[i+2 : end-1]
+	depth, start := 0, 0
+	for k, t := range inner {
+		if t.Kind != CPunct {
 			continue
 		}
-		if t.Kind == CPunct {
-			switch t.Text {
-			case "(", "[", "{":
-				depth++
-			case ")", "]", "}":
-				depth--
-			case ",":
-				if depth == 0 {
-					cs.Args = append(cs.Args, strings.Join(parts, " "))
-					parts = nil
-					continue
-				}
+		switch t.Text {
+		case "(", "[", "{":
+			depth++
+		case ")", "]", "}":
+			depth--
+		case ",":
+			if depth == 0 {
+				cs.Args = append(cs.Args, joinTexts(inner[start:k], false))
+				start = k + 1
 			}
 		}
-		parts = append(parts, t.Text)
 	}
-	if len(parts) > 0 {
-		cs.Args = append(cs.Args, strings.Join(parts, " "))
+	if last := joinTexts(inner[start:], false); last != "" {
+		cs.Args = append(cs.Args, last)
 	}
-	var raw []string
-	for _, t := range toks[i:end] {
-		raw = append(raw, t.Text)
-	}
-	cs.Raw = strings.Join(raw, " ")
 	return cs
 }
 
@@ -207,15 +237,10 @@ func parseSwitch(toks []CToken, i int) (*SwitchInfo, int) {
 	if exprEnd >= len(toks) || toks[exprEnd].Text != "{" {
 		return nil, i
 	}
-	var exprParts []string
-	for _, t := range toks[i+2 : exprEnd-1] {
-		if t.Kind != CComment {
-			exprParts = append(exprParts, t.Text)
-		}
-	}
-	sw := &SwitchInfo{Expr: strings.Join(exprParts, " ")}
+	sw := &SwitchInfo{Expr: joinTexts(toks[i+2:exprEnd-1], false)}
 	bodyEnd := matchParen(toks, exprEnd, "{", "}")
-	inner := toks[exprEnd+1 : min(bodyEnd-1, len(toks))]
+	// An unterminated body runs to the end of the text.
+	inner := toks[exprEnd+1 : max(bodyEnd-1, exprEnd+1)]
 	depth := 0
 	for k := 0; k < len(inner); k++ {
 		t := inner[k]
@@ -232,16 +257,14 @@ func parseSwitch(toks []CToken, i int) (*SwitchInfo, int) {
 			continue
 		}
 		// Label runs to ':'.
-		var label []string
 		k++
+		labelStart := k
 		for k < len(inner) && !(inner[k].Kind == CPunct && inner[k].Text == ":") {
-			if inner[k].Kind != CComment {
-				label = append(label, inner[k].Text)
-			}
 			k++
 		}
+		c := SwitchCase{Label: joinTexts(inner[labelStart:k], false)}
 		// Body runs to next top-level case/default or end.
-		start := k + 1
+		start := min(k+1, len(inner))
 		j := start
 		d := 0
 		for j < len(inner) {
@@ -259,19 +282,13 @@ func parseSwitch(toks []CToken, i int) (*SwitchInfo, int) {
 			}
 			j++
 		}
-		c := SwitchCase{Label: strings.Join(label, " ")}
-		var bodyParts []string
 		for m := start; m < j; m++ {
-			if inner[m].Kind == CComment {
-				continue
-			}
-			bodyParts = append(bodyParts, inner[m].Text)
 			if inner[m].Kind == CIdent && !controlKeywords[inner[m].Text] &&
 				m+1 < j && inner[m+1].Text == "(" {
 				c.Calls = append(c.Calls, inner[m].Text)
 			}
 		}
-		c.Body = strings.Join(bodyParts, " ")
+		c.Body = joinTexts(inner[start:j], false)
 		sw.Cases = append(sw.Cases, c)
 		k = j - 1
 	}
@@ -282,10 +299,8 @@ func parseSwitch(toks []CToken, i int) (*SwitchInfo, int) {
 // expression mentions the given variable name.
 func (b *BodyInfo) FindSwitchOn(varName string) *SwitchInfo {
 	for i := range b.Switches {
-		for _, tok := range LexC(b.Switches[i].Expr) {
-			if tok.Kind == CIdent && tok.Text == varName {
-				return &b.Switches[i]
-			}
+		if HasIdent(b.Switches[i].Expr, varName) {
+			return &b.Switches[i]
 		}
 	}
 	return nil

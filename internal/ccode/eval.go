@@ -166,10 +166,11 @@ func (ix *Index) evalStringDepth(expr string, rdepth int) (string, bool) {
 	if rdepth > maxMacroDepth {
 		return "", false
 	}
-	toks := LexC(expr)
 	var b strings.Builder
 	any := false
-	for _, t := range toks {
+	sc := scanner{src: expr, line: 1}
+	var t CToken
+	for sc.next(&t) {
 		switch t.Kind {
 		case CString:
 			b.WriteString(StringValue(t.Text))
@@ -206,7 +207,9 @@ func (ix *Index) evalIntDepth(expr string, rdepth int) (uint64, bool) {
 	if rdepth > maxMacroDepth {
 		return 0, false
 	}
-	e := &evaluator{ix: ix, toks: dropComments(LexC(expr)), rdepth: rdepth}
+	buf := lexPooled(expr)
+	defer release(buf)
+	e := &evaluator{ix: ix, toks: dropComments(*buf), rdepth: rdepth}
 	v, ok := e.expr(0)
 	if !ok || e.i != len(e.toks) {
 		return 0, false
@@ -214,8 +217,9 @@ func (ix *Index) evalIntDepth(expr string, rdepth int) (uint64, bool) {
 	return v, true
 }
 
+// dropComments filters toks in place.
 func dropComments(toks []CToken) []CToken {
-	out := toks[:0:0]
+	out := toks[:0]
 	for _, t := range toks {
 		if t.Kind != CComment {
 			out = append(out, t)
@@ -340,16 +344,15 @@ func (e *evaluator) sizeofCall() (uint64, bool) {
 		return 0, false
 	}
 	e.i++
-	var parts []string
+	start := e.i
 	for e.peek().Text != ")" && e.peek().Kind != CEOF {
-		parts = append(parts, e.toks[e.i].Text)
 		e.i++
 	}
 	if e.peek().Text != ")" {
 		return 0, false
 	}
+	size := e.ix.Sizeof(joinTexts(e.toks[start:e.i], true))
 	e.i++
-	size := e.ix.Sizeof(strings.Join(parts, " "))
 	if size == 0 {
 		return 0, false
 	}
@@ -419,8 +422,7 @@ func (e *evaluator) splitArgs() ([]string, bool) {
 	}
 	e.i++
 	var args []string
-	var parts []string
-	depth := 0
+	start, depth := e.i, 0
 	for {
 		t := e.peek()
 		if t.Kind == CEOF {
@@ -432,23 +434,20 @@ func (e *evaluator) splitArgs() ([]string, bool) {
 				depth++
 			case ")":
 				if depth == 0 {
-					e.i++
-					if len(parts) > 0 {
-						args = append(args, strings.Join(parts, " "))
+					if e.i > start {
+						args = append(args, joinTexts(e.toks[start:e.i], true))
 					}
+					e.i++
 					return args, true
 				}
 				depth--
 			case ",":
 				if depth == 0 {
-					args = append(args, strings.Join(parts, " "))
-					parts = nil
-					e.i++
-					continue
+					args = append(args, joinTexts(e.toks[start:e.i], true))
+					start = e.i + 1
 				}
 			}
 		}
-		parts = append(parts, t.Text)
 		e.i++
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Function is an indexed C function definition.
@@ -15,6 +16,18 @@ type Function struct {
 	Raw     string // full definition text (signature + body)
 	Static  bool
 	Comment string // doc comment immediately preceding the definition
+
+	infoOnce sync.Once
+	info     *BodyInfo // set by infoOnce
+}
+
+// Info returns the structural summary of the function's body,
+// analysing it on first use and at most once per Index. It is safe
+// for concurrent use; the result is shared by every caller and must
+// not be modified (see BodyInfo).
+func (f *Function) Info() *BodyInfo {
+	f.infoOnce.Do(func() { f.info = AnalyzeBody(f.Body) })
+	return f.info
 }
 
 // Param is one function parameter.
@@ -189,7 +202,9 @@ func (ix *Index) ExtractCode(ident string) (string, bool) {
 
 // parseFile scans one source file for definitions.
 func (ix *Index) parseFile(name, src string) {
-	toks := LexC(src)
+	buf := lexPooled(src)
+	defer release(buf)
+	toks := *buf
 	depth := 0
 	var lastComment string
 	for i := 0; i < len(toks); i++ {
@@ -439,12 +454,8 @@ func parseOneField(toks []CToken) (StructField, bool) {
 			if toks[k].Text == "[" {
 				depth--
 				if depth == 0 {
-					var parts []string
-					for _, t := range toks[k+1 : end-1] {
-						parts = append(parts, t.Text)
-					}
 					f.IsArray = true
-					f.Array = strings.Join(parts, " ")
+					f.Array = joinTexts(toks[k+1:end-1], true)
 					end = k
 					break
 				}
@@ -455,11 +466,7 @@ func parseOneField(toks []CToken) (StructField, bool) {
 		return StructField{}, false
 	}
 	f.Name = toks[end-1].Text
-	var typeParts []string
-	for _, t := range toks[:end-1] {
-		typeParts = append(typeParts, t.Text)
-	}
-	f.Type = strings.Join(typeParts, " ")
+	f.Type = joinTexts(toks[:end-1], true)
 	if f.Type == "" {
 		return StructField{}, false
 	}
@@ -556,36 +563,33 @@ func (ix *Index) tryParseRegistration(file, src string, toks []CToken, i int) in
 	}
 	reg.Raw = src[toks[i].Off:rawEnd]
 	// Walk designated initializers: '.' IDENT '=' value-tokens (',' | '}').
-	inner := toks[j+1 : end-1]
+	// An unterminated initializer runs to the end of the text.
+	inner := toks[j+1 : max(end-1, j+1)]
 	for k := 0; k < len(inner); k++ {
 		if inner[k].Text != "." || k+2 >= len(inner) || inner[k+1].Kind != CIdent || inner[k+2].Text != "=" {
 			continue
 		}
 		fname := inner[k+1].Text
 		k += 3
-		var parts []string
-		depth := 0
+		// The value runs to the next top-level ','.
+		start, depth := k, 0
+	value:
 		for ; k < len(inner); k++ {
-			t := inner[k]
-			if t.Kind == CPunct {
-				switch t.Text {
-				case "(", "{", "[":
-					depth++
-				case ")", "}", "]":
-					depth--
-				case ",":
-					if depth == 0 {
-						goto done
-					}
-				}
-			}
-			if t.Kind == CComment {
+			if inner[k].Kind != CPunct {
 				continue
 			}
-			parts = append(parts, t.Text)
+			switch inner[k].Text {
+			case "(", "{", "[":
+				depth++
+			case ")", "}", "]":
+				depth--
+			case ",":
+				if depth == 0 {
+					break value
+				}
+			}
 		}
-	done:
-		reg.Fields[fname] = strings.Join(parts, " ")
+		reg.Fields[fname] = joinTexts(inner[start:k], false)
 		reg.Order = append(reg.Order, fname)
 	}
 	if len(reg.Fields) > 0 {
@@ -658,18 +662,14 @@ func parseParams(toks []CToken) []Param {
 			p.Name = cur[end-1].Text
 			end--
 		}
-		var parts []string
-		for _, t := range cur[:end] {
-			parts = append(parts, t.Text)
-		}
-		p.Type = strings.Join(parts, " ")
+		p.Type = joinTexts(cur[:end], true)
 		if p.Type == "" && p.Name != "" {
 			p.Type, p.Name = p.Name, "" // e.g. "void"
 		}
 		if p.Type != "" {
 			params = append(params, p)
 		}
-		cur = nil
+		cur = cur[:0]
 	}
 	for _, t := range toks {
 		if t.Kind == CComment {
@@ -692,11 +692,4 @@ func parseParams(toks []CToken) []Param {
 	}
 	flush()
 	return params
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,10 @@
 // LLM's ExtractCode requests.
 package ccode
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // CToken is a lexical token of C source.
 type CToken struct {
@@ -37,26 +40,96 @@ const (
 
 // LexC tokenizes C source, keeping comments and preprocessor
 // directives as single tokens (the analyzer reads comments for
-// intent, per the paper's L-3 discussion).
+// intent, per the paper's L-3 discussion). It is the public,
+// caller-owned form: the slice is presized from the source length and
+// never pooled. The package's own passes (parseFile, AnalyzeBody, the
+// constant evaluator) lex through lexInto into pooled buffers, and
+// whole-identifier membership tests stream through HasIdent without
+// materialising tokens at all.
 func LexC(src string) []CToken {
-	var toks []CToken
-	line := 1
-	i := 0
-	n := len(src)
+	return lexInto(src, make([]CToken, 0, len(src)/avgTokenBytes+8))
+}
+
+// avgTokenBytes is a low estimate of source bytes per token (the
+// corpus measures 6.4, its densest file 5.2), so a presized buffer
+// rarely has to grow.
+const avgTokenBytes = 5
+
+// lexInto appends the tokens of src to toks. Token text aliases src,
+// never the buffer, so strings copied out of tokens outlive its reuse.
+func lexInto(src string, toks []CToken) []CToken {
+	s := scanner{src: src, line: 1}
+	for {
+		// next fills the slot in place: no token copy per call.
+		toks = append(toks, CToken{})
+		if !s.next(&toks[len(toks)-1]) {
+			return toks[:len(toks)-1]
+		}
+	}
+}
+
+// tokPool recycles token buffers across the package's internal lexing
+// passes; tokens never escape those passes.
+var tokPool = sync.Pool{New: func() any { return new([]CToken) }}
+
+// lexPooled lexes src into a pooled buffer; release returns it.
+func lexPooled(src string) *[]CToken {
+	buf := tokPool.Get().(*[]CToken)
+	if want := len(src)/avgTokenBytes + 8; cap(*buf) < want {
+		*buf = make([]CToken, 0, want) // once, not by doubling
+	}
+	*buf = lexInto(src, (*buf)[:0])
+	return buf
+}
+
+func release(buf *[]CToken) { tokPool.Put(buf) }
+
+// HasIdent reports whether ident occurs in text as a whole identifier
+// token — not inside a longer identifier, a number, a string, a
+// comment or a directive.
+func HasIdent(text, ident string) bool {
+	if !strings.Contains(text, ident) {
+		return false
+	}
+	s := scanner{src: text, line: 1}
+	var t CToken
+	for s.next(&t) {
+		if t.Kind == CIdent && t.Text == ident {
+			return true
+		}
+	}
+	return false
+}
+
+// scanner yields the tokens of src one at a time.
+type scanner struct {
+	src  string
+	i    int
+	line int
+}
+
+// next stores the next token in t, or reports false at end of input.
+func (s *scanner) next(t *CToken) bool {
+	src, i, n := s.src, s.i, len(s.src)
 	for i < n {
 		c := src[i]
+		if c == '\n' {
+			s.line++
+			i++
+			continue
+		}
+		if c == ' ' || c == '\t' || c == '\r' {
+			i++
+			continue
+		}
+		start := i
+		*t = CToken{Off: start, Line: s.line}
 		switch {
-		case c == '\n':
-			line++
-			i++
-		case c == ' ' || c == '\t' || c == '\r':
-			i++
 		case c == '#' && atLineStart(src, i):
-			start, startLine := i, line
 			for i < n {
 				if src[i] == '\n' {
 					if i > 0 && src[i-1] == '\\' {
-						line++
+						s.line++
 						i++
 						continue
 					}
@@ -64,84 +137,62 @@ func LexC(src string) []CToken {
 				}
 				i++
 			}
-			toks = append(toks, CToken{Kind: CDirective, Text: src[start:i], Off: start, Line: startLine})
+			t.Kind = CDirective
 		case c == '/' && i+1 < n && src[i+1] == '*':
-			start, startLine := i, line
 			i += 2
 			for i+1 < n && !(src[i] == '*' && src[i+1] == '/') {
 				if src[i] == '\n' {
-					line++
+					s.line++
 				}
 				i++
 			}
-			i += 2
-			if i > n {
-				i = n
-			}
-			toks = append(toks, CToken{Kind: CComment, Text: src[start:min(i, n)], Off: start, Line: startLine})
+			i = min(i+2, n)
+			t.Kind = CComment
 		case c == '/' && i+1 < n && src[i+1] == '/':
-			start := i
 			for i < n && src[i] != '\n' {
 				i++
 			}
-			toks = append(toks, CToken{Kind: CComment, Text: src[start:i], Off: start, Line: line})
+			t.Kind = CComment
 		case isCIdentStart(c):
-			start := i
 			for i < n && isCIdentPart(src[i]) {
 				i++
 			}
-			toks = append(toks, CToken{Kind: CIdent, Text: src[start:i], Off: start, Line: line})
+			t.Kind = CIdent
 		case c >= '0' && c <= '9':
-			start := i
 			for i < n && (isCIdentPart(src[i]) || src[i] == '.') {
 				i++
 			}
-			toks = append(toks, CToken{Kind: CNumber, Text: src[start:i], Off: start, Line: line})
-		case c == '"':
-			start := i
+			t.Kind = CNumber
+		case c == '"' || c == '\'':
 			i++
-			for i < n && src[i] != '"' {
+			for i < n && src[i] != c {
 				if src[i] == '\\' {
 					i++
 				}
 				i++
 			}
-			i++
-			if i > n {
-				i = n
+			i = min(i+1, n)
+			t.Kind = CString
+			if c == '\'' {
+				t.Kind = CChar
 			}
-			toks = append(toks, CToken{Kind: CString, Text: src[start:min(i, n)], Off: start, Line: line})
-		case c == '\'':
-			start := i
-			i++
-			for i < n && src[i] != '\'' {
-				if src[i] == '\\' {
-					i++
-				}
-				i++
-			}
-			i++
-			if i > n {
-				i = n
-			}
-			toks = append(toks, CToken{Kind: CChar, Text: src[start:min(i, n)], Off: start, Line: line})
 		default:
 			// Multi-char punctuation we care about: -> << >> == != <= >= && ||
-			two := ""
-			if i+1 < n {
-				two = src[i : i+2]
+			i++
+			if i < n {
+				switch src[start : i+1] {
+				case "->", "<<", ">>", "==", "!=", "<=", ">=", "&&", "||", "|=", "&=", "+=", "-=":
+					i++
+				}
 			}
-			switch two {
-			case "->", "<<", ">>", "==", "!=", "<=", ">=", "&&", "||", "|=", "&=", "+=", "-=":
-				toks = append(toks, CToken{Kind: CPunct, Text: two, Off: i, Line: line})
-				i += 2
-			default:
-				toks = append(toks, CToken{Kind: CPunct, Text: string(c), Off: i, Line: line})
-				i++
-			}
+			t.Kind = CPunct
 		}
+		t.Text = src[start:i]
+		s.i = i
+		return true
 	}
-	return toks
+	s.i = i
+	return false
 }
 
 func atLineStart(src string, i int) bool {

@@ -27,9 +27,9 @@ func (g *Generator) assemble(h *corpus.Handler, ident *llm.IdentResult, typeDefs
 		file.Syscalls = append(file.Syscalls, &syzlang.SyscallDef{
 			CallName: "socket", Variant: hid,
 			Args: []*syzlang.Field{
-				mkField("domain", fmt.Sprintf("const[%s]", orZero(ident.Domain))),
-				mkField("type", fmt.Sprintf("const[%d]", h.Socket.TypeVal)),
-				mkField("proto", "const[0]"),
+				mkField("domain", constOf(ident.Domain)),
+				mkField("type", constInt(uint64(h.Socket.TypeVal))),
+				mkField("proto", constInt(0)),
 			},
 			Ret: resName,
 		})
@@ -38,10 +38,10 @@ func (g *Generator) assemble(h *corpus.Handler, ident *llm.IdentResult, typeDefs
 			file.Syscalls = append(file.Syscalls, &syzlang.SyscallDef{
 				CallName: "openat", Variant: hid,
 				Args: []*syzlang.Field{
-					mkField("fd", "const[AT_FDCWD]"),
-					mkField("file", fmt.Sprintf("ptr[in, string[%q]]", ident.DevicePath)),
-					mkField("flags", "const[O_RDWR]"),
-					mkField("mode", "const[0]"),
+					mkField("fd", constOf("AT_FDCWD")),
+					parseField("file", fmt.Sprintf("ptr[in, string[%q]]", ident.DevicePath)),
+					mkField("flags", constOf("O_RDWR")),
+					mkField("mode", constInt(0)),
 				},
 				Ret: resName,
 			})
@@ -70,36 +70,31 @@ func (g *Generator) assemble(h *corpus.Handler, ident *llm.IdentResult, typeDefs
 		if h.Kind == corpus.KindSocket {
 			call.CallName = "setsockopt"
 			call.Args = []*syzlang.Field{
-				mkField("fd", resName),
-				mkField("level", fmt.Sprintf("const[%s]", orZero(ident.Level))),
-				mkField("optname", fmt.Sprintf("const[%s]", c.Macro)),
+				mkField("fd", named(resName)),
+				mkField("level", constOf(ident.Level)),
+				mkField("optname", constOf(c.Macro)),
 			}
+			optval := ptrTo("in", byteArray())
 			switch {
 			case c.Arg != "":
-				call.Args = append(call.Args,
-					mkField("optval", fmt.Sprintf("ptr[%s, %s]", normDir(c.Dir), c.Arg)),
-					mkField("optlen", "len[optval, int32]"))
+				optval = ptrTo(normDir(c.Dir), named(c.Arg))
 			case c.ArgInt:
-				call.Args = append(call.Args,
-					mkField("optval", "ptr[in, int32]"),
-					mkField("optlen", "len[optval, int32]"))
-			default:
-				call.Args = append(call.Args,
-					mkField("optval", "ptr[in, array[int8]]"),
-					mkField("optlen", "len[optval, int32]"))
+				optval = ptrTo("in", named("int32"))
 			}
+			call.Args = append(call.Args,
+				mkField("optval", optval),
+				mkField("optlen", lenOf("optval", "int32")))
 		} else {
 			call.CallName = "ioctl"
 			call.Args = []*syzlang.Field{
-				mkField("fd", resName),
-				mkField("cmd", fmt.Sprintf("const[%s]", c.Macro)),
+				mkField("fd", named(resName)),
+				mkField("cmd", constOf(c.Macro)),
 			}
 			switch {
 			case c.Arg != "":
-				call.Args = append(call.Args,
-					mkField("arg", fmt.Sprintf("ptr[%s, %s]", normDir(c.Dir), c.Arg)))
+				call.Args = append(call.Args, mkField("arg", ptrTo(normDir(c.Dir), named(c.Arg))))
 			case c.ArgInt:
-				call.Args = append(call.Args, mkField("arg", "ptr[in, int32]"))
+				call.Args = append(call.Args, mkField("arg", ptrTo("in", named("int32"))))
 			}
 			if ret, ok := depRet[c.Macro]; ok {
 				call.Ret = ret
@@ -137,59 +132,165 @@ func expandSockCall(call string) []string {
 }
 
 func (g *Generator) sockCallDef(hid, resName, callName, addr string) *syzlang.SyscallDef {
-	addrType := "array[int8]"
-	if addr != "" {
-		addrType = addr
+	// addrPtr is built per use: fields never share type nodes.
+	addrPtr := func() *syzlang.TypeExpr {
+		if addr == "" {
+			return ptrTo("in", byteArray())
+		}
+		return ptrTo("in", named(addr))
 	}
 	def := &syzlang.SyscallDef{CallName: callName, Variant: hid,
-		Args: []*syzlang.Field{mkField("fd", resName)}}
+		Args: []*syzlang.Field{mkField("fd", named(resName))}}
 	switch callName {
 	case "bind", "connect":
 		def.Args = append(def.Args,
-			mkField("addr", fmt.Sprintf("ptr[in, %s]", addrType)),
-			mkField("addrlen", "len[addr, int32]"))
-	case "sendto":
+			mkField("addr", addrPtr()),
+			mkField("addrlen", lenOf("addr", "int32")))
+	case "sendto", "recvfrom":
+		dir := "in"
+		if callName == "recvfrom" {
+			dir = "out"
+		}
 		def.Args = append(def.Args,
-			mkField("buf", "ptr[in, array[int8]]"),
-			mkField("len", "len[buf, intptr]"),
-			mkField("f", "const[0]"),
-			mkField("addr", fmt.Sprintf("ptr[in, %s]", addrType)),
-			mkField("addrlen", "len[addr, int32]"))
-	case "recvfrom":
-		def.Args = append(def.Args,
-			mkField("buf", "ptr[out, array[int8]]"),
-			mkField("len", "len[buf, intptr]"),
-			mkField("f", "const[0]"),
-			mkField("addr", fmt.Sprintf("ptr[in, %s]", addrType)),
-			mkField("addrlen", "len[addr, int32]"))
+			mkField("buf", ptrTo(dir, byteArray())),
+			mkField("len", lenOf("buf", "intptr")),
+			mkField("f", constInt(0)),
+			mkField("addr", addrPtr()),
+			mkField("addrlen", lenOf("addr", "int32")))
 	case "listen":
-		def.Args = append(def.Args, mkField("backlog", "int32[0:128]"))
+		def.Args = append(def.Args, mkField("backlog", &syzlang.TypeExpr{Ident: "int32",
+			Args: []*syzlang.TypeArg{{HasRange: true, Min: 0, Max: 128}}}))
 	case "accept":
 		def.Args = append(def.Args,
-			mkField("peer", "ptr[out, array[int8]]"),
-			mkField("peerlen", "len[peer, int32]"))
+			mkField("peer", ptrTo("out", byteArray())),
+			mkField("peerlen", lenOf("peer", "int32")))
 		def.Ret = resName
 	case "sendmsg":
 		def.Args = append(def.Args,
-			mkField("msg", "ptr[in, array[int8]]"), mkField("f", "const[0]"))
+			mkField("msg", ptrTo("in", byteArray())), mkField("f", constInt(0)))
 	case "recvmsg":
 		def.Args = append(def.Args,
-			mkField("msg", "ptr[out, array[int8]]"), mkField("f", "const[0]"))
+			mkField("msg", ptrTo("out", byteArray())), mkField("f", constInt(0)))
 	case "poll":
-		def.Args = append(def.Args, mkField("timeout", "int32"))
+		def.Args = append(def.Args, mkField("timeout", named("int32")))
 	}
 	return def
 }
 
-func mkField(name, typ string) *syzlang.Field {
+// Type-expression constructors. assemble knows the shape of every
+// argument it emits, so it builds the tree instead of printing the
+// type for the parser to read back; only the names placed at the
+// leaves may come from the model.
+
+// named is the bare type NAME: a scalar, a struct or a resource.
+func named(name string) *syzlang.TypeExpr { return &syzlang.TypeExpr{Ident: name} }
+
+func typeArgs(ts ...*syzlang.TypeExpr) []*syzlang.TypeArg {
+	vals := make([]syzlang.TypeArg, len(ts))
+	args := make([]*syzlang.TypeArg, len(ts))
+	for i, t := range ts {
+		vals[i].Type = t
+		args[i] = &vals[i]
+	}
+	return args
+}
+
+// constOf is const[NAME]; a name the model left out is const[0].
+func constOf(name string) *syzlang.TypeExpr {
+	if name == "" {
+		return constInt(0)
+	}
+	return &syzlang.TypeExpr{Ident: "const", Args: typeArgs(named(name))}
+}
+
+// constInt is const[V].
+func constInt(v uint64) *syzlang.TypeExpr {
+	return &syzlang.TypeExpr{Ident: "const", Args: []*syzlang.TypeArg{{HasInt: true, Int: v}}}
+}
+
+// ptrTo is ptr[DIR, ELEM].
+func ptrTo(dir string, elem *syzlang.TypeExpr) *syzlang.TypeExpr {
+	return &syzlang.TypeExpr{Ident: "ptr", Args: typeArgs(named(dir), elem)}
+}
+
+// lenOf is len[FIELD, BASE].
+func lenOf(field, base string) *syzlang.TypeExpr {
+	return &syzlang.TypeExpr{Ident: "len", Args: typeArgs(named(field), named(base))}
+}
+
+// byteArray is array[int8], the untyped buffer.
+func byteArray() *syzlang.TypeExpr {
+	return &syzlang.TypeExpr{Ident: "array", Args: typeArgs(named("int8"))}
+}
+
+// mkField names a constructed type. Every leaf must be a bare
+// identifier; a model answer that is anything else (a number, an
+// expression, garbage) sends the rendered type through the parser,
+// exactly as if the model had written it out.
+func mkField(name string, te *syzlang.TypeExpr) *syzlang.Field {
+	if !bareIdents(te) {
+		return parseField(name, te.String())
+	}
+	setPos(te, 1)
+	return &syzlang.Field{Name: name, Type: te}
+}
+
+// parseField names a type given as text the model had a hand in.
+func parseField(name, typ string) *syzlang.Field {
 	te, err := syzlang.ParseTypeExpr(typ)
 	if err != nil {
-		// The assembler only builds from parsed model output; a bad
-		// expression becomes a buffer arg and will fail validation
-		// (and enter the repair loop) rather than panicking.
-		te = &syzlang.TypeExpr{Ident: "array", Args: []*syzlang.TypeArg{{Type: &syzlang.TypeExpr{Ident: "int8"}}}}
+		// A bad expression becomes a buffer arg and will fail
+		// validation (and enter the repair loop) rather than panicking.
+		te = byteArray()
 	}
 	return &syzlang.Field{Name: name, Type: te}
+}
+
+// bareIdents reports whether every type name in the tree is a plain
+// identifier, i.e. lexes as the single token the constructors assume.
+func bareIdents(te *syzlang.TypeExpr) bool {
+	if !isIdent(te.Ident) {
+		return false
+	}
+	for _, a := range te.Args {
+		if a.Type != nil && !bareIdents(a.Type) {
+			return false
+		}
+	}
+	return true
+}
+
+func isIdent(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || i > 0 && c >= '0' && c <= '9') {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// setPos gives a constructed tree the positions the parser assigns its
+// canonical rendering starting at column col of line 1 (validation
+// errors cite and sort by them), and returns the column after it.
+func setPos(te *syzlang.TypeExpr, col int) int {
+	te.Pos = syzlang.Pos{Line: 1, Col: col}
+	col += len(te.Ident)
+	if len(te.Args) == 0 {
+		return col
+	}
+	for i, a := range te.Args {
+		if col++; i > 0 {
+			col++ // ", " where the first argument has "["
+		}
+		a.Pos = syzlang.Pos{Line: 1, Col: col}
+		if a.Type != nil {
+			col = setPos(a.Type, col)
+		} else {
+			col += len(a.String())
+		}
+	}
+	return col + 1
 }
 
 func normDir(d string) string {
@@ -198,13 +299,6 @@ func normDir(d string) string {
 		return d
 	}
 	return "in"
-}
-
-func orZero(s string) string {
-	if s == "" {
-		return "0"
-	}
-	return s
 }
 
 func sanitizeIdent(s string) string {
@@ -243,7 +337,7 @@ func dedupTypes(f *syzlang.File) {
 // syz-extract/syz-generate equivalent, feed error messages back to
 // the LLM for repair, and as a last resort drop declarations that
 // remain broken.
-func (g *Generator) validateAndRepair(ctx context.Context, h *corpus.Handler, fileSrc, defines string, spec *syzlang.File, res *Result) {
+func (g *Generator) validateAndRepair(ctx context.Context, h *corpus.Handler, source string, spec *syzlang.File, res *Result) {
 	env := g.Corpus.Env()
 	errs := syzlang.Validate(spec, env)
 	if len(errs) == 0 {
@@ -257,7 +351,6 @@ func (g *Generator) validateAndRepair(ctx context.Context, h *corpus.Handler, fi
 		res.RemainingErrors = errs
 		return
 	}
-	source := defines + "\n" + registrationsOf(fileSrc)
 	cur := spec
 	for round := 0; round < g.Opts.MaxRepairRounds && len(errs) > 0; round++ {
 		res.Iterations++

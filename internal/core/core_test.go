@@ -127,18 +127,20 @@ func TestRepairDisabledFailsMore(t *testing.T) {
 
 func TestIndirectHandlerFails(t *testing.T) {
 	// Fully indirect handlers (the §5.1.3 hard cases) yield no
-	// commands, hence no valid spec.
+	// commands, hence no valid spec. The test corpus is too small to
+	// hold one; the full-scale corpus has them by construction.
+	full := corpus.Build(corpus.DefaultConfig())
 	var target *corpus.Handler
-	for _, h := range testCorpus.Incomplete(corpus.KindDriver) {
+	for _, h := range full.Incomplete(corpus.KindDriver) {
 		if h.Quirks.Has(corpus.QuirkIndirectCall) {
 			target = h
 			break
 		}
 	}
 	if target == nil {
-		t.Skip("no indirect driver in test corpus")
+		t.Fatal("no indirect driver in the full-scale corpus")
 	}
-	g := gen(t, "gpt-4", 4, DefaultOptions())
+	g := New(llm.NewSim("gpt-4", 4), full, DefaultOptions())
 	res := g.GenerateFor(ctx, target)
 	if res.Valid {
 		t.Fatalf("indirect handler %s unexpectedly produced a valid spec with %d syscalls",

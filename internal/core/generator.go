@@ -107,22 +107,24 @@ func (g *Generator) GenerateFor(ctx context.Context, h *corpus.Handler) *Result 
 	res := &Result{Handler: h}
 	fileSrc := g.Corpus.Index.Files()[h.SourcePath()]
 	defines := definesOf(fileSrc)
+	// What the extractor hands over for a located operation handler:
+	// the uapi defines plus the registrations. The identifier stage
+	// starts from it and the repair loop quotes it.
+	located := defines + "\n" + registrationsOf(fileSrc)
 
-	ident := g.identifierStage(ctx, h, fileSrc, defines, res)
+	ident := g.identifierStage(ctx, h, fileSrc, defines, located, res)
 	types := g.typeStage(ctx, h, fileSrc, defines, ident, res)
 	deps := g.dependencyStage(ctx, h, fileSrc, defines, ident, res)
 
 	spec := g.assemble(h, ident, types, deps, res)
-	g.validateAndRepair(ctx, h, fileSrc, defines, spec, res)
+	g.validateAndRepair(ctx, h, located, spec, res)
 	return res
 }
 
 // identifierStage runs stage 1 iteratively (Algorithm 1).
-func (g *Generator) identifierStage(ctx context.Context, h *corpus.Handler, fileSrc, defines string, res *Result) *llm.IdentResult {
+func (g *Generator) identifierStage(ctx context.Context, h *corpus.Handler, fileSrc, defines, located string, res *Result) *llm.IdentResult {
 	merged := &llm.IdentResult{}
-	// The initial source: registrations plus the entry function —
-	// what the extractor hands over for a located operation handler.
-	source := defines + "\n" + registrationsOf(fileSrc)
+	source := located
 	if g.Opts.AllInOne {
 		source = fileSrc
 	}

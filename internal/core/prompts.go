@@ -6,7 +6,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"kernelgpt/internal/ccode"
@@ -93,40 +92,37 @@ type promptBuilder struct {
 	ix *ccode.Index
 }
 
+const systemPrompt = "You are an expert Linux kernel and Syzkaller engineer."
+
 func (p *promptBuilder) build(instr string, unknowns []llm.UnknownRef, source string) []llm.Message {
-	var b strings.Builder
-	b.WriteString(llm.SecInstruction + "\n")
-	b.WriteString(instr + "\n\n")
+	unknown := ""
 	if len(unknowns) > 0 {
+		var b strings.Builder
 		b.WriteString(llm.SecUnknown + "\n")
 		for _, u := range unknowns {
-			fmt.Fprintf(&b, "- %s: %s USAGE: %s\n", u.Kind, u.Name, u.Usage)
+			b.WriteString("- " + u.Kind + ": " + u.Name + " USAGE: " + u.Usage + "\n")
 		}
 		b.WriteByte('\n')
+		unknown = b.String()
 	}
-	b.WriteString(llm.SecSource + "\n")
-	b.WriteString(source + "\n\n")
-	b.WriteString(llm.SecFewShot + "\n")
-	b.WriteString(fewShot + "\n")
+	// One concatenation: the prompt is sized and copied once.
+	content := llm.SecInstruction + "\n" + instr + "\n\n" + unknown +
+		llm.SecSource + "\n" + source + "\n\n" +
+		llm.SecFewShot + "\n" + fewShot + "\n"
 	return []llm.Message{
-		{Role: "system", Content: "You are an expert Linux kernel and Syzkaller engineer."},
-		{Role: "user", Content: b.String()},
+		{Role: "system", Content: systemPrompt},
+		{Role: "user", Content: content},
 	}
 }
 
 func (p *promptBuilder) buildRepair(errs, spec, source string) []llm.Message {
-	var b strings.Builder
-	b.WriteString(llm.SecInstruction + "\n")
-	b.WriteString(instrRepair + "\n\n")
-	b.WriteString(llm.SecErrors + "\n")
-	b.WriteString(errs + "\n\n")
-	b.WriteString(llm.SecSpec + "\n")
-	b.WriteString(spec + "\n\n")
-	b.WriteString(llm.SecSource + "\n")
-	b.WriteString(source + "\n")
+	content := llm.SecInstruction + "\n" + instrRepair + "\n\n" +
+		llm.SecErrors + "\n" + errs + "\n\n" +
+		llm.SecSpec + "\n" + spec + "\n\n" +
+		llm.SecSource + "\n" + source + "\n"
 	return []llm.Message{
-		{Role: "system", Content: "You are an expert Linux kernel and Syzkaller engineer."},
-		{Role: "user", Content: b.String()},
+		{Role: "system", Content: systemPrompt},
+		{Role: "user", Content: content},
 	}
 }
 
@@ -135,11 +131,13 @@ func (p *promptBuilder) buildRepair(errs, spec, source string) []llm.Message {
 // analysis.
 func definesOf(src string) string {
 	var b strings.Builder
-	for _, ln := range strings.Split(src, "\n") {
+	for len(src) > 0 {
+		ln, rest, _ := strings.Cut(src, "\n")
 		if strings.HasPrefix(strings.TrimSpace(ln), "#define") {
 			b.WriteString(ln)
 			b.WriteByte('\n')
 		}
+		src = rest
 	}
 	return b.String()
 }

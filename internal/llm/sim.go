@@ -59,6 +59,11 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 		return Response{}, err
 	}
 	var prompt strings.Builder
+	size := 0
+	for _, msg := range req.Messages {
+		size += len(msg.Content) + 1
+	}
+	prompt.Grow(size)
 	for _, msg := range req.Messages {
 		prompt.WriteString(msg.Content)
 		prompt.WriteByte('\n')
@@ -166,19 +171,33 @@ func (m *SimModel) discoverRegistration(ix *ccode.Index, r *IdentResult) {
 		}
 	}
 	// Char devices: register_chrdev(MAJOR, "name", &fops) inside an
-	// init function.
+	// init function. A registration wins over a miscdevice name; of
+	// several, the lexicographically smallest path does.
+	chrdev := ""
 	for _, fn := range ix.Functions {
-		info := ccode.AnalyzeBody(fn.Body)
-		for _, call := range append(info.Calls, info.Delegations...) {
-			if call.Name != "register_chrdev" || len(call.Args) < 3 {
-				continue
-			}
-			for _, a := range call.Args {
-				if strings.HasPrefix(a, `"`) {
-					r.DevicePath = "/dev/" + ccode.StringValue(strings.ReplaceAll(a, " ", ""))
+		if !strings.Contains(fn.Body, "register_chrdev") {
+			continue
+		}
+		info := fn.Info()
+		for _, calls := range [][]ccode.CallSite{info.Calls, info.Delegations} {
+			for _, call := range calls {
+				if call.Name != "register_chrdev" || len(call.Args) < 3 {
+					continue
+				}
+				for _, a := range call.Args {
+					if !strings.HasPrefix(a, `"`) {
+						continue
+					}
+					path := "/dev/" + ccode.StringValue(strings.ReplaceAll(a, " ", ""))
+					if chrdev == "" || path < chrdev {
+						chrdev = path
+					}
 				}
 			}
 		}
+	}
+	if chrdev != "" {
+		r.DevicePath = chrdev
 	}
 	for _, reg := range ix.Registrations("proto_ops") {
 		r.Domain = strings.TrimSpace(reg.Fields["family"])
@@ -244,7 +263,7 @@ func (m *SimModel) entryFunction(ix *ccode.Index) string {
 // tables, or delegation. Returns further functions to analyze (when
 // their source is already in the prompt).
 func (m *SimModel) analyzeDispatchFn(ix *ccode.Index, fn *ccode.Function, req UnknownRef, r *IdentResult) []UnknownRef {
-	info := ccode.AnalyzeBody(fn.Body)
+	info := fn.Info()
 	modified := bodyModifiesIdent(info)
 
 	// Level check for sockopt dispatchers: "if (level != SOL_X)".
@@ -477,63 +496,45 @@ func (m *SimModel) invert(ix *ccode.Index, nrLabel string) (string, bool) {
 // neighborIoctlMacro returns a different _IO-encoded macro from the
 // same header, if any.
 func neighborIoctlMacro(ix *ccode.Index, not string) (string, bool) {
-	var names []string
-	//syzlint:unordered -- only the lexicographic minimum survives below
-	for name, mac := range ix.Macros {
-		if name != not && len(mac.Params) == 0 && strings.Contains(mac.Value, "_IO") {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return "", false
-	}
-	best := names[0]
-	for _, n := range names[1:] {
-		if n < best {
-			best = n
-		}
-	}
-	return best, true
+	return minIoctlMacro(ix, not, func(*ccode.Macro) bool { return true })
 }
 
 // invertNr finds the full _IOC-encoded macro whose nr equals the
 // given nr label — first textually (the _IO* invocation names the nr
 // macro as its second argument, which is how a human reads it), then
 // numerically.
+//
+// Several macros can match either way; the lexicographically smallest
+// name wins, so the answer does not depend on map iteration order.
 func invertNr(ix *ccode.Index, nrLabel string) (string, bool) {
-	for name, mac := range ix.Macros {
-		if name == nrLabel || len(mac.Params) > 0 || !strings.Contains(mac.Value, "_IO") {
-			continue
-		}
-		if containsToken(mac.Value, nrLabel) {
-			return name, true
-		}
+	if name, ok := minIoctlMacro(ix, nrLabel, func(mac *ccode.Macro) bool {
+		return ccode.HasIdent(mac.Value, nrLabel)
+	}); ok {
+		return name, true
 	}
 	nrVal, ok := ix.ResolveMacroInt(nrLabel)
 	if !ok {
 		return "", false
 	}
-	for name, mac := range ix.Macros {
-		if name == nrLabel || len(mac.Params) > 0 || !strings.Contains(mac.Value, "_IO") {
-			continue
-		}
-		v, ok := ix.ResolveMacroInt(name)
-		if ok && ccode.IOCNr(v) == nrVal {
-			return name, true
-		}
-	}
-	return "", false
+	return minIoctlMacro(ix, nrLabel, func(mac *ccode.Macro) bool {
+		v, ok := ix.ResolveMacroInt(mac.Name)
+		return ok && ccode.IOCNr(v) == nrVal
+	})
 }
 
-// containsToken reports whether ident occurs in text as a whole
-// identifier token.
-func containsToken(text, ident string) bool {
-	for _, t := range ccode.LexC(text) {
-		if t.Kind == ccode.CIdent && t.Text == ident {
-			return true
+// minIoctlMacro returns the lexicographically smallest object-like
+// _IO-encoded macro other than not that satisfies match.
+func minIoctlMacro(ix *ccode.Index, not string, match func(*ccode.Macro) bool) (string, bool) {
+	best, found := "", false
+	for name, mac := range ix.Macros {
+		if name == not || len(mac.Params) > 0 || !strings.Contains(mac.Value, "_IO") {
+			continue
+		}
+		if (!found || name < best) && match(mac) {
+			best, found = name, true
 		}
 	}
-	return false
+	return best, found
 }
 
 // dropAndCorrupt applies the fallibility model to stage-1 output.
@@ -822,14 +823,16 @@ func (m *SimModel) analyzeDeps(prompt, src string) string {
 		if fn == nil {
 			continue
 		}
-		info := ccode.AnalyzeBody(fn.Body)
-		for _, call := range append(info.Calls, info.Delegations...) {
-			if call.Name != "anon_inode_getfd" || len(call.Args) < 2 {
-				continue
+		info := fn.Info()
+		for _, calls := range [][]ccode.CallSite{info.Calls, info.Delegations} {
+			for _, call := range calls {
+				if call.Name != "anon_inode_getfd" || len(call.Args) < 2 {
+					continue
+				}
+				tag := ccode.StringValue(strings.ReplaceAll(call.Args[0], " ", ""))
+				fops := strings.TrimPrefix(strings.ReplaceAll(call.Args[1], " ", ""), "&")
+				r.Deps = append(r.Deps, DepDecl{Cmd: u.Usage, Creates: tag, Fops: fops})
 			}
-			tag := ccode.StringValue(strings.ReplaceAll(call.Args[0], " ", ""))
-			fops := strings.TrimPrefix(strings.ReplaceAll(call.Args[1], " ", ""), "&")
-			r.Deps = append(r.Deps, DepDecl{Cmd: u.Usage, Creates: tag, Fops: fops})
 		}
 	}
 	return FormatDepResult(r)

@@ -105,10 +105,30 @@ func TestSimGPT35KeepsRawLabel(t *testing.T) {
 	}
 }
 
+// TestSimGPT35UsesNameNotNodename: on a miscdevice that sets both
+// .name and .nodename, a profile that understands nodename reports the
+// nodename path and one that does not falls back to /dev/<name>.
 func TestSimGPT35UsesNameNotNodename(t *testing.T) {
-	caps := ProfileFor("gpt-3.5")
-	if !caps.Nodename {
-		t.Skip("gpt-3.5 profile understands nodename in this configuration")
+	path := func(m *SimModel) string {
+		reply, err := complete(m, identPrompt(simDMSource, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ParseIdentResult(reply).DevicePath
+	}
+	for _, model := range ModelNames() {
+		want := "/dev/device-mapper"
+		if ProfileFor(model).Nodename {
+			want = "/dev/mapper/control"
+		}
+		if got := path(NewSim(model, 99)); got != want {
+			t.Errorf("%s reports %q, want %q", model, got, want)
+		}
+	}
+	blind := NewSim("gpt-3.5", 99)
+	blind.caps.Nodename = false
+	if got := path(blind); got != "/dev/device-mapper" {
+		t.Errorf("a profile without Nodename reports %q, want the .name path", got)
 	}
 }
 

@@ -124,11 +124,37 @@ func (a *TypeArg) String() string {
 	case a.HasInt:
 		return utoa(a.Int)
 	case a.HasStr:
-		return "\"" + a.Str + "\""
+		return "\"" + escapeString(a.Str) + "\""
 	case a.Type != nil:
 		return a.Type.String()
 	}
 	return "?"
+}
+
+// escapeString writes s the way the lexer reads string literals back:
+// the escapes it knows for newline, tab and NUL, a backslash before a
+// quote or a backslash, every other byte as itself.
+func escapeString(s string) string {
+	if !strings.ContainsAny(s, "\"\\\n\t\x00") {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		case 0:
+			b.WriteString(`\0`)
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
 }
 
 func itoa(v int64) string {

@@ -120,18 +120,23 @@ func (l *Lexer) lexNonSpace() Token {
 	case c == '"':
 		return l.lexString(p)
 	}
+	start := l.off
 	l.advance()
-	kind, ok := map[byte]TokenKind{
-		'(': TokLParen, ')': TokRParen,
-		'[': TokLBrack, ']': TokRBrack,
-		'{': TokLBrace, '}': TokRBrace,
-		',': TokComma, ':': TokColon, '=': TokEquals, '$': TokDollar,
-	}[c]
-	if !ok {
+	kind := punctKinds[c]
+	if kind == TokEOF {
 		l.errorf(p, "unexpected character %q", string(c))
 		return l.Next()
 	}
-	return Token{Kind: kind, Text: string(c), Pos: p}
+	return Token{Kind: kind, Text: l.src[start:l.off], Pos: p}
+}
+
+// punctKinds maps a punctuation byte to its token kind; every other
+// byte maps to TokEOF, which no byte lexes to.
+var punctKinds = [256]TokenKind{
+	'(': TokLParen, ')': TokRParen,
+	'[': TokLBrack, ']': TokRBrack,
+	'{': TokLBrace, '}': TokRBrace,
+	',': TokComma, ':': TokColon, '=': TokEquals, '$': TokDollar,
 }
 
 func (l *Lexer) lexNumber(p Pos) Token {

@@ -15,11 +15,27 @@ type ParseError struct {
 // Error implements the error interface.
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
+// parser pulls tokens straight from the lexer with one token of
+// lookahead, so no token sequence is ever materialised.
 type parser struct {
-	toks []Token
-	i    int
+	lex  *Lexer
+	tok  Token // the lookahead
 	errs []error
 	file *File
+}
+
+func newParser(src string) *parser {
+	p := &parser{lex: NewLexer(src), file: &File{}}
+	p.advance()
+	return p
+}
+
+// advance loads the next lookahead. End of input carries no position,
+// so errors raised there read "0:0: ... got EOF".
+func (p *parser) advance() {
+	if p.tok = p.lex.Next(); p.tok.Kind == TokEOF {
+		p.tok = Token{Kind: TokEOF}
+	}
 }
 
 // Parse parses syzlang source into a File. On syntax errors it
@@ -27,9 +43,13 @@ type parser struct {
 // as possible are reported in one pass (this mirrors syz-extract,
 // whose batch error output drives the paper's repair loop).
 func Parse(src string) (*File, []error) {
-	toks, lexErrs := Tokenize(src)
-	p := &parser{toks: toks, file: &File{}, errs: lexErrs}
+	p := newParser(src)
 	p.parseFile()
+	// parseFile runs to EOF, so every lexical error is in by now; they
+	// are reported first, as a batch.
+	if lexErrs := p.lex.Errors(); len(lexErrs) > 0 {
+		return p.file, append(lexErrs[:len(lexErrs):len(lexErrs)], p.errs...)
+	}
 	return p.file, p.errs
 }
 
@@ -43,17 +63,12 @@ func MustParse(src string) *File {
 	return f
 }
 
-func (p *parser) peek() Token {
-	if p.i >= len(p.toks) {
-		return Token{Kind: TokEOF}
-	}
-	return p.toks[p.i]
-}
+func (p *parser) peek() Token { return p.tok }
 
 func (p *parser) next() Token {
-	t := p.peek()
-	if p.i < len(p.toks) {
-		p.i++
+	t := p.tok
+	if t.Kind != TokEOF {
+		p.advance()
 	}
 	return t
 }
@@ -359,14 +374,20 @@ func (p *parser) endLine() {
 }
 
 // ParseTypeExpr parses a standalone type expression like
-// "ptr[in, array[int8]]". Used by tests and the repair engine.
+// "ptr[in, array[int8]]": the entry point for type text that arrives
+// as text — a model's answer, a test fixture. Code that already knows
+// the shape it wants builds the TypeExpr directly instead of printing
+// it for this function to read back.
 func ParseTypeExpr(src string) (*TypeExpr, error) {
-	toks, lexErrs := Tokenize(src)
-	if len(lexErrs) > 0 {
+	p := newParser(src)
+	te := p.parseTypeExpr()
+	// A lexical error anywhere in src wins, including past the
+	// expression's end: lex out the rest before looking.
+	for p.next().Kind != TokEOF {
+	}
+	if lexErrs := p.lex.Errors(); len(lexErrs) > 0 {
 		return nil, lexErrs[0]
 	}
-	p := &parser{toks: toks, file: &File{}}
-	te := p.parseTypeExpr()
 	if len(p.errs) > 0 {
 		return nil, p.errs[0]
 	}
