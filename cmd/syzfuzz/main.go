@@ -4,7 +4,12 @@
 // merged coverage/crash results are identical for any shard count.
 // Crash repros are triaged (minimized) at discovery time and printed
 // with the crash summary; throughput is reported as execs/sec.
-// Ctrl-C cancels a campaign and prints the partial results.
+// Ctrl-C cancels a campaign and prints the partial results: no further
+// work unit starts, the running ones stop, and the campaign still
+// delivers its last counters to the hub (bounded by a short grace, so
+// the lease is released instead of timing out) and flushes the corpus
+// store. The first Ctrl-C also restores the default signal handling,
+// so a second one during that wind-down kills the process.
 //
 // Usage:
 //
@@ -84,6 +89,7 @@ import (
 	"kernelgpt/internal/engine"
 	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/fuzz/corpusstore"
+	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/hub"
 	"kernelgpt/internal/llm"
 	"kernelgpt/internal/prog"
@@ -123,6 +129,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	context.AfterFunc(ctx, stop) // a second Ctrl-C is no longer caught
 
 	if *cpuProfile != "" {
 		pf, err := os.Create(*cpuProfile)
@@ -433,7 +440,7 @@ func replay(c *corpus.Corpus, kernel *vkernel.Kernel, tgt *prog.Target, path str
 		return
 	}
 	fmt.Printf("crash reproduced: %s\n", res.Crash.Title)
-	min := fuzz.Minimize(kernel, p, res.Crash.Title)
+	min := seedpool.Minimize(kernel, p, res.Crash.Title)
 	fmt.Printf("minimized repro (%d calls):\n%s", len(min.Calls), min.Serialize())
 }
 

@@ -10,7 +10,6 @@ import (
 	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/llm"
 	"kernelgpt/internal/syzlang"
-	"kernelgpt/internal/vkernel"
 )
 
 // Table1 reproduces "Specifications for driver/socket handlers":
@@ -614,12 +613,6 @@ func (r *Runner) All() []*Table {
 		r.AblationRepair(), r.AblationLocality(),
 		r.CorrectnessAudit(), r.TokenCost(),
 	}
-}
-
-// CoverOf exposes union coverage of the cached KernelGPT campaign for
-// diagnostics.
-func (r *Runner) CoverOf() *vkernel.CoverSet {
-	return fuzz.UnionCover(r.suiteCampaigns().kgpt)
 }
 
 // AblationRepair quantifies the validation-and-repair phase (§3.2):

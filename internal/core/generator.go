@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"kernelgpt/internal/corpus"
@@ -448,13 +447,6 @@ func Summarize(results []*Result) Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("total=%d valid=%d (direct=%d repaired=%d) failed=%d syscalls=%d types=%d",
 		s.Total, s.Valid, s.ValidDirect, s.Repaired, s.Failed, s.NewSyscalls, s.NewTypes)
-}
-
-// SortResults orders results by handler name for stable output.
-func SortResults(results []*Result) {
-	sort.Slice(results, func(i, j int) bool {
-		return results[i].Handler.Name < results[j].Handler.Name
-	})
 }
 
 // complete sends a prompt through the client with purpose/driver

@@ -233,16 +233,6 @@ type StructModel struct {
 	Comment string
 }
 
-// FieldIndex returns the index of the named field, or -1.
-func (s *StructModel) FieldIndex(name string) int {
-	for i, f := range s.Fields {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Cmd is one operation behind a generic syscall: an ioctl command for
 // drivers, or a setsockopt/getsockopt option for sockets.
 type Cmd struct {

@@ -15,19 +15,44 @@
 // priority-weighted scheduling. Crash repros are triaged (minimized)
 // at discovery time.
 //
-// Campaigns run three ways: Run/RunContext execute one serial
-// campaign, RunRepetitions executes n independent campaigns
-// concurrently (the paper's 3-repetition averages), and RunParallel
-// shards one campaign budget across a worker pool with deterministic
-// per-shard seed derivation — the merged coverage and crash sets are
-// identical for any worker count, so parallelism is purely a
-// wall-clock knob. All entry points accept a context for cancellation
-// and an optional progress callback (Config.Progress).
+// Every campaign runs through one driver (drive), which is handed a
+// plan — the budget's decomposition into work units — and a worker
+// count. There are three plans. RunContext (and its shim Run) drives
+// the live one-unit plan: the unit keeps the campaign seed and fills
+// the campaign's Stats directly, the maximally deep serial campaign.
+// RunParallel drives a sharded plan: fixed-grain units on
+// deterministically derived seeds, each into Stats of its own that the
+// driver merges when the unit completes — the merged coverage and
+// crash sets are identical for any worker count, so parallelism is
+// purely a wall-clock knob. RunRepetitions is n independent live
+// campaigns on derived seeds (the paper's 3-repetition averages).
+//
+// The driver alone opens the corpus store, emits Config.Progress,
+// checkpoints, talks to the hub, flushes and stamps Stats.Elapsed. A
+// unit reports to it every progressEvery execs (a tick) and when it
+// completes, and a campaign boundary always runs in one order:
+// Progress, then the checkpoint flush, then the hub exchange. Whether
+// the plan is live decides only which reports are boundaries: a live
+// unit's ticks already see cumulative campaign state, so each tick is
+// a full boundary on the live pool (pulled seeds are reconciled into
+// it) and its completion only reports; a sharded unit's ticks can only
+// relay its exec count, and its completion — once merged — is the
+// boundary (pulled seeds warm-start the units that launch afterwards).
+// Every campaign then ends with the same sequence: a Final hub
+// exchange, the final store flush, the Elapsed stamp.
+//
+// Shutdown follows one rule for every plan. Once the context is done,
+// units that have not started are skipped outright (not run, merged or
+// reported), running units stop between executions and are merged with
+// what they did, boundaries stop checkpointing and exchanging — and the
+// end sequence still runs: the Final exchange detached from the
+// cancelled context (bounded by a short grace, so the hub gets the
+// campaign's last counters and releases its lease), then the flush.
+// The partial Stats come back with the context error.
 package fuzz
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sort"
 	"time"
@@ -74,11 +99,11 @@ type Config struct {
 	// decomposition — not the worker count — defines the campaign,
 	// which is what makes merged results worker-count-invariant.
 	ShardExecs int
-	// Progress, when set, receives campaign progress updates: after
-	// each completed work unit in RunParallel, and periodically from
-	// serial Run/RunContext campaigns. It may be called from multiple
-	// goroutines, but calls are serialized; the callback must not
-	// re-enter the fuzzer.
+	// Progress, when set, receives campaign progress updates: one per
+	// unit tick (every progressEvery execs of a running unit) and one
+	// per completed unit. It may be called from multiple goroutines,
+	// but calls are serialized; the callback must not re-enter the
+	// fuzzer.
 	Progress func(Progress)
 	// CorpusDir, when non-empty, names a persistent corpus-store
 	// directory (fuzz/corpusstore). The campaign warm-starts from it:
@@ -95,10 +120,10 @@ type Config struct {
 	// RunContext/RunParallel; the Run wrapper swallows them along
 	// with its stats (use RunContext when CorpusDir is set).
 	CorpusDir string
-	// Checkpoint additionally flushes the store at intermediate
-	// boundaries — after every completed work unit in RunParallel and
-	// every progressEvery execs in serial campaigns — so a killed
-	// campaign retains corpus progress. Requires CorpusDir.
+	// Checkpoint additionally flushes the store at every campaign
+	// boundary (see the package comment: every progressEvery execs of
+	// a serial campaign, every completed unit of a sharded one), so a
+	// killed campaign retains corpus progress. Requires CorpusDir.
 	// Intermediate checkpoint contents depend on unit completion
 	// order; the final flush does not.
 	Checkpoint bool
@@ -111,13 +136,14 @@ type Config struct {
 	// starts.
 	StoreReport func(corpusstore.Report)
 	// Hub, when set, attaches the campaign to a coordination hub
-	// (internal/hub.Client implements this). At every checkpoint
-	// boundary — each progressEvery execs in serial campaigns, which
-	// RunParallel units inherit — the campaign pushes its corpus
-	// export, new coverage, and crashes, and imports the seeds the hub
-	// returns into the live pool (weights reconciled, never demoted);
-	// a final push-only sync runs when the campaign ends. Syncs are
-	// best-effort: an unreachable hub never fails the campaign.
+	// (internal/hub.Client implements this). At every campaign
+	// boundary, after the checkpoint flush, the campaign pushes its
+	// cumulative state — corpus export, coverage, crashes — and takes
+	// in the seeds the hub returns: reconciled into the live pool of a
+	// serial campaign (weights never demoted), joined to the warm start
+	// of a sharded campaign's later units. A Final push-only sync runs
+	// when the campaign ends, cancelled or not. Syncs are best-effort:
+	// an unreachable hub never fails the campaign.
 	//
 	// Each sync also renews the worker's hub lease, so the checkpoint
 	// cadence doubles as the liveness heartbeat: keep the inter-sync
@@ -169,7 +195,7 @@ type SyncState struct {
 	// Seeds is the current corpus export (weight-ordered).
 	Seeds []seedpool.SeedState
 	// Cover is the campaign's covered-block set. Read-only for the
-	// hook; it aliases live campaign state.
+	// hook: the Final sync's aliases the returned Stats.
 	Cover *vkernel.CoverSet
 	// Execs is the budget spent so far.
 	Execs int
@@ -184,8 +210,10 @@ type SyncState struct {
 
 // Progress is one progress-callback update.
 type Progress struct {
-	// ShardsDone/ShardsTotal count completed work units (a serial
-	// campaign is one unit, done when it finishes).
+	// ShardsDone/ShardsTotal count work units that have run to their
+	// end — budget spent or interrupted — out of the plan's (a serial
+	// campaign is one unit). Units a cancellation kept from starting
+	// are never done.
 	ShardsDone, ShardsTotal int
 	// Execs is the number of programs executed so far.
 	Execs int
@@ -195,12 +223,11 @@ type Progress struct {
 	// Ops is the merged per-operator scheduler snapshot so far (nil
 	// until the first mutation has been credited).
 	Ops []OpStat
-	// ElapsedNs is the wall-clock offset, in nanoseconds, since the
-	// emitting entry point (RunContext, RunParallel) started its
-	// campaign. It is monotone non-decreasing across one campaign's
-	// update stream, giving downstream consumers (trace files, the
-	// internal/sim calibration) a time axis instead of having to
-	// infer time from exec counts.
+	// ElapsedNs is the offset on Config.Clock, in nanoseconds, since
+	// the campaign started (the store is open by then). It is monotone
+	// non-decreasing across one campaign's update stream, giving
+	// downstream consumers (trace files, the internal/sim calibration)
+	// a time axis instead of having to infer time from exec counts.
 	ElapsedNs int64
 }
 
@@ -254,13 +281,12 @@ type Stats struct {
 	// Ops is the per-operator mutation outcome in canonical operator
 	// order (merged by name across shards).
 	Ops []OpStat
-	// Elapsed is the campaign's wall-clock duration: the time spent
-	// inside the campaign loop (serial runs) or between RunParallel
-	// entry and the merged result (sharded runs).
+	// Elapsed is the campaign's wall-clock duration, from the moment
+	// the store is open to the stamp after the final flush.
 	Elapsed time.Duration
 	// WorkTime is the summed busy time of the campaign's work units.
 	// For a serial campaign it equals Elapsed; for RunParallel it is
-	// the sum of per-unit elapsed times, so WorkTime/Elapsed
+	// the sum of per-unit busy times, so WorkTime/Elapsed
 	// approximates the effective worker parallelism. It includes
 	// triage and (in serial campaigns) hub syncs.
 	WorkTime time.Duration
@@ -326,13 +352,15 @@ func (f *Fuzzer) executor() vkernel.Executor {
 	return f.Kernel.NewVM()
 }
 
-// newCover sizes a coverage set for the kernel when one is present;
-// with only NewExecutor set (no Kernel) the set grows on demand.
-func (f *Fuzzer) newCover() *vkernel.CoverSet {
-	if f.Kernel == nil {
-		return &vkernel.CoverSet{}
+// newStats returns an empty campaign outcome. The coverage set is
+// sized for the kernel when one is present; with only NewExecutor set
+// (no Kernel) it grows on demand.
+func (f *Fuzzer) newStats() *Stats {
+	cover := &vkernel.CoverSet{}
+	if f.Kernel != nil {
+		cover = vkernel.NewCoverSet(f.Kernel.NumBlocks())
 	}
-	return vkernel.NewCoverSet(f.Kernel.NumBlocks())
+	return &Stats{Cover: cover, Crashes: map[string]*CrashReport{}}
 }
 
 // Run executes one campaign to completion; it is a thin compatibility
@@ -340,42 +368,6 @@ func (f *Fuzzer) newCover() *vkernel.CoverSet {
 func (f *Fuzzer) Run(cfg Config) *Stats {
 	stats, _ := f.RunContext(context.Background(), cfg) //syzlint:ctx -- compatibility shim; new callers use RunContext
 	return stats
-}
-
-// RunContext executes one serial campaign, honoring cancellation and
-// emitting Config.Progress updates as the budget is spent. On
-// cancellation the partial stats and the context error are returned.
-// With Config.CorpusDir set, the campaign warm-starts from the store
-// and flushes the evolved corpus back before returning (a flush
-// failure is joined into the returned error).
-func (f *Fuzzer) RunContext(ctx context.Context, cfg Config) (*Stats, error) {
-	store, seeds, err := f.openStore(cfg)
-	if err != nil {
-		return nil, err
-	}
-	camp := campaign{seeds: seeds}
-	if store != nil && cfg.Checkpoint && !cfg.ReadOnlyCorpus {
-		camp.checkpoint = func(corpus *seedpool.Pool, cover int) {
-			// Best-effort: a failed checkpoint must not kill the
-			// campaign; the final flush surfaces persistent errors.
-			flushStore(store, cfg, cover, seeds, corpus.Export())
-		}
-	}
-	stats, corpus, runErr := f.run(ctx, cfg, camp)
-	if store != nil && !cfg.ReadOnlyCorpus {
-		runErr = errors.Join(runErr, flushStore(store, cfg, stats.CoverCount(), seeds, corpus.Export()))
-	}
-	return stats, runErr
-}
-
-// campaign is the per-run state the entry points thread into the
-// loop: the imported seed snapshot and an optional checkpoint hook.
-type campaign struct {
-	// seeds is the corpus-store snapshot to import and replay.
-	seeds []seedpool.SeedState
-	// checkpoint, when set, is called at progress boundaries with the
-	// live pool and current cover count.
-	checkpoint func(corpus *seedpool.Pool, cover int)
 }
 
 // openStore resolves cfg's corpus-store configuration into a handle
@@ -407,18 +399,22 @@ func corpusCap(cfg Config) int {
 	return seedpool.DefaultCapacity
 }
 
-// flushStore merges the initial snapshot with campaign exports — in
-// the deterministic order the caller fixes — and saves the store.
-func flushStore(store *corpusstore.Store, cfg Config, cover int, initial []seedpool.SeedState, exports ...[]seedpool.SeedState) error {
-	sets := append([][]seedpool.SeedState{initial}, exports...)
-	return store.Save(corpusstore.Merge(corpusCap(cfg), sets...), cover)
+// mergedCorpus merges the initial snapshot with the units' exports, in
+// unit order: deduplicated, capacity-bounded, and deterministic for a
+// fixed set of exports. It is what a store flush saves and what a
+// sharded campaign's Final sync pushes.
+func mergedCorpus(cfg Config, initial []seedpool.SeedState, exports [][]seedpool.SeedState) []seedpool.SeedState {
+	return corpusstore.Merge(corpusCap(cfg), append([][]seedpool.SeedState{initial}, exports...)...)
 }
 
-// run is the campaign loop. Cancellation is checked between
-// executions, so the returned stats are always internally consistent.
-// The evolved seed pool is returned alongside the stats so entry
-// points can flush it to a corpus store.
-func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *seedpool.Pool, error) {
+// run is the step loop of one work unit: cfg.Execs programs on
+// cfg.Seed, warm-started from seeds, folded into stats. Cancellation
+// is checked between executions, so stats is always internally
+// consistent. Every progressEvery execs the loop hands its live pool
+// to tick — the driver's hook, and the only thing the loop knows about
+// the campaign around it; the evolved pool is returned so the driver
+// can export it.
+func (f *Fuzzer) run(ctx context.Context, cfg Config, seeds []seedpool.SeedState, stats *Stats, tick func(*seedpool.Pool)) *seedpool.Pool {
 	if cfg.MaxCalls == 0 {
 		cfg.MaxCalls = 8
 	}
@@ -447,14 +443,14 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 		cres.Cov = vm.AppendCover(cres.Cov[:0])
 		return &cres
 	}
-	stats := &Stats{
-		Cover:   f.newCover(),
-		Crashes: map[string]*CrashReport{},
-	}
-	// The wall-clock fields are stamped on every exit path (including
+	// stats is the driver's: a fresh Stats it merges into the campaign
+	// when a sharded unit completes, the campaign's own on the live
+	// plan (which is what lets a tick see cumulative state). Ops is
+	// laid out below either way, one scheduler per unit.
+	// The unit's busy time is stamped on every exit path (including
 	// cancellation) so partial stats still carry calibration ground
-	// truth. For a serial campaign the loop IS the work unit, so
-	// WorkTime equals Elapsed.
+	// truth; the driver sums WorkTime over units and stamps the
+	// campaign's own Elapsed.
 	defer func() {
 		stats.Elapsed = clk.Now().Sub(start)
 		stats.WorkTime = stats.Elapsed
@@ -473,11 +469,14 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 		MaxCalls: cfg.MaxCalls,
 		Donor:    func() *prog.Prog { return corpus.Pick(g.R) },
 	}
-	// emit is the progress boundary: one clock read feeds the Progress
-	// callback, the metrics window, and the flight ring alike.
+	// window is the unit's own telemetry boundary, taken with every tick
+	// and once more when the budget is spent: one clock read feeds the
+	// metrics window and the flight ring alike, on the unit's time base.
+	// Everything campaign-level — Progress, checkpoints, hub exchanges —
+	// is the driver's and hangs off tick.
 	win := metricsWindow{m: cfg.Metrics}
-	emit := func(done int) {
-		if cfg.Progress == nil && cfg.Metrics == nil && cfg.Flight == nil {
+	window := func() {
+		if cfg.Metrics == nil && cfg.Flight == nil {
 			return
 		}
 		elapsed := clk.Now().Sub(start).Nanoseconds()
@@ -485,14 +484,6 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 		cfg.Flight.Record(telemetry.Event{
 			Span: "window", ElapsedNs: elapsed, Execs: int64(stats.Execs),
 		})
-		if cfg.Progress != nil {
-			cfg.Progress(Progress{
-				ShardsDone: done, ShardsTotal: 1, Execs: stats.Execs,
-				Cover: stats.CoverCount(), Crashes: stats.UniqueCrashes(),
-				Ops:       append([]OpStat(nil), stats.Ops...),
-				ElapsedNs: elapsed,
-			})
-		}
 	}
 	// observe folds one execution result into the stats: new coverage
 	// (returned) and crash discovery/dedup at execution index exec.
@@ -539,9 +530,9 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 	// state intact, then replay each imported seed so the campaign's
 	// coverage baseline includes the stored corpus. Replays spend
 	// budget and can (re)discover crashes like any other execution.
-	if len(camp.seeds) > 0 {
-		corpus.Import(camp.seeds)
-		for _, st := range camp.seeds {
+	if len(seeds) > 0 {
+		corpus.Import(seeds)
+		for _, st := range seeds {
 			if stats.Execs >= cfg.Execs || ctx.Err() != nil {
 				break
 			}
@@ -549,17 +540,22 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 			stats.Execs++
 		}
 	}
+	// default.pgo keys this loop's hot call sites (the pool's Reward and
+	// Add at its bottom) by their line offset from the top of run: an
+	// edit that moves them loses their profile-guided inlining until
+	// the profile is re-recorded (README "Compiled execution & PGO"),
+	// so lines are added to and removed from this function in pairs.
 	for i := stats.Execs; i < cfg.Execs; i++ {
 		if i%512 == 0 && ctx.Err() != nil {
 			stats.CorpusSize = corpus.Len()
-			return stats, corpus, ctx.Err()
+			return corpus // the driver reads ctx.Err() itself
 		}
 		if i > 0 && i%progressEvery == 0 {
-			emit(0)
-			if camp.checkpoint != nil {
-				camp.checkpoint(corpus, stats.CoverCount())
-			}
-			hubSync(ctx, cfg, corpus, stats, false, start)
+			// A full campaign boundary on the live plan (the hook may
+			// Reconcile pulled seeds into corpus before the next pick),
+			// an exec-total relay on a sharded one.
+			window()
+			tick(corpus)
 		}
 		var p *prog.Prog
 		opIdx := -1
@@ -598,49 +594,8 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, camp campaign) (*Stats, *s
 		corpus.Add(p, newBlocks, opName)
 	}
 	stats.CorpusSize = corpus.Len()
-	emit(1)
-	hubSync(ctx, cfg, corpus, stats, true, start)
-	return stats, corpus, nil
-}
-
-// hubSync runs the serial campaign's hub exchange when it is
-// hub-attached: push the cumulative snapshot, reconcile returned
-// remote seeds into the live pool.
-func hubSync(ctx context.Context, cfg Config, corpus *seedpool.Pool, stats *Stats, final bool, start time.Time) {
-	if cfg.Hub == nil {
-		return
-	}
-	// The exchange is synchronous, so it can borrow the live cover set.
-	remote, d := hubExchange(ctx, cfg, syncState(stats, stats.Cover, corpus.Export(), final), start)
-	stats.SyncTime += d
-	stats.Syncs++
-	corpus.Reconcile(remote)
-}
-
-// hubExchange runs one Hub.Sync for either campaign driver: it times
-// the exchange on the campaign clock, feeds the sync-latency metric
-// and records the "sync" flight event. The caller adds the returned
-// duration to its Stats (RunParallel under its merge lock). No seeds
-// come back from a failed exchange (best-effort: the campaign runs
-// detached until the next boundary retries) or from a Final one (no
-// campaign is left to use them).
-func hubExchange(ctx context.Context, cfg Config, st SyncState, start time.Time) ([]seedpool.SeedState, time.Duration) {
-	t0 := cfg.Clock.Now()
-	remote, err := cfg.Hub.Sync(ctx, st)
-	d := cfg.Clock.Now().Sub(t0)
-	cfg.Metrics.syncDone(d.Nanoseconds())
-	detail := ""
-	if st.Final {
-		detail = "final"
-	}
-	cfg.Flight.Record(telemetry.Event{
-		Span: "sync", ElapsedNs: t0.Sub(start).Nanoseconds(),
-		DurNs: d.Nanoseconds(), Execs: int64(st.Execs), Detail: detail,
-	})
-	if err != nil || st.Final {
-		return nil, d
-	}
-	return remote, d
+	window()
+	return corpus
 }
 
 // syncState snapshots a campaign's counters, crash table (in sorted-
@@ -709,7 +664,7 @@ func (f *Fuzzer) RunRepetitions(ctx context.Context, cfg Config, n int) []*Stats
 		c.Progress = nil
 		c.CorpusDir = ""
 		c.Hub = nil // like CorpusDir: sharing would couple the reps
-		out[i], _, _ = f.run(ctx, c, campaign{})
+		out[i], _ = f.RunContext(ctx, c)
 	})
 	return out
 }

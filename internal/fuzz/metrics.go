@@ -7,11 +7,11 @@ import "kernelgpt/internal/telemetry"
 // entirely, so the campaign loop carries one pointer and pays one nil
 // check per event when telemetry is off.
 //
-// Counters and the exec histogram are fed at progress boundaries
-// (every progressEvery execs) from the clock read the boundary
-// already makes for Progress.ElapsedNs — telemetry never adds a
-// wall-clock read to the per-exec path. Triage and sync histograms
-// reuse the durations the campaign already measures into
+// Counters and the exec histogram are fed per work unit at its ticks
+// (every progressEvery execs) and once more when its budget is spent,
+// from one clock read shared with the flight ring — telemetry never
+// adds a wall-clock read to the per-exec path. Triage and sync
+// histograms reuse the durations the campaign already measures into
 // Stats.TriageTime/SyncTime.
 type Metrics struct {
 	// Execs counts executed programs (fuzz_execs_total).
@@ -93,10 +93,10 @@ func (m *Metrics) unitDone(durNs int64) {
 	m.UnitNs.Observe(durNs)
 }
 
-// metricsWindow folds progress-boundary deltas into a Metrics bundle.
-// The caller hands it the elapsed-ns value it already computed for
-// the boundary (the single sanctioned clock read), so window
-// recording costs no additional time source access.
+// metricsWindow folds a unit's tick-to-tick deltas into a Metrics
+// bundle. The caller hands it the elapsed-ns value of the clock read
+// it shares with the flight ring, so window recording costs no
+// additional time source access.
 type metricsWindow struct {
 	m         *Metrics
 	lastNs    int64

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"kernelgpt/internal/corpus"
+	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
 )
 
@@ -30,8 +31,8 @@ func TestMinimizePreservesCrash(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	const title = "kmalloc bug in ctl_ioctl"
 	p := findCrash(t, tgt, title, 31)
-	min := Minimize(testKernel, p, title)
-	if !crashesWith(testKernel, min, title) {
+	min := seedpool.Minimize(testKernel, p, title)
+	if !seedpool.Reproduces(testKernel, min, title) {
 		t.Fatalf("minimized program lost the crash:\n%s", min.Serialize())
 	}
 	if len(min.Calls) > len(p.Calls) {
@@ -43,7 +44,7 @@ func TestMinimizeShrinksToEssentials(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	const title = "kmalloc bug in ctl_ioctl"
 	p := findCrash(t, tgt, title, 41)
-	min := Minimize(testKernel, p, title)
+	min := seedpool.Minimize(testKernel, p, title)
 	// The dm kvmalloc bug needs exactly: open + the triggering ioctl.
 	if len(min.Calls) > 2 {
 		t.Fatalf("expected a 2-call repro, got %d:\n%s", len(min.Calls), min.Serialize())
@@ -61,8 +62,8 @@ func TestMinimizeStatefulChainKeepsPriors(t *testing.T) {
 	tgt := targetFor(t, "cec")
 	const title = "WARNING in cec_data_cancel" // needs CEC_TRANSMIT first
 	p := findCrash(t, tgt, title, 51)
-	min := Minimize(testKernel, p, title)
-	if !crashesWith(testKernel, min, title) {
+	min := seedpool.Minimize(testKernel, p, title)
+	if !seedpool.Reproduces(testKernel, min, title) {
 		t.Fatal("minimized chain lost the crash")
 	}
 	names := map[string]bool{}
@@ -79,7 +80,7 @@ func TestMinimizeNonReproducingReturnsInput(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	g := prog.NewGen(tgt, 61)
 	p := g.Generate(4)
-	min := Minimize(testKernel, p, "no such crash title")
+	min := seedpool.Minimize(testKernel, p, "no such crash title")
 	if min.Serialize() != p.Clone().Serialize() {
 		t.Fatal("non-reproducing input was modified")
 	}
@@ -89,12 +90,12 @@ func TestMinimizedReproSerializes(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	const title = "kmalloc bug in ctl_ioctl"
 	p := findCrash(t, tgt, title, 71)
-	min := Minimize(testKernel, p, title)
+	min := seedpool.Minimize(testKernel, p, title)
 	rt, err := prog.Deserialize(tgt, min.Serialize())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !crashesWith(testKernel, rt, title) {
+	if !seedpool.Reproduces(testKernel, rt, title) {
 		t.Fatal("serialized minimized repro does not reproduce")
 	}
 }
@@ -105,7 +106,7 @@ func TestMinimizeHonorsGroundTruthTrigger(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	const title = "kmalloc bug in ctl_ioctl"
 	p := findCrash(t, tgt, title, 81)
-	min := Minimize(testKernel, p, title)
+	min := seedpool.Minimize(testKernel, p, title)
 	dm := testCorpus.Handler("dm")
 	layout := dm.LayoutOf("dm_ioctl")
 	found := false

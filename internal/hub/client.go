@@ -122,7 +122,7 @@ func (c *Client) register(ctx context.Context) (RegisterResponse, error) {
 	return resp, nil
 }
 
-// LeaseID returns the current lease (empty against a pre-lease hub).
+// LeaseID returns the current lease.
 func (c *Client) LeaseID() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -361,7 +361,6 @@ func (c *Client) send(ctx context.Context, path, contentType string, body []byte
 		return nil, "", err
 	}
 	req.Header.Set("Content-Type", contentType)
-	req.Header.Set("Accept", contentType)
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return nil, "", err

@@ -493,16 +493,17 @@ func (h *Hub) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // leasedWorkerLocked looks a worker up and validates the presented
 // lease against its own, writing the 404 re-register hint itself (and
-// returning nil) when the worker is unknown or the lease is stale or
-// expired. An empty presented lease is tolerated for legacy clients as
-// long as the worker's lease is live. Callers hold h.mu.
+// returning nil) when the worker is unknown or the lease is missing,
+// stale or expired: worker ids are guessable (w1, w2, …), the lease is
+// what keeps one worker from pushing into, renewing or releasing
+// another's. Callers hold h.mu.
 func (h *Hub) leasedWorkerLocked(w http.ResponseWriter, id, leaseID string) *worker {
 	wk := h.workers[id]
 	switch {
 	case wk == nil:
 		writeError(w, http.StatusNotFound, "unknown worker %q (hub restarted? re-register)", id)
-	case leaseID != "" && leaseID != wk.leaseID:
-		writeError(w, http.StatusNotFound, "stale lease for %q: re-register", id)
+	case leaseID != wk.leaseID:
+		writeError(w, http.StatusNotFound, "missing or stale lease for %q: re-register", id)
 	case wk.leaseState == LeaseExpired:
 		writeError(w, http.StatusNotFound, "lease for %q expired: re-register (send lease_id to resume)", id)
 	default:

@@ -389,7 +389,7 @@ func TestCrashReportRetryIdempotent(t *testing.T) {
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
 	repro := prog.NewGen(tgt, 31).Generate(2).Serialize()
 	req := SyncRequest{
-		Version: ProtoVersion, WorkerID: reg.WorkerID,
+		Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID,
 		Crashes: []WireCrash{{Title: "bug-i", Repro: repro, Count: 5}},
 		Stats:   WorkerStats{Execs: 100},
 	}

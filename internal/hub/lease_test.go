@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +150,53 @@ func TestHeartbeatRenewsLease(t *testing.T) {
 	}
 	if st := hub.Stats(); st.ExpiredLeases != 1 {
 		t.Fatalf("expired lease not counted: %+v", st)
+	}
+}
+
+// TestLeaseRequired: worker ids are guessable (w1, w2, …), so a sync or
+// heartbeat that names a worker without presenting that worker's
+// current lease — none at all, or another worker's — must get the 404
+// re-register hint and leave the hub untouched: it may not push into,
+// renew or Final-release somebody else's lease.
+func TestLeaseRequired(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	fixed := time.Unix(1_700_000_000, 0)
+	_, srv := newHub(t, tgt, WithClock(func() time.Time { return fixed }))
+	var victim, other RegisterResponse
+	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "victim", Fingerprint: "fp"}, &victim)
+	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "other", Fingerprint: "fp"}, &other)
+	before := statsBytes(t, srv.URL)
+	for _, lease := range []string{"", other.LeaseID} {
+		for _, final := range []bool{false, true} {
+			req := SyncRequest{
+				Version: ProtoVersion, WorkerID: victim.WorkerID, LeaseID: lease, Final: final,
+				NewBlocks: []vkernel.BlockID{1, 2, 3},
+				Crashes:   []WireCrash{{Title: "forged", Repro: "x", Count: 9}},
+				Stats:     WorkerStats{Execs: 1 << 20},
+			}
+			code, msg := postRaw(t, srv.URL+"/v1/sync", BinaryContentType, bytes.NewReader(EncodeSyncRequest(&req)))
+			if code != http.StatusNotFound || !strings.Contains(msg, "re-register") {
+				t.Errorf("sync for %s with lease %q (final=%v): HTTP %d %q, want 404 with the re-register hint",
+					victim.WorkerID, lease, final, code, msg)
+			}
+		}
+		body, err := json.Marshal(HeartbeatRequest{Version: ProtoVersion, WorkerID: victim.WorkerID, LeaseID: lease})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, msg := postRaw(t, srv.URL+"/v1/heartbeat", JSONContentType, bytes.NewReader(body))
+		if code != http.StatusNotFound || !strings.Contains(msg, "re-register") {
+			t.Errorf("heartbeat for %s with lease %q: HTTP %d %q, want 404 with the re-register hint",
+				victim.WorkerID, lease, code, msg)
+		}
+	}
+	if after := statsBytes(t, srv.URL); !bytes.Equal(before, after) {
+		t.Errorf("lease-less requests changed /v1/stats:\nbefore: %s\nafter:  %s", before, after)
+	}
+	// The rightful owner is unaffected.
+	ok := SyncRequest{Version: ProtoVersion, WorkerID: victim.WorkerID, LeaseID: victim.LeaseID, Final: true}
+	if code, _ := rawSync(t, srv.URL, ok); code != http.StatusOK {
+		t.Fatalf("sync with the worker's own lease answered %d", code)
 	}
 }
 

@@ -144,7 +144,8 @@ type SyncRequest struct {
 	Version  int    `json:"version"`
 	WorkerID string `json:"worker_id"`
 	// LeaseID authenticates the exchange against the worker's lease
-	// and renews it. Empty is tolerated for legacy (PR-5) clients.
+	// and renews it; a sync without the worker's current lease gets
+	// the 404 re-register hint.
 	LeaseID string `json:"lease_id,omitempty"`
 	// SinceGen is the last store generation the worker has pulled.
 	SinceGen int `json:"since_gen"`

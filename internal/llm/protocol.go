@@ -2,7 +2,6 @@ package llm
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -297,15 +296,6 @@ func isAllCaps(s string) bool {
 		}
 	}
 	return true
-}
-
-// ParseIntDefault parses an integer with a fallback.
-func ParseIntDefault(s string, def int) int {
-	v, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		return def
-	}
-	return v
 }
 
 // undash turns the "-" placeholder back into an empty string.

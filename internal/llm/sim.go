@@ -36,9 +36,6 @@ func (m *SimModel) Name() string { return m.name }
 // Usage implements Client.
 func (m *SimModel) Usage() Usage { return m.usage.Snapshot() }
 
-// Caps exposes the capability profile (used by ablation harnesses).
-func (m *SimModel) Caps() Capability { return m.caps }
-
 // chance returns a deterministic pseudo-random draw in [0,1) keyed by
 // the model seed and a string.
 func (m *SimModel) chance(key string) float64 {

@@ -64,9 +64,6 @@ func newScheduler(adaptive bool, ops []Operator) *Scheduler {
 // Ops returns the scheduled operator set in canonical order.
 func (s *Scheduler) Ops() []Operator { return s.ops }
 
-// Adaptive reports whether coverage feedback drives selection.
-func (s *Scheduler) Adaptive() bool { return s.adaptive }
-
 // Pick selects the next operator index, drawing from r.
 func (s *Scheduler) Pick(r *rand.Rand) int {
 	var idx int

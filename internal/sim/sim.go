@@ -116,11 +116,14 @@ func unitJitter(seed int64, unit int) float64 {
 }
 
 // Simulate runs one fleet configuration through the discrete-event
-// model and returns its predicted outcome. The schedule mirrors
-// fuzz.RunParallel: the budget splits into fixed-grain units, workers
-// pull units from a shared queue (earliest-free worker takes the next
-// unit), each completed unit optionally flushes a checkpoint and runs
-// one hub exchange, and hub-attached campaigns end with a final push.
+// model and returns its predicted outcome. The schedule mirrors the
+// campaign driver (fuzz.drive) on a sharded plan, RunParallel's: the
+// budget splits into fixed-grain units, workers pull units from a
+// shared queue (earliest-free worker takes the next unit), each
+// completed unit is one boundary — an optional checkpoint flush, then
+// one hub exchange — and hub-attached campaigns end with a final push.
+// A serial campaign's live plan (a boundary every 1 024 execs of its
+// one unit) is not modelled.
 // The hub is a FIFO single server — a sync arriving while another is
 // being served queues, which is exactly how the real hub's mutex
 // behaves — so sync fan-in contention emerges from the model instead

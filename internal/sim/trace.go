@@ -94,18 +94,6 @@ func ReadTraceFile(path string) ([]TracePoint, error) {
 	return pts, nil
 }
 
-// WriteTrace writes points as JSON lines.
-func WriteTrace(w io.Writer, pts []TracePoint) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, p := range pts {
-		if err := enc.Encode(p); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // yieldObservations reduces a trace to fit-ready (execs, cover)
 // pairs: per repetition, sorted by execs, one point per distinct exec
 // count (the last observation wins — Progress cover only grows). The

@@ -217,18 +217,3 @@ func (l *Lexer) lexString(p Pos) Token {
 	}
 	return Token{Kind: TokString, Text: b.String(), Pos: p}
 }
-
-// Tokenize lexes the whole buffer, returning every token up to and
-// excluding EOF.
-func Tokenize(src string) ([]Token, []error) {
-	l := NewLexer(src)
-	var toks []Token
-	for {
-		t := l.Next()
-		if t.Kind == TokEOF {
-			break
-		}
-		toks = append(toks, t)
-	}
-	return toks, l.Errors()
-}

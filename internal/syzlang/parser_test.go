@@ -218,16 +218,17 @@ func randIdent(seed uint64) string {
 }
 
 // TestQuickLexerNeverPanics feeds arbitrary byte strings to the lexer
-// and checks it terminates without panicking and consumes all input.
+// and checks it reaches EOF without panicking: every token consumes at
+// least one byte, so len(data) calls to Next are always enough.
 func TestQuickLexerNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
-		toks, _ := Tokenize(string(data))
-		for _, tok := range toks {
-			if tok.Kind == TokEOF {
-				return false
+		l := NewLexer(string(data))
+		for range data {
+			if l.Next().Kind == TokEOF {
+				return true
 			}
 		}
-		return true
+		return l.Next().Kind == TokEOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -102,12 +102,6 @@ var builtinParam = map[string]bool{
 	"buffer": true,
 }
 
-// IsBuiltinType reports whether name is a builtin scalar or
-// parameterized type constructor.
-func IsBuiltinType(name string) bool {
-	return builtinScalar[name] || builtinParam[name]
-}
-
 type validator struct {
 	env     *Env
 	file    *File

@@ -140,11 +140,6 @@ func (v *VM) RunCompiled(ep *prog.ExecProg) (*Crash, int) {
 	return e.crash, e.errs
 }
 
-// Cover returns the VM's internal coverage set for the most recent
-// Run/RunCompiled. The set aliases VM state: it is valid until the
-// next run and must not be mutated.
-func (v *VM) Cover() *CoverSet { return v.st.cov }
-
 // AppendCover appends the last run's covered blocks (sorted,
 // deduplicated) to dst and returns the extended slice. With a
 // recycled dst this is allocation-free.

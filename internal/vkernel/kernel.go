@@ -10,7 +10,6 @@ package vkernel
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"kernelgpt/internal/corpus"
@@ -430,16 +429,6 @@ func (k *Kernel) BlockRange(handler string) (lo, hi BlockID) {
 		return 0, 0
 	}
 	return kh.lo, kh.hi
-}
-
-// HandlerNames lists loaded handler names in deterministic order.
-func (k *Kernel) HandlerNames() []string {
-	names := make([]string, 0, len(k.byName))
-	for n := range k.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // String summarizes the kernel image.
