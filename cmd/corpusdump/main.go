@@ -171,16 +171,12 @@ func storeMain(c *corpus.Corpus, dir, add, merge string, mergeCap int) {
 		mergeStores(st, tgt, merge, mergeCap)
 		return
 	}
-	m, err := st.Manifest()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	seeds, rep, err := st.Load(tgt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	m := st.Image() // the manifest Load just read
 	skipped := map[string]string{}
 	for _, s := range rep.Skipped {
 		skipped[s.File] = s.Reason

@@ -19,7 +19,21 @@
 // deterministically.
 //
 // A store expects one writer at a time; concurrent campaigns should
-// flush through a single merge point (as fuzz.RunParallel does).
+// flush through a single merge point (as fuzz.RunParallel does). That
+// rule is what lets a Store handle keep the one in-memory image of its
+// directory (Store.Image): the manifest it last loaded or saved, each
+// entry with its program text once the handle has checked that file
+// against its address (Load) or written it (Save). Nobody else changes
+// the directory, so Save takes generations from the image instead of
+// re-reading the manifest it wrote, and writes only the manifest and
+// the program files the image does not vouch for — a checkpoint or a
+// hub merge costs what it adds, not the corpus; a handle that has
+// neither loaded nor saved vouches for nothing and writes every file.
+// What this gives up: a file that rots on disk after its handle checked
+// it is no longer rewritten (and so, by accident, healed) by that
+// handle's next Save. The next Load — any handle's — still catches the
+// mismatch, skips and reports the entry, and a Save that still holds
+// the program then writes it again.
 package corpusstore
 
 import (
@@ -61,6 +75,11 @@ type Entry struct {
 	// (see Manifest.Generation). Always >= 1 in manifests written by
 	// this version; 0 marks entries from pre-generation manifests.
 	Gen int `json:"gen,omitempty"`
+	// Text is the program text in File, set only in a handle's image
+	// (Store.Image) and only once that handle has loaded the entry from
+	// a file matching its address or written the file itself; a
+	// manifest read off disk vouches for nothing and leaves it empty.
+	Text string `json:"-"`
 }
 
 // Manifest is the JSON index of a store directory.
@@ -104,6 +123,9 @@ func (r *Report) String() string {
 // Store is a handle on one corpus directory.
 type Store struct {
 	dir string
+	// image is the manifest this handle last loaded or saved (nil
+	// before either).
+	image *Manifest
 }
 
 // Open returns a store rooted at dir, creating the directory if
@@ -150,56 +172,79 @@ func (s *Store) Manifest() (*Manifest, error) {
 	return m, nil
 }
 
+// Image returns the handle's picture of the directory: the manifest it
+// last loaded or saved, each entry carrying its Text once this handle
+// has checked or written that file. Under the one-writer rule nothing
+// else changes the directory, so the image is what the directory
+// holds, and Save and the hub read it in place of the disk. A handle
+// that has neither loaded nor saved adopts the manifest on disk,
+// vouching for none of its files (an unreadable one reads as empty).
+// The image is shared: callers must not modify it.
+func (s *Store) Image() *Manifest {
+	if s.image == nil {
+		m, err := s.Manifest()
+		if err != nil {
+			return &Manifest{Version: Version}
+		}
+		s.image = m
+	}
+	return s.image
+}
+
 // Save atomically replaces the store contents with the given seeds
 // (typically a Merge result). Program files are written first, the
 // manifest is renamed into place last, and prog files no longer
 // referenced are removed best-effort — so a reader always sees a
-// consistent (old or new) store.
+// consistent (old or new) store. Files are content-addressed and never
+// change, so one the image vouches for (see Image) is left alone: a
+// Save costs the manifest plus the programs that are new to this
+// handle.
 //
 // Save advances the store generation: entries whose program file the
-// previous manifest already indexed keep their admission generation,
-// new entries are stamped with the fresh one. An unreadable previous
-// manifest restarts the generation lineage rather than failing the
-// save (the data being written is intact either way).
+// image already indexes keep their admission generation, new entries
+// are stamped with the fresh one. An unreadable previous manifest
+// restarts the generation lineage rather than failing the save (the
+// data being written is intact either way). The new image is installed
+// only once the manifest is in place; a failed Save leaves the old one.
 func (s *Store) Save(seeds []seedpool.SeedState, coverBlocks int) error {
-	prevGen := map[string]int{}
-	gen := 1
-	if prev, err := s.Manifest(); err == nil {
-		gen = prev.Generation + 1
-		for _, e := range prev.Seeds {
-			if e.Gen > 0 {
-				prevGen[e.File] = e.Gen
-			}
-		}
+	img := s.Image()
+	prev := make(map[string]Entry, len(img.Seeds))
+	for _, e := range img.Seeds {
+		prev[e.File] = e
 	}
+	gen := img.Generation + 1
 	m := &Manifest{Version: Version, Generation: gen, CoverBlocks: coverBlocks}
 	keep := map[string]bool{}
 	for _, st := range seeds {
 		if st.Prog == nil || st.Prio <= 0 {
 			continue
 		}
-		text := st.Prog.Serialize()
+		text := st.Key()
 		name := FileFor(text)
 		if keep[name] {
 			continue // duplicate program; first (highest-ranked) entry wins
 		}
-		if err := writeAtomic(filepath.Join(s.dir, name), []byte(text)); err != nil {
-			return fmt.Errorf("corpusstore: %w", err)
+		old := prev[name]
+		if old.Text != text {
+			if err := WriteAtomic(filepath.Join(s.dir, name), []byte(text)); err != nil {
+				return fmt.Errorf("corpusstore: %w", err)
+			}
 		}
 		keep[name] = true
 		eg := gen
-		if g, ok := prevGen[name]; ok {
-			eg = g
+		if old.Gen > 0 {
+			eg = old.Gen
 		}
-		m.Seeds = append(m.Seeds, Entry{File: name, Prio: st.Prio, Bonus: st.Bonus, Op: st.Op, Gen: eg})
+		m.Seeds = append(m.Seeds, Entry{File: name, Prio: st.Prio, Bonus: st.Bonus, Op: st.Op, Gen: eg, Text: text})
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("corpusstore: %w", err)
 	}
-	if err := writeAtomic(filepath.Join(s.dir, manifestName), append(data, '\n')); err != nil {
+	if err := WriteAtomic(filepath.Join(s.dir, manifestName), append(data, '\n')); err != nil {
 		return fmt.Errorf("corpusstore: %w", err)
 	}
+	s.image = m
 	// Garbage-collect orphaned program files from earlier flushes.
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -213,8 +258,10 @@ func (s *Store) Save(seeds []seedpool.SeedState, coverBlocks int) error {
 	return nil
 }
 
-// writeAtomic lands data at path via temp file + rename.
-func writeAtomic(path string, data []byte) error {
+// WriteAtomic lands data at path via temp file + rename — the one
+// writer behind every file this package and the hub's state sidecar
+// put on disk.
+func WriteAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -226,23 +273,15 @@ func writeAtomic(path string, data []byte) error {
 // deserializes it against the target (which validates resource
 // references). Entries that fail any step are skipped and reported;
 // only a missing/corrupt manifest is an error. The returned states
-// preserve manifest order.
+// preserve manifest order and carry their Text. What was read becomes
+// the handle's image, vouching for exactly the files that loaded.
 func (s *Store) Load(t *prog.Target) ([]seedpool.SeedState, *Report, error) {
 	m, err := s.Manifest()
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &Report{CoverBlocks: m.CoverBlocks}
-	var out []seedpool.SeedState
-	for _, e := range m.Seeds {
-		st, reason := s.loadEntry(t, e)
-		if reason != "" {
-			rep.Skipped = append(rep.Skipped, Skip{File: e.File, Reason: reason})
-			continue
-		}
-		out = append(out, st)
-	}
-	rep.Loaded = len(out)
+	out, rep := s.loadEntries(t, m, 0)
+	s.image = m
 	return out, rep, nil
 }
 
@@ -252,18 +291,26 @@ func (s *Store) Load(t *prog.Target) ([]seedpool.SeedState, *Report, error) {
 // from pre-generation manifests carry Gen 0 and are included only
 // then). The store's current generation is returned so the caller can
 // resume from it; entries that fail validation are skipped and
-// reported exactly as in Load. The hub serves its pull diffs from an
-// in-memory mirror of the same manifest generations (hub.Hub.diff
-// keeps the selection semantics aligned with this method); Diff is
-// the store-level form for tooling and out-of-process readers.
+// reported exactly as in Load. Diff is the form for tooling and
+// out-of-process readers: it reads the disk and leaves the handle's
+// image alone (the hub, the store's writer, selects the same entries
+// from its handle's image).
 func (s *Store) Diff(t *prog.Target, since int) ([]seedpool.SeedState, int, *Report, error) {
 	m, err := s.Manifest()
 	if err != nil {
 		return nil, 0, nil, err
 	}
+	out, rep := s.loadEntries(t, m, since)
+	return out, m.Generation, rep, nil
+}
+
+// loadEntries loads m's entries admitted after generation since,
+// recording on each one that loads the text its file holds.
+func (s *Store) loadEntries(t *prog.Target, m *Manifest, since int) ([]seedpool.SeedState, *Report) {
 	rep := &Report{CoverBlocks: m.CoverBlocks}
 	var out []seedpool.SeedState
-	for _, e := range m.Seeds {
+	for i := range m.Seeds {
+		e := &m.Seeds[i]
 		if since > 0 && e.Gen <= since {
 			continue
 		}
@@ -275,11 +322,11 @@ func (s *Store) Diff(t *prog.Target, since int) ([]seedpool.SeedState, int, *Rep
 		out = append(out, st)
 	}
 	rep.Loaded = len(out)
-	return out, m.Generation, rep, nil
+	return out, rep
 }
 
 // loadEntry validates one entry; a non-empty reason means skip.
-func (s *Store) loadEntry(t *prog.Target, e Entry) (seedpool.SeedState, string) {
+func (s *Store) loadEntry(t *prog.Target, e *Entry) (seedpool.SeedState, string) {
 	if e.Prio <= 0 {
 		return seedpool.SeedState{}, fmt.Sprintf("non-positive priority %d", e.Prio)
 	}
@@ -297,54 +344,54 @@ func (s *Store) loadEntry(t *prog.Target, e Entry) (seedpool.SeedState, string) 
 	if err != nil {
 		return seedpool.SeedState{}, fmt.Sprintf("stale against target: %v", err)
 	}
-	return seedpool.SeedState{Prog: p, Prio: e.Prio, Bonus: e.Bonus, Op: e.Op}, ""
+	// Deserialize is lenient, so the seed's identity is the program
+	// re-rendered; the entry is vouched for only when that is what its
+	// file holds, i.e. when it is the file Save would write.
+	text := p.Serialize()
+	if text == string(data) {
+		e.Text = text
+	}
+	return seedpool.SeedState{Prog: p, Text: text, Prio: e.Prio, Bonus: e.Bonus, Op: e.Op}, ""
 }
 
-// Merge folds seed sets into one bounded store image. Sets are
-// visited in argument order; duplicate programs (identical serialized
-// text) keep the higher-weight copy (earlier copy wins ties). The
+// Merge folds seed sets into one bounded corpus. Sets are
+// visited in argument order; duplicate programs (identical Text)
+// keep the higher-weight copy (earlier copy wins ties). The
 // result is ordered by descending weight, then ascending program
 // text, and truncated to capacity (<= 0 selects
 // seedpool.DefaultCapacity) — fully deterministic for a fixed
 // argument order, independent of map iteration or completion order.
+// Every state of the result carries its Text.
 func Merge(capacity int, sets ...[]seedpool.SeedState) []seedpool.SeedState {
 	if capacity <= 0 {
 		capacity = seedpool.DefaultCapacity
 	}
-	type item struct {
-		st   seedpool.SeedState
-		text string
-	}
 	index := map[string]int{}
-	var items []item
+	var out []seedpool.SeedState
 	for _, set := range sets {
 		for _, st := range set {
 			if st.Prog == nil || st.Prio <= 0 {
 				continue
 			}
-			text := st.Prog.Serialize()
-			if i, ok := index[text]; ok {
-				if st.Weight() > items[i].st.Weight() {
-					items[i].st = st
+			st.Text = st.Key()
+			if i, ok := index[st.Text]; ok {
+				if st.Weight() > out[i].Weight() {
+					out[i] = st
 				}
 				continue
 			}
-			index[text] = len(items)
-			items = append(items, item{st: st, text: text})
+			index[st.Text] = len(out)
+			out = append(out, st)
 		}
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if wi, wj := items[i].st.Weight(), items[j].st.Weight(); wi != wj {
+	sort.Slice(out, func(i, j int) bool {
+		if wi, wj := out[i].Weight(), out[j].Weight(); wi != wj {
 			return wi > wj
 		}
-		return items[i].text < items[j].text
+		return out[i].Text < out[j].Text
 	})
-	if len(items) > capacity {
-		items = items[:capacity]
-	}
-	out := make([]seedpool.SeedState, len(items))
-	for i, it := range items {
-		out[i] = it.st
+	if len(out) > capacity {
+		out = append([]seedpool.SeedState(nil), out[:capacity]...) // unpin the cut tail
 	}
 	return out
 }

@@ -15,7 +15,7 @@ import (
 
 var testCorpus = corpus.Build(corpus.TestConfig())
 
-func targetFor(t *testing.T, names ...string) *prog.Target {
+func targetFor(t testing.TB, names ...string) *prog.Target {
 	t.Helper()
 	f := &syzlang.File{}
 	for _, n := range names {
@@ -33,7 +33,7 @@ func targetFor(t *testing.T, names ...string) *prog.Target {
 }
 
 // genSeeds builds n distinct valid programs with synthetic weights.
-func genSeeds(t *testing.T, tgt *prog.Target, n int) []seedpool.SeedState {
+func genSeeds(t testing.TB, tgt *prog.Target, n int) []seedpool.SeedState {
 	t.Helper()
 	g := prog.NewGen(tgt, 7)
 	seen := map[string]bool{}

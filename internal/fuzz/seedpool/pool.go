@@ -56,11 +56,23 @@ type Seed struct {
 	// evicted first, so long-lived discoveries are sticky. It doubles
 	// as the seed's stable ref for Reward.
 	seq uint64
+	// text memoises Prog.Serialize(): carried in by Import/Reconcile, or
+	// rendered by the first Export/Reconcile that needs it. Pooled
+	// programs are immutable, so it never goes stale.
+	text string
 }
 
 // Weight is the seed's current scheduling weight (base priority plus
 // lineage bonus).
 func (s *Seed) Weight() int { return s.Prio + s.bonus }
+
+// identity returns the seed's text, rendering it on first use.
+func (s *Seed) identity() string {
+	if s.text == "" {
+		s.text = s.Prog.Serialize()
+	}
+	return s.text
+}
 
 // Pool is a bounded seed corpus. Internally it is a min-heap ordered
 // by (Weight, -seq) — the root is always the next eviction victim —
@@ -234,6 +246,14 @@ func (p *Pool) ForEach(fn func(Seed)) {
 // that the corpus store serializes to disk).
 type SeedState struct {
 	Prog *prog.Prog
+	// Text is the seed's identity: Prog.Serialize(), rendered once where
+	// the program enters the process (a store load, a hub push or pull
+	// decode) or first leaves a pool (Export), and carried from there on
+	// — the store's file name and content, every dedupe key. Either
+	// empty (a hand-built literal; Key renders it) or exactly
+	// Prog.Serialize(): whoever parses text must set the canonical
+	// re-rendering, not what was parsed.
+	Text string
 	// Prio is the base scheduling weight (new blocks at admission).
 	Prio int
 	// Bonus is the lineage bonus at export time.
@@ -245,11 +265,24 @@ type SeedState struct {
 // Weight is the state's total scheduling weight.
 func (s SeedState) Weight() int { return s.Prio + s.Bonus }
 
+// Key returns the seed's identity text: Text, rendered here only for a
+// state built without one.
+func (s SeedState) Key() string {
+	if s.Text != "" {
+		return s.Text
+	}
+	return s.Prog.Serialize()
+}
+
 // Export snapshots the retained seeds with their priority and lineage
 // state, in deterministic order: descending weight, then admission
 // order. The snapshot shares Prog pointers with the pool; callers
-// must not mutate them.
+// must not mutate them. Every state carries its Text; a seed is
+// rendered by the first Export after its admission and never again.
 func (p *Pool) Export() []SeedState {
+	for i := range p.seeds {
+		p.seeds[i].identity()
+	}
 	ordered := append([]Seed(nil), p.seeds...)
 	sort.Slice(ordered, func(i, j int) bool {
 		if wi, wj := ordered[i].Weight(), ordered[j].Weight(); wi != wj {
@@ -259,7 +292,7 @@ func (p *Pool) Export() []SeedState {
 	})
 	out := make([]SeedState, len(ordered))
 	for i, s := range ordered {
-		out[i] = SeedState{Prog: s.Prog, Prio: s.Prio, Bonus: s.bonus, Op: s.Op}
+		out[i] = SeedState{Prog: s.Prog, Text: s.text, Prio: s.Prio, Bonus: s.bonus, Op: s.Op}
 	}
 	return out
 }
@@ -284,7 +317,7 @@ func (p *Pool) Import(seeds []SeedState) int {
 		if bonus > maxLineageBonus {
 			bonus = maxLineageBonus
 		}
-		if p.admit(Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus}) {
+		if p.admit(Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus, text: st.Text}) {
 			n++
 		}
 	}
@@ -304,17 +337,17 @@ func (p *Pool) Import(seeds []SeedState) int {
 // programs it admits. Returns seeds admitted and seeds reconciled
 // upward.
 //
-// Unlike Import, Reconcile serializes every retained program to build
-// the text index — checkpoint-cadence work, not hot-path work (and
-// skipped entirely for an empty batch, the steady state of a hub
-// sync with nothing new).
+// The text index is built from the seeds' memoised texts — the same
+// memo Export fills, so a retained seed is rendered at most once in its
+// life — and not at all for an empty batch, the steady state of a hub
+// sync with nothing new.
 func (p *Pool) Reconcile(seeds []SeedState) (added, reconciled int) {
 	if len(seeds) == 0 {
 		return 0, 0
 	}
 	index := make(map[string]uint64, len(p.seeds))
-	for _, s := range p.seeds {
-		index[s.Prog.Serialize()] = s.seq
+	for i := range p.seeds {
+		index[p.seeds[i].identity()] = p.seeds[i].seq
 	}
 	for _, st := range seeds {
 		if st.Prog == nil || st.Prio <= 0 {
@@ -327,14 +360,14 @@ func (p *Pool) Reconcile(seeds []SeedState) (added, reconciled int) {
 		if bonus > maxLineageBonus {
 			bonus = maxLineageBonus
 		}
-		text := st.Prog.Serialize()
+		text := st.Key()
 		if ref, ok := index[text]; ok {
 			if p.raiseWeight(ref, st.Prio, bonus) {
 				reconciled++
 			}
 			continue
 		}
-		s := Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus}
+		s := Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus, text: text}
 		seq := p.seq // admit assigns this seq
 		if p.admit(s) {
 			index[text] = seq

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"kernelgpt/internal/fuzz"
-	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
 	"kernelgpt/internal/vkernel"
@@ -21,8 +20,8 @@ import (
 
 // Client is the campaign-embedded hub connection; it implements
 // fuzz.HubSync. Each Sync diffs the campaign snapshot against what
-// the hub has already seen — seeds are pushed once (content-addressed
-// dedup), coverage as new-block deltas, crashes as count deltas — and
+// the hub has already seen — seeds are pushed once (deduplicated by
+// their text), coverage as new-block deltas, crashes as count deltas — and
 // imports the merged corpus diff the hub returns. Transient transport
 // and server errors are retried with doubling backoff; a hub restart
 // is survived by transparent re-registration and a generation reset.
@@ -177,32 +176,25 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 			Ops: opsJSON(st.Ops),
 		},
 	}
-	// Corpus delta: seeds whose content address the hub has not seen
-	// from us (either direction), capped per batch.
-	sentFiles := make([]string, 0, MaxPushBatch)
+	// Corpus delta: seeds whose text the hub has not seen from us
+	// (either direction), capped per batch.
 	for _, s := range st.Seeds {
 		if len(req.Seeds) >= MaxPushBatch {
 			break // remainder ships at the next boundary
 		}
-		text := s.Prog.Serialize()
-		file := corpusstore.FileFor(text)
-		if c.pushed[file] {
-			continue
+		if text := s.Key(); !c.pushed[text] {
+			req.Seeds = append(req.Seeds, WireSeed{Text: text, Prio: s.Prio, Bonus: s.Bonus, Op: s.Op})
 		}
-		req.Seeds = append(req.Seeds, WireSeed{Text: text, Prio: s.Prio, Bonus: s.Bonus, Op: s.Op})
-		sentFiles = append(sentFiles, file)
 	}
 	// Coverage delta: blocks covered since the previous successful
 	// sync. Crashes: new titles, or titles whose hit count grew, with
 	// cumulative counts (the hub differences per worker, so a retry
 	// that repeats a committed report adds nothing).
 	deltas := func() {
-		req.NewBlocks, req.Crashes = nil, nil
-		st.Cover.ForEach(func(b vkernel.BlockID) {
-			if !c.lastCov.Has(b) {
-				req.NewBlocks = append(req.NewBlocks, b)
-			}
-		})
+		req.CoverDelta, req.Crashes = nil, nil
+		if st.Cover.Diff(c.lastCov) > 0 {
+			req.CoverDelta = st.Cover.EncodeDelta(c.lastCov)
+		}
 		for _, cr := range st.Crashes {
 			if cr.Count > c.crashes[cr.Title] {
 				req.Crashes = append(req.Crashes, WireCrash{Title: cr.Title, Repro: cr.Repro, Count: cr.Count})
@@ -245,8 +237,8 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 	}
 
 	// The exchange succeeded: commit the local dedup state.
-	for _, f := range sentFiles {
-		c.pushed[f] = true
+	for _, ws := range req.Seeds {
+		c.pushed[ws.Text] = true
 	}
 	c.lastCov = st.Cover.Clone()
 	for _, cr := range st.Crashes {
@@ -261,15 +253,18 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 	}
 	// Import the pulled diff: deserialize against our own (possibly
 	// narrower) target, skip what does not parse, and remember the
-	// hub already holds these so we never push them back.
+	// hub already holds these — under the text our own target renders
+	// them to, the one an export will carry — so we never push them
+	// back.
 	var out []seedpool.SeedState
 	for _, ws := range resp.Seeds {
 		p, err := prog.Deserialize(c.target, ws.Text)
 		if err != nil {
 			continue
 		}
-		c.pushed[corpusstore.FileFor(ws.Text)] = true
-		out = append(out, seedpool.SeedState{Prog: p, Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
+		text := p.Serialize()
+		c.pushed[text] = true
+		out = append(out, seedpool.SeedState{Prog: p, Text: text, Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
 	}
 	return out, nil
 }

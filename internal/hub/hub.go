@@ -33,11 +33,14 @@ const (
 )
 
 // Hub is the coordination daemon's state: the authoritative merged
-// corpus (mirrored to an on-disk corpusstore after every mutating
-// sync), the global crash-dedup table, per-worker bookkeeping, and
-// the union coverage map. All request handling serializes on one
-// mutex — the hub's unit of work is a batch exchange at checkpoint
-// cadence, not a hot path.
+// corpus (saved to an on-disk corpusstore by every mutating sync), the
+// global crash-dedup table, per-worker bookkeeping, and the union
+// coverage map. The hub is its store's one writer, so the store
+// handle's image (corpusstore.Store.Image) is the corpus index: the
+// generation and every pull diff are read from it, and the hub keeps
+// no copy of the manifest or of any program text. All request handling
+// serializes on one mutex — the hub's unit of work is a batch exchange
+// at checkpoint cadence, not a hot path.
 type Hub struct {
 	target *prog.Target
 	store  *corpusstore.Store
@@ -64,14 +67,10 @@ type Hub struct {
 	inflight atomic.Int64
 
 	mu sync.Mutex
-	// states is the merged corpus image (what the store holds);
-	// entries/generation mirror the store manifest after each save,
-	// so pull diffs reuse the store's generation bookkeeping. texts
-	// caches each entry's serialized program by file name.
+	// states is the merged corpus as programs — what the last Save (or
+	// the initial Load) handed the store, kept because the next Merge
+	// and a leaf's upward push need them. store is guarded by mu too.
 	states  []seedpool.SeedState    // guarded by mu
-	entries []corpusstore.Entry     // guarded by mu
-	gen     int                     // guarded by mu
-	texts   map[string]string       // guarded by mu
 	cover   *vkernel.CoverSet       // guarded by mu
 	crashes map[string]*crashRecord // guarded by mu
 	workers map[string]*worker      // guarded by mu
@@ -106,8 +105,8 @@ type worker struct {
 	// worker attached.
 	sync SyncAggJSON
 	// crashCounts is the worker's last reported cumulative hit count
-	// per normalized repro; recordCrash differences against it so
-	// retried reports fold in exactly once.
+	// per crash title — the unit the client counts in; recordCrash
+	// differences against it so retried reports fold in exactly once.
 	crashCounts map[string]int
 }
 
@@ -224,7 +223,6 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 		store:   store,
 		logf:    func(string, ...any) {},
 		now:     telemetry.SystemClock,
-		texts:   map[string]string{},
 		cover:   &vkernel.CoverSet{},
 		crashes: map[string]*crashRecord{},
 		workers: map[string]*worker{},
@@ -247,35 +245,14 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 	if len(rep.Skipped) > 0 {
 		h.logf("hub: store load skipped %d entries", len(rep.Skipped))
 	}
-	if err := h.refreshIndex(); err != nil {
-		return nil, err
-	}
 	if err := h.loadState(); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
-// refreshIndex re-reads the store manifest into the in-memory mirror
-// (entries with generations, current generation, text cache).
-// Callers hold h.mu, or have exclusive access (New).
-//
-//syzlint:locked mu
-func (h *Hub) refreshIndex() error {
-	m, err := h.store.Manifest()
-	if err != nil {
-		return fmt.Errorf("hub: %w", err)
-	}
-	h.entries = m.Seeds
-	h.gen = m.Generation
-	texts := make(map[string]string, len(h.states))
-	for _, st := range h.states {
-		text := st.Prog.Serialize()
-		texts[corpusstore.FileFor(text)] = text
-	}
-	h.texts = texts
-	return nil
-}
+// genLocked is the store generation. Callers hold h.mu.
+func (h *Hub) genLocked() int { return h.store.Image().Generation }
 
 // Handler returns the hub's HTTP interface. With WithMetrics set the
 // registry is served at /metrics, and every API request is recorded
@@ -447,7 +424,7 @@ func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
 				h.persistLocked()
 				h.logf("hub: resumed %s (%s, lease %s)", wk.id, wk.name, wk.leaseID)
 				writeJSON(w, http.StatusOK, RegisterResponse{
-					Version: ProtoVersion, WorkerID: wk.id, Generation: h.gen,
+					Version: ProtoVersion, WorkerID: wk.id, Generation: h.genLocked(),
 					Seeds: len(h.states), HubFingerprint: hubFP,
 					LeaseID: wk.leaseID, LeaseTTLMs: h.leaseTTL.Milliseconds(),
 					Resumed: true,
@@ -464,7 +441,7 @@ func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
 	h.persistLocked()
 	h.logf("hub: registered %s (%s, fingerprint %s, lease %s)", id, req.Name, req.Fingerprint, wk.leaseID)
 	writeJSON(w, http.StatusOK, RegisterResponse{
-		Version: ProtoVersion, WorkerID: id, Generation: h.gen,
+		Version: ProtoVersion, WorkerID: id, Generation: h.genLocked(),
 		Seeds: len(h.states), HubFingerprint: hubFP,
 		LeaseID: wk.leaseID, LeaseTTLMs: h.leaseTTL.Milliseconds(),
 	})
@@ -533,17 +510,18 @@ func decodeSync(w http.ResponseWriter, r *http.Request) (*SyncRequest, int64, bo
 	return req, int64(len(data)), true
 }
 
-// mergeLocked folds incoming seeds into the authoritative corpus image
-// and persists it. Memory is committed only after the store accepts
-// the image, so a failed save leaves stats, pull diffs, and disk
-// agreeing (the sender retries the whole exchange). Callers hold h.mu.
+// mergeLocked folds incoming seeds into the authoritative corpus and
+// persists it. Memory is committed only after the store accepts the
+// corpus — the store installs its new image on the same condition — so
+// a failed save leaves stats, pull diffs, and disk agreeing (the
+// sender retries the whole exchange). Callers hold h.mu.
 func (h *Hub) mergeLocked(incoming []seedpool.SeedState) error {
 	merged := corpusstore.Merge(h.cap, h.states, incoming)
 	if err := h.store.Save(merged, h.cover.Count()); err != nil {
 		return fmt.Errorf("store save: %w", err)
 	}
 	h.states = merged
-	return h.refreshIndex()
+	return nil
 }
 
 func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
@@ -593,9 +571,9 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 		observeSync(&wk.sync, serviceNs, payload)
 		h.metrics.syncObserved(serviceNs, payload)
 	}()
-	// Push: validate incoming programs against the hub target, merge
-	// into the authoritative image, persist, refresh the generation
-	// mirror.
+	// Push: validate incoming programs against the hub target (a seed's
+	// identity is the hub's own rendering of it, never the text as sent),
+	// merge into the authoritative corpus, persist.
 	var incoming []seedpool.SeedState
 	rejected := 0
 	for _, ws := range req.Seeds {
@@ -604,7 +582,7 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 			rejected++
 			continue
 		}
-		incoming = append(incoming, seedpool.SeedState{Prog: p, Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
+		incoming = append(incoming, seedpool.SeedState{Prog: p, Text: p.Serialize(), Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
 	}
 	h.rejectedSeeds += rejected
 	if len(incoming) > 0 {
@@ -613,8 +591,9 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	for _, b := range req.NewBlocks {
-		h.cover.Add(b)
+	newBlocks := 0
+	if len(req.CoverDelta) > 0 {
+		newBlocks, _ = h.cover.ApplyDelta(req.CoverDelta) // validated by DecodeSyncRequest
 	}
 	for _, wc := range req.Crashes {
 		h.recordCrash(wk, wc)
@@ -641,7 +620,7 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	wk.gen = gen
 	h.persistLocked()
 	h.logf("hub: sync %s: +%d seeds (%d rejected), +%d blocks, %d crash reports -> %d seeds at gen %d",
-		req.WorkerID, len(incoming), rejected, len(req.NewBlocks), len(req.Crashes), len(seeds), gen)
+		req.WorkerID, len(incoming), rejected, newBlocks, len(req.Crashes), len(seeds), gen)
 	w.Header().Set("Content-Type", BinaryContentType)
 	w.WriteHeader(http.StatusOK)
 	w.Write(EncodeSyncResponse(&SyncResponse{
@@ -657,38 +636,33 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 //
 //syzlint:locked mu
 func (h *Hub) diff(since int) ([]WireSeed, int) {
-	type cand struct {
-		e    corpusstore.Entry
-		text string
-	}
-	var cands []cand
-	for _, e := range h.entries {
+	img := h.store.Image()
+	var cands []corpusstore.Entry
+	for _, e := range img.Seeds {
 		// Same selection as corpusstore.Diff: since <= 0 means
 		// everything, including Gen-0 entries from pre-generation
 		// manifests (a warm start from a legacy store must still
-		// serve its corpus to first-time pullers).
-		if since > 0 && e.Gen <= since {
-			continue
-		}
-		if text, ok := h.texts[e.File]; ok {
-			cands = append(cands, cand{e: e, text: text})
+		// serve its corpus to first-time pullers). Entries the load
+		// skipped carry no text and are not served.
+		if (since <= 0 || e.Gen > since) && e.Text != "" {
+			cands = append(cands, e)
 		}
 	}
 	if len(cands) == 0 {
-		return nil, h.gen
+		return nil, img.Generation
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].e.Gen != cands[j].e.Gen {
-			return cands[i].e.Gen < cands[j].e.Gen
+		if cands[i].Gen != cands[j].Gen {
+			return cands[i].Gen < cands[j].Gen
 		}
-		return cands[i].text < cands[j].text
+		return cands[i].Text < cands[j].Text
 	})
 	out := make([]WireSeed, 0, len(cands))
 	reached := since
 	for i := 0; i < len(cands); {
-		g := cands[i].e.Gen
+		g := cands[i].Gen
 		j := i
-		for j < len(cands) && cands[j].e.Gen == g {
+		for j < len(cands) && cands[j].Gen == g {
 			j++
 		}
 		// Take whole generations while the batch has room; always take
@@ -697,13 +671,13 @@ func (h *Hub) diff(since int) ([]WireSeed, int) {
 			break
 		}
 		for ; i < j; i++ {
-			c := cands[i]
-			out = append(out, WireSeed{Text: c.text, Prio: c.e.Prio, Bonus: c.e.Bonus, Op: c.e.Op})
+			e := cands[i]
+			out = append(out, WireSeed{Text: e.Text, Prio: e.Prio, Bonus: e.Bonus, Op: e.Op})
 		}
 		reached = g
 	}
-	if reached == h.gen || len(out) == 0 {
-		return out, h.gen
+	if reached == img.Generation || len(out) == 0 {
+		return out, img.Generation
 	}
 	return out, reached
 }
@@ -713,9 +687,11 @@ func (h *Hub) diff(since int) ([]WireSeed, int) {
 // when it parses, raw otherwise — so the same crash reported by
 // different workers (or in cosmetically different formatting)
 // collapses into one record. The first reporter keeps attribution.
-// Counts arrive cumulative per worker and are differenced against the
-// worker's previous report, so a retried sync folds in exactly once.
-// Callers hold h.mu.
+// Counts arrive cumulative per worker and title and are differenced
+// against the worker's previous report for that title — not for that
+// repro: a sharded campaign's surviving repro for a title can change,
+// and the title's whole count must not be credited again under the new
+// one — so a retried sync folds in exactly once. Callers hold h.mu.
 //
 //syzlint:locked mu
 func (h *Hub) recordCrash(wk *worker, wc WireCrash) {
@@ -723,11 +699,11 @@ func (h *Hub) recordCrash(wk *worker, wc WireCrash) {
 	if p, err := prog.Deserialize(h.target, wc.Repro); err == nil {
 		key = p.Serialize()
 	}
-	delta := wc.Count - wk.crashCounts[key]
+	delta := wc.Count - wk.crashCounts[wc.Title]
 	if delta <= 0 {
 		return // retry of a committed report, or a stale snapshot
 	}
-	wk.crashCounts[key] = wc.Count
+	wk.crashCounts[wc.Title] = wc.Count
 	h.crashReports++
 	rec := h.crashes[key]
 	if rec == nil {
@@ -753,7 +729,7 @@ func (h *Hub) statsLocked() HubStats {
 	h.reapLocked()
 	st := HubStats{
 		Version:       ProtoVersion,
-		Generation:    h.gen,
+		Generation:    h.genLocked(),
 		Seeds:         len(h.states),
 		UnionCover:    h.cover.Count(),
 		Crashes:       len(h.crashes),

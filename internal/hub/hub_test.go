@@ -25,7 +25,7 @@ var (
 	testKernel = vkernel.New(testCorpus)
 )
 
-func targetFor(t *testing.T, names ...string) *prog.Target {
+func targetFor(t testing.TB, names ...string) *prog.Target {
 	t.Helper()
 	f := &syzlang.File{}
 	for _, n := range names {

@@ -170,9 +170,9 @@ func TestLeaseRequired(t *testing.T) {
 		for _, final := range []bool{false, true} {
 			req := SyncRequest{
 				Version: ProtoVersion, WorkerID: victim.WorkerID, LeaseID: lease, Final: final,
-				NewBlocks: []vkernel.BlockID{1, 2, 3},
-				Crashes:   []WireCrash{{Title: "forged", Repro: "x", Count: 9}},
-				Stats:     WorkerStats{Execs: 1 << 20},
+				CoverDelta: coverOf(1, 2, 3).EncodeDelta(nil),
+				Crashes:    []WireCrash{{Title: "forged", Repro: "x", Count: 9}},
+				Stats:      WorkerStats{Execs: 1 << 20},
 			}
 			code, msg := postRaw(t, srv.URL+"/v1/sync", BinaryContentType, bytes.NewReader(EncodeSyncRequest(&req)))
 			if code != http.StatusNotFound || !strings.Contains(msg, "re-register") {
@@ -528,6 +528,59 @@ func TestHierarchicalHub(t *testing.T) {
 	for _, wk := range root.Stats().Workers {
 		if wk.Name == "leaf-1" && wk.Lease != LeaseReleased {
 			t.Fatalf("leaf lease not released at shutdown: %+v", wk)
+		}
+	}
+}
+
+// TestLeafCrashCountsReachRootPerTitle: a leaf holds one record per
+// repro, its workers minimise the same bug to different repros, and the
+// wire counts per title — so the leaf reports a title's records as their
+// sum, and the root's total for the title tracks the leaf's through
+// growth on either record.
+func TestLeafCrashCountsReachRootPerTitle(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	root, rootSrv := newHub(t, tgt)
+	leaf, leafSrv := newHub(t, tgt, WithParent(rootSrv.URL))
+	ctx := context.Background()
+	g := prog.NewGen(tgt, 9)
+	reproA, reproB := g.Generate(2).Serialize(), g.Generate(3).Serialize()
+	wa, err := Dial(ctx, leafSrv.URL, "w-a", tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := Dial(ctx, leafSrv.URL, "w-b", tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := Dial(ctx, rootSrv.URL, "leaf-1", tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := func(h *Hub) int {
+		n := 0
+		for _, cr := range h.Crashes() {
+			if cr.Title != "bug-h" {
+				t.Fatalf("unexpected crash %+v", cr)
+			}
+			n += cr.Count
+		}
+		return n
+	}
+	for step, counts := range [][2]int{{2, 3}, {2, 5}, {4, 5}, {4, 5}} {
+		for i, w := range []*Client{wa, wb} {
+			repro := []string{reproA, reproB}[i]
+			if _, err := w.Sync(ctx, fuzz.SyncState{
+				Cover:   coverOf(1),
+				Crashes: []fuzz.CrashReport{{Title: "bug-h", Repro: repro, Count: counts[i]}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := leaf.SyncParent(ctx, pc, false); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := total(root), counts[0]+counts[1]; total(leaf) != want || got != want {
+			t.Fatalf("step %d: root counts %d hits of bug-h, leaf %d, workers reported %d", step, got, total(leaf), want)
 		}
 	}
 }

@@ -33,8 +33,17 @@ func (h *Hub) parentState(final bool) fuzz.SyncState {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	// One report per title, as a campaign sends: counts on the wire are
+	// cumulative per title, so the records the leaf holds under a title's
+	// several repros travel as their sum.
+	byTitle := map[string]int{}
 	for _, k := range keys {
 		rec := h.crashes[k]
+		if i, ok := byTitle[rec.title]; ok {
+			st.Crashes[i].Count += rec.count
+			continue
+		}
+		byTitle[rec.title] = len(st.Crashes)
 		st.Crashes = append(st.Crashes, fuzz.CrashReport{
 			Title: rec.title, Repro: rec.repro, Count: rec.count,
 		})
@@ -69,6 +78,6 @@ func (h *Hub) SyncParent(ctx context.Context, client *Client, final bool) (int, 
 		return 0, err
 	}
 	h.persistLocked()
-	h.logf("hub: parent sync imported %d seeds -> %d seeds at gen %d", len(imported), len(h.states), h.gen)
+	h.logf("hub: parent sync imported %d seeds -> %d seeds at gen %d", len(imported), len(h.states), h.genLocked())
 	return len(imported), nil
 }

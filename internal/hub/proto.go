@@ -5,8 +5,12 @@
 // merged global corpus diff since their last sync. The hub maintains
 // an authoritative on-disk corpus store (fuzz/corpusstore), a global
 // crash-dedup table keyed by normalized repro text (first reporter
-// wins, duplicate reports tracked), and live aggregated stats served
-// as JSON for monitoring.
+// wins, duplicate reports tracked; hit counts arrive cumulative per
+// title and are differenced per worker and title), and live aggregated
+// stats served as JSON for monitoring. The hub is its store's one
+// writer: the corpus index it serves from — generation, entries, their
+// texts — is the store handle's own image (corpusstore.Store.Image),
+// not a copy, and a merge writes only the files it adds.
 //
 // The wire protocol is versioned and runs over HTTP. POST /v1/register
 // and /v1/heartbeat carry the JSON types below; POST /v1/sync carries
@@ -27,7 +31,6 @@ import (
 
 	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/prog"
-	"kernelgpt/internal/vkernel"
 )
 
 // ProtoVersion is the wire-protocol version this package speaks.
@@ -151,8 +154,11 @@ type SyncRequest struct {
 	SinceGen int `json:"since_gen"`
 	// Seeds are corpus entries the worker has not pushed before.
 	Seeds []WireSeed `json:"seeds,omitempty"`
-	// NewBlocks are block IDs covered since the previous sync.
-	NewBlocks []vkernel.BlockID `json:"new_blocks,omitempty"`
+	// CoverDelta is the coverage gained since the previous sync, as the
+	// vkernel.CoverSet.EncodeDelta stream the cover frame carries
+	// verbatim (empty = nothing new). A decoded request's delta has
+	// been validated and is safe to ApplyDelta.
+	CoverDelta []byte `json:"cover_delta,omitempty"`
 	// Crashes are crash reports new or grown since the previous sync.
 	Crashes []WireCrash `json:"crashes,omitempty"`
 	// Stats is the worker's cumulative campaign snapshot.

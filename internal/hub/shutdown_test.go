@@ -24,11 +24,7 @@ func TestCancelledCampaignDeliversFinal(t *testing.T) {
 		}},
 		{"RunParallel", func(ctx context.Context, f *fuzz.Fuzzer, cfg fuzz.Config) (*fuzz.Stats, error) {
 			cfg.ShardExecs = 2048
-			// One worker, so units merge in order and a title's surviving
-			// repro never changes: the hub differences a worker's crash
-			// counts per repro, and would count a title again under the
-			// repro an out-of-order merge switches it to.
-			return f.RunParallel(ctx, cfg, 1)
+			return f.RunParallel(ctx, cfg, 3)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,5 +76,43 @@ func TestCancelledCampaignDeliversFinal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedCrashCountsMatchHub: the hub credits a worker's crash hits
+// once per title, however often the campaign's surviving repro for that
+// title changes. Units of a multi-worker sharded campaign merge out of
+// order, so a title's repro (the one from the earliest FirstExec) is
+// replaced whenever a lower unit completes late; the counts stay
+// cumulative per title, which is the unit the client differences in and
+// the hub must difference in too.
+func TestShardedCrashCountsMatchHub(t *testing.T) {
+	tgt := targetFor(t, "dm", "cec")
+	ctx := context.Background()
+	for seed := int64(1); seed <= 3; seed++ {
+		hub, srv := newHub(t, tgt)
+		c, err := Dial(ctx, srv.URL, "sharded", tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fuzz.DefaultConfig(40_000, seed)
+		cfg.ShardExecs = 2048
+		cfg.Hub = c
+		stats, err := fuzz.New(tgt, testKernel).RunParallel(ctx, cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := map[string]int{}
+		for _, cr := range hub.Crashes() {
+			hits[cr.Title] += cr.Count
+		}
+		if len(stats.Crashes) == 0 {
+			t.Fatalf("seed %d: campaign found no crash, the test checks nothing", seed)
+		}
+		for title, cr := range stats.Crashes {
+			if hits[title] != cr.Count {
+				t.Errorf("seed %d, crash %q: hub counts %d hits, campaign %d", seed, title, hits[title], cr.Count)
+			}
+		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"kernelgpt/internal/fuzz/corpusstore"
 )
 
 // Hub state sidecar. The corpus store persists seeds, but the hub's
@@ -20,6 +22,12 @@ import (
 // mirrors that state to a JSON sidecar (atomic temp+rename) after
 // every mutating exchange; New restores it, and a restarted hub then
 // accepts existing workers' leases as if nothing happened.
+
+// stateVersion is the sidecar format this build writes. Version 1 (read
+// and migrated, never written) keyed each worker's crash_counts by
+// normalized repro text; 2 keys them by crash title, the unit the
+// client differences its cumulative counts in.
+const stateVersion = 2
 
 // hubStateJSON is the sidecar document.
 type hubStateJSON struct {
@@ -68,7 +76,7 @@ func (h *Hub) persistLocked() {
 		return
 	}
 	doc := hubStateJSON{
-		Version:       ProtoVersion,
+		Version:       stateVersion,
 		NextWorker:    h.nextWorker,
 		NextLease:     h.nextLease,
 		RejectedSeeds: h.rejectedSeeds,
@@ -116,13 +124,8 @@ func (h *Hub) persistLocked() {
 		h.logf("hub: state marshal: %v", err)
 		return
 	}
-	tmp := h.statePath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := corpusstore.WriteAtomic(h.statePath, data); err != nil {
 		h.logf("hub: state write: %v", err)
-		return
-	}
-	if err := os.Rename(tmp, h.statePath); err != nil {
-		h.logf("hub: state rename: %v", err)
 	}
 }
 
@@ -149,8 +152,8 @@ func (h *Hub) loadState() error {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("hub: state %s: %w", filepath.Base(h.statePath), err)
 	}
-	if doc.Version != ProtoVersion {
-		return fmt.Errorf("hub: state version %d not supported (this build speaks %d)", doc.Version, ProtoVersion)
+	if doc.Version != stateVersion && doc.Version != 1 {
+		return fmt.Errorf("hub: state version %d not supported (this build speaks %d)", doc.Version, stateVersion)
 	}
 	h.nextWorker = doc.NextWorker
 	h.nextLease = doc.NextLease
@@ -182,10 +185,19 @@ func (h *Hub) loadState() error {
 			id: ws.ID, name: ws.Name, fingerprint: ws.Fingerprint,
 			leaseID: ws.LeaseID, leaseState: ws.LeaseState, gen: ws.Gen,
 			final: ws.Final, stats: ws.Stats, sync: ws.Sync,
-			crashCounts: ws.CrashCounts,
+			crashCounts: map[string]int{},
 		}
-		if wk.crashCounts == nil {
-			wk.crashCounts = map[string]int{}
+		for key, n := range ws.CrashCounts {
+			if doc.Version == 1 {
+				// Keyed by repro then. Counts are cumulative per title, so
+				// a title's count is the largest under any of its repros.
+				rec := h.crashes[key]
+				if rec == nil {
+					continue
+				}
+				key, n = rec.title, max(n, wk.crashCounts[rec.title])
+			}
+			wk.crashCounts[key] = n
 		}
 		if ws.LastSyncNs != 0 {
 			wk.lastSync = time.Unix(0, ws.LastSyncNs)

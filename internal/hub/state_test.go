@@ -1,0 +1,122 @@
+package hub
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"kernelgpt/internal/fuzz/corpusstore"
+	"kernelgpt/internal/prog"
+)
+
+// restoreFrom starts a hub over an empty store and the given sidecar
+// bytes on a fixed clock.
+func restoreFrom(t testing.TB, tgt *prog.Target, sidecar []byte) (*Hub, string, error) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "hubstate.json")
+	if err := os.WriteFile(path, sidecar, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := corpusstore.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := time.Unix(1_700_000_000, 0)
+	h, err := New(tgt, store, WithStatePath(path), WithClock(func() time.Time { return fixed }))
+	return h, path, err
+}
+
+// TestStateV1CrashCountsMigrate: a version-1 sidecar keyed each worker's
+// cumulative crash counts by repro. Restored by this build they are
+// keyed by title, so the worker's next report of the same title — under
+// another repro, as a sharded campaign sends it — is credited with the
+// growth only, and the sidecar is rewritten as version 2.
+func TestStateV1CrashCountsMigrate(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	old, err := os.ReadFile(filepath.Join("testdata", "hubstate_pr12.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, path, err := restoreFrom(t, tgt, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc hubStateJSON
+	if err := json.Unmarshal(old, &doc); err != nil {
+		t.Fatal(err)
+	}
+	w1 := doc.Workers[0]
+	grown := SyncRequest{
+		Version: ProtoVersion, WorkerID: w1.ID, LeaseID: w1.LeaseID,
+		Crashes: []WireCrash{{Title: "bug-a", Repro: "another repro of the same bug", Count: 5}},
+	}
+	serve(t, h.Handler(), "/v1/sync", BinaryContentType, EncodeSyncRequest(&grown), nil)
+	total := 0
+	for _, cr := range h.Crashes() {
+		total += cr.Count
+	}
+	if total != 5 {
+		t.Fatalf("hub counts %d hits of bug-a after a cumulative report of 5 (2 restored)", total)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc = hubStateJSON{}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Version != stateVersion || len(doc.Workers[0].CrashCounts) != 1 || doc.Workers[0].CrashCounts["bug-a"] != 5 {
+		t.Fatalf("sidecar rewritten as version %d with crash counts %v", doc.Version, doc.Workers[0].CrashCounts)
+	}
+	for _, v := range []string{`{"version":0}`, `{"version":3}`} {
+		if _, _, err := restoreFrom(t, tgt, []byte(v)); err == nil || !strings.Contains(err.Error(), "not supported") {
+			t.Errorf("sidecar %s: err = %v, want the version refused", v, err)
+		}
+	}
+}
+
+// FuzzHubStateLoad feeds New arbitrary sidecar bytes: it must refuse
+// them or restore a state that persists to a fixed point — what the hub
+// writes back, a restarted hub reads and writes back unchanged.
+func FuzzHubStateLoad(f *testing.F) {
+	tgt := targetFor(f, "dm")
+	for _, name := range []string{"golden_hubstate.json", "hubstate_pr12.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"version":2,"cover":"xQEA","workers":[{"id":"w1","lease_state":"active","crash_counts":{"t":1}},{"id":"w1"}],"crashes":[{"title":"t","repro":"r","workers":["w9","w9"]}]}`))
+	f.Fuzz(func(t *testing.T, sidecar []byte) {
+		h, path, err := restoreFrom(t, tgt, sidecar)
+		if err != nil {
+			return
+		}
+		persist := func(h *Hub) []byte {
+			h.mu.Lock()
+			h.persistLocked()
+			h.mu.Unlock()
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		first := persist(h)
+		h2, _, err := restoreFrom(t, tgt, first)
+		if err != nil {
+			t.Fatalf("hub cannot restore what it persisted: %v\n%s", err, first)
+		}
+		path = h2.statePath
+		if second := persist(h2); !bytes.Equal(first, second) {
+			t.Fatalf("persist after load is not a fixed point:\nfirst:  %s\nsecond: %s", first, second)
+		}
+	})
+}

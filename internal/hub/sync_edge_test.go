@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"kernelgpt/internal/fuzz"
-	"kernelgpt/internal/vkernel"
 )
 
 // statsBytes fetches GET /v1/stats verbatim.
@@ -67,7 +66,7 @@ func TestSyncRejectsNonBinary(t *testing.T) {
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
 	body, err := json.Marshal(SyncRequest{
 		Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID,
-		NewBlocks: []vkernel.BlockID{1, 2, 3}, Stats: WorkerStats{Execs: 100},
+		CoverDelta: coverOf(1, 2, 3).EncodeDelta(nil), Stats: WorkerStats{Execs: 100},
 	})
 	if err != nil {
 		t.Fatal(err)

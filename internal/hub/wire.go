@@ -179,8 +179,7 @@ func readSeed(p *wireReader) (WireSeed, error) {
 }
 
 // EncodeSyncRequest serializes a sync request as a binary frame
-// stream. The NewBlocks cover delta is compressed through the
-// vkernel container codec.
+// stream.
 func EncodeSyncRequest(req *SyncRequest) []byte {
 	dst := append([]byte(nil), wireMagic[:]...)
 	var p []byte
@@ -202,12 +201,8 @@ func EncodeSyncRequest(req *SyncRequest) []byte {
 		p = appendInt(p, op.NewBlocks)
 	}
 	dst = appendFrame(dst, frameReqHeader, p)
-	if len(req.NewBlocks) > 0 {
-		cov := &vkernel.CoverSet{}
-		for _, b := range req.NewBlocks {
-			cov.Add(b)
-		}
-		dst = appendFrame(dst, frameCover, cov.EncodeDelta(nil))
+	if len(req.CoverDelta) > 0 {
+		dst = appendFrame(dst, frameCover, req.CoverDelta)
 	}
 	var scratch []byte
 	for _, ws := range req.Seeds {
@@ -273,11 +268,12 @@ func DecodeSyncRequest(data []byte) (*SyncRequest, error) {
 				return nil, fmt.Errorf("hub wire: duplicate cover frame")
 			}
 			sawCover = true
-			blocks, err := vkernel.DecodeDeltaBlocks(p.data)
-			if err != nil {
+			// ApplyDelta applies as it parses: validate the whole stream
+			// here so the hub never half-applies a malformed one.
+			if err := vkernel.DecodeDelta(p.data, func(vkernel.BlockID) {}); err != nil {
 				return nil, fmt.Errorf("hub wire: %w", err)
 			}
-			req.NewBlocks = blocks
+			req.CoverDelta = p.data
 		case frameSeed:
 			ws, err := readSeed(p)
 			if err != nil {

@@ -302,3 +302,32 @@ func TestQuickMutationChainsStayValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzSerializeFixedPoint covers what a seed's identity rests on.
+// Deserialize is lenient (comments, blank lines, decimal numbers,
+// optional result prefixes, any spelling of a bad fd) and Serialize is
+// the canonical rendering the corpus store names files by and every
+// dedupe keys on: whatever Deserialize accepts must re-render to a text
+// that parses back and renders to itself.
+func FuzzSerializeFixedPoint(f *testing.F) {
+	tgt := plumbedTarget(f)
+	g := NewGen(tgt, 29)
+	for i := 0; i < 32; i++ {
+		f.Add(g.Generate(2 + i%12).Serialize())
+	}
+	f.Add("# comment\n\n  openat$dm(4294967196, &\"/dev/mapper/control\", 2 , 0)\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := Deserialize(tgt, text)
+		if err != nil {
+			return
+		}
+		canon := p.Serialize()
+		again, err := Deserialize(tgt, canon)
+		if err != nil {
+			t.Fatalf("canonical text does not parse: %v\ninput:\n%s\ncanonical:\n%s", err, text, canon)
+		}
+		if twice := again.Serialize(); twice != canon {
+			t.Fatalf("Serialize is not a fixed point:\ninput:\n%s\nonce:\n%s\ntwice:\n%s", text, canon, twice)
+		}
+	})
+}

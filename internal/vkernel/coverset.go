@@ -470,15 +470,6 @@ func DecodeDelta(data []byte, fn func(BlockID)) error {
 	return nil
 }
 
-// DecodeDeltaBlocks materializes a decoded delta as a sorted slice.
-func DecodeDeltaBlocks(data []byte) ([]BlockID, error) {
-	var out []BlockID
-	if err := DecodeDelta(data, func(b BlockID) { out = append(out, b) }); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ApplyDelta decodes data into s, returning the number of newly
 // covered blocks.
 func (s *CoverSet) ApplyDelta(data []byte) (int, error) {

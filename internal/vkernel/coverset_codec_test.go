@@ -6,12 +6,19 @@ import (
 	"testing"
 )
 
+// decodeBlocks materializes a decoded delta as a sorted slice.
+func decodeBlocks(data []byte) ([]BlockID, error) {
+	var out []BlockID
+	err := DecodeDelta(data, func(b BlockID) { out = append(out, b) })
+	return out, err
+}
+
 // deltaRoundTrip encodes s \ base and decodes it back, failing the
 // test on any mismatch. Returns the encoded bytes.
 func deltaRoundTrip(t *testing.T, s, base *CoverSet) []byte {
 	t.Helper()
 	enc := s.EncodeDelta(base)
-	got, err := DecodeDeltaBlocks(enc)
+	got, err := decodeBlocks(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -42,7 +49,7 @@ func deltaRoundTrip(t *testing.T, s, base *CoverSet) []byte {
 
 func TestCoverDeltaEmpty(t *testing.T) {
 	enc := (&CoverSet{}).EncodeDelta(nil)
-	blocks, err := DecodeDeltaBlocks(enc)
+	blocks, err := decodeBlocks(enc)
 	if err != nil || len(blocks) != 0 {
 		t.Fatalf("empty delta: %v blocks, err %v", blocks, err)
 	}
@@ -146,7 +153,7 @@ func TestCoverDeltaRejectsMalformed(t *testing.T) {
 		"trailing":    append(append([]byte{}, enc...), 0x00),
 	}
 	for name, data := range cases {
-		if _, err := DecodeDeltaBlocks(data); err == nil {
+		if _, err := decodeBlocks(data); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
 		}
 	}
