@@ -289,7 +289,7 @@ func (d *driver) boundary(ctx context.Context, i int, unit *Stats, corpus *seedp
 // sync-latency metric and the "sync" flight event. No seeds come back
 // from a failed exchange (best-effort: the campaign runs detached until
 // the next boundary retries) or from a Final one (no campaign is left
-// to use them).
+// to use them); the ones that do come back frozen.
 func (d *driver) exchange(ctx context.Context, st SyncState) []seedpool.SeedState {
 	cfg := d.cfg
 	t0 := cfg.Clock.Now()
@@ -311,6 +311,7 @@ func (d *driver) exchange(ctx context.Context, st SyncState) []seedpool.SeedStat
 	if err != nil || st.Final {
 		return nil
 	}
+	freeze(remote) // like the store snapshot: here, before units share them
 	return remote
 }
 

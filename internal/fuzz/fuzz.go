@@ -371,8 +371,9 @@ func (f *Fuzzer) Run(cfg Config) *Stats {
 }
 
 // openStore resolves cfg's corpus-store configuration into a handle
-// and the imported (validated) seed snapshot. A nil store means no
-// persistence is configured.
+// and the imported (validated) seed snapshot, frozen here, while one
+// goroutine holds it: every unit imports and replays the same programs.
+// A nil store means no persistence is configured.
 func (f *Fuzzer) openStore(cfg Config) (*corpusstore.Store, []seedpool.SeedState, error) {
 	if cfg.CorpusDir == "" {
 		return nil, nil, nil
@@ -388,7 +389,17 @@ func (f *Fuzzer) openStore(cfg Config) (*corpusstore.Store, []seedpool.SeedState
 	if cfg.StoreReport != nil {
 		cfg.StoreReport(*rep)
 	}
+	freeze(seeds)
 	return store, seeds, nil
+}
+
+// freeze freezes programs that are about to be shared between units.
+func freeze(seeds []seedpool.SeedState) {
+	for _, st := range seeds {
+		if st.Prog != nil { // Import skips such a state too
+			st.Prog.Freeze()
+		}
+	}
 }
 
 // corpusCap is the store/pool bound cfg selects.

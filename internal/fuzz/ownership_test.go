@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"kernelgpt/internal/fuzz/seedpool"
@@ -13,8 +15,9 @@ import (
 // donor, a small pool so seeds get evicted — and asserts that every
 // pooled seed serializes byte-identically from admission (where it
 // must equal the candidate it was copied from) until it is evicted
-// or the run ends. Mutation works on the Gen's scratch copy; nothing
-// may write through to a seed or a donor.
+// or the run ends, and lowers through its frozen payload cache to what
+// a deep copy of it lowers to. Candidates share their seed's and their
+// donor's calls; nothing may write through to either.
 func TestPooledSeedsImmutable(t *testing.T) {
 	tgt := plumbedTarget(t, "dm", "cec")
 	g := prog.NewGen(tgt, 1)
@@ -40,6 +43,9 @@ func TestPooledSeedsImmutable(t *testing.T) {
 				texts[s.Prog], fresh = got, s.Prog
 			} else if got != want {
 				t.Fatalf("step %d: pooled seed changed after admission:\n%s\nwas\n%s", step, got, want)
+			}
+			if err := sameLowering(prog.CompileExec(s.Prog), prog.CompileExec(s.Prog.Clone())); err != nil {
+				t.Fatalf("step %d: pooled seed's cached lowering is stale: %v\n%s", step, err, got)
 			}
 		})
 		for p := range texts {
@@ -98,6 +104,95 @@ func TestPooledSeedsImmutable(t *testing.T) {
 	if _, evicted, _ := pool.Stats(); evicted == 0 {
 		t.Error("no seed was ever evicted; the until-eviction half went untested")
 	}
+}
+
+// sameLowering compares what an executor reads of two compiled
+// programs.
+func sameLowering(a, b *prog.ExecProg) error {
+	if len(a.Calls) != len(b.Calls) {
+		return fmt.Errorf("%d calls vs %d", len(a.Calls), len(b.Calls))
+	}
+	for i := range a.Calls {
+		ca, cb := a.Calls[i], b.Calls[i]
+		if ca.Sc != cb.Sc || len(ca.Args) != len(cb.Args) || !bytes.Equal(ca.Path, cb.Path) {
+			return fmt.Errorf("call %d: descriptor, arity or path differ", i)
+		}
+		for j := range ca.Args {
+			if x, y := ca.Args[j], cb.Args[j]; x.Scalar != y.Scalar || x.Res != y.Res || !bytes.Equal(x.Blob, y.Blob) {
+				return fmt.Errorf("call %d arg %d: {%#x r%d %x} vs {%#x r%d %x}", i, j, x.Scalar, x.Res, x.Blob, y.Scalar, y.Res, y.Blob)
+			}
+		}
+	}
+	return nil
+}
+
+// TestStaleLensSeedStaysUnfrozen: a stored or pushed program whose len
+// fields are wrong (a hand-edited store file, a foreign hub) enters the
+// pool as it is — its text is its identity — and every candidate
+// mutated from it has all lens fixed, exactly as when mutation deep-
+// copied every seed: the stale call is never shared, the seed never
+// repaired in place.
+func TestStaleLensSeedStaysUnfrozen(t *testing.T) {
+	tgt := plumbedTarget(t, "dm", "cec")
+	g := prog.NewGen(tgt, 3)
+	var stale *prog.Prog
+	for stale == nil {
+		p := g.Generate(8).Detach()
+		for _, c := range p.Calls {
+			c.ForEachValue(func(v *prog.Value) {
+				if stale == nil && v.Type.Kind == prog.KindLen {
+					v.Scalar += 5
+					if fixed := p.Clone(); fixupAll(fixed) != p.Serialize() {
+						stale = p
+					} else {
+						v.Scalar -= 5
+					}
+				}
+			})
+		}
+	}
+	text := stale.Serialize()
+	loaded, err := prog.Deserialize(tgt, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixupAll(loaded.Clone()) == text {
+		t.Fatal("the stale len did not survive the text round trip")
+	}
+	pool := seedpool.New(4)
+	if n := pool.Import([]seedpool.SeedState{{Prog: loaded, Text: text, Prio: 3}}); n != 1 {
+		t.Fatalf("imported %d seeds, want 1", n)
+	}
+	var pooled *prog.Prog
+	pool.ForEach(func(s seedpool.Seed) { pooled = s.Prog })
+	if pooled != loaded {
+		t.Fatal("a heap-owned import must be retained by pointer")
+	}
+	oracle := loaded.Clone() // unfrozen: every call deep-copied, as before
+	ops := prog.DefaultOperators()
+	g1, g2 := prog.NewGen(tgt, 11), prog.NewGen(tgt, 11)
+	for i := 0; i < 200; i++ {
+		op := ops[i%len(ops)]
+		m, _ := g1.MutateOp(pooled, op, nil)
+		want, _ := g2.MutateOp(oracle, op, nil)
+		if got := m.Serialize(); got != want.Serialize() {
+			t.Fatalf("step %d (%s): candidate from the pooled stale seed differs from the deep-copy candidate:\n%s\nvs\n%s", i, op.Name(), got, want.Serialize())
+		}
+		if got := m.Serialize(); fixupAll(m.Clone()) != got {
+			t.Fatalf("step %d (%s): candidate still carries a stale len:\n%s", i, op.Name(), got)
+		}
+		if loaded.Serialize() != text {
+			t.Fatalf("step %d (%s): the stale seed was repaired in place", i, op.Name())
+		}
+	}
+}
+
+// fixupAll runs FixupLens over p and returns the resulting text.
+func fixupAll(p *prog.Prog) string {
+	for _, c := range p.Calls {
+		c.FixupLens()
+	}
+	return p.Serialize()
 }
 
 // TestAdmittedSeedOutlivesScratch: a candidate the pool admits keeps

@@ -5,9 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"kernelgpt/internal/fuzz/corpusstore"
+	"kernelgpt/internal/fuzz/seedpool"
+	"kernelgpt/internal/prog"
 	"kernelgpt/internal/vkernel"
 )
 
@@ -220,5 +223,81 @@ func TestRunParallelCheckpointFlushes(t *testing.T) {
 	}
 	if !sawIntermediate {
 		t.Fatal("no intermediate checkpoint flush observed")
+	}
+}
+
+// sharedHub is a HubSync safe for concurrent units that serves the same
+// remote programs on every non-final exchange.
+type sharedHub struct {
+	mu     sync.Mutex
+	remote []seedpool.SeedState
+	syncs  int
+}
+
+func (h *sharedHub) Sync(ctx context.Context, st SyncState) ([]seedpool.SeedState, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.syncs++
+	if st.Final {
+		return nil, nil
+	}
+	return h.remote, nil
+}
+
+// TestFreezeBeforeFanOut: the units of a sharded campaign import,
+// replay and mutate from the same stored and pulled programs at the
+// same time, and a pool freezes what it admits — a write. So the
+// driver freezes both kinds itself, on one goroutine, before any unit
+// sees them. Frozen is visible from outside: a candidate mutated from
+// a frozen seed shares the seed's calls by pointer. The stored snapshot
+// must come out of openStore that way, and so must a pulled program no
+// pool would ever admit and freeze (priority 0) come out of a campaign.
+// Under -race, which is how CI runs this package, a program first
+// frozen by two units' pools at once is also a reported race.
+func TestFreezeBeforeFanOut(t *testing.T) {
+	dir := t.TempDir()
+	tgt := targetFor(t, "dm")
+	f := New(tgt, testKernel)
+	cold := DefaultConfig(2000, 13)
+	cold.CorpusDir = dir
+	if _, err := f.RunContext(context.Background(), cold); err != nil {
+		t.Fatal(err)
+	}
+	g := prog.NewGen(tgt, 1)
+	frozen := func(p *prog.Prog) bool {
+		m, _ := g.MutateOp(p, prog.OpInsert{}, nil)
+		return m.Calls[0] == p.Calls[0]
+	}
+
+	cfg := DefaultConfig(8192, 17)
+	cfg.ShardExecs = 1024
+	cfg.CorpusDir = dir
+	cfg.ReadOnlyCorpus = true
+	_, seeds, err := f.openStore(cfg)
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("openStore: %d seeds, %v", len(seeds), err)
+	}
+	for i, st := range seeds {
+		if !frozen(st.Prog) {
+			t.Fatalf("stored seed %d left openStore unfrozen", i)
+		}
+	}
+
+	hub := &sharedHub{}
+	for i := 0; i < 4; i++ {
+		hub.remote = append(hub.remote, seedpool.SeedState{Prog: g.Generate(4).Detach(), Prio: 100 * i})
+	}
+	cfg.Hub = hub
+	stats, err := f.RunParallel(context.Background(), cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Execs != cfg.Execs || hub.syncs != 9 {
+		t.Fatalf("%d execs, %d syncs; want %d and 9 (8 unit boundaries + final)", stats.Execs, hub.syncs, cfg.Execs)
+	}
+	for i, st := range hub.remote {
+		if !frozen(st.Prog) {
+			t.Fatalf("pulled seed %d (priority %d) reached the units unfrozen", i, st.Prio)
+		}
 	}
 }

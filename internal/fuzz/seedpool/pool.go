@@ -133,7 +133,9 @@ func (p *Pool) Stats() (added, evicted, rejected int) {
 // every offer in a saturated campaign — costs no copy, and the caller
 // may let the Gen overwrite pr either way. A heap-owned program is
 // retained as is, like the ones Import and Reconcile take ownership
-// of.
+// of. What the pool retains it freezes (prog.Prog.Freeze): from then
+// on the program is read-only for everyone, the caller that built it
+// included.
 func (p *Pool) Add(pr *prog.Prog, prio int, op string) bool {
 	if prio <= 0 {
 		return false
@@ -143,13 +145,13 @@ func (p *Pool) Add(pr *prog.Prog, prio int, op string) bool {
 
 // admit runs the admission policy for a fully formed seed (possibly
 // carrying an imported lineage bonus), assigning its seq. The program
-// is detached only once the seed is in.
+// is detached and frozen only once the seed is in.
 func (p *Pool) admit(s Seed) bool {
 	s.seq = p.seq
 	p.seq++
 	w := int64(s.Weight())
 	if len(p.seeds) < p.cap {
-		s.Prog = s.Prog.Detach()
+		s.Prog = retain(s.Prog)
 		p.seeds = append(p.seeds, s)
 		i := len(p.seeds) - 1
 		p.slot[s.seq] = i
@@ -168,13 +170,23 @@ func (p *Pool) admit(s Seed) bool {
 	d := w - int64(p.seeds[0].Weight())
 	p.fenAdd(0, d)
 	p.total += d
-	s.Prog = s.Prog.Detach()
+	s.Prog = retain(s.Prog)
 	p.seeds[0] = s
 	p.slot[s.seq] = 0
 	p.siftDown(0)
 	p.added++
 	p.evicted++
 	return true
+}
+
+// retain returns the program the pool keeps for an admitted offer: its
+// own copy of a scratch candidate, a heap-owned program as is — frozen
+// either way, which is what lets every later mutation share its calls
+// instead of copying them.
+func retain(pr *prog.Prog) *prog.Prog {
+	pr = pr.Detach()
+	pr.Freeze()
+	return pr
 }
 
 // Pick returns a seed chosen with probability proportional to its
@@ -303,7 +315,9 @@ func (p *Pool) Export() []SeedState {
 // that outrank its current victim — and the number admitted is
 // returned. The pool takes ownership of the admitted programs, which
 // are heap-owned (exports, store loads, hub pulls): they are retained
-// as is and must not be mutated afterwards.
+// as is and frozen, and must not be mutated afterwards. Freezing writes
+// to the program once, so a snapshot handed to several pools at a time
+// (a sharded campaign's warm start) is frozen by its owner first.
 func (p *Pool) Import(seeds []SeedState) int {
 	n := 0
 	for _, st := range seeds {

@@ -138,6 +138,92 @@ func (a *arena) appendCall(calls []*Call, c *Call) []*Call {
 	return append(calls, c)
 }
 
+// shallow returns a copy of v the holder of the arena may write: the
+// node, its Fields slice (still pointing at v's children) and its Data.
+func (a *arena) shallow(v *Value) *Value {
+	c := a.node()
+	*c = *v
+	c.Data = a.bytes(len(v.Data))
+	copy(c.Data, v.Data)
+	c.Fields = a.fields(len(v.Fields))
+	copy(c.Fields, v.Fields)
+	return c
+}
+
+// ownLens makes the len members of a struct copy (or, for fields ==
+// c.Sc.Args, the len arguments of a call copy) writable, so FixupLens
+// can follow a size change below it.
+func (a *arena) ownLens(fields []Field, vals []*Value) {
+	for i, f := range fields {
+		if f.Type.Kind == KindLen && i < len(vals) && vals[i] != nil {
+			vals[i] = a.shallow(vals[i])
+		}
+	}
+}
+
+// pathCopy finds target under v and copies the spine from v down to it,
+// each spine struct's len members included. It returns the copy of v
+// and the copy of target (nil, nil when target is not under v);
+// everything off the spine stays shared with v.
+func (a *arena) pathCopy(v, target *Value) (root, hit *Value) {
+	switch {
+	case v == nil:
+		return nil, nil
+	case v == target:
+		root = a.shallow(v)
+		return root, root
+	}
+	if sub, hit := a.pathCopy(v.Ptr, target); hit != nil {
+		root = a.shallow(v)
+		root.Ptr = sub
+		return root, hit
+	}
+	for i, f := range v.Fields {
+		if sub, hit := a.pathCopy(f, target); hit != nil {
+			root = a.shallow(v)
+			root.Fields[i] = sub
+			if v.Type.Kind == KindStruct {
+				a.ownLens(v.Type.Fields, root.Fields)
+			}
+			return root, hit
+		}
+	}
+	return nil, nil
+}
+
+// rebind passes every resource value under v, in walk order, to bind
+// and gives the value the binding it returns. A value whose binding
+// changes is copied along with the spine above it — once, however many
+// bindings change below a node — and the copy of v is returned; v
+// itself when nothing changed. Subtrees that cannot hold a resource
+// are not entered.
+func (a *arena) rebind(v *Value, bind func(*Value) int) *Value {
+	if v == nil || !v.Type.hasRes {
+		return v
+	}
+	c := v
+	if v.Type.Kind == KindResource {
+		if r := bind(v); r != v.ResultOf {
+			c = a.shallow(v)
+			c.ResultOf = r
+		}
+		return c
+	}
+	if sub := a.rebind(v.Ptr, bind); sub != v.Ptr {
+		c = a.shallow(v)
+		c.Ptr = sub
+	}
+	for i, f := range v.Fields {
+		if sub := a.rebind(f, bind); sub != f {
+			if c == v {
+				c = a.shallow(v)
+			}
+			c.Fields[i] = sub
+		}
+	}
+	return c
+}
+
 // cloneValue deep-copies one value tree into the arena.
 func (a *arena) cloneValue(v *Value) *Value {
 	if v == nil {
@@ -155,13 +241,23 @@ func (a *arena) cloneValue(v *Value) *Value {
 	return c
 }
 
-// cloneCall deep-copies one call into the arena.
+// cloneCall deep-copies one call into the arena; the copy is owned,
+// whether or not c is frozen.
 func (a *arena) cloneCall(c *Call) *Call {
 	nc := a.call(c.Sc, len(c.Args))
 	for i, arg := range c.Args {
 		nc.Args[i] = a.cloneValue(arg)
 	}
 	return nc
+}
+
+// share returns what a candidate holds for call c of a seed or donor:
+// c itself when it is frozen, an owned deep copy otherwise.
+func (a *arena) share(c *Call) *Call {
+	if c.lowered != nil {
+		return c
+	}
+	return a.cloneCall(c)
 }
 
 // cloneProg deep-copies p into the arena, leaving room for spare more

@@ -19,12 +19,14 @@ var benchTargets = []struct {
 }
 
 // benchSeeds is a fixed set of heap-owned programs standing in for a
-// seed pool.
+// seed pool: frozen, like everything a pool holds, so the mutation and
+// lowering benchmarks time the shared-call path a campaign runs.
 func benchSeeds(tgt *Target) []*Prog {
 	g := NewGen(tgt, 1)
 	seeds := make([]*Prog, 32)
 	for i := range seeds {
 		seeds[i] = g.Generate(8).Detach()
+		seeds[i].Freeze()
 	}
 	return seeds
 }
@@ -80,6 +82,31 @@ func BenchmarkClone(b *testing.B) {
 		b.Run(bt.name, func(b *testing.B) {
 			seeds := benchSeeds(bt.tgt(b))
 			runBatches(b, func(i int) { benchSink = seeds[i%len(seeds)].Clone() })
+		})
+	}
+}
+
+// BenchmarkFreeze: benchBatch freezes of unfrozen programs — what the
+// seed pool pays per admitted candidate on top of its Clone (the len
+// check, the size walk and one encoding of every pointer payload). The
+// clones are made off the clock.
+func BenchmarkFreeze(b *testing.B) {
+	for _, bt := range benchTargets {
+		b.Run(bt.name, func(b *testing.B) {
+			seeds := benchSeeds(bt.tgt(b))
+			fresh := make([]*Prog, benchBatch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				for i := range fresh {
+					fresh[i] = seeds[i%len(seeds)].Clone()
+				}
+				b.StartTimer()
+				for _, p := range fresh {
+					p.Freeze()
+				}
+			}
 		})
 	}
 }

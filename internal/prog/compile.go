@@ -19,6 +19,7 @@ func Compile(f *syzlang.File, env *syzlang.Env) (*Target, error) {
 		unions:  map[string]*syzlang.UnionDef{},
 		flags:   map[string]*syzlang.FlagsDef{},
 		cache:   map[string]*Type{},
+		open:    map[*Type]bool{},
 	}
 	for _, s := range f.Structs {
 		c.structs[s.Name] = s
@@ -84,7 +85,10 @@ type compiler struct {
 	unions  map[string]*syzlang.UnionDef
 	flags   map[string]*syzlang.FlagsDef
 	cache   map[string]*Type
-	depth   int
+	// open holds the struct and union types whose members are still being
+	// compiled; a reference to one is a recursive type.
+	open  map[*Type]bool
+	depth int
 }
 
 const maxCompileDepth = 40
@@ -166,12 +170,13 @@ func (c *compiler) compileType1(te *syzlang.TypeExpr) (*Type, error) {
 	}
 	// Resource, struct, or union reference.
 	if _, ok := c.target.Resources[te.Ident]; ok {
-		return &Type{Kind: KindResource, Res: te.Ident, Bytes: 4}, nil
+		return &Type{Kind: KindResource, Res: te.Ident, Bytes: 4, hasRes: true}, nil
 	}
-	if key := "s:" + te.Ident; true {
-		if cached, ok := c.cache[key]; ok {
-			return cached, nil
+	if cached, ok := c.cache["s:"+te.Ident]; ok {
+		if c.open[cached] {
+			cached.hasRes = true // its remaining members are not known yet
 		}
+		return cached, nil
 	}
 	if st, ok := c.structs[te.Ident]; ok {
 		return c.compileStruct(st)
@@ -259,7 +264,7 @@ func (c *compiler) compilePtr(te *syzlang.TypeExpr) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Type{Kind: KindPtr, Dir: parseDir(te.Args[0].Type.Ident), Elem: elem}, nil
+	return &Type{Kind: KindPtr, Dir: parseDir(te.Args[0].Type.Ident), Elem: elem, hasRes: elem.hasRes}, nil
 }
 
 func (c *compiler) compileArray(te *syzlang.TypeExpr) (*Type, error) {
@@ -270,7 +275,7 @@ func (c *compiler) compileArray(te *syzlang.TypeExpr) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	ty := &Type{Kind: KindArray, Elem: elem, FixedLen: -1}
+	ty := &Type{Kind: KindArray, Elem: elem, FixedLen: -1, hasRes: elem.hasRes}
 	if len(te.Args) == 2 {
 		a := te.Args[1]
 		switch {
@@ -301,6 +306,8 @@ func (c *compiler) compileStruct(st *syzlang.StructDef) (*Type, error) {
 	key := "s:" + st.Name
 	ty := &Type{Kind: KindStruct, StructName: st.Name}
 	c.cache[key] = ty // pre-register for pointer recursion
+	c.open[ty] = true
+	defer delete(c.open, ty)
 	for _, f := range st.Fields {
 		ft, err := c.compileType(f.Type, f.Attrs)
 		if err != nil {
@@ -308,6 +315,7 @@ func (c *compiler) compileStruct(st *syzlang.StructDef) (*Type, error) {
 			return nil, fmt.Errorf("struct %s field %s: %w", st.Name, f.Name, err)
 		}
 		ty.Fields = append(ty.Fields, Field{Name: f.Name, Type: ft})
+		ty.hasRes = ty.hasRes || ft.hasRes
 	}
 	return ty, nil
 }
@@ -316,6 +324,8 @@ func (c *compiler) compileUnion(u *syzlang.UnionDef) (*Type, error) {
 	key := "s:" + u.Name
 	ty := &Type{Kind: KindUnion, StructName: u.Name}
 	c.cache[key] = ty
+	c.open[ty] = true
+	defer delete(c.open, ty)
 	for _, f := range u.Fields {
 		ft, err := c.compileType(f.Type, f.Attrs)
 		if err != nil {
@@ -323,6 +333,7 @@ func (c *compiler) compileUnion(u *syzlang.UnionDef) (*Type, error) {
 			return nil, fmt.Errorf("union %s field %s: %w", u.Name, f.Name, err)
 		}
 		ty.Fields = append(ty.Fields, Field{Name: f.Name, Type: ft})
+		ty.hasRes = ty.hasRes || ft.hasRes
 	}
 	return ty, nil
 }

@@ -1,5 +1,7 @@
 package prog
 
+import "encoding/binary"
+
 // ExecProg is the compiled, flat form of a Prog: one contiguous
 // instruction array whose argument scalars are pre-evaluated, pointer
 // payloads pre-encoded into a shared byte arena, and resource
@@ -70,7 +72,9 @@ func CompileExec(p *Prog) *ExecProg {
 
 // CompileExecInto lowers p into ep, reusing ep's arenas. Any previous
 // contents (and any executor cache keyed to the previous generation)
-// are invalidated.
+// are invalidated. Only the calls p owns are encoded; a frozen call's
+// pointer payloads are copied from the cache Prog.Freeze built, into
+// ep's own arena like the rest, so ep never refers to p.
 func CompileExecInto(p *Prog, ep *ExecProg) {
 	ep.Calls = ep.Calls[:0]
 	ep.args = ep.args[:0]
@@ -78,6 +82,7 @@ func CompileExecInto(p *Prog, ep *ExecProg) {
 	ep.gen++
 	for _, c := range p.Calls {
 		ec := ExecCall{Sc: c.Sc, argOff: int32(len(ep.args)), pathOff: -1}
+		cached := c.lowered // a frozen call's payloads are copied, not encoded
 		for _, a := range c.Args {
 			ea := ExecArg{Res: -1, blobOff: -1}
 			if a != nil {
@@ -87,7 +92,13 @@ func CompileExecInto(p *Prog, ep *ExecProg) {
 				}
 				if a.Type.Kind == KindPtr && a.Ptr != nil {
 					off := len(ep.blob)
-					ep.blob = a.Ptr.encodeTo(ep.blob)
+					if cached == nil {
+						ep.blob = a.Ptr.encodeTo(ep.blob)
+					} else {
+						n := 4 + binary.LittleEndian.Uint32(cached)
+						ep.blob = append(ep.blob, cached[4:n]...)
+						cached = cached[n:]
+					}
 					ea.blobOff, ea.blobLen = int32(off), int32(len(ep.blob)-off)
 					// The open path is the first non-empty string/buffer
 					// pointee in argument order.

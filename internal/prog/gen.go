@@ -7,8 +7,10 @@ import "math/rand"
 //
 // Every program a Gen returns is scratch: it is built in the Gen's
 // reusable arena and stays valid only until the Gen's next
-// Generate/Mutate/MutateOp, which overwrites it. Keep one with
-// Prog.Detach. A Gen is not safe for concurrent use.
+// Generate/Mutate/MutateOp, which overwrites it; a mutated candidate
+// may also share frozen calls and subtrees with its seed and donor, so
+// it is read-only to the caller. Keep (or edit) one with Prog.Detach. A
+// Gen is not safe for concurrent use.
 type Gen struct {
 	T *Target
 	R *rand.Rand

@@ -53,15 +53,66 @@ func (g *Gen) MutateOp(p *Prog, op Operator, ctx *MutateCtx) (*Prog, Operator) {
 	return g.finishMutation(m, ctx.maxCalls()), applied
 }
 
-// scratchCopy rewinds the arena and copies the seed into it — the
-// candidate every operator then edits in place. A seed that is itself
-// scratch would be overwritten by the rewind, so it is detached first
-// (the one heap copy on this path; pool seeds are heap-owned and take
-// none).
+// scratchCopy rewinds the arena and lays the seed out in it — the
+// candidate every operator then edits. Frozen calls go in by pointer
+// (an operator takes ownership of what it writes, see own); calls of
+// an unfrozen seed are deep-copied, so p is never modified whoever
+// holds it. A seed that is itself scratch would be overwritten by the
+// rewind, so it is detached first (the one heap copy on this path;
+// pool seeds are heap-owned and take none).
 func (g *Gen) scratchCopy(p *Prog) *Prog {
 	p = p.Detach()
 	g.a.reset()
-	return g.a.cloneProg(p, scratchSpare, true)
+	m := g.a.newProg(len(p.Calls)+scratchSpare, true)
+	for _, c := range p.Calls {
+		m.Calls = append(m.Calls, g.a.share(c))
+	}
+	return m
+}
+
+// own makes call ci of the candidate p writable and returns it. A
+// frozen call is replaced, at that position only (the same frozen call
+// may sit at several), by a shell: its own Call, Args slice and len
+// arguments, every other value still shared with the seed. What an
+// operator writes below the shell it owns first, with ownValue or
+// rebind.
+func (g *Gen) own(p *Prog, ci int) *Call {
+	c := p.Calls[ci]
+	if c.lowered == nil {
+		return c
+	}
+	shell := g.a.call(c.Sc, len(c.Args))
+	copy(shell.Args, c.Args)
+	g.a.ownLens(c.Sc.Args, shell.Args)
+	p.Calls[ci] = shell
+	return shell
+}
+
+// ownValue makes value v of call ci writable — the call, then the spine
+// from the argument holding v down to v (arena.pathCopy) — and returns
+// the copy that took v's place. Nothing records which values of an
+// owned call are already copies, so a value is owned again by whoever
+// writes it next; only stacked operators and unfrozen seeds pay twice.
+func (g *Gen) ownValue(p *Prog, ci int, v *Value) *Value {
+	c := g.own(p, ci)
+	for i, arg := range c.Args {
+		if root, hit := g.a.pathCopy(arg, v); hit != nil {
+			c.Args[i] = root
+			return hit
+		}
+	}
+	panic("prog: ownValue of a value outside its call")
+}
+
+// rebind gives every resource value of call ci the binding bind
+// returns for it, owning the call and the spine above a value only
+// when its binding changes (arena.rebind).
+func (g *Gen) rebind(p *Prog, ci int, bind func(*Value) int) {
+	for i, arg := range p.Calls[ci].Args {
+		if sub := g.a.rebind(arg, bind); sub != arg {
+			g.own(p, ci).Args[i] = sub
+		}
+	}
 }
 
 // fallbackMutate guarantees an inapplicable operator draw still
@@ -81,11 +132,14 @@ func (g *Gen) fallbackMutate(m *Prog, ctx *MutateCtx) Operator {
 	return nil
 }
 
-// finishMutation recomputes length fields and regenerates when a
-// mutation emptied the program.
+// finishMutation recomputes the length fields of the calls the
+// mutation owns (a frozen call's are right, or it would not be frozen)
+// and regenerates when a mutation emptied the program.
 func (g *Gen) finishMutation(m *Prog, maxCalls int) *Prog {
 	for _, c := range m.Calls {
-		c.FixupLens()
+		if c.lowered == nil {
+			c.FixupLens()
+		}
 	}
 	if len(m.Calls) == 0 {
 		return g.Generate(maxCalls)
@@ -130,6 +184,11 @@ func (g *Gen) mutateArg(p *Prog) bool {
 		return false
 	}
 	v := mutable[g.R.Intn(len(mutable))]
+	if v.Type.Kind == KindArray {
+		g.mutateArray(p, idx, v)
+		return true
+	}
+	v = g.ownValue(p, idx, v)
 	switch v.Type.Kind {
 	case KindInt, KindConst:
 		switch g.R.Intn(4) {
@@ -148,8 +207,6 @@ func (g *Gen) mutateArg(p *Prog) bool {
 		}
 	case KindString, KindBuffer:
 		v.Data[g.R.Intn(len(v.Data))] = byte(g.R.Intn(256))
-	case KindArray:
-		g.mutateArray(p, idx, v)
 	case KindUnion:
 		v.UnionIdx = g.R.Intn(len(v.Type.Fields))
 		v.Fields = g.a.fields(1)
@@ -162,6 +219,7 @@ func (g *Gen) mutateArg(p *Prog) bool {
 // value v, which lives inside call callIdx (element regeneration must
 // bind resources strictly before that call).
 func (g *Gen) mutateArray(p *Prog, callIdx int, v *Value) {
+	v = g.ownValue(p, callIdx, v)
 	if v.Type.FixedLen >= 0 {
 		// Fixed arrays only mutate elements.
 		if len(v.Fields) > 0 {
@@ -209,15 +267,15 @@ func (g *Gen) removeCall(p *Prog) bool {
 				continue
 			}
 			keep := true
-			p.Calls[ci].ForEachValue(func(v *Value) {
-				if v.Type.Kind != KindResource || v.ResultOf != d {
-					return
+			g.rebind(p, ci, func(v *Value) int {
+				if v.ResultOf != d {
+					return v.ResultOf
 				}
 				if alt := g.findCompatible(p, ci, v.Type.Res, skip); alt >= 0 {
-					v.ResultOf = alt
-				} else {
-					keep = false
+					return alt
 				}
+				keep = false
+				return d
 			})
 			if !keep {
 				dropped[ci] = true
@@ -244,12 +302,14 @@ func (g *Gen) removeCall(p *Prog) bool {
 	}
 	g.indices = remap
 	p.Calls = p.Calls[:n]
-	for _, c := range p.Calls {
-		c.ForEachValue(func(v *Value) {
-			if v.Type.Kind == KindResource && v.ResultOf >= 0 {
-				v.ResultOf = remap[v.ResultOf]
-			}
-		})
+	renumber := func(v *Value) int {
+		if v.ResultOf < 0 {
+			return v.ResultOf
+		}
+		return remap[v.ResultOf]
+	}
+	for ci := range p.Calls {
+		g.rebind(p, ci, renumber)
 	}
 	return true
 }

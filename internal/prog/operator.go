@@ -34,8 +34,18 @@ func (ctx *MutateCtx) maxCalls() int {
 // all randomness from g.R, and reports whether it changed the
 // program. Implementations must keep p valid under p.Validate —
 // resource references only ever point at compatible earlier calls.
-// Apply is invoked by Gen.Mutate/MutateOp on g's scratch copy of the
-// seed; what the built-in operators add to p lives in g's arena too.
+//
+// Apply is invoked by Gen.Mutate/MutateOp on g's scratch candidate. The
+// candidate's Calls slice is the operator's to reorder, truncate and
+// append to, but the calls in it may be frozen calls of the seed,
+// shared by pointer, and an owned call may still share values with
+// one: an operator must own what it writes before it writes it —
+// g.own for Args[i], g.ownValue for a value's Scalar, Data, Fields,
+// UnionIdx or Ptr, g.rebind for ResultOf — and a write without that is
+// a bug that corrupts a pooled seed. Those helpers are unexported: an
+// Operator implemented outside this package can compose the exported
+// operators and edit p.Calls, nothing below. What the built-in
+// operators add to p lives in g's arena too.
 type Operator interface {
 	Name() string
 	Apply(g *Gen, p *Prog, ctx *MutateCtx) bool
@@ -127,7 +137,7 @@ func (OpDuplicate) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 		return false
 	}
 	src := p.Calls[g.R.Intn(len(p.Calls))]
-	p.Calls = g.a.appendCall(p.Calls, g.a.cloneCall(src))
+	p.Calls = g.a.appendCall(p.Calls, g.a.share(src))
 	return true
 }
 
@@ -161,21 +171,19 @@ func (OpSplice) Apply(g *Gen, p *Prog, ctx *MutateCtx) bool {
 	}
 	p.Calls = p.Calls[:j]
 	for di := k; di < len(donor.Calls) && len(p.Calls) < max; di++ {
-		c := g.a.cloneCall(donor.Calls[di])
 		at := len(p.Calls)
-		c.ForEachValue(func(v *Value) {
-			if v.Type.Kind != KindResource || v.ResultOf < 0 {
-				return
-			}
-			if v.ResultOf >= k {
-				v.ResultOf = v.ResultOf - k + j
-				return
+		p.Calls = g.a.appendCall(p.Calls, g.a.share(donor.Calls[di]))
+		g.rebind(p, at, func(v *Value) int {
+			switch {
+			case v.ResultOf < 0:
+				return v.ResultOf
+			case v.ResultOf >= k:
+				return v.ResultOf - k + j
 			}
 			// Reference into the donor's discarded prefix: rewire into
 			// the spliced program or degrade to bad fd.
-			v.ResultOf = g.findCompatible(p, at, v.Type.Res, nil)
+			return g.findCompatible(p, at, v.Type.Res, nil)
 		})
-		p.Calls = g.a.appendCall(p.Calls, c)
 	}
 	return true
 }
@@ -207,7 +215,8 @@ func (OpConstants) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
 	if len(refs) == 0 {
 		return false
 	}
-	v := refs[g.R.Intn(len(refs))].v
+	ref := refs[g.R.Intn(len(refs))]
+	v := g.ownValue(p, ref.call, ref.v)
 	switch {
 	case v.Type.Kind == KindFlags && len(v.Type.Vals) > 0:
 		switch g.R.Intn(3) {
@@ -269,18 +278,17 @@ func (OpShuffle) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
 	}
 	// Remap references through the permutation; any reference the
 	// rotation made forward-pointing is rewired or degraded.
-	for ni, c := range p.Calls {
-		idx := ni
-		c.ForEachValue(func(v *Value) {
-			if v.Type.Kind != KindResource || v.ResultOf < 0 {
-				return
+	for ni := range p.Calls {
+		g.rebind(p, ni, func(v *Value) int {
+			if v.ResultOf < 0 {
+				return v.ResultOf
 			}
 			nr := perm[v.ResultOf]
-			if nr >= idx {
+			if nr >= ni {
 				displaced := nr
-				nr = g.findCompatible(p, idx, v.Type.Res, func(i int) bool { return i == displaced })
+				nr = g.findCompatible(p, ni, v.Type.Res, func(i int) bool { return i == displaced })
 			}
-			v.ResultOf = nr
+			return nr
 		})
 	}
 	return true

@@ -26,13 +26,24 @@ type Value struct {
 	ResultOf int
 }
 
-// Call is one syscall invocation in a program.
+// Call is one syscall invocation in a program. A call is either owned
+// by whoever holds the program, or frozen: read-only, along with every
+// value under it, and shared by pointer between the seed that holds it
+// and the scratch candidates mutated from that seed (see Prog.Freeze).
 type Call struct {
 	Sc   *Syscall
 	Args []*Value
+	// lowered is non-nil exactly on a frozen call and caches what
+	// CompileExecInto needs of it: per non-NULL pointer argument, in
+	// argument order, a 4-byte little-endian length and then exactly the
+	// bytes Ptr.encodeTo appends.
+	lowered []byte
 }
 
-// Prog is a sequence of calls (the fuzzer's unit of execution).
+// Prog is a sequence of calls (the fuzzer's unit of execution). It is
+// heap-owned — its holder's to edit until Freeze, read-only after — or
+// a Gen's scratch candidate, which may share frozen calls with the seed
+// it was mutated from (see the package comment).
 type Prog struct {
 	Calls []*Call
 	// scratch marks a program that lives in a Gen's reusable arena:
@@ -42,8 +53,9 @@ type Prog struct {
 
 // Clone deep-copies the program into one freshly allocated arena
 // (the same allocator a Gen builds candidates in, sized here to fit
-// exactly). The result is heap-owned: ordinary addressable values the
-// caller may keep and mutate freely.
+// exactly). The result is heap-owned and shares nothing with p, frozen
+// calls included: ordinary addressable values the caller may keep and
+// mutate freely.
 func (p *Prog) Clone() *Prog {
 	a := new(arena)
 	a.reserve(p)
@@ -51,15 +63,74 @@ func (p *Prog) Clone() *Prog {
 }
 
 // Detach returns a program the caller may keep: p itself when it is
-// heap-owned, a Clone when it is a Gen's scratch candidate. This is
-// the one ownership rule — whoever retains a candidate past the Gen's
-// next Generate/Mutate/MutateOp detaches it first (the seed pool does
-// so on admission).
+// heap-owned, a Clone when it is a Gen's scratch candidate — which may
+// share frozen calls and subtrees with the seed it was mutated from,
+// all deep-copied here. Whoever retains a candidate past the Gen's next
+// Generate/Mutate/MutateOp detaches it first (the seed pool does so on
+// admission).
 func (p *Prog) Detach() *Prog {
 	if p.scratch {
 		return p.Clone()
 	}
 	return p
+}
+
+// Freeze makes a heap-owned program's calls read-only, so that mutation
+// may share them instead of copying them: Gen.Mutate/MutateOp put a
+// frozen call into the candidate by pointer and copy only what an
+// operator writes, and CompileExecInto copies a frozen call's cached
+// pointer payloads instead of re-encoding them. The cache is one
+// allocation per program. Nothing may write to a frozen call or to any
+// value under it afterwards; Clone gives a mutable copy.
+//
+// The seed pool freezes what it admits and fuzz freezes a loaded store
+// snapshot before handing it to its units. Freeze itself is not safe
+// for concurrent use on one program; once it has returned, any number
+// of goroutines may read, mutate from and lower the program, and
+// freezing it again is a read-only no-op. A call whose len fields are
+// not what FixupLens would make them stays unfrozen and keeps being
+// deep-copied (mutation fixes its lens in the copy), as do all calls of
+// a scratch program.
+func (p *Prog) Freeze() {
+	if p.scratch {
+		return
+	}
+	size, stale := 0, false
+	for _, c := range p.Calls {
+		switch {
+		case c.lowered != nil:
+		case c.fixLens(false):
+			stale = true
+		default:
+			size += c.loweredSize()
+		}
+	}
+	buf := make([]byte, 0, size)
+	for _, c := range p.Calls {
+		if c.lowered != nil || stale && c.fixLens(false) {
+			continue
+		}
+		start := len(buf)
+		for _, a := range c.Args {
+			if a != nil && a.Type.Kind == KindPtr && a.Ptr != nil {
+				at := len(buf)
+				buf = a.Ptr.encodeTo(append(buf, 0, 0, 0, 0))
+				binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+			}
+		}
+		c.lowered = buf[start:len(buf):len(buf)]
+	}
+}
+
+// loweredSize is the size of the payload cache Freeze builds for c.
+func (c *Call) loweredSize() int {
+	size := 0
+	for _, a := range c.Args {
+		if a != nil && a.Type.Kind == KindPtr && a.Ptr != nil {
+			size += 4 + a.Ptr.encodedSize()
+		}
+	}
+	return size
 }
 
 // String renders the program in a syz-prog-like text form.
@@ -114,56 +185,68 @@ func (v *Value) String() string {
 
 // FixupLens computes every KindLen field from its sibling target:
 // element count for arrays, byte size otherwise. It must run after
-// any structural mutation and before encoding.
-func (c *Call) FixupLens() {
-	for i, f := range c.Sc.Args {
-		if f.Type.Kind != KindLen || i >= len(c.Args) {
-			continue
-		}
-		for j, g := range c.Sc.Args {
-			if g.Name == f.Type.LenTarget && j < len(c.Args) {
-				c.Args[i].Scalar = measure(c.Args[j], f.Type.InBytes)
-			}
-		}
+// any structural mutation and before encoding. Only a len field whose
+// value changes is written, so a call that shares subtrees with a
+// frozen seed may be fixed up as long as it owns every len a mutation
+// can have moved (see Gen.own and arena.pathCopy).
+func (c *Call) FixupLens() { c.fixLens(true) }
+
+// fixLens is FixupLens when write is set; otherwise it writes nothing
+// and reports whether FixupLens would.
+func (c *Call) fixLens(write bool) (stale bool) {
+	if fixLenGroup(c.Sc.Args, c.Args, write) {
+		return true
 	}
 	for _, a := range c.Args {
-		a.fixupLensRec()
+		if a.fixupLensRec(write) {
+			return true
+		}
 	}
+	return false
 }
 
-func (v *Value) fixupLensRec() {
+func (v *Value) fixupLensRec(write bool) (stale bool) {
 	if v == nil {
-		return
+		return false
 	}
 	switch v.Type.Kind {
 	case KindPtr:
-		if v.Ptr != nil {
-			v.Ptr.fixupLensRec()
-		}
+		return v.Ptr.fixupLensRec(write)
 	case KindStruct:
-		fixupValueGroup(v.Type, v.Fields)
-		for _, f := range v.Fields {
-			f.fixupLensRec()
+		if fixLenGroup(v.Type.Fields, v.Fields, write) {
+			return true
 		}
+		fallthrough
 	case KindUnion, KindArray:
 		for _, f := range v.Fields {
-			f.fixupLensRec()
-		}
-	}
-}
-
-// fixupValueGroup resolves len fields within one struct instance.
-func fixupValueGroup(st *Type, fields []*Value) {
-	for i, f := range st.Fields {
-		if f.Type.Kind != KindLen || i >= len(fields) {
-			continue
-		}
-		for j, g := range st.Fields {
-			if g.Name == f.Type.LenTarget && j < len(fields) {
-				fields[i].Scalar = measure(fields[j], f.Type.InBytes)
+			if f.fixupLensRec(write) {
+				return true
 			}
 		}
 	}
+	return false
+}
+
+// fixLenGroup resolves the len fields among one argument list or one
+// struct instance.
+func fixLenGroup(fields []Field, vals []*Value, write bool) (stale bool) {
+	for i, f := range fields {
+		if f.Type.Kind != KindLen || i >= len(vals) {
+			continue
+		}
+		for j, g := range fields {
+			if g.Name != f.Type.LenTarget || j >= len(vals) {
+				continue
+			}
+			if n := measure(vals[j], f.Type.InBytes); vals[i].Scalar != n {
+				if !write {
+					return true
+				}
+				vals[i].Scalar = n
+			}
+		}
+	}
+	return false
 }
 
 // measure computes the len semantics for a target value: element

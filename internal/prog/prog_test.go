@@ -154,7 +154,7 @@ func TestEncodeStructLayout(t *testing.T) {
 			mk(st.Fields[5].Type.Elem, 0xdead), mk(st.Fields[5].Type.Elem, 0xbeef),
 		}},
 	}
-	fixupValueGroup(st, v.Fields)
+	fixLenGroup(st.Fields, v.Fields, true)
 	if v.Fields[1].Scalar != 2 {
 		t.Fatalf("len fixup = %d, want 2 (elements)", v.Fields[1].Scalar)
 	}
@@ -179,27 +179,47 @@ func TestEncodeStructLayout(t *testing.T) {
 	}
 }
 
+// TestArgLevelLenFixup: a len argument follows its sibling pointer
+// argument's pointee — through generation, through a resize of the
+// pointee (FixupLens writes only what changed, so the write must still
+// happen), and down to zero for a NULL pointer.
 func TestArgLevelLenFixup(t *testing.T) {
 	tgt := testTarget(t)
 	g := NewGen(tgt, 3)
-	for i := 0; i < 100; i++ {
-		p := g.Generate(4)
-		for _, c := range p.Calls {
-			if c.Sc.Name != "setsockopt$opt" {
-				continue
+	sawNull, sawPointee := false, false
+	for i := 0; i < 200; i++ {
+		p := g.Generate(1)
+		c := p.Calls[g.appendCall(p, tgt.ByName["setsockopt$opt"], 0)]
+		optval, optlen := c.Args[3], c.Args[4]
+		if optval.Ptr == nil {
+			sawNull = true
+			if optlen.Scalar != 0 {
+				t.Fatalf("optlen = %d for a generated NULL optval, want 0", optlen.Scalar)
 			}
-			optval, optlen := c.Args[3], c.Args[4]
-			if optval.Ptr == nil {
-				continue
-			}
-			want := uint64(len(optval.Ptr.Encode()))
-			if optlen.Scalar != want {
-				t.Fatalf("optlen = %d, want %d", optlen.Scalar, want)
-			}
-			return
+			continue
+		}
+		sawPointee = true
+		if want := uint64(len(optval.Ptr.Encode())); optlen.Scalar != want {
+			t.Fatalf("optlen = %d, want %d", optlen.Scalar, want)
+		}
+		entries := optval.Ptr.Fields[5]
+		entries.Fields = append(entries.Fields, &Value{Type: entries.Type.Elem, ResultOf: -1})
+		c.FixupLens()
+		if want := uint64(len(optval.Ptr.Encode())); optlen.Scalar != want {
+			t.Fatalf("optlen = %d after growing the pointee, want %d", optlen.Scalar, want)
+		}
+		if count := optval.Ptr.Fields[1].Scalar; count != uint64(len(entries.Fields)) {
+			t.Fatalf("count = %d after growing entries to %d", count, len(entries.Fields))
+		}
+		optval.Ptr = nil
+		c.FixupLens()
+		if optlen.Scalar != 0 {
+			t.Fatalf("optlen = %d after NULLing optval, want 0", optlen.Scalar)
 		}
 	}
-	t.Skip("setsockopt never generated (seed-dependent)")
+	if !sawNull || !sawPointee {
+		t.Fatalf("generated NULL optval: %v, non-NULL: %v — want both", sawNull, sawPointee)
+	}
 }
 
 func TestMutatePreservesValidity(t *testing.T) {

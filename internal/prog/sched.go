@@ -24,6 +24,9 @@ type Scheduler struct {
 	rewards []float64
 	// sinceDecay counts rewards since the last halving.
 	sinceDecay int
+	// wbuf is what weights fills and returns: valid until the next
+	// Pick or Snapshot, never handed to a caller.
+	wbuf []float64
 }
 
 // Bandit constants: the smoothing prior (a cold operator is assumed
@@ -58,6 +61,7 @@ func newScheduler(adaptive bool, ops []Operator) *Scheduler {
 		picks:    make([]int, len(ops)),
 		trials:   make([]float64, len(ops)),
 		rewards:  make([]float64, len(ops)),
+		wbuf:     make([]float64, len(ops)),
 	}
 }
 
@@ -85,9 +89,10 @@ func (s *Scheduler) Pick(r *rand.Rand) int {
 	return idx
 }
 
-// weights returns the unnormalized selection weights and their sum.
+// weights returns the unnormalized selection weights, in s.wbuf, and
+// their sum.
 func (s *Scheduler) weights() ([]float64, float64) {
-	weights := make([]float64, len(s.ops))
+	weights := s.wbuf
 	var yieldSum float64
 	for i := range s.ops {
 		weights[i] = (s.rewards[i] + schedPriorReward) / (s.trials[i] + schedPriorTrials)

@@ -7,6 +7,21 @@
 // fields at its ground-truth offsets, so a generator with the wrong
 // struct layout feeds the kernel garbage field values and almost
 // never satisfies deep-path conditions.
+//
+// One ownership rule covers every program: seed parts are read-only,
+// scratch parts are yours. A heap-owned program (Clone, Detach,
+// Deserialize, a literal) belongs to whoever holds it until it is
+// frozen (Prog.Freeze — the seed pool does it on admission); from then
+// on its calls and every value under them are read-only for everyone.
+// A Gen builds each candidate in its scratch arena: frozen calls of the
+// seed and of a splice donor go in by pointer, and an operator copies
+// into the arena exactly what it is about to write — the call's shell,
+// then the spine from an argument down to the value — so a mutation
+// costs what it changes, not what the seed weighs. FixupLens and
+// CompileExecInto follow the same line: only owned calls are fixed up
+// and encoded, a frozen call's payload bytes are copied from the cache
+// Freeze built. Whoever keeps a candidate detaches it (a deep copy that
+// shares nothing).
 package prog
 
 import "fmt"
@@ -71,6 +86,11 @@ type Type struct {
 	Fields     []Field
 	// Out marks kernel-written struct fields.
 	Out bool
+	// hasRes is set by Compile when a value of this type can hold a
+	// resource value — is one, points at one, or has one among its
+	// elements or members (a recursive struct is assumed to). Walks that
+	// only care about resource bindings skip everything else.
+	hasRes bool
 }
 
 // Field is a named member of a struct, union, or argument list.
