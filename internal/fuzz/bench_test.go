@@ -2,9 +2,11 @@ package fuzz
 
 import (
 	"context"
+	"sort"
 	"testing"
 
 	"kernelgpt/internal/corpus"
+	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
 	"kernelgpt/internal/syzlang"
 	"kernelgpt/internal/telemetry"
@@ -63,6 +65,43 @@ func BenchmarkCampaignNoTriage(b *testing.B) {
 		cfg.Seed = int64(i)
 		f.Run(cfg)
 	}
+}
+
+// BenchmarkMinimize/deep times triage alone: one op minimizes, on one
+// reused VM, every raw crash repro a 6000-exec campaign on the deep
+// target finds (the campaign and one warm-up pass run off the clock).
+func BenchmarkMinimize(b *testing.B) {
+	b.Run("deep", func(b *testing.B) {
+		tgt := benchTarget(b)
+		cfg := DefaultConfig(6000, 3)
+		cfg.NoTriage = true
+		crashes := New(tgt, testKernel).Run(cfg).Crashes
+		titles := make([]string, 0, len(crashes))
+		for title := range crashes {
+			titles = append(titles, title)
+		}
+		sort.Strings(titles)
+		repros := make([]*prog.Prog, len(titles))
+		for i, title := range titles {
+			p, err := prog.Deserialize(tgt, crashes[title].Repro)
+			if err != nil {
+				b.Fatal(err)
+			}
+			repros[i] = p
+		}
+		vm := testKernel.NewVM()
+		minimizeAll := func() {
+			for i, p := range repros {
+				seedpool.Minimize(vm, p, titles[i])
+			}
+		}
+		minimizeAll() // the VM's buffers reach their steady size
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			minimizeAll()
+		}
+	})
 }
 
 // BenchmarkCampaignAdaptive measures the scheduler-driven loop on the

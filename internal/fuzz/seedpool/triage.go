@@ -61,11 +61,11 @@ func removeOneCall(x vkernel.Executor, p *prog.Prog, title string) (*prog.Prog, 
 
 // withoutCall clones p minus call #drop, rebinding resource indices.
 // Returns false when a later call references the dropped result (the
-// dependency makes the removal structurally invalid).
+// dependency makes the removal structurally invalid); that is checked
+// on p itself, so an illegal trial costs no clone.
 func withoutCall(p *prog.Prog, drop int) (*prog.Prog, bool) {
-	c := p.Clone()
 	referenced := false
-	for i, call := range c.Calls {
+	for i, call := range p.Calls {
 		if i == drop {
 			continue
 		}
@@ -78,6 +78,7 @@ func withoutCall(p *prog.Prog, drop int) (*prog.Prog, bool) {
 	if referenced {
 		return nil, false
 	}
+	c := p.Clone()
 	c.Calls = append(c.Calls[:drop], c.Calls[drop+1:]...)
 	for _, call := range c.Calls {
 		call.ForEachValue(func(v *prog.Value) {

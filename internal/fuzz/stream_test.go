@@ -20,6 +20,9 @@ type streamRecorder struct {
 	sum   [sha256.Size]byte
 	steps int
 	marks []string
+	// dmIoctls counts the dm_ioctl payloads (257 int8s in byte runs) the
+	// recorded candidates carry.
+	dmIoctls int
 }
 
 const streamMarkEvery = 250
@@ -29,6 +32,13 @@ func (r *streamRecorder) Run(p *prog.Prog) *vkernel.Result {
 	h.Write(r.sum[:])
 	h.Write([]byte(p.Serialize()))
 	h.Sum(r.sum[:0])
+	for _, c := range p.Calls {
+		for _, a := range c.Args {
+			if a.Type.Kind == prog.KindPtr && a.Ptr != nil && a.Ptr.Type.StructName == "dm_ioctl" {
+				r.dmIoctls++
+			}
+		}
+	}
 	r.steps++
 	if r.steps%streamMarkEvery == 0 {
 		r.marks = append(r.marks, fmt.Sprintf("step=%d sha256=%x", r.steps, r.sum))
@@ -57,6 +67,9 @@ func TestCandidateStreamContract(t *testing.T) {
 		st := f.Run(cfg)
 		if rec.steps != 2000 {
 			t.Fatalf("seed %d: recorded %d candidates, want 2000", seed, rec.steps)
+		}
+		if rec.dmIoctls == 0 {
+			t.Fatalf("seed %d: no candidate carried a dm_ioctl, so the contract does not cover scalar runs", seed)
 		}
 		for _, m := range rec.marks {
 			fmt.Fprintf(&got, "seed=%d %s\n", seed, m)

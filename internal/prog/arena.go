@@ -198,7 +198,7 @@ func (a *arena) pathCopy(v, target *Value) (root, hit *Value) {
 // itself when nothing changed. Subtrees that cannot hold a resource
 // are not entered.
 func (a *arena) rebind(v *Value, bind func(*Value) int) *Value {
-	if v == nil || !v.Type.hasRes {
+	if v == nil || !v.Type.holds.has(KindResource) {
 		return v
 	}
 	c := v

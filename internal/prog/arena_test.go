@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"bytes"
 	"testing"
 
 	"kernelgpt/internal/corpus"
@@ -153,6 +154,76 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 			nullPtrs, padded, padUnions, nested)
 	}
 	t.Logf("%d values; kinds %v", values, kinds)
+}
+
+// byteRunSpec holds arrays of every 1-byte scalar element kind
+// encodeTo writes as a byte run, beside a 2-byte one it must not.
+const byteRunSpec = `
+resource fd_b[fd]
+
+openat$b(fd const[AT_FDCWD], file ptr[in, string["/dev/b"]], flags const[O_RDWR], mode const[0]) fd_b
+ioctl$B(fd fd_b, cmd const[1], arg ptr[in, byte_runs])
+
+byte_flags = 1, 2, 128, 255, 256
+
+byte_runs {
+	ints	array[int8]
+	fixed	array[int8, 5]
+	ranged	array[int8[3:9]]
+	consts	array[const[0xab, int8]]
+	flags	array[flags[byte_flags, int8]]
+	n	len[wide, int8]
+	wide	array[int16]
+}
+`
+
+// TestByteRunEncodeMatchesElements: an array of 1-byte int, const or
+// flags elements encodes, through encodeTo's byte run, to exactly what
+// encoding its elements one by one gives — the low byte of each
+// Scalar, whatever the element holds (a mutated int8 may hold 0x1ff).
+func TestByteRunEncodeMatchesElements(t *testing.T) {
+	f, errs := syzlang.Parse(byteRunSpec)
+	if len(errs) > 0 {
+		t.Fatalf("parse: %v", errs)
+	}
+	env := syzlang.NewEnv(map[string]uint64{"AT_FDCWD": 0xffffff9c, "O_RDWR": 2})
+	if verrs := syzlang.Validate(f, env); len(verrs) > 0 {
+		t.Fatalf("validate: %v", verrs)
+	}
+	tgt, err := Compile(f, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[TypeKind]int{}
+	g := NewGen(tgt, 11)
+	for i := 0; i < 300; i++ {
+		p := g.Generate(4)
+		if i%2 == 1 {
+			p, _ = g.MutateOp(p, OpConstants{}, nil)
+		}
+		for _, c := range p.Calls {
+			c.ForEachValue(func(v *Value) {
+				if v.Type.Kind != KindArray || len(v.Fields) == 0 {
+					return
+				}
+				var want []byte
+				for _, e := range v.Fields {
+					want = e.encodeTo(want)
+				}
+				if got := v.Encode(); !bytes.Equal(got, want) {
+					t.Fatalf("array of %v encodes to %x, its elements to %x", v.Type.Elem, got, want)
+				}
+				if v.Type.Elem.Bytes == 1 {
+					runs[v.Type.Elem.Kind]++
+				}
+			})
+		}
+	}
+	for _, k := range []TypeKind{KindInt, KindConst, KindFlags} {
+		if runs[k] == 0 {
+			t.Errorf("no non-empty byte run of kind %d encoded", k)
+		}
+	}
 }
 
 // TestDetachOwnership pins the ownership rule: a heap-owned program

@@ -106,6 +106,7 @@ func (c *compiler) compileType(te *syzlang.TypeExpr, attrs []string) (*Type, err
 	if err != nil {
 		return nil, err
 	}
+	ty.holds |= ty.Kind.set() // on top of what compileType1 collected below it
 	for _, a := range attrs {
 		if a == "out" {
 			ty.Out = true
@@ -170,11 +171,11 @@ func (c *compiler) compileType1(te *syzlang.TypeExpr) (*Type, error) {
 	}
 	// Resource, struct, or union reference.
 	if _, ok := c.target.Resources[te.Ident]; ok {
-		return &Type{Kind: KindResource, Res: te.Ident, Bytes: 4, hasRes: true}, nil
+		return &Type{Kind: KindResource, Res: te.Ident, Bytes: 4}, nil
 	}
 	if cached, ok := c.cache["s:"+te.Ident]; ok {
 		if c.open[cached] {
-			cached.hasRes = true // its remaining members are not known yet
+			cached.holds = allKinds // its remaining members are not known yet
 		}
 		return cached, nil
 	}
@@ -264,7 +265,7 @@ func (c *compiler) compilePtr(te *syzlang.TypeExpr) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Type{Kind: KindPtr, Dir: parseDir(te.Args[0].Type.Ident), Elem: elem, hasRes: elem.hasRes}, nil
+	return &Type{Kind: KindPtr, Dir: parseDir(te.Args[0].Type.Ident), Elem: elem, holds: elem.holds}, nil
 }
 
 func (c *compiler) compileArray(te *syzlang.TypeExpr) (*Type, error) {
@@ -275,7 +276,7 @@ func (c *compiler) compileArray(te *syzlang.TypeExpr) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	ty := &Type{Kind: KindArray, Elem: elem, FixedLen: -1, hasRes: elem.hasRes}
+	ty := &Type{Kind: KindArray, Elem: elem, FixedLen: -1, holds: elem.holds}
 	if len(te.Args) == 2 {
 		a := te.Args[1]
 		switch {
@@ -315,7 +316,7 @@ func (c *compiler) compileStruct(st *syzlang.StructDef) (*Type, error) {
 			return nil, fmt.Errorf("struct %s field %s: %w", st.Name, f.Name, err)
 		}
 		ty.Fields = append(ty.Fields, Field{Name: f.Name, Type: ft})
-		ty.hasRes = ty.hasRes || ft.hasRes
+		ty.holds |= ft.holds
 	}
 	return ty, nil
 }
@@ -333,7 +334,7 @@ func (c *compiler) compileUnion(u *syzlang.UnionDef) (*Type, error) {
 			return nil, fmt.Errorf("union %s field %s: %w", u.Name, f.Name, err)
 		}
 		ty.Fields = append(ty.Fields, Field{Name: f.Name, Type: ft})
-		ty.hasRes = ty.hasRes || ft.hasRes
+		ty.holds |= ft.holds
 	}
 	return ty, nil
 }

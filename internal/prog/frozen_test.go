@@ -205,38 +205,42 @@ func TestFreezeLeavesStaleLensAlone(t *testing.T) {
 	t.Fatal("no generated program had a len field and two calls")
 }
 
-// TestHasResMatchesWalk: the per-type "can hold a resource" bit that
-// prunes rebinding walks must be set on every type under which a full
-// walk finds a resource value.
-func TestHasResMatchesWalk(t *testing.T) {
-	for _, tgt := range []*Target{deepTarget(t), plumbedTarget(t), testTarget(t), resTarget(t)} {
+// TestHoldsMatchesWalk: the per-type kind set that prunes the len,
+// rebinding and mutation-site walks must contain every kind a full walk
+// finds under a value of that type, for generated and mutated values;
+// and every kind must turn up somewhere, so no bit goes unchecked.
+func TestHoldsMatchesWalk(t *testing.T) {
+	var seen kindSet
+	for _, tgt := range []*Target{deepTarget(t), plumbedTarget(t), testTarget(t), resTarget(t), shapeTarget(t)} {
 		g := NewGen(tgt, 6)
-		resources := 0
-		var holds func(v *Value) bool
-		holds = func(v *Value) bool {
+		ops := DefaultOperators()
+		var found func(v *Value) kindSet
+		found = func(v *Value) kindSet {
 			if v == nil {
-				return false
+				return 0
 			}
-			found := v.Type.Kind == KindResource || holds(v.Ptr)
+			under := v.Type.Kind.set() | found(v.Ptr)
 			for _, f := range v.Fields {
-				found = holds(f) || found
+				under |= found(f)
 			}
-			if found && !v.Type.hasRes {
-				t.Fatalf("%v holds a resource value but its type's hasRes is unset", v.Type)
+			if missing := under &^ v.Type.holds; missing != 0 {
+				t.Fatalf("%v holds kinds %b that its type's holds %b lacks", v.Type, missing, v.Type.holds)
 			}
-			return found
+			return under
 		}
-		for i := 0; i < 100; i++ {
-			for _, c := range g.Generate(8).Calls {
+		for i := 0; i < 200; i++ {
+			p := g.Generate(8)
+			if i%2 == 1 {
+				p, _ = g.MutateOp(p, ops[i%len(ops)], nil)
+			}
+			for _, c := range p.Calls {
 				for _, a := range c.Args {
-					if holds(a) {
-						resources++
-					}
+					seen |= found(a)
 				}
 			}
 		}
-		if resources == 0 {
-			t.Fatal("no resource value generated")
-		}
+	}
+	if seen != allKinds {
+		t.Fatalf("walks found kinds %b, want every kind %b", seen, allKinds)
 	}
 }

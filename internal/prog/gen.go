@@ -3,7 +3,10 @@ package prog
 import "math/rand"
 
 // Gen generates and mutates programs for a Target. All randomness
-// flows through the seeded source, so campaigns are reproducible.
+// flows through one seeded stream, so campaigns are reproducible: the
+// Gen draws from its source directly, and a caller that picks seeds or
+// operators for it (fuzz, seedpool.PickRef, Scheduler.Pick) draws from
+// the same source through R.
 //
 // Every program a Gen returns is scratch: it is built in the Gen's
 // reusable arena and stays valid only until the Gen's next
@@ -13,6 +16,10 @@ import "math/rand"
 // Gen is not safe for concurrent use.
 type Gen struct {
 	T *Target
+	// R is a rand.Rand over the Gen's own source, so every draw through
+	// it advances the stream generation draws from. It must not be
+	// replaced: a replacement would split the stream in two, and the
+	// Gen's own draws would not see it. Build a NewGen per seed instead.
 	R *rand.Rand
 	// Enabled restricts generation to a syscall subset; nil enables
 	// all.
@@ -30,6 +37,9 @@ type Gen struct {
 	resLimited bool
 	resLimit   int
 
+	// src is the stream behind R; generation's per-value draws take it
+	// directly (source's folded draws), without R's interface call.
+	src *source
 	// a is the scratch arena candidates are built in; it is rewound at
 	// the top of Generate, Mutate and MutateOp.
 	a arena
@@ -51,7 +61,8 @@ type Gen struct {
 
 // NewGen returns a generator with the given seed.
 func NewGen(t *Target, seed int64) *Gen {
-	return &Gen{T: t, R: rand.New(rand.NewSource(seed))}
+	src := newSource(seed)
+	return &Gen{T: t, R: rand.New(src), src: src}
 }
 
 // enabledSyscalls returns the usable syscall set.
@@ -197,8 +208,18 @@ func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
 			}
 		}
 		v.Fields = g.a.fields(count)
-		for i := range v.Fields {
-			v.Fields[i] = g.genValue(p, ty.Elem, depth)
+		if elem := ty.Elem; elem.Kind == KindInt {
+			// A scalar run (dm_ioctl's 257 int8s): what genValue would do
+			// per element, without going through it.
+			for i := range v.Fields {
+				e := g.a.node()
+				*e = Value{Type: elem, Scalar: g.genInt(elem), ResultOf: -1}
+				v.Fields[i] = e
+			}
+		} else {
+			for i := range v.Fields {
+				v.Fields[i] = g.genValue(p, elem, depth)
+			}
 		}
 	case KindStruct:
 		v.Fields = g.a.fields(len(ty.Fields))
@@ -226,28 +247,28 @@ func (g *Gen) genInt(ty *Type) uint64 {
 		}
 		return uint64(ty.Min + g.R.Int63n(span))
 	}
-	switch g.R.Intn(10) {
+	switch g.src.intn10() {
 	case 0:
 		return 0
 	case 1:
 		return 1
 	case 2:
-		return uint64(g.R.Intn(8))
+		return uint64(g.src.intn8())
 	case 3:
 		return 0xffffffff
 	case 4:
 		return 0xffffffffffffffff
 	case 5:
-		return 1 << uint(g.R.Intn(32))
+		return 1 << uint(g.src.intn32())
 	default:
-		return g.R.Uint64() >> uint(g.R.Intn(33))
+		return g.src.Uint64() >> uint(g.src.intn33())
 	}
 }
 
 func (g *Gen) randBytes(n int) []byte {
 	b := g.a.bytes(n)
 	for i := range b {
-		b[i] = byte(g.R.Intn(256))
+		b[i] = byte(g.src.intn256())
 	}
 	return b
 }

@@ -85,7 +85,6 @@ func TestMutationsKeepProgramsValid(t *testing.T) {
 // exists rather than dropped or left dangling.
 func TestRemoveCallRewiresDependents(t *testing.T) {
 	tgt := resTarget(t)
-	g := NewGen(tgt, 7)
 	open := tgt.ByName["openat$dev"]
 	use := tgt.ByName["ioctl$PICK"]
 	mk := func() *Prog {
@@ -106,7 +105,7 @@ func TestRemoveCallRewiresDependents(t *testing.T) {
 	}
 	sawRewire := false
 	for seed := int64(0); seed < 64; seed++ {
-		g.R = rand.New(rand.NewSource(seed))
+		g := NewGen(tgt, seed)
 		p := mk()
 		if !g.removeCall(p) {
 			t.Fatalf("seed %d: removal refused", seed)

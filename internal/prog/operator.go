@@ -85,7 +85,7 @@ func (OpArray) Name() string { return "array" }
 
 // Apply implements Operator.
 func (OpArray) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
-	refs := g.collectValues(p, func(v *Value) bool { return v.Type.Kind == KindArray })
+	refs := g.collectValues(p, KindArray.set())
 	if len(refs) == 0 {
 		return false
 	}
@@ -209,9 +209,7 @@ func (OpConstants) Name() string { return "constants" }
 
 // Apply implements Operator.
 func (OpConstants) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
-	refs := g.collectValues(p, func(v *Value) bool {
-		return v.Type.Kind == KindInt || v.Type.Kind == KindFlags
-	})
+	refs := g.collectValues(p, KindInt.set()|KindFlags.set())
 	if len(refs) == 0 {
 		return false
 	}
@@ -300,19 +298,36 @@ type valueRef struct {
 	v    *Value
 }
 
-// collectValues gathers every value matching pred, tagged with its
-// call index (mutation sites need the index to bound resource
-// binding).
-func (g *Gen) collectValues(p *Prog, pred func(*Value) bool) []valueRef {
+// collectValues gathers every value of a kind in want, in walk order,
+// tagged with its call index (mutation sites need the index to bound
+// resource binding).
+func (g *Gen) collectValues(p *Prog, want kindSet) []valueRef {
 	out := g.refs[:0]
 	for i, c := range p.Calls {
-		c.ForEachValue(func(v *Value) {
-			if pred(v) {
-				out = append(out, valueRef{call: i, v: v})
-			}
-		})
+		for _, a := range c.Args {
+			out = collect(out, i, a, want)
+		}
 	}
 	g.refs = out
+	return out
+}
+
+// collect appends v and the values under v whose kind is in want; a
+// subtree that holds none of them is not entered.
+func collect(out []valueRef, call int, v *Value, want kindSet) []valueRef {
+	if v == nil || v.Type.holds&want == 0 {
+		return out
+	}
+	if want.has(v.Type.Kind) {
+		out = append(out, valueRef{call: call, v: v})
+	}
+	if v.Type.Kind == KindArray && v.Type.Elem.holds&want == 0 {
+		return out // not one element is wanted: OpArray meeting dm_ioctl's int8s
+	}
+	out = collect(out, call, v.Ptr, want)
+	for _, f := range v.Fields {
+		out = collect(out, call, f, want)
+	}
 	return out
 }
 

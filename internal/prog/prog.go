@@ -3,6 +3,7 @@ package prog
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -205,8 +206,10 @@ func (c *Call) fixLens(write bool) (stale bool) {
 	return false
 }
 
+// fixupLensRec fixes the len fields under v; a subtree that cannot hold
+// one is not entered.
 func (v *Value) fixupLensRec(write bool) (stale bool) {
-	if v == nil {
+	if v == nil || !v.Type.holds.has(KindLen) {
 		return false
 	}
 	switch v.Type.Kind {
@@ -360,6 +363,16 @@ func (v *Value) encodeTo(buf []byte) []byte {
 		var tmp [8]byte
 		return append(buf, tmp[:]...)
 	case KindArray:
+		if e := v.Type.Elem; e != nil && e.Bytes == 1 {
+			// A byte run (dm_ioctl's name and uuid): Bytes is set on
+			// scalar types only, and an element, which has the array's
+			// element type, encodes as the low byte of its Scalar.
+			buf = slices.Grow(buf, len(v.Fields))
+			for _, f := range v.Fields {
+				buf = append(buf, byte(f.Scalar))
+			}
+			return buf
+		}
 		for _, f := range v.Fields {
 			buf = f.encodeTo(buf)
 		}

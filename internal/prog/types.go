@@ -22,6 +22,16 @@
 // and encoded, a frozen call's payload bytes are copied from the cache
 // Freeze built. Whoever keeps a candidate detaches it (a deep copy that
 // shares nothing).
+//
+// One random stream feeds a Gen and whoever drives it. NewGen(t, seed)
+// builds a source that continues rand.NewSource(seed)'s stream exactly;
+// generation takes its per-value draws from that source directly, with
+// the constant-bound Intn draws folded to a mask or a multiply, and
+// Gen.R is a rand.Rand over the same source, through which the Gen's
+// other draws and its callers' (fuzz's seed and operator picks,
+// seedpool.PickRef, Scheduler.Pick) advance the same state. So every
+// candidate is what math/rand would have drawn, and a campaign replays
+// from its seed.
 package prog
 
 import "fmt"
@@ -86,12 +96,27 @@ type Type struct {
 	Fields     []Field
 	// Out marks kernel-written struct fields.
 	Out bool
-	// hasRes is set by Compile when a value of this type can hold a
-	// resource value — is one, points at one, or has one among its
-	// elements or members (a recursive struct is assumed to). Walks that
-	// only care about resource bindings skip everything else.
-	hasRes bool
+	// holds is set by Compile to the kinds a value of this type can hold:
+	// its own, and those of whatever it points at or has among its
+	// elements, members or union options (a recursive struct is assumed
+	// to hold every kind). A walk that looks for some kinds — len fields
+	// (FixupLens), resources (rebinding), scalars or arrays (mutation
+	// sites) — skips a subtree that holds none of them. A Type built by
+	// hand holds nothing, so such walks do not enter it.
+	holds kindSet
 }
+
+// kindSet is a set of TypeKinds, bit k standing for kind k.
+type kindSet uint16
+
+// allKinds is what a recursive type is assumed to hold.
+const allKinds kindSet = 1<<(KindBuffer+1) - 1
+
+// set returns the set holding just k.
+func (k TypeKind) set() kindSet { return 1 << k }
+
+// has reports whether k is in s.
+func (s kindSet) has(k TypeKind) bool { return s&k.set() != 0 }
 
 // Field is a named member of a struct, union, or argument list.
 type Field struct {
