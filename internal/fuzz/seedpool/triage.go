@@ -95,6 +95,10 @@ func withoutCall(p *prog.Prog, drop int) (*prog.Prog, bool) {
 func simplifyPayloads(x vkernel.Executor, p *prog.Prog, title string) {
 	for _, call := range p.Calls {
 		call.ForEachValue(func(v *prog.Value) {
+			if v.Type.Kind == prog.KindArray && v.Type.Elem.Kind == prog.KindInt {
+				simplifyRun(x, p, call, v, title)
+				return
+			}
 			switch v.Type.Kind {
 			case prog.KindInt, prog.KindFlags:
 				if v.Scalar == 0 {
@@ -134,5 +138,34 @@ func simplifyPayloads(x vkernel.Executor, p *prog.Prog, title string) {
 				}
 			}
 		})
+	}
+}
+
+// simplifyRun is simplifyPayloads on a run of ints, whose elements the
+// walk does not visit: shrink it if it is variable, then zero its
+// elements one at a time — the order the walk took when every element
+// was a value of its own.
+func simplifyRun(x vkernel.Executor, p *prog.Prog, call *prog.Call, v *prog.Value, title string) {
+	for v.Type.FixedLen < 0 && v.RunLen() > 0 {
+		saved := *v
+		v.TruncateRun(v.RunLen() - 1)
+		call.FixupLens()
+		if !Reproduces(x, p, title) {
+			*v = saved
+			call.FixupLens()
+			break
+		}
+	}
+	for i := range v.RunLen() {
+		old := v.RunElem(i)
+		if old == 0 {
+			continue
+		}
+		v.SetRunElem(i, 0)
+		call.FixupLens()
+		if !Reproduces(x, p, title) {
+			v.SetRunElem(i, old)
+			call.FixupLens()
+		}
 	}
 }

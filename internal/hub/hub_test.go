@@ -130,6 +130,47 @@ func TestRegisterSyncPullRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHubRejectsWrongFixedArrayCount: a pushed seed whose dm_ioctl.name
+// holds 127 elements instead of 128 does not parse against the hub's
+// target, so it is counted in rejected_seeds and never merged; the
+// well-formed seed pushed beside it is.
+func TestHubRejectsWrongFixedArrayCount(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	hub, srv := newHub(t, tgt)
+	ctx := context.Background()
+	c, err := Dial(ctx, srv.URL, "edited", tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := prog.NewGen(tgt, 2)
+	var good, bad *prog.Prog
+	for i := 0; i < 100 && bad == nil; i++ {
+		p := g.Generate(4).Detach()
+		for _, call := range p.Calls {
+			call.ForEachValue(func(v *prog.Value) {
+				if bad == nil && v.Type.Kind == prog.KindArray && v.Type.Elem.Kind == prog.KindInt && v.Type.FixedLen == 128 {
+					good = p.Clone()
+					v.TruncateRun(127)
+					bad = p
+				}
+			})
+		}
+	}
+	if bad == nil {
+		t.Fatal("no generated program held a dm_ioctl")
+	}
+	seeds := []seedpool.SeedState{
+		{Prog: bad, Text: bad.Serialize(), Prio: 1},
+		{Prog: good, Text: good.Serialize(), Prio: 1},
+	}
+	if _, err := c.Sync(ctx, fuzz.SyncState{Seeds: seeds, Cover: &vkernel.CoverSet{}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := hub.Stats(); st.RejectedSeeds != 1 || st.Seeds != 1 {
+		t.Fatalf("hub holds %d seeds with %d rejected, want the well-formed one held and the 127-element one rejected", st.Seeds, st.RejectedSeeds)
+	}
+}
+
 func TestCrashDedupFirstReporterWins(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	hub, srv := newHub(t, tgt)

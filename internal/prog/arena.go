@@ -1,5 +1,7 @@
 package prog
 
+import "encoding/binary"
+
 // slab bump-allocates []T from fixed-capacity chunks. Chunks are
 // never grown in place, so issued slices stay valid until reset;
 // reset rewinds every chunk without freeing it, so a reused slab
@@ -48,8 +50,9 @@ func (s *slab[T]) reset() {
 	s.next = 0
 }
 
-// Chunk sizes, in elements. A dm+cec candidate is ~1000 nodes, so a
-// Gen's arena settles at a handful of chunks per slab.
+// Chunk sizes, in elements. A dm+cec candidate is ~50 nodes and ~4 KB
+// of data, most of it runs, so a Gen's arena settles at a chunk or two
+// per slab.
 const (
 	nodeChunk    = 256
 	ptrChunk     = 1024
@@ -125,6 +128,15 @@ func (a *arena) appendField(fs []*Value, v *Value) []*Value {
 	out := a.ptrs.alloc(len(fs)+1, ptrChunk)
 	copy(out, fs)
 	out[len(fs)] = v
+	return out
+}
+
+// appendElem is the run data with element x appended, the grown slice
+// taken from the arena.
+func (a *arena) appendElem(data []byte, x uint64) []byte {
+	out := a.bytes(len(data) + 8)
+	copy(out, data)
+	binary.LittleEndian.PutUint64(out[len(data):], x)
 	return out
 }
 

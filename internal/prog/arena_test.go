@@ -156,8 +156,8 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 	t.Logf("%d values; kinds %v", values, kinds)
 }
 
-// byteRunSpec holds arrays of every 1-byte scalar element kind
-// encodeTo writes as a byte run, beside a 2-byte one it must not.
+// byteRunSpec holds arrays of every 1-byte scalar element kind, beside
+// a 2-byte run.
 const byteRunSpec = `
 resource fd_b[fd]
 
@@ -178,8 +178,8 @@ byte_runs {
 `
 
 // TestByteRunEncodeMatchesElements: an array of 1-byte int, const or
-// flags elements encodes, through encodeTo's byte run, to exactly what
-// encoding its elements one by one gives — the low byte of each
+// flags elements — a run of ints through encodeRun — encodes to exactly
+// what encoding its elements one by one gives: the low byte of each
 // Scalar, whatever the element holds (a mutated int8 may hold 0x1ff).
 func TestByteRunEncodeMatchesElements(t *testing.T) {
 	f, errs := syzlang.Parse(byteRunSpec)
@@ -203,11 +203,11 @@ func TestByteRunEncodeMatchesElements(t *testing.T) {
 		}
 		for _, c := range p.Calls {
 			c.ForEachValue(func(v *Value) {
-				if v.Type.Kind != KindArray || len(v.Fields) == 0 {
+				if v.Type.Kind != KindArray || v.elems() == 0 {
 					return
 				}
 				var want []byte
-				for _, e := range v.Fields {
+				for _, e := range elementNodes(v) {
 					want = e.encodeTo(want)
 				}
 				if got := v.Encode(); !bytes.Equal(got, want) {

@@ -51,7 +51,7 @@ type Gen struct {
 	seen      []int      // chooseCall: seen[sc.ID] == seenEpoch
 	seenEpoch int
 	producers []int      // findOrMakeResource, findCompatible
-	values    []*Value   // mutateArg
+	values    []valueRef // mutateArg
 	refs      []valueRef // collectValues
 	dropped   []bool     // removeCall
 	queue     []int      // removeCall
@@ -207,19 +207,18 @@ func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
 				count = g.R.Intn(8)
 			}
 		}
+		if ty.isRun() {
+			// A scalar run (dm_ioctl's 257 int8s): what genValue would draw
+			// per element, packed into the run's Data.
+			v.Data = g.a.bytes(8 * count)
+			for i := 0; i < count; i++ {
+				v.SetRunElem(i, g.genInt(ty.Elem))
+			}
+			break
+		}
 		v.Fields = g.a.fields(count)
-		if elem := ty.Elem; elem.Kind == KindInt {
-			// A scalar run (dm_ioctl's 257 int8s): what genValue would do
-			// per element, without going through it.
-			for i := range v.Fields {
-				e := g.a.node()
-				*e = Value{Type: elem, Scalar: g.genInt(elem), ResultOf: -1}
-				v.Fields[i] = e
-			}
-		} else {
-			for i := range v.Fields {
-				v.Fields[i] = g.genValue(p, elem, depth)
-			}
+		for i := range v.Fields {
+			v.Fields[i] = g.genValue(p, ty.Elem, depth)
 		}
 	case KindStruct:
 		v.Fields = g.a.fields(len(ty.Fields))
@@ -238,7 +237,8 @@ func (g *Gen) genValue(p *Prog, ty *Type, depth int) *Value {
 
 // genInt picks an integer: mostly small/boundary values (which is
 // what makes range-gated kernel paths reachable at all), sometimes
-// fully random.
+// fully random. A ranged int draws through R; any other takes the
+// branch-free draw source.intValue.
 func (g *Gen) genInt(ty *Type) uint64 {
 	if ty.Ranged {
 		span := ty.Max - ty.Min + 1
@@ -247,22 +247,7 @@ func (g *Gen) genInt(ty *Type) uint64 {
 		}
 		return uint64(ty.Min + g.R.Int63n(span))
 	}
-	switch g.src.intn10() {
-	case 0:
-		return 0
-	case 1:
-		return 1
-	case 2:
-		return uint64(g.src.intn8())
-	case 3:
-		return 0xffffffff
-	case 4:
-		return 0xffffffffffffffff
-	case 5:
-		return 1 << uint(g.src.intn32())
-	default:
-		return g.src.Uint64() >> uint(g.src.intn33())
-	}
+	return g.src.intValue()
 }
 
 func (g *Gen) randBytes(n int) []byte {

@@ -1,15 +1,17 @@
 package prog
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
 
 // refGen is the reference generator: Generate as it was before
 // generation drew from source directly — every draw through math/rand's
-// own Rand.Intn, every array element through genValue, every len walk
-// unpruned. It shares the Gen's call choice, resource lookup and arena,
-// which the fast paths did not touch.
+// own Rand.Intn, genInt's case through a switch, every array element
+// through genValue (a run then packs what its element nodes drew), every
+// len walk unpruned. It shares the Gen's call choice, resource lookup and
+// arena, which the fast paths did not touch.
 type refGen struct{ *Gen }
 
 // newRefGen draws from math/rand itself, not from a source.
@@ -103,6 +105,12 @@ func (g refGen) genValue(p *Prog, ty *Type, depth int) *Value {
 		v.Fields = g.a.fields(count)
 		for i := range v.Fields {
 			v.Fields[i] = g.genValue(p, ty.Elem, depth)
+		}
+		if ty.isRun() {
+			for _, e := range v.Fields {
+				v.Data = binary.LittleEndian.AppendUint64(v.Data, e.Scalar)
+			}
+			v.Fields = nil
 		}
 	case KindStruct:
 		v.Fields = g.a.fields(len(ty.Fields))

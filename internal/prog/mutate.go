@@ -153,29 +153,35 @@ func (g *Gen) mutateArg(p *Prog) bool {
 	call := p.Calls[idx]
 	mutable := g.values[:0]
 	call.ForEachValue(func(v *Value) {
+		site := valueRef{call: idx, v: v, elem: -1}
 		switch v.Type.Kind {
-		case KindInt, KindArray:
-			mutable = append(mutable, v)
+		case KindInt:
+			mutable = append(mutable, site)
+		case KindArray:
+			mutable = append(mutable, site)
+			if v.Type.isRun() {
+				mutable = appendElems(mutable, site)
+			}
 		case KindFlags:
 			if len(v.Type.Vals) > 0 {
-				mutable = append(mutable, v)
+				mutable = append(mutable, site)
 			}
 		case KindString, KindBuffer:
 			// Fixed string literals and empty buffers have nothing to
 			// corrupt; listing them would make mutateArg a no-op.
 			if len(v.Data) > 0 && v.Type.Str == "" {
-				mutable = append(mutable, v)
+				mutable = append(mutable, site)
 			}
 		case KindUnion:
 			if len(v.Type.Fields) > 1 {
-				mutable = append(mutable, v)
+				mutable = append(mutable, site)
 			}
 		case KindConst:
 			// Corrupting consts is allowed but rare: it probes the
 			// kernel's invalid-command handling without destroying
 			// most of the program's validity.
 			if g.R.Intn(20) == 0 {
-				mutable = append(mutable, v)
+				mutable = append(mutable, site)
 			}
 		}
 	})
@@ -183,24 +189,19 @@ func (g *Gen) mutateArg(p *Prog) bool {
 	if len(mutable) == 0 {
 		return false
 	}
-	v := mutable[g.R.Intn(len(mutable))]
-	if v.Type.Kind == KindArray {
-		g.mutateArray(p, idx, v)
+	site := mutable[g.R.Intn(len(mutable))]
+	if site.elem < 0 && site.v.Type.Kind == KindArray {
+		g.mutateArray(p, idx, site.v)
 		return true
 	}
-	v = g.ownValue(p, idx, v)
+	v := g.ownValue(p, idx, site.v)
+	if site.elem >= 0 {
+		v.SetRunElem(site.elem, g.mutateInt(v.Type.Elem, v.RunElem(site.elem)))
+		return true
+	}
 	switch v.Type.Kind {
 	case KindInt, KindConst:
-		switch g.R.Intn(4) {
-		case 0:
-			v.Scalar = g.genInt(v.Type)
-		case 1:
-			v.Scalar++
-		case 2:
-			v.Scalar ^= 1 << uint(g.R.Intn(64))
-		case 3:
-			v.Scalar = ^v.Scalar
-		}
+		v.Scalar = g.mutateInt(v.Type, v.Scalar)
 	case KindFlags:
 		if len(v.Type.Vals) > 0 {
 			v.Scalar = v.Type.Vals[g.R.Intn(len(v.Type.Vals))]
@@ -215,11 +216,29 @@ func (g *Gen) mutateArg(p *Prog) bool {
 	return true
 }
 
+// mutateInt returns a tweak of the int (or const) x of type ty:
+// regenerated, incremented, one bit flipped or inverted.
+func (g *Gen) mutateInt(ty *Type, x uint64) uint64 {
+	switch g.R.Intn(4) {
+	case 0:
+		return g.genInt(ty)
+	case 1:
+		return x + 1
+	case 2:
+		return x ^ 1<<uint(g.R.Intn(64))
+	}
+	return ^x
+}
+
 // mutateArray grows, shrinks, or regenerates an element of the array
 // value v, which lives inside call callIdx (element regeneration must
 // bind resources strictly before that call).
 func (g *Gen) mutateArray(p *Prog, callIdx int, v *Value) {
 	v = g.ownValue(p, callIdx, v)
+	if v.Type.isRun() {
+		g.mutateRun(v)
+		return
+	}
 	if v.Type.FixedLen >= 0 {
 		// Fixed arrays only mutate elements.
 		if len(v.Fields) > 0 {
@@ -241,6 +260,32 @@ func (g *Gen) mutateArray(p *Prog, callIdx int, v *Value) {
 	case 2: // mutate element
 		idx := g.R.Intn(len(v.Fields))
 		v.Fields[idx] = g.genValueAt(p, v.Type.Elem, callIdx)
+	}
+}
+
+// mutateRun is mutateArray on an owned run: the same draws, with genInt
+// standing in for an element's genValueAt.
+func (g *Gen) mutateRun(v *Value) {
+	elem, n := v.Type.Elem, v.RunLen()
+	if v.Type.FixedLen >= 0 {
+		if n > 0 {
+			i := g.R.Intn(n)
+			v.SetRunElem(i, g.genInt(elem))
+		}
+		return
+	}
+	if n == 0 {
+		v.Data = g.a.appendElem(v.Data, g.genInt(elem))
+		return
+	}
+	switch g.R.Intn(3) {
+	case 0: // grow
+		v.Data = g.a.appendElem(v.Data, g.genInt(elem))
+	case 1: // shrink
+		v.TruncateRun(n - 1)
+	case 2: // mutate element
+		i := g.R.Intn(n)
+		v.SetRunElem(i, g.genInt(elem))
 	}
 }
 

@@ -215,29 +215,36 @@ func (OpConstants) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
 	}
 	ref := refs[g.R.Intn(len(refs))]
 	v := g.ownValue(p, ref.call, ref.v)
-	switch {
-	case v.Type.Kind == KindFlags && len(v.Type.Vals) > 0:
-		switch g.R.Intn(3) {
-		case 0: // combine two declared values
-			a := v.Type.Vals[g.R.Intn(len(v.Type.Vals))]
-			b := v.Type.Vals[g.R.Intn(len(v.Type.Vals))]
-			v.Scalar = a | b
-		case 1: // clear
-			v.Scalar = 0
-		case 2: // boundary constant in a flags slot
-			v.Scalar = interestingValues[g.R.Intn(len(interestingValues))]
-		}
-	case v.Type.Ranged:
-		edges := []uint64{
-			uint64(v.Type.Min), uint64(v.Type.Max),
-			uint64(v.Type.Min) - 1, uint64(v.Type.Max) + 1,
-			interestingValues[g.R.Intn(len(interestingValues))],
-		}
-		v.Scalar = edges[g.R.Intn(len(edges))]
-	default:
-		v.Scalar = interestingValues[g.R.Intn(len(interestingValues))]
+	if ref.elem >= 0 {
+		v.SetRunElem(ref.elem, g.constant(v.Type.Elem))
+	} else {
+		v.Scalar = g.constant(v.Type)
 	}
 	return true
+}
+
+// constant draws OpConstants' replacement for an int or flags of type ty.
+func (g *Gen) constant(ty *Type) uint64 {
+	switch {
+	case ty.Kind == KindFlags && len(ty.Vals) > 0:
+		switch g.R.Intn(3) {
+		case 0: // combine two declared values
+			a := ty.Vals[g.R.Intn(len(ty.Vals))]
+			b := ty.Vals[g.R.Intn(len(ty.Vals))]
+			return a | b
+		case 1: // clear
+			return 0
+		}
+		// boundary constant in a flags slot
+	case ty.Ranged:
+		edges := []uint64{
+			uint64(ty.Min), uint64(ty.Max),
+			uint64(ty.Min) - 1, uint64(ty.Max) + 1,
+			interestingValues[g.R.Intn(len(interestingValues))],
+		}
+		return edges[g.R.Intn(len(edges))]
+	}
+	return interestingValues[g.R.Intn(len(interestingValues))]
 }
 
 // OpShuffle rotates a contiguous block of calls, reordering the
@@ -292,10 +299,21 @@ func (OpShuffle) Apply(g *Gen, p *Prog, _ *MutateCtx) bool {
 	return true
 }
 
-// valueRef locates one value inside a program.
+// valueRef locates one mutation site inside a program: the value v
+// itself when elem is -1, else element elem of the run v.
 type valueRef struct {
 	call int
 	v    *Value
+	elem int
+}
+
+// appendElems appends a site per element of the run at.v.
+func appendElems(out []valueRef, at valueRef) []valueRef {
+	for i := range at.v.RunLen() {
+		at.elem = i
+		out = append(out, at)
+	}
+	return out
 }
 
 // collectValues gathers every value of a kind in want, in walk order,
@@ -312,17 +330,22 @@ func (g *Gen) collectValues(p *Prog, want kindSet) []valueRef {
 	return out
 }
 
-// collect appends v and the values under v whose kind is in want; a
-// subtree that holds none of them is not entered.
+// collect appends v and the values under v whose kind is in want — a
+// run's elements as (run, index) sites, where its element nodes stood —
+// and does not enter a subtree that holds none of them.
 func collect(out []valueRef, call int, v *Value, want kindSet) []valueRef {
 	if v == nil || v.Type.holds&want == 0 {
 		return out
 	}
+	ref := valueRef{call: call, v: v, elem: -1}
 	if want.has(v.Type.Kind) {
-		out = append(out, valueRef{call: call, v: v})
+		out = append(out, ref)
 	}
-	if v.Type.Kind == KindArray && v.Type.Elem.holds&want == 0 {
+	switch {
+	case v.Type.Kind == KindArray && v.Type.Elem.holds&want == 0:
 		return out // not one element is wanted: OpArray meeting dm_ioctl's int8s
+	case v.Type.isRun():
+		return appendElems(out, ref)
 	}
 	out = collect(out, call, v.Ptr, want)
 	for _, f := range v.Fields {

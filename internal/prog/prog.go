@@ -8,13 +8,20 @@ import (
 )
 
 // Value is a concrete argument value for a compiled type.
+//
+// An array whose element type is KindInt is a run: its elements are not
+// Values but 8 little-endian bytes each in the array's own Data (each
+// element's full Scalar), and Fields is nil. RunLen, RunElem, SetRunElem
+// and TruncateRun read and edit them. An element has no node of its
+// own, so it is owned, shared and copied with its run.
 type Value struct {
 	Type *Type
 	// Scalar holds Int/Const/Flags/Len values.
 	Scalar uint64
-	// Data holds String/Buffer bytes.
+	// Data holds String/Buffer bytes, or a run's elements.
 	Data []byte
-	// Fields holds struct members or array elements.
+	// Fields holds struct members or the elements of an array that is
+	// not a run.
 	Fields []*Value
 	// UnionIdx selects the active union option (index into
 	// Type.Fields); Fields then has exactly one element.
@@ -179,9 +186,34 @@ func (v *Value) String() string {
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	case KindArray:
-		return fmt.Sprintf("[%d elems]", len(v.Fields))
+		return fmt.Sprintf("[%d elems]", v.elems())
 	}
 	return "?"
+}
+
+// isRun reports whether a value of ty is a run (see Value).
+func (ty *Type) isRun() bool {
+	return ty.Kind == KindArray && ty.Elem != nil && ty.Elem.Kind == KindInt
+}
+
+// RunLen is the element count of the run v.
+func (v *Value) RunLen() int { return len(v.Data) / 8 }
+
+// RunElem is element i of the run v.
+func (v *Value) RunElem(i int) uint64 { return binary.LittleEndian.Uint64(v.Data[8*i:]) }
+
+// SetRunElem sets element i of the run v to x.
+func (v *Value) SetRunElem(i int, x uint64) { binary.LittleEndian.PutUint64(v.Data[8*i:], x) }
+
+// TruncateRun keeps the first n elements of the run v.
+func (v *Value) TruncateRun(n int) { v.Data = v.Data[:8*n] }
+
+// elems is the element count of the array v.
+func (v *Value) elems() int {
+	if v.Type.isRun() {
+		return v.RunLen()
+	}
+	return len(v.Fields)
 }
 
 // FixupLens computes every KindLen field from its sibling target:
@@ -266,7 +298,7 @@ func measure(v *Value, inBytes bool) uint64 {
 		if inBytes {
 			return uint64(v.encodedSize())
 		}
-		return uint64(len(v.Fields))
+		return uint64(v.elems())
 	case KindString, KindBuffer:
 		return uint64(len(v.Data))
 	default:
@@ -294,6 +326,9 @@ func (v *Value) encodedSize() int {
 	case KindPtr:
 		return 8
 	case KindArray:
+		if v.Type.isRun() {
+			return v.RunLen() * v.Type.Elem.Size()
+		}
 		size := 0
 		for _, f := range v.Fields {
 			size += f.encodedSize()
@@ -363,15 +398,8 @@ func (v *Value) encodeTo(buf []byte) []byte {
 		var tmp [8]byte
 		return append(buf, tmp[:]...)
 	case KindArray:
-		if e := v.Type.Elem; e != nil && e.Bytes == 1 {
-			// A byte run (dm_ioctl's name and uuid): Bytes is set on
-			// scalar types only, and an element, which has the array's
-			// element type, encodes as the low byte of its Scalar.
-			buf = slices.Grow(buf, len(v.Fields))
-			for _, f := range v.Fields {
-				buf = append(buf, byte(f.Scalar))
-			}
-			return buf
+		if v.Type.isRun() {
+			return v.encodeRun(buf)
 		}
 		for _, f := range v.Fields {
 			buf = f.encodeTo(buf)
@@ -411,7 +439,43 @@ func (v *Value) encodeTo(buf []byte) []byte {
 	return buf
 }
 
-// ForEachValue walks every value in the call (args and nested).
+// encodeRun appends the run v's encoding: the low Size() bytes of each
+// element, stored at a fixed width per element size.
+func (v *Value) encodeRun(buf []byte) []byte {
+	n, w := v.RunLen(), v.Type.Elem.Size()
+	at := len(buf)
+	buf = slices.Grow(buf, n*w)[:at+n*w]
+	out, src := buf[at:], v.Data
+	switch w {
+	case 1:
+		for len(out) >= 8 {
+			binary.LittleEndian.PutUint64(out, uint64(src[0])|uint64(src[8])<<8|uint64(src[16])<<16|uint64(src[24])<<24|
+				uint64(src[32])<<32|uint64(src[40])<<40|uint64(src[48])<<48|uint64(src[56])<<56)
+			out, src = out[8:], src[64:]
+		}
+		for i := range out {
+			out[i] = src[8*i]
+		}
+	case 2:
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint16(out[2*i:], binary.LittleEndian.Uint16(src[8*i:]))
+		}
+	case 4:
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(out[4*i:], binary.LittleEndian.Uint32(src[8*i:]))
+		}
+	case 8:
+		copy(out, src)
+	default:
+		for i := 0; i < n; i++ {
+			copy(out[w*i:w*i+w], src[8*i:])
+		}
+	}
+	return buf
+}
+
+// ForEachValue walks every value in the call (args and nested). The
+// elements of a run are not values: fn meets the run, not them.
 func (c *Call) ForEachValue(fn func(*Value)) {
 	for _, a := range c.Args {
 		a.walk(fn)

@@ -132,6 +132,15 @@ func TestGenerateSubResourceChain(t *testing.T) {
 	}
 }
 
+// packRun is the Data of a run holding elems.
+func packRun(elems ...uint64) []byte {
+	var data []byte
+	for _, e := range elems {
+		data = binary.LittleEndian.AppendUint64(data, e)
+	}
+	return data
+}
+
 func TestEncodeStructLayout(t *testing.T) {
 	tgt := testTarget(t)
 	st := tgt.ByName["ioctl$SET_CFG"].Args[2].Type.Elem
@@ -144,15 +153,8 @@ func TestEncodeStructLayout(t *testing.T) {
 		mk(st.Fields[1].Type, 0), // len, fixed later
 		mk(st.Fields[2].Type, 0xbbcc),
 		mk(st.Fields[3].Type, 0x1122334455667788),
-		{Type: st.Fields[4].Type, Fields: []*Value{
-			mk(st.Fields[4].Type.Elem, 'a'), mk(st.Fields[4].Type.Elem, 'b'),
-			mk(st.Fields[4].Type.Elem, 'c'), mk(st.Fields[4].Type.Elem, 'd'),
-			mk(st.Fields[4].Type.Elem, 'e'), mk(st.Fields[4].Type.Elem, 'f'),
-			mk(st.Fields[4].Type.Elem, 'g'), mk(st.Fields[4].Type.Elem, 'h'),
-		}},
-		{Type: st.Fields[5].Type, Fields: []*Value{
-			mk(st.Fields[5].Type.Elem, 0xdead), mk(st.Fields[5].Type.Elem, 0xbeef),
-		}},
+		{Type: st.Fields[4].Type, Data: packRun('a', 'b', 'c', 'd', 'e', 'f', 'g', 'h')},
+		{Type: st.Fields[5].Type, Data: packRun(0xdead, 0xbeef)},
 	}
 	fixLenGroup(st.Fields, v.Fields, true)
 	if v.Fields[1].Scalar != 2 {
@@ -203,13 +205,13 @@ func TestArgLevelLenFixup(t *testing.T) {
 			t.Fatalf("optlen = %d, want %d", optlen.Scalar, want)
 		}
 		entries := optval.Ptr.Fields[5]
-		entries.Fields = append(entries.Fields, &Value{Type: entries.Type.Elem, ResultOf: -1})
+		entries.Data = binary.LittleEndian.AppendUint64(entries.Data, 0)
 		c.FixupLens()
 		if want := uint64(len(optval.Ptr.Encode())); optlen.Scalar != want {
 			t.Fatalf("optlen = %d after growing the pointee, want %d", optlen.Scalar, want)
 		}
-		if count := optval.Ptr.Fields[1].Scalar; count != uint64(len(entries.Fields)) {
-			t.Fatalf("count = %d after growing entries to %d", count, len(entries.Fields))
+		if count := optval.Ptr.Fields[1].Scalar; count != uint64(entries.RunLen()) {
+			t.Fatalf("count = %d after growing entries to %d", count, entries.RunLen())
 		}
 		optval.Ptr = nil
 		c.FixupLens()

@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -78,6 +79,18 @@ func serializeValue(b *strings.Builder, v *Value) {
 		b.WriteByte('}')
 	case KindArray:
 		b.WriteByte('[')
+		if v.Type.isRun() {
+			var num [16]byte
+			for i := range v.RunLen() {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString("0x")
+				b.Write(strconv.AppendUint(num[:0], v.RunElem(i), 16))
+			}
+			b.WriteByte(']')
+			return
+		}
 		for i, f := range v.Fields {
 			if i > 0 {
 				b.WriteString(", ")
@@ -300,20 +313,39 @@ func (d *deserializer) value(ty *Type) (*Value, error) {
 			return nil, err
 		}
 		d.skipSpace()
-		for d.i < len(d.src) && d.src[d.i] != ']' {
-			if len(v.Fields) > 0 {
+		if ty.isRun() && ty.FixedLen > 0 {
+			v.Data = make([]byte, 0, 8*ty.FixedLen)
+		}
+		for n := 0; d.i < len(d.src) && d.src[d.i] != ']'; n++ {
+			if n > 0 {
 				if err := d.expect(','); err != nil {
 					return nil, err
 				}
 			}
-			f, err := d.value(ty.Elem)
-			if err != nil {
-				return nil, err
+			if ty.isRun() {
+				x, err := d.number()
+				if err != nil {
+					return nil, err
+				}
+				v.Data = binary.LittleEndian.AppendUint64(v.Data, x)
+			} else {
+				f, err := d.value(ty.Elem)
+				if err != nil {
+					return nil, err
+				}
+				v.Fields = append(v.Fields, f)
 			}
-			v.Fields = append(v.Fields, f)
 			d.skipSpace()
 		}
-		return v, d.expect(']')
+		if err := d.expect(']'); err != nil {
+			return nil, err
+		}
+		// Nothing but text builds a fixed array of another length, and
+		// its payload would be short or long at every later offset.
+		if n := v.elems(); ty.FixedLen >= 0 && n != ty.FixedLen {
+			return nil, fmt.Errorf("array of %d elements, want %d", n, ty.FixedLen)
+		}
+		return v, nil
 	}
 	return nil, fmt.Errorf("unsupported type %v", ty)
 }

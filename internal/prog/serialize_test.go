@@ -159,3 +159,40 @@ func TestSerializeMarksResults(t *testing.T) {
 		}
 	}
 }
+
+// TestDeserializeRejectsFixedArrayCount: a fixed-length array with one
+// element too few or too many (a hand-edited dm_ioctl.name of 127 or
+// 129 int8s) is rejected with its line number, where it used to lower
+// to a payload with every later field at the wrong offset.
+func TestDeserializeRejectsFixedArrayCount(t *testing.T) {
+	tgt := deepTarget(t)
+	g := NewGen(tgt, 2)
+	for i := 0; i < 100; i++ {
+		p := g.Generate(4).Detach()
+		for ci, c := range p.Calls {
+			var name *Value
+			c.ForEachValue(func(v *Value) {
+				if v.Type.isRun() && v.Type.FixedLen == 128 && name == nil {
+					name = v
+				}
+			})
+			if name == nil {
+				continue
+			}
+			if _, err := Deserialize(tgt, p.Serialize()); err != nil {
+				t.Fatalf("a generated program does not parse: %v", err)
+			}
+			wantLine := "line " + itoa(ci+1) + ":"
+			full := name.Data
+			for _, data := range [][]byte{full[:127*8], append(full[:128*8:128*8], make([]byte, 8)...)} {
+				name.Data = data
+				_, err := Deserialize(tgt, p.Serialize())
+				if err == nil || !strings.Contains(err.Error(), wantLine) || !strings.Contains(err.Error(), "want 128") {
+					t.Fatalf("a %d-element name parsed with error %v, want one naming %q and 128 elements", name.RunLen(), err, wantLine)
+				}
+			}
+			return
+		}
+	}
+	t.Fatal("no generated program held a dm_ioctl")
+}

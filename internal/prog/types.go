@@ -23,10 +23,18 @@
 // Freeze built. Whoever keeps a candidate detaches it (a deep copy that
 // shares nothing).
 //
+// An array of ints is a run: one Value whose Data packs every element's
+// Scalar in 8 little-endian bytes, with no node per element (dm_ioctl's
+// name and uuid are 257 int8s). An element is owned by owning its run;
+// mutation sites and OpConstants' candidates list it as (run, index),
+// in the order the per-element nodes were walked, and ForEachValue does
+// not visit it.
+//
 // One random stream feeds a Gen and whoever drives it. NewGen(t, seed)
 // builds a source that continues rand.NewSource(seed)'s stream exactly;
 // generation takes its per-value draws from that source directly, with
-// the constant-bound Intn draws folded to a mask or a multiply, and
+// the constant-bound Intn draws folded to a mask or a multiply and an
+// int's case taken through a table instead of a switch, and
 // Gen.R is a rand.Rand over the same source, through which the Gen's
 // other draws and its callers' (fuzz's seed and operator picks,
 // seedpool.PickRef, Scheduler.Pick) advance the same state. So every
