@@ -146,6 +146,8 @@ type driver struct {
 	// remote accumulates what a sharded plan pulled from the hub; it
 	// joins the warm start of the units that launch afterwards.
 	remote []seedpool.SeedState // guarded by mu
+	// last is the campaign view the previous boundary reported.
+	last Progress // guarded by mu
 }
 
 // drive runs one campaign: it opens the store, schedules the plan's
@@ -198,29 +200,17 @@ func (d *driver) unit(ctx context.Context, i int) {
 	if ctx.Err() != nil {
 		return
 	}
-	cfg := d.cfg
-	cfg.Execs = d.plan.budget(i)
-	d.mu.Lock()
-	stats := d.camp
-	warm := d.seeds
-	if len(d.remote) > 0 {
-		// Like stored seeds, pulled ones are replayed against the
-		// unit's budget (deduplicated, bounded).
-		warm = corpusstore.Merge(corpusCap(cfg), d.seeds, d.remote)
-	}
-	d.mu.Unlock()
-	if !d.plan.live {
-		cfg.Seed = unitSeed(cfg.Seed, i)
-		stats = d.f.newStats()
-	}
-	corpus := d.f.run(ctx, cfg, warm, stats, func(corpus *seedpool.Pool) { d.boundary(ctx, i, stats, corpus, true) })
+	stats, corpus := d.f.run(ctx, d, i)
 	d.boundary(ctx, i, stats, corpus, false)
 }
 
 // boundary is unit i reporting in, at a tick (every progressEvery
 // execs of its loop) or at its completion. Every report brings the
-// campaign view up to date and emits Progress; a full boundary then
-// checkpoints the store and exchanges with the hub, in that order:
+// campaign view up to date and, when anyone watches, builds the one
+// Progress every telemetry sink reads — the only place campaign-level
+// numbers are computed, so the sinks agree with each other and with
+// Stats at any shard count; a full boundary then checkpoints the store
+// and exchanges with the hub, in that order:
 //
 //	              tick                    completion
 //	live plan     full boundary           report only (drive's end sequence follows)
@@ -243,16 +233,25 @@ func (d *driver) boundary(ctx context.Context, i int, unit *Stats, corpus *seedp
 	if !tick {
 		d.done++
 	}
-	if cfg.Progress != nil {
-		cfg.Progress(Progress{
+	if cfg.Progress != nil || cfg.Metrics != nil || cfg.Flight != nil {
+		// The campaign view, built once for every sink: the counters and
+		// exec histogram take its advance since the previous boundary's,
+		// the flight ring a window event, the callback the view itself.
+		p := Progress{
 			ShardsDone: d.done, ShardsTotal: d.plan.units,
 			Execs: d.camp.Execs + d.inFlight, Cover: d.camp.CoverCount(),
 			Crashes: d.camp.UniqueCrashes(),
 			Ops:     append([]OpStat(nil), d.camp.Ops...),
 			// One clock for the whole campaign: unit-local offsets are
-			// never reported, so the stream stays monotone.
+			// never reported, so every stream stays monotone.
 			ElapsedNs: cfg.Clock.Now().Sub(d.start).Nanoseconds(),
-		})
+		}
+		cfg.Metrics.boundary(&d.last, &p)
+		d.last = p
+		cfg.Flight.Record(telemetry.Event{Span: "window", ElapsedNs: p.ElapsedNs, Execs: int64(p.Execs)})
+		if cfg.Progress != nil {
+			cfg.Progress(p)
+		}
 	}
 	// Read after the callback: a Progress hook that cancels the campaign
 	// stops this very boundary from checkpointing and exchanging.

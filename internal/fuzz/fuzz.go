@@ -27,19 +27,21 @@
 // purely a wall-clock knob. RunRepetitions is n independent live
 // campaigns on derived seeds (the paper's 3-repetition averages).
 //
-// The driver alone opens the corpus store, emits Config.Progress,
-// checkpoints, talks to the hub, flushes and stamps Stats.Elapsed. A
-// unit reports to it every progressEvery execs (a tick) and when it
-// completes, and a campaign boundary always runs in one order:
-// Progress, then the checkpoint flush, then the hub exchange. Whether
-// the plan is live decides only which reports are boundaries: a live
-// unit's ticks already see cumulative campaign state, so each tick is
-// a full boundary on the live pool (pulled seeds are reconciled into
-// it) and its completion only reports; a sharded unit's ticks can only
-// relay its exec count, and its completion — once merged — is the
-// boundary (pulled seeds warm-start the units that launch afterwards).
-// Every campaign then ends with the same sequence: a Final hub
-// exchange, the final store flush, the Elapsed stamp.
+// The driver alone opens the corpus store, builds the campaign view
+// that Config.Progress, the campaign counters and the flight ring's
+// window events share, checkpoints, talks to the hub, flushes and
+// stamps Stats.Elapsed. A unit reports to it every progressEvery execs
+// (a tick) and when it completes, and a campaign boundary always runs
+// in one order: Progress, then the checkpoint flush, then the hub
+// exchange. Whether the plan is live decides only which reports are
+// boundaries: a live unit's ticks already see cumulative campaign
+// state, so each tick is a full boundary on the live pool (pulled seeds
+// are reconciled into it) and its completion only reports; a sharded
+// unit's ticks can only relay its exec count, and its completion —
+// once merged — is the boundary (pulled seeds warm-start the units
+// that launch afterwards). Every campaign then ends with the same
+// sequence: a Final hub exchange, the final store flush, the Elapsed
+// stamp.
 //
 // Shutdown follows one rule for every plan. Once the context is done,
 // units that have not started are skipped outright (not run, merged or
@@ -165,16 +167,19 @@ type Config struct {
 	// stream are identical for any Clock.
 	Clock telemetry.Clock
 	// Metrics, when set, receives campaign telemetry (exec/cover/crash
-	// counters, exec/triage/sync/unit latency histograms). Nil
-	// disables recording at one pointer check per event; see Metrics
-	// for the feeding discipline that keeps the per-exec path free of
-	// extra clock reads.
+	// counters, exec/triage/sync/unit latency histograms). The campaign
+	// counters are fed from the driver's boundary view, the one Progress
+	// reports, so they equal the returned Stats at any shard count. Nil
+	// disables recording at one pointer check per event; see Metrics.
 	Metrics *Metrics
-	// Flight, when set, buffers recent campaign activity (progress
-	// windows, syncs, crashes) in a bounded ring and dumps the ring to
-	// disk whenever a new crash title is discovered, so every crash
-	// report carries the engine activity leading up to it. The dump's
-	// final event is the crashing exec's span.
+	// Flight, when set, buffers recent campaign activity in a bounded
+	// ring — a window event per boundary (the campaign view's exec
+	// total), a sync event per hub exchange, a crash event per new
+	// title — and dumps the ring to disk whenever a new crash title is
+	// discovered, so every crash report carries the engine activity
+	// leading up to it. Every event sits on the campaign clock and exec
+	// index (a crash's is the FirstExec the merged Stats report), and
+	// the dump's final event is the crashing exec's span.
 	Flight *telemetry.FlightRecorder
 }
 
@@ -418,14 +423,40 @@ func mergedCorpus(cfg Config, initial []seedpool.SeedState, exports [][]seedpool
 	return corpusstore.Merge(corpusCap(cfg), append([][]seedpool.SeedState{initial}, exports...)...)
 }
 
-// run is the step loop of one work unit: cfg.Execs programs on
-// cfg.Seed, warm-started from seeds, folded into stats. Cancellation
-// is checked between executions, so stats is always internally
-// consistent. Every progressEvery execs the loop hands its live pool
-// to tick — the driver's hook, and the only thing the loop knows about
-// the campaign around it; the evolved pool is returned so the driver
-// can export it.
-func (f *Fuzzer) run(ctx context.Context, cfg Config, seeds []seedpool.SeedState, stats *Stats, tick func(*seedpool.Pool)) *seedpool.Pool {
+// run is the step loop of work unit `unit` of d's plan: the unit's
+// budget on the campaign seed (live plan) or its derived one (sharded),
+// warm-started from the store snapshot plus whatever the hub has
+// returned so far, folded into the Stats it returns with the evolved
+// pool — the driver merges the one and exports the other.
+// Cancellation is checked between executions, so the stats are always
+// internally consistent. Every progressEvery execs the loop reports in
+// at a tick boundary, where everything campaign-level — Progress,
+// campaign counters, the flight window event, checkpoints, hub
+// exchanges — happens; the loop itself records only what it alone
+// sees: crash hits and crash events, unit busy time. default.pgo keys
+// run by its name and line layout, so it stays a Fuzzer method (see
+// above the loop).
+func (f *Fuzzer) run(ctx context.Context, d *driver, unit int) (*Stats, *seedpool.Pool) {
+	cfg := d.cfg
+	cfg.Execs = d.plan.budget(unit)
+	// stats is the driver's: the campaign's own on the live plan (which
+	// is what lets a tick see cumulative state), a fresh Stats it merges
+	// into the campaign when a sharded unit completes. Ops is laid out
+	// below either way, one scheduler per unit.
+	d.mu.Lock()
+	stats, seeds := d.camp, d.seeds
+	if len(d.remote) > 0 {
+		// Like stored seeds, pulled ones are replayed against the
+		// unit's budget (deduplicated, bounded).
+		seeds = corpusstore.Merge(corpusCap(cfg), d.seeds, d.remote)
+	}
+	d.mu.Unlock()
+	if !d.plan.live {
+		cfg.Seed = unitSeed(cfg.Seed, unit)
+		stats = f.newStats()
+	}
+	// Crash events sit on the campaign's clock and exec axis (mergeInto's).
+	execBase := unit * d.plan.grain
 	if cfg.MaxCalls == 0 {
 		cfg.MaxCalls = 8
 	}
@@ -454,10 +485,6 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, seeds []seedpool.SeedState
 		cres.Cov = vm.AppendCover(cres.Cov[:0])
 		return &cres
 	}
-	// stats is the driver's: a fresh Stats it merges into the campaign
-	// when a sharded unit completes, the campaign's own on the live
-	// plan (which is what lets a tick see cumulative state). Ops is
-	// laid out below either way, one scheduler per unit.
 	// The unit's busy time is stamped on every exit path (including
 	// cancellation) so partial stats still carry calibration ground
 	// truth; the driver sums WorkTime over units and stamps the
@@ -480,22 +507,6 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, seeds []seedpool.SeedState
 		MaxCalls: cfg.MaxCalls,
 		Donor:    func() *prog.Prog { return corpus.Pick(g.R) },
 	}
-	// window is the unit's own telemetry boundary, taken with every tick
-	// and once more when the budget is spent: one clock read feeds the
-	// metrics window and the flight ring alike, on the unit's time base.
-	// Everything campaign-level — Progress, checkpoints, hub exchanges —
-	// is the driver's and hangs off tick.
-	win := metricsWindow{m: cfg.Metrics}
-	window := func() {
-		if cfg.Metrics == nil && cfg.Flight == nil {
-			return
-		}
-		elapsed := clk.Now().Sub(start).Nanoseconds()
-		win.observe(stats, elapsed)
-		cfg.Flight.Record(telemetry.Event{
-			Span: "window", ElapsedNs: elapsed, Execs: int64(stats.Execs),
-		})
-	}
 	// observe folds one execution result into the stats: new coverage
 	// (returned) and crash discovery/dedup at execution index exec.
 	observe := func(p *prog.Prog, res *vkernel.Result, exec int) int {
@@ -516,17 +527,17 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, seeds []seedpool.SeedState
 				}
 				var triageNs int64
 				if !cfg.NoTriage {
-					d := clk.Now().Sub(t0)
-					stats.TriageTime += d
-					triageNs = d.Nanoseconds()
+					dur := clk.Now().Sub(t0)
+					stats.TriageTime += dur
+					triageNs = dur.Nanoseconds()
+					cfg.Metrics.triaged(triageNs)
 				}
 				stats.Crashes[res.Crash.Title] = cr
-				cfg.Metrics.crashFound(triageNs, cfg.NoTriage)
 				// The crash span is recorded before the dump so the
 				// dump's final event is the crashing exec.
 				cfg.Flight.Record(telemetry.Event{
-					Span: "crash", ElapsedNs: t0.Sub(start).Nanoseconds(),
-					DurNs: triageNs, Execs: int64(exec), Detail: res.Crash.Title,
+					Span: "crash", ElapsedNs: t0.Sub(d.start).Nanoseconds(),
+					DurNs: triageNs, Execs: int64(execBase + exec), Detail: res.Crash.Title,
 				})
 				if cfg.Flight != nil {
 					cfg.Flight.Dump(res.Crash.Title) // best-effort, like checkpoints
@@ -559,14 +570,14 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, seeds []seedpool.SeedState
 	for i := stats.Execs; i < cfg.Execs; i++ {
 		if i%512 == 0 && ctx.Err() != nil {
 			stats.CorpusSize = corpus.Len()
-			return corpus // the driver reads ctx.Err() itself
+			return stats, corpus // the driver reads ctx.Err() itself
 		}
 		if i > 0 && i%progressEvery == 0 {
-			// A full campaign boundary on the live plan (the hook may
-			// Reconcile pulled seeds into corpus before the next pick),
-			// an exec-total relay on a sharded one.
-			window()
-			tick(corpus)
+			// A full campaign boundary on the live plan (it may Reconcile
+			// pulled seeds into corpus before the next pick), an exec-total
+			// relay on a sharded one. Either way one campaign view feeds
+			// Progress, the campaign counters and the flight ring.
+			d.boundary(ctx, unit, stats, corpus, true)
 		}
 		var p *prog.Prog
 		opIdx := -1
@@ -605,8 +616,7 @@ func (f *Fuzzer) run(ctx context.Context, cfg Config, seeds []seedpool.SeedState
 		corpus.Add(p, newBlocks, opName)
 	}
 	stats.CorpusSize = corpus.Len()
-	window()
-	return corpus
+	return stats, corpus
 }
 
 // syncState snapshots a campaign's counters, crash table (in sorted-

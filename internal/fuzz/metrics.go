@@ -7,12 +7,15 @@ import "kernelgpt/internal/telemetry"
 // entirely, so the campaign loop carries one pointer and pays one nil
 // check per event when telemetry is off.
 //
-// Counters and the exec histogram are fed per work unit at its ticks
-// (every progressEvery execs) and once more when its budget is spent,
-// from one clock read shared with the flight ring — telemetry never
-// adds a wall-clock read to the per-exec path. Triage and sync
-// histograms reuse the durations the campaign already measures into
-// Stats.TriageTime/SyncTime.
+// The campaign counters (Execs, CoverBlocks, Crashes) and ExecNs are
+// fed by the driver at each campaign boundary, from the same campaign
+// view it reports as Progress: each boundary adds the view's advance
+// since the previous one. They are therefore shard-count-invariant and
+// equal the returned Stats when the campaign ends, and telemetry never
+// adds a clock read to the per-exec path. The rest are recorded where
+// they happen: crash hits per exec, triage and sync latencies from the
+// durations the campaign already measures into Stats.TriageTime and
+// Stats.SyncTime, unit busy time as each unit ends.
 type Metrics struct {
 	// Execs counts executed programs (fuzz_execs_total).
 	Execs *telemetry.Counter
@@ -25,10 +28,12 @@ type Metrics struct {
 	// CrashHits counts every crash reproduction, including duplicates
 	// (fuzz_crash_hits_total).
 	CrashHits *telemetry.Counter
-	// ExecNs is the mean per-exec latency of each progress window
-	// (fuzz_exec_ns): window wall time over window exec count, so it
-	// includes amortized mutation/observation cost, which is what a
-	// capacity planner wants.
+	// ExecNs is campaign wall time per campaign exec (fuzz_exec_ns):
+	// one observation per boundary, the campaign clock's advance over
+	// the execs since the previous boundary. It includes amortized
+	// mutation, observation and triage cost, and divides by the
+	// parallelism of a sharded campaign, which is what a capacity
+	// planner wants.
 	ExecNs *telemetry.Histogram
 	// TriageNs is per-crash minimization latency (fuzz_triage_ns).
 	TriageNs *telemetry.Histogram
@@ -57,16 +62,26 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	}
 }
 
-// crashFound records a newly discovered crash title and, unless
-// triage was disabled, its minimization latency.
-func (m *Metrics) crashFound(triageNs int64, noTriage bool) {
+// boundary folds the campaign view's advance from prev to cur into the
+// counters and, when execs advanced, the exec histogram.
+func (m *Metrics) boundary(prev, cur *Progress) {
 	if m == nil {
 		return
 	}
-	m.Crashes.Inc()
-	if !noTriage {
-		m.TriageNs.Observe(triageNs)
+	m.CoverBlocks.Add(int64(cur.Cover - prev.Cover))
+	m.Crashes.Add(int64(cur.Crashes - prev.Crashes))
+	if de := cur.Execs - prev.Execs; de > 0 {
+		m.Execs.Add(int64(de))
+		m.ExecNs.Observe((cur.ElapsedNs - prev.ElapsedNs) / int64(de))
 	}
+}
+
+// triaged records one crash's minimization latency.
+func (m *Metrics) triaged(ns int64) {
+	if m == nil {
+		return
+	}
+	m.TriageNs.Observe(ns)
 }
 
 // crashHit records one crash reproduction (duplicate or not).
@@ -91,34 +106,4 @@ func (m *Metrics) unitDone(durNs int64) {
 		return
 	}
 	m.UnitNs.Observe(durNs)
-}
-
-// metricsWindow folds a unit's tick-to-tick deltas into a Metrics
-// bundle. The caller hands it the elapsed-ns value of the clock read
-// it shares with the flight ring, so window recording costs no
-// additional time source access.
-type metricsWindow struct {
-	m         *Metrics
-	lastNs    int64
-	lastExecs int
-	lastCover int
-}
-
-// observe folds the window since the previous boundary into counters
-// and the exec-latency histogram.
-func (w *metricsWindow) observe(stats *Stats, nowNs int64) {
-	if w.m == nil {
-		return
-	}
-	cover := stats.CoverCount()
-	if de := stats.Execs - w.lastExecs; de > 0 {
-		w.m.Execs.Add(int64(de))
-		w.m.ExecNs.Observe((nowNs - w.lastNs) / int64(de))
-		w.lastNs = nowNs
-		w.lastExecs = stats.Execs
-	}
-	if dc := cover - w.lastCover; dc > 0 {
-		w.m.CoverBlocks.Add(int64(dc))
-		w.lastCover = cover
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,35 +118,99 @@ func TestMetricsCountersMatchStats(t *testing.T) {
 	}
 }
 
-// TestParallelMetricsShardInvariant runs the same budget at two shard
-// widths: the merged exec/cover/crash counters must be identical —
-// telemetry inherits RunParallel's worker-count invariance.
+// TestParallelMetricsShardInvariant runs the same budget at three
+// worker counts: the exec/cover/crash counters must equal the returned
+// Stats at each — they are the driver's campaign view, not a sum of
+// unit-local ones — and so inherit RunParallel's worker-count
+// invariance.
 func TestParallelMetricsShardInvariant(t *testing.T) {
-	run := func(shards int) (*telemetry.Registry, *Metrics) {
-		reg := telemetry.NewRegistry()
-		m := NewMetrics(reg)
+	for _, workers := range []int{1, 2, 4} {
+		m := NewMetrics(telemetry.NewRegistry())
 		f := New(targetFor(t, "dm"), testKernel)
 		cfg := DefaultConfig(4000, 3)
 		cfg.ShardExecs = 1000
 		cfg.Metrics = m
-		if _, err := f.RunParallel(t.Context(), cfg, shards); err != nil {
+		stats, err := f.RunParallel(t.Context(), cfg, workers)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return reg, m
+		if stats.UniqueCrashes() == 0 {
+			t.Fatal("campaign found no crashes; the crash counter is untested")
+		}
+		if got := m.Execs.Value(); got != int64(stats.Execs) {
+			t.Errorf("%d workers: fuzz_execs_total = %d, stats.Execs = %d", workers, got, stats.Execs)
+		}
+		if got := m.CoverBlocks.Value(); got != int64(stats.CoverCount()) {
+			t.Errorf("%d workers: fuzz_cover_blocks_total = %d, stats cover = %d", workers, got, stats.CoverCount())
+		}
+		if got := m.Crashes.Value(); got != int64(stats.UniqueCrashes()) {
+			t.Errorf("%d workers: fuzz_crashes_total = %d, unique crashes = %d", workers, got, stats.UniqueCrashes())
+		}
+		if m.UnitNs.Count() != 4 {
+			t.Errorf("%d workers: fuzz_unit_ns count = %d, want one per unit", workers, m.UnitNs.Count())
+		}
 	}
-	_, m1 := run(1)
-	_, m4 := run(4)
-	if m1.Execs.Value() != m4.Execs.Value() {
-		t.Errorf("exec counters differ across shard widths: %d vs %d", m1.Execs.Value(), m4.Execs.Value())
+}
+
+// TestFlightTimeBaseIsCampaign: every flight event of a sharded
+// campaign sits on the campaign's axes. On one worker the units run in
+// order, so neither the ring's elapsed_ns nor its exec indices ever
+// decrease, and each title's first crash event carries the remapped
+// FirstExec the merged Stats report — not a unit-local index on the
+// unit's own clock.
+func TestFlightTimeBaseIsCampaign(t *testing.T) {
+	dir := t.TempDir()
+	var ticks atomic.Int64
+	clock := telemetry.Clock(func() time.Time {
+		return time.Unix(1_700_000_000, 0).Add(time.Duration(ticks.Add(1)) * time.Millisecond)
+	})
+	fr := telemetry.NewFlightRecorder(dir, 256, clock)
+	f := New(targetFor(t, "dm"), testKernel)
+	cfg := DefaultConfig(4000, 3)
+	cfg.ShardExecs = 1000
+	cfg.Clock = clock
+	cfg.Flight = fr
+	stats, err := f.RunParallel(t.Context(), cfg, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m1.CoverBlocks.Value() != m4.CoverBlocks.Value() {
-		t.Errorf("cover counters differ across shard widths: %d vs %d", m1.CoverBlocks.Value(), m4.CoverBlocks.Value())
+	path, err := fr.Dump("end")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m1.Crashes.Value() != m4.Crashes.Value() {
-		t.Errorf("crash counters differ across shard widths: %d vs %d", m1.Crashes.Value(), m4.Crashes.Value())
+	_, events, err := telemetry.ReadFlightDump(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m4.UnitNs.Count() != 4 {
-		t.Errorf("fuzz_unit_ns count = %d, want one per unit", m4.UnitNs.Count())
+	windows, lastNs, lastExec := 0, int64(-1), int64(-1)
+	first := map[string]int64{}
+	for _, ev := range events {
+		if ev.ElapsedNs < lastNs {
+			t.Errorf("elapsed_ns went back from %d to %d at %+v", lastNs, ev.ElapsedNs, ev)
+		}
+		if ev.Execs < lastExec {
+			t.Errorf("exec index went back from %d to %d at %+v", lastExec, ev.Execs, ev)
+		}
+		lastNs, lastExec = ev.ElapsedNs, ev.Execs
+		switch ev.Span {
+		case "window":
+			windows++
+		case "crash":
+			if _, ok := first[ev.Detail]; !ok {
+				first[ev.Detail] = ev.Execs
+			}
+		}
+	}
+	if windows != 4 {
+		t.Errorf("window events = %d, want one per unit boundary (4)", windows)
+	}
+	if len(first) != stats.UniqueCrashes() || len(first) == 0 {
+		t.Fatalf("crash titles in the ring = %d, stats = %d", len(first), stats.UniqueCrashes())
+	}
+	for title, exec := range first {
+		if want := int64(stats.Crashes[title].FirstExec); exec != want {
+			t.Errorf("%s: first crash event at exec %d, Stats FirstExec %d", title, exec, want)
+		}
 	}
 }
 
@@ -192,8 +257,9 @@ func TestFlightDumpOnCrash(t *testing.T) {
 	}
 }
 
-// TestFlightDumpIsSpanStream checks dump lines parse as
-// telemetry.SpanRecord — the flight format is the span JSONL format.
+// TestFlightDumpIsSpanStream checks every dump line after the header
+// is a named telemetry.Event — the span JSONL shape sim.ReadTrace
+// reads.
 func TestFlightDumpIsSpanStream(t *testing.T) {
 	dir := t.TempDir()
 	fr := telemetry.NewFlightRecorder(dir, 64, nil)
@@ -211,9 +277,9 @@ func TestFlightDumpIsSpanStream(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
 	for _, line := range lines[1:] { // line 0 is the header
-		var rec telemetry.SpanRecord
+		var rec telemetry.Event
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("dump line is not a span record: %q: %v", line, err)
+			t.Fatalf("dump line is not an event: %q: %v", line, err)
 		}
 		if rec.Span == "" {
 			t.Fatalf("dump line has empty span: %q", line)

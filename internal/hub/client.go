@@ -340,7 +340,10 @@ func (c *Client) roundTrip(ctx context.Context, path, contentType string, body [
 			delay *= 2
 		}
 		data, replyType, err = c.send(ctx, path, contentType, body, limit)
-		if err == nil || ctx.Err() != nil || !retryable(err) {
+		if err != nil && ctx.Err() != nil {
+			return nil, "", ctx.Err() // whatever the try saw, the caller gave up
+		}
+		if err == nil || !retryable(err) {
 			break
 		}
 	}

@@ -16,15 +16,21 @@ import (
 	"kernelgpt/internal/vkernel"
 )
 
-// flakyHub wraps a real hub handler, failing the first n requests per
-// path with HTTP 503.
-func flakyHub(t *testing.T, failFirst int32) (*httptest.Server, *atomic.Int32) {
+// flakyHub wraps a real hub handler, failing the first n requests
+// with HTTP 503. It counts the requests and closes first once its
+// reply to the first one is written.
+func flakyHub(t *testing.T, failFirst int32) (srv *httptest.Server, calls *atomic.Int32, first <-chan struct{}) {
 	t.Helper()
 	tgt := targetFor(t, "dm")
 	_, inner := newHub(t, tgt)
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= failFirst {
+	calls = new(atomic.Int32)
+	attempted := make(chan struct{})
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := calls.Add(1)
+		if n == 1 {
+			defer close(attempted)
+		}
+		if n <= failFirst {
 			writeError(w, http.StatusServiceUnavailable, "transient")
 			return
 		}
@@ -48,11 +54,11 @@ func flakyHub(t *testing.T, failFirst int32) (*httptest.Server, *atomic.Int32) {
 		}
 	}))
 	t.Cleanup(srv.Close)
-	return srv, &calls
+	return srv, calls, attempted
 }
 
 func TestClientRetryRecoversTransientErrors(t *testing.T) {
-	srv, calls := flakyHub(t, 2)
+	srv, calls, _ := flakyHub(t, 2)
 	c, err := Dial(context.Background(), srv.URL, "w", targetFor(t, "dm"),
 		WithRetry(4, time.Millisecond))
 	if err != nil {
@@ -67,7 +73,7 @@ func TestClientRetryRecoversTransientErrors(t *testing.T) {
 }
 
 func TestClientRetryGivesUpOnPersistentFailure(t *testing.T) {
-	srv, calls := flakyHub(t, 1000)
+	srv, calls, _ := flakyHub(t, 1000)
 	_, err := Dial(context.Background(), srv.URL, "w", targetFor(t, "dm"),
 		WithRetry(3, 0))
 	if err == nil {
@@ -79,7 +85,7 @@ func TestClientRetryGivesUpOnPersistentFailure(t *testing.T) {
 }
 
 func TestClientBackoffHonorsCancellation(t *testing.T) {
-	srv, calls := flakyHub(t, 1000)
+	srv, calls, first := flakyHub(t, 1000)
 	tgt := targetFor(t, "dm")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -88,7 +94,7 @@ func TestClientBackoffHonorsCancellation(t *testing.T) {
 		_, err := Dial(ctx, srv.URL, "w", tgt, WithRetry(5, time.Hour))
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	<-first // the first try has failed: the client is retrying or backing off
 	cancel()
 	select {
 	case err := <-done:

@@ -268,20 +268,13 @@ func (h *Hub) Handler() http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
-	if h.metrics == nil && h.flight == nil {
-		if h.registry != nil {
-			mux.Handle("/metrics", telemetry.Handler(h.registry))
-		}
-		return mux
-	}
-	instrumented := h.instrument(mux)
 	outer := http.NewServeMux()
 	// /metrics bypasses instrumentation: a scrape must not change what
 	// the next scrape reads (the double-scrape golden invariant).
 	if h.registry != nil {
 		outer.Handle("/metrics", telemetry.Handler(h.registry))
 	}
-	outer.Handle("/", instrumented)
+	outer.Handle("/", h.instrument(mux))
 	return outer
 }
 

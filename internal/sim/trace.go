@@ -46,11 +46,10 @@ type TracePoint struct {
 	Execs     int   `json:"execs"`
 	Cover     int   `json:"cover"`
 	Crashes   int   `json:"crashes,omitempty"`
-	// Span names the emitting span for lines produced by
-	// telemetry.Tracer — span streams and campaign traces share one
-	// JSONL shape, so a flight dump or tracer output parses as a trace.
-	// Span lines carry no cover observation; the yield fitter skips
-	// them.
+	// Span names the event of a telemetry.Event line — flight dumps
+	// and campaign traces share one JSONL shape, so a dump's event
+	// lines parse as a trace. Span lines carry no cover observation;
+	// the yield fitter skips them.
 	Span string `json:"span,omitempty"`
 }
 

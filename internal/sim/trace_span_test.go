@@ -2,28 +2,32 @@ package sim
 
 import (
 	"bytes"
+	"os"
 	"testing"
 	"time"
 
 	"kernelgpt/internal/telemetry"
 )
 
-// TestSpanLinesShareTraceShape: a telemetry.Tracer span stream parses
-// with ReadTrace, and span lines are inert for yield fitting — a
-// trace file with interleaved spans fits identically to one without.
+// TestSpanLinesShareTraceShape: the event lines of a telemetry flight
+// dump parse with ReadTrace, and span lines are inert for yield
+// fitting — a trace file with interleaved spans fits identically to
+// one without.
 func TestSpanLinesShareTraceShape(t *testing.T) {
-	var buf bytes.Buffer
-	base := time.Unix(1_700_000_000, 0).UTC()
-	step := 0
-	clock := telemetry.Clock(func() time.Time {
-		step++
-		return base.Add(time.Duration(step) * time.Millisecond)
-	})
-	tr := telemetry.NewTracer(&buf, clock, nil)
-	sp := tr.Begin("exec-window", 100)
-	sp.End("unit 1")
-	tr.Event("sync", 100, "checkpoint")
-	pts, err := ReadTrace(&buf)
+	clock := telemetry.Clock(func() time.Time { return time.Unix(1_700_000_000, 0).UTC() })
+	fr := telemetry.NewFlightRecorder(t.TempDir(), 8, clock)
+	fr.Record(telemetry.Event{Span: "window", ElapsedNs: 1_000_000, Execs: 100})
+	fr.Record(telemetry.Event{Span: "sync", ElapsedNs: 2_000_000, DurNs: 1_000_000, Execs: 100, Detail: "final"})
+	path, err := fr.Dump("trace-shape")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, events, _ := bytes.Cut(data, []byte("\n")) // line 0 is the dump header
+	pts, err := ReadTrace(bytes.NewReader(events))
 	if err != nil {
 		t.Fatalf("span stream does not parse as a trace: %v", err)
 	}
@@ -31,8 +35,8 @@ func TestSpanLinesShareTraceShape(t *testing.T) {
 		t.Fatalf("got %d trace points, want 2", len(pts))
 	}
 	for _, p := range pts {
-		if p.Span == "" {
-			t.Fatalf("span line lost its span name: %+v", p)
+		if p.Span == "" || p.Execs != 100 || p.ElapsedNs == 0 {
+			t.Fatalf("span line lost its span name or axes: %+v", p)
 		}
 	}
 

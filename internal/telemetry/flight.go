@@ -9,9 +9,12 @@ import (
 	"sync"
 )
 
-// Event is one flight-recorder ring entry. It carries the same JSON
-// shape as SpanRecord so a dump file reads as a span stream: the last
-// line of a crash dump is the crashing exec's span.
+// Event is one point event: a flight-recorder ring entry and a dump
+// line. Its JSON shape is the campaign trace's (sim.TracePoint:
+// elapsed_ns is the offset on the producer's stream clock, execs its
+// exec index, and the span name marks the line as an event the yield
+// fitter skips), so a dump file reads as a span stream: the last line
+// of a crash dump is the crashing exec's span.
 type Event struct {
 	Span      string `json:"span"`
 	ElapsedNs int64  `json:"elapsed_ns"`

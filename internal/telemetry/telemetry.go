@@ -1,18 +1,23 @@
 // Package telemetry is the fleet's observability substrate: a
 // stdlib-only metrics registry (atomic counters, gauges, and
 // fixed-bucket latency histograms with zero-allocation hot-path
-// recording), Prometheus text-format exposition for scraping, trace
-// spans exported as JSONL compatible with the sim.TracePoint stream,
-// and a crash flight recorder (flight.go) — a bounded ring of recent
-// events dumped to disk when something goes wrong.
+// recording), Prometheus text-format exposition for scraping, and a
+// crash flight recorder (flight.go) — a bounded ring of recent events
+// dumped to disk when something goes wrong.
+//
+// There are two kinds of record. Views of a campaign are the
+// producer's own (a fuzz campaign's boundary Progress, from which its
+// counters and histograms are fed); point events — a crash, a sync, a
+// progress window, an HTTP request — are Event values, written as JSONL
+// in the sim.TracePoint shape so a flight dump parses as a trace.
 //
 // Two disciplines shape the package:
 //
 //   - The disabled path is near-zero. Every metric method is nil-safe:
-//     a nil *Counter, *Gauge, *Histogram, *Tracer, or *FlightRecorder
-//     is an inert no-op, so instrumented code carries telemetry as
-//     plain fields and pays one nil check per event when the operator
-//     has not asked for metrics. No global registry exists to tempt
+//     a nil *Counter, *Gauge, *Histogram, or *FlightRecorder is an
+//     inert no-op, so instrumented code carries telemetry as plain
+//     fields and pays one nil check per event when the operator has
+//     not asked for metrics. No global registry exists to tempt
 //     always-on recording.
 //
 //   - All clock use goes through the injected Clock seam. SystemClock

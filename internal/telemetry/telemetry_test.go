@@ -14,20 +14,6 @@ func fixedClock(sec int64) Clock {
 	return func() time.Time { return t }
 }
 
-// stepClock returns a clock advancing by step on every read, for
-// deterministic non-zero durations.
-func stepClock(start time.Time, step time.Duration) Clock {
-	var mu sync.Mutex
-	now := start
-	return func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		t := now
-		now = now.Add(step)
-		return t
-	}
-}
-
 func TestNilInstrumentsAreInert(t *testing.T) {
 	var c *Counter
 	var g *Gauge
