@@ -10,15 +10,11 @@
 //
 //	go test -run '^$' -bench . -benchtime 1x -count 3 ./internal/vkernel ./internal/fuzz | benchgate -baseline BENCH_fuzz.json
 //	... | benchgate -baseline BENCH_fuzz.json -record   # re-baseline
-//	... | benchgate -json medians.json                  # export medians
 //
 // Baselines are keyed by "<import path>.<BenchmarkName>" so same-named
 // benchmarks in different packages stay distinct. -record rewrites the
 // baseline's gate section with the observed medians (commit the result
-// to re-baseline after an intentional perf change). -json writes the
-// observed medians as {"benchmarks": {key: {ns_per_op, allocs_per_op}}}
-// — the cost-coefficient input `syzplan fit -bench` consumes ("-" =
-// stdout, compare skipped).
+// to re-baseline after an intentional perf change).
 package main
 
 import (
@@ -33,7 +29,6 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_fuzz.json", "baseline file with a top-level \"gate\" section")
 	tolerance := flag.Float64("tolerance", 0, "relative regression tolerance (0 = use the baseline's own; default 0.15)")
 	record := flag.Bool("record", false, "rewrite the baseline gate entries with the observed medians instead of comparing")
-	jsonOut := flag.String("json", "", "write the observed medians as JSON to FILE instead of comparing (\"-\" = stdout; the schema `syzplan fit -bench` reads)")
 	flag.Parse()
 
 	observed, err := ParseBenchOutput(os.Stdin)
@@ -44,17 +39,6 @@ func main() {
 	if len(observed) == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark results on stdin")
 		os.Exit(2)
-	}
-
-	if *jsonOut != "" {
-		if err := ExportMedians(*jsonOut, observed); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		if *jsonOut != "-" {
-			fmt.Printf("benchgate: wrote %d benchmark medians to %s\n", len(observed), *jsonOut)
-		}
-		return
 	}
 
 	if *record {
@@ -231,27 +215,6 @@ func RecordBaseline(path string, observed map[string]Sample) error {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// ExportMedians writes observed medians as a standalone JSON document
-// ({"benchmarks": {key: {ns_per_op, allocs_per_op}}}) — the exact
-// schema `syzplan fit -bench` consumes, so the planner's cost
-// coefficients and the regression gate share one measurement source.
-func ExportMedians(path string, observed map[string]Sample) error {
-	benches := make(map[string]GateEntry, len(observed))
-	for key, s := range observed {
-		benches[key] = GateEntry{NsPerOp: s.NsPerOp, AllocsPerOp: s.AllocsPerOp}
-	}
-	out, err := json.MarshalIndent(map[string]any{"benchmarks": benches}, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(out)
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
 }
 
 // Result is one benchmark's gate verdict.

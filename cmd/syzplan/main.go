@@ -5,14 +5,12 @@
 //
 // Subcommands:
 //
-//	syzplan fit -bench BENCH_fuzz.json -trace trace.jsonl \
-//	    -stats stats.json -hub-stats hub.json \
-//	    -workers 3 -shard-execs 2048 -o model.json
-//	  Fit cost coefficients from benchmark medians (benchgate -json
-//	  export or the gate file itself), the yield curve from a syzfuzz
-//	  -trace Progress stream, and calibrate against a recorded run's
-//	  timing stats (syzfuzz -stats-json, plus the hub's /v1/stats for
-//	  hub-side sync service times).
+//	syzplan fit -trace trace.jsonl -stats stats.json \
+//	    -hub-stats hub.json -workers 3 -shard-execs 2048 -o model.json
+//	  Fit the yield curve from a syzfuzz -trace Progress stream and the
+//	  cost coefficients from the same run's timing stats (syzfuzz
+//	  -stats-json, plus the hub's /v1/stats for hub-side sync service
+//	  times).
 //
 //	syzplan run -model model.json -workers 8 -execs 200000 [-hub] [-json]
 //	  Simulate one fleet configuration. With -target-cover and
@@ -121,7 +119,7 @@ func (rf runFlags) loadRecord() (sim.RunRecord, error) {
 		Workers: *rf.workers, ShardExecs: *rf.shardExecs, Seed: *rf.seed,
 		Hub:   r.Syncs > 0,
 		Execs: r.Execs, Cover: r.Cover, Crashes: len(r.Crashes),
-		ElapsedNs: r.ElapsedNs, WorkNs: r.WorkNs, TriageNs: r.TriageNs,
+		ElapsedNs: r.ElapsedNs, WorkNs: r.WorkNs,
 		SyncNs: r.SyncNs, Syncs: r.Syncs,
 	}
 	if rec.ElapsedNs <= 0 {
@@ -159,21 +157,19 @@ func (rf runFlags) loadRecord() (sim.RunRecord, error) {
 
 func cmdFit(args []string) error {
 	fs := flag.NewFlagSet("fit", flag.ExitOnError)
-	bench := fs.String("bench", "", "benchmark medians JSON (benchgate/benchtables -json export, or the BENCH_fuzz.json gate file)")
 	trace := fs.String("trace", "", "syzfuzz -trace Progress stream (JSON lines) for the yield curve")
 	out := fs.String("o", "model.json", "output model file")
 	rf := addRunFlags(fs)
 	fs.Parse(args)
-	if *bench == "" || *trace == "" {
-		return fmt.Errorf("need -bench and -trace")
+	if *trace == "" || *rf.stats == "" {
+		return fmt.Errorf("need -trace and -stats")
 	}
-	medians, err := sim.LoadBenchMedians(*bench)
+	rec, err := rf.loadRecord()
 	if err != nil {
 		return err
 	}
-	costs, err := sim.FitCosts(medians)
-	if err != nil {
-		return err
+	if rec.WorkNs <= 0 {
+		return fmt.Errorf("%s: no work time to fit the per-exec cost from", *rf.stats)
 	}
 	pts, err := sim.ReadTraceFile(*trace)
 	if err != nil {
@@ -183,21 +179,13 @@ func cmdFit(args []string) error {
 	if err != nil {
 		return err
 	}
-	m := &sim.Model{Cost: costs, Yield: yield, FittedFrom: fmt.Sprintf("bench=%s trace=%s", *bench, *trace)}
-	if *rf.stats != "" {
-		rec, err := rf.loadRecord()
-		if err != nil {
-			return err
-		}
-		m.Calibrate(rec)
-		m.FittedFrom += fmt.Sprintf(" calibrated=%s", *rf.stats)
-	}
+	m := &sim.Model{Yield: yield, FittedFrom: fmt.Sprintf("trace=%s calibrated=%s", *trace, *rf.stats)}
+	m.Calibrate(rec)
 	if err := m.Save(*out); err != nil {
 		return err
 	}
 	fmt.Printf("model written to %s\n", *out)
-	fmt.Printf("  per-exec: exec=%s mutate=%s triage=%s\n",
-		ns(m.Cost.ExecNs), ns(m.Cost.MutateNs), ns(m.Cost.TriageNs))
+	fmt.Printf("  per-exec: step=%s\n", ns(m.Cost.StepNs))
 	fmt.Printf("  sync: base=%s hub-service=%s", ns(m.Cost.SyncBaseNs), ns(m.Cost.HubServiceNs))
 	if m.Cost.HubPerByteNs > 0 {
 		fmt.Printf(" +%.2fns/B × %.0fB", m.Cost.HubPerByteNs, m.BytesPerSync)
@@ -217,7 +205,6 @@ func cmdRun(args []string) error {
 	deadline := fs.Duration("deadline", 0, "wall-clock horizon (truncates the budget; with -target-cover, the planning deadline)")
 	hubOn := fs.Bool("hub", false, "attach the fleet to a hub")
 	checkpoint := fs.Bool("checkpoint", false, "checkpoint the corpus at unit boundaries")
-	llmSeeds := fs.Int("llm-seeds", 0, "LLM-generated seed programs paid for up front")
 	seed := fs.Int64("seed", 1, "jitter seed")
 	targetCover := fs.Int("target-cover", 0, "planner query: min workers to reach this many blocks by -deadline")
 	maxWorkers := fs.Int("max-workers", 64, "search ceiling for -target-cover")
@@ -229,7 +216,7 @@ func cmdRun(args []string) error {
 	}
 	base := sim.FleetConfig{
 		Workers: *workers, Execs: *execs, ShardExecs: *shardExecs,
-		Hub: *hubOn, Checkpoint: *checkpoint, LLMSeeds: *llmSeeds, Seed: *seed,
+		Hub: *hubOn, Checkpoint: *checkpoint, Seed: *seed,
 	}
 	if *targetCover > 0 {
 		if *deadline <= 0 {

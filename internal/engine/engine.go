@@ -1,17 +1,16 @@
 // Package engine is the concurrency-ready facade over KernelGPT's
 // specification-generation pipeline. It owns the wiring the cmd/
 // binaries and benchmarks used to duplicate by hand — building the
-// analysis client, stacking middleware (cache, retry, concurrency
-// limit), and looping handlers through generation plus dependency
-// following — and runs per-driver generation through a worker pool.
+// analysis client chain (telemetry → cache → client), and looping
+// handlers through generation plus dependency following — and runs
+// per-driver generation through a worker pool.
 //
 // Construction uses functional options:
 //
 //	eng := engine.New(corpus,
 //		engine.WithClient(llm.NewSim("gpt-4", 1)),
 //		engine.WithWorkers(8),
-//		engine.WithCache(2048),
-//		engine.WithRepairRounds(3))
+//		engine.WithCache(2048))
 //	results, err := eng.Generate(ctx, corpus.Incomplete(corpus.KindDriver))
 //
 // Generation results are deterministic and identical to the serial
@@ -23,7 +22,6 @@ package engine
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"kernelgpt/internal/core"
@@ -34,27 +32,16 @@ import (
 	"kernelgpt/internal/telemetry"
 )
 
-// Progress is one per-handler completion update.
-type Progress struct {
-	Done, Total int
-	Handler     string
-	Valid       bool
-}
-
 // config collects the functional options.
 type config struct {
-	client       llm.Client
-	model        string
-	seed         uint64
-	workers      int
-	cacheSize    int
-	retries      int
-	retryBackoff time.Duration
-	maxInFlight  int
-	opts         core.Options
-	progress     func(Progress)
-	registry     *telemetry.Registry
-	clock        telemetry.Clock
+	client    llm.Client
+	model     string
+	seed      uint64
+	workers   int
+	cacheSize int
+	opts      core.Options
+	registry  *telemetry.Registry
+	clock     telemetry.Clock
 }
 
 // Option configures an Engine.
@@ -84,41 +71,16 @@ func WithCache(entries int) Option {
 	return func(cfg *config) { cfg.cacheSize = entries }
 }
 
-// WithRetry inserts a retry/backoff layer (attempts total tries).
-func WithRetry(attempts int, backoff time.Duration) Option {
-	return func(cfg *config) { cfg.retries = attempts; cfg.retryBackoff = backoff }
-}
-
-// WithConcurrencyLimit bounds in-flight completions below the worker
-// count (an API-quota guard; 0 means unlimited).
-func WithConcurrencyLimit(n int) Option {
-	return func(cfg *config) { cfg.maxInFlight = n }
-}
-
-// WithRepairRounds bounds the validation-and-repair loop (§3.2).
-func WithRepairRounds(n int) Option {
-	return func(cfg *config) {
-		cfg.opts.Repair = n > 0
-		cfg.opts.MaxRepairRounds = n
-	}
-}
-
-// WithGeneratorOptions replaces the full core.Options (for ablation
-// harnesses that toggle AllInOne, MaxIter, or tracing wholesale).
-// Later fine-grained options still apply on top.
+// WithGeneratorOptions replaces the full core.Options (default
+// core.DefaultOptions): the repair loop (§3.2), AllInOne, MaxIter and
+// tracing are all set here.
 func WithGeneratorOptions(opts core.Options) Option {
 	return func(cfg *config) { cfg.opts = opts }
 }
 
-// WithProgress installs a per-handler completion callback. Calls are
-// serialized.
-func WithProgress(fn func(Progress)) Option {
-	return func(cfg *config) { cfg.progress = fn }
-}
-
 // WithTelemetry registers engine and LLM-client metrics on reg: an
 // llm telemetry middleware outermost in the chain (request/error,
-// cache hit/miss, retry, token, and latency series), a
+// cache hit/miss, token, and latency series), a
 // worker-occupancy gauge, and per-handler outcome counters. A nil
 // registry disables everything (the default).
 func WithTelemetry(reg *telemetry.Registry) Option {
@@ -173,13 +135,12 @@ func (m *engineMetrics) handlerDone(durNs int64, valid bool) {
 
 // Engine drives specification generation for a corpus.
 type Engine struct {
-	corpus   *corpus.Corpus
-	client   llm.Client
-	gen      *core.Generator
-	workers  int
-	progress func(Progress)
-	metrics  *engineMetrics
-	clock    telemetry.Clock
+	corpus  *corpus.Corpus
+	client  llm.Client
+	gen     *core.Generator
+	workers int
+	metrics *engineMetrics
+	clock   telemetry.Clock
 }
 
 // New builds an Engine over a corpus with the given options.
@@ -192,29 +153,20 @@ func New(c *corpus.Corpus, options ...Option) *Engine {
 	if client == nil {
 		client = llm.NewSim(cfg.model, cfg.seed)
 	}
-	lm := llm.NewMetrics(cfg.registry)
-	var mws []llm.Middleware
-	// Telemetry sits outermost so it observes what callers are served:
-	// hits flagged by the cache below it, successes salvaged by retries.
-	mws = append(mws, llm.WithTelemetry(lm, cfg.clock))
+	// Telemetry sits outermost so it observes what callers are served,
+	// hits flagged by the cache below it included.
+	mws := []llm.Middleware{llm.WithTelemetry(llm.NewMetrics(cfg.registry), cfg.clock)}
 	if cfg.cacheSize > 0 {
 		mws = append(mws, llm.WithCache(cfg.cacheSize))
 	}
-	if cfg.retries > 1 {
-		mws = append(mws, llm.WithRetryObserved(cfg.retries, cfg.retryBackoff, lm.RetryCounter()))
-	}
-	if cfg.maxInFlight > 0 {
-		mws = append(mws, llm.WithConcurrencyLimit(cfg.maxInFlight))
-	}
 	client = llm.Chain(client, mws...)
 	return &Engine{
-		corpus:   c,
-		client:   client,
-		gen:      core.New(client, c, cfg.opts),
-		workers:  cfg.workers,
-		progress: cfg.progress,
-		metrics:  newEngineMetrics(cfg.registry),
-		clock:    cfg.clock,
+		corpus:  c,
+		client:  client,
+		gen:     core.New(client, c, cfg.opts),
+		workers: cfg.workers,
+		metrics: newEngineMetrics(cfg.registry),
+		clock:   cfg.clock,
 	}
 }
 
@@ -248,8 +200,6 @@ func (e *Engine) GenerateFor(ctx context.Context, h *corpus.Handler) *core.Resul
 // Results, never nil) along with ctx.Err().
 func (e *Engine) Generate(ctx context.Context, handlers []*corpus.Handler) ([]*core.Result, error) {
 	results := make([]*core.Result, len(handlers))
-	var mu sync.Mutex
-	done := 0
 	pool.Run(pool.Clamp(len(handlers), e.workers, 1), len(handlers), func(i int) {
 		var t0 time.Time
 		if e.metrics != nil {
@@ -260,15 +210,6 @@ func (e *Engine) Generate(ctx context.Context, handlers []*corpus.Handler) ([]*c
 		results[i] = e.GenerateFor(ctx, handlers[i])
 		if e.metrics != nil {
 			e.metrics.handlerDone(e.clock.Now().Sub(t0).Nanoseconds(), results[i].Valid)
-		}
-		if e.progress != nil {
-			mu.Lock()
-			done++
-			e.progress(Progress{
-				Done: done, Total: len(handlers),
-				Handler: handlers[i].Name, Valid: results[i].Valid,
-			})
-			mu.Unlock()
 		}
 	})
 	return results, ctx.Err()

@@ -112,24 +112,6 @@ func TestSuiteMergesValidResults(t *testing.T) {
 	}
 }
 
-// TestProgressCallback counts per-handler updates.
-func TestProgressCallback(t *testing.T) {
-	worklist := testCorpus.Incomplete(corpus.KindDriver)
-	var updates []Progress
-	e := New(testCorpus, WithModel("gpt-4", 1), WithWorkers(3),
-		WithProgress(func(p Progress) { updates = append(updates, p) }))
-	if _, err := e.Generate(ctx, worklist); err != nil {
-		t.Fatal(err)
-	}
-	if len(updates) != len(worklist) {
-		t.Fatalf("want %d updates, got %d", len(worklist), len(updates))
-	}
-	last := updates[len(updates)-1]
-	if last.Done != len(worklist) || last.Total != len(worklist) {
-		t.Fatalf("final update wrong: %+v", last)
-	}
-}
-
 // TestCancellation: a cancelled context yields failed (but non-nil)
 // results and the context error.
 func TestCancellation(t *testing.T) {
@@ -150,20 +132,18 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestRepairRoundsOption: disabling repair must flow through to the
-// pipeline (ubi_ctrl needs repair to validate at some seeds; at
-// minimum the options must not be ignored).
+// TestRepairRoundsOption: the repair loop's settings in
+// WithGeneratorOptions must flow through to the pipeline (ubi_ctrl
+// needs repair to validate at some seeds; at minimum the options must
+// not be ignored).
 func TestRepairRoundsOption(t *testing.T) {
 	opts := core.DefaultOptions()
-	eng := New(testCorpus, WithModel("gpt-4", 2), WithGeneratorOptions(opts), WithRepairRounds(0))
-	if eng.gen == nil {
-		t.Fatal("generator missing")
+	opts.Repair, opts.MaxRepairRounds = false, 0
+	e := New(testCorpus, WithModel("gpt-4", 2), WithGeneratorOptions(opts))
+	if e.gen.Opts != opts {
+		t.Fatalf("generator options %+v, want %+v", e.gen.Opts, opts)
 	}
-	// WithRepairRounds(0) must disable repair entirely.
-	e2 := New(testCorpus, WithModel("gpt-4", 2), WithRepairRounds(0))
-	h := testCorpus.Handler("dm")
-	res := e2.GenerateFor(ctx, h)
-	if res.Repaired {
-		t.Fatal("repair ran despite WithRepairRounds(0)")
+	if res := e.GenerateFor(ctx, testCorpus.Handler("dm")); res.Repaired {
+		t.Fatal("repair ran with Repair off")
 	}
 }

@@ -21,7 +21,7 @@ func TestEngineTelemetry(t *testing.T) {
 	worklist := testCorpus.Incomplete(corpus.KindDriver)
 	reg := telemetry.NewRegistry()
 	e := New(testCorpus, WithModel("gpt-4", 5), WithWorkers(4),
-		WithCache(2048), WithRetry(3, 0),
+		WithCache(2048),
 		WithTelemetry(reg), WithClock(fixedClock()))
 	results, err := e.Generate(ctx, worklist)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestEngineTelemetryDeterminism(t *testing.T) {
 // TestEngineTelemetryDisabledIsDefault: without WithTelemetry the
 // chain must stay free of telemetry layers.
 func TestEngineTelemetryDisabledIsDefault(t *testing.T) {
-	e := New(testCorpus, WithModel("gpt-4", 1), WithCache(8), WithRetry(2, 0))
+	e := New(testCorpus, WithModel("gpt-4", 1), WithCache(8))
 	if e.metrics != nil {
 		t.Error("metrics bundle allocated without WithTelemetry")
 	}

@@ -35,14 +35,19 @@ type shardPlan struct {
 // campaign budget instead of being pinned at DefaultShardExecs.
 const maxDefaultUnits = 16
 
-func planShards(cfg Config) shardPlan {
-	grain := cfg.ShardExecs
-	if grain <= 0 {
-		grain = DefaultShardExecs
-		if scaled := (cfg.Execs + maxDefaultUnits - 1) / maxDefaultUnits; scaled > grain {
-			grain = scaled
-		}
+// UnitGrain is the per-unit budget of a sharded campaign of execs
+// executions: shardExecs when positive, otherwise DefaultShardExecs
+// scaled up so the budget splits into at most maxDefaultUnits units.
+// The fleet simulator (internal/sim) plans its units by this rule too.
+func UnitGrain(execs, shardExecs int) int {
+	if shardExecs > 0 {
+		return shardExecs
 	}
+	return max(DefaultShardExecs, (execs+maxDefaultUnits-1)/maxDefaultUnits)
+}
+
+func planShards(cfg Config) shardPlan {
+	grain := UnitGrain(cfg.Execs, cfg.ShardExecs)
 	units := (cfg.Execs + grain - 1) / grain
 	if units < 1 {
 		units = 1

@@ -4,11 +4,10 @@
 // The client surface is context-aware and concurrency-ready: a call
 // is a Request (messages plus purpose/driver metadata) completed into
 // a Response (text plus per-call token usage), and clients compose
-// through Middleware — shipped wrappers provide an LRU response cache
-// (deduplicating identical analysis prompts across drivers), a
-// retry/backoff layer, and a concurrency limiter. All shipped clients
-// are safe for concurrent use; cumulative Usage accounting is
-// mutex-protected.
+// through Middleware — the shipped wrappers are an LRU response cache
+// (deduplicating identical analysis prompts across drivers) and a
+// telemetry recorder. All shipped clients are safe for concurrent use;
+// cumulative Usage accounting is mutex-protected.
 //
 // The paper drives GPT-4 through the OpenAI chat API; this
 // reproduction is offline, so the Client interface is implemented by
@@ -118,9 +117,9 @@ type Client interface {
 	Name() string
 }
 
-// Middleware wraps a Client with additional behavior (caching,
-// retries, concurrency limiting). Middleware composes: the returned
-// Client is itself wrappable.
+// Middleware wraps a Client with additional behavior (WithTelemetry,
+// WithCache). Middleware composes: the returned Client is itself
+// wrappable.
 type Middleware func(Client) Client
 
 // Chain applies middleware so that the first listed is outermost:

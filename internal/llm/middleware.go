@@ -5,9 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"sync"
-	"time"
-
-	"kernelgpt/internal/telemetry"
 )
 
 // --- caching ---
@@ -146,95 +143,3 @@ func FindCache(c Client) (*CachingClient, bool) {
 	}
 	return nil, false
 }
-
-// --- retry ---
-
-// retryClient retries failed completions with exponential backoff.
-type retryClient struct {
-	inner    Client
-	attempts int
-	backoff  time.Duration
-	retries  *telemetry.Counter // optional, via WithRetryObserved
-}
-
-// WithRetry wraps a client so transient errors are retried up to
-// attempts total tries, sleeping backoff, 2·backoff, … between tries.
-// Context cancellation is never retried and interrupts the backoff
-// sleep.
-func WithRetry(attempts int, backoff time.Duration) Middleware {
-	if attempts < 1 {
-		attempts = 1
-	}
-	return func(c Client) Client {
-		return &retryClient{inner: c, attempts: attempts, backoff: backoff}
-	}
-}
-
-func (r *retryClient) Complete(ctx context.Context, req Request) (Response, error) {
-	var resp Response
-	var err error
-	delay := r.backoff
-	for try := 0; try < r.attempts; try++ {
-		if try > 0 {
-			r.retries.Inc()
-			if delay > 0 {
-				t := time.NewTimer(delay)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return Response{}, ctx.Err()
-				case <-t.C:
-				}
-				delay *= 2
-			}
-		}
-		resp, err = r.inner.Complete(ctx, req)
-		if err == nil || ctx.Err() != nil {
-			return resp, err
-		}
-	}
-	return resp, err
-}
-
-func (r *retryClient) Usage() Usage   { return r.inner.Usage() }
-func (r *retryClient) Name() string   { return r.inner.Name() }
-func (r *retryClient) Unwrap() Client { return r.inner }
-
-// --- concurrency limiting ---
-
-// limitClient bounds in-flight completions with a semaphore: the
-// batching discipline that keeps a worker pool from overrunning an
-// API's concurrent-request quota.
-type limitClient struct {
-	inner Client
-	sem   chan struct{}
-}
-
-// WithConcurrencyLimit wraps a client so at most n completions run
-// concurrently; excess callers block (or abort on context
-// cancellation) until a slot frees.
-func WithConcurrencyLimit(n int) Middleware {
-	if n < 1 {
-		n = 1
-	}
-	return func(c Client) Client {
-		return &limitClient{inner: c, sem: make(chan struct{}, n)}
-	}
-}
-
-func (l *limitClient) Complete(ctx context.Context, req Request) (Response, error) {
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
-	}
-	select {
-	case l.sem <- struct{}{}:
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	}
-	defer func() { <-l.sem }()
-	return l.inner.Complete(ctx, req)
-}
-
-func (l *limitClient) Usage() Usage   { return l.inner.Usage() }
-func (l *limitClient) Name() string   { return l.inner.Name() }
-func (l *limitClient) Unwrap() Client { return l.inner }

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
+
+	"kernelgpt/internal/telemetry"
 )
 
 // fakeClient is a scriptable Client for middleware tests.
@@ -16,29 +16,12 @@ type fakeClient struct {
 	calls int
 	// failFirst makes the first n calls fail.
 	failFirst int
-	// inFlight/maxInFlight observe concurrency.
-	inFlight    int32
-	maxInFlight int32
-	// delay stretches each call so concurrency is observable.
-	delay time.Duration
-	usage UsageCounter
+	usage     UsageCounter
 }
 
 var errFlaky = errors.New("transient backend error")
 
 func (f *fakeClient) Complete(ctx context.Context, req Request) (Response, error) {
-	cur := atomic.AddInt32(&f.inFlight, 1)
-	for {
-		old := atomic.LoadInt32(&f.maxInFlight)
-		if cur <= old || atomic.CompareAndSwapInt32(&f.maxInFlight, old, cur) {
-			break
-		}
-	}
-	if f.delay > 0 {
-		time.Sleep(f.delay)
-	}
-	atomic.AddInt32(&f.inFlight, -1)
-
 	f.mu.Lock()
 	f.calls++
 	n := f.calls
@@ -135,91 +118,13 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestRetryRecoversTransientErrors(t *testing.T) {
-	fake := &fakeClient{failFirst: 2}
-	c := Chain(fake, WithRetry(3, time.Millisecond))
-	resp, err := c.Complete(context.Background(), req("p"))
-	if err != nil {
-		t.Fatalf("retry should have absorbed 2 failures: %v", err)
-	}
-	if resp.Text != "echo:p" {
-		t.Fatalf("bad response: %+v", resp)
-	}
-	if fake.calls != 3 {
-		t.Fatalf("expected 3 tries, got %d", fake.calls)
-	}
-}
-
-func TestRetryGivesUp(t *testing.T) {
-	fake := &fakeClient{failFirst: 10}
-	c := Chain(fake, WithRetry(3, 0))
-	if _, err := c.Complete(context.Background(), req("p")); !errors.Is(err, errFlaky) {
-		t.Fatalf("want the backend error after exhausting tries, got %v", err)
-	}
-	if fake.calls != 3 {
-		t.Fatalf("expected exactly 3 tries, got %d", fake.calls)
-	}
-}
-
-func TestRetryHonorsCancellation(t *testing.T) {
-	fake := &fakeClient{failFirst: 10}
-	c := Chain(fake, WithRetry(5, time.Hour))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Complete(ctx, req("p"))
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("retry slept through cancellation")
-	}
-}
-
-func TestConcurrencyLimitHonorsBound(t *testing.T) {
-	fake := &fakeClient{delay: 5 * time.Millisecond}
-	c := Chain(fake, WithConcurrencyLimit(3))
-	var wg sync.WaitGroup
-	for i := 0; i < 24; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Complete(context.Background(), req(fmt.Sprintf("p%d", i))); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if max := atomic.LoadInt32(&fake.maxInFlight); max > 3 {
-		t.Fatalf("observed %d in-flight calls, limit is 3", max)
-	}
-	if fake.calls != 24 {
-		t.Fatalf("all calls must complete, got %d", fake.calls)
-	}
-}
-
-func TestConcurrencyLimitCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c := Chain(&fakeClient{delay: time.Second}, WithConcurrencyLimit(1))
-	// A cancelled context must not deadlock waiting for a slot.
-	if _, err := c.Complete(ctx, req("p")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-}
-
-// TestChainedMiddlewareUnderRace hammers the full production chain
-// (cache → retry → limit → sim) from many goroutines; run with
-// -race, this is the regression test for the Usage data race.
+// TestChainedMiddlewareUnderRace hammers the chain engine.New builds
+// (telemetry → cache → sim) from many goroutines; run with -race, this
+// is the regression test for the Usage data race.
 func TestChainedMiddlewareUnderRace(t *testing.T) {
 	sim := NewSim("gpt-4", 17)
-	c := Chain(sim, WithCache(64), WithRetry(2, 0), WithConcurrencyLimit(4))
+	m := NewMetrics(telemetry.NewRegistry())
+	c := Chain(sim, WithTelemetry(m, nil), WithCache(64))
 	prompts := []Request{}
 	for i := 0; i < 8; i++ {
 		r := req(fmt.Sprintf("%s\nprobe %d\n%s\n%s", SecInstruction, i, SecSource, simDMSource))
@@ -248,8 +153,13 @@ func TestChainedMiddlewareUnderRace(t *testing.T) {
 	if !ok {
 		t.Fatal("FindCache must walk Unwrap chains")
 	}
-	if st := cc.Stats(); st.Hits == 0 {
+	st := cc.Stats()
+	if st.Hits == 0 {
 		t.Fatalf("expected cache hits under repetition: %+v", st)
+	}
+	if got := m.Requests.Value(); got != 8*20 || m.CacheHits.Value() != int64(st.Hits) {
+		t.Fatalf("telemetry saw %d requests, %d hits; want %d requests, %d hits",
+			got, m.CacheHits.Value(), 8*20, st.Hits)
 	}
 }
 
@@ -281,135 +191,5 @@ func TestSimConcurrentDeterminism(t *testing.T) {
 	wg.Wait()
 	if u := shared.Usage(); u.Calls != 8 {
 		t.Fatalf("usage lost calls under concurrency: %+v", u)
-	}
-}
-
-// clientFunc adapts a function to Client for cancel-path tests that
-// need call-site control over the context.
-type clientFunc struct {
-	fn    func(ctx context.Context, req Request) (Response, error)
-	calls int32
-}
-
-func (c *clientFunc) Complete(ctx context.Context, req Request) (Response, error) {
-	atomic.AddInt32(&c.calls, 1)
-	return c.fn(ctx, req)
-}
-func (c *clientFunc) Usage() Usage { return Usage{} }
-func (c *clientFunc) Name() string { return "func" }
-
-// TestRetryCancellationStopsFurtherTries pins the exact try count on
-// the cancel path: after the first failure the retry middleware must
-// park in its backoff sleep and never reach the inner client again
-// once the context dies (the hub client reuses this discipline for
-// sync retries, where a second post after cancellation would leak
-// work past a campaign's shutdown).
-func TestRetryCancellationStopsFurtherTries(t *testing.T) {
-	fake := &fakeClient{failFirst: 10}
-	c := Chain(fake, WithRetry(5, time.Hour))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Complete(ctx, req("p"))
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("retry slept through cancellation")
-	}
-	fake.mu.Lock()
-	calls := fake.calls
-	fake.mu.Unlock()
-	if calls != 1 {
-		t.Fatalf("cancellation must stop further tries: %d inner calls", calls)
-	}
-}
-
-// TestRetryDoesNotRetryMidCallCancellation: when the context dies
-// while the inner call is in flight (and the call consequently
-// fails), the failure must surface immediately instead of being
-// treated as transient and retried.
-func TestRetryDoesNotRetryMidCallCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	inner := &clientFunc{fn: func(ctx context.Context, req Request) (Response, error) {
-		cancel() // the context dies mid-call
-		return Response{}, ctx.Err()
-	}}
-	c := Chain(inner, WithRetry(5, 0))
-	_, err := c.Complete(ctx, req("p"))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if n := atomic.LoadInt32(&inner.calls); n != 1 {
-		t.Fatalf("mid-call cancellation retried: %d inner calls", n)
-	}
-}
-
-// TestRetryDeadlineInterruptsBackoff: an expiring deadline behaves
-// like cancellation — the backoff sleep ends early and the deadline
-// error surfaces with no further tries.
-func TestRetryDeadlineInterruptsBackoff(t *testing.T) {
-	fake := &fakeClient{failFirst: 10}
-	c := Chain(fake, WithRetry(5, time.Hour))
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Complete(ctx, req("p"))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want context.DeadlineExceeded, got %v", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("deadline did not interrupt the backoff sleep")
-	}
-	fake.mu.Lock()
-	defer fake.mu.Unlock()
-	if fake.calls != 1 {
-		t.Fatalf("deadline must stop further tries: %d inner calls", fake.calls)
-	}
-}
-
-// TestConcurrencyLimitCancelWhileBlocked: a caller parked on a full
-// semaphore must abort on cancellation without ever reaching the
-// inner client.
-func TestConcurrencyLimitCancelWhileBlocked(t *testing.T) {
-	release := make(chan struct{})
-	inner := &clientFunc{fn: func(ctx context.Context, req Request) (Response, error) {
-		<-release
-		return Response{Text: "ok"}, nil
-	}}
-	c := Chain(inner, WithConcurrencyLimit(1))
-	// Occupy the only slot.
-	first := make(chan struct{})
-	go func() {
-		close(first)
-		c.Complete(context.Background(), req("holder"))
-	}()
-	<-first
-	time.Sleep(5 * time.Millisecond) // let the holder take the slot
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Complete(ctx, req("blocked"))
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("want context.Canceled, got %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked caller ignored cancellation")
-	}
-	close(release)
-	if n := atomic.LoadInt32(&inner.calls); n != 1 {
-		t.Fatalf("cancelled waiter leaked through to the inner client: %d calls", n)
 	}
 }

@@ -2,19 +2,18 @@ package llm
 
 import (
 	"context"
-	"time"
 
 	"kernelgpt/internal/telemetry"
 )
 
 // Metrics is the LLM-client telemetry bundle: request outcomes, cache
-// effectiveness, retries, token spend, and completion latency. A nil
+// effectiveness, token spend, and completion latency. A nil
 // *Metrics disables recording (WithTelemetry becomes the identity
 // middleware), matching the package-wide disabled-path discipline.
 type Metrics struct {
 	// Requests counts completions entering the chain
-	// (llm_requests_total); Errors counts the ones that failed after
-	// all retries (llm_errors_total).
+	// (llm_requests_total); Errors counts the ones that failed
+	// (llm_errors_total).
 	Requests *telemetry.Counter
 	Errors   *telemetry.Counter
 	// CacheHits/CacheMisses classify successful completions by
@@ -24,16 +23,13 @@ type Metrics struct {
 	// sees requests that later fail downstream.
 	CacheHits   *telemetry.Counter
 	CacheMisses *telemetry.Counter
-	// Retries counts retry attempts beyond each request's first try
-	// (llm_retries_total); feed it through WithRetryObserved.
-	Retries *telemetry.Counter
 	// PromptTokens/CompletionTokens accumulate billed token usage
 	// (llm_tokens_total{kind="prompt"|"completion"}); cache hits
 	// report zero usage and so add nothing.
 	PromptTokens     *telemetry.Counter
 	CompletionTokens *telemetry.Counter
 	// LatencyNs is the full-chain completion latency (llm_latency_ns),
-	// including cache lookups, retries, and limiter queueing.
+	// cache lookups included.
 	LatencyNs *telemetry.Histogram
 }
 
@@ -48,21 +44,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Errors:           reg.Counter("llm_errors_total"),
 		CacheHits:        reg.Counter("llm_cache_hits_total"),
 		CacheMisses:      reg.Counter("llm_cache_misses_total"),
-		Retries:          reg.Counter("llm_retries_total"),
 		PromptTokens:     reg.Counter(`llm_tokens_total{kind="prompt"}`),
 		CompletionTokens: reg.Counter(`llm_tokens_total{kind="completion"}`),
 		LatencyNs:        reg.Histogram("llm_latency_ns", nil),
 	}
-}
-
-// RetryCounter returns the bundle's retry counter for feeding to
-// WithRetryObserved. A nil bundle yields a nil (inert) counter, so
-// callers can wire it unconditionally.
-func (m *Metrics) RetryCounter() *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.Retries
 }
 
 // telemetryClient records each completion's outcome into a Metrics
@@ -76,7 +61,7 @@ type telemetryClient struct {
 // WithTelemetry returns middleware recording completions into m with
 // latency from clock (nil = system). Place it first in Chain
 // (outermost) so it observes what callers are actually served — a hit
-// flagged by the cache below it, a success salvaged by retries.
+// flagged by the cache below it.
 func WithTelemetry(m *Metrics, clock telemetry.Clock) Middleware {
 	return func(c Client) Client {
 		if m == nil {
@@ -108,15 +93,3 @@ func (t *telemetryClient) Complete(ctx context.Context, req Request) (Response, 
 func (t *telemetryClient) Usage() Usage   { return t.inner.Usage() }
 func (t *telemetryClient) Name() string   { return t.inner.Name() }
 func (t *telemetryClient) Unwrap() Client { return t.inner }
-
-// WithRetryObserved is WithRetry with a per-retry counter: retries
-// (nil-safe) is incremented once for every attempt beyond a request's
-// first. WithRetry is equivalent to a nil counter.
-func WithRetryObserved(attempts int, backoff time.Duration, retries *telemetry.Counter) Middleware {
-	if attempts < 1 {
-		attempts = 1
-	}
-	return func(c Client) Client {
-		return &retryClient{inner: c, attempts: attempts, backoff: backoff, retries: retries}
-	}
-}

@@ -13,20 +13,19 @@ func fixedClock() telemetry.Clock {
 	return func() time.Time { return at }
 }
 
-// TestTelemetryObservesChain drives a full middleware stack —
-// telemetry outermost, then cache, then retry — and checks every
-// series: a retried miss, a hit, and a second miss.
+// TestTelemetryObservesChain drives the middleware stack — telemetry
+// outermost, then cache — and checks every series: a miss, a hit, and
+// a second miss.
 func TestTelemetryObservesChain(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	fake := &fakeClient{failFirst: 1}
+	fake := &fakeClient{}
 	c := Chain(fake,
 		WithTelemetry(m, fixedClock()),
-		WithCache(8),
-		WithRetryObserved(3, 0, m.RetryCounter()))
+		WithCache(8))
 	ctx := context.Background()
 
-	r1, err := c.Complete(ctx, req("prompt-a")) // fails once, retried, miss
+	r1, err := c.Complete(ctx, req("prompt-a")) // miss
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,6 @@ func TestTelemetryObservesChain(t *testing.T) {
 		"llm_errors_total":       0,
 		"llm_cache_hits_total":   1,
 		"llm_cache_misses_total": 2,
-		"llm_retries_total":      1,
 	}
 	for name, v := range want {
 		if got := reg.Counter(name).Value(); got != v {
@@ -71,18 +69,17 @@ func TestTelemetryObservesChain(t *testing.T) {
 	}
 }
 
-// TestTelemetryCountsErrors: a request that exhausts its retries is
-// one request, one error, attempts-1 retries — and no cache
-// classification.
+// TestTelemetryCountsErrors: a failed request is one request, one
+// error — and no cache classification.
 func TestTelemetryCountsErrors(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	fake := &fakeClient{failFirst: 10}
+	fake := &fakeClient{failFirst: 1}
 	c := Chain(fake,
 		WithTelemetry(m, fixedClock()),
-		WithRetryObserved(3, 0, m.RetryCounter()))
+		WithCache(8))
 	if _, err := c.Complete(context.Background(), req("doomed")); err == nil {
-		t.Fatal("want error after exhausted retries")
+		t.Fatal("want the backend error")
 	}
 	if got := m.Requests.Value(); got != 1 {
 		t.Errorf("requests = %d, want 1", got)
@@ -90,23 +87,16 @@ func TestTelemetryCountsErrors(t *testing.T) {
 	if got := m.Errors.Value(); got != 1 {
 		t.Errorf("errors = %d, want 1", got)
 	}
-	if got := m.Retries.Value(); got != 2 {
-		t.Errorf("retries = %d, want 2", got)
-	}
 	if hits, misses := m.CacheHits.Value(), m.CacheMisses.Value(); hits != 0 || misses != 0 {
 		t.Errorf("errored request classified as cache traffic: hits=%d misses=%d", hits, misses)
 	}
 }
 
 // TestTelemetryDisabled: a nil bundle makes WithTelemetry the
-// identity middleware and WithRetryObserved equivalent to WithRetry.
+// identity middleware.
 func TestTelemetryDisabled(t *testing.T) {
-	var m *Metrics
-	if m.RetryCounter() != nil {
-		t.Error("nil bundle must yield a nil retry counter")
-	}
-	fake := &fakeClient{failFirst: 1}
-	c := Chain(fake, WithTelemetry(nil, nil), WithRetryObserved(2, 0, m.RetryCounter()))
+	fake := &fakeClient{}
+	c := Chain(fake, WithTelemetry(nil, nil))
 	if _, ok := c.(*telemetryClient); ok {
 		t.Error("disabled telemetry must not insert a chain layer")
 	}

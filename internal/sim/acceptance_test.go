@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"context"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,13 +51,13 @@ func (h *costedHub) Sync(context.Context, fuzz.SyncState) ([]seedpool.SeedState,
 // virtual time: a real sharded campaign — the real step loop, driver
 // and triage, on a clock that advances only by a fixed cost per
 // executed program and per hub exchange — produces a Progress trace
-// and timing stats; `syzplan fit`'s pipeline (bench priors → yield fit
-// → calibration) builds a model from them; and Validate must
-// reproduce the run. With no machine in the loop what is asserted is
-// the simulator's structure — unit decomposition, sync cadence, the
-// campaign-end push, the yield curve — so the bars are tight (exec and
-// wall ±1%: the residue is the simulator's ±2% per-unit jitter; cover
-// exact) and the run is bit-reproducible. The wall-clock comparison
+// and timing stats; `syzplan fit`'s pipeline (yield fit → calibration)
+// builds a model from them; and Validate must reproduce the run. With
+// no machine in the loop what is asserted is the simulator's structure
+// — unit decomposition, sync cadence, the campaign-end push, the yield
+// curve — so the bars are tight (exec and wall ±1%: the residue is the
+// simulator's ±2% per-unit jitter; cover exact) and the run is
+// bit-reproducible. The wall-clock comparison
 // of a 3-worker campaign against a real hub lives in the CI
 // `sim-validate` job.
 func TestValidateAgainstRealCampaign(t *testing.T) {
@@ -117,26 +116,17 @@ func TestValidateAgainstRealCampaign(t *testing.T) {
 		Execs: stats.Execs, Cover: stats.CoverCount(), Crashes: stats.UniqueCrashes(),
 		ElapsedNs: stats.Elapsed.Nanoseconds(),
 		WorkNs:    stats.WorkTime.Nanoseconds(),
-		TriageNs:  stats.TriageTime.Nanoseconds(),
 		SyncNs:    stats.SyncTime.Nanoseconds(),
 		Syncs:     stats.Syncs,
 	}
 
 	buildModel := func() *sim.Model {
 		t.Helper()
-		medians, err := sim.LoadBenchMedians(filepath.Join("..", "..", "BENCH_fuzz.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		costs, err := sim.FitCosts(medians)
-		if err != nil {
-			t.Fatal(err)
-		}
 		yield, err := sim.FitYield(trace)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &sim.Model{Cost: costs, Yield: yield}
+		m := &sim.Model{Yield: yield}
 		m.Calibrate(rec)
 		return m
 	}

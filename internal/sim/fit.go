@@ -1,92 +1,9 @@
 package sim
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
-	"os"
 )
-
-// CampaignBenchExecs is the per-op execution budget of the
-// BenchmarkCampaign* benchmarks in internal/fuzz — the divisor that
-// turns their ns/op medians into per-exec coefficients.
-const CampaignBenchExecs = 500
-
-// Benchmark keys FitCosts reads from the medians file.
-const (
-	benchCampaign         = "kernelgpt/internal/fuzz.BenchmarkCampaign"
-	benchCampaignNoTriage = "kernelgpt/internal/fuzz.BenchmarkCampaignNoTriage"
-	benchVMRunCompiled    = "kernelgpt/internal/vkernel.BenchmarkVMRunCompiled"
-)
-
-// LoadBenchMedians reads per-benchmark ns/op medians from JSON. Both
-// the flat export schema (`benchgate -json` / `benchtables -json`:
-// {"benchmarks": {key: {"ns_per_op": N}}}) and the full gate file
-// (BENCH_fuzz.json: {"gate": {"benchmarks": ...}}) are accepted, so
-// the checked-in baseline is directly usable as a fit input.
-func LoadBenchMedians(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc struct {
-		Benchmarks map[string]struct {
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
-		Gate struct {
-			Benchmarks map[string]struct {
-				NsPerOp float64 `json:"ns_per_op"`
-			} `json:"benchmarks"`
-		} `json:"gate"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	bm := doc.Benchmarks
-	if len(bm) == 0 {
-		bm = doc.Gate.Benchmarks
-	}
-	if len(bm) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark medians found", path)
-	}
-	out := make(map[string]float64, len(bm))
-	for k, v := range bm {
-		out[k] = v.NsPerOp
-	}
-	return out, nil
-}
-
-// FitCosts derives per-exec cost coefficients from benchmark medians:
-//
-//	ExecNs   = VMRunCompiled ns/op
-//	TriageNs = (Campaign − CampaignNoTriage) / CampaignBenchExecs
-//	MutateNs = CampaignNoTriage / CampaignBenchExecs − ExecNs
-//
-// VMRunCompiled is the campaign loop's per-exec cost; MutateNs absorbs
-// the per-candidate compile step alongside mutation proper (the
-// identity ExecNs + MutateNs ≈ CampaignNoTriage/CampaignBenchExecs
-// holds).
-// Because the coefficients are a pure function of the medians, the
-// CostModel must be re-fitted whenever the benchgate baseline is
-// re-recorded — a stale fit silently plans against the old kernel.
-//
-// Coefficients the benchmarks do not cover (checkpoint, sync, LLM)
-// stay zero; Calibrate fills the sync costs from a real hub-attached
-// run.
-func FitCosts(medians map[string]float64) (CostModel, error) {
-	full := medians[benchCampaign]
-	noTriage := medians[benchCampaignNoTriage]
-	vm := medians[benchVMRunCompiled]
-	if full <= 0 || noTriage <= 0 || vm <= 0 {
-		return CostModel{}, fmt.Errorf("sim: medians missing %s, %s, or %s",
-			benchCampaign, benchCampaignNoTriage, benchVMRunCompiled)
-	}
-	c := CostModel{ExecNs: vm}
-	c.TriageNs = math.Max(0, (full-noTriage)/CampaignBenchExecs)
-	c.MutateNs = math.Max(0, noTriage/CampaignBenchExecs-vm)
-	return c, nil
-}
 
 // FitYield fits the saturating yield curve to a Progress trace by
 // deterministic coarse-to-fine grid search minimizing exec-weighted
@@ -158,35 +75,19 @@ func FitYield(pts []TracePoint) (YieldModel, error) {
 	return best, nil
 }
 
-// Calibrate overrides the bench-derived coefficients with ground
-// truth from one recorded campaign (a RunRecord built from syzfuzz
-// -stats-json plus the hub's /v1/stats): per-exec busy time from
-// WorkNs split into exec/mutate by the prior ratio, amortized triage
-// from TriageNs, and the sync round-trip decomposed into hub service
-// time (measured hub-side) and client-side base cost. Bench medians
-// give the model portable priors; calibration pins it to the machine
-// and configuration the plan is actually for.
+// Calibrate fits the cost model to one recorded campaign (a
+// RunRecord built from syzfuzz -stats-json plus the hub's /v1/stats):
+// the per-exec step cost is the workers' busy time per exec, and the
+// sync round-trip is decomposed into hub service time (measured
+// hub-side) and the client-side base cost. Fitting from a run on the
+// machine the plan is for is what keeps the costs honest: a coefficient
+// recorded elsewhere plans against another machine.
 func (m *Model) Calibrate(rec RunRecord) {
 	if rec.Execs <= 0 {
 		return
 	}
-	if rec.SeedsPerSync > 0 {
-		m.SeedsPerSync = rec.SeedsPerSync
-	}
 	if rec.WorkNs > 0 {
-		work := float64(rec.WorkNs)
-		triage := math.Min(float64(rec.TriageNs), work)
-		m.Cost.TriageNs = triage / float64(rec.Execs)
-		core := (work - triage) / float64(rec.Execs)
-		if prior := m.Cost.ExecNs + m.Cost.MutateNs; prior > 0 {
-			m.Cost.ExecNs = core * m.Cost.ExecNs / prior
-			m.Cost.MutateNs = core * m.Cost.MutateNs / prior
-		} else {
-			// No bench prior: split on the refactored loop's typical
-			// raw-exec share.
-			m.Cost.ExecNs = 0.7 * core
-			m.Cost.MutateNs = 0.3 * core
-		}
+		m.Cost.StepNs = float64(rec.WorkNs) / float64(rec.Execs)
 	}
 	if rec.BytesPerSync > 0 {
 		m.BytesPerSync = rec.BytesPerSync
@@ -200,8 +101,7 @@ func (m *Model) Calibrate(rec RunRecord) {
 			m.Cost.HubServiceNs = rec.HubServiceNsMean
 		}
 		m.Cost.SyncBaseNs = math.Max(0,
-			roundTrip-m.Cost.HubServiceNs-m.Cost.HubPerByteNs*m.BytesPerSync-
-				m.SeedsPerSync*m.Cost.SyncPerSeedNs)
+			roundTrip-m.Cost.HubServiceNs-m.Cost.HubPerByteNs*m.BytesPerSync)
 	}
 	m.CrashesPerExec = float64(rec.Crashes) / float64(rec.Execs)
 }

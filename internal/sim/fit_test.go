@@ -90,12 +90,11 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 	m := &Model{
 		Cost: CostModel{
-			ExecNs: 12090, MutateNs: 93411, TriageNs: 22504,
-			CheckpointNs: 1e6, SyncBaseNs: 2e6, SyncPerSeedNs: 1e4,
-			HubServiceNs: 5e5, LLMGenNs: 3e6,
+			StepNs: 128005, CheckpointNs: 1e6, SyncBaseNs: 2e6,
+			HubServiceNs: 5e5, HubPerByteNs: 2.5,
 		},
 		Yield:          yield,
-		SeedsPerSync:   17.5,
+		BytesPerSync:   900,
 		CrashesPerExec: 2.5e-4,
 		FittedFrom:     "test",
 	}
@@ -112,55 +111,6 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFitCostsFromGateFile(t *testing.T) {
-	// The checked-in gate baseline is a valid fit input directly.
-	medians, err := LoadBenchMedians(filepath.Join("..", "..", "BENCH_fuzz.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := FitCosts(medians)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ExecNs <= 0 || c.MutateNs <= 0 || c.TriageNs <= 0 {
-		t.Fatalf("gate medians produced degenerate costs: %+v", c)
-	}
-	// Triage is the campaign-vs-NoTriage gap per exec; with the
-	// current baseline it is a minority share of the total.
-	if c.TriageNs >= c.ExecNs+c.MutateNs {
-		t.Fatalf("triage cost dominates the exec path: %+v", c)
-	}
-}
-
-// TestFitCostsPrefersCompiledExec: ExecNs is the compiled-exec median
-// and nothing else — a medians file that only carries BenchmarkVMRun
-// (compile + run + fresh Result) is an error, not a fallback.
-func TestFitCostsPrefersCompiledExec(t *testing.T) {
-	medians := map[string]float64{
-		benchCampaign:         50_000_000,
-		benchCampaignNoTriage: 40_000_000,
-		"kernelgpt/internal/vkernel.BenchmarkVMRun": 6000,
-	}
-	if _, err := FitCosts(medians); err == nil || !strings.Contains(err.Error(), benchVMRunCompiled) {
-		t.Fatalf("fit without a compiled-exec median must name it as missing, got %v", err)
-	}
-	medians[benchVMRunCompiled] = 400
-	c, err := FitCosts(medians)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ExecNs != 400 {
-		t.Fatalf("ExecNs is not the compiled median: %+v", c)
-	}
-	// ExecNs + MutateNs is the per-exec busy time outside triage.
-	if got, want := c.ExecNs+c.MutateNs, 40_000_000.0/CampaignBenchExecs; got != want {
-		t.Fatalf("ExecNs+MutateNs = %v, want %v", got, want)
-	}
-	if want := 10_000_000.0 / CampaignBenchExecs; c.TriageNs != want {
-		t.Fatalf("TriageNs = %v, want %v", c.TriageNs, want)
-	}
-}
-
 func TestFitYieldRejectsThinTraces(t *testing.T) {
 	_, err := FitYield([]TracePoint{{Execs: 10, Cover: 5}})
 	if err == nil || !strings.Contains(err.Error(), "at least 3") {
@@ -170,28 +120,25 @@ func TestFitYieldRejectsThinTraces(t *testing.T) {
 
 func TestCalibrateOverridesCosts(t *testing.T) {
 	m := &Model{
-		Cost:  CostModel{ExecNs: 100, MutateNs: 100, TriageNs: 50},
+		Cost:  CostModel{StepNs: 250},
 		Yield: YieldModel{Cmax: 100, K: 100, B: 1},
 	}
 	m.Calibrate(RunRecord{
 		Execs: 1000, Cover: 90, Crashes: 2,
-		WorkNs: 400_000, TriageNs: 100_000,
+		WorkNs: 400_000,
 		SyncNs: 30_000, Syncs: 10,
-		HubServiceNsMean: 1200, SeedsPerSync: 4,
+		HubServiceNsMean: 1200,
 	})
-	if got := m.Cost.TriageNs; got != 100 {
-		t.Fatalf("triage not recalibrated: %v", got)
-	}
-	// Core 300ns/exec split by the 1:1 prior.
-	if m.Cost.ExecNs != 150 || m.Cost.MutateNs != 150 {
-		t.Fatalf("core split wrong: %+v", m.Cost)
+	// The step cost is the recorded busy time per exec.
+	if got := m.Cost.StepNs; got != 400 {
+		t.Fatalf("step cost not recalibrated: %v", got)
 	}
 	// Sync round-trip 3000ns minus 1200ns hub service = client base.
 	if m.Cost.HubServiceNs != 1200 || m.Cost.SyncBaseNs != 1800 {
 		t.Fatalf("sync decomposition wrong: %+v", m.Cost)
 	}
-	if m.SeedsPerSync != 4 || m.CrashesPerExec != 0.002 {
-		t.Fatalf("payload/crash rates wrong: %+v", m)
+	if m.CrashesPerExec != 0.002 {
+		t.Fatalf("crash rate wrong: %+v", m)
 	}
 }
 
@@ -225,7 +172,7 @@ func TestFitHubServiceDecomposition(t *testing.T) {
 
 func TestCalibratePerByteDecomposition(t *testing.T) {
 	m := &Model{
-		Cost:  CostModel{ExecNs: 100, MutateNs: 100},
+		Cost:  CostModel{StepNs: 200},
 		Yield: YieldModel{Cmax: 100, K: 100, B: 1},
 	}
 	m.Calibrate(RunRecord{

@@ -12,25 +12,18 @@ import (
 // All costs are per occurrence; the simulator multiplies them by
 // event counts derived from the fleet config.
 type CostModel struct {
-	// ExecNs is one program execution on the virtual kernel.
-	ExecNs float64 `json:"exec_ns"`
-	// MutateNs is the per-exec overhead around the execution itself:
-	// mutation, operator scheduling, coverage bookkeeping, corpus
-	// admission.
-	MutateNs float64 `json:"mutate_ns"`
-	// TriageNs is the amortized per-exec cost of crash triage
-	// (minimization of discovered repros, spread over the budget).
-	TriageNs float64 `json:"triage_ns"`
-	// CheckpointNs is one corpus-store flush at a unit boundary.
+	// StepNs is a worker's busy time per campaign execution: the whole
+	// step (generation or mutation, execution, coverage bookkeeping,
+	// corpus admission) with crash triage amortized over the budget.
+	StepNs float64 `json:"step_ns"`
+	// CheckpointNs is one corpus-store flush at a unit boundary. No
+	// fit sets it yet: it is zero unless the model file carries it.
 	CheckpointNs float64 `json:"checkpoint_ns"`
 	// SyncBaseNs is the client-side fixed cost of one hub exchange
 	// (serialization, HTTP round-trip) excluding the hub's service
 	// time, which is modeled separately because it serializes across
 	// workers.
 	SyncBaseNs float64 `json:"sync_base_ns"`
-	// SyncPerSeedNs is the marginal client-side cost per seed shipped
-	// in a sync payload.
-	SyncPerSeedNs float64 `json:"sync_per_seed_ns"`
 	// HubServiceNs is the hub-side per-sync base service time — the
 	// payload-independent part of the merge/save/diff work done under
 	// the hub lock. Syncs queue behind it FIFO, so this coefficient is
@@ -41,14 +34,6 @@ type CostModel struct {
 	// planner sees what a compact wire format buys: halving bytes per
 	// sync halves this term, not the base.
 	HubPerByteNs float64 `json:"hub_per_byte_ns,omitempty"`
-	// LLMGenNs is the latency of generating one spec/seed program via
-	// the LLM engine, paid up front before fuzzing starts.
-	LLMGenNs float64 `json:"llm_gen_ns"`
-}
-
-// perExecNs is the busy time one execution costs a worker.
-func (c CostModel) perExecNs() float64 {
-	return c.ExecNs + c.MutateNs + c.TriageNs
 }
 
 // YieldModel maps cumulative execs to expected union coverage with a
@@ -98,9 +83,6 @@ func (y YieldModel) Valid() bool {
 type Model struct {
 	Cost  CostModel  `json:"cost"`
 	Yield YieldModel `json:"yield"`
-	// SeedsPerSync is the mean seed payload of one hub exchange,
-	// scaling the per-seed sync cost.
-	SeedsPerSync float64 `json:"seeds_per_sync,omitempty"`
 	// BytesPerSync is the mean request payload of one hub exchange in
 	// bytes, scaling the per-byte hub service cost (protocol-
 	// dependent: the binary wire format records a smaller figure than
@@ -110,14 +92,14 @@ type Model struct {
 	// only to project expected crash counts (it does not affect time).
 	CrashesPerExec float64 `json:"crashes_per_exec,omitempty"`
 	// FittedFrom records the provenance of the coefficients (free
-	// text: bench file, trace file, calibration run).
+	// text: trace file, calibration run).
 	FittedFrom string `json:"fitted_from,omitempty"`
 }
 
 // Validate checks the model is usable for simulation.
 func (m *Model) Validate() error {
-	if m.Cost.perExecNs() <= 0 {
-		return errors.New("sim: cost model has no positive per-exec time (fit costs first)")
+	if m.Cost.StepNs <= 0 {
+		return errors.New("sim: cost model has no positive per-exec time (calibrate it first)")
 	}
 	if !m.Yield.Valid() {
 		return errors.New("sim: yield model not fitted (Cmax/K/B must be positive and finite)")

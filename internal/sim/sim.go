@@ -4,17 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-)
 
-// Unit decomposition constants, mirroring fuzz.planShards: the grain
-// defaults to DefaultShardExecs but scales up so a campaign splits
-// into at most maxDefaultUnits units. The simulator replays the same
-// rule so a simulated fleet schedules the same work units as the real
-// one; `syzplan validate` in CI catches drift if the fuzzer's rule
-// changes.
-const (
-	defaultShardExecs = 4096
-	maxDefaultUnits   = 16
+	"kernelgpt/internal/fuzz"
 )
 
 // maxSimUnits bounds a single simulation's unit count — a safety rail
@@ -34,7 +25,7 @@ type FleetConfig struct {
 	// Execs is the campaign execution budget.
 	Execs int `json:"execs"`
 	// ShardExecs is the unit grain; 0 applies the fuzzer's default
-	// rule (max(defaultShardExecs, ⌈Execs/maxDefaultUnits⌉)).
+	// rule (fuzz.UnitGrain).
 	ShardExecs int `json:"shard_execs,omitempty"`
 	// DeadlineNs truncates the campaign at a wall-clock horizon
 	// (0 = run the budget out).
@@ -44,24 +35,12 @@ type FleetConfig struct {
 	// Hub attaches the fleet to a hub: one sync per completed unit
 	// plus a final push, serialized through the hub's FIFO service.
 	Hub bool `json:"hub,omitempty"`
-	// LLMSeeds spec programs are generated up front (engine/LLM
-	// latency) before any worker starts fuzzing.
-	LLMSeeds int `json:"llm_seeds,omitempty"`
 	// Seed drives the deterministic per-unit jitter.
 	Seed int64 `json:"seed,omitempty"`
 }
 
 // grain resolves the effective unit grain.
-func (c FleetConfig) grain() int {
-	if c.ShardExecs > 0 {
-		return c.ShardExecs
-	}
-	g := defaultShardExecs
-	if scaled := (c.Execs + maxDefaultUnits - 1) / maxDefaultUnits; scaled > g {
-		g = scaled
-	}
-	return g
-}
+func (c FleetConfig) grain() int { return fuzz.UnitGrain(c.Execs, c.ShardExecs) }
 
 // Result is one simulated campaign outcome.
 type Result struct {
@@ -149,20 +128,13 @@ func Simulate(m *Model, cfg FleetConfig) (Result, error) {
 	}
 
 	res := Result{Config: cfg, Units: units}
-	perExec := m.Cost.perExecNs()
-	syncTail := m.Cost.SyncBaseNs + m.SeedsPerSync*m.Cost.SyncPerSeedNs
 	// Hub service splits into a payload-independent base plus a
 	// per-byte term, so protocols with smaller sync payloads (the
 	// binary wire format) shrink the serialized-bottleneck portion.
 	hubSvc := m.Cost.HubServiceNs + m.Cost.HubPerByteNs*m.BytesPerSync
 	deadline := float64(cfg.DeadlineNs)
 
-	// All workers wait out the up-front LLM generation phase.
-	llmLatency := float64(cfg.LLMSeeds) * m.Cost.LLMGenNs
 	workerFree := make([]float64, workers)
-	for i := range workerFree {
-		workerFree[i] = llmLatency
-	}
 	hubFree := 0.0
 	work, syncTime, hubBusy := 0.0, 0.0, 0.0
 
@@ -170,7 +142,7 @@ func Simulate(m *Model, cfg FleetConfig) (Result, error) {
 	exchange := func(arrive float64) (done float64) {
 		svcStart := math.Max(arrive, hubFree)
 		hubFree = svcStart + hubSvc
-		done = hubFree + syncTail
+		done = hubFree + m.Cost.SyncBaseNs
 		syncTime += done - arrive
 		hubBusy += hubSvc
 		res.Syncs++
@@ -196,7 +168,7 @@ func Simulate(m *Model, cfg FleetConfig) (Result, error) {
 		if rem := cfg.Execs - i*grain; rem < budget {
 			budget = rem
 		}
-		busy := float64(budget) * perExec * unitJitter(cfg.Seed, i)
+		busy := float64(budget) * m.Cost.StepNs * unitJitter(cfg.Seed, i)
 		if deadline > 0 && start+busy > deadline {
 			// Partial unit: prorate the execs done inside the window.
 			frac := (deadline - start) / busy
@@ -218,7 +190,7 @@ func Simulate(m *Model, cfg FleetConfig) (Result, error) {
 		workerFree[w] = t
 	}
 
-	wall := llmLatency
+	wall := 0.0
 	for _, t := range workerFree {
 		wall = math.Max(wall, t)
 	}

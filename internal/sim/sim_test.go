@@ -10,12 +10,10 @@ import (
 func testModel() *Model {
 	return &Model{
 		Cost: CostModel{
-			ExecNs: 60_000, MutateNs: 30_000, TriageNs: 10_000,
-			CheckpointNs: 500_000, SyncBaseNs: 1_000_000,
-			SyncPerSeedNs: 10_000, HubServiceNs: 400_000, LLMGenNs: 2_000_000,
+			StepNs: 100_000, CheckpointNs: 500_000,
+			SyncBaseNs: 1_000_000, HubServiceNs: 400_000,
 		},
 		Yield:          YieldModel{Cmax: 1000, K: 2000, B: 0.9},
-		SeedsPerSync:   10,
 		CrashesPerExec: 1e-4,
 	}
 }
@@ -85,8 +83,8 @@ func TestSimulateHubAccounting(t *testing.T) {
 	if want := int64(float64(r.Syncs) * m.Cost.HubServiceNs); r.HubBusyNs != want {
 		t.Fatalf("hub busy %d != syncs×service %d", r.HubBusyNs, want)
 	}
-	// Every exchange costs at least service + base + payload.
-	minPer := m.Cost.HubServiceNs + m.Cost.SyncBaseNs + m.SeedsPerSync*m.Cost.SyncPerSeedNs
+	// Every exchange costs at least service + client base.
+	minPer := m.Cost.HubServiceNs + m.Cost.SyncBaseNs
 	if r.SyncNs < int64(float64(r.Syncs)*minPer) {
 		t.Fatalf("sync time %d below the contention-free floor", r.SyncNs)
 	}
@@ -149,23 +147,13 @@ func TestSimulateDeadlineTruncates(t *testing.T) {
 	}
 }
 
-func TestSimulateLLMPhaseDelaysStart(t *testing.T) {
-	m := testModel()
-	base, _ := Simulate(m, FleetConfig{Workers: 2, Execs: 8192, ShardExecs: 2048, Seed: 4})
-	llm, _ := Simulate(m, FleetConfig{Workers: 2, Execs: 8192, ShardExecs: 2048, Seed: 4, LLMSeeds: 50})
-	want := base.WallNs + int64(50*m.Cost.LLMGenNs)
-	if llm.WallNs != want {
-		t.Fatalf("LLM phase wall %d, want %d", llm.WallNs, want)
-	}
-}
-
 func TestMinWorkers(t *testing.T) {
 	m := testModel()
 	base := FleetConfig{ShardExecs: 2048, Seed: 5}
 	// Pick a target well inside the asymptote and a deadline that a
 	// mid-size pool can make.
 	need := m.Yield.Execs(800)
-	deadline := int64(need * m.Cost.perExecNs() / 3)
+	deadline := int64(need * m.Cost.StepNs / 3)
 	plan, err := MinWorkers(m, base, 800, deadline, 16)
 	if err != nil {
 		t.Fatal(err)

@@ -7,19 +7,19 @@
 // The model has two halves, both fitted from the system's own
 // telemetry rather than guessed:
 //
-//   - a CostModel of per-event nanosecond coefficients (program
-//     execution, mutation/scheduling overhead, triage, checkpoint
-//     flush, hub sync round-trip and hub-side service time, LLM spec
-//     generation), seeded from BENCH_fuzz.json medians and calibrated
-//     against a real campaign's recorded fuzz.Stats wall-clock fields;
+//   - a CostModel of per-event nanosecond coefficients (one campaign
+//     step, checkpoint flush, hub sync round-trip and hub-side service
+//     time), calibrated from one recorded campaign's fuzz.Stats
+//     wall-clock fields and the hub's sync aggregates, so the costs
+//     are those of the machine the plan is for;
 //   - a YieldModel mapping cumulative execs to expected union
 //     coverage, fitted from real Progress traces with a saturating
 //     diminishing-returns curve.
 //
 // Simulate replays the fleet's structure — the same unit
-// decomposition as fuzz.RunParallel, a worker pool pulling units from
-// a shared queue, the hub as a FIFO server serializing sync merges —
-// against those coefficients. Everything is deterministic for a fixed
+// decomposition as fuzz.RunParallel (fuzz.UnitGrain), a worker pool
+// pulling units from a shared queue, the hub as a FIFO server
+// serializing sync merges — against those coefficients. Everything is deterministic for a fixed
 // (model, config, seed), so planner sweeps are reproducible and CI
 // can gate on prediction error (cmd/syzplan validate).
 package sim

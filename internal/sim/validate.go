@@ -34,13 +34,11 @@ type RunRecord struct {
 	Crashes   int   `json:"crashes"`
 	ElapsedNs int64 `json:"elapsed_ns"`
 	WorkNs    int64 `json:"work_ns"`
-	TriageNs  int64 `json:"triage_ns,omitempty"`
 	SyncNs    int64 `json:"sync_ns,omitempty"`
 	Syncs     int   `json:"syncs,omitempty"`
 
 	// Hub-side calibration inputs (from /v1/stats sync aggregates).
 	HubServiceNsMean float64 `json:"hub_service_ns_mean,omitempty"`
-	SeedsPerSync     float64 `json:"seeds_per_sync,omitempty"`
 	BytesPerSync     float64 `json:"bytes_per_sync,omitempty"`
 	// WorkerSyncs are the per-worker sync aggregates — sample points
 	// for decomposing hub service time into base + per-byte (workers

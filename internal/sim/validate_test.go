@@ -51,7 +51,7 @@ func TestValidateRejectsSkewedModel(t *testing.T) {
 	truth := testModel()
 	rec := recordFromSim(t, truth, FleetConfig{Workers: 3, Execs: 24_576, ShardExecs: 2048, Seed: 12})
 	skewed := testModel()
-	skewed.Cost.ExecNs *= 2 // 2× slower per exec than reality
+	skewed.Cost.StepNs *= 2 // 2× slower per exec than reality
 	v, err := Validate(skewed, rec, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)

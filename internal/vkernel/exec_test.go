@@ -96,17 +96,7 @@ func TestVMMatchesPooledRun(t *testing.T) {
 
 func TestSockoptShortOptlenErrno(t *testing.T) {
 	tgt := rdsTarget(t)
-	rds := testCorpus.Handler("rds")
-	var structOpt *corpus.Cmd
-	for i := range rds.Cmds {
-		if rds.Cmds[i].Arg != "" {
-			structOpt = &rds.Cmds[i]
-			break
-		}
-	}
-	if structOpt == nil {
-		t.Skip("rds has no struct-payload option")
-	}
+	rds, structOpt := rdsStructOpt(t)
 	size := rds.LayoutOf(structOpt.Arg).Size
 	sc := tgt.ByName["setsockopt$"+structOpt.Name]
 	g := prog.NewGen(tgt, 29)

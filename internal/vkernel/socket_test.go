@@ -23,6 +23,21 @@ func rdsTarget(t *testing.T) *prog.Target {
 	return targetFor(t, "rds")
 }
 
+// rdsStructOpt returns the rds handler and its first option that takes
+// a struct payload. The sockopt length tests need one; the test corpus
+// not having it is a corpus regression, so it fails rather than skips.
+func rdsStructOpt(t *testing.T) (*corpus.Handler, *corpus.Cmd) {
+	t.Helper()
+	rds := testCorpus.Handler("rds")
+	for i := range rds.Cmds {
+		if rds.Cmds[i].Arg != "" {
+			return rds, &rds.Cmds[i]
+		}
+	}
+	t.Fatal("rds has no struct-payload option")
+	return nil, nil
+}
+
 func TestSockoptLevelMismatchRejected(t *testing.T) {
 	tgt := rdsTarget(t)
 	rds := testCorpus.Handler("rds")
@@ -64,17 +79,7 @@ func hex(v uint64) string {
 
 func TestSockoptShortOptlenRejected(t *testing.T) {
 	tgt := rdsTarget(t)
-	rds := testCorpus.Handler("rds")
-	var structOpt *corpus.Cmd
-	for i := range rds.Cmds {
-		if rds.Cmds[i].Arg != "" {
-			structOpt = &rds.Cmds[i]
-			break
-		}
-	}
-	if structOpt == nil {
-		t.Skip("rds has no struct-payload option")
-	}
+	rds, structOpt := rdsStructOpt(t)
 	level := hex(uint64(rds.Socket.LevelVal))
 	optVal := hex(rds.CmdValue(structOpt, nil))
 	sm := rds.LayoutOf(structOpt.Arg)
