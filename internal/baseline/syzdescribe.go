@@ -191,9 +191,8 @@ func (g *Generator) commands(ix *ccode.Index, src, entry string) []cmdInfo {
 	for i := range info.Switches {
 		for _, cs := range info.Switches[i].Cases {
 			ci := cmdInfo{label: strings.TrimSpace(cs.Label)}
-			body := ccode.AnalyzeBody("{" + cs.Body + "}")
-			if len(body.CopyFromUser) > 0 {
-				ci.argStruct = body.CopyFromUser[0]
+			if len(cs.CopyFromUser) > 0 {
+				ci.argStruct = cs.CopyFromUser[0]
 			} else if strings.Contains(cs.Body, "get_user") {
 				ci.argInt = true
 			}

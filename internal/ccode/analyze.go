@@ -50,6 +50,12 @@ type SwitchCase struct {
 	Calls []string
 	// Body is the raw text of the case body.
 	Body string
+	// CopyFromUser and Copies are what AnalyzeBody("{"+Body+"}")
+	// reports as CopyFromUser and as the user copies among its Calls
+	// (the copy_from_user family and copy_from_sockptr), recorded
+	// while the case is parsed so a reader need not re-lex the body.
+	CopyFromUser []string
+	Copies       []CallSite
 }
 
 // CallSite is one function invocation.
@@ -100,10 +106,8 @@ func AnalyzeBody(body string) *BodyInfo {
 			case !controlKeywords[t.Text] && i+1 < len(toks) && toks[i+1].Text == "(":
 				if cs := parseCall(toks, i); cs != nil {
 					info.Calls = append(info.Calls, *cs)
-					if isCopyFromUser(cs.Name) && len(cs.Args) >= 2 {
-						if typ := destStructType(cs.Args); typ != "" {
-							info.CopyFromUser = append(info.CopyFromUser, typ)
-						}
+					if typ := copyDest(cs); typ != "" {
+						info.CopyFromUser = append(info.CopyFromUser, typ)
 					}
 				}
 			case i+1 < len(toks) && toks[i+1].Kind == CPunct && toks[i+1].Text == "=":
@@ -128,10 +132,13 @@ func isCopyFromUser(name string) bool {
 	return false
 }
 
-// destStructType extracts "struct X" from a cast or sizeof inside
-// copy_from_user-style argument text.
-func destStructType(args []string) string {
-	for _, a := range args {
+// copyDest extracts the "struct X" a copy_from_user-style call copies
+// from a cast or sizeof in its argument text, or returns "".
+func copyDest(cs *CallSite) string {
+	if !isCopyFromUser(cs.Name) || len(cs.Args) < 2 {
+		return ""
+	}
+	for _, a := range cs.Args {
 		if idx := strings.Index(a, "struct "); idx >= 0 {
 			rest := a[idx+len("struct "):]
 			end := 0
@@ -289,10 +296,55 @@ func parseSwitch(toks []CToken, i int) (*SwitchInfo, int) {
 			}
 		}
 		c.Body = joinTexts(inner[start:j], false)
+		c.CopyFromUser, c.Copies = caseCopies(inner[start:j], c.Body)
 		sw.Cases = append(sw.Cases, c)
 		k = j - 1
 	}
 	return sw, bodyEnd
+}
+
+// caseCopies returns what AnalyzeBody("{"+body+"}") reports as
+// CopyFromUser and as its user-copy Calls, where body is the case
+// body text joinTexts made of toks, scanning the calls the way
+// AnalyzeBody does.
+func caseCopies(toks []CToken, body string) (dests []string, copies []CallSite) {
+	buf := wrapCase(toks, body)
+	defer release(buf)
+	t := *buf
+	for i := 0; i+1 < len(t); i++ {
+		name := t[i].Text
+		if t[i].Kind == CIdent && t[i+1].Text == "(" && (isCopyFromUser(name) || name == "copy_from_sockptr") {
+			cs := parseCall(t, i) // not nil: a token always follows the "("
+			copies = append(copies, *cs)
+			if typ := copyDest(cs); typ != "" {
+				dests = append(dests, typ)
+			}
+		}
+	}
+	return dests, copies
+}
+
+// wrapCase returns the tokens of "{"+body+"}" in a pooled buffer.
+// Re-lexing body yields toks without their comments unless a token
+// re-lexes differently: a directive (its '#' no longer starts a line)
+// or a quote left open (it would swallow the "}"; the lexer leaves one
+// open only at the end of the source, so only a last token can be).
+// Only then is the text lexed again.
+func wrapCase(toks []CToken, body string) *[]CToken {
+	for i, t := range toks {
+		if t.Kind == CDirective || i == len(toks)-1 && (t.Kind == CString || t.Kind == CChar) {
+			return lexPooled("{" + body + "}")
+		}
+	}
+	buf := tokPool.Get().(*[]CToken)
+	w := append((*buf)[:0], CToken{Kind: CPunct, Text: "{"})
+	for _, t := range toks {
+		if t.Kind != CComment {
+			w = append(w, t)
+		}
+	}
+	*buf = append(w, CToken{Kind: CPunct, Text: "}"})
+	return buf
 }
 
 // FindSwitchOn returns the first switch in the body whose switched-on

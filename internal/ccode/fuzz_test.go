@@ -32,6 +32,10 @@ var lexerEdges = []string{
 	"", "\"", "\"abc", "\"abc\\", "'", "'\\", "/*", "/* x", "/", "#define A \\", "a\x80b\xffc", "f(", "switch (x) {",
 	"void f(void) { g(", "void f(void) { switch (x) {", "void f(void) { switch (x) { case A", "void f(void) { x = ",
 	"struct A A={", "struct A A={.f=", "enum {", "struct A {", "int f(",
+	"void f(void) { switch (x) { case A: get_user(v, p); /* c */ copy_from_user(&a, p, sizeof(struct s)); } }",
+	"void f(void) { switch (x) { case A:\n#define g(a) copy_from_sockptr(a, b)\n g(1); } }",
+	"void f(void) { switch (x) { case A: copy_from_user(&a, \"",
+	"void f(void) { switch (x) { case A: copy_to_user(p, &a, sizeof(",
 }
 
 // FuzzLexC: lexing never panics, every token is the source text at its
@@ -63,8 +67,9 @@ func FuzzLexC(f *testing.F) {
 }
 
 // FuzzIndexAnalyze: indexing arbitrary text and analysing every
-// function it finds never panics, and the memoised Info is what a
-// fresh AnalyzeBody of the body returns.
+// function it finds never panics, the memoised Info is what a fresh
+// AnalyzeBody of the body returns, and every switch case's recorded
+// user-copy summary is what analysing the case body on its own gives.
 func FuzzIndexAnalyze(f *testing.F) {
 	for _, src := range sources() {
 		f.Add(src)
@@ -83,9 +88,34 @@ func FuzzIndexAnalyze(f *testing.F) {
 				t.Fatalf("%s: Info() differs from AnalyzeBody(Body)", name)
 			}
 			info.FindSwitchOn("cmd")
+			checkCaseCopies(t, name, info)
 		}
+		checkCaseCopies(t, "<text>", ccode.AnalyzeBody(src))
 		ix.ConstTable()
 	})
+}
+
+// checkCaseCopies compares each switch case's CopyFromUser and Copies
+// with AnalyzeBody("{"+Body+"}"): its CopyFromUser, and its Calls
+// that move data across the user boundary.
+func checkCaseCopies(t *testing.T, name string, info *ccode.BodyInfo) {
+	t.Helper()
+	for _, sw := range info.Switches {
+		for _, cs := range sw.Cases {
+			body := ccode.AnalyzeBody("{" + cs.Body + "}")
+			var copies []ccode.CallSite
+			for _, c := range body.Calls {
+				switch c.Name {
+				case "copy_from_user", "copy_to_user", "get_user", "put_user", "memdup_user", "copy_from_sockptr":
+					copies = append(copies, c)
+				}
+			}
+			if !reflect.DeepEqual(cs.CopyFromUser, body.CopyFromUser) || !reflect.DeepEqual(cs.Copies, copies) {
+				t.Fatalf("%s: case %q records copies %+v / %q, its body analyses to %+v / %q",
+					name, cs.Label, cs.Copies, cs.CopyFromUser, copies, body.CopyFromUser)
+			}
+		}
+	}
 }
 
 // TestHasIdent: whole identifier tokens only.

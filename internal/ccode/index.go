@@ -11,7 +11,6 @@ import (
 type Function struct {
 	Name    string
 	File    string
-	Params  []Param
 	Body    string // body text including braces
 	Raw     string // full definition text (signature + body)
 	Static  bool
@@ -28,12 +27,6 @@ type Function struct {
 func (f *Function) Info() *BodyInfo {
 	f.infoOnce.Do(func() { f.info = AnalyzeBody(f.Body) })
 	return f.info
-}
-
-// Param is one function parameter.
-type Param struct {
-	Type string
-	Name string
 }
 
 // StructField is one member of a C struct/union definition.
@@ -84,9 +77,7 @@ type Registration struct {
 	// value text, e.g. "unlocked_ioctl" -> "dm_ctl_ioctl",
 	// "nodename" -> `DM_DIR "/" DM_CONTROL_NODE`.
 	Fields map[string]string
-	// Order preserves field declaration order for deterministic output.
-	Order []string
-	Raw   string
+	Raw    string
 }
 
 // Index is the queryable database over a parsed source tree. It is
@@ -100,21 +91,27 @@ type Index struct {
 	Macros    map[string]*Macro
 	Regs      []*Registration
 	files     map[string]string
+	// macros backs the Macros values: one allocation for all of them,
+	// sized by the "#define"s in the source (a bound on their count).
+	macros []Macro
 }
 
 // NewIndex parses every file in files (name → source text) and builds
 // the definition index.
 func NewIndex(files map[string]string) *Index {
+	defines := 0
+	names := make([]string, 0, len(files))
+	for name, src := range files {
+		names = append(names, name)
+		defines += strings.Count(src, "#define")
+	}
 	ix := &Index{
 		Functions: map[string]*Function{},
 		Structs:   map[string]*Struct{},
 		EnumVals:  map[string]uint64{},
-		Macros:    map[string]*Macro{},
+		Macros:    make(map[string]*Macro, defines),
 		files:     files,
-	}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
+		macros:    make([]Macro, 0, defines),
 	}
 	sort.Strings(names)
 	for _, name := range names {
@@ -291,7 +288,7 @@ func (ix *Index) parseDirective(file, text string) {
 	if name == "" {
 		return
 	}
-	m := &Macro{Name: name, File: file}
+	m := Macro{Name: name, File: file}
 	rest = rest[end:]
 	if strings.HasPrefix(rest, "(") {
 		// Function-like macro: capture params.
@@ -307,7 +304,8 @@ func (ix *Index) parseDirective(file, text string) {
 		rest = rest[close+1:]
 	}
 	m.Value = strings.TrimSpace(rest)
-	ix.Macros[name] = m
+	ix.macros = append(ix.macros, m)
+	ix.Macros[name] = &ix.macros[len(ix.macros)-1]
 }
 
 // matchParen returns the token index just past the matching closing
@@ -389,11 +387,8 @@ func parseStructFields(toks []CToken) []StructField {
 			c := cleanComment(t.Text)
 			if len(cur) == 0 {
 				pending = c
-			} else if len(fields) > 0 && len(cur) == 0 {
-				fields[len(fields)-1].Comment = c
 			} else {
 				// Comment after tokens but before ';' — attach on flush.
-				defer func() {}()
 				cur = append(cur, t)
 			}
 			continue
@@ -590,7 +585,6 @@ func (ix *Index) tryParseRegistration(file, src string, toks []CToken, i int) in
 			}
 		}
 		reg.Fields[fname] = joinTexts(inner[start:k], false)
-		reg.Order = append(reg.Order, fname)
 	}
 	if len(reg.Fields) > 0 {
 		ix.Regs = append(ix.Regs, reg)
@@ -642,54 +636,6 @@ func (ix *Index) tryParseFunction(file, src string, toks []CToken, i int, commen
 		Body: src[toks[closeParen].Off : toks[endBody-1].Off+1],
 		Raw:  src[toks[i].Off : toks[endBody-1].Off+1],
 	}
-	fn.Params = parseParams(toks[j+2 : closeParen-1])
 	ix.Functions[name] = fn
 	return endBody - 1
-}
-
-// parseParams splits a parameter list token run on top-level commas.
-func parseParams(toks []CToken) []Param {
-	var params []Param
-	var cur []CToken
-	depth := 0
-	flush := func() {
-		if len(cur) == 0 {
-			return
-		}
-		p := Param{}
-		end := len(cur)
-		if cur[end-1].Kind == CIdent {
-			p.Name = cur[end-1].Text
-			end--
-		}
-		p.Type = joinTexts(cur[:end], true)
-		if p.Type == "" && p.Name != "" {
-			p.Type, p.Name = p.Name, "" // e.g. "void"
-		}
-		if p.Type != "" {
-			params = append(params, p)
-		}
-		cur = cur[:0]
-	}
-	for _, t := range toks {
-		if t.Kind == CComment {
-			continue
-		}
-		if t.Kind == CPunct {
-			switch t.Text {
-			case "(", "[":
-				depth++
-			case ")", "]":
-				depth--
-			case ",":
-				if depth == 0 {
-					flush()
-					continue
-				}
-			}
-		}
-		cur = append(cur, t)
-	}
-	flush()
-	return params
 }

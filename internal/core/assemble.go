@@ -338,7 +338,7 @@ func dedupTypes(f *syzlang.File) {
 // the LLM for repair, and as a last resort drop declarations that
 // remain broken.
 func (g *Generator) validateAndRepair(ctx context.Context, h *corpus.Handler, source string, spec *syzlang.File, res *Result) {
-	env := g.Corpus.Env()
+	env := g.env
 	errs := syzlang.Validate(spec, env)
 	if len(errs) == 0 {
 		res.Spec = spec
@@ -351,28 +351,35 @@ func (g *Generator) validateAndRepair(ctx context.Context, h *corpus.Handler, so
 		res.RemainingErrors = errs
 		return
 	}
-	cur := spec
+	// curText is cur formatted, "" until a round needs it: each spec
+	// is formatted once, for the prompt and the no-progress check.
+	cur, curText := spec, ""
 	for round := 0; round < g.Opts.MaxRepairRounds && len(errs) > 0; round++ {
 		res.Iterations++
+		if curText == "" {
+			curText = syzlang.Format(cur)
+		}
 		reply, err := g.complete(ctx, res, h, "repair", g.pb.buildRepair(
 			syzlang.FormatErrors(syzlang.ValidationErrorsToErrors(errs)),
-			syzlang.Format(cur), source))
+			curText, source))
 		if err != nil {
 			break
 		}
-		fixedText := llm.ExtractSection(reply, "## Repaired Specification")
-		fixed, perrs := syzlang.Parse(fixedText)
+		fixed, perrs := syzlang.Parse(llm.ExtractSection(reply, "## Repaired Specification"))
 		if len(perrs) > 0 || len(fixed.Syscalls) == 0 {
 			// The model mangled the spec; keep the current one and
 			// fall through to declaration dropping.
 			break
 		}
 		next := syzlang.Validate(fixed, env)
-		if len(next) >= len(errs) && syzlang.Format(fixed) == syzlang.Format(cur) {
-			// No progress; the error is hard for this model.
-			break
+		fixedText := ""
+		if len(next) >= len(errs) {
+			if fixedText = syzlang.Format(fixed); fixedText == curText {
+				// No progress; the error is hard for this model.
+				break
+			}
 		}
-		cur, errs = fixed, next
+		cur, curText, errs = fixed, fixedText, next
 	}
 	// Last resort: drop declarations that still fail, so the rest of
 	// the specification remains usable.
@@ -447,10 +454,10 @@ func (g *Generator) FollowDependencies(ctx context.Context, res *Result, visited
 		}
 		mergeUnique(res.Spec, childRes.Spec)
 		// Re-validate the merged family.
-		errs := syzlang.Validate(res.Spec, g.Corpus.Env())
+		errs := syzlang.Validate(res.Spec, g.env)
 		for round := 0; round < 4 && len(errs) > 0; round++ {
 			res.Spec = dropInvalidDecls(res.Spec, errs)
-			errs = syzlang.Validate(res.Spec, g.Corpus.Env())
+			errs = syzlang.Validate(res.Spec, g.env)
 		}
 		res.Valid = len(errs) == 0 && res.NewSyscalls() > 0
 	}

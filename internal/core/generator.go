@@ -40,11 +40,13 @@ type Generator struct {
 	Corpus *corpus.Corpus
 	Opts   Options
 	pb     promptBuilder
+	// env is Corpus.Env(), built once: validation only reads it.
+	env *syzlang.Env
 }
 
 // New constructs a Generator.
 func New(client llm.Client, c *corpus.Corpus, opts Options) *Generator {
-	return &Generator{Client: client, Corpus: c, Opts: opts, pb: promptBuilder{ix: c.Index}}
+	return &Generator{Client: client, Corpus: c, Opts: opts, pb: promptBuilder{ix: c.Index}, env: c.Env()}
 }
 
 // Result is the outcome of specification generation for one handler.

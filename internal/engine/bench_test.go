@@ -1,10 +1,55 @@
 package engine
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
+	"kernelgpt/internal/corpus"
 	"kernelgpt/internal/llm"
 )
+
+// raceEnabled reports a race-detector build, whose allocations are
+// not the product's.
+var raceEnabled bool
+
+// fullCorpus is the full-scale corpus, built once for the tests that
+// need it.
+var fullCorpus = sync.OnceValue(func() *corpus.Corpus { return corpus.Build(corpus.DefaultConfig()) })
+
+// TestSuiteAllocsPerHandler is the allocation budget of the path the
+// kernelgpt command and the specgen_full benchmark take: one Suite
+// pass per simulated model (seed 1) over the full-scale corpus, on
+// one worker, through the completion cache. It reads bytes and
+// allocations per generated handler over the passes, the GC and
+// pooled-buffer refills they cause included. The budgets are 5% above
+// the measured 166.2 KB and 1714; the same passes made 231.5 KB and
+// 2098 before the sim read its prompts in place.
+func TestSuiteAllocsPerHandler(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	c := fullCorpus()
+	var before, after runtime.MemStats
+	handlers := 0
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, model := range llm.ModelNames() {
+		drivers, sockets, _, err := New(c, WithModel(model, 1), WithCache(4096)).Suite(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handlers += len(drivers) + len(sockets)
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(handlers)
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(handlers)
+	t.Logf("%d handlers: %.1f KB and %.0f allocations per handler", handlers, kb, allocs)
+	const kbBudget, allocsBudget = 175, 1800
+	if kb > kbBudget || allocs > allocsBudget {
+		t.Fatalf("%.1f KB and %.0f allocations per handler, budget %v KB and %v", kb, allocs, kbBudget, allocsBudget)
+	}
+}
 
 // BenchmarkEngineSuite is the generation pipeline end to end: one op
 // is one full Suite pass per simulated model over the test corpus on

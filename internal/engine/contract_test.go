@@ -58,7 +58,7 @@ func TestSpecgenContract(t *testing.T) {
 		c    *corpus.Corpus
 	}{
 		{"test", testCorpus},
-		{"full", corpus.Build(corpus.DefaultConfig())},
+		{"full", fullCorpus()},
 	}
 	var got []string
 	for _, cp := range corpora {

@@ -220,17 +220,17 @@ func (e *Engine) GenerateKind(ctx context.Context, kind corpus.Kind) ([]*core.Re
 	return e.Generate(ctx, e.corpus.Incomplete(kind))
 }
 
-// Suite generates for every incomplete driver and socket handler and
-// returns the per-kind results plus the merged valid suite.
+// Suite generates for every incomplete driver and socket handler as
+// one worklist, drivers first, and returns the per-kind results plus
+// the merged valid suite. On cancellation both slices are non-nil
+// (see Generate) and merged is nil.
 func (e *Engine) Suite(ctx context.Context) (drivers, sockets []*core.Result, merged *syzlang.File, err error) {
-	drivers, err = e.GenerateKind(ctx, corpus.KindDriver)
-	if err != nil {
-		return drivers, nil, nil, err
-	}
-	sockets, err = e.GenerateKind(ctx, corpus.KindSocket)
+	worklist := e.corpus.Incomplete(corpus.KindDriver)
+	nd := len(worklist)
+	all, err := e.Generate(ctx, append(worklist, e.corpus.Incomplete(corpus.KindSocket)...))
+	drivers, sockets = all[:nd:nd], all[nd:]
 	if err != nil {
 		return drivers, sockets, nil, err
 	}
-	all := append(append([]*core.Result{}, drivers...), sockets...)
 	return drivers, sockets, core.MergeSpecs(all), nil
 }

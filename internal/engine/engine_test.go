@@ -113,7 +113,8 @@ func TestSuiteMergesValidResults(t *testing.T) {
 }
 
 // TestCancellation: a cancelled context yields failed (but non-nil)
-// results and the context error.
+// results and the context error, from Generate and from Suite (both
+// of whose per-kind slices come back whole).
 func TestCancellation(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -122,12 +123,21 @@ func TestCancellation(t *testing.T) {
 	if err == nil {
 		t.Fatal("want context error")
 	}
-	for _, r := range results {
-		if r == nil {
-			t.Fatal("results must never be nil")
-		}
-		if r.Valid {
-			t.Fatal("no generation should succeed under a pre-cancelled context")
+	drivers, sockets, merged, serr := e.Suite(cctx)
+	if serr != cctx.Err() || merged != nil {
+		t.Fatalf("Suite returned err %v, merged %v; want the context error and no suite", serr, merged)
+	}
+	if len(drivers) != len(testCorpus.Incomplete(corpus.KindDriver)) || len(sockets) != len(testCorpus.Incomplete(corpus.KindSocket)) {
+		t.Fatalf("Suite returned %d drivers and %d sockets under cancellation", len(drivers), len(sockets))
+	}
+	for _, rs := range [][]*core.Result{results, drivers, sockets} {
+		for _, r := range rs {
+			if r == nil {
+				t.Fatal("results must never be nil")
+			}
+			if r.Valid {
+				t.Fatal("no generation should succeed under a pre-cancelled context")
+			}
 		}
 	}
 }

@@ -152,25 +152,34 @@ const (
 // or response (text between the marker line and the next "## "
 // heading).
 func ExtractSection(text, marker string) string {
+	body, _ := extractSection(text, marker)
+	return body
+}
+
+// extractSection is ExtractSection that also reports whether a line
+// of text starts with the marker.
+func extractSection(text, marker string) (string, bool) {
 	// Match the marker only at the start of a line, so example
 	// blocks quoting the protocol (indented) are not picked up.
-	idx := -1
-	if strings.HasPrefix(text, marker) {
-		idx = 0
-	} else if i := strings.Index(text, "\n"+marker); i >= 0 {
-		idx = i + 1
-	}
-	if idx < 0 {
-		return ""
+	idx := 0
+	for {
+		i := strings.Index(text[idx:], marker)
+		if i < 0 {
+			return "", false
+		}
+		if idx += i; idx == 0 || text[idx-1] == '\n' {
+			break
+		}
+		idx++
 	}
 	body := text[idx+len(marker):]
 	if nl := strings.IndexByte(body, '\n'); nl >= 0 {
 		body = body[nl+1:]
 	} else {
-		return ""
+		return "", true
 	}
 	if end := strings.Index(body, "\n## "); end >= 0 {
 		body = body[:end]
 	}
-	return strings.TrimSpace(body)
+	return strings.TrimSpace(body), true
 }

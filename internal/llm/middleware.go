@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"sync"
+	"unsafe"
 )
 
 // --- caching ---
@@ -63,15 +64,22 @@ func WithCache(max int) Middleware {
 // completion.
 func cacheKey(req Request) string {
 	h := sha256.New()
-	h.Write([]byte(req.Purpose))
+	h.Write(stringBytes(req.Purpose))
 	for _, m := range req.Messages {
-		h.Write([]byte{0})
-		h.Write([]byte(m.Role))
-		h.Write([]byte{0})
-		h.Write([]byte(m.Content))
+		h.Write(keySep)
+		h.Write(stringBytes(m.Role))
+		h.Write(keySep)
+		h.Write(stringBytes(m.Content))
 	}
 	return string(h.Sum(nil))
 }
+
+// keySep separates the fields cacheKey hashes.
+var keySep = []byte{0}
+
+// stringBytes views s as bytes without copying it, for a hash to read
+// in place: a Writer must neither modify nor retain what it is given.
+func stringBytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // Complete implements Client.
 func (c *CachingClient) Complete(ctx context.Context, req Request) (Response, error) {

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -191,5 +192,31 @@ func TestSimConcurrentDeterminism(t *testing.T) {
 	wg.Wait()
 	if u := shared.Usage(); u.Calls != 8 {
 		t.Fatalf("usage lost calls under concurrency: %+v", u)
+	}
+}
+
+// TestCacheKeyHashesInPlace: cacheKey digests the bytes the copying
+// form it replaced digested.
+func TestCacheKeyHashesInPlace(t *testing.T) {
+	copying := func(req Request) string {
+		h := sha256.New()
+		h.Write([]byte(req.Purpose))
+		for _, m := range req.Messages {
+			h.Write([]byte{0})
+			h.Write([]byte(m.Role))
+			h.Write([]byte{0})
+			h.Write([]byte(m.Content))
+		}
+		return string(h.Sum(nil))
+	}
+	for _, r := range []Request{
+		{},
+		{Purpose: "type"},
+		{Purpose: "repair", Driver: "dm", Messages: []Message{{Role: "system", Content: "s"}, {Role: "user", Content: "é\x00x"}}},
+		{Messages: []Message{{}, {Role: "user"}}},
+	} {
+		if got, want := cacheKey(r), copying(r); got != want {
+			t.Fatalf("cacheKey(%+v) = %x, want %x", r, got, want)
+		}
 	}
 }

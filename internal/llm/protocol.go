@@ -151,8 +151,13 @@ func ParseIdentResult(text string) *IdentResult {
 }
 
 func parseUnknown(text string) []UnknownRef {
+	return unknownRefs(ExtractSection(text, SecUnknown))
+}
+
+// unknownRefs parses the bullets of an Unknown section body.
+func unknownRefs(body string) []UnknownRef {
 	var out []UnknownRef
-	for _, ln := range lines(ExtractSection(text, "## Unknown")) {
+	for _, ln := range lines(body) {
 		ln = strings.TrimPrefix(strings.TrimSpace(ln), "- ")
 		kind, rest, ok := strings.Cut(ln, ": ")
 		if !ok {

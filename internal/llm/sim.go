@@ -50,26 +50,25 @@ func (m *SimModel) chance(key string) float64 {
 	return float64(h%1_000_000) / 1_000_000
 }
 
-// Complete implements Client.
+// Complete implements Client. The prompt is the request's messages
+// read in place, never joined: a section is read from the first
+// message with a line that starts with its marker, up to the next
+// "## " heading or the end of that message, so a section never runs
+// on into the next message. The prompt costs (Σ(len(content)+1)+3)/4
+// tokens, CountTokens of the messages joined one per line.
 func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	var prompt strings.Builder
+	msgs := req.Messages
 	size := 0
-	for _, msg := range req.Messages {
+	for _, msg := range msgs {
 		size += len(msg.Content) + 1
 	}
-	prompt.Grow(size)
-	for _, msg := range req.Messages {
-		prompt.WriteString(msg.Content)
-		prompt.WriteByte('\n')
-	}
-	text := prompt.String()
-	ptoks := CountTokens(text)
+	ptoks := (size + 3) / 4
 
-	instr := strings.ToLower(ExtractSection(text, SecInstruction))
-	src := ExtractSection(text, SecSource)
+	instr := strings.ToLower(section(msgs, SecInstruction))
+	src := section(msgs, SecSource)
 	// Context window: content beyond the window is simply not seen.
 	if ptoks > m.caps.ContextTokens {
 		keep := m.caps.ContextTokens * 4
@@ -91,25 +90,36 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 	var resp string
 	switch {
 	case strings.Contains(instr, "repair"):
-		resp = m.repair(text)
+		resp = m.repair(msgs)
 	case strings.Contains(instr, "dependency analysis"):
-		resp = m.analyzeDeps(text, src)
+		resp = m.analyzeDeps(msgs, src)
 	case strings.Contains(instr, "type definitions"):
-		resp = m.analyzeTypes(text, src, dilute)
+		resp = m.analyzeTypes(msgs, src, dilute)
 	default: // identifier deduction (also the all-in-one first half)
-		resp = m.analyzeIdent(text, src, dilute)
+		resp = m.analyzeIdent(msgs, src, dilute)
 	}
 	call := Usage{Calls: 1, PromptTokens: ptoks, CompletionTokens: CountTokens(resp)}
 	m.usage.Record(call)
 	return Response{Text: resp, Usage: call}, nil
 }
 
+// section returns the body of the named prompt section by the rule
+// Complete documents.
+func section(msgs []Message, marker string) string {
+	for _, msg := range msgs {
+		if body, ok := extractSection(msg.Content, marker); ok {
+			return body
+		}
+	}
+	return ""
+}
+
 // --- stage 1: identifier deduction ---
 
-func (m *SimModel) analyzeIdent(prompt, src string, dilute float64) string {
+func (m *SimModel) analyzeIdent(msgs []Message, src string, dilute float64) string {
 	ix := ccode.NewIndex(map[string]string{"prompt.c": src})
 	r := &IdentResult{}
-	unknowns := parseUnknown(prompt)
+	unknowns := unknownRefs(section(msgs, SecUnknown))
 
 	// Device/socket discovery happens when registrations are present.
 	m.discoverRegistration(ix, r)
@@ -275,7 +285,7 @@ func (m *SimModel) analyzeDispatchFn(ix *ccode.Index, fn *ccode.Function, req Un
 	// Table lookup dispatch (the dm pattern).
 	if table := scanIoctlTable(srcOf(ix)); len(table) > 0 && calledLookup(info) {
 		if m.caps.LookupTable {
-			arg, argInt := copiedStruct(info)
+			arg, argInt := copiedStruct(info.CopyFromUser, info.Calls)
 			for _, ent := range table {
 				macro := ent.nrMacro
 				if modified && m.caps.IdentifierMod {
@@ -310,7 +320,7 @@ func (m *SimModel) analyzeDispatchFn(ix *ccode.Index, fn *ccode.Function, req Un
 	// Worker function analysis (socket option workers reached via
 	// usage "opt MACRO").
 	if opt, ok := strings.CutPrefix(req.Usage, "opt "); ok {
-		arg, argInt := copiedStruct(info)
+		arg, argInt := copiedStruct(info.CopyFromUser, info.Calls)
 		r.Cmds = append(r.Cmds, CmdDecl{
 			Macro: strings.TrimSpace(opt), Handler: fn.Name,
 			Arg: arg, ArgInt: argInt, Dir: "in", Plain: true,
@@ -356,12 +366,14 @@ func calledLookup(info *ccode.BodyInfo) bool {
 	return false
 }
 
-// copiedStruct inspects copy_from_user/copy_from_sockptr destinations.
-func copiedStruct(info *ccode.BodyInfo) (arg string, argInt bool) {
-	if len(info.CopyFromUser) > 0 {
-		return info.CopyFromUser[0], false
+// copiedStruct inspects copy_from_user/copy_from_sockptr destinations
+// given a body's CopyFromUser and its calls in source order (all of
+// them, or only its user copies: no other call is read).
+func copiedStruct(copyFromUser []string, calls []ccode.CallSite) (arg string, argInt bool) {
+	if len(copyFromUser) > 0 {
+		return copyFromUser[0], false
 	}
-	for _, c := range info.Calls {
+	for _, c := range calls {
 		if c.Name == "copy_from_sockptr" {
 			for _, a := range c.Args {
 				if i := strings.Index(a, "struct "); i >= 0 {
@@ -415,19 +427,18 @@ func (m *SimModel) analyzeSwitch(ix *ccode.Index, sw *ccode.SwitchInfo, modified
 				}
 			}
 		}
-		info := ccode.AnalyzeBody("{" + cs.Body + "}")
-		decl.Arg, decl.ArgInt = copiedStruct(info)
+		decl.Arg, decl.ArgInt = copiedStruct(cs.CopyFromUser, cs.Copies)
+		decl.Plain = isPlainOption(ix, macro)
 		if decl.Handler != "" && decl.Arg == "" && !decl.ArgInt {
 			// Socket-style dispatch: the worker holds the payload
 			// logic; request it, tagging the macro for correlation.
 			r.Unknown = append(r.Unknown, UnknownRef{
 				Kind: "FUNC", Name: decl.Handler, Usage: "opt " + macro,
 			})
-			if isPlainOption(ix, macro) {
+			if decl.Plain {
 				continue // resolved when the worker arrives
 			}
 		}
-		decl.Plain = isPlainOption(ix, macro)
 		r.Cmds = append(r.Cmds, decl)
 	}
 }
@@ -555,10 +566,10 @@ func (m *SimModel) dropAndCorrupt(cmds []CmdDecl, dilute float64) []CmdDecl {
 
 // --- stage 2: type recovery ---
 
-func (m *SimModel) analyzeTypes(prompt, src string, dilute float64) string {
+func (m *SimModel) analyzeTypes(msgs []Message, src string, dilute float64) string {
 	ix := ccode.NewIndex(map[string]string{"prompt.c": src})
 	var wanted []string
-	for _, u := range parseUnknown(prompt) {
+	for _, u := range unknownRefs(section(msgs, SecUnknown)) {
 		if u.Kind == "TYPE" {
 			wanted = append(wanted, u.Name)
 		}
@@ -806,13 +817,13 @@ func firstIdent(s string) string {
 
 // --- stage 3: dependency analysis ---
 
-func (m *SimModel) analyzeDeps(prompt, src string) string {
+func (m *SimModel) analyzeDeps(msgs []Message, src string) string {
 	r := &DepResult{}
 	if !m.caps.Dependencies {
 		return FormatDepResult(r)
 	}
 	ix := ccode.NewIndex(map[string]string{"prompt.c": src})
-	for _, u := range parseUnknown(prompt) {
+	for _, u := range unknownRefs(section(msgs, SecUnknown)) {
 		if u.Kind != "FUNC" {
 			continue
 		}
@@ -841,9 +852,9 @@ func (m *SimModel) analyzeDeps(prompt, src string) string {
 // messages, exactly the §3.2 loop: each error is matched to its
 // description and corrected (or, for hard cases, left broken /
 // dropped).
-func (m *SimModel) repair(prompt string) string {
-	spec := ExtractSection(prompt, SecSpec)
-	errsText := ExtractSection(prompt, SecErrors)
+func (m *SimModel) repair(msgs []Message) string {
+	spec := section(msgs, SecSpec)
+	errsText := section(msgs, SecErrors)
 	if spec == "" {
 		return "## Repaired Specification\n"
 	}
