@@ -210,27 +210,68 @@ func parseCall(toks []CToken, i int) *CallSite {
 	if end < i+3 {
 		return nil // "f(" at the very end of the text
 	}
-	cs := &CallSite{Name: name, Raw: joinTexts(toks[i:end], true)}
 	inner := toks[i+2 : end-1]
-	depth, start := 0, 0
-	for k, t := range inner {
-		if t.Kind != CPunct {
-			continue
-		}
-		switch t.Text {
-		case "(", "[", "{":
-			depth++
-		case ")", "]", "}":
-			depth--
-		case ",":
-			if depth == 0 {
-				cs.Args = append(cs.Args, joinTexts(inner[start:k], false))
-				start = k + 1
+	// One pass counts the top-level commas, so Args is sized once,
+	// and finds whether a comment rides in the call.
+	depth, commas, comment := 0, 0, false
+	for _, t := range inner {
+		switch t.Kind {
+		case CComment:
+			comment = true
+		case CPunct:
+			switch t.Text {
+			case "(", "[", "{":
+				depth++
+			case ")", "]", "}":
+				depth--
+			case ",":
+				if depth == 0 {
+					commas++
+				}
 			}
 		}
 	}
-	if last := joinTexts(inner[start:], false); last != "" {
-		cs.Args = append(cs.Args, last)
+	cs := &CallSite{Name: name, Raw: joinTexts(toks[i:end], true)}
+	// Without a comment, Raw is the tokens separated by single spaces,
+	// so an argument's text is the slice of Raw from its first token
+	// to the space before the token that ends it; off is the offset in
+	// Raw of the token at hand.
+	arg := func(from, to, fromOff, toOff int) string {
+		if comment {
+			return joinTexts(inner[from:to], false)
+		}
+		if from == to {
+			return ""
+		}
+		return cs.Raw[fromOff : toOff-1]
+	}
+	add := func(a string) {
+		if cs.Args == nil {
+			cs.Args = make([]string, 0, commas+1)
+		}
+		cs.Args = append(cs.Args, a)
+	}
+	depth = 0
+	start, startOff := 0, len(name)+3
+	off := startOff
+	for k, t := range inner {
+		if t.Kind == CPunct {
+			switch t.Text {
+			case "(", "[", "{":
+				depth++
+			case ")", "]", "}":
+				depth--
+			case ",":
+				if depth == 0 {
+					add(arg(start, k, startOff, off))
+					start, startOff = k+1, off+2
+				}
+			}
+		}
+		off += len(t.Text) + 1
+	}
+	if last := arg(start, len(inner), startOff, off); last != "" {
+		add(last)
 	}
 	return cs
 }

@@ -3,6 +3,7 @@ package ccode_test
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,15 +67,30 @@ func FuzzLexC(f *testing.F) {
 	})
 }
 
+// callEdges are calls whose arguments carry comments, nested commas,
+// or nothing.
+var callEdges = []string{
+	"void f(void) { g(a /* x, y */, b); h(/* only */); }",
+	"void f(void) { g(h(a, b), c[1, 2], {d, e}, (p, q)); }",
+	"void f(void) { g(); g(,); g(a,); g(, a); g(a, , b); }",
+	"void f(void) { return g(a, // c\n b); }",
+	"void f(void) { switch (cmd) { case A: copy_from_user(&x, /* p */ arg, sizeof(x)); } }",
+	"void f(void) { g(a, h(b", "void f(void) { switch (x) { case A: g(a, case B: h(b, c); } }",
+}
+
 // FuzzIndexAnalyze: indexing arbitrary text and analysing every
 // function it finds never panics, the memoised Info is what a fresh
-// AnalyzeBody of the body returns, and every switch case's recorded
-// user-copy summary is what analysing the case body on its own gives.
+// AnalyzeBody of the body returns, every switch case's recorded
+// user-copy summary is what analysing the case body on its own gives,
+// and every call's arguments are the texts of its argument tokens.
 func FuzzIndexAnalyze(f *testing.F) {
 	for _, src := range sources() {
 		f.Add(src)
 	}
 	for _, src := range lexerEdges {
+		f.Add(src)
+	}
+	for _, src := range callEdges {
 		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -89,8 +105,11 @@ func FuzzIndexAnalyze(f *testing.F) {
 			}
 			info.FindSwitchOn("cmd")
 			checkCaseCopies(t, name, info)
+			checkCallArgs(t, name, fn.Body, info)
 		}
-		checkCaseCopies(t, "<text>", ccode.AnalyzeBody(src))
+		info := ccode.AnalyzeBody(src)
+		checkCaseCopies(t, "<text>", info)
+		checkCallArgs(t, "<text>", src, info)
 		ix.ConstTable()
 	})
 }
@@ -116,6 +135,90 @@ func checkCaseCopies(t *testing.T, name string, info *ccode.BodyInfo) {
 			}
 		}
 	}
+}
+
+// checkCallArgs checks every call site info records from text: each
+// entry of Args is the argument's tokens, comments dropped, joined by
+// single spaces. A call's tokens are found again, as the run whose
+// space-joined texts are the site's Raw, in a re-lex of text, or for a
+// case's user copies in a re-lex of "{"+Body+"}" (what they are read
+// from).
+func checkCallArgs(t *testing.T, name, text string, info *ccode.BodyInfo) {
+	t.Helper()
+	checkArgs(t, name, ccode.LexC(text), append(append([]ccode.CallSite(nil), info.Calls...), info.Delegations...))
+	for _, sw := range info.Switches {
+		for _, cs := range sw.Cases {
+			checkArgs(t, name, ccode.LexC("{"+cs.Body+"}"), cs.Copies)
+		}
+	}
+}
+
+func checkArgs(t *testing.T, name string, toks []ccode.CToken, sites []ccode.CallSite) {
+	t.Helper()
+	for _, cs := range sites {
+		call, ok := callTokens(toks, cs)
+		if !ok {
+			t.Fatalf("%s: no run of tokens reads %q", name, cs.Raw)
+		}
+		// The arguments are the tokens between "(" and the last token,
+		// split at the commas outside any bracket.
+		var want []string
+		inner := call[2 : len(call)-1]
+		depth, start := 0, 0
+		for k := 0; k <= len(inner); k++ {
+			if k < len(inner) && inner[k].Kind == ccode.CPunct {
+				switch inner[k].Text {
+				case "(", "[", "{":
+					depth++
+				case ")", "]", "}":
+					depth--
+				}
+			}
+			if k == len(inner) || depth == 0 && inner[k].Kind == ccode.CPunct && inner[k].Text == "," {
+				var words []string
+				for _, tok := range inner[start:k] {
+					if tok.Kind != ccode.CComment {
+						words = append(words, tok.Text)
+					}
+				}
+				if arg := strings.Join(words, " "); k < len(inner) || arg != "" {
+					want = append(want, arg)
+				}
+				start = k + 1
+			}
+		}
+		if len(cs.Args) != len(want) || len(want) > 0 && !reflect.DeepEqual(cs.Args, want) {
+			t.Fatalf("%s: call %q has Args %q, its tokens give %q", name, cs.Raw, cs.Args, want)
+		}
+	}
+}
+
+// callTokens finds the call site's tokens in toks: a run that starts
+// with its name and "(" and whose texts joined by single spaces are
+// its Raw.
+func callTokens(toks []ccode.CToken, cs ccode.CallSite) ([]ccode.CToken, bool) {
+	for i := 0; i+1 < len(toks); i++ {
+		if toks[i].Text != cs.Name || toks[i+1].Text != "(" {
+			continue
+		}
+		n := -1
+		for end := i; end < len(toks) && n < len(cs.Raw); end++ {
+			n += len(toks[end].Text) + 1
+			if n == len(cs.Raw) && end >= i+2 {
+				var b strings.Builder
+				for k, tok := range toks[i : end+1] {
+					if k > 0 {
+						b.WriteByte(' ')
+					}
+					b.WriteString(tok.Text)
+				}
+				if b.String() == cs.Raw {
+					return toks[i : end+1], true
+				}
+			}
+		}
+	}
+	return nil, false
 }
 
 // TestHasIdent: whole identifier tokens only.

@@ -185,14 +185,38 @@ func (g *Generator) sockCallDef(hid, resName, callName, addr string) *syzlang.Sy
 // named is the bare type NAME: a scalar, a struct or a resource.
 func named(name string) *syzlang.TypeExpr { return &syzlang.TypeExpr{Ident: name} }
 
-func typeArgs(ts ...*syzlang.TypeExpr) []*syzlang.TypeArg {
-	vals := make([]syzlang.TypeArg, len(ts))
-	args := make([]*syzlang.TypeArg, len(ts))
-	for i, t := range ts {
-		vals[i].Type = t
-		args[i] = &vals[i]
+// A constructed IDENT[NAME] or IDENT[NAME, T] is one allocation: the
+// node, its argument slots and the bare NAME.
+type (
+	oneName struct {
+		te, name syzlang.TypeExpr
+		val      syzlang.TypeArg
+		args     [1]*syzlang.TypeArg
 	}
-	return args
+	nameAndType struct {
+		te, name syzlang.TypeExpr
+		vals     [2]syzlang.TypeArg
+		args     [2]*syzlang.TypeArg
+	}
+)
+
+// ofName is IDENT[NAME].
+func ofName(ident, name string) *syzlang.TypeExpr {
+	n := &oneName{te: syzlang.TypeExpr{Ident: ident}, name: syzlang.TypeExpr{Ident: name}}
+	n.val.Type = &n.name
+	n.args[0] = &n.val
+	n.te.Args = n.args[:]
+	return &n.te
+}
+
+// ofNameAndType is IDENT[NAME, T].
+func ofNameAndType(ident, name string, t *syzlang.TypeExpr) *syzlang.TypeExpr {
+	n := &nameAndType{te: syzlang.TypeExpr{Ident: ident}, name: syzlang.TypeExpr{Ident: name}}
+	n.vals[0].Type = &n.name
+	n.vals[1].Type = t
+	n.args = [2]*syzlang.TypeArg{&n.vals[0], &n.vals[1]}
+	n.te.Args = n.args[:]
+	return &n.te
 }
 
 // constOf is const[NAME]; a name the model left out is const[0].
@@ -200,7 +224,7 @@ func constOf(name string) *syzlang.TypeExpr {
 	if name == "" {
 		return constInt(0)
 	}
-	return &syzlang.TypeExpr{Ident: "const", Args: typeArgs(named(name))}
+	return ofName("const", name)
 }
 
 // constInt is const[V].
@@ -210,18 +234,16 @@ func constInt(v uint64) *syzlang.TypeExpr {
 
 // ptrTo is ptr[DIR, ELEM].
 func ptrTo(dir string, elem *syzlang.TypeExpr) *syzlang.TypeExpr {
-	return &syzlang.TypeExpr{Ident: "ptr", Args: typeArgs(named(dir), elem)}
+	return ofNameAndType("ptr", dir, elem)
 }
 
 // lenOf is len[FIELD, BASE].
 func lenOf(field, base string) *syzlang.TypeExpr {
-	return &syzlang.TypeExpr{Ident: "len", Args: typeArgs(named(field), named(base))}
+	return ofNameAndType("len", field, named(base))
 }
 
 // byteArray is array[int8], the untyped buffer.
-func byteArray() *syzlang.TypeExpr {
-	return &syzlang.TypeExpr{Ident: "array", Args: typeArgs(named("int8"))}
-}
+func byteArray() *syzlang.TypeExpr { return ofName("array", "int8") }
 
 // mkField names a constructed type. Every leaf must be a bare
 // identifier; a model answer that is anything else (a number, an

@@ -125,15 +125,15 @@ func (g *Generator) GenerateFor(ctx context.Context, h *corpus.Handler) *Result 
 // identifierStage runs stage 1 iteratively (Algorithm 1).
 func (g *Generator) identifierStage(ctx context.Context, h *corpus.Handler, fileSrc, defines, located string, res *Result) *llm.IdentResult {
 	merged := &llm.IdentResult{}
-	source := located
+	source := sourceText{head: located}
 	if g.Opts.AllInOne {
-		source = fileSrc
+		source.head = fileSrc
 	}
 	var unknowns []llm.UnknownRef
 	fetched := map[string]bool{}
 	for iter := 0; iter < g.Opts.MaxIter; iter++ {
 		res.Iterations++
-		reply, err := g.complete(ctx, res, h, "identifier", g.pb.build(instrIdent, unknowns, source))
+		reply, err := g.complete(ctx, res, h, "identifier", g.pb.build(identMsg, unknowns, source))
 		if err != nil {
 			return merged
 		}
@@ -150,15 +150,15 @@ func (g *Generator) identifierStage(ctx context.Context, h *corpus.Handler, file
 				continue
 			}
 			fetched[u.Name] = true
-			if code, ok := g.pb.snippetFor(fileSrc, u.Name); ok {
-				parts = append(parts, code)
+			var ok bool
+			if parts, ok = g.pb.appendSnippet(parts, fileSrc, u.Name); ok {
 				next = append(next, u)
 			}
 		}
 		if len(next) == 0 {
 			break
 		}
-		source = defines + "\n" + strings.Join(parts, "\n\n")
+		source = sourceText{head: defines, sep: "\n", parts: parts}
 		unknowns = next
 	}
 	return merged
@@ -267,7 +267,7 @@ func (g *Generator) typeStage(ctx context.Context, h *corpus.Handler, fileSrc, d
 	for iter := 0; iter < g.Opts.MaxIter && len(wanted) > 0; iter++ {
 		res.Iterations++
 		source := g.typeSource(h, fileSrc, defines, ident, wanted)
-		reply, err := g.complete(ctx, res, h, "type", g.pb.build(instrType, wanted, source))
+		reply, err := g.complete(ctx, res, h, "type", g.pb.build(typeMsg, wanted, source))
 		if err != nil {
 			break
 		}
@@ -288,12 +288,11 @@ func (g *Generator) typeStage(ctx context.Context, h *corpus.Handler, fileSrc, d
 
 // typeSource gathers struct definitions plus the worker functions
 // whose validation code reveals field ranges.
-func (g *Generator) typeSource(h *corpus.Handler, fileSrc, defines string, ident *llm.IdentResult, wanted []llm.UnknownRef) string {
+func (g *Generator) typeSource(h *corpus.Handler, fileSrc, defines string, ident *llm.IdentResult, wanted []llm.UnknownRef) sourceText {
 	if g.Opts.AllInOne {
-		return fileSrc
+		return sourceText{head: fileSrc}
 	}
 	var parts []string
-	parts = append(parts, defines)
 	for _, u := range wanted {
 		code, ok := g.Corpus.Index.ExtractType(u.Name)
 		if !ok {
@@ -320,7 +319,7 @@ func (g *Generator) typeSource(h *corpus.Handler, fileSrc, defines string, ident
 			parts = append(parts, code)
 		}
 	}
-	return strings.Join(parts, "\n\n")
+	return sourceText{head: defines, sep: "\n\n", parts: parts}
 }
 
 // dependencyStage runs stage 3 over the worker functions stage 1
@@ -343,11 +342,11 @@ func (g *Generator) dependencyStage(ctx context.Context, h *corpus.Handler, file
 		return &llm.DepResult{}
 	}
 	res.Iterations++
-	source := strings.Join(parts, "\n\n")
+	source := sourceText{parts: parts}
 	if g.Opts.AllInOne {
-		source = fileSrc
+		source = sourceText{head: fileSrc}
 	}
-	reply, err := g.complete(ctx, res, h, "dependency", g.pb.build(instrDep, refs, source))
+	reply, err := g.complete(ctx, res, h, "dependency", g.pb.build(depMsg, refs, source))
 	if err != nil {
 		return &llm.DepResult{}
 	}

@@ -87,53 +87,110 @@ Given the error 'unknown constant "EX_VERSIO" in const[]' and the
 source macro EX_VERSION, correct the name and output the whole
 specification under '## Repaired Specification'.`
 
+// The constant parts of every prompt are whole messages, shared by
+// every prompt of their stage instead of copied into each one: a
+// prompt is [system, instruction, body, few-shot]. Against the one
+// user message the same sections used to fill, each cut between two
+// messages drops the "\n" that ended the section before it, so the
+// messages joined one per line are that message's text, and the
+// prompt costs the same tokens.
+var (
+	systemMsg  = llm.Message{Role: "system", Content: systemPrompt}
+	identMsg   = instructionMsg(instrIdent)
+	typeMsg    = instructionMsg(instrType)
+	depMsg     = instructionMsg(instrDep)
+	repairMsg  = instructionMsg(instrRepair)
+	fewShotMsg = llm.Message{Role: "user", Content: llm.SecFewShot + "\n" + fewShot + "\n"}
+)
+
+const systemPrompt = "You are an expert Linux kernel and Syzkaller engineer."
+
+func instructionMsg(instr string) llm.Message {
+	return llm.Message{Role: "user", Content: llm.SecInstruction + "\n" + instr + "\n"}
+}
+
 // promptBuilder assembles the structured prompts.
 type promptBuilder struct {
 	ix *ccode.Index
 }
 
-const systemPrompt = "You are an expert Linux kernel and Syzkaller engineer."
+// sourceText is a prompt's source section as the stages gather it:
+// head, then, when there are parts, sep and the parts separated by
+// blank lines. The body is written from these pieces in one pass.
+type sourceText struct {
+	head, sep string
+	parts     []string
+}
 
-func (p *promptBuilder) build(instr string, unknowns []llm.UnknownRef, source string) []llm.Message {
-	unknown := ""
-	if len(unknowns) > 0 {
-		var b strings.Builder
-		b.WriteString(llm.SecUnknown + "\n")
-		for _, u := range unknowns {
-			b.WriteString("- " + u.Kind + ": " + u.Name + " USAGE: " + u.Usage + "\n")
+func (s sourceText) len() int {
+	n := len(s.head)
+	if len(s.parts) > 0 {
+		n += len(s.sep) + 2*(len(s.parts)-1)
+		for _, p := range s.parts {
+			n += len(p)
 		}
-		b.WriteByte('\n')
-		unknown = b.String()
 	}
-	// One concatenation: the prompt is sized and copied once.
-	content := llm.SecInstruction + "\n" + instr + "\n\n" + unknown +
-		llm.SecSource + "\n" + source + "\n\n" +
-		llm.SecFewShot + "\n" + fewShot + "\n"
-	return []llm.Message{
-		{Role: "system", Content: systemPrompt},
-		{Role: "user", Content: content},
+	return n
+}
+
+func (s sourceText) writeTo(b *strings.Builder) {
+	b.WriteString(s.head)
+	if len(s.parts) == 0 {
+		return
+	}
+	b.WriteString(s.sep)
+	for i, p := range s.parts {
+		if i > 0 {
+			b.WriteString("\n\n")
+		}
+		b.WriteString(p)
 	}
 }
 
+// build returns a stage prompt: the stage's instruction message, a
+// body of the unknowns asked about and the source, and the few-shot
+// message.
+func (p *promptBuilder) build(instr llm.Message, unknowns []llm.UnknownRef, src sourceText) []llm.Message {
+	size := llm.UnknownLen(unknowns) + len(llm.SecSource) + 1 + src.len() + 1
+	if len(unknowns) > 0 {
+		size++
+	}
+	var b strings.Builder
+	b.Grow(size)
+	if len(unknowns) > 0 {
+		llm.WriteUnknown(&b, unknowns)
+		b.WriteByte('\n')
+	}
+	b.WriteString(llm.SecSource + "\n")
+	src.writeTo(&b)
+	b.WriteByte('\n')
+	return []llm.Message{systemMsg, instr, {Role: "user", Content: b.String()}, fewShotMsg}
+}
+
 func (p *promptBuilder) buildRepair(errs, spec, source string) []llm.Message {
-	content := llm.SecInstruction + "\n" + instrRepair + "\n\n" +
-		llm.SecErrors + "\n" + errs + "\n\n" +
+	body := llm.SecErrors + "\n" + errs + "\n\n" +
 		llm.SecSpec + "\n" + spec + "\n\n" +
 		llm.SecSource + "\n" + source + "\n"
-	return []llm.Message{
-		{Role: "system", Content: systemPrompt},
-		{Role: "user", Content: content},
-	}
+	return []llm.Message{systemMsg, repairMsg, {Role: "user", Content: body}}
 }
 
 // definesOf returns every preprocessor definition line of a source
 // file — the uapi-header context that accompanies any handler
 // analysis.
 func definesOf(src string) string {
+	size := 0
+	for rest := src; len(rest) > 0; {
+		ln, next, _ := strings.Cut(rest, "\n")
+		if isDefine(ln) {
+			size += len(ln) + 1
+		}
+		rest = next
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for len(src) > 0 {
 		ln, rest, _ := strings.Cut(src, "\n")
-		if strings.HasPrefix(strings.TrimSpace(ln), "#define") {
+		if isDefine(ln) {
 			b.WriteString(ln)
 			b.WriteByte('\n')
 		}
@@ -142,20 +199,22 @@ func definesOf(src string) string {
 	return b.String()
 }
 
-// snippetFor extracts the definition of an identifier plus, for
-// functions, any static dispatch table in the same file that the
-// function references (lookup_ioctl's table travels with it).
-func (p *promptBuilder) snippetFor(fileSrc, ident string) (string, bool) {
+func isDefine(ln string) bool { return strings.HasPrefix(strings.TrimSpace(ln), "#define") }
+
+// appendSnippet appends the definition of an identifier to parts,
+// preceded, for a function that references it, by the static dispatch
+// table of the same file (lookup_ioctl's table travels with it).
+func (p *promptBuilder) appendSnippet(parts []string, fileSrc, ident string) ([]string, bool) {
 	code, ok := p.ix.ExtractCode(ident)
 	if !ok {
-		return "", false
+		return parts, false
 	}
 	if strings.Contains(code, "lookup_ioctl") {
 		if tbl := extractTable(fileSrc); tbl != "" {
-			code = tbl + "\n\n" + code
+			parts = append(parts, tbl)
 		}
 	}
-	return code, true
+	return append(parts, code), true
 }
 
 // extractTable pulls the "_ioctls[] = { ... };" static table text.

@@ -23,8 +23,10 @@ var fullCorpus = sync.OnceValue(func() *corpus.Corpus { return corpus.Build(corp
 // one worker, through the completion cache. It reads bytes and
 // allocations per generated handler over the passes, the GC and
 // pooled-buffer refills they cause included. The budgets are 5% above
-// the measured 166.2 KB and 1714; the same passes made 231.5 KB and
-// 2098 before the sim read its prompts in place.
+// the measured 120.4 KB and 1081; the same passes made 166.2 KB and
+// 1714 while every prompt copied its constant parts and the formatters
+// went through fmt, and 231.5 KB and 2098 before the sim read its
+// prompts in place.
 func TestSuiteAllocsPerHandler(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocates")
@@ -45,7 +47,7 @@ func TestSuiteAllocsPerHandler(t *testing.T) {
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(handlers)
 	allocs := float64(after.Mallocs-before.Mallocs) / float64(handlers)
 	t.Logf("%d handlers: %.1f KB and %.0f allocations per handler", handlers, kb, allocs)
-	const kbBudget, allocsBudget = 175, 1800
+	const kbBudget, allocsBudget = 126.4, 1135
 	if kb > kbBudget || allocs > allocsBudget {
 		t.Fatalf("%.1f KB and %.0f allocations per handler, budget %v KB and %v", kb, allocs, kbBudget, allocsBudget)
 	}

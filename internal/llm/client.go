@@ -178,6 +178,10 @@ func extractSection(text, marker string) (string, bool) {
 	} else {
 		return "", true
 	}
+	// A heading on the very next line ends an empty section.
+	if strings.HasPrefix(body, "## ") {
+		return "", true
+	}
 	if end := strings.Index(body, "\n## "); end >= 0 {
 		body = body[:end]
 	}

@@ -1,8 +1,11 @@
 package llm
 
 import (
-	"fmt"
+	"iter"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The structured response protocol. The LLM boundary stays textual
@@ -55,28 +58,70 @@ type IdentResult struct {
 
 // FormatIdentResult renders the stage-1 completion text.
 func FormatIdentResult(r *IdentResult) string {
+	size := UnknownLen(r.Unknown)
+	if r.DevicePath != "" {
+		size += len("## Device Path\n\n") + len(r.DevicePath)
+	}
+	hasFamily := r.Domain != "" || r.Level != ""
+	if hasFamily {
+		size += len("## Socket Family\n- DOMAIN: \n- LEVEL: \n") + dashLen(r.Domain) + dashLen(r.Level)
+	}
+	if len(r.Cmds) > 0 {
+		size += len("## Commands\n")
+		for _, c := range r.Cmds {
+			size += len("- MACRO:  HANDLER:  ARG:  DIR:  PLAIN: \n") + len(c.Macro) +
+				dashLen(c.Handler) + len(argField(c)) + dashLen(c.Dir) + len(strconv.FormatBool(c.Plain))
+		}
+	}
+	if len(r.Calls) > 0 {
+		size += len("## Socket Calls\n")
+		for _, c := range r.Calls {
+			size += len("- CALL:  ADDR:  FN: \n") + len(c.Call) + dashLen(c.Addr) + dashLen(c.Fn)
+		}
+	}
 	var b strings.Builder
+	b.Grow(size)
 	if r.DevicePath != "" {
 		b.WriteString("## Device Path\n")
-		b.WriteString(r.DevicePath + "\n")
+		b.WriteString(r.DevicePath)
+		b.WriteByte('\n')
 	}
-	if r.Domain != "" || r.Level != "" {
-		fmt.Fprintf(&b, "## Socket Family\n- DOMAIN: %s\n- LEVEL: %s\n", orDash(r.Domain), orDash(r.Level))
+	if hasFamily {
+		b.WriteString("## Socket Family\n- DOMAIN: ")
+		b.WriteString(orDash(r.Domain))
+		b.WriteString("\n- LEVEL: ")
+		b.WriteString(orDash(r.Level))
+		b.WriteByte('\n')
 	}
 	if len(r.Cmds) > 0 {
 		b.WriteString("## Commands\n")
 		for _, c := range r.Cmds {
-			fmt.Fprintf(&b, "- MACRO: %s HANDLER: %s ARG: %s DIR: %s PLAIN: %t\n",
-				c.Macro, orDash(c.Handler), argField(c), orDash(c.Dir), c.Plain)
+			b.WriteString("- MACRO: ")
+			b.WriteString(c.Macro)
+			b.WriteString(" HANDLER: ")
+			b.WriteString(orDash(c.Handler))
+			b.WriteString(" ARG: ")
+			b.WriteString(argField(c))
+			b.WriteString(" DIR: ")
+			b.WriteString(orDash(c.Dir))
+			b.WriteString(" PLAIN: ")
+			b.WriteString(strconv.FormatBool(c.Plain))
+			b.WriteByte('\n')
 		}
 	}
 	if len(r.Calls) > 0 {
 		b.WriteString("## Socket Calls\n")
 		for _, c := range r.Calls {
-			fmt.Fprintf(&b, "- CALL: %s ADDR: %s FN: %s\n", c.Call, orDash(c.Addr), orDash(c.Fn))
+			b.WriteString("- CALL: ")
+			b.WriteString(c.Call)
+			b.WriteString(" ADDR: ")
+			b.WriteString(orDash(c.Addr))
+			b.WriteString(" FN: ")
+			b.WriteString(orDash(c.Fn))
+			b.WriteByte('\n')
 		}
 	}
-	writeUnknown(&b, r.Unknown)
+	WriteUnknown(&b, r.Unknown)
 	return b.String()
 }
 
@@ -97,13 +142,37 @@ func orDash(s string) string {
 	return s
 }
 
-func writeUnknown(b *strings.Builder, refs []UnknownRef) {
+// dashLen is len(orDash(s)).
+func dashLen(s string) int { return max(len(s), 1) }
+
+// UnknownLen is the length WriteUnknown writes for refs.
+func UnknownLen(refs []UnknownRef) int {
+	if len(refs) == 0 {
+		return 0
+	}
+	n := len(SecUnknown) + 1
+	for _, u := range refs {
+		n += len("- :  USAGE: \n") + len(u.Kind) + len(u.Name) + len(u.Usage)
+	}
+	return n
+}
+
+// WriteUnknown writes refs as an Unknown section, one bullet each,
+// nothing for none: the section in which a completion lists what it
+// could not see, and a prompt what it asks about.
+func WriteUnknown(b *strings.Builder, refs []UnknownRef) {
 	if len(refs) == 0 {
 		return
 	}
-	b.WriteString("## Unknown\n")
+	b.WriteString(SecUnknown + "\n")
 	for _, u := range refs {
-		fmt.Fprintf(b, "- %s: %s USAGE: %s\n", u.Kind, u.Name, u.Usage)
+		b.WriteString("- ")
+		b.WriteString(u.Kind)
+		b.WriteString(": ")
+		b.WriteString(u.Name)
+		b.WriteString(" USAGE: ")
+		b.WriteString(u.Usage)
+		b.WriteByte('\n')
 	}
 }
 
@@ -111,7 +180,7 @@ func writeUnknown(b *strings.Builder, refs []UnknownRef) {
 func ParseIdentResult(text string) *IdentResult {
 	r := &IdentResult{}
 	r.DevicePath = firstLine(ExtractSection(text, "## Device Path"))
-	for _, ln := range lines(ExtractSection(text, "## Socket Family")) {
+	for ln := range lines(ExtractSection(text, "## Socket Family")) {
 		if v, ok := bulletValue(ln, "DOMAIN"); ok {
 			r.Domain = undash(v)
 		}
@@ -119,18 +188,20 @@ func ParseIdentResult(text string) *IdentResult {
 			r.Level = undash(v)
 		}
 	}
-	for _, ln := range lines(ExtractSection(text, "## Commands")) {
-		kv := parseKV(ln)
-		if kv["MACRO"] == "" {
+	var buf [8]kvPair
+	for ln := range lines(ExtractSection(text, "## Commands")) {
+		kv := parseKV(ln, buf[:0])
+		macro := kvGet(kv, "MACRO")
+		if macro == "" {
 			continue
 		}
 		c := CmdDecl{
-			Macro:   kv["MACRO"],
-			Handler: undash(kv["HANDLER"]),
-			Dir:     undash(kv["DIR"]),
-			Plain:   kv["PLAIN"] == "true",
+			Macro:   macro,
+			Handler: undash(kvGet(kv, "HANDLER")),
+			Dir:     undash(kvGet(kv, "DIR")),
+			Plain:   kvGet(kv, "PLAIN") == "true",
 		}
-		switch arg := undash(kv["ARG"]); arg {
+		switch arg := undash(kvGet(kv, "ARG")); arg {
 		case "int":
 			c.ArgInt = true
 		case "":
@@ -139,12 +210,13 @@ func ParseIdentResult(text string) *IdentResult {
 		}
 		r.Cmds = append(r.Cmds, c)
 	}
-	for _, ln := range lines(ExtractSection(text, "## Socket Calls")) {
-		kv := parseKV(ln)
-		if kv["CALL"] == "" {
+	for ln := range lines(ExtractSection(text, "## Socket Calls")) {
+		kv := parseKV(ln, buf[:0])
+		call := kvGet(kv, "CALL")
+		if call == "" {
 			continue
 		}
-		r.Calls = append(r.Calls, SockCallDecl{Call: kv["CALL"], Addr: undash(kv["ADDR"]), Fn: undash(kv["FN"])})
+		r.Calls = append(r.Calls, SockCallDecl{Call: call, Addr: undash(kvGet(kv, "ADDR")), Fn: undash(kvGet(kv, "FN"))})
 	}
 	r.Unknown = parseUnknown(text)
 	return r
@@ -157,7 +229,7 @@ func parseUnknown(text string) []UnknownRef {
 // unknownRefs parses the bullets of an Unknown section body.
 func unknownRefs(body string) []UnknownRef {
 	var out []UnknownRef
-	for _, ln := range lines(body) {
+	for ln := range lines(body) {
 		ln = strings.TrimPrefix(strings.TrimSpace(ln), "- ")
 		kind, rest, ok := strings.Cut(ln, ": ")
 		if !ok {
@@ -182,13 +254,19 @@ type TypeResult struct {
 
 // FormatTypeResult renders the stage-2 completion.
 func FormatTypeResult(r *TypeResult) string {
+	nl := !strings.HasSuffix(r.Defs, "\n")
+	size := len("## Type Definitions\n") + len(r.Defs) + UnknownLen(r.Unknown)
+	if nl {
+		size++
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString("## Type Definitions\n")
 	b.WriteString(r.Defs)
-	if !strings.HasSuffix(r.Defs, "\n") {
+	if nl {
 		b.WriteByte('\n')
 	}
-	writeUnknown(&b, r.Unknown)
+	WriteUnknown(&b, r.Unknown)
 	return b.String()
 }
 
@@ -217,24 +295,37 @@ type DepResult struct {
 
 // FormatDepResult renders the stage-3 completion.
 func FormatDepResult(r *DepResult) string {
+	size := len("## Dependencies\n") + UnknownLen(r.Unknown)
+	for _, d := range r.Deps {
+		size += len("- CMD:  CREATES:  FOPS: \n") + len(d.Cmd) + len(d.Creates) + dashLen(d.Fops)
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString("## Dependencies\n")
 	for _, d := range r.Deps {
-		fmt.Fprintf(&b, "- CMD: %s CREATES: %s FOPS: %s\n", d.Cmd, d.Creates, orDash(d.Fops))
+		b.WriteString("- CMD: ")
+		b.WriteString(d.Cmd)
+		b.WriteString(" CREATES: ")
+		b.WriteString(d.Creates)
+		b.WriteString(" FOPS: ")
+		b.WriteString(orDash(d.Fops))
+		b.WriteByte('\n')
 	}
-	writeUnknown(&b, r.Unknown)
+	WriteUnknown(&b, r.Unknown)
 	return b.String()
 }
 
 // ParseDepResult parses a stage-3 completion.
 func ParseDepResult(text string) *DepResult {
 	r := &DepResult{}
-	for _, ln := range lines(ExtractSection(text, "## Dependencies")) {
-		kv := parseKV(ln)
-		if kv["CMD"] == "" {
+	var buf [8]kvPair
+	for ln := range lines(ExtractSection(text, "## Dependencies")) {
+		kv := parseKV(ln, buf[:0])
+		cmd := kvGet(kv, "CMD")
+		if cmd == "" {
 			continue
 		}
-		r.Deps = append(r.Deps, DepDecl{Cmd: kv["CMD"], Creates: kv["CREATES"], Fops: undash(kv["FOPS"])})
+		r.Deps = append(r.Deps, DepDecl{Cmd: cmd, Creates: kvGet(kv, "CREATES"), Fops: undash(kvGet(kv, "FOPS"))})
 	}
 	r.Unknown = parseUnknown(text)
 	return r
@@ -242,11 +333,12 @@ func ParseDepResult(text string) *DepResult {
 
 // --- low-level helpers ---
 
-func lines(s string) []string {
+// lines yields the lines of s, none for an empty s.
+func lines(s string) iter.Seq[string] {
 	if s == "" {
-		return nil
+		return func(func(string) bool) {}
 	}
-	return strings.Split(s, "\n")
+	return strings.SplitSeq(s, "\n")
 }
 
 func firstLine(s string) string {
@@ -264,30 +356,88 @@ func bulletValue(ln, key string) (string, bool) {
 	return "", false
 }
 
+// kvPair is one "KEY: value" of a bullet.
+type kvPair struct{ key, val string }
+
 // parseKV splits "- K1: v1 K2: v2 ..." bullets where keys are
-// ALLCAPS tokens followed by ": ".
-func parseKV(ln string) map[string]string {
-	out := map[string]string{}
+// ALLCAPS tokens followed by ":", and a value is the whitespace
+// separated words up to the next key joined by single spaces. It
+// appends the pairs to pairs, the caller's buffer. A value whose words
+// are single-space separated already is a slice of ln.
+func parseKV(ln string, pairs []kvPair) []kvPair {
 	ln = strings.TrimPrefix(strings.TrimSpace(ln), "- ")
-	fields := strings.Fields(ln)
 	key := ""
-	var val []string
+	// The current value runs over ln[from:to]; joined is false once a
+	// gap between two of its words is anything but one space.
+	from, to, joined := -1, 0, true
 	flush := func() {
-		if key != "" {
-			out[key] = strings.Join(val, " ")
+		if key == "" {
+			return
 		}
-		val = nil
+		val := ""
+		if from >= 0 {
+			val = ln[from:to]
+			if !joined {
+				val = strings.Join(strings.Fields(val), " ")
+			}
+		}
+		pairs = append(pairs, kvPair{key, val})
 	}
-	for _, f := range fields {
-		if strings.HasSuffix(f, ":") && isAllCaps(strings.TrimSuffix(f, ":")) {
-			flush()
-			key = strings.TrimSuffix(f, ":")
+	for i := 0; i < len(ln); {
+		if n := spaceLen(ln[i:]); n > 0 {
+			i += n
 			continue
 		}
-		val = append(val, f)
+		start := i
+		for i < len(ln) && spaceLen(ln[i:]) == 0 {
+			_, n := utf8.DecodeRuneInString(ln[i:])
+			i += n
+		}
+		f := ln[start:i]
+		if k, ok := strings.CutSuffix(f, ":"); ok && isAllCaps(k) {
+			flush()
+			key, from, joined = k, -1, true
+			continue
+		}
+		if from < 0 {
+			from = start
+		} else if start != to+1 || ln[to] != ' ' {
+			joined = false
+		}
+		to = i
 	}
 	flush()
-	return out
+	return pairs
+}
+
+// spaceLen is the length of the white-space rune s starts with (as
+// unicode.IsSpace, which strings.Fields splits on, defines it), 0 if
+// s does not start with one.
+func spaceLen(s string) int {
+	if s == "" {
+		return 0
+	}
+	if c := s[0]; c < utf8.RuneSelf {
+		if c == ' ' || '\t' <= c && c <= '\r' {
+			return 1
+		}
+		return 0
+	}
+	if r, n := utf8.DecodeRuneInString(s); unicode.IsSpace(r) {
+		return n
+	}
+	return 0
+}
+
+// kvGet returns key's value among pairs; a key given twice keeps its
+// last value.
+func kvGet(pairs []kvPair, key string) string {
+	for i := len(pairs) - 1; i >= 0; i-- {
+		if pairs[i].key == key {
+			return pairs[i].val
+		}
+	}
+	return ""
 }
 
 func isAllCaps(s string) bool {

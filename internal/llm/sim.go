@@ -54,8 +54,14 @@ func (m *SimModel) chance(key string) float64 {
 // read in place, never joined: a section is read from the first
 // message with a line that starts with its marker, up to the next
 // "## " heading or the end of that message, so a section never runs
-// on into the next message. The prompt costs (Σ(len(content)+1)+3)/4
-// tokens, CountTokens of the messages joined one per line.
+// on into the next message. core's prompts are [system, instruction,
+// body, few-shot] (a repair prompt has no few-shot message): the
+// instruction and few-shot messages are constants each stage shares,
+// and the body holds the Unknown and Source sections, or the Errors,
+// Spec and Source sections of a repair. The instruction routes the
+// prompt, its ASCII letters read in either case. The prompt costs
+// (Σ(len(content)+1)+3)/4 tokens, CountTokens of the messages joined
+// one per line.
 func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) {
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
@@ -67,7 +73,7 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 	}
 	ptoks := (size + 3) / 4
 
-	instr := strings.ToLower(section(msgs, SecInstruction))
+	instr := section(msgs, SecInstruction)
 	src := section(msgs, SecSource)
 	// Context window: content beyond the window is simply not seen.
 	if ptoks > m.caps.ContextTokens {
@@ -89,11 +95,11 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 
 	var resp string
 	switch {
-	case strings.Contains(instr, "repair"):
+	case containsFold(instr, "repair"):
 		resp = m.repair(msgs)
-	case strings.Contains(instr, "dependency analysis"):
+	case containsFold(instr, "dependency analysis"):
 		resp = m.analyzeDeps(msgs, src)
-	case strings.Contains(instr, "type definitions"):
+	case containsFold(instr, "type definitions"):
 		resp = m.analyzeTypes(msgs, src, dilute)
 	default: // identifier deduction (also the all-in-one first half)
 		resp = m.analyzeIdent(msgs, src, dilute)
@@ -101,6 +107,29 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 	call := Usage{Calls: 1, PromptTokens: ptoks, CompletionTokens: CountTokens(resp)}
 	m.usage.Record(call)
 	return Response{Text: resp, Usage: call}, nil
+}
+
+// containsFold reports whether s contains the lower-case ASCII word,
+// with s's ASCII letters read in lower case: the instruction routes
+// its prompt whatever case it is written in, without a lowered copy.
+func containsFold(s, word string) bool {
+	for i := 0; i+len(word) <= len(s); i++ {
+		j := 0
+		for j < len(word) {
+			c := s[i+j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != word[j] {
+				break
+			}
+			j++
+		}
+		if j == len(word) {
+			return true
+		}
+	}
+	return false
 }
 
 // section returns the body of the named prompt section by the rule

@@ -92,53 +92,80 @@ type TypeExpr struct {
 type TypeArg struct {
 	// Exactly one of the following is meaningful.
 	Type     *TypeExpr // nested type or bare identifier
-	HasInt   bool
-	Int      uint64
-	HasStr   bool
-	Str      string
-	HasRange bool
-	Min, Max int64
+	Int      uint64    // when HasInt
+	Str      string    // when HasStr
+	Min, Max int64     // when HasRange
 	Pos      Pos
+	// The flags sit together, which packs an argument into 80 bytes
+	// rather than 96.
+	HasInt, HasStr, HasRange bool
 }
 
 // String renders the type expression in canonical syzlang syntax.
 func (t *TypeExpr) String() string {
-	if t == nil {
-		return "<nil>"
-	}
-	if len(t.Args) == 0 {
+	if t != nil && len(t.Args) == 0 {
 		return t.Ident
 	}
-	parts := make([]string, len(t.Args))
-	for i, a := range t.Args {
-		parts[i] = a.String()
+	var b strings.Builder
+	t.writeTo(&b)
+	return b.String()
+}
+
+// writeTo writes what String returns.
+func (t *TypeExpr) writeTo(b *strings.Builder) {
+	if t == nil {
+		b.WriteString("<nil>")
+		return
 	}
-	return t.Ident + "[" + strings.Join(parts, ", ") + "]"
+	b.WriteString(t.Ident)
+	if len(t.Args) == 0 {
+		return
+	}
+	b.WriteByte('[')
+	for i, a := range t.Args {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		a.writeTo(b)
+	}
+	b.WriteByte(']')
 }
 
 // String renders the type argument in canonical syntax.
 func (a *TypeArg) String() string {
-	switch {
-	case a.HasRange:
-		return itoa(a.Min) + ":" + itoa(a.Max)
-	case a.HasInt:
-		return utoa(a.Int)
-	case a.HasStr:
-		return "\"" + escapeString(a.Str) + "\""
-	case a.Type != nil:
-		return a.Type.String()
-	}
-	return "?"
+	var b strings.Builder
+	a.writeTo(&b)
+	return b.String()
 }
 
-// escapeString writes s the way the lexer reads string literals back:
+// writeTo writes what String returns.
+func (a *TypeArg) writeTo(b *strings.Builder) {
+	switch {
+	case a.HasRange:
+		writeInt(b, a.Min)
+		b.WriteByte(':')
+		writeInt(b, a.Max)
+	case a.HasInt:
+		writeUint(b, a.Int)
+	case a.HasStr:
+		b.WriteByte('"')
+		writeEscaped(b, a.Str)
+		b.WriteByte('"')
+	case a.Type != nil:
+		a.Type.writeTo(b)
+	default:
+		b.WriteByte('?')
+	}
+}
+
+// writeEscaped writes s the way the lexer reads string literals back:
 // the escapes it knows for newline, tab and NUL, a backslash before a
 // quote or a backslash, every other byte as itself.
-func escapeString(s string) string {
+func writeEscaped(b *strings.Builder, s string) {
 	if !strings.ContainsAny(s, "\"\\\n\t\x00") {
-		return s
+		b.WriteString(s)
+		return
 	}
-	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
 		case '\n':
@@ -154,28 +181,28 @@ func escapeString(s string) string {
 			b.WriteByte(c)
 		}
 	}
-	return b.String()
 }
 
-func itoa(v int64) string {
+func writeInt(b *strings.Builder, v int64) {
 	if v < 0 {
-		return "-" + utoa(uint64(-v))
+		b.WriteByte('-')
+		writeUint(b, uint64(-v))
+		return
 	}
-	return utoa(uint64(v))
+	writeUint(b, uint64(v))
 }
 
-func utoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
+func writeUint(b *strings.Builder, v uint64) {
 	var buf [20]byte
 	i := len(buf)
-	for v > 0 {
+	for {
 		i--
 		buf[i] = byte('0' + v%10)
-		v /= 10
+		if v /= 10; v == 0 {
+			break
+		}
 	}
-	return string(buf[i:])
+	b.Write(buf[i:])
 }
 
 // Merge appends the contents of other into f.

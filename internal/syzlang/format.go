@@ -1,42 +1,43 @@
 package syzlang
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Format renders a description file back to canonical syzlang text.
 // The output is stable: resources, then syscalls, then flags, then
 // structs/unions, each in declaration order. Readability of the
 // generated text is a first-class goal of the paper (§5.1.1), so the
 // formatter takes care to produce output matching the hand-written
-// Syzkaller style.
+// Syzkaller style. The whole file is written into one builder.
 func Format(f *File) string {
 	var b strings.Builder
 	for _, r := range f.Resources {
-		fmt.Fprintf(&b, "resource %s[%s]\n", r.Name, r.Base)
+		b.WriteString("resource ")
+		b.WriteString(r.Name)
+		b.WriteByte('[')
+		b.WriteString(r.Base)
+		b.WriteString("]\n")
 	}
 	if len(f.Resources) > 0 && len(f.Syscalls) > 0 {
 		b.WriteByte('\n')
 	}
 	for _, s := range f.Syscalls {
-		b.WriteString(FormatSyscall(s))
+		writeSyscall(&b, s)
 		b.WriteByte('\n')
 	}
 	if len(f.Flags) > 0 {
 		b.WriteByte('\n')
 		for _, fl := range f.Flags {
-			b.WriteString(FormatFlags(fl))
+			writeFlags(&b, fl)
 			b.WriteByte('\n')
 		}
 	}
 	for _, st := range f.Structs {
 		b.WriteByte('\n')
-		b.WriteString(FormatStruct(st))
+		writeStruct(&b, st)
 	}
 	for _, u := range f.Unions {
 		b.WriteByte('\n')
-		b.WriteString(FormatUnion(u))
+		writeUnion(&b, u)
 	}
 	return b.String()
 }
@@ -44,7 +45,16 @@ func Format(f *File) string {
 // FormatSyscall renders one syscall description line.
 func FormatSyscall(s *SyscallDef) string {
 	var b strings.Builder
-	b.WriteString(s.Name())
+	writeSyscall(&b, s)
+	return b.String()
+}
+
+func writeSyscall(b *strings.Builder, s *SyscallDef) {
+	b.WriteString(s.CallName)
+	if s.Variant != "" {
+		b.WriteByte('$')
+		b.WriteString(s.Variant)
+	}
 	b.WriteByte('(')
 	for i, a := range s.Args {
 		if i > 0 {
@@ -52,63 +62,99 @@ func FormatSyscall(s *SyscallDef) string {
 		}
 		b.WriteString(a.Name)
 		b.WriteByte(' ')
-		b.WriteString(a.Type.String())
-		writeAttrs(&b, a.Attrs)
+		a.Type.writeTo(b)
+		writeAttrs(b, a.Attrs)
 	}
 	b.WriteByte(')')
 	if s.Ret != "" {
 		b.WriteByte(' ')
 		b.WriteString(s.Ret)
 	}
-	return b.String()
 }
 
 // FormatStruct renders a struct definition block.
 func FormatStruct(st *StructDef) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s {\n", st.Name)
-	for _, f := range st.Fields {
-		fmt.Fprintf(&b, "\t%s\t%s", f.Name, f.Type)
-		writeAttrs(&b, f.Attrs)
-		b.WriteByte('\n')
-	}
-	b.WriteString("}")
+	writeStruct(&b, st)
+	return b.String()
+}
+
+func writeStruct(b *strings.Builder, st *StructDef) {
+	b.WriteString(st.Name)
+	b.WriteString(" {\n")
+	writeFields(b, st.Fields)
+	b.WriteByte('}')
 	if len(st.Attrs) > 0 {
-		fmt.Fprintf(&b, " [%s]", strings.Join(st.Attrs, ", "))
+		b.WriteString(" [")
+		writeList(b, st.Attrs)
+		b.WriteByte(']')
 	}
 	b.WriteByte('\n')
-	return b.String()
 }
 
 // FormatUnion renders a union definition block.
 func FormatUnion(u *UnionDef) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s [\n", u.Name)
-	for _, f := range u.Fields {
-		fmt.Fprintf(&b, "\t%s\t%s", f.Name, f.Type)
-		writeAttrs(&b, f.Attrs)
+	writeUnion(&b, u)
+	return b.String()
+}
+
+func writeUnion(b *strings.Builder, u *UnionDef) {
+	b.WriteString(u.Name)
+	b.WriteString(" [\n")
+	writeFields(b, u.Fields)
+	b.WriteString("]\n")
+}
+
+// writeFields writes struct or union members, one per line.
+func writeFields(b *strings.Builder, fields []*Field) {
+	for _, f := range fields {
+		b.WriteByte('\t')
+		b.WriteString(f.Name)
+		b.WriteByte('\t')
+		f.Type.writeTo(b)
+		writeAttrs(b, f.Attrs)
 		b.WriteByte('\n')
 	}
-	b.WriteString("]\n")
-	return b.String()
 }
 
 // FormatFlags renders a flag-set definition line.
 func FormatFlags(fl *FlagsDef) string {
-	parts := make([]string, len(fl.Values))
+	var b strings.Builder
+	writeFlags(&b, fl)
+	return b.String()
+}
+
+func writeFlags(b *strings.Builder, fl *FlagsDef) {
+	b.WriteString(fl.Name)
+	b.WriteString(" = ")
 	for i, v := range fl.Values {
+		if i > 0 {
+			b.WriteString(", ")
+		}
 		if v.Name != "" {
-			parts[i] = v.Name
+			b.WriteString(v.Name)
 		} else {
-			parts[i] = utoa(v.Value)
+			writeUint(b, v.Value)
 		}
 	}
-	return fl.Name + " = " + strings.Join(parts, ", ")
 }
 
 func writeAttrs(b *strings.Builder, attrs []string) {
 	if len(attrs) == 0 {
 		return
 	}
-	fmt.Fprintf(b, " (%s)", strings.Join(attrs, ", "))
+	b.WriteString(" (")
+	writeList(b, attrs)
+	b.WriteByte(')')
+}
+
+// writeList writes items separated by ", ".
+func writeList(b *strings.Builder, items []string) {
+	for i, s := range items {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(s)
+	}
 }

@@ -12,8 +12,10 @@ var testCorpus = corpus.Build(corpus.TestConfig())
 // suiteText is the human-written Syzkaller suite of the test corpus.
 func suiteText() string { return syzlang.Format(testCorpus.ExistingSuite()) }
 
-// FuzzSyzlangParse: the parser never panics, and whatever it accepts
-// without error formats to a fixed point of Format∘Parse.
+// FuzzSyzlangParse: the parser never panics, whatever it accepts
+// without error formats to a fixed point of Format∘Parse, and every
+// formatting entry point prints what the reference formatter prints,
+// on what it accepts and on what it salvages from what it rejects.
 func FuzzSyzlangParse(f *testing.F) {
 	f.Add(suiteText())
 	for _, h := range testCorpus.Handlers[:8] {
@@ -29,6 +31,7 @@ func FuzzSyzlangParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		file, errs := syzlang.Parse(src)
+		checkFormat(t, file)
 		if len(errs) > 0 {
 			return
 		}

@@ -163,16 +163,19 @@ func (p *parser) parseSyscall(callTok Token) {
 		def.Variant = v.Text
 	}
 	p.expect(TokLParen)
+	var buf [maxSyscallArgs]*Field
+	args := buf[:0]
 	for !p.at(TokRParen) && !p.at(TokEOF) && !p.at(TokNewline) {
 		f := p.parseField()
 		if f == nil {
 			break
 		}
-		def.Args = append(def.Args, f)
+		args = append(args, f)
 		if _, ok := p.accept(TokComma); !ok {
 			break
 		}
 	}
+	def.Args = exactFields(args)
 	p.expect(TokRParen)
 	if t, ok := p.accept(TokIdent); ok {
 		def.Ret = t.Text
@@ -190,11 +193,16 @@ func (p *parser) parseField() *Field {
 		return nil
 	}
 	p.next()
-	typ := p.parseTypeExpr()
-	if typ == nil {
+	// A field and its type are one allocation.
+	ft := &struct {
+		f  Field
+		te TypeExpr
+	}{}
+	if !p.parseTypeExprInto(&ft.te) {
 		return nil
 	}
-	f := &Field{Name: name.Text, Type: typ, Pos: name.Pos}
+	ft.f = Field{Name: name.Text, Type: &ft.te, Pos: name.Pos}
+	f := &ft.f
 	// Optional attribute list: (out), (in, out), ...
 	if p.at(TokLParen) {
 		p.next()
@@ -212,58 +220,97 @@ func (p *parser) parseField() *Field {
 
 // parseTypeExpr parses ident[args...] where args recurse.
 func (p *parser) parseTypeExpr() *TypeExpr {
+	te := new(TypeExpr)
+	if !p.parseTypeExprInto(te) {
+		return nil
+	}
+	return te
+}
+
+// parseTypeExprInto is parseTypeExpr into te, reporting whether there
+// was a type to parse.
+func (p *parser) parseTypeExprInto(te *TypeExpr) bool {
 	t := p.peek()
 	if t.Kind != TokIdent {
 		p.errorf(t.Pos, "expected type, got %s %q", t.Kind, t.Text)
 		p.syncLine()
-		return nil
+		return false
 	}
 	p.next()
-	te := &TypeExpr{Ident: t.Text, Pos: t.Pos}
+	*te = TypeExpr{Ident: t.Text, Pos: t.Pos}
 	if !p.at(TokLBrack) {
-		return te
+		return true
 	}
 	p.next() // '['
+	// The arguments are parsed into a buffer on the stack and copied
+	// off at their exact length.
+	var buf [4]TypeArg
+	args := buf[:0]
 	for !p.at(TokRBrack) && !p.at(TokEOF) && !p.at(TokNewline) {
-		arg := p.parseTypeArg()
-		if arg == nil {
-			return te
+		arg, ok := p.parseTypeArg()
+		if !ok {
+			te.Args = exactArgs(args)
+			return true
 		}
-		te.Args = append(te.Args, arg)
+		args = append(args, arg)
 		if _, ok := p.accept(TokComma); !ok {
 			break
 		}
 	}
+	te.Args = exactArgs(args)
 	p.expect(TokRBrack)
-	return te
+	return true
 }
 
-func (p *parser) parseTypeArg() *TypeArg {
+func (p *parser) parseTypeArg() (TypeArg, bool) {
 	t := p.peek()
 	switch t.Kind {
 	case TokInt:
 		p.next()
-		arg := &TypeArg{HasInt: true, Int: t.Value, Pos: t.Pos}
 		// Range: INT ':' INT
 		if p.at(TokColon) {
 			p.next()
 			hi := p.expect(TokInt)
-			return &TypeArg{HasRange: true, Min: int64(t.Value), Max: int64(hi.Value), Pos: t.Pos}
+			return TypeArg{HasRange: true, Min: int64(t.Value), Max: int64(hi.Value), Pos: t.Pos}, true
 		}
-		return arg
+		return TypeArg{HasInt: true, Int: t.Value, Pos: t.Pos}, true
 	case TokString:
 		p.next()
-		return &TypeArg{HasStr: true, Str: t.Text, Pos: t.Pos}
+		return TypeArg{HasStr: true, Str: t.Text, Pos: t.Pos}, true
 	case TokIdent:
 		te := p.parseTypeExpr()
 		if te == nil {
-			return nil
+			return TypeArg{}, false
 		}
-		return &TypeArg{Type: te, Pos: t.Pos}
+		return TypeArg{Type: te, Pos: t.Pos}, true
 	}
 	p.errorf(t.Pos, "expected type argument, got %s %q", t.Kind, t.Text)
 	p.syncLine()
-	return nil
+	return TypeArg{}, false
+}
+
+// exactArgs copies parsed arguments to an exact-length list whose
+// arguments share one allocation (nil for none).
+func exactArgs(parsed []TypeArg) []*TypeArg {
+	if len(parsed) == 0 {
+		return nil
+	}
+	vals := make([]TypeArg, len(parsed))
+	copy(vals, parsed)
+	args := make([]*TypeArg, len(parsed))
+	for i := range vals {
+		args[i] = &vals[i]
+	}
+	return args
+}
+
+// exactFields copies parsed fields to an exact-length list (nil for
+// none).
+func exactFields(parsed []*Field) []*Field {
+	if len(parsed) == 0 {
+		return nil
+	}
+	return append([]*Field(nil), parsed...)
 }
 
 // parseStruct handles:
@@ -276,16 +323,18 @@ func (p *parser) parseStruct(nameTok Token) {
 	p.expect(TokLBrace)
 	p.endLine()
 	def := &StructDef{Name: nameTok.Text, Pos: nameTok.Pos}
+	var buf [16]*Field
+	fields := buf[:0]
 	for !p.at(TokRBrace) && !p.at(TokEOF) {
 		if _, ok := p.accept(TokNewline); ok {
 			continue
 		}
-		f := p.parseField()
-		if f != nil {
-			def.Fields = append(def.Fields, f)
+		if f := p.parseField(); f != nil {
+			fields = append(fields, f)
 		}
 		p.endLine()
 	}
+	def.Fields = exactFields(fields)
 	p.expect(TokRBrace)
 	// Optional trailing attributes: [packed], [align[8]], ...
 	if p.at(TokLBrack) {
@@ -316,16 +365,18 @@ func (p *parser) parseUnion(nameTok Token) {
 	p.expect(TokLBrack)
 	p.endLine()
 	def := &UnionDef{Name: nameTok.Text, Pos: nameTok.Pos}
+	var buf [16]*Field
+	fields := buf[:0]
 	for !p.at(TokRBrack) && !p.at(TokEOF) {
 		if _, ok := p.accept(TokNewline); ok {
 			continue
 		}
-		f := p.parseField()
-		if f != nil {
-			def.Fields = append(def.Fields, f)
+		if f := p.parseField(); f != nil {
+			fields = append(fields, f)
 		}
 		p.endLine()
 	}
+	def.Fields = exactFields(fields)
 	p.expect(TokRBrack)
 	p.endLine()
 	p.file.Unions = append(p.file.Unions, def)
