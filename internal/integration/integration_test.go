@@ -6,6 +6,11 @@ package integration
 
 import (
 	"context"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,6 +23,8 @@ import (
 	"kernelgpt/internal/syzlang"
 	"kernelgpt/internal/vkernel"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 var (
 	testCorpus = corpus.Build(corpus.TestConfig())
@@ -99,8 +106,37 @@ func TestOracleUpperBounds(t *testing.T) {
 	}
 }
 
+// checkGolden compares got with testdata/name byte for byte. The
+// files pin the pipeline's integration fingerprints across commits;
+// re-recording one (-update) is a reviewed fingerprint bump.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(raw); got != want {
+		t.Fatalf("diverged from %s:\n got %s\nwant %s", path, got, want)
+	}
+}
+
+// specDigest is the sha256 of a suite's formatted text.
+func specDigest(f *syzlang.File) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(syzlang.Format(f))))
+}
+
 // TestWholePipelineDeterminism re-runs generation + fuzzing and
-// expects byte-identical specs and identical campaign results.
+// expects byte-identical specs and identical campaign results, equal
+// to the spec digest and cover count testdata/determinism.txt records.
 func TestWholePipelineDeterminism(t *testing.T) {
 	run := func() (string, int) {
 		c := corpus.Build(corpus.TestConfig())
@@ -126,6 +162,7 @@ func TestWholePipelineDeterminism(t *testing.T) {
 	if c1 != c2 {
 		t.Fatalf("campaign not deterministic: %d vs %d", c1, c2)
 	}
+	checkGolden(t, "determinism.txt", fmt.Sprintf("cec gpt-4 seed=9 spec=%x cover=%d\n", sha256.Sum256([]byte(t1)), c1))
 }
 
 // TestHumanSuiteCannotReachNewBugs verifies the Table 4 exclusivity
@@ -147,7 +184,8 @@ func TestHumanSuiteCannotReachNewBugs(t *testing.T) {
 }
 
 // TestMergedSuitesCompile compiles every suite combination the bench
-// harness uses.
+// harness uses; testdata/merged_suites.txt records the digest of each
+// suite and of the baseline and generated driver suites they merge.
 func TestMergedSuitesCompile(t *testing.T) {
 	existing := testCorpus.ExistingSuite()
 	sd := baseline.MergeSpecs(baseline.New(testCorpus).GenerateAll(testCorpus.Incomplete(corpus.KindDriver)))
@@ -157,6 +195,7 @@ func TestMergedSuitesCompile(t *testing.T) {
 		results = append(results, gen.GenerateFor(ctx, h))
 	}
 	kg := core.MergeSpecs(results)
+	digests := fmt.Sprintf("syzdescribe %s\nkernelgpt %s\n", specDigest(sd), specDigest(kg))
 	for i, f := range []*syzlang.File{
 		existing,
 		syzlang.MergeDedup(existing, sd),
@@ -168,7 +207,9 @@ func TestMergedSuitesCompile(t *testing.T) {
 		if _, err := prog.Compile(f, testCorpus.Env()); err != nil {
 			t.Fatalf("suite %d does not compile: %v", i, err)
 		}
+		digests += fmt.Sprintf("suite%d %s\n", i, specDigest(f))
 	}
+	checkGolden(t, "merged_suites.txt", digests)
 }
 
 // TestReadableNames spot-checks the §5.1.1 readability claim: the
