@@ -126,30 +126,16 @@ func writeSpec(path string, f *syzlang.File) {
 	}
 }
 
-// oracleTarget compiles the merged ground-truth specs of every loaded
-// handler plus the fd-plumbing/mmap surface — the widest target the
-// kernel supports, so any program a campaign could have stored
-// (including -plumbing campaigns) validates against it.
-func oracleTarget(c *corpus.Corpus) (*prog.Target, error) {
-	files := []*syzlang.File{}
-	for _, h := range c.Handlers {
-		if h.Loaded {
-			files = append(files, corpus.OracleSpec(h))
-		}
-	}
-	files = append(files, c.PlumbingSuite())
-	spec := syzlang.MergeDedup(files...)
-	if errs := syzlang.Validate(spec, c.Env()); len(errs) > 0 {
-		return nil, fmt.Errorf("oracle suite invalid: %v", errs[0])
-	}
-	return prog.Compile(spec, c.Env())
-}
-
 // storeMain is the corpus-store mode: list + validate (exiting
 // nonzero when any entry fails re-validation), merge another store
 // in, or add a repro.
 func storeMain(c *corpus.Corpus, dir, add, merge string, mergeCap int) {
-	tgt, err := oracleTarget(c)
+	spec, err := c.WidestSuite()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	tgt, err := prog.Compile(spec, c.Env())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -476,25 +476,16 @@ func buildSuite(ctx context.Context, c *corpus.Corpus, suite, handler, model str
 			if h == nil {
 				return nil
 			}
-			return familyOracle(c, h)
+			return c.FamilySpec(h, corpus.OracleSpec)
 		}
+		// Root families in corpus order: syscall order drives campaigns.
 		files := []*syzlang.File{}
 		for _, h := range c.Handlers {
 			if h.Loaded && h.Parent == "" {
-				files = append(files, familyOracle(c, h))
+				files = append(files, c.FamilySpec(h, corpus.OracleSpec))
 			}
 		}
 		return syzlang.MergeDedup(files...)
 	}
 	return nil
-}
-
-func familyOracle(c *corpus.Corpus, h *corpus.Handler) *syzlang.File {
-	files := []*syzlang.File{corpus.OracleSpec(h)}
-	for _, cand := range c.Handlers {
-		if cand.Parent == h.Name {
-			files = append(files, familyOracle(c, cand))
-		}
-	}
-	return syzlang.MergeDedup(files...)
 }

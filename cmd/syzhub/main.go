@@ -59,7 +59,6 @@ import (
 	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/hub"
 	"kernelgpt/internal/prog"
-	"kernelgpt/internal/syzlang"
 	"kernelgpt/internal/telemetry"
 )
 
@@ -86,7 +85,11 @@ func main() {
 	}
 
 	c := corpus.Build(corpus.Config{Scale: *scale})
-	tgt, err := widestTarget(c)
+	spec, err := c.WidestSuite()
+	if err != nil {
+		log.Fatal(err)
+	}
+	tgt, err := prog.Compile(spec, c.Env())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -204,23 +207,4 @@ func runParentLoop(ctx context.Context, h *hub.Hub, parentURL, name string, tgt 
 			return
 		}
 	}
-}
-
-// widestTarget compiles the merged ground-truth specs of every loaded
-// handler plus the fd-plumbing surface — the same target corpusdump
-// re-validates stores against, so any program a worker could have
-// found parses here.
-func widestTarget(c *corpus.Corpus) (*prog.Target, error) {
-	files := []*syzlang.File{}
-	for _, h := range c.Handlers {
-		if h.Loaded {
-			files = append(files, corpus.OracleSpec(h))
-		}
-	}
-	files = append(files, c.PlumbingSuite())
-	spec := syzlang.MergeDedup(files...)
-	if errs := syzlang.Validate(spec, c.Env()); len(errs) > 0 {
-		return nil, fmt.Errorf("widest suite invalid: %v", errs[0])
-	}
-	return prog.Compile(spec, c.Env())
 }

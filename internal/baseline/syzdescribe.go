@@ -90,15 +90,13 @@ func (g *Generator) GenerateFor(h *corpus.Handler) *Result {
 	}
 	cmds := g.commands(ix, src, entry)
 
-	res.Spec = g.assemble(h, devPath, cmds, ix)
-	errs := syzlang.Validate(res.Spec, g.Corpus.Env())
+	spec := g.assemble(h, devPath, cmds, ix)
+	env := g.Corpus.Env()
 	// The static tool has no repair loop: broken declarations are
 	// silently dropped (its real-world behavior of emitting only what
 	// its rules can prove).
-	for round := 0; round < 4 && len(errs) > 0; round++ {
-		res.Spec = dropDecls(res.Spec, errs)
-		errs = syzlang.Validate(res.Spec, g.Corpus.Env())
-	}
+	var errs []*syzlang.ValidationError
+	res.Spec, errs = syzlang.Prune(spec, env, syzlang.Validate(spec, env))
 	res.Valid = len(errs) == 0 && res.NewSyscalls() > 0
 	return res
 }
@@ -317,40 +315,6 @@ func hashID(name string) int {
 	return int(h % 100000)
 }
 
-func dropDecls(f *syzlang.File, errs []*syzlang.ValidationError) *syzlang.File {
-	bad := map[string]bool{}
-	for _, e := range errs {
-		bad[e.Decl] = true
-	}
-	out := &syzlang.File{}
-	for _, r := range f.Resources {
-		if !bad[r.Name] {
-			out.Resources = append(out.Resources, r)
-		}
-	}
-	for _, s := range f.Syscalls {
-		if !bad[s.Name()] {
-			out.Syscalls = append(out.Syscalls, s)
-		}
-	}
-	for _, s := range f.Structs {
-		if !bad[s.Name] {
-			out.Structs = append(out.Structs, s)
-		}
-	}
-	for _, u := range f.Unions {
-		if !bad[u.Name] {
-			out.Unions = append(out.Unions, u)
-		}
-	}
-	for _, fl := range f.Flags {
-		if !bad[fl.Name] {
-			out.Flags = append(out.Flags, fl)
-		}
-	}
-	return out
-}
-
 // GenerateAll runs the baseline over a worklist.
 func (g *Generator) GenerateAll(handlers []*corpus.Handler) []*Result {
 	out := make([]*Result, 0, len(handlers))
@@ -362,11 +326,11 @@ func (g *Generator) GenerateAll(handlers []*corpus.Handler) []*Result {
 
 // MergeSpecs combines valid baseline results into one suite.
 func MergeSpecs(results []*Result) *syzlang.File {
-	merged := &syzlang.File{}
+	specs := make([]*syzlang.File, 0, len(results))
 	for _, r := range results {
 		if r.Spec != nil && r.Valid {
-			merged.Merge(r.Spec)
+			specs = append(specs, r.Spec)
 		}
 	}
-	return merged
+	return syzlang.MergeDedup(specs...)
 }

@@ -257,7 +257,7 @@ func yes(b bool) string {
 // handler: existing Syzkaller, SyzDescribe, KernelGPT.
 func (r *Runner) driverSuite(name string) (syz, syzd, kgpt *syzlang.File) {
 	h := r.Corpus.Handler(name)
-	syz = familySpec(r.Corpus, h, true)
+	syz = r.Corpus.FamilySpec(h, corpus.SyzkallerSpec)
 	if res := baseline.New(r.Corpus).GenerateFor(h); res.Valid {
 		syzd = res.Spec
 	}
@@ -371,7 +371,7 @@ func (r *Runner) Table6() *Table {
 	var crS, crK float64
 	for i, name := range corpus.Table6Names() {
 		h := r.Corpus.Handler(name)
-		syz := familySpec(r.Corpus, h, true)
+		syz := r.Corpus.FamilySpec(h, corpus.SyzkallerSpec)
 		kgpt := r.kernelGPTFamily(name)
 		covS, crashS, nS := r.perDriverCov(syz, int64(i*17+401))
 		covK, crashK, nK := r.perDriverCov(kgpt, int64(i*17+402))

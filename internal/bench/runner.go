@@ -175,31 +175,6 @@ func handlerSpecNames(spec *syzlang.File) map[string]bool {
 	return out
 }
 
-// familySpec merges the oracle/human specs of a handler and its
-// descendants.
-func familySpec(c *corpus.Corpus, h *corpus.Handler, human bool) *syzlang.File {
-	var files []*syzlang.File
-	var walk func(cur *corpus.Handler)
-	walk = func(cur *corpus.Handler) {
-		var f *syzlang.File
-		if human {
-			f = corpus.SyzkallerSpec(cur)
-		} else {
-			f = corpus.OracleSpec(cur)
-		}
-		if f != nil {
-			files = append(files, f)
-		}
-		for _, cand := range c.Handlers {
-			if cand.Parent == cur.Name {
-				walk(cand)
-			}
-		}
-	}
-	walk(h)
-	return syzlang.MergeDedup(files...)
-}
-
 // resultFor finds the cached generation result for a handler.
 func (g *genRun) resultFor(name string) *core.Result {
 	for _, res := range append(append([]*core.Result{}, g.drivers...), g.sockets...) {

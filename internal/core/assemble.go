@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"kernelgpt/internal/corpus"
 	"kernelgpt/internal/llm"
@@ -113,12 +112,11 @@ func (g *Generator) assemble(h *corpus.Handler, ident *llm.IdentResult, typeDefs
 
 	// Merge stage-2 type definitions (parsed leniently: the repair
 	// loop deals with whatever validation finds).
-	if typeDefs != "" {
-		defs, _ := syzlang.Parse(typeDefs)
-		file.Merge(defs)
+	if typeDefs == "" {
+		return file
 	}
-	dedupTypes(file)
-	return file
+	defs, _ := syzlang.Parse(typeDefs)
+	return syzlang.MergeDedup(file, defs)
 }
 
 func expandSockCall(call string) []string {
@@ -335,26 +333,6 @@ func sanitizeIdent(s string) string {
 	return string(out)
 }
 
-func dedupTypes(f *syzlang.File) {
-	seen := map[string]bool{}
-	var structs []*syzlang.StructDef
-	for _, s := range f.Structs {
-		if !seen[s.Name] {
-			seen[s.Name] = true
-			structs = append(structs, s)
-		}
-	}
-	f.Structs = structs
-	var unions []*syzlang.UnionDef
-	for _, u := range f.Unions {
-		if !seen[u.Name] {
-			seen[u.Name] = true
-			unions = append(unions, u)
-		}
-	}
-	f.Unions = unions
-}
-
 // validateAndRepair runs the §3.2 phase: validate with the
 // syz-extract/syz-generate equivalent, feed error messages back to
 // the LLM for repair, and as a last resort drop declarations that
@@ -405,50 +383,9 @@ func (g *Generator) validateAndRepair(ctx context.Context, h *corpus.Handler, so
 	}
 	// Last resort: drop declarations that still fail, so the rest of
 	// the specification remains usable.
-	for round := 0; round < 6 && len(errs) > 0; round++ {
-		cur = dropInvalidDecls(cur, errs)
-		errs = syzlang.Validate(cur, env)
-	}
-	res.Spec = cur
-	res.RemainingErrors = errs
-	res.Valid = len(errs) == 0 && res.NewSyscalls() > 0
+	res.Spec, res.RemainingErrors = syzlang.Prune(cur, env, errs)
+	res.Valid = len(res.RemainingErrors) == 0 && res.NewSyscalls() > 0
 	res.Repaired = res.Valid
-}
-
-// dropInvalidDecls removes every declaration an error is attributed
-// to.
-func dropInvalidDecls(f *syzlang.File, errs []*syzlang.ValidationError) *syzlang.File {
-	bad := map[string]bool{}
-	for _, e := range errs {
-		bad[e.Decl] = true
-	}
-	out := &syzlang.File{}
-	for _, r := range f.Resources {
-		if !bad[r.Name] {
-			out.Resources = append(out.Resources, r)
-		}
-	}
-	for _, s := range f.Syscalls {
-		if !bad[s.Name()] {
-			out.Syscalls = append(out.Syscalls, s)
-		}
-	}
-	for _, s := range f.Structs {
-		if !bad[s.Name] {
-			out.Structs = append(out.Structs, s)
-		}
-	}
-	for _, u := range f.Unions {
-		if !bad[u.Name] {
-			out.Unions = append(out.Unions, u)
-		}
-	}
-	for _, fl := range f.Flags {
-		if !bad[fl.Name] {
-			out.Flags = append(out.Flags, fl)
-		}
-	}
-	return out
 }
 
 // FollowDependencies generates specs for secondary handlers the
@@ -474,60 +411,10 @@ func (g *Generator) FollowDependencies(ctx context.Context, res *Result, visited
 			res.Spec = childRes.Spec
 			continue
 		}
-		mergeUnique(res.Spec, childRes.Spec)
 		// Re-validate the merged family.
-		errs := syzlang.Validate(res.Spec, g.env)
-		for round := 0; round < 4 && len(errs) > 0; round++ {
-			res.Spec = dropInvalidDecls(res.Spec, errs)
-			errs = syzlang.Validate(res.Spec, g.env)
-		}
+		merged := syzlang.MergeDedup(res.Spec, childRes.Spec)
+		var errs []*syzlang.ValidationError
+		res.Spec, errs = syzlang.Prune(merged, g.env, syzlang.Validate(merged, g.env))
 		res.Valid = len(errs) == 0 && res.NewSyscalls() > 0
 	}
-}
-
-func mergeUnique(dst, src *syzlang.File) {
-	have := map[string]bool{}
-	for _, r := range dst.Resources {
-		have["r:"+r.Name] = true
-	}
-	for _, s := range dst.Syscalls {
-		have["c:"+s.Name()] = true
-	}
-	for _, s := range dst.Structs {
-		have["t:"+s.Name] = true
-	}
-	for _, u := range dst.Unions {
-		have["t:"+u.Name] = true
-	}
-	for _, r := range src.Resources {
-		if !have["r:"+r.Name] {
-			dst.Resources = append(dst.Resources, r)
-		}
-	}
-	for _, s := range src.Syscalls {
-		if !have["c:"+s.Name()] {
-			dst.Syscalls = append(dst.Syscalls, s)
-		}
-	}
-	for _, s := range src.Structs {
-		if !have["t:"+s.Name] {
-			dst.Structs = append(dst.Structs, s)
-		}
-	}
-	for _, u := range src.Unions {
-		if !have["t:"+u.Name] {
-			dst.Unions = append(dst.Unions, u)
-		}
-	}
-	dst.Flags = append(dst.Flags, src.Flags...)
-}
-
-// specTextPreview returns the first n lines of a formatted spec (for
-// logs and examples).
-func specTextPreview(f *syzlang.File, n int) string {
-	lines := strings.Split(syzlang.Format(f), "\n")
-	if len(lines) > n {
-		lines = lines[:n]
-	}
-	return strings.Join(lines, "\n")
 }

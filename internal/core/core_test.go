@@ -210,10 +210,13 @@ func TestAllInOneDegrades(t *testing.T) {
 	}
 }
 
-func TestGenerateAllSummary(t *testing.T) {
+func TestWorklistSummary(t *testing.T) {
 	g := gen(t, "gpt-4", 8, DefaultOptions())
 	worklist := testCorpus.Incomplete(corpus.KindDriver)
-	results := g.GenerateAll(ctx, worklist)
+	var results []*Result
+	for _, h := range worklist {
+		results = append(results, g.GenerateFor(ctx, h))
+	}
 	stats := Summarize(results)
 	if stats.Total != len(worklist) {
 		t.Fatalf("stats total %d != %d", stats.Total, len(worklist))
@@ -316,5 +319,79 @@ func TestTraceRecordsExchanges(t *testing.T) {
 	g2 := gen(t, "gpt-4", 13, DefaultOptions())
 	if res2 := g2.GenerateFor(ctx, testCorpus.Handler("dm")); len(res2.Transcript) != 0 {
 		t.Fatal("transcript recorded without Trace")
+	}
+}
+
+// vmFlags is a flags set the kvm_vm type stage is made to declare: the
+// simulated models never write one, so flagsClient adds it to that
+// stage's reply.
+const vmFlags = "kvm_vm_create_flags = KVM_CREATE_VM, KVM_CREATE_VCPU"
+
+type flagsClient struct{ llm.Client }
+
+func (c flagsClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	resp, err := c.Client.Complete(ctx, req)
+	if req.Purpose == "type" && req.Driver == "kvm_vm" {
+		resp.Text = strings.Replace(resp.Text, "## Type Definitions\n", "## Type Definitions\n"+vmFlags+"\n", 1)
+	}
+	return resp, err
+}
+
+// usesFlags reports whether a call takes flags[set, ...] directly.
+func usesFlags(s *syzlang.SyscallDef, set string) bool {
+	for _, a := range s.Args {
+		te := a.Type
+		if te.Ident == "flags" && len(te.Args) > 0 && te.Args[0].Type != nil && te.Args[0].Type.Ident == set {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFamilySharesFlagsSet: a parent spec and its dependency's spec
+// that declare the same flags set merge into a family that declares
+// it once, and every call using it survives validation of the family.
+func TestFamilySharesFlagsSet(t *testing.T) {
+	newGen := func() *Generator {
+		return New(flagsClient{llm.NewSim("gpt-4", 6)}, testCorpus, DefaultOptions())
+	}
+	child := newGen().GenerateFor(ctx, testCorpus.Handler("kvm_vm"))
+	if !child.Valid || len(child.Spec.Flags) == 0 {
+		t.Fatalf("kvm_vm declares no flags set (valid=%v, errors %v)", child.Valid, child.RemainingErrors)
+	}
+	set := child.Spec.Flags[0]
+	parent, errs := syzlang.Parse(`resource fd_kvm[fd]
+resource fd_kvm_vm[fd]
+openat$kvm(fd const[AT_FDCWD], file ptr[in, string["/dev/kvm"]], flags const[O_RDWR], mode const[0]) fd_kvm
+ioctl$KVM_CREATE_VM(fd fd_kvm, cmd const[KVM_CREATE_VM], type flags[` + set.Name + `, int32]) fd_kvm_vm
+` + syzlang.FormatFlags(set))
+	if len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	if verrs := syzlang.Validate(parent, testCorpus.Env()); len(verrs) > 0 {
+		t.Fatalf("hand-built kvm spec invalid: %v", verrs)
+	}
+	res := &Result{Handler: testCorpus.Handler("kvm"), Spec: parent, Deps: []string{"kvm_vm"}, Valid: true}
+	newGen().FollowDependencies(ctx, res, nil)
+	if !res.Valid {
+		t.Fatalf("kvm family invalid:\n%s", syzlang.Format(res.Spec))
+	}
+	n := 0
+	for _, fl := range res.Spec.Flags {
+		if fl.Name == set.Name {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("flags %s declared %d times in the family", set.Name, n)
+	}
+	have := map[string]bool{}
+	for _, s := range res.Spec.Syscalls {
+		have[s.Name()] = true
+	}
+	for _, s := range append(append([]*syzlang.SyscallDef{}, parent.Syscalls...), child.Spec.Syscalls...) {
+		if usesFlags(s, set.Name) && !have[s.Name()] {
+			t.Fatalf("%s, which uses flags %s, was dropped from the family", s.Name(), set.Name)
+		}
 	}
 }

@@ -353,63 +353,16 @@ func (g *Generator) dependencyStage(ctx context.Context, h *corpus.Handler, file
 	return llm.ParseDepResult(reply)
 }
 
-// GenerateAll runs the pipeline over a handler worklist, following
-// dependency discoveries into secondary handlers. Results come back
-// in input order (secondary handlers merge into their parent's spec).
-// For concurrent generation across a worker pool, use the engine
-// package's Engine facade instead.
-func (g *Generator) GenerateAll(ctx context.Context, handlers []*corpus.Handler) []*Result {
-	out := make([]*Result, 0, len(handlers))
-	for _, h := range handlers {
-		out = append(out, g.GenerateFor(ctx, h))
-	}
-	return out
-}
-
 // MergeSpecs combines valid results into one suite file, dropping
 // duplicate declarations across handlers.
 func MergeSpecs(results []*Result) *syzlang.File {
-	merged := &syzlang.File{}
-	seenRes := map[string]bool{}
-	seenCall := map[string]bool{}
-	seenType := map[string]bool{}
-	seenFlags := map[string]bool{}
+	specs := make([]*syzlang.File, 0, len(results))
 	for _, r := range results {
-		if r.Spec == nil || !r.Valid {
-			continue
-		}
-		for _, d := range r.Spec.Resources {
-			if !seenRes[d.Name] {
-				seenRes[d.Name] = true
-				merged.Resources = append(merged.Resources, d)
-			}
-		}
-		for _, s := range r.Spec.Syscalls {
-			if !seenCall[s.Name()] {
-				seenCall[s.Name()] = true
-				merged.Syscalls = append(merged.Syscalls, s)
-			}
-		}
-		for _, s := range r.Spec.Structs {
-			if !seenType[s.Name] {
-				seenType[s.Name] = true
-				merged.Structs = append(merged.Structs, s)
-			}
-		}
-		for _, u := range r.Spec.Unions {
-			if !seenType[u.Name] {
-				seenType[u.Name] = true
-				merged.Unions = append(merged.Unions, u)
-			}
-		}
-		for _, fl := range r.Spec.Flags {
-			if !seenFlags[fl.Name] {
-				seenFlags[fl.Name] = true
-				merged.Flags = append(merged.Flags, fl)
-			}
+		if r.Spec != nil && r.Valid {
+			specs = append(specs, r.Spec)
 		}
 	}
-	return merged
+	return syzlang.MergeDedup(specs...)
 }
 
 // Stats summarizes a generation run (Table 1 / Table 2 inputs).

