@@ -324,7 +324,8 @@ func (g *Generator) GenerateAll(handlers []*corpus.Handler) []*Result {
 	return out
 }
 
-// MergeSpecs combines valid baseline results into one suite.
+// MergeSpecs combines valid baseline results into one suite, keeping
+// the first declaration of every name.
 func MergeSpecs(results []*Result) *syzlang.File {
 	specs := make([]*syzlang.File, 0, len(results))
 	for _, r := range results {
