@@ -367,7 +367,7 @@ func (c *Client) send(ctx context.Context, path, contentType string, body []byte
 	if resp.StatusCode != http.StatusOK {
 		return nil, "", readError(resp)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	data, err := readLimited(io.LimitReader(resp.Body, limit+1), resp.ContentLength, limit)
 	if err != nil {
 		return nil, "", err
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,10 +71,13 @@ type Hub struct {
 	// states is the merged corpus as programs — what the last Save (or
 	// the initial Load) handed the store, kept because the next Merge
 	// and a leaf's upward push need them. store is guarded by mu too.
-	states  []seedpool.SeedState    // guarded by mu
-	cover   *vkernel.CoverSet       // guarded by mu
-	crashes map[string]*crashRecord // guarded by mu
-	workers map[string]*worker      // guarded by mu
+	states []seedpool.SeedState // guarded by mu
+	cover  *vkernel.CoverSet    // guarded by mu
+	// coverEnc is cover's encoding as the sidecar stores it; nil once a
+	// sync added blocks, until persistLocked encodes it again.
+	coverEnc []byte                  // guarded by mu
+	crashes  map[string]*crashRecord // guarded by mu
+	workers  map[string]*worker      // guarded by mu
 
 	nextWorker    int // guarded by mu
 	nextLease     int // guarded by mu
@@ -333,7 +337,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return nil, false
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	data, err := readLimited(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -344,6 +348,21 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 		return nil, false
 	}
 	return data, true
+}
+
+// readLimited reads a body of declared length n (-1: unknown) from a
+// reader that fails past limit. A declared length within the limit is
+// read into one buffer of exactly that size; any other body is read
+// whole and fails at the limit.
+func readLimited(body io.Reader, n, limit int64) ([]byte, error) {
+	if n < 0 || n > limit {
+		return io.ReadAll(body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // decode parses a JSON control request (register, heartbeat) and
@@ -587,6 +606,9 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	newBlocks := 0
 	if len(req.CoverDelta) > 0 {
 		newBlocks, _ = h.cover.ApplyDelta(req.CoverDelta) // validated by DecodeSyncRequest
+		if newBlocks > 0 {
+			h.coverEnc = nil
+		}
 	}
 	for _, wc := range req.Crashes {
 		h.recordCrash(wk, wc)
@@ -614,12 +636,16 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	h.persistLocked()
 	h.logf("hub: sync %s: +%d seeds (%d rejected), +%d blocks, %d crash reports -> %d seeds at gen %d",
 		req.WorkerID, len(incoming), rejected, newBlocks, len(req.Crashes), len(seeds), gen)
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(EncodeSyncResponse(&SyncResponse{
+	body := EncodeSyncResponse(&SyncResponse{
 		Version: ProtoVersion, Generation: gen, Seeds: seeds, RejectedSeeds: rejected,
 		LeaseTTLMs: h.leaseTTL.Milliseconds(),
-	}))
+	})
+	// A declared length lets the client read the reply into one buffer
+	// of its size.
+	w.Header().Set("Content-Type", BinaryContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // diff collects the corpus entries admitted after generation since,
@@ -684,21 +710,27 @@ func (h *Hub) diff(since int) ([]WireSeed, int) {
 // against the worker's previous report for that title — not for that
 // repro: a sharded campaign's surviving repro for a title can change,
 // and the title's whole count must not be credited again under the new
-// one — so a retried sync folds in exactly once. Callers hold h.mu.
+// one — so a retried sync folds in exactly once, and is dropped before
+// its repro is parsed. A repro that already is a key needs no
+// normalizing: a normalized text renders to itself, and a raw key
+// still does not parse. Callers hold h.mu.
 //
 //syzlint:locked mu
 func (h *Hub) recordCrash(wk *worker, wc WireCrash) {
-	key := wc.Repro
-	if p, err := prog.Deserialize(h.target, wc.Repro); err == nil {
-		key = p.Serialize()
-	}
 	delta := wc.Count - wk.crashCounts[wc.Title]
 	if delta <= 0 {
 		return // retry of a committed report, or a stale snapshot
 	}
 	wk.crashCounts[wc.Title] = wc.Count
 	h.crashReports++
+	key := wc.Repro
 	rec := h.crashes[key]
+	if rec == nil {
+		if p, err := prog.Deserialize(h.target, wc.Repro); err == nil {
+			key = p.Serialize()
+			rec = h.crashes[key]
+		}
+	}
 	if rec == nil {
 		rec = &crashRecord{
 			title: wc.Title, repro: key, firstWorker: wk.id,

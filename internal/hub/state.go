@@ -75,6 +75,9 @@ func (h *Hub) persistLocked() {
 	if h.statePath == "" {
 		return
 	}
+	if h.coverEnc == nil {
+		h.coverEnc = h.cover.EncodeDelta(nil)
+	}
 	doc := hubStateJSON{
 		Version:       stateVersion,
 		NextWorker:    h.nextWorker,
@@ -82,7 +85,7 @@ func (h *Hub) persistLocked() {
 		RejectedSeeds: h.rejectedSeeds,
 		CrashReports:  h.crashReports,
 		StartUnixNs:   h.start.UnixNano(),
-		Cover:         h.cover.EncodeDelta(nil),
+		Cover:         h.coverEnc,
 	}
 	keys := make([]string, 0, len(h.crashes))
 	for k := range h.crashes {

@@ -3,6 +3,7 @@ package hub
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"kernelgpt/internal/vkernel"
 )
@@ -66,6 +67,28 @@ func appendInt(dst []byte, v int) []byte {
 	return binary.AppendVarint(dst, int64(v))
 }
 
+// Encoded sizes. Every frame's payload length is known before it is
+// written, so an encoder writes each frame header ahead of its payload
+// and sizes its output once.
+
+// uvarintLen is the length of binary.AppendUvarint(nil, x).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// intLen is the length of appendInt(nil, v).
+func intLen(v int) int {
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
+}
+
+// stringLen is the length of appendString(nil, s).
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// frameLen is the length of a frame with an n-byte payload.
+func frameLen(n int) int { return 1 + uvarintLen(uint64(n)) + n }
+
 // wireReader is a cursor over one frame payload (or the whole
 // stream); its methods record the first error and no-op after it.
 type wireReader struct {
@@ -120,13 +143,13 @@ func (r *wireReader) string() string {
 }
 
 // frame reads one [type][len][payload] frame off the stream.
-func (r *wireReader) frame() (byte, *wireReader) {
+func (r *wireReader) frame() (byte, wireReader) {
 	if r.err != nil {
-		return 0, &wireReader{err: r.err}
+		return 0, wireReader{err: r.err}
 	}
 	if len(r.data) < 1 {
 		r.fail("truncated stream (missing end frame)")
-		return 0, &wireReader{err: r.err}
+		return 0, wireReader{err: r.err}
 	}
 	typ := r.data[0]
 	r.data = r.data[1:]
@@ -135,9 +158,9 @@ func (r *wireReader) frame() (byte, *wireReader) {
 		r.fail("frame payload %d overruns stream", n)
 	}
 	if r.err != nil {
-		return 0, &wireReader{err: r.err}
+		return 0, wireReader{err: r.err}
 	}
-	payload := &wireReader{data: r.data[:n]}
+	payload := wireReader{data: r.data[:n]}
 	r.data = r.data[n:]
 	return typ, payload
 }
@@ -153,21 +176,40 @@ func (r *wireReader) done() error {
 	return nil
 }
 
-// appendFrame wraps a payload in its frame header.
-func appendFrame(dst []byte, typ byte, payload []byte) []byte {
-	dst = append(dst, typ)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
+// appendFrameHeader writes the header of a frame whose n-byte payload
+// follows.
+func appendFrameHeader(dst []byte, typ byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, typ), uint64(n))
+}
+
+// seedLen is the payload length of ws's seed frame.
+func seedLen(ws *WireSeed) int {
+	return stringLen(ws.Text) + intLen(ws.Prio) + intLen(ws.Bonus) + stringLen(ws.Op)
 }
 
 // appendSeedFrame encodes one WireSeed frame.
-func appendSeedFrame(dst []byte, scratch []byte, ws WireSeed) ([]byte, []byte) {
-	p := scratch[:0]
-	p = appendString(p, ws.Text)
-	p = appendInt(p, ws.Prio)
-	p = appendInt(p, ws.Bonus)
-	p = appendString(p, ws.Op)
-	return appendFrame(dst, frameSeed, p), p
+func appendSeedFrame(dst []byte, ws *WireSeed) []byte {
+	dst = appendFrameHeader(dst, frameSeed, seedLen(ws))
+	dst = appendString(dst, ws.Text)
+	dst = appendInt(dst, ws.Prio)
+	dst = appendInt(dst, ws.Bonus)
+	return appendString(dst, ws.Op)
+}
+
+// crashLen is the payload length of wc's crash frame.
+func crashLen(wc *WireCrash) int {
+	return stringLen(wc.Title) + stringLen(wc.Repro) + intLen(wc.Count)
+}
+
+// reqHeaderLen is the payload length of req's header frame.
+func reqHeaderLen(req *SyncRequest) int {
+	n := stringLen(req.WorkerID) + stringLen(req.LeaseID) + uvarintLen(uint64(req.SinceGen)) + 1 +
+		intLen(req.Stats.Execs) + intLen(req.Stats.Cover) + intLen(req.Stats.Crashes) +
+		uvarintLen(uint64(len(req.Stats.Ops)))
+	for _, op := range req.Stats.Ops {
+		n += stringLen(op.Name) + intLen(op.Picks) + intLen(op.NewBlocks)
+	}
+	return n
 }
 
 func readSeed(p *wireReader) (WireSeed, error) {
@@ -179,44 +221,54 @@ func readSeed(p *wireReader) (WireSeed, error) {
 }
 
 // EncodeSyncRequest serializes a sync request as a binary frame
-// stream.
+// stream into one buffer of exactly its length.
 func EncodeSyncRequest(req *SyncRequest) []byte {
-	dst := append([]byte(nil), wireMagic[:]...)
-	var p []byte
-	p = appendString(p, req.WorkerID)
-	p = appendString(p, req.LeaseID)
-	p = binary.AppendUvarint(p, uint64(req.SinceGen))
+	hdr := reqHeaderLen(req)
+	size := len(wireMagic) + frameLen(hdr) + frameLen(0)
+	if len(req.CoverDelta) > 0 {
+		size += frameLen(len(req.CoverDelta))
+	}
+	for i := range req.Seeds {
+		size += frameLen(seedLen(&req.Seeds[i]))
+	}
+	for i := range req.Crashes {
+		size += frameLen(crashLen(&req.Crashes[i]))
+	}
+	dst := make([]byte, 0, size)
+	dst = append(dst, wireMagic[:]...)
+	dst = appendFrameHeader(dst, frameReqHeader, hdr)
+	dst = appendString(dst, req.WorkerID)
+	dst = appendString(dst, req.LeaseID)
+	dst = binary.AppendUvarint(dst, uint64(req.SinceGen))
 	flags := byte(0)
 	if req.Final {
 		flags |= 1
 	}
-	p = append(p, flags)
-	p = appendInt(p, req.Stats.Execs)
-	p = appendInt(p, req.Stats.Cover)
-	p = appendInt(p, req.Stats.Crashes)
-	p = binary.AppendUvarint(p, uint64(len(req.Stats.Ops)))
+	dst = append(dst, flags)
+	dst = appendInt(dst, req.Stats.Execs)
+	dst = appendInt(dst, req.Stats.Cover)
+	dst = appendInt(dst, req.Stats.Crashes)
+	dst = binary.AppendUvarint(dst, uint64(len(req.Stats.Ops)))
 	for _, op := range req.Stats.Ops {
-		p = appendString(p, op.Name)
-		p = appendInt(p, op.Picks)
-		p = appendInt(p, op.NewBlocks)
+		dst = appendString(dst, op.Name)
+		dst = appendInt(dst, op.Picks)
+		dst = appendInt(dst, op.NewBlocks)
 	}
-	dst = appendFrame(dst, frameReqHeader, p)
 	if len(req.CoverDelta) > 0 {
-		dst = appendFrame(dst, frameCover, req.CoverDelta)
+		dst = appendFrameHeader(dst, frameCover, len(req.CoverDelta))
+		dst = append(dst, req.CoverDelta...)
 	}
-	var scratch []byte
-	for _, ws := range req.Seeds {
-		dst, scratch = appendSeedFrame(dst, scratch, ws)
+	for i := range req.Seeds {
+		dst = appendSeedFrame(dst, &req.Seeds[i])
 	}
-	for _, wc := range req.Crashes {
-		p := scratch[:0]
-		p = appendString(p, wc.Title)
-		p = appendString(p, wc.Repro)
-		p = appendInt(p, wc.Count)
-		dst = appendFrame(dst, frameCrash, p)
-		scratch = p
+	for i := range req.Crashes {
+		wc := &req.Crashes[i]
+		dst = appendFrameHeader(dst, frameCrash, crashLen(wc))
+		dst = appendString(dst, wc.Title)
+		dst = appendString(dst, wc.Repro)
+		dst = appendInt(dst, wc.Count)
 	}
-	return appendFrame(dst, frameEnd, nil)
+	return appendFrameHeader(dst, frameEnd, 0)
 }
 
 // DecodeSyncRequest parses a binary sync request stream.
@@ -275,7 +327,7 @@ func DecodeSyncRequest(data []byte) (*SyncRequest, error) {
 			}
 			req.CoverDelta = p.data
 		case frameSeed:
-			ws, err := readSeed(p)
+			ws, err := readSeed(&p)
 			if err != nil {
 				return nil, err
 			}
@@ -306,19 +358,23 @@ func DecodeSyncRequest(data []byte) (*SyncRequest, error) {
 }
 
 // EncodeSyncResponse serializes a sync response as a binary frame
-// stream.
+// stream into one buffer of exactly its length.
 func EncodeSyncResponse(resp *SyncResponse) []byte {
-	dst := append([]byte(nil), wireMagic[:]...)
-	var p []byte
-	p = binary.AppendUvarint(p, uint64(resp.Generation))
-	p = appendInt(p, resp.RejectedSeeds)
-	p = binary.AppendUvarint(p, uint64(resp.LeaseTTLMs))
-	dst = appendFrame(dst, frameRespHeader, p)
-	var scratch []byte
-	for _, ws := range resp.Seeds {
-		dst, scratch = appendSeedFrame(dst, scratch, ws)
+	hdr := uvarintLen(uint64(resp.Generation)) + intLen(resp.RejectedSeeds) + uvarintLen(uint64(resp.LeaseTTLMs))
+	size := len(wireMagic) + frameLen(hdr) + frameLen(0)
+	for i := range resp.Seeds {
+		size += frameLen(seedLen(&resp.Seeds[i]))
 	}
-	return appendFrame(dst, frameEnd, nil)
+	dst := make([]byte, 0, size)
+	dst = append(dst, wireMagic[:]...)
+	dst = appendFrameHeader(dst, frameRespHeader, hdr)
+	dst = binary.AppendUvarint(dst, uint64(resp.Generation))
+	dst = appendInt(dst, resp.RejectedSeeds)
+	dst = binary.AppendUvarint(dst, uint64(resp.LeaseTTLMs))
+	for i := range resp.Seeds {
+		dst = appendSeedFrame(dst, &resp.Seeds[i])
+	}
+	return appendFrameHeader(dst, frameEnd, 0)
 }
 
 // DecodeSyncResponse parses a binary sync response stream.
@@ -347,7 +403,7 @@ func DecodeSyncResponse(data []byte) (*SyncResponse, error) {
 				return nil, err
 			}
 		case frameSeed:
-			ws, err := readSeed(p)
+			ws, err := readSeed(&p)
 			if err != nil {
 				return nil, err
 			}
@@ -370,15 +426,15 @@ func DecodeSyncResponse(data []byte) (*SyncResponse, error) {
 }
 
 // openStream validates the stream magic and version.
-func openStream(data []byte) (*wireReader, error) {
+func openStream(data []byte) (wireReader, error) {
 	if len(data) < len(wireMagic) {
-		return nil, fmt.Errorf("hub wire: stream shorter than magic")
+		return wireReader{}, fmt.Errorf("hub wire: stream shorter than magic")
 	}
 	if data[0] != 'S' || data[1] != 'H' || data[2] != 'B' {
-		return nil, fmt.Errorf("hub wire: bad magic")
+		return wireReader{}, fmt.Errorf("hub wire: bad magic")
 	}
 	if data[3] != ProtoVersion {
-		return nil, fmt.Errorf("hub wire: protocol version %d not supported (this build speaks %d)", data[3], ProtoVersion)
+		return wireReader{}, fmt.Errorf("hub wire: protocol version %d not supported (this build speaks %d)", data[3], ProtoVersion)
 	}
-	return &wireReader{data: data[len(wireMagic):]}, nil
+	return wireReader{data: data[len(wireMagic):]}, nil
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"kernelgpt/internal/vkernel"
@@ -44,6 +46,29 @@ func goldenSyncRequest() *SyncRequest {
 			Ops: []OpJSON{{Name: "insert", Picks: 10, NewBlocks: 4}, {Name: "splice", Picks: 7}},
 		},
 		Final: true,
+	}
+}
+
+// edgeSyncRequest puts every integer field at a varint length edge
+// (zero, -1, the extremes, one past a byte) and a string whose length
+// prefix takes two bytes, where an encoder's size arithmetic would
+// slip.
+func edgeSyncRequest() *SyncRequest {
+	return &SyncRequest{
+		Version:  ProtoVersion,
+		WorkerID: strings.Repeat("w", 128),
+		SinceGen: math.MaxInt,
+		Seeds: []WireSeed{
+			{Text: strings.Repeat("x", 200), Prio: -1, Bonus: math.MinInt},
+			{Prio: math.MaxInt, Bonus: 64, Op: "o"},
+			{Prio: -65, Bonus: 63},
+		},
+		CoverDelta: coverOf(5).EncodeDelta(nil),
+		Crashes:    []WireCrash{{Title: "t", Count: -1}, {Repro: strings.Repeat("r", 1<<14), Count: 1 << 20}},
+		Stats: WorkerStats{
+			Execs: math.MinInt, Cover: -64, Crashes: 127,
+			Ops: []OpJSON{{Name: "", Picks: 128, NewBlocks: -128}},
+		},
 	}
 }
 
@@ -183,9 +208,41 @@ func TestWireRejectsMalformed(t *testing.T) {
 // FuzzWireSyncRequest checks the codec identity both ways: anything
 // the decoder accepts must survive encode→decode unchanged, and the
 // re-encoding must be stable (second generation equals first).
+// TestWireEncodersSizeExactly: the encoders size their output from
+// per-frame length arithmetic before writing it, so a slip there writes
+// a wrong frame length. For the golden exchange and one at every varint
+// edge, each encoding must fill its buffer exactly and decode back to
+// what was encoded.
+func TestWireEncodersSizeExactly(t *testing.T) {
+	edge := edgeSyncRequest()
+	for _, req := range []*SyncRequest{goldenSyncRequest(), edge, {Version: ProtoVersion}} {
+		enc := EncodeSyncRequest(req)
+		if len(enc) != cap(enc) {
+			t.Errorf("request encoder sized %d bytes for a %d-byte stream", cap(enc), len(enc))
+		}
+		if got, err := DecodeSyncRequest(enc); err != nil || !reflect.DeepEqual(got, req) {
+			t.Errorf("request round trip: err %v\n got %+v\nwant %+v", err, got, req)
+		}
+	}
+	for _, resp := range []*SyncResponse{
+		goldenSyncResponse(),
+		{Version: ProtoVersion, Generation: math.MaxInt, RejectedSeeds: -1, LeaseTTLMs: 1 << 40, Seeds: edge.Seeds},
+		{Version: ProtoVersion},
+	} {
+		enc := EncodeSyncResponse(resp)
+		if len(enc) != cap(enc) {
+			t.Errorf("response encoder sized %d bytes for a %d-byte stream", cap(enc), len(enc))
+		}
+		if got, err := DecodeSyncResponse(enc); err != nil || !reflect.DeepEqual(got, resp) {
+			t.Errorf("response round trip: err %v\n got %+v\nwant %+v", err, got, resp)
+		}
+	}
+}
+
 func FuzzWireSyncRequest(f *testing.F) {
 	f.Add(EncodeSyncRequest(goldenSyncRequest()))
 	f.Add(EncodeSyncRequest(&SyncRequest{Version: ProtoVersion}))
+	f.Add(EncodeSyncRequest(edgeSyncRequest()))
 	f.Add([]byte{'S', 'H', 'B', ProtoVersion, frameEnd, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeSyncRequest(data)
@@ -193,6 +250,9 @@ func FuzzWireSyncRequest(f *testing.F) {
 			return
 		}
 		enc := EncodeSyncRequest(req)
+		if len(enc) != cap(enc) {
+			t.Fatalf("request encoder sized %d bytes for a %d-byte stream", cap(enc), len(enc))
+		}
 		req2, err := DecodeSyncRequest(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -209,12 +269,16 @@ func FuzzWireSyncRequest(f *testing.F) {
 func FuzzWireSyncResponse(f *testing.F) {
 	f.Add(EncodeSyncResponse(goldenSyncResponse()))
 	f.Add(EncodeSyncResponse(&SyncResponse{Version: ProtoVersion}))
+	f.Add(EncodeSyncResponse(&SyncResponse{Version: ProtoVersion, Generation: math.MaxInt, RejectedSeeds: -1, LeaseTTLMs: 1 << 40, Seeds: edgeSyncRequest().Seeds}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeSyncResponse(data)
 		if err != nil {
 			return
 		}
 		enc := EncodeSyncResponse(resp)
+		if len(enc) != cap(enc) {
+			t.Fatalf("response encoder sized %d bytes for a %d-byte stream", cap(enc), len(enc))
+		}
 		resp2, err := DecodeSyncResponse(enc)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)

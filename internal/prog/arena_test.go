@@ -74,7 +74,7 @@ shape_un [
 ]
 `
 
-func shapeTarget(t *testing.T) *Target {
+func shapeTarget(t testing.TB) *Target {
 	t.Helper()
 	f, errs := syzlang.Parse(shapeSpec)
 	if len(errs) > 0 {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"unsafe"
 )
 
 // Program text serialization, in the spirit of Syzkaller's repro
@@ -17,99 +19,118 @@ import (
 // travel between the fuzzer, files on disk, and the syzfuzz -repro
 // flag.
 
-// Serialize renders the program as repro text.
+// Serialize renders the program as repro text. The text is written
+// into a pooled buffer and copied out once, so the returned string is
+// the only allocation.
 func (p *Prog) Serialize() string {
-	var b strings.Builder
-	for i, c := range p.Calls {
-		if c.Sc.Ret != "" {
-			fmt.Fprintf(&b, "r%d = ", i)
-		}
-		b.WriteString(c.Sc.Name)
-		b.WriteByte('(')
-		for j, a := range c.Args {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			serializeValue(&b, a)
-		}
-		b.WriteString(")\n")
+	buf := textBufs.Get().(*[]byte)
+	*buf = p.appendText((*buf)[:0])
+	text := string(*buf)
+	if cap(*buf) <= maxPooledText {
+		textBufs.Put(buf)
 	}
-	return b.String()
+	return text
 }
 
-func serializeValue(b *strings.Builder, v *Value) {
+// textBufs recycles Serialize's write buffers; one larger than
+// maxPooledText (a program far beyond any the generator builds) is
+// left to the collector instead of being kept.
+var textBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledText = 64 << 10
+
+// appendText appends the program's repro text to dst.
+func (p *Prog) appendText(dst []byte) []byte {
+	for i, c := range p.Calls {
+		if c.Sc.Ret != "" {
+			dst = append(dst, 'r')
+			dst = strconv.AppendInt(dst, int64(i), 10)
+			dst = append(dst, " = "...)
+		}
+		dst = append(dst, c.Sc.Name...)
+		dst = append(dst, '(')
+		for j, a := range c.Args {
+			if j > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendValue(dst, a)
+		}
+		dst = append(dst, ")\n"...)
+	}
+	return dst
+}
+
+func appendValue(dst []byte, v *Value) []byte {
 	if v == nil {
-		b.WriteString("nil")
-		return
+		return append(dst, "nil"...)
 	}
 	switch v.Type.Kind {
 	case KindInt, KindConst, KindFlags, KindLen:
-		fmt.Fprintf(b, "0x%x", v.Scalar)
+		return appendHex(dst, v.Scalar)
 	case KindResource:
 		if v.ResultOf >= 0 {
-			fmt.Fprintf(b, "r%d", v.ResultOf)
-		} else {
-			b.WriteString("0xffffffffffffffff")
+			dst = append(dst, 'r')
+			return strconv.AppendInt(dst, int64(v.ResultOf), 10)
 		}
+		return append(dst, "0xffffffffffffffff"...)
 	case KindString:
-		fmt.Fprintf(b, "%q", string(v.Data))
+		// AppendQuote keeps nothing of its argument, so the bytes are
+		// read in place rather than copied into a string first.
+		return strconv.AppendQuote(dst, unsafe.String(unsafe.SliceData(v.Data), len(v.Data)))
 	case KindBuffer:
-		fmt.Fprintf(b, "#%s#", hexBytes(v.Data))
+		const hexdigits = "0123456789abcdef"
+		dst = append(dst, '#')
+		for _, c := range v.Data {
+			dst = append(dst, hexdigits[c>>4], hexdigits[c&0xf])
+		}
+		return append(dst, '#')
 	case KindPtr:
 		if v.Ptr == nil {
-			b.WriteString("0x0")
-			return
+			return append(dst, "0x0"...)
 		}
-		b.WriteByte('&')
-		serializeValue(b, v.Ptr)
+		return appendValue(append(dst, '&'), v.Ptr)
 	case KindStruct:
-		b.WriteByte('{')
-		for i, f := range v.Fields {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			serializeValue(b, f)
-		}
-		b.WriteByte('}')
+		return append(appendValues(append(dst, '{'), v.Fields), '}')
 	case KindUnion:
-		fmt.Fprintf(b, "@%d{", v.UnionIdx)
+		dst = append(dst, '@')
+		dst = strconv.AppendInt(dst, int64(v.UnionIdx), 10)
+		dst = append(dst, '{')
 		if len(v.Fields) > 0 {
-			serializeValue(b, v.Fields[0])
+			dst = appendValue(dst, v.Fields[0])
 		}
-		b.WriteByte('}')
+		return append(dst, '}')
 	case KindArray:
-		b.WriteByte('[')
+		dst = append(dst, '[')
 		if v.Type.isRun() {
-			var num [16]byte
 			for i := range v.RunLen() {
 				if i > 0 {
-					b.WriteString(", ")
+					dst = append(dst, ", "...)
 				}
-				b.WriteString("0x")
-				b.Write(strconv.AppendUint(num[:0], v.RunElem(i), 16))
+				dst = appendHex(dst, v.RunElem(i))
 			}
-			b.WriteByte(']')
-			return
+		} else {
+			dst = appendValues(dst, v.Fields)
 		}
-		for i, f := range v.Fields {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			serializeValue(b, f)
-		}
-		b.WriteByte(']')
+		return append(dst, ']')
 	default:
-		b.WriteString("?")
+		return append(dst, '?')
 	}
 }
 
-func hexBytes(data []byte) string {
-	const hexdigits = "0123456789abcdef"
-	out := make([]byte, 0, len(data)*2)
-	for _, c := range data {
-		out = append(out, hexdigits[c>>4], hexdigits[c&0xf])
+// appendValues appends values separated by ", ".
+func appendValues(dst []byte, vals []*Value) []byte {
+	for i, f := range vals {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendValue(dst, f)
 	}
-	return string(out)
+	return dst
+}
+
+// appendHex appends x as 0x-prefixed lowercase hex.
+func appendHex(dst []byte, x uint64) []byte {
+	return strconv.AppendUint(append(dst, "0x"...), x, 16)
 }
 
 // Deserialize parses repro text back into a program against the

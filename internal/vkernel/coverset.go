@@ -221,7 +221,10 @@ func (s *CoverSet) EncodeDelta(base *CoverSet) []byte {
 
 // AppendDelta appends the canonical encoding of s \ base to dst and
 // returns the extended slice (the allocation-free form of
-// EncodeDelta for callers that recycle a buffer).
+// EncodeDelta for callers that recycle a buffer). Each container's
+// encoding is chosen from its words' population and run counts and
+// written straight from the words: no container is materialized as a
+// value list.
 func (s *CoverSet) AppendDelta(dst []byte, base *CoverSet) []byte {
 	dst = append(dst, deltaMagic, deltaVersion)
 	if s == nil {
@@ -232,110 +235,110 @@ func (s *CoverSet) AppendDelta(dst []byte, base *CoverSet) []byte {
 	for start := 0; start < len(s.words); start += containerWords {
 		end := min(start+containerWords, len(s.words))
 		for i := start; i < end; i++ {
-			w := s.words[i]
-			if base != nil && i < len(base.words) {
-				w &^= base.words[i]
-			}
-			if w != 0 {
+			if diffWord(s, base, i) != 0 {
 				containers++
 				break
 			}
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(containers))
-	var vals []uint16
-	forEachContainer(s, base, func(key int, words []uint64) {
-		vals = containerValues(vals[:0], words)
-		runs := countRuns(vals)
-		arrayBytes := 2 * len(vals)
-		runBytes := 4 * runs
-		dst = binary.AppendUvarint(dst, uint64(key))
+	var words [containerWords]uint64
+	for start := 0; start < len(s.words); start += containerWords {
+		n := min(containerWords, len(s.words)-start)
+		count, runs := 0, 0
+		var prev uint64
+		for i := 0; i < n; i++ {
+			w := diffWord(s, base, start+i)
+			words[i] = w
+			count += bits.OnesCount64(w)
+			// A run starts at every set bit whose predecessor (the
+			// previous word's top bit, for bit 0) is clear.
+			runs += bits.OnesCount64(w &^ (w<<1 | prev>>63))
+			prev = w
+		}
+		if count == 0 {
+			continue
+		}
+		dst = binary.AppendUvarint(dst, uint64(start/containerWords))
+		arrayBytes, runBytes := 2*count, 4*runs
 		switch {
 		case runBytes < arrayBytes && runBytes < bitmapBytes:
 			dst = append(dst, containerRun)
 			dst = binary.AppendUvarint(dst, uint64(runs))
-			dst = appendRuns(dst, vals)
+			dst = appendRunPairs(dst, words[:n])
 		case arrayBytes <= bitmapBytes:
 			dst = append(dst, containerArray)
-			dst = binary.AppendUvarint(dst, uint64(len(vals)))
-			for _, v := range vals {
-				dst = binary.LittleEndian.AppendUint16(dst, v)
-			}
+			dst = binary.AppendUvarint(dst, uint64(count))
+			dst = appendArrayValues(dst, words[:n])
 		default:
 			dst = append(dst, containerBitmap)
-			var buf [8]byte
-			for i := 0; i < containerWords; i++ {
-				var w uint64
-				if i < len(words) {
-					w = words[i]
-				}
-				binary.LittleEndian.PutUint64(buf[:], w)
-				dst = append(dst, buf[:]...)
+			for _, w := range words[:n] {
+				dst = binary.LittleEndian.AppendUint64(dst, w)
+			}
+			for i := n; i < containerWords; i++ {
+				dst = binary.LittleEndian.AppendUint64(dst, 0)
 			}
 		}
-	})
+	}
 	return dst
 }
 
-// forEachContainer visits each 65536-block container of s \ base that
-// holds at least one block, in ascending key order, handing the
-// caller the container's diffed words (length <= containerWords; the
-// callback must not retain the slice).
-func forEachContainer(s, base *CoverSet, fn func(key int, words []uint64)) {
-	var scratch [containerWords]uint64
-	for start := 0; start < len(s.words); start += containerWords {
-		end := min(start+containerWords, len(s.words))
-		nonEmpty := false
-		for i := start; i < end; i++ {
-			w := s.words[i]
-			if base != nil && i < len(base.words) {
-				w &^= base.words[i]
-			}
-			scratch[i-start] = w
-			nonEmpty = nonEmpty || w != 0
-		}
-		if nonEmpty {
-			fn(start/containerWords, scratch[:end-start])
-		}
+// diffWord is word i of s \ base.
+func diffWord(s, base *CoverSet, i int) uint64 {
+	w := s.words[i]
+	if base != nil && i < len(base.words) {
+		w &^= base.words[i]
 	}
+	return w
 }
 
-// containerValues appends the low-16-bit values of the set words to
-// dst in ascending order.
-func containerValues(dst []uint16, words []uint64) []uint16 {
+// appendArrayValues appends the position of every set bit of a
+// container's words as a little-endian uint16, in ascending order.
+func appendArrayValues(dst []byte, words []uint64) []byte {
 	for i, w := range words {
 		base := uint16(i) << 6
 		for w != 0 {
-			dst = append(dst, base+uint16(bits.TrailingZeros64(w)))
+			dst = binary.LittleEndian.AppendUint16(dst, base+uint16(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
 	return dst
 }
 
-// countRuns counts maximal runs of consecutive values.
-func countRuns(vals []uint16) int {
-	runs := 0
-	for i, v := range vals {
-		if i == 0 || v != vals[i-1]+1 {
-			runs++
+// appendRunPairs appends every maximal run of set bits of a
+// container's words as a (start, length-1) little-endian uint16 pair.
+func appendRunPairs(dst []byte, words []uint64) []byte {
+	start := -1 // position of the open run's first bit, -1 between runs
+	for i, w := range words {
+		for pos := 0; pos < 64; {
+			if start < 0 {
+				rest := w >> pos
+				if rest == 0 {
+					break
+				}
+				pos += bits.TrailingZeros64(rest)
+				start = i<<6 + pos
+				continue
+			}
+			rest := ^w >> pos
+			if rest == 0 {
+				break // the run goes on into the next word
+			}
+			pos += bits.TrailingZeros64(rest)
+			dst = appendRun(dst, start, i<<6+pos)
+			start = -1
 		}
 	}
-	return runs
-}
-
-// appendRuns encodes sorted values as (start, length-1) uint16 pairs.
-func appendRuns(dst []byte, vals []uint16) []byte {
-	for i := 0; i < len(vals); {
-		j := i + 1
-		for j < len(vals) && vals[j] == vals[j-1]+1 {
-			j++
-		}
-		dst = binary.LittleEndian.AppendUint16(dst, vals[i])
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(j-i-1))
-		i = j
+	if start >= 0 {
+		dst = appendRun(dst, start, len(words)<<6)
 	}
 	return dst
+}
+
+// appendRun appends the run [start, end) as a (start, length-1) pair.
+func appendRun(dst []byte, start, end int) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(start))
+	return binary.LittleEndian.AppendUint16(dst, uint16(end-start-1))
 }
 
 // strictUvarint decodes a uvarint, rejecting non-minimal encodings
