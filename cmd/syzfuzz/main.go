@@ -238,7 +238,6 @@ func main() {
 	if *metricsAddr != "" {
 		reg := telemetry.NewRegistry()
 		metrics = fuzz.NewMetrics(reg)
-		kernel.InstrumentPool(reg)
 		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -3,11 +3,11 @@
 // internal/hub.Client) register with to pool their corpora, crashes,
 // and coverage. The hub maintains an authoritative on-disk corpus
 // store — restartable: a new syzhub over the same -store continues
-// the generation lineage and, with -state, replays its lease table,
-// crash counts, and union coverage from a sidecar so surviving
-// workers keep syncing deltas without a full corpus replay — a
-// global crash table deduplicated by normalized repro text, and live
-// aggregated stats.
+// the generation lineage and restores its lease table, crash counts,
+// and union coverage from the state sidecar beside the store (or at
+// -state PATH), so surviving workers keep syncing deltas without a
+// full corpus replay — a global crash table deduplicated by
+// normalized repro text, and live aggregated stats.
 //
 // The hub validates pushed programs against the widest target the
 // synthetic kernel supports (every loaded handler's oracle spec plus
@@ -15,8 +15,8 @@
 // all pool into one store; each worker re-validates pulled seeds
 // against its own target and skips what it cannot parse.
 //
-// Workers hold leases (granted at registration, renewed by syncs and
-// heartbeats, expiring after -lease-ttl of silence); -max-inflight
+// Workers hold leases (granted at registration, renewed by every sync,
+// expiring after -lease-ttl without one); -max-inflight
 // and -min-sync-interval shed load with 429 + Retry-After when the
 // fleet outruns the hub.
 //
@@ -30,7 +30,6 @@
 //
 //	POST /v1/register   worker announce, lease grant  (internal/hub proto)
 //	POST /v1/sync       push deltas, pull merged corpus diff (binary frames)
-//	POST /v1/heartbeat  lease renewal between syncs
 //	GET  /v1/stats      aggregated live stats (JSON)
 //	GET  /v1/crashes    global deduplicated crash table (JSON)
 //	GET  /metrics       Prometheus text exposition (disable with -metrics=false)
@@ -52,7 +51,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"time"
 
 	"kernelgpt/internal/corpus"
@@ -67,8 +65,8 @@ func main() {
 	storeDir := flag.String("store", "", "authoritative corpus store directory (required)")
 	capacity := flag.Int("cap", 0, "merged corpus bound (0 = seedpool default)")
 	scale := flag.Float64("scale", 1.0, "corpus scale (must match the workers')")
-	statePath := flag.String("state", "", `lease/crash-table sidecar file ("auto" = <store>/hubstate.json, "" = off)`)
-	leaseTTL := flag.Duration("lease-ttl", hub.DefaultLeaseTTL, "worker lease expiry after last sync or heartbeat")
+	statePath := flag.String("state", "", "hub state sidecar file (default <store>/hubstate.json)")
+	leaseTTL := flag.Duration("lease-ttl", hub.DefaultLeaseTTL, "worker lease expiry after the last sync")
 	maxInflight := flag.Int("max-inflight", 0, "sync backpressure: concurrent exchanges before 429 (0 = unlimited)")
 	minSyncInterval := flag.Duration("min-sync-interval", 0, "per-worker sync rate limit (0 = unlimited)")
 	parent := flag.String("parent", "", "root hub URL: run as a leaf and sync aggregates upward")
@@ -80,7 +78,7 @@ func main() {
 	flag.Parse()
 
 	if *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "usage: syzhub -store DIR [-addr HOST:PORT] [-cap N] [-state auto] [-parent URL] [-v]")
+		fmt.Fprintln(os.Stderr, "usage: syzhub -store DIR [-addr HOST:PORT] [-cap N] [-state PATH] [-parent URL] [-v]")
 		os.Exit(2)
 	}
 
@@ -102,12 +100,7 @@ func main() {
 		hub.WithLeaseTTL(*leaseTTL),
 		hub.WithMaxInflight(*maxInflight),
 		hub.WithMinSyncInterval(*minSyncInterval),
-	}
-	if *statePath == "auto" {
-		*statePath = filepath.Join(*storeDir, "hubstate.json")
-	}
-	if *statePath != "" {
-		opts = append(opts, hub.WithStatePath(*statePath))
+		hub.WithStatePath(*statePath),
 	}
 	if *parent != "" {
 		opts = append(opts, hub.WithParent(*parent))

@@ -79,9 +79,6 @@ type Config struct {
 	// seed instead of generating fresh programs (Syzkaller's default
 	// behavior mutates most of the time once a corpus exists).
 	MutateBias float64
-	// Enabled restricts the syscall set (per-driver runs in Tables
-	// 5/6 enable only the driver's own syscalls, per §5.2).
-	Enabled map[string]bool
 	// NoLocality disables the generator's resource-locality bias
 	// (design-choice ablation).
 	NoLocality bool
@@ -147,12 +144,11 @@ type Config struct {
 	// when the campaign ends, cancelled or not. Syncs are best-effort:
 	// an unreachable hub never fails the campaign.
 	//
-	// Each sync also renews the worker's hub lease, so the checkpoint
-	// cadence doubles as the liveness heartbeat: keep the inter-sync
-	// gap under the hub's lease TTL (default one minute), or the hub
-	// reaps the lease and the client transparently re-registers —
-	// correct but costlier, as the first sync after re-registration
-	// replays full state instead of deltas.
+	// Each sync also renews the worker's hub lease — the only renewal
+	// there is: keep the inter-sync gap under the hub's lease TTL
+	// (default one minute), or the hub reaps the lease and the
+	// client's next sync costs an extra round trip to re-register and
+	// resume it.
 	//
 	// Imported remote seeds change subsequent mutation picks, so a
 	// hub-attached campaign is deterministic only if the hub's
@@ -462,8 +458,8 @@ func (f *Fuzzer) run(ctx context.Context, d *driver, unit int) (*Stats, *seedpoo
 	}
 	clk := cfg.Clock
 	start := clk.Now()
+	// The target is the syscall set: a per-driver run compiles its own.
 	g := prog.NewGen(f.Target, cfg.Seed)
-	g.Enabled = cfg.Enabled
 	g.NoLocality = cfg.NoLocality
 	x := f.executor()
 	// execute is the campaign's one exec site (candidates and warm-start

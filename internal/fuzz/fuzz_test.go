@@ -101,13 +101,26 @@ func TestRepetitionsIndependent(t *testing.T) {
 	}
 }
 
+// TestEnabledRestriction: a campaign generates from its target's
+// syscalls only, so a run restricted to some syscalls compiles just
+// those.
 func TestEnabledRestriction(t *testing.T) {
-	tgt := targetFor(t, "dm")
-	f := New(tgt, testKernel)
-	cfg := DefaultConfig(1000, 13)
-	cfg.Enabled = map[string]bool{"openat$dm": true}
-	stats := f.Run(cfg)
 	dm := testCorpus.Handler("dm")
+	spec := *corpus.OracleSpec(dm)
+	spec.Syscalls = nil
+	for _, sc := range corpus.OracleSpec(dm).Syscalls {
+		if sc.Name() == "openat$dm" {
+			spec.Syscalls = append(spec.Syscalls, sc)
+		}
+	}
+	tgt, err := prog.Compile(&spec, testCorpus.Env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tgt.Syscalls) != 1 {
+		t.Fatalf("restricted target has %d syscalls, want openat$dm alone", len(tgt.Syscalls))
+	}
+	stats := New(tgt, testKernel).Run(DefaultConfig(1000, 13))
 	// Open-only campaigns cover at most open blocks + generic entry.
 	if stats.CoverCount() > dm.OpenBlocks+3 {
 		t.Fatalf("restriction leaked: %d blocks", stats.CoverCount())

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"kernelgpt/internal/fuzz/corpusstore"
@@ -99,7 +100,9 @@ func storeFiles(t testing.TB, dir string) map[string]os.FileInfo {
 }
 
 // fullHub returns a hub at the default capacity whose corpus is full,
-// its store directory, and a worker registered with it.
+// its store directory, and a worker registered with it. The state
+// sidecar is kept out of the store directory, so that holds only what
+// the store writes.
 func fullHub(t testing.TB, tgt *prog.Target) (*Hub, string, RegisterResponse) {
 	t.Helper()
 	dir := t.TempDir()
@@ -107,7 +110,7 @@ func fullHub(t testing.TB, tgt *prog.Target) (*Hub, string, RegisterResponse) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(tgt, store)
+	h, err := New(tgt, store, WithStatePath(filepath.Join(t.TempDir(), stateFile)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +153,7 @@ func serve(t testing.TB, handler http.Handler, path, contentType string, body []
 // BenchmarkHubMergeOneSeed is the cost of keeping a hub attached once
 // its corpus is full: one sync that pushes one admissible seed into a
 // hub holding seedpool.DefaultCapacity — decode, merge, save, diff,
-// sidecar-less. It times a filesystem, so it is history, not a gate row.
+// persist. It times a filesystem, so it is history, not a gate row.
 func BenchmarkHubMergeOneSeed(b *testing.B) {
 	tgt := targetFor(b, "dm")
 	h, _, reg := fullHub(b, tgt)

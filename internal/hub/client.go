@@ -23,8 +23,9 @@ import (
 // the hub has already seen — seeds are pushed once (deduplicated by
 // their text), coverage as new-block deltas, crashes as count deltas — and
 // imports the merged corpus diff the hub returns. Transient transport
-// and server errors are retried with doubling backoff; a hub restart
-// is survived by transparent re-registration and a generation reset.
+// and server errors are retried with doubling backoff; a lapsed lease,
+// or a hub restarted without its state, is survived by transparent
+// re-registration (and, for the latter, a generation reset).
 //
 // Client is safe for concurrent use; syncs serialize on an internal
 // mutex (parallel campaign units share one connection).
@@ -40,7 +41,6 @@ type Client struct {
 	mu       sync.Mutex
 	workerID string            // guarded by mu
 	leaseID  string            // guarded by mu
-	leaseTTL time.Duration     // guarded by mu
 	gen      int               // guarded by mu
 	pushed   map[string]bool   // guarded by mu
 	lastCov  *vkernel.CoverSet // guarded by mu
@@ -117,7 +117,6 @@ func (c *Client) register(ctx context.Context) (RegisterResponse, error) {
 	}
 	c.workerID = resp.WorkerID
 	c.leaseID = resp.LeaseID
-	c.leaseTTL = time.Duration(resp.LeaseTTLMs) * time.Millisecond
 	return resp, nil
 }
 
@@ -126,22 +125,6 @@ func (c *Client) LeaseID() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.leaseID
-}
-
-// Heartbeat renews the worker's lease without a sync payload — for
-// gaps between checkpoint boundaries that would outlast the TTL.
-func (c *Client) Heartbeat(ctx context.Context) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var resp HeartbeatResponse
-	err := c.post(ctx, "/v1/heartbeat", HeartbeatRequest{
-		Version: ProtoVersion, WorkerID: c.workerID, LeaseID: c.leaseID,
-	}, &resp)
-	if err != nil {
-		return fmt.Errorf("hub heartbeat: %w", err)
-	}
-	c.leaseTTL = time.Duration(resp.LeaseTTLMs) * time.Millisecond
-	return nil
 }
 
 // WorkerID returns the hub-assigned identity (it can change after a
@@ -208,9 +191,10 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 		if !isUnknownWorker(err) {
 			return nil, err
 		}
-		// Our registration is gone (hub restart) or our lease lapsed
-		// (missed heartbeats during a partition): re-register,
-		// presenting the lease for resumption.
+		// Our registration is gone (a hub restarted without its state
+		// sidecar) or our lease lapsed (no sync within the TTL, as in
+		// a partition): re-register, presenting the lease for
+		// resumption.
 		reg, err := c.register(ctx)
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,9 +22,9 @@ import (
 )
 
 // DefaultLeaseTTL is the lease time-to-live granted at registration
-// and refreshed by every sync and heartbeat. Campaigns sync at
-// checkpoint cadence (well under a minute), so a worker that goes
-// this long without either is treated as dead.
+// and refreshed by every sync. Campaigns sync at checkpoint cadence
+// (well under a minute), so a worker that goes this long without one
+// is treated as dead.
 const DefaultLeaseTTL = time.Minute
 
 // Lease states (WorkerJSON.Lease).
@@ -95,7 +96,7 @@ type worker struct {
 	final       bool
 	stats       WorkerStats
 	// leaseID names the worker's lease; leaseExpiry is when it lapses
-	// unless a sync or heartbeat renews it first; leaseState tracks
+	// unless a sync renews it first; leaseState tracks
 	// active → expired (reaped) or released (Final sync).
 	leaseID     string
 	leaseExpiry time.Time
@@ -168,10 +169,8 @@ func WithMinSyncInterval(d time.Duration) Option {
 	return func(h *Hub) { h.minSyncInterval = d }
 }
 
-// WithStatePath enables the hub state sidecar: cover union, crash
-// table, and worker leases are persisted to this JSON file after
-// every mutating exchange and restored by New, so a hub restart does
-// not force re-registered workers into a full cover/crash replay.
+// WithStatePath moves the hub state sidecar (see New) from its default
+// place beside the store to path ("" keeps the default).
 func WithStatePath(path string) Option { return func(h *Hub) { h.statePath = path } }
 
 // WithParent records the upstream hub URL this hub aggregates into
@@ -216,11 +215,11 @@ func WithFlightRecorder(rec *telemetry.FlightRecorder) Option {
 // An existing store warm-starts the hub: its entries become the
 // initial merged corpus (invalid ones are skipped, as in any load)
 // and its generation lineage continues, so workers of a previous hub
-// instance can keep syncing. Without a state sidecar (WithStatePath)
-// union coverage and the crash table restart empty — workers re-push
-// their full history after re-registering; with one, leases and all
-// attribution state are restored and restarted workers carry on as if
-// nothing happened.
+// instance can keep syncing. The rest of the hub's state — union
+// coverage, the crash table and the worker leases — is persisted to a
+// JSON sidecar, <store.Dir()>/hubstate.json unless WithStatePath names
+// another file, whenever it changes, and restored here: restarted
+// workers carry on as if nothing happened.
 func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error) {
 	h := &Hub{
 		target:  t,
@@ -239,6 +238,9 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 	}
 	if h.leaseTTL <= 0 {
 		h.leaseTTL = DefaultLeaseTTL
+	}
+	if h.statePath == "" {
+		h.statePath = filepath.Join(store.Dir(), stateFile)
 	}
 	h.start = h.now()
 	states, rep, err := store.Load(t)
@@ -266,7 +268,6 @@ func (h *Hub) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", h.handleRegister)
 	mux.HandleFunc("/v1/sync", h.handleSync)
-	mux.HandleFunc("/v1/heartbeat", h.handleHeartbeat)
 	mux.HandleFunc("/v1/stats", h.handleStats)
 	mux.HandleFunc("/v1/crashes", h.handleCrashes)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -365,7 +366,7 @@ func readLimited(body io.Reader, n, limit int64) ([]byte, error) {
 	return data, nil
 }
 
-// decode parses a JSON control request (register, heartbeat) and
+// decode parses a JSON control request (register) and
 // enforces the protocol version, writing the error response itself on
 // failure.
 func decode(w http.ResponseWriter, r *http.Request, version *int, body any) bool {
@@ -387,16 +388,22 @@ func decode(w http.ResponseWriter, r *http.Request, version *int, body any) bool
 // reapLocked expires leases whose TTL lapsed. Expired workers keep
 // their bookkeeping (so a LeaseID resume needs no replay and crash
 // differencing stays exact) but their syncs are rejected until they
-// re-register. Callers hold h.mu.
+// re-register. An expiry is persisted at once: the stats or the 404
+// that report it must not be undone by a restart. Callers hold h.mu.
 func (h *Hub) reapLocked() {
 	now := h.now()
+	expired := false
 	for _, wk := range h.workers {
 		if wk.leaseState == LeaseActive && wk.leaseExpiry.Before(now) {
 			wk.leaseState = LeaseExpired
+			expired = true
 			h.metrics.lease("expire")
 			h.flight.RecordNow("lease-expire", 0, wk.id)
 			h.logf("hub: lease for %s (%s) expired", wk.id, wk.name)
 		}
+	}
+	if expired {
+		h.persistLocked()
 	}
 }
 
@@ -456,27 +463,6 @@ func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Version: ProtoVersion, WorkerID: id, Generation: h.genLocked(),
 		Seeds: len(h.states), HubFingerprint: hubFP,
 		LeaseID: wk.leaseID, LeaseTTLMs: h.leaseTTL.Milliseconds(),
-	})
-}
-
-func (h *Hub) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req HeartbeatRequest
-	if !decode(w, r, &req.Version, &req) {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.reapLocked()
-	wk := h.leasedWorkerLocked(w, req.WorkerID, req.LeaseID)
-	if wk == nil {
-		return
-	}
-	if wk.leaseState == LeaseActive {
-		wk.leaseExpiry = h.now().Add(h.leaseTTL)
-		h.metrics.lease("renew")
-	}
-	writeJSON(w, http.StatusOK, HeartbeatResponse{
-		Version: ProtoVersion, LeaseTTLMs: h.leaseTTL.Milliseconds(),
 	})
 }
 
@@ -556,9 +542,10 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	// Service time is measured from lock acquisition: the hub's own
-	// work (validate, merge, save, diff), excluding queueing behind
-	// other syncs — the queueing delay is what capacity planning
-	// derives FROM this number, so baking it in would double-count.
+	// work (validate, merge, save, diff, encode), excluding queueing
+	// behind other syncs — the queueing delay is what capacity planning
+	// derives FROM this number, so baking it in would double-count —
+	// and the sidecar write that records it.
 	svcStart := h.now()
 	h.reapLocked()
 	wk := h.leasedWorkerLocked(w, req.WorkerID, req.LeaseID)
@@ -578,11 +565,15 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	defer func() {
+	// commit folds the exchange into the worker's sync aggregate and
+	// persists the hub state, that aggregate included; every exit from
+	// here on runs it before replying.
+	commit := func() {
 		serviceNs := h.now().Sub(svcStart).Nanoseconds()
 		observeSync(&wk.sync, serviceNs, payload)
 		h.metrics.syncObserved(serviceNs, payload)
-	}()
+		h.persistLocked()
+	}
 	// Push: validate incoming programs against the hub target (a seed's
 	// identity is the hub's own rendering of it, never the text as sent),
 	// merge into the authoritative corpus, persist.
@@ -599,6 +590,7 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	h.rejectedSeeds += rejected
 	if len(incoming) > 0 {
 		if err := h.mergeLocked(incoming); err != nil {
+			commit()
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
@@ -633,13 +625,13 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	seeds, gen := h.diff(req.SinceGen)
 	wk.gen = gen
-	h.persistLocked()
-	h.logf("hub: sync %s: +%d seeds (%d rejected), +%d blocks, %d crash reports -> %d seeds at gen %d",
-		req.WorkerID, len(incoming), rejected, newBlocks, len(req.Crashes), len(seeds), gen)
 	body := EncodeSyncResponse(&SyncResponse{
 		Version: ProtoVersion, Generation: gen, Seeds: seeds, RejectedSeeds: rejected,
 		LeaseTTLMs: h.leaseTTL.Milliseconds(),
 	})
+	commit()
+	h.logf("hub: sync %s: +%d seeds (%d rejected), +%d blocks, %d crash reports -> %d seeds at gen %d",
+		req.WorkerID, len(incoming), rejected, newBlocks, len(req.Crashes), len(seeds), gen)
 	// A declared length lets the client read the reply into one buffer
 	// of its size.
 	w.Header().Set("Content-Type", BinaryContentType)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -243,8 +244,12 @@ func TestHubRestartClientReregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart: a fresh hub over the same store loses the worker table
-	// but keeps the corpus and its generation lineage.
+	// Restart without the state sidecar: a fresh hub over the same
+	// store loses the worker table but keeps the corpus and its
+	// generation lineage.
+	if err := os.Remove(filepath.Join(dir, "hubstate.json")); err != nil {
+		t.Fatal(err)
+	}
 	store2, err := corpusstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +262,8 @@ func TestHubRestartClientReregisters(t *testing.T) {
 
 	// The next sync carries the same cumulative campaign state; the
 	// client must notice the restart and re-push the full cover and
-	// crash history (the hub's union cover and crash table are
-	// in-memory only — without the re-push they would stay empty).
+	// crash history (the hub's union cover and crash table went with
+	// the sidecar — without the re-push they would stay empty).
 	if _, err := c.Sync(ctx, state); err != nil {
 		t.Fatalf("sync across hub restart: %v", err)
 	}
@@ -277,6 +282,68 @@ func TestHubRestartClientReregisters(t *testing.T) {
 	}
 	if c.Generation() != st.Generation {
 		t.Fatalf("client gen %d not resynced to restarted hub's %d", c.Generation(), st.Generation)
+	}
+}
+
+// TestHubRestartResumesByDefault: a hub built without WithStatePath
+// keeps its state beside its store, so a hub restarted over the same
+// store restores union cover, the crash table and the worker's lease —
+// the client's next sync resumes the same worker with deltas only, and
+// nothing is counted twice.
+func TestHubRestartResumesByDefault(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	dir := t.TempDir()
+	open := func() *Hub {
+		t.Helper()
+		store, err := corpusstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := New(tgt, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	h1 := open()
+	srv := httptest.NewServer(h1.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	c, err := Dial(ctx, srv.URL, "w", tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repro := prog.NewGen(tgt, 5).Generate(2).Serialize()
+	crash := func(n int) []fuzz.CrashReport {
+		return []fuzz.CrashReport{{Title: "bug-r", Repro: repro, Count: n}}
+	}
+	if _, err := c.Sync(ctx, fuzz.SyncState{Cover: coverOf(1, 4, 9), Execs: 200, Crashes: crash(3)}); err != nil {
+		t.Fatal(err)
+	}
+	id0, lease0 := c.WorkerID(), c.LeaseID()
+	before := h1.Stats()
+
+	h2 := open()
+	srv.Config.Handler = h2.Handler()
+	// The restarted hub reports what the old one did, down to the
+	// worker's sync aggregate of the exchange just served.
+	if st := h2.Stats(); st.UnionCover != before.UnionCover || st.Crashes != 1 || st.ActiveLeases != 1 ||
+		!reflect.DeepEqual(st.Workers, before.Workers) || st.Workers[0].ID != id0 {
+		t.Fatalf("restarted hub forgot its state: %+v, before %+v", st, before)
+	}
+	if _, err := c.Sync(ctx, fuzz.SyncState{Cover: coverOf(1, 4, 9, 16), Execs: 300, Crashes: crash(4)}); err != nil {
+		t.Fatalf("sync across hub restart: %v", err)
+	}
+	if c.WorkerID() != id0 || c.LeaseID() != lease0 {
+		t.Fatalf("client re-registered: %s/%s -> %s/%s", id0, lease0, c.WorkerID(), c.LeaseID())
+	}
+	st := h2.Stats()
+	if len(st.Workers) != 1 || st.UnionCover != 4 {
+		t.Fatalf("after the resumed sync: %d workers, union %d, want 1 and 4", len(st.Workers), st.UnionCover)
+	}
+	// Cumulative count 4 differenced against the restored 3.
+	if got := h2.Crashes(); len(got) != 1 || got[0].Count != 4 || got[0].Reports != 2 {
+		t.Fatalf("crash table across the restart: %+v, want one record counting 4 from 2 reports", got)
 	}
 }
 

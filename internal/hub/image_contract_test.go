@@ -370,8 +370,11 @@ func TestImageContract(t *testing.T) {
 	log.stats("after gamma", srv.URL)
 
 	// A leaf hub at the default capacity pushes its aggregate up and
-	// pulls the root's corpus down.
-	leaf, err := New(tgt, open(filepath.Join(hubDir, "leaf")), clock, WithParent(srv.URL), WithCapacity(16))
+	// pulls the root's corpus down. Its sidecar sits beside its store,
+	// as the root's does, so the store listing logged below is the
+	// store's own.
+	leaf, err := New(tgt, open(filepath.Join(hubDir, "leaf")), clock, WithParent(srv.URL), WithCapacity(16),
+		WithStatePath(filepath.Join(hubDir, "leaf-hubstate.json")))
 	if err != nil {
 		t.Fatal(err)
 	}

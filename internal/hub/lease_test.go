@@ -72,7 +72,7 @@ func TestLeaseExpiryUnderPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Partition: the worker misses every heartbeat for several TTLs.
+	// Partition: the worker goes several TTLs without a sync.
 	clock.Advance(5 * time.Second)
 	st := hub.Stats()
 	if st.ActiveLeases != 0 || st.ExpiredLeases != 1 {
@@ -117,45 +117,45 @@ func TestLeaseExpiryUnderPartition(t *testing.T) {
 	}
 }
 
-// TestHeartbeatRenewsLease: heartbeats keep a lease alive across gaps
-// longer than the TTL without a sync payload.
-func TestHeartbeatRenewsLease(t *testing.T) {
+// TestExpiredLeaseSurvivesRestart: a lapsed lease that the hub has
+// already reported expired stays expired across a restart — the
+// sidecar is written when the lease is reaped, not only at the next
+// sync — instead of coming back active with a fresh TTL.
+func TestExpiredLeaseSurvivesRestart(t *testing.T) {
 	tgt := targetFor(t, "dm")
-	clock := &fakeClock{t: time.Unix(2000, 0)}
-	hub, srv := newHub(t, tgt, WithClock(clock.Now), WithLeaseTTL(10*time.Second))
-	ctx := context.Background()
-	c, err := Dial(ctx, srv.URL, "w", tgt)
-	if err != nil {
-		t.Fatal(err)
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	dir := t.TempDir()
+	open := func() *Hub {
+		t.Helper()
+		store, err := corpusstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := New(tgt, store, WithClock(clock.Now), WithLeaseTTL(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	id0 := c.WorkerID()
-	clock.Advance(8 * time.Second)
-	if err := c.Heartbeat(ctx); err != nil {
-		t.Fatal(err)
+	h1 := open()
+	var reg RegisterResponse
+	serve(t, h1.Handler(), "/v1/register", JSONContentType,
+		[]byte(`{"version":1,"name":"w","fingerprint":"fp"}`), &reg)
+	clock.Advance(5 * time.Second)
+	if st := h1.Stats(); st.ActiveLeases != 0 || st.ExpiredLeases != 1 {
+		t.Fatalf("lease not reaped: active %d expired %d", st.ActiveLeases, st.ExpiredLeases)
 	}
-	clock.Advance(8 * time.Second)
-	// 16s since registration — past the TTL, but within it since the
-	// heartbeat. The sync must be served on the original lease.
-	if _, err := c.Sync(ctx, fuzz.SyncState{Cover: coverOf(2)}); err != nil {
-		t.Fatalf("sync after heartbeat renewal: %v", err)
-	}
-	st := hub.Stats()
-	if len(st.Workers) != 1 || st.Workers[0].ID != id0 || st.ActiveLeases != 1 {
-		t.Fatalf("heartbeat did not keep the lease: %+v", st.Workers)
-	}
-	// Without further renewal the lease lapses.
-	clock.Advance(11 * time.Second)
-	if err := c.Heartbeat(ctx); err == nil {
-		t.Fatal("heartbeat on an expired lease succeeded")
-	}
-	if st := hub.Stats(); st.ExpiredLeases != 1 {
-		t.Fatalf("expired lease not counted: %+v", st)
+
+	st := open().Stats()
+	if st.ActiveLeases != 0 || st.ExpiredLeases != 1 || len(st.Workers) != 1 || st.Workers[0].Lease != LeaseExpired {
+		t.Fatalf("reported expiry undone by a restart: active %d expired %d, workers %+v",
+			st.ActiveLeases, st.ExpiredLeases, st.Workers)
 	}
 }
 
-// TestLeaseRequired: worker ids are guessable (w1, w2, …), so a sync or
-// heartbeat that names a worker without presenting that worker's
-// current lease — none at all, or another worker's — must get the 404
+// TestLeaseRequired: worker ids are guessable (w1, w2, …), so a sync
+// that names a worker without presenting that worker's current lease —
+// none at all, or another worker's — must get the 404
 // re-register hint and leave the hub untouched: it may not push into,
 // renew or Final-release somebody else's lease.
 func TestLeaseRequired(t *testing.T) {
@@ -179,15 +179,6 @@ func TestLeaseRequired(t *testing.T) {
 				t.Errorf("sync for %s with lease %q (final=%v): HTTP %d %q, want 404 with the re-register hint",
 					victim.WorkerID, lease, final, code, msg)
 			}
-		}
-		body, err := json.Marshal(HeartbeatRequest{Version: ProtoVersion, WorkerID: victim.WorkerID, LeaseID: lease})
-		if err != nil {
-			t.Fatal(err)
-		}
-		code, msg := postRaw(t, srv.URL+"/v1/heartbeat", JSONContentType, bytes.NewReader(body))
-		if code != http.StatusNotFound || !strings.Contains(msg, "re-register") {
-			t.Errorf("heartbeat for %s with lease %q: HTTP %d %q, want 404 with the re-register hint",
-				victim.WorkerID, lease, code, msg)
 		}
 	}
 	if after := statsBytes(t, srv.URL); !bytes.Equal(before, after) {
@@ -308,8 +299,9 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 }
 
-// TestHubRestartWithStateSidecar: with the state sidecar, a restarted
-// hub restores union cover, the crash table, and worker leases — a
+// TestHubRestartWithStateSidecar: with the state sidecar moved out of
+// the store (WithStatePath), a restarted hub restores union cover, the
+// crash table, and worker leases from there — a
 // surviving client keeps syncing deltas with no re-registration and
 // no replay, and nothing double-counts.
 func TestHubRestartWithStateSidecar(t *testing.T) {

@@ -62,7 +62,8 @@ func (h *Hub) parentState(final bool) fuzz.SyncState {
 // store. It returns the number of seeds imported from the parent.
 // final releases the leaf's lease on the parent (shutdown). The hub
 // mutex is not held across the network exchange, so local worker
-// syncs proceed while the parent round-trips.
+// syncs proceed while the parent round-trips. An import changes only
+// the store, so the state sidecar is not rewritten.
 func (h *Hub) SyncParent(ctx context.Context, client *Client, final bool) (int, error) {
 	st := h.parentState(final)
 	imported, err := client.Sync(ctx, st)
@@ -77,7 +78,6 @@ func (h *Hub) SyncParent(ctx context.Context, client *Client, final bool) (int, 
 	if err := h.mergeLocked(imported); err != nil {
 		return 0, err
 	}
-	h.persistLocked()
 	h.logf("hub: parent sync imported %d seeds -> %d seeds at gen %d", len(imported), len(h.states), h.genLocked())
 	return len(imported), nil
 }

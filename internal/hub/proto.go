@@ -10,14 +10,17 @@
 // stats served as JSON for monitoring. The hub is its store's one
 // writer: the corpus index it serves from — generation, entries, their
 // texts — is the store handle's own image (corpusstore.Store.Image),
-// not a copy, and a merge writes only the files it adds.
+// not a copy, and a merge writes only the files it adds. The rest of
+// the hub's state — union coverage, the crash table and the worker
+// leases — lives in a sidecar beside the store (state.go), so a
+// restarted hub resumes its workers where they left off.
 //
 // The wire protocol is versioned and runs over HTTP. POST /v1/register
-// and /v1/heartbeat carry the JSON types below; POST /v1/sync carries
-// SyncRequest/SyncResponse as the binary frame stream of wire.go, its
-// only encoding (error replies are JSON everywhere); GET /v1/stats and
-// /v1/crashes serve the monitoring views as JSON; GET /healthz answers
-// liveness probes. Syncs are batched in both directions — a push ships
+// carries the JSON types below; POST /v1/sync, the one lease renewal,
+// carries SyncRequest/SyncResponse as the binary frame stream of
+// wire.go, its only encoding (error replies are JSON everywhere);
+// GET /v1/stats and /v1/crashes serve the monitoring views as JSON;
+// GET /healthz answers liveness probes. Syncs are batched in both directions — a push ships
 // at most MaxPushBatch seeds (the client keeps the rest for the next
 // boundary) and a pull response ships whole store generations up to
 // MaxPullBatch seeds, returning the generation the client should
@@ -77,9 +80,9 @@ type RegisterResponse struct {
 	// warn when its spec surface differs from the hub's.
 	HubFingerprint string `json:"hub_fingerprint"`
 	// LeaseID names the worker's lease. Every sync must present it;
-	// it is renewed by syncs and heartbeats and expires LeaseTTLMs
-	// after the last renewal, at which point the hub stops charging
-	// state to the worker and syncs are rejected until re-registration.
+	// each sync renews it, and it expires LeaseTTLMs after the last
+	// one, at which point the hub stops charging state to the worker
+	// and syncs are rejected until re-registration.
 	LeaseID string `json:"lease_id,omitempty"`
 	// LeaseTTLMs is the lease time-to-live in milliseconds.
 	LeaseTTLMs int64 `json:"lease_ttl_ms,omitempty"`
@@ -88,20 +91,6 @@ type RegisterResponse struct {
 	// attribution, so the client keeps its delta bookkeeping instead
 	// of replaying its full history.
 	Resumed bool `json:"resumed,omitempty"`
-}
-
-// HeartbeatRequest renews a lease without a sync payload (for gaps
-// between checkpoint boundaries longer than the TTL).
-type HeartbeatRequest struct {
-	Version  int    `json:"version"`
-	WorkerID string `json:"worker_id"`
-	LeaseID  string `json:"lease_id"`
-}
-
-// HeartbeatResponse acknowledges a renewal.
-type HeartbeatResponse struct {
-	Version    int   `json:"version"`
-	LeaseTTLMs int64 `json:"lease_ttl_ms"`
 }
 
 // WireSeed is one corpus entry in flight: the serialized program plus
@@ -247,10 +236,11 @@ type HubStats struct {
 
 // SyncAggJSON aggregates the cost of a worker's /v1/sync exchanges:
 // how many ran, how long the hub spent serving them (time under the
-// hub lock — merge, save, diff — excluding queueing), and how large
-// the request payloads were. Count/sum/max lets operators read mean
-// and worst-case sync cost per worker straight off /v1/stats, and
-// gives `syzplan fit` the hub-side service-time coefficient.
+// hub lock — merge, save, diff, encode — excluding queueing and the
+// sidecar write that records the exchange), and how large the
+// request payloads were. Count/sum/max lets operators read mean and
+// worst-case sync cost per worker straight off /v1/stats, and gives
+// `syzplan fit` the hub-side service-time coefficient.
 type SyncAggJSON struct {
 	Count int `json:"count"`
 	// ServiceNsSum/ServiceNsMax aggregate per-sync service time in

@@ -13,15 +13,16 @@ import (
 	"kernelgpt/internal/fuzz/corpusstore"
 )
 
-// Hub state sidecar. The corpus store persists seeds, but the hub's
-// other authoritative state — union coverage, the crash-dedup table,
-// and per-worker leases with their cumulative crash counts — used to
-// live only in memory, so every restart forced re-registered clients
-// into a full cover/crash replay (and double-counted nothing only
-// because the crash table was lost too). With WithStatePath the hub
-// mirrors that state to a JSON sidecar (atomic temp+rename) after
-// every mutating exchange; New restores it, and a restarted hub then
-// accepts existing workers' leases as if nothing happened.
+// Hub state sidecar. The corpus store persists seeds; the hub's other
+// authoritative state — union coverage, the crash-dedup table, and
+// per-worker leases with their cumulative crash counts — goes to a
+// JSON sidecar (atomic temp+rename) whenever it changes: every
+// register, sync and lease expiry. New restores it, and a restarted
+// hub then accepts existing workers' leases as if nothing happened.
+
+// stateFile is the sidecar's name in the store directory, where New
+// puts it unless WithStatePath moves it.
+const stateFile = "hubstate.json"
 
 // stateVersion is the sidecar format this build writes. Version 1 (read
 // and migrated, never written) keyed each worker's crash_counts by
@@ -70,11 +71,8 @@ type workerStateJSON struct {
 // persistLocked mirrors the hub state to the sidecar. Best-effort: a
 // failed write is logged, not fatal — the corpus store stays the
 // source of truth for seeds, and losing the sidecar only degrades a
-// future restart to the legacy full-replay path. Callers hold h.mu.
+// future restart to the clients' full-replay path. Callers hold h.mu.
 func (h *Hub) persistLocked() {
-	if h.statePath == "" {
-		return
-	}
 	if h.coverEnc == nil {
 		h.coverEnc = h.cover.EncodeDelta(nil)
 	}
@@ -141,9 +139,6 @@ func (h *Hub) persistLocked() {
 //
 //syzlint:locked mu
 func (h *Hub) loadState() error {
-	if h.statePath == "" {
-		return nil
-	}
 	data, err := os.ReadFile(h.statePath)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil

@@ -33,8 +33,8 @@ import (
 const (
 	// BinaryContentType is the media type of /v1/sync bodies.
 	BinaryContentType = "application/x-syzhub-bin"
-	// JSONContentType is the media type of the control endpoints
-	// (register, heartbeat), the monitoring views, and error replies.
+	// JSONContentType is the media type of the control endpoint
+	// (register), the monitoring views, and error replies.
 	JSONContentType = "application/json"
 )
 

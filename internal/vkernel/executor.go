@@ -156,10 +156,8 @@ var _ Executor = (*Kernel)(nil)
 // reallocated. Callers running a tight single-goroutine loop should
 // hold their own VM via NewVM and skip the pool round-trip.
 func (k *Kernel) Run(p *prog.Prog) *Result {
-	k.poolGets.Inc()
 	v, _ := k.vms.Get().(*VM)
 	if v == nil {
-		k.poolMisses.Inc()
 		v = k.NewVM()
 	}
 	res := v.Run(p)

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"kernelgpt/internal/corpus"
-	"kernelgpt/internal/telemetry"
 )
 
 // BlockID identifies one basic block in the virtual kernel.
@@ -46,23 +45,6 @@ type Kernel struct {
 	histWords int
 	// vms recycles executor VMs for the concurrent Run path.
 	vms sync.Pool
-	// poolGets/poolMisses instrument vms recycling (nil = disabled, the
-	// default); see InstrumentPool.
-	poolGets, poolMisses *telemetry.Counter
-}
-
-// InstrumentPool registers VM-pool effectiveness counters on reg:
-// vkernel_vm_pool_gets_total counts borrows through the concurrent
-// Run path, vkernel_vm_pool_misses_total the borrows that had to
-// build a fresh VM. Deterministic campaigns hold their own VM via
-// NewVM and never touch the pool, so instrumentation cannot perturb
-// them. Call before sharing the kernel across goroutines.
-func (k *Kernel) InstrumentPool(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	k.poolGets = reg.Counter("vkernel_vm_pool_gets_total")
-	k.poolMisses = reg.Counter("vkernel_vm_pool_misses_total")
 }
 
 // khandler is the kernel-side view of one operation handler.
