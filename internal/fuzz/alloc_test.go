@@ -1,6 +1,14 @@
 package fuzz
 
-import "testing"
+import (
+	"context"
+	"runtime"
+	"testing"
+)
+
+// raceEnabled reports a race-detector build, whose allocations are
+// not the product's.
+var raceEnabled bool
 
 // TestCampaignStepAllocs is the loop-level alloc-regression guard:
 // the amortized allocation count of one campaign step (seed pick,
@@ -10,9 +18,9 @@ import "testing"
 // path-copy what they change into the Gen's scratch arena, lowering
 // copies cached payloads into a recycled ExecProg, the exec and the
 // scheduler's weight vector are allocation-free; what is left is paid
-// per admitted seed (its deep copy, one slab each, and its payload
-// cache) and per crash (~0.6/exec here; 1.3 while every step also
-// allocated the weight vector, 250 before the scratch arena).
+// per admitted seed (the copy of its owned calls, one slab each, and
+// its payload cache) and per crash (~0.6/exec here; 1.3 while every
+// step also allocated the weight vector, 250 before the scratch arena).
 func TestCampaignStepAllocs(t *testing.T) {
 	const execs = 4000
 	f := New(plumbedTarget(t, "dm", "cec"), testKernel)
@@ -24,5 +32,42 @@ func TestCampaignStepAllocs(t *testing.T) {
 	t.Logf("campaign step: %.1f allocs/exec (%.0f total)", per, allocs)
 	if per > 2 {
 		t.Fatalf("campaign step allocates %.1f/exec, budget is 2", per)
+	}
+}
+
+// TestShardedCampaignByteAllocs budgets the bytes a short sharded
+// campaign allocates per exec, triage included. Every unit starts from
+// an empty pool, so most of its execs run in the early phase where
+// nearly every candidate is admitted and every crash title is
+// minimized again: the bytes are the admitted seeds' copies and the
+// removal trials. It read ~1 180 bytes/exec once an admitted copy
+// kept its seed's frozen calls by pointer and a removal trial shared the
+// calls it leaves alone, against ~1 720 while both deep-copied every
+// call; the budget leaves about 25 % headroom.
+func TestShardedCampaignByteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	const execs = 8000
+	f := New(plumbedTarget(t, "dm", "cec"), testKernel)
+	cfg := DefaultConfig(execs, 1)
+	cfg.ShardExecs = 500
+	run := func() {
+		if _, err := f.RunParallel(context.Background(), cfg, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm process-level lazy state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const reps = 3
+	for range reps {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / (reps * execs)
+	t.Logf("sharded campaign: %.0f bytes/exec", per)
+	if per > 1500 {
+		t.Fatalf("sharded campaign allocates %.0f bytes/exec, budget is 1500", per)
 	}
 }

@@ -176,13 +176,19 @@ func (f *Fuzzer) drive(ctx context.Context, cfg Config, plan shardPlan, workers 
 	}
 	pool.Run(pool.Clamp(plan.units, workers, runtime.GOMAXPROCS(0)), plan.units, func(i int) { d.unit(ctx, i) })
 	camp := d.camp
+	// merged is the units' deterministic merged corpus, built at most
+	// once: a sharded plan's Final push and the flush read the same one.
+	var merged []seedpool.SeedState
+	if !plan.live && cfg.Hub != nil || store != nil {
+		merged = mergedCorpus(cfg, seeds, d.exports)
+	}
 	if cfg.Hub != nil {
 		// Campaign-end push, marked Final so the hub can close out the
 		// worker: the live pool's own export, or a sharded plan's
-		// deterministic merged corpus.
+		// merged corpus.
 		final := d.exports[0]
 		if !plan.live {
-			final = mergedCorpus(cfg, seeds, d.exports)
+			final = merged
 		}
 		grace, cancel := context.WithTimeout(context.WithoutCancel(ctx), finalSyncGrace)
 		d.exchange(grace, syncState(camp, camp.Cover, final, true))
@@ -190,7 +196,7 @@ func (f *Fuzzer) drive(ctx context.Context, cfg Config, plan shardPlan, workers 
 	}
 	var saveErr error
 	if store != nil {
-		saveErr = store.Save(mergedCorpus(cfg, seeds, d.exports), camp.CoverCount())
+		saveErr = store.Save(merged, camp.CoverCount())
 	}
 	camp.Elapsed = cfg.Clock.Now().Sub(d.start)
 	if plan.live {

@@ -131,7 +131,9 @@ func (p *Pool) Stats() (added, evicted, rejected int) {
 // pr may be a Gen's scratch candidate: the pool keeps its own copy
 // (prog.Prog.Detach) on admission only, so a rejected offer — almost
 // every offer in a saturated campaign — costs no copy, and the caller
-// may let the Gen overwrite pr either way. A heap-owned program is
+// may let the Gen overwrite pr either way. The copy holds only the
+// calls the candidate owns; the frozen calls it shares with its seed
+// and donor are kept by pointer. A heap-owned program is
 // retained as is, like the ones Import and Reconcile take ownership
 // of. What the pool retains it freezes (prog.Prog.Freeze): from then
 // on the program is read-only for everyone, the caller that built it
@@ -180,9 +182,11 @@ func (p *Pool) admit(s Seed) bool {
 }
 
 // retain returns the program the pool keeps for an admitted offer: its
-// own copy of a scratch candidate, a heap-owned program as is — frozen
-// either way, which is what lets every later mutation share its calls
-// instead of copying them.
+// own copy of a scratch candidate (its owned calls copied, the frozen
+// calls it shares with other seeds kept), a heap-owned program as is —
+// frozen either way, which is what lets every later mutation share its
+// calls instead of copying them. Freezing encodes only the calls that
+// were not frozen yet.
 func retain(pr *prog.Prog) *prog.Prog {
 	pr = pr.Detach()
 	pr.Freeze()

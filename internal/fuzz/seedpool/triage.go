@@ -7,8 +7,9 @@ import (
 
 // Minimize shrinks a crashing program while preserving the crash
 // title — the triage step applied to every repro before reporting.
-// It runs against any Executor (a reusable VM avoids per-trial
-// allocation on the triage path). Two passes run to a fixed point:
+// It runs against any Executor; a reusable VM keeps its machine state
+// across trials, though every Run still returns a fresh Result with
+// its own cover slice. Two passes run to a fixed point:
 //
 //  1. call removal: drop each call (rebinding resource indices) and
 //     keep the removal if the crash still reproduces;
@@ -59,35 +60,73 @@ func removeOneCall(x vkernel.Executor, p *prog.Prog, title string) (*prog.Prog, 
 	return p, false
 }
 
-// withoutCall clones p minus call #drop, rebinding resource indices.
+// withoutCall is p minus call #drop, with resource indices rebound.
 // Returns false when a later call references the dropped result (the
 // dependency makes the removal structurally invalid); that is checked
-// on p itself, so an illegal trial costs no clone.
+// on p itself, so an illegal trial costs no copy. A legal trial shares
+// with p every call the removal leaves untouched and deep-copies, into
+// one arena sized to them (prog.Prog.Clone), only the calls whose
+// ResultOf shifts down; p itself is never written. p and every trial
+// are Minimize's own memory, so simplifyPayloads may edit whichever
+// program the removal pass ends on.
 func withoutCall(p *prog.Prog, drop int) (*prog.Prog, bool) {
-	referenced := false
+	shifts := 0
 	for i, call := range p.Calls {
 		if i == drop {
 			continue
 		}
-		call.ForEachValue(func(v *prog.Value) {
-			if v.Type.Kind == prog.KindResource && v.ResultOf == drop {
-				referenced = true
-			}
-		})
+		uses, after := resultUse(call, drop)
+		if uses {
+			return nil, false
+		}
+		if after {
+			shifts++
+		}
 	}
-	if referenced {
-		return nil, false
+	// One allocation holds the trial's calls and, behind them, the ones
+	// to copy.
+	n := len(p.Calls) - 1
+	buf := make([]*prog.Call, n, n+shifts)
+	copy(buf, p.Calls[:drop])
+	copy(buf[drop:], p.Calls[drop+1:])
+	if shifts == 0 {
+		return &prog.Prog{Calls: buf}, true
 	}
-	c := p.Clone()
-	c.Calls = append(c.Calls[:drop], c.Calls[drop+1:]...)
-	for _, call := range c.Calls {
-		call.ForEachValue(func(v *prog.Value) {
+	shifted := prog.Prog{Calls: buf[n:n]}
+	for _, call := range buf {
+		if _, after := resultUse(call, drop); after {
+			shifted.Calls = append(shifted.Calls, call)
+		}
+	}
+	// The copies' program header becomes the trial's.
+	trial := shifted.Clone()
+	for i, j := 0, 0; j < len(trial.Calls); i++ {
+		if buf[i] != shifted.Calls[j] {
+			continue
+		}
+		c := trial.Calls[j]
+		c.ForEachValue(func(v *prog.Value) {
 			if v.Type.Kind == prog.KindResource && v.ResultOf > drop {
 				v.ResultOf--
 			}
 		})
+		buf[i] = c
+		j++
 	}
-	return c, true
+	trial.Calls = buf
+	return trial, true
+}
+
+// resultUse reports whether call binds a resource to the result of call
+// #drop, and whether it binds one to a later call's.
+func resultUse(call *prog.Call, drop int) (uses, after bool) {
+	call.ForEachValue(func(v *prog.Value) {
+		if v.Type.Kind == prog.KindResource {
+			uses = uses || v.ResultOf == drop
+			after = after || v.ResultOf > drop
+		}
+	})
+	return uses, after
 }
 
 // simplifyPayloads zeroes non-essential scalars and shrinks arrays in

@@ -16,7 +16,8 @@ ioctl$DEV(fd fd_dev, cmd const[1], arg ptr[in, array[int8]])
 
 // TestWithoutCallReferencedAllocatesNothing: a removal trial whose
 // dropped call a later call still uses is refused before anything is
-// copied; a legal one is a clone minus the call.
+// copied; a legal one is the program minus the call, leaving its input
+// as it was.
 func TestWithoutCallReferencedAllocatesNothing(t *testing.T) {
 	f, errs := syzlang.Parse(triageSpec)
 	if len(errs) > 0 {

@@ -63,9 +63,11 @@ const (
 
 // arena is the one allocator programs are built from: Value nodes,
 // Fields/Args pointer slices, Data payload bytes, Call structs, the
-// Calls backing array and the Prog header. Prog.Clone uses a fresh
-// arena per clone, presized by Prog.reserve, and never resets it: the
-// clone owns its arena and the garbage collector frees both together.
+// Calls backing array and the Prog header. Prog.Clone and Prog.Detach
+// use a fresh arena per copy, presized by reserve to what the copy owns
+// (every call for Clone, the unfrozen ones for Detach), and never reset
+// it: the copy owns its arena and the garbage collector frees both
+// together.
 // A Gen owns one arena for its lifetime and resets it at the top of
 // Generate/Mutate/MutateOp, so every candidate it returns is scratch
 // that the next such call overwrites (see Prog.Detach).
@@ -272,21 +274,31 @@ func (a *arena) share(c *Call) *Call {
 	return a.cloneCall(c)
 }
 
-// cloneProg deep-copies p into the arena, leaving room for spare more
-// calls.
-func (a *arena) cloneProg(p *Prog, spare int, scratch bool) *Prog {
-	c := a.newProg(len(p.Calls)+spare, scratch)
+// cloneProg copies p into the arena as a heap-owned program: every call
+// deep-copied, or, with keepFrozen, only the owned ones — a frozen call
+// is read-only for good and is kept by pointer (share).
+func (a *arena) cloneProg(p *Prog, keepFrozen bool) *Prog {
+	c := a.newProg(len(p.Calls), false)
 	for _, call := range p.Calls {
-		c.Calls = append(c.Calls, a.cloneCall(call))
+		if keepFrozen {
+			c.Calls = append(c.Calls, a.share(call))
+		} else {
+			c.Calls = append(c.Calls, a.cloneCall(call))
+		}
 	}
 	return c
 }
 
-// reserve sizes a fresh arena's first chunks to hold exactly one
-// clone of p, so Clone costs one allocation per slab it uses.
-func (a *arena) reserve(p *Prog) {
-	var nodes, ptrs, data int
+// reserve sizes a fresh arena's first chunks to hold exactly what
+// cloneProg(p, keepFrozen) copies, so a copy costs one allocation per
+// slab it uses.
+func (a *arena) reserve(p *Prog, keepFrozen bool) {
+	var nodes, ptrs, data, calls int
 	for _, c := range p.Calls {
+		if keepFrozen && c.lowered != nil {
+			continue
+		}
+		calls++
 		ptrs += len(c.Args)
 		c.ForEachValue(func(v *Value) {
 			nodes++
@@ -297,6 +309,6 @@ func (a *arena) reserve(p *Prog) {
 	a.nodes.cur = make([]Value, 0, nodes)
 	a.ptrs.cur = make([]*Value, 0, ptrs)
 	a.data.cur = make([]byte, 0, data)
-	a.calls.cur = make([]Call, 0, len(p.Calls))
+	a.calls.cur = make([]Call, 0, calls)
 	a.callPtrs.cur = make([]*Call, 0, len(p.Calls))
 }

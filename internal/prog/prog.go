@@ -63,24 +63,31 @@ type Prog struct {
 // (the same allocator a Gen builds candidates in, sized here to fit
 // exactly). The result is heap-owned and shares nothing with p, frozen
 // calls included: ordinary addressable values the caller may keep and
-// mutate freely.
+// mutate freely. It is the way to get a mutable copy of anything that
+// holds frozen calls.
 func (p *Prog) Clone() *Prog {
 	a := new(arena)
-	a.reserve(p)
-	return a.cloneProg(p, 0, false)
+	a.reserve(p, false)
+	return a.cloneProg(p, false)
 }
 
 // Detach returns a program the caller may keep: p itself when it is
-// heap-owned, a Clone when it is a Gen's scratch candidate — which may
-// share frozen calls and subtrees with the seed it was mutated from,
-// all deep-copied here. Whoever retains a candidate past the Gen's next
+// heap-owned; when it is a Gen's scratch candidate, a heap copy that
+// keeps the frozen calls the candidate shares with its seed or donor by
+// pointer (they are read-only for good) and deep-copies, into one arena
+// sized to them, only the calls the candidate owns. The copy's owned
+// calls are the caller's until it freezes them; a copy it may edit
+// whole is Clone's. Whoever retains a candidate past the Gen's next
 // Generate/Mutate/MutateOp detaches it first (the seed pool does so on
-// admission).
+// admission, then freezes the copy, which encodes only the owned
+// calls).
 func (p *Prog) Detach() *Prog {
-	if p.scratch {
-		return p.Clone()
+	if !p.scratch {
+		return p
 	}
-	return p
+	a := new(arena)
+	a.reserve(p, true)
+	return a.cloneProg(p, true)
 }
 
 // Freeze makes a heap-owned program's calls read-only, so that mutation
@@ -88,8 +95,10 @@ func (p *Prog) Detach() *Prog {
 // frozen call into the candidate by pointer and copy only what an
 // operator writes, and CompileExecInto copies a frozen call's cached
 // pointer payloads instead of re-encoding them. The cache is one
-// allocation per program. Nothing may write to a frozen call or to any
-// value under it afterwards; Clone gives a mutable copy.
+// allocation per program, sized to the calls not frozen yet: a call p
+// shares with another frozen program (a Detach of a candidate holds its
+// seed's) keeps the cache it has. Nothing may write to a frozen call or
+// to any value under it afterwards; Clone gives a mutable copy.
 //
 // The seed pool freezes what it admits and fuzz freezes a loaded store
 // snapshot before handing it to its units. Freeze itself is not safe

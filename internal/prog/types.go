@@ -20,8 +20,8 @@
 // costs what it changes, not what the seed weighs. FixupLens and
 // CompileExecInto follow the same line: only owned calls are fixed up
 // and encoded, a frozen call's payload bytes are copied from the cache
-// Freeze built. Whoever keeps a candidate detaches it (a deep copy that
-// shares nothing).
+// Freeze built. Whoever keeps a candidate detaches it: a heap copy of
+// the calls the candidate owns that keeps its frozen ones by pointer.
 //
 // An array of ints is a run: one Value whose Data packs every element's
 // Scalar in 8 little-endian bytes, with no node per element (dm_ioctl's

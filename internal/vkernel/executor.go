@@ -18,7 +18,9 @@ import (
 // across subsequent runs). Run must not retain p, or anything
 // reachable from it, past its return: campaign candidates are a
 // prog.Gen's scratch, overwritten by the next generation or mutation
-// (an executor that needs the program later keeps p.Detach()).
+// (an executor that needs the program later keeps p.Detach(), whose
+// frozen calls stay shared and read-only; p.Clone() is a copy it may
+// edit).
 type Executor interface {
 	Run(p *prog.Prog) *Result
 }
