@@ -215,9 +215,10 @@ func BenchmarkExecutor(b *testing.B) {
 	for i := range progs {
 		progs[i] = g.Generate(8).Detach()
 	}
+	vm := k.NewVM()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Run(progs[i%len(progs)])
+		vm.Run(progs[i%len(progs)])
 	}
 }
 

@@ -255,15 +255,7 @@ func addToStore(c *corpus.Corpus, st *corpusstore.Store, tgt *prog.Target, path 
 		fmt.Fprintf(os.Stderr, "bad repro: %v\n", err)
 		os.Exit(1)
 	}
-	kernel := vkernel.New(c)
-	cov := vkernel.NewCoverSet(kernel.NumBlocks())
-	for _, b := range kernel.Run(p).Cov {
-		cov.Add(b)
-	}
-	prio := cov.Count()
-	if prio < 1 {
-		prio = 1
-	}
+	prio := max(len(vkernel.New(c).NewVM().Run(p).Cov), 1) // Cov is deduplicated
 	seeds, rep, err := st.Load(tgt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -275,7 +267,9 @@ func addToStore(c *corpus.Corpus, st *corpusstore.Store, tgt *prog.Target, path 
 		fmt.Fprintf(os.Stderr, "%s\nrefusing to rewrite a store with invalid entries (a rewrite would delete them); inspect with: corpusdump -store %s\n", rep, st.Dir())
 		os.Exit(1)
 	}
-	merged := corpusstore.Merge(0, seeds, []seedpool.SeedState{{Prog: p, Prio: prio}})
+	// Bound the merge by what it holds: a store built with a larger
+	// capacity (or by a lossless -merge) keeps every seed.
+	merged := corpusstore.Merge(len(seeds)+1, seeds, []seedpool.SeedState{{Prog: p, Prio: prio}})
 	if err := st.Save(merged, rep.CoverBlocks); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

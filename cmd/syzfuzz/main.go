@@ -433,13 +433,14 @@ func replay(c *corpus.Corpus, kernel *vkernel.Kernel, tgt *prog.Target, path str
 		fmt.Fprintf(os.Stderr, "bad repro: %v\n", err)
 		os.Exit(1)
 	}
-	res := kernel.Run(p)
+	vm := kernel.NewVM()
+	res := vm.Run(p)
 	if res.Crash == nil {
 		fmt.Printf("no crash; %d blocks covered\n", len(res.Cov))
 		return
 	}
 	fmt.Printf("crash reproduced: %s\n", res.Crash.Title)
-	min := seedpool.Minimize(kernel, p, res.Crash.Title)
+	min := seedpool.Minimize(vm, p, res.Crash.Title)
 	fmt.Printf("minimized repro (%d calls):\n%s", len(min.Calls), min.Serialize())
 }
 

@@ -3,27 +3,19 @@
 // iteration order escaping into serialized output), lockguard
 // (`// guarded by mu` lock discipline), detrand (wall clock / global
 // RNG in deterministic packages), and ctxhygiene (ctx-aware blocking
-// APIs) — over Go packages and exits nonzero on any finding. CI
-// gates the lint job on it; run it locally before pushing:
+// APIs) — over the Go packages the arguments match (default ./...).
+// It exits 0 when they are clean, 1 on any finding and 2 when the
+// packages do not load. CI gates the lint job on it; run it locally
+// before pushing:
 //
 //	go run ./cmd/syzlint ./...
-//
-// Individual checkers can be disabled (-detorder=false, ...). The
-// binary also speaks the `go vet -vettool` unitchecker protocol
-// (-V=full, -flags, and single *.cfg invocations), so the same
-// checks run under the build cache:
-//
-//	go build -o syzlint ./cmd/syzlint
-//	go vet -vettool=$PWD/syzlint ./...
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"kernelgpt/internal/analysis"
 	"kernelgpt/internal/analysis/ctxhygiene"
@@ -47,46 +39,21 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("syzlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	vFlag := fs.String("V", "", "print version information (-V=full, for the go command)")
-	flagsFlag := fs.Bool("flags", false, "print analyzer flags in JSON (for the go command)")
-	enabled := map[string]*bool{}
-	for _, a := range All {
-		enabled[a.Name] = fs.Bool(a.Name, true, a.Doc)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: syzlint [packages] (default ./...)\n\nanalyzers:")
+		for _, a := range All {
+			fmt.Fprintf(stderr, "  %s: %s\n", a.Name, a.Doc)
+		}
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	switch {
-	case *vFlag != "":
-		printVersion(stdout)
-		return 0
-	case *flagsFlag:
-		printFlagDefs(stdout)
-		return 0
-	}
-	var suite []*analysis.Analyzer
-	for _, a := range All {
-		if *enabled[a.Name] {
-			suite = append(suite, a)
-		}
-	}
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return unitcheck(rest[0], suite, stderr)
-	}
-	return standalone(rest, suite, stdout, stderr)
-}
-
-// standalone loads the packages matched by the patterns (default
-// ./...) and prints findings: exit 0 clean, 1 findings, 2 load
-// failure.
-func standalone(patterns []string, suite []*analysis.Analyzer, stdout, stderr io.Writer) int {
-	pkgs, err := analysis.Load(".", patterns...)
+	pkgs, err := analysis.Load(".", fs.Args()...)
 	if err != nil {
 		fmt.Fprintf(stderr, "syzlint: %v\n", err)
 		return 2
 	}
-	diags, err := analysis.Run(pkgs, suite)
+	diags, err := analysis.Run(pkgs, All)
 	if err != nil {
 		fmt.Fprintf(stderr, "syzlint: %v\n", err)
 		return 2
@@ -94,35 +61,7 @@ func standalone(patterns []string, suite []*analysis.Analyzer, stdout, stderr io
 	if len(diags) == 0 {
 		return 0
 	}
-	if len(pkgs) > 0 {
-		analysis.Print(stdout, pkgs[0].Fset, diags)
-	}
+	analysis.Print(stdout, pkgs[0].Fset, diags)
 	fmt.Fprintf(stderr, "syzlint: %d finding(s)\n", len(diags))
 	return 1
-}
-
-// printVersion implements -V=full: the go command hashes this line
-// into its action cache key, so it must change when the binary does.
-func printVersion(w io.Writer) {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Fprintf(w, "syzlint version devel buildID=%x\n", h.Sum(nil))
-}
-
-// printFlagDefs implements -flags: the go command discovers which
-// flags it may pass through to the tool.
-func printFlagDefs(w io.Writer) {
-	fmt.Fprint(w, "[")
-	for i, a := range All {
-		if i > 0 {
-			fmt.Fprint(w, ",")
-		}
-		fmt.Fprintf(w, "{\"Name\":%q,\"Bool\":true,\"Usage\":%q}", a.Name, a.Doc)
-	}
-	fmt.Fprintln(w, "]")
 }

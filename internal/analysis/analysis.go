@@ -4,11 +4,12 @@
 // carry no external dependency. An Analyzer inspects one typechecked
 // package through a Pass and reports Diagnostics; the loader
 // (load.go) typechecks packages offline via `go list -export` and
-// the toolchain's export data, and the runner (run.go) fans analyzers
-// out over loaded packages. The analysistest subpackage runs
-// analyzers over testdata fixtures with // want expectations, and
-// cmd/syzlint fronts everything as a multichecker that also speaks
-// the `go vet -vettool` unitchecker protocol.
+// the toolchain's export data — Load for package patterns, LoadDir
+// for one fixture directory, both through one parse-and-typecheck
+// step — and the runner (run.go) fans analyzers out over loaded
+// packages. The analysistest subpackage runs analyzers over testdata
+// fixtures with // want expectations, and cmd/syzlint fronts
+// everything as a standalone multichecker.
 //
 // The analyzers themselves (detorder, lockguard, detrand,
 // ctxhygiene) machine-check the determinism and concurrency
@@ -28,10 +29,10 @@ import (
 // Analyzer is one invariant checker. Run inspects a single package
 // via the Pass and reports findings through Pass.Report.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and CLI flags
-	// (lowercase, no spaces).
+	// Name identifies the analyzer in diagnostics (lowercase, no
+	// spaces).
 	Name string
-	// Doc is the one-paragraph description shown by `syzlint help`.
+	// Doc is the one-paragraph description shown by `syzlint -h`.
 	Doc string
 	// Run executes the analyzer over one package.
 	Run func(*Pass) error

@@ -20,15 +20,8 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -66,82 +59,15 @@ func MustFire(t *testing.T, fixtureDir, importPath string, a *analysis.Analyzer)
 }
 
 func runAnalyzer(fixtureDir, importPath string, a *analysis.Analyzer) ([]analysis.Diagnostic, *token.FileSet, []*ast.File, error) {
-	fset := token.NewFileSet()
-	entries, err := os.ReadDir(fixtureDir)
+	pkg, err := analysis.LoadDir(fixtureDir, importPath)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(fixtureDir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil, nil, fmt.Errorf("no .go files in %s", fixtureDir)
-	}
-	info := analysis.NewTypesInfo()
-	conf := types.Config{Importer: stdlibImporter(fset)}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("typecheck fixture %s: %w", fixtureDir, err)
-	}
-	pkg := &analysis.Package{
-		ImportPath: importPath, Dir: fixtureDir,
-		Fset: fset, Files: files, Types: tpkg, TypesInfo: info,
 	}
 	diags, err := analysis.RunPackage(pkg, a)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return diags, fset, files, nil
-}
-
-// stdlibImporter resolves standard-library imports through export
-// data located with one `go list` invocation per test process.
-func stdlibImporter(fset *token.FileSet) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, err := exportFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return os.Open(file)
-	})
-}
-
-var exportCache = struct {
-	m map[string]string
-}{m: map[string]string{}}
-
-func exportFile(path string) (string, error) {
-	if f, ok := exportCache.m[path]; ok {
-		return f, nil
-	}
-	pkgs, err := listExports(path)
-	if err != nil {
-		return "", err
-	}
-	for p, f := range pkgs {
-		exportCache.m[p] = f
-	}
-	f, ok := exportCache.m[path]
-	if !ok {
-		return "", fmt.Errorf("no export data for %q", path)
-	}
-	return f, nil
-}
-
-func listExports(path string) (map[string]string, error) {
-	pkgs, err := analysis.GoListExports("", path)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs, nil
+	return diags, pkg.Fset, pkg.Files, nil
 }
 
 // want is one expected diagnostic.

@@ -20,8 +20,6 @@ import (
 // Package is one loaded, typechecked package.
 type Package struct {
 	ImportPath string
-	Dir        string
-	GoFiles    []string
 
 	Fset      *token.FileSet
 	Files     []*ast.File
@@ -34,11 +32,9 @@ type Package struct {
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	CgoFiles   []string
 	Export     string
-	Standard   bool
 }
 
 // goList runs `go list` in dir with the given arguments and decodes
@@ -81,38 +77,24 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// Pass 1: the target packages.
-	targets, err := goList(dir, append([]string{"-json=ImportPath,Dir,Name,GoFiles,CgoFiles"}, patterns...)...)
+	targets, err := goList(dir, append([]string{"-json=ImportPath,Dir,GoFiles,CgoFiles"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
-	// Pass 2: export data for every dependency (building as needed).
-	deps, err := goList(dir, append([]string{"-export", "-deps", "-json=ImportPath,Export,Standard"}, patterns...)...)
-	if err != nil {
+	exports := map[string]string{}
+	if err := listExports(exports, dir, patterns...); err != nil {
 		return nil, err
-	}
-	exports := make(map[string]string, len(deps))
-	for _, p := range deps {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		e, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(e)
 	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", lookup)
-
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return openExport(exports, path)
+	})
 	var out []*Package
 	for _, t := range targets {
 		if len(t.GoFiles) == 0 || len(t.CgoFiles) > 0 {
 			continue
 		}
-		pkg, err := check(fset, imp, t)
+		pkg, err := check(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
 		if err != nil {
 			return nil, err
 		}
@@ -122,55 +104,73 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// GoListExports resolves path (and its transitive dependencies) to
-// compiled export-data files via `go list -export -deps`, building
-// them if needed. dir == "" runs in the current directory.
-func GoListExports(dir string, paths ...string) (map[string]string, error) {
-	pkgs, err := goList(dir, append([]string{"-export", "-deps", "-json=ImportPath,Export"}, paths...)...)
+// LoadDir typechecks every .go file of one directory as the package
+// importPath, which the caller chooses: it is how analysistest loads a
+// fixture. Imports (the standard library, for a fixture) resolve
+// through export data that `go list` finds on first use.
+func LoadDir(dir, importPath string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			out[p.ImportPath] = p.Export
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
 		}
 	}
-	return out, nil
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if _, ok := exports[path]; !ok {
+			if err := listExports(exports, "", path); err != nil {
+				return nil, err
+			}
+		}
+		return openExport(exports, path)
+	})
+	return check(fset, imp, importPath, dir, names)
 }
 
-// check parses and typechecks one package against the shared
-// importer.
-func check(fset *token.FileSet, imp types.Importer, t listPackage) (*Package, error) {
-	files := make([]*ast.File, 0, len(t.GoFiles))
-	for _, name := range t.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(t.Dir, name), nil, parser.ParseComments)
+// listExports adds to exports the compiled export-data file of every
+// package matched by patterns and of each of their dependencies, via
+// `go list -export -deps` in dir (building them if needed).
+func listExports(exports map[string]string, dir string, patterns ...string) error {
+	pkgs, err := goList(dir, append([]string{"-export", "-deps", "-json=ImportPath,Export"}, patterns...)...)
+	if err != nil {
+		return err
+	}
+	for _, p := range pkgs {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return nil
+}
+
+func openExport(exports map[string]string, path string) (io.ReadCloser, error) {
+	e, ok := exports[path]
+	if !ok {
+		return nil, fmt.Errorf("no export data for %q", path)
+	}
+	return os.Open(e)
+}
+
+// check parses the named files of dir and typechecks them as the
+// package importPath against imp.
+func check(fset *token.FileSet, imp types.Importer, importPath, dir string, names []string) (*Package, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	info := NewTypesInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(t.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", t.ImportPath, err)
-	}
-	return &Package{
-		ImportPath: t.ImportPath,
-		Dir:        t.Dir,
-		GoFiles:    t.GoFiles,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		TypesInfo:  info,
-	}, nil
-}
-
-// NewTypesInfo allocates a types.Info with every map the checkers
-// consult populated.
-func NewTypesInfo() *types.Info {
-	return &types.Info{
+	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
@@ -178,4 +178,10 @@ func NewTypesInfo() *types.Info {
 		Implicits:  map[ast.Node]types.Object{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("typecheck %s: %w", importPath, err)
+	}
+	return &Package{ImportPath: importPath, Fset: fset, Files: files, Types: tpkg, TypesInfo: info}, nil
 }

@@ -5,11 +5,12 @@ import (
 	"go/token"
 	"io"
 	"sort"
-	"strings"
 )
 
 // RunPackage applies one analyzer to one loaded package and returns
-// its diagnostics sorted by position.
+// its diagnostics sorted by position. It reports on every file the
+// package holds; Load keeps test files out of scope by never loading
+// them.
 func RunPackage(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := &Pass{
@@ -20,13 +21,6 @@ func RunPackage(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
 		TypesInfo: pkg.TypesInfo,
 	}
 	pass.Report = func(d Diagnostic) {
-		// Test files are out of scope repo-wide. Standalone loading
-		// already excludes them (go list GoFiles), but under the
-		// `go vet -vettool` protocol the test-variant compilation
-		// units include _test.go sources.
-		if strings.HasSuffix(pkg.Fset.Position(d.Pos).Filename, "_test.go") {
-			return
-		}
 		d.Analyzer = a.Name
 		diags = append(diags, d)
 	}

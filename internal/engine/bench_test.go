@@ -37,7 +37,7 @@ func TestSuiteAllocsPerHandler(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, model := range llm.ModelNames() {
-		drivers, sockets, _, err := New(c, WithModel(model, 1), WithCache(4096)).Suite(ctx)
+		drivers, sockets, _, err := New(c, WithClient(llm.NewSim(model, 1)), WithCache(4096)).Suite(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func BenchmarkEngineSuite(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, model := range llm.ModelNames() {
-			if _, _, _, err := New(testCorpus, WithModel(model, 1)).Suite(ctx); err != nil {
+			if _, _, _, err := New(testCorpus, WithClient(llm.NewSim(model, 1))).Suite(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -21,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // (the merged suite's text, hashed) and what it cost.
 func specgenLine(t *testing.T, c *corpus.Corpus, what, model string, seed uint64, workers int) string {
 	t.Helper()
-	e := New(c, WithModel(model, seed), WithWorkers(workers))
+	e := New(c, WithClient(llm.NewSim(model, seed)), WithWorkers(workers))
 	drivers, sockets, merged, err := e.Suite(ctx)
 	if err != nil {
 		t.Fatal(err)

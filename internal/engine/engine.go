@@ -35,8 +35,6 @@ import (
 // config collects the functional options.
 type config struct {
 	client    llm.Client
-	model     string
-	seed      uint64
 	workers   int
 	cacheSize int
 	opts      core.Options
@@ -47,15 +45,11 @@ type config struct {
 // Option configures an Engine.
 type Option func(*config)
 
-// WithClient supplies the analysis client. It wins over WithModel.
+// WithClient supplies the analysis client (the default is
+// llm.NewSim("gpt-4", 1)); pass llm.NewSim(name, seed) to pick another
+// simulated model or fallibility seed.
 func WithClient(c llm.Client) Option {
 	return func(cfg *config) { cfg.client = c }
-}
-
-// WithModel selects a simulated-model profile and fallibility seed
-// (the default is gpt-4, seed 1).
-func WithModel(name string, seed uint64) Option {
-	return func(cfg *config) { cfg.model = name; cfg.seed = seed }
 }
 
 // WithWorkers sets the generation worker-pool size (default 1:
@@ -145,13 +139,13 @@ type Engine struct {
 
 // New builds an Engine over a corpus with the given options.
 func New(c *corpus.Corpus, options ...Option) *Engine {
-	cfg := &config{model: "gpt-4", seed: 1, workers: 1, opts: core.DefaultOptions()}
+	cfg := &config{workers: 1, opts: core.DefaultOptions()}
 	for _, o := range options {
 		o(cfg)
 	}
 	client := cfg.client
 	if client == nil {
-		client = llm.NewSim(cfg.model, cfg.seed)
+		client = llm.NewSim("gpt-4", 1)
 	}
 	// Telemetry sits outermost so it observes what callers are served,
 	// hits flagged by the cache below it included.

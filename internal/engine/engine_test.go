@@ -37,12 +37,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if len(worklist) < 2 {
 		t.Fatal("test corpus too small")
 	}
-	base, err := New(testCorpus, WithModel("gpt-4", 5)).Generate(ctx, worklist)
+	base, err := New(testCorpus, WithClient(llm.NewSim("gpt-4", 5))).Generate(ctx, worklist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4} {
-		got, err := New(testCorpus, WithModel("gpt-4", 5), WithWorkers(workers)).Generate(ctx, worklist)
+		got, err := New(testCorpus, WithClient(llm.NewSim("gpt-4", 5)), WithWorkers(workers)).Generate(ctx, worklist)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestMatchesSerialGenerator(t *testing.T) {
 	want := gen.GenerateFor(ctx, h)
 	gen.FollowDependencies(ctx, want, nil)
 
-	got := New(testCorpus, WithModel("gpt-4", 7)).GenerateFor(ctx, h)
+	got := New(testCorpus, WithClient(llm.NewSim("gpt-4", 7))).GenerateFor(ctx, h)
 	if fingerprint(got) != fingerprint(want) {
 		t.Fatalf("engine diverged from serial generator:\n%s\nvs\n%s", fingerprint(got), fingerprint(want))
 	}
@@ -71,7 +71,7 @@ func TestMatchesSerialGenerator(t *testing.T) {
 // TestCacheDeduplicatesAcrossRuns: with a cache, re-generating the
 // same handler must not re-bill the model.
 func TestCacheDeduplicatesAcrossRuns(t *testing.T) {
-	e := New(testCorpus, WithModel("gpt-4", 3), WithCache(4096))
+	e := New(testCorpus, WithClient(llm.NewSim("gpt-4", 3)), WithCache(4096))
 	h := testCorpus.Handler("dm")
 	first := e.GenerateFor(ctx, h)
 	afterFirst := e.Usage()
@@ -92,7 +92,7 @@ func TestCacheDeduplicatesAcrossRuns(t *testing.T) {
 
 // TestSuiteMergesValidResults mirrors what the cmd binaries consume.
 func TestSuiteMergesValidResults(t *testing.T) {
-	e := New(testCorpus, WithModel("gpt-4", 1), WithWorkers(4), WithCache(2048))
+	e := New(testCorpus, WithClient(llm.NewSim("gpt-4", 1)), WithWorkers(4), WithCache(2048))
 	drivers, sockets, merged, err := e.Suite(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestSuiteMergesValidResults(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := New(testCorpus, WithModel("gpt-4", 1), WithWorkers(2))
+	e := New(testCorpus, WithClient(llm.NewSim("gpt-4", 1)), WithWorkers(2))
 	results, err := e.Generate(cctx, testCorpus.Incomplete(corpus.KindDriver))
 	if err == nil {
 		t.Fatal("want context error")
@@ -149,7 +149,7 @@ func TestCancellation(t *testing.T) {
 func TestRepairRoundsOption(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Repair, opts.MaxRepairRounds = false, 0
-	e := New(testCorpus, WithModel("gpt-4", 2), WithGeneratorOptions(opts))
+	e := New(testCorpus, WithClient(llm.NewSim("gpt-4", 2)), WithGeneratorOptions(opts))
 	if e.gen.Opts != opts {
 		t.Fatalf("generator options %+v, want %+v", e.gen.Opts, opts)
 	}

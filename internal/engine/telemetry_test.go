@@ -20,7 +20,7 @@ func fixedClock() telemetry.Clock {
 func TestEngineTelemetry(t *testing.T) {
 	worklist := testCorpus.Incomplete(corpus.KindDriver)
 	reg := telemetry.NewRegistry()
-	e := New(testCorpus, WithModel("gpt-4", 5), WithWorkers(4),
+	e := New(testCorpus, WithClient(llm.NewSim("gpt-4", 5)), WithWorkers(4),
 		WithCache(2048),
 		WithTelemetry(reg), WithClock(fixedClock()))
 	results, err := e.Generate(ctx, worklist)
@@ -73,11 +73,11 @@ func TestEngineTelemetry(t *testing.T) {
 // bare one.
 func TestEngineTelemetryDeterminism(t *testing.T) {
 	worklist := testCorpus.Incomplete(corpus.KindDriver)
-	base, err := New(testCorpus, WithModel("gpt-4", 5)).Generate(ctx, worklist)
+	base, err := New(testCorpus, WithClient(llm.NewSim("gpt-4", 5))).Generate(ctx, worklist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := New(testCorpus, WithModel("gpt-4", 5), WithWorkers(4),
+	got, err := New(testCorpus, WithClient(llm.NewSim("gpt-4", 5)), WithWorkers(4),
 		WithTelemetry(telemetry.NewRegistry()), WithClock(fixedClock())).Generate(ctx, worklist)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestEngineTelemetryDeterminism(t *testing.T) {
 // TestEngineTelemetryDisabledIsDefault: without WithTelemetry the
 // chain must stay free of telemetry layers.
 func TestEngineTelemetryDisabledIsDefault(t *testing.T) {
-	e := New(testCorpus, WithModel("gpt-4", 1), WithCache(8))
+	e := New(testCorpus, WithClient(llm.NewSim("gpt-4", 1)), WithCache(8))
 	if e.metrics != nil {
 		t.Error("metrics bundle allocated without WithTelemetry")
 	}

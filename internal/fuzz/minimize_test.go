@@ -31,8 +31,8 @@ func TestMinimizePreservesCrash(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	const title = "kmalloc bug in ctl_ioctl"
 	p := findCrash(t, tgt, title, 31)
-	min := seedpool.Minimize(testKernel, p, title)
-	if !seedpool.Reproduces(testKernel, min, title) {
+	min := seedpool.Minimize(testKernel.NewVM(), p, title)
+	if !seedpool.Reproduces(testKernel.NewVM(), min, title) {
 		t.Fatalf("minimized program lost the crash:\n%s", min.Serialize())
 	}
 	if len(min.Calls) > len(p.Calls) {
@@ -44,7 +44,7 @@ func TestMinimizeShrinksToEssentials(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	const title = "kmalloc bug in ctl_ioctl"
 	p := findCrash(t, tgt, title, 41)
-	min := seedpool.Minimize(testKernel, p, title)
+	min := seedpool.Minimize(testKernel.NewVM(), p, title)
 	// The dm kvmalloc bug needs exactly: open + the triggering ioctl.
 	if len(min.Calls) > 2 {
 		t.Fatalf("expected a 2-call repro, got %d:\n%s", len(min.Calls), min.Serialize())
@@ -62,8 +62,8 @@ func TestMinimizeStatefulChainKeepsPriors(t *testing.T) {
 	tgt := targetFor(t, "cec")
 	const title = "WARNING in cec_data_cancel" // needs CEC_TRANSMIT first
 	p := findCrash(t, tgt, title, 51)
-	min := seedpool.Minimize(testKernel, p, title)
-	if !seedpool.Reproduces(testKernel, min, title) {
+	min := seedpool.Minimize(testKernel.NewVM(), p, title)
+	if !seedpool.Reproduces(testKernel.NewVM(), min, title) {
 		t.Fatal("minimized chain lost the crash")
 	}
 	names := map[string]bool{}
@@ -80,7 +80,7 @@ func TestMinimizeNonReproducingReturnsInput(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	g := prog.NewGen(tgt, 61)
 	p := g.Generate(4)
-	min := seedpool.Minimize(testKernel, p, "no such crash title")
+	min := seedpool.Minimize(testKernel.NewVM(), p, "no such crash title")
 	if min.Serialize() != p.Clone().Serialize() {
 		t.Fatal("non-reproducing input was modified")
 	}
@@ -90,12 +90,12 @@ func TestMinimizedReproSerializes(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	const title = "kmalloc bug in ctl_ioctl"
 	p := findCrash(t, tgt, title, 71)
-	min := seedpool.Minimize(testKernel, p, title)
+	min := seedpool.Minimize(testKernel.NewVM(), p, title)
 	rt, err := prog.Deserialize(tgt, min.Serialize())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seedpool.Reproduces(testKernel, rt, title) {
+	if !seedpool.Reproduces(testKernel.NewVM(), rt, title) {
 		t.Fatal("serialized minimized repro does not reproduce")
 	}
 }
@@ -106,7 +106,7 @@ func TestMinimizeHonorsGroundTruthTrigger(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	const title = "kmalloc bug in ctl_ioctl"
 	p := findCrash(t, tgt, title, 81)
-	min := seedpool.Minimize(testKernel, p, title)
+	min := seedpool.Minimize(testKernel.NewVM(), p, title)
 	dm := testCorpus.Handler("dm")
 	layout := dm.LayoutOf("dm_ioctl")
 	found := false

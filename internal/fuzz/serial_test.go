@@ -90,7 +90,7 @@ func TestCrashReprosMinimized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repro does not deserialize: %v\n%s", err, cr.Repro)
 	}
-	if !seedpool.Reproduces(testKernel, p, cr.Title) {
+	if !seedpool.Reproduces(testKernel.NewVM(), p, cr.Title) {
 		t.Fatalf("triaged repro does not reproduce:\n%s", cr.Repro)
 	}
 }
@@ -109,7 +109,7 @@ func TestNoTriageKeepsRawRepro(t *testing.T) {
 	if err != nil {
 		t.Fatalf("raw repro does not deserialize: %v", err)
 	}
-	if !seedpool.Reproduces(testKernel, p, cr.Title) {
+	if !seedpool.Reproduces(testKernel.NewVM(), p, cr.Title) {
 		t.Fatal("raw repro does not reproduce")
 	}
 	// Triage must not change anything else about the campaign.

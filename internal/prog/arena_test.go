@@ -103,7 +103,7 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 		values++
 		kinds[v.Type.Kind]++
 		if got, want := v.encodedSize(), len(v.Encode()); got != want {
-			t.Fatalf("encodedSize(%v) = %d, len(Encode()) = %d\n%s", v.Type, got, want, v)
+			t.Fatalf("encodedSize(%v) = %d, len(Encode()) = %d\n%x", v.Type, got, want, v.Encode())
 		}
 		switch v.Type.Kind {
 		case KindPtr:

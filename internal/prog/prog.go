@@ -2,9 +2,7 @@ package prog
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
-	"strings"
 )
 
 // Value is a concrete argument value for a compiled type.
@@ -150,55 +148,9 @@ func (c *Call) loweredSize() int {
 	return size
 }
 
-// String renders the program in a syz-prog-like text form.
-func (p *Prog) String() string {
-	var b strings.Builder
-	for i, c := range p.Calls {
-		fmt.Fprintf(&b, "r%d = %s(", i, c.Sc.Name)
-		for j, a := range c.Args {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(a.String())
-		}
-		b.WriteString(")\n")
-	}
-	return b.String()
-}
-
-// String renders a value compactly.
-func (v *Value) String() string {
-	if v == nil {
-		return "nil"
-	}
-	switch v.Type.Kind {
-	case KindInt, KindConst, KindFlags, KindLen:
-		return fmt.Sprintf("0x%x", v.Scalar)
-	case KindResource:
-		if v.ResultOf >= 0 {
-			return fmt.Sprintf("r%d", v.ResultOf)
-		}
-		return "badfd"
-	case KindString:
-		return fmt.Sprintf("&%q", string(v.Data))
-	case KindBuffer:
-		return fmt.Sprintf("&[%d bytes]", len(v.Data))
-	case KindPtr:
-		if v.Ptr == nil {
-			return "NULL"
-		}
-		return "&" + v.Ptr.String()
-	case KindStruct, KindUnion:
-		parts := make([]string, len(v.Fields))
-		for i, f := range v.Fields {
-			parts[i] = f.String()
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
-	case KindArray:
-		return fmt.Sprintf("[%d elems]", v.elems())
-	}
-	return "?"
-}
+// String returns the program's canonical repro text, Serialize's
+// output, so that printing a program with %s or %v shows all of it.
+func (p *Prog) String() string { return p.Serialize() }
 
 // isRun reports whether a value of ty is a run (see Value).
 func (ty *Type) isRun() bool {

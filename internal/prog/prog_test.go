@@ -243,8 +243,6 @@ func TestMutateChangesPrograms(t *testing.T) {
 	changed := 0
 	for i := 0; i < 50; i++ {
 		m := g.Mutate(p, 8)
-		// Serialize is the full-fidelity view: String() elides array
-		// elements and buffer bytes, hiding element-level mutations.
 		if m.Serialize() != p.Serialize() {
 			changed++
 		}

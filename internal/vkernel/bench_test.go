@@ -26,16 +26,6 @@ func benchProgs(b *testing.B) []*prog.Prog {
 	return progs
 }
 
-// BenchmarkKernelRun measures the concurrent-safe pooled execution
-// path (one borrowed VM per call).
-func BenchmarkKernelRun(b *testing.B) {
-	progs := benchProgs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		testKernel.Run(progs[i%len(progs)])
-	}
-}
-
 // BenchmarkVMRun measures the convenience path triage and custom
 // executors use: lower into the VM's scratch ExecProg, RunCompiled,
 // fresh Result.

@@ -61,7 +61,7 @@ func sameCrash(a, b *Crash) bool {
 
 // TestCompiledStatefulCrash pins the stateful-bug path: the CEC
 // PriorCmds chain must crash when run from a caller-held ExecProg
-// exactly as it does through Kernel.Run (how cecChainProg found it),
+// exactly as it does through VM.Run (how cecChainProg found it),
 // and the stripped chain must not.
 func TestCompiledStatefulCrash(t *testing.T) {
 	_, p := cecChainProg(t)

@@ -60,8 +60,8 @@ func (c *contractChain) finish(seed int64) {
 // 1–5, 2032 generated and 2000 mutated programs (every operator, with
 // splice donors) on the full bundled-handler + plumbing target must
 // produce exactly the coverage, crash verdict and errno count recorded
-// in testdata/exec_contract.txt — through VM.Run, through Kernel.Run,
-// and through CompileExecInto + RunCompiled + AppendCover alike. The
+// in testdata/exec_contract.txt — through VM.Run and through
+// CompileExecInto + RunCompiled + AppendCover alike. The
 // file was recorded with the tree-walking interpreter at the commit
 // before it was deleted, so it is the reference the one remaining
 // path answers to. Re-recording it (-update) is a fingerprint bump and
@@ -69,11 +69,11 @@ func (c *contractChain) finish(seed int64) {
 func TestExecContract(t *testing.T) {
 	tgt := fullPlumbedTarget(t)
 	ops := prog.DefaultOperators()
-	var viaVM, viaKernel, viaCompiled contractChain
+	var viaVM, viaCompiled contractChain
 	chains := []struct {
 		name string
 		c    *contractChain
-	}{{"VM.Run", &viaVM}, {"Kernel.Run", &viaKernel}, {"RunCompiled", &viaCompiled}}
+	}{{"VM.Run", &viaVM}, {"RunCompiled", &viaCompiled}}
 	vm, cvm := testKernel.NewVM(), testKernel.NewVM()
 	var ep prog.ExecProg
 	var cov []BlockID
@@ -83,8 +83,6 @@ func TestExecContract(t *testing.T) {
 		run := func(p *prog.Prog) {
 			res := vm.Run(p)
 			viaVM.fold(seed, res.Cov, res.Crash, res.Errno)
-			res = testKernel.Run(p)
-			viaKernel.fold(seed, res.Cov, res.Crash, res.Errno)
 			prog.CompileExecInto(p, &ep)
 			crash, errno := cvm.RunCompiled(&ep)
 			cov = cvm.AppendCover(cov[:0])

@@ -5,7 +5,6 @@ package vkernel
 // validation, and stateful PriorCmds bug preconditions.
 
 import (
-	"reflect"
 	"testing"
 
 	"kernelgpt/internal/corpus"
@@ -24,7 +23,7 @@ func cecChainProg(t testing.TB) (*prog.Target, *prog.Prog) {
 	}
 	for i := 0; i < 4000; i++ {
 		p := g.Generate(6)
-		if res := testKernel.Run(p); res.Crash != nil && res.Crash.Title == "WARNING in cec_data_cancel" {
+		if res := testKernel.NewVM().Run(p); res.Crash != nil && res.Crash.Title == "WARNING in cec_data_cancel" {
 			return tgt, p
 		}
 	}
@@ -35,7 +34,7 @@ func cecChainProg(t testing.TB) (*prog.Target, *prog.Prog) {
 func TestPriorCmdsOrderedChain(t *testing.T) {
 	_, p := cecChainProg(t)
 	// The chain crashes: TRANSMIT recorded in history before S_MODE.
-	res := testKernel.Run(p)
+	res := testKernel.NewVM().Run(p)
 	if res.Crash == nil || res.Crash.Title != "WARNING in cec_data_cancel" {
 		t.Fatalf("chain did not crash: %+v", res.Crash)
 	}
@@ -48,7 +47,7 @@ func TestPriorCmdsOrderedChain(t *testing.T) {
 		}
 	}
 	stripped.Calls = calls
-	if res := testKernel.Run(stripped); res.Crash != nil {
+	if res := testKernel.NewVM().Run(stripped); res.Crash != nil {
 		t.Fatalf("bug fired without its PriorCmds: %v", res.Crash.Title)
 	}
 }
@@ -80,20 +79,6 @@ func TestVMReuseIsolatesState(t *testing.T) {
 	}
 }
 
-func TestVMMatchesPooledRun(t *testing.T) {
-	tgt := targetFor(t, "dm", "cec", "rds")
-	g := prog.NewGen(tgt, 23)
-	vm := testKernel.NewVM()
-	for i := 0; i < 300; i++ {
-		p := g.Generate(8)
-		a := vm.Run(p)         // reused state
-		b := testKernel.Run(p) // pooled path
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("VM and pooled Run diverged on:\n%s\n%+v\nvs\n%+v", p.String(), a, b)
-		}
-	}
-}
-
 func TestSockoptShortOptlenErrno(t *testing.T) {
 	tgt := rdsTarget(t)
 	rds, structOpt := rdsStructOpt(t)
@@ -112,9 +97,9 @@ func TestSockoptShortOptlenErrno(t *testing.T) {
 		}
 	}
 	call.Args[4].Scalar = uint64(size - 1)
-	short := testKernel.Run(p)
+	short := testKernel.NewVM().Run(p)
 	call.Args[4].Scalar = uint64(size)
-	full := testKernel.Run(p)
+	full := testKernel.NewVM().Run(p)
 	if short.Errno <= full.Errno {
 		t.Fatalf("short optlen must error: short=%d full=%d", short.Errno, full.Errno)
 	}
@@ -160,7 +145,7 @@ func TestAcceptFdChaining(t *testing.T) {
 			Args: []*prog.Value{resArg(1), scalarArg(uint64(h.Socket.LevelVal)),
 				scalarArg(optVal), scalarArg(0), scalarArg(optLen)}},
 	}}
-	res := k.Run(p)
+	res := k.NewVM().Run(p)
 	if res.Errno != 0 {
 		t.Fatalf("accept-chained sockopt errored: %+v", res)
 	}
@@ -176,7 +161,7 @@ func TestAcceptFdChaining(t *testing.T) {
 		t.Fatalf("accepted fd did not dispatch: only %d handler blocks", inRange)
 	}
 	// Without the synthetic accept call the same program must error.
-	if res := testKernel.Run(p); res.Errno == 0 {
+	if res := testKernel.NewVM().Run(p); res.Errno == 0 {
 		t.Fatal("accept on an accept-less socket should error")
 	}
 }
@@ -187,7 +172,7 @@ func TestAddrValidFamilyMismatch(t *testing.T) {
 	run := func(fam string) *Result {
 		text := "r0 = socket$l2tp_ip6(" + dom + ", 0x2, 0x0)\n" +
 			"sendto$l2tp_ip6(r0, &[0x0], 0x1, 0x0, &{" + fam + ", 0x0, [0x0, 0x0, 0x0, 0x0]}, 0x14)\n"
-		return testKernel.Run(buildProg(t, tgt, text))
+		return testKernel.NewVM().Run(buildProg(t, tgt, text))
 	}
 	matched := run(dom)
 	if matched.Errno != 0 {

@@ -6,12 +6,10 @@ import (
 
 // Executor runs one program at a time and reports its outcome. It is
 // the seam between the fuzzing loop and the execution substrate: the
-// virtual kernel implements it twice (*Kernel for shared concurrent
-// use, *VM for single-goroutine reuse), and alternative backends —
+// virtual kernel implements it with *VM, and alternative backends —
 // other kernel images, a real-executor bridge, a record/replay shim —
 // can slot in behind the same interface. (*VM).Run is
-// prog.CompileExecInto + RunCompiled on a VM-owned scratch ExecProg;
-// (*Kernel).Run is the same on a pooled VM.
+// prog.CompileExecInto + RunCompiled on a VM-owned scratch ExecProg.
 //
 // Run must be deterministic for a given program, and the returned
 // Result must not alias executor-internal state (callers retain it
@@ -37,10 +35,10 @@ type Executor interface {
 // returned directly — and Run is the convenience form that lowers a
 // *prog.Prog into a VM-owned scratch ExecProg first.
 //
-// A VM is not safe for concurrent use; run one VM per goroutine (or
-// use Kernel.Run, which pools VMs internally). A compiled program's
-// resolution cache is owned by whichever VM ran it last, so an
-// ExecProg must not be shared across concurrently running VMs either.
+// A VM is not safe for concurrent use; run one VM per goroutine (the
+// Kernel they share is immutable). A compiled program's resolution
+// cache is owned by whichever VM ran it last, so an ExecProg must not
+// be shared across concurrently running VMs either.
 type VM struct {
 	st exec
 	// ep is Run's scratch lowering, recompiled in place per program.
@@ -150,19 +148,3 @@ func (v *VM) AppendCover(dst []BlockID) []BlockID {
 }
 
 var _ Executor = (*VM)(nil)
-var _ Executor = (*Kernel)(nil)
-
-// Run executes a program against the kernel and reports coverage and
-// crashes. It is safe for concurrent use: each call borrows a pooled
-// VM, so the per-program state is still recycled rather than
-// reallocated. Callers running a tight single-goroutine loop should
-// hold their own VM via NewVM and skip the pool round-trip.
-func (k *Kernel) Run(p *prog.Prog) *Result {
-	v, _ := k.vms.Get().(*VM)
-	if v == nil {
-		v = k.NewVM()
-	}
-	res := v.Run(p)
-	k.vms.Put(v)
-	return res
-}

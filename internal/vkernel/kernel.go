@@ -10,7 +10,6 @@ package vkernel
 
 import (
 	"fmt"
-	"sync"
 
 	"kernelgpt/internal/corpus"
 )
@@ -43,8 +42,6 @@ type Kernel struct {
 	// histWords sizes the per-exec history bitset (one bit per
 	// handler/operation pair, pre-assigned at build).
 	histWords int
-	// vms recycles executor VMs for the concurrent Run path.
-	vms sync.Pool
 }
 
 // khandler is the kernel-side view of one operation handler.

@@ -38,7 +38,7 @@ func mustRun(t *testing.T, tgt *prog.Target, text string) *Result {
 	if err != nil {
 		t.Fatalf("bad program: %v\n%s", err, text)
 	}
-	return testKernel.Run(p)
+	return testKernel.NewVM().Run(p)
 }
 
 func TestDupAliasesHandlerFd(t *testing.T) {

@@ -47,7 +47,7 @@ func TestSockoptLevelMismatchRejected(t *testing.T) {
 	text := "r0 = socket$rds(" + dom + ", 0x2, 0x0)\n" +
 		"setsockopt$" + opt.Name + "(r0, 0x1, " + hex(optVal) + ", &0x0, 0x4)\n"
 	p := buildProg(t, tgt, text)
-	res := testKernel.Run(p)
+	res := testKernel.NewVM().Run(p)
 	// Wrong level: the option body must not be covered.
 	lo, hi := testKernel.BlockRange("rds")
 	covered := 0
@@ -105,7 +105,7 @@ func TestSockoptShortOptlenRejected(t *testing.T) {
 				c.Args[4].Scalar = uint64(sm.Size)
 			}
 		}
-		res := testKernel.Run(p)
+		res := testKernel.NewVM().Run(p)
 		n := len(res.Cov)
 		if i%2 == 0 && n > short {
 			short = n
@@ -128,8 +128,8 @@ func TestBindFamilyValidation(t *testing.T) {
 		"bind$rds(r0, &{" + dom + ", 0x0, [0x0, 0x0, 0x0, 0x0]}, 0x14)\n"
 	bad := "r0 = socket$rds(" + dom + ", 0x2, 0x0)\n" +
 		"bind$rds(r0, &{0x7777, 0x0, [0x0, 0x0, 0x0, 0x0]}, 0x14)\n"
-	gp := testKernel.Run(buildProg(t, tgt, good))
-	bp := testKernel.Run(buildProg(t, tgt, bad))
+	gp := testKernel.NewVM().Run(buildProg(t, tgt, good))
+	bp := testKernel.NewVM().Run(buildProg(t, tgt, bad))
 	if len(gp.Cov) <= len(bp.Cov) {
 		t.Fatalf("correct family (%d blocks) should out-cover wrong family (%d)",
 			len(gp.Cov), len(bp.Cov))
@@ -146,7 +146,7 @@ func TestUnknownDomainErrors(t *testing.T) {
 	g.Enabled = map[string]bool{"socket$rds": true}
 	p := g.Generate(1)
 	p.Calls[0].Args[0].Scalar = 0x9999
-	res := testKernel.Run(p)
+	res := testKernel.NewVM().Run(p)
 	if res.Errno == 0 {
 		t.Fatal("unknown domain should error")
 	}
@@ -161,7 +161,7 @@ func TestSocketStateHistoryPerHandler(t *testing.T) {
 	dom := hex(uint64(testCorpus.Handler("l2tp_ip6").Socket.DomainVal))
 	text := "r0 = socket$l2tp_ip6(" + dom + ", 0x2, 0x0)\n" +
 		"sendto$l2tp_ip6(r0, &[0x0], 0x1, 0x0, &{" + dom + ", 0x0, [0x0, 0x0, 0x0, 0x0]}, 0x14)\n"
-	res := testKernel.Run(buildProg(t, tgt, text))
+	res := testKernel.NewVM().Run(buildProg(t, tgt, text))
 	if res.Crash == nil || res.Crash.Title != "memory leak in __ip6_append_data" {
 		t.Fatalf("l2tp sendto bug did not fire: %+v", res.Crash)
 	}
@@ -173,7 +173,7 @@ func TestValidationGateBlocksShortAddr(t *testing.T) {
 	// addrlen below sizeof(sockaddr): body must not run, no crash.
 	text := "r0 = socket$l2tp_ip6(" + dom + ", 0x2, 0x0)\n" +
 		"sendto$l2tp_ip6(r0, &[0x0], 0x1, 0x0, &{" + dom + ", 0x0, [0x0, 0x0, 0x0, 0x0]}, 0x2)\n"
-	res := testKernel.Run(buildProg(t, tgt, text))
+	res := testKernel.NewVM().Run(buildProg(t, tgt, text))
 	if res.Crash != nil {
 		t.Fatal("short addrlen must not reach the bug")
 	}

@@ -93,7 +93,7 @@ func TestOpenCoversDeviceBlocks(t *testing.T) {
 	g := prog.NewGen(tgt, 1)
 	p := &prog.Prog{}
 	mkCall(t, tgt, g, p, "openat$dm")
-	res := testKernel.Run(p)
+	res := testKernel.NewVM().Run(p)
 	if len(res.Cov) < testCorpus.Handler("dm").OpenBlocks {
 		t.Fatalf("open covered %d blocks, want at least %d", len(res.Cov), testCorpus.Handler("dm").OpenBlocks)
 	}
@@ -118,7 +118,7 @@ ioctl$WRONG(fd fd_wrong, cmd const[2], arg ptr[in, array[int8]])
 	g := prog.NewGen(tgt, 2)
 	covMax := 0
 	for i := 0; i < 50; i++ {
-		res := testKernel.Run(g.Generate(4))
+		res := testKernel.NewVM().Run(g.Generate(4))
 		if len(res.Cov) > covMax {
 			covMax = len(res.Cov)
 		}
@@ -135,7 +135,7 @@ func TestIoctlDispatchAndGates(t *testing.T) {
 	// blocks eventually (gates pass with ranged fields).
 	best := 0
 	for i := 0; i < 400; i++ {
-		res := testKernel.Run(g.Generate(8))
+		res := testKernel.NewVM().Run(g.Generate(8))
 		if n := len(res.Cov); n > best {
 			best = n
 		}
@@ -162,7 +162,7 @@ ioctl$RAW(fd fd_dm2, cmd const[2], arg ptr[in, array[int8]])
 	}
 	g := prog.NewGen(tgt, 4)
 	for i := 0; i < 100; i++ {
-		res := testKernel.Run(g.Generate(4))
+		res := testKernel.NewVM().Run(g.Generate(4))
 		// open blocks + generic entries only; never a cmd entry.
 		if len(res.Cov) > dm.OpenBlocks+2 {
 			t.Fatalf("raw nr dispatched: %d blocks", len(res.Cov))
@@ -176,7 +176,7 @@ func TestDMBugTriggers(t *testing.T) {
 	g.Enabled = map[string]bool{"openat$dm": true, "ioctl$DM_LIST_VERSIONS": true}
 	var hit *Crash
 	for i := 0; i < 3000 && hit == nil; i++ {
-		res := testKernel.Run(g.Generate(4))
+		res := testKernel.NewVM().Run(g.Generate(4))
 		hit = res.Crash
 	}
 	if hit == nil {
@@ -194,7 +194,7 @@ func TestStatefulBugNeedsPriorCmds(t *testing.T) {
 	// without its prior commands.
 	g.Enabled = map[string]bool{"openat$cec": true, "ioctl$CEC_RECEIVE": true}
 	for i := 0; i < 500; i++ {
-		if res := testKernel.Run(g.Generate(6)); res.Crash != nil {
+		if res := testKernel.NewVM().Run(g.Generate(6)); res.Crash != nil {
 			t.Fatalf("stateful bug fired without preconditions: %v", res.Crash.Title)
 		}
 	}
@@ -209,7 +209,7 @@ func TestKVMResourceChainCoversChildren(t *testing.T) {
 	}
 	sawChild := false
 	for i := 0; i < 500 && !sawChild; i++ {
-		res := testKernel.Run(g.Generate(10))
+		res := testKernel.NewVM().Run(g.Generate(10))
 		for _, b := range res.Cov {
 			if b >= lo && b < hi {
 				sawChild = true
@@ -226,7 +226,7 @@ func TestSocketFamilyDispatch(t *testing.T) {
 	g := prog.NewGen(tgt, 8)
 	best := 0
 	for i := 0; i < 300; i++ {
-		res := testKernel.Run(g.Generate(8))
+		res := testKernel.NewVM().Run(g.Generate(8))
 		if len(res.Cov) > best {
 			best = len(res.Cov)
 		}
@@ -242,7 +242,7 @@ func TestRDSSendtoBug(t *testing.T) {
 	g.Enabled = map[string]bool{"socket$rds": true, "sendto$rds": true}
 	var hit *Crash
 	for i := 0; i < 2000 && hit == nil; i++ {
-		res := testKernel.Run(g.Generate(4))
+		res := testKernel.NewVM().Run(g.Generate(4))
 		hit = res.Crash
 	}
 	if hit == nil {
@@ -257,8 +257,8 @@ func TestDeterministicExecution(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	g := prog.NewGen(tgt, 10)
 	p := g.Generate(6)
-	a := testKernel.Run(p)
-	b := testKernel.Run(p)
+	a := testKernel.NewVM().Run(p)
+	b := testKernel.NewVM().Run(p)
 	if len(a.Cov) != len(b.Cov) {
 		t.Fatal("nondeterministic coverage")
 	}
@@ -283,7 +283,7 @@ func TestQuickRunNeverPanics(t *testing.T) {
 		g := prog.NewGen(tgt, seed)
 		p := g.Generate(8)
 		for i := 0; i < 3; i++ {
-			testKernel.Run(p)
+			testKernel.NewVM().Run(p)
 			p = g.Mutate(p, 8)
 		}
 		return true
@@ -297,7 +297,7 @@ func TestCoverageBounded(t *testing.T) {
 	tgt := targetFor(t, "dm", "cec")
 	g := prog.NewGen(tgt, 12)
 	for i := 0; i < 100; i++ {
-		res := testKernel.Run(g.Generate(8))
+		res := testKernel.NewVM().Run(g.Generate(8))
 		for _, b := range res.Cov {
 			if b >= testKernel.TotalBlocks {
 				t.Fatalf("block id %d out of range %d", b, testKernel.TotalBlocks)
