@@ -232,17 +232,6 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkMutate measures mutation throughput.
-func BenchmarkMutate(b *testing.B) {
-	_, _, tgt := microSetup(b)
-	g := prog.NewGen(tgt, 3)
-	p := g.Generate(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p = g.Mutate(p, 8)
-	}
-}
-
 // BenchmarkCampaign measures end-to-end fuzzing throughput.
 func BenchmarkCampaign(b *testing.B) {
 	_, k, tgt := microSetup(b)

@@ -67,45 +67,20 @@ func main() {
 	r.Ctx = ctx
 	fmt.Printf("corpus: %d handlers, kernel: %s\n\n", len(r.Corpus.Handlers), r.Kernel)
 
-	type exp struct {
-		id  string
-		run func() *bench.Table
-	}
-	exps := []exp{
-		{"table1", r.Table1},
-		{"figure7", r.Figure7},
-		{"table2", r.Table2},
-		{"table3", r.Table3},
-		{"table4", r.Table4},
-		{"table5", r.Table5},
-		{"table6", r.Table6},
-		{"ablation-iterative", r.AblationIterative},
-		{"ablation-model", r.AblationModel},
-		{"ablation-repair", r.AblationRepair},
-		{"ablation-locality", r.AblationLocality},
-		{"audit", r.CorrectnessAudit},
-		{"tokens", r.TokenCost},
-	}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
 			want[strings.TrimSpace(id)] = true
 		}
 	}
-	ran := 0
 	var tables []*bench.Table
-	for _, e := range exps {
-		if len(want) > 0 && !want[e.id] {
-			continue
-		}
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "interrupted — remaining experiments skipped; tables already printed may be partial")
-			os.Exit(1)
-		}
-		t := e.run()
+	ran, err := r.All(want, func(t *bench.Table) {
 		fmt.Println(t)
 		tables = append(tables, t)
-		ran++
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "interrupted — remaining experiments skipped; tables already printed may be partial")
+		os.Exit(1)
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matched -only=%s\n", *only)

@@ -66,11 +66,6 @@ type Diagnostic struct {
 	Analyzer string
 }
 
-// Position resolves the diagnostic's file position.
-func (d Diagnostic) Position(fset *token.FileSet) token.Position {
-	return fset.Position(d.Pos)
-}
-
 // FileOf returns the *ast.File containing pos, or nil.
 func (p *Pass) FileOf(pos token.Pos) *ast.File {
 	for _, f := range p.Files {

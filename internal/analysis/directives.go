@@ -7,8 +7,8 @@ import (
 )
 
 // Syzlint directives are magic comments, written //syzlint:<kind>
-// with an optional argument, that record a human judgment the
-// checkers cannot make themselves:
+// with an optional argument for the reader (no checker reads it), that
+// record a human judgment the checkers cannot make themselves:
 //
 //	//syzlint:wallclock    this wall-clock read feeds operator-facing
 //	                       timing stats, not deterministic state
@@ -25,35 +25,17 @@ import (
 // DirectivePrefix is the comment marker the checkers recognize.
 const DirectivePrefix = "//syzlint:"
 
-// Directive is one parsed //syzlint: comment.
-type Directive struct {
-	Kind string // e.g. "wallclock", "locked"
-	Arg  string // e.g. the mutex name for "locked"
-	Line int
-}
-
-// DirectiveMap indexes a file's directives by line.
-type DirectiveMap map[int][]Directive
+// DirectiveMap indexes a file's directive kinds by line.
+type DirectiveMap map[int][]string
 
 // Has reports whether a directive of the given kind sits on line.
 func (m DirectiveMap) Has(kind string, line int) bool {
-	for _, d := range m[line] {
-		if d.Kind == kind {
+	for _, k := range m[line] {
+		if k == kind {
 			return true
 		}
 	}
 	return false
-}
-
-// Arg returns the argument of the kind directive on line ("" if
-// absent).
-func (m DirectiveMap) Arg(kind string, line int) string {
-	for _, d := range m[line] {
-		if d.Kind == kind {
-			return d.Arg
-		}
-	}
-	return ""
 }
 
 // Directives extracts every //syzlint: comment in f, indexed by the
@@ -67,13 +49,13 @@ func Directives(fset *token.FileSet, f *ast.File) DirectiveMap {
 				continue
 			}
 			rest := strings.TrimPrefix(text, DirectivePrefix)
-			kind, arg, _ := strings.Cut(rest, " ")
+			kind, _, _ := strings.Cut(rest, " ")
 			kind = strings.TrimSpace(kind)
 			if kind == "" {
 				continue
 			}
 			line := fset.Position(c.Pos()).Line
-			m[line] = append(m[line], Directive{Kind: kind, Arg: strings.TrimSpace(arg), Line: line})
+			m[line] = append(m[line], kind)
 		}
 	}
 	return m

@@ -110,7 +110,7 @@ func TestBaselineCoverageOfIncomplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus build")
 	}
-	c := corpus.Build(corpus.DefaultConfig())
+	c := corpus.Build(corpus.Config{Scale: 1})
 	g := New(c)
 	results := g.GenerateAll(c.Incomplete(corpus.KindDriver))
 	valid := 0

@@ -605,14 +605,44 @@ func (r *Runner) TokenCost() *Table {
 	return t
 }
 
-// All runs every experiment in paper order.
-func (r *Runner) All() []*Table {
-	return []*Table{
-		r.Table1(), r.Figure7(), r.Table2(), r.Table3(), r.Table4(),
-		r.Table5(), r.Table6(), r.AblationIterative(), r.AblationModel(),
-		r.AblationRepair(), r.AblationLocality(),
-		r.CorrectnessAudit(), r.TokenCost(),
+// experiments is every experiment in paper order: the id benchtables
+// -only selects it by, and the method that builds its table.
+var experiments = []struct {
+	id  string
+	run func(*Runner) *Table
+}{
+	{"table1", (*Runner).Table1},
+	{"figure7", (*Runner).Figure7},
+	{"table2", (*Runner).Table2},
+	{"table3", (*Runner).Table3},
+	{"table4", (*Runner).Table4},
+	{"table5", (*Runner).Table5},
+	{"table6", (*Runner).Table6},
+	{"ablation-iterative", (*Runner).AblationIterative},
+	{"ablation-model", (*Runner).AblationModel},
+	{"ablation-repair", (*Runner).AblationRepair},
+	{"ablation-locality", (*Runner).AblationLocality},
+	{"audit", (*Runner).CorrectnessAudit},
+	{"tokens", (*Runner).TokenCost},
+}
+
+// All runs the experiments whose ids are in only (every experiment
+// when only is empty) in paper order, handing each table to emit as
+// soon as it is built; the others are not run. Once r.Ctx is done it
+// starts no further experiment and returns the context's error. ran
+// counts the experiments that ran.
+func (r *Runner) All(only map[string]bool, emit func(*Table)) (ran int, err error) {
+	for _, e := range experiments {
+		if len(only) > 0 && !only[e.id] {
+			continue
+		}
+		if err := r.Ctx.Err(); err != nil {
+			return ran, err
+		}
+		emit(e.run(r))
+		ran++
 	}
+	return ran, nil
 }
 
 // AblationRepair quantifies the validation-and-repair phase (§3.2):

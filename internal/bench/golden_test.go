@@ -17,9 +17,11 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // fingerprint bump does.
 func TestQuickTablesGolden(t *testing.T) {
 	var b strings.Builder
-	for _, tb := range quickRunner.All() {
+	if _, err := quickRunner.All(nil, func(tb *Table) {
 		b.WriteString(tb.String())
 		b.WriteByte('\n')
+	}); err != nil {
+		t.Fatal(err)
 	}
 	got := b.String()
 	path := filepath.Join("testdata", "tables_quick.txt")

@@ -14,7 +14,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"kernelgpt/internal/baseline"
 	"kernelgpt/internal/core"
@@ -162,19 +161,6 @@ func (r *Runner) campaign(t *prog.Target, execs int, seedOffset int64) []*fuzz.S
 	return f.RunRepetitions(r.Ctx, cfg, r.Opts.Reps)
 }
 
-// handlerSpecNames collects the syscall names a suite defines for one
-// handler family (handler plus descendants), for per-driver enables.
-func handlerSpecNames(spec *syzlang.File) map[string]bool {
-	out := map[string]bool{}
-	if spec == nil {
-		return out
-	}
-	for _, s := range spec.Syscalls {
-		out[s.Name()] = true
-	}
-	return out
-}
-
 // resultFor finds the cached generation result for a handler.
 func (g *genRun) resultFor(name string) *core.Result {
 	for _, res := range append(append([]*core.Result{}, g.drivers...), g.sockets...) {
@@ -208,14 +194,4 @@ func newSyscallCount(res *core.Result) (calls, types int) {
 	}
 	types = len(res.Spec.Structs) + len(res.Spec.Unions)
 	return calls, types
-}
-
-// sortedHandlerNames returns loaded handler names sorted.
-func (r *Runner) sortedHandlerNames(kind corpus.Kind) []string {
-	var names []string
-	for _, h := range r.Corpus.Loaded(kind) {
-		names = append(names, h.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -387,14 +387,3 @@ func wrapCase(toks []CToken, body string) *[]CToken {
 	*buf = append(w, CToken{Kind: CPunct, Text: "}"})
 	return buf
 }
-
-// FindSwitchOn returns the first switch in the body whose switched-on
-// expression mentions the given variable name.
-func (b *BodyInfo) FindSwitchOn(varName string) *SwitchInfo {
-	for i := range b.Switches {
-		if HasIdent(b.Switches[i].Expr, varName) {
-			return &b.Switches[i]
-		}
-	}
-	return nil
-}

@@ -103,7 +103,6 @@ func FuzzIndexAnalyze(f *testing.F) {
 			if fresh := ccode.AnalyzeBody(fn.Body); !reflect.DeepEqual(info, fresh) {
 				t.Fatalf("%s: Info() differs from AnalyzeBody(Body)", name)
 			}
-			info.FindSwitchOn("cmd")
 			checkCaseCopies(t, name, info)
 			checkCallArgs(t, name, fn.Body, info)
 		}

@@ -145,18 +145,6 @@ func (ix *Index) Registrations(structType string) []*Registration {
 	return out
 }
 
-// RegistrationByVar finds a registration by its variable name
-// (optionally prefixed with '&').
-func (ix *Index) RegistrationByVar(name string) *Registration {
-	name = strings.TrimPrefix(strings.TrimSpace(name), "&")
-	for _, r := range ix.Regs {
-		if r.VarName == name {
-			return r
-		}
-	}
-	return nil
-}
-
 // ExtractType returns the raw source of a struct/union/enum
 // definition only, for type-kind lookups where a function shares the
 // name (dm_ioctl is both a struct and, in some trees, a function).

@@ -127,8 +127,8 @@ func TestIndexRegistrations(t *testing.T) {
 	if misc[0].Fields["fops"] != "& _ctl_fops" {
 		t.Fatalf("bad fops ref: %q", misc[0].Fields["fops"])
 	}
-	if ix.RegistrationByVar("&_ctl_fops") != fops[0] {
-		t.Fatal("RegistrationByVar failed to resolve &_ctl_fops")
+	if fops[0].VarName != "_ctl_fops" {
+		t.Fatalf("bad file_operations variable: %q", fops[0].VarName)
 	}
 }
 
@@ -289,8 +289,8 @@ func TestAnalyzeSwitch(t *testing.T) {
 	if len(sw.Cases[1].Calls) != 1 || sw.Cases[1].Calls[0] != "do_b" {
 		t.Fatalf("bad case calls: %+v", sw.Cases[1])
 	}
-	if info.FindSwitchOn("cmd") == nil || info.FindSwitchOn("other") != nil {
-		t.Fatal("FindSwitchOn misbehaved")
+	if !HasIdent(sw.Expr, "cmd") || HasIdent(sw.Expr, "other") {
+		t.Fatalf("switch on %q attributed wrongly", sw.Expr)
 	}
 }
 
@@ -302,8 +302,8 @@ func TestAnalyzeSwitchOnModifiedExpr(t *testing.T) {
 	}
 }`
 	info := AnalyzeBody(body)
-	if info.FindSwitchOn("command") == nil {
-		t.Fatal("switch on _IOC_NR(command) not attributed to command")
+	if len(info.Switches) != 1 || !HasIdent(info.Switches[0].Expr, "command") {
+		t.Fatalf("switch on _IOC_NR(command) not attributed to command: %+v", info.Switches)
 	}
 }
 

@@ -129,7 +129,7 @@ func TestIndirectHandlerFails(t *testing.T) {
 	// Fully indirect handlers (the §5.1.3 hard cases) yield no
 	// commands, hence no valid spec. The test corpus is too small to
 	// hold one; the full-scale corpus has them by construction.
-	full := corpus.Build(corpus.DefaultConfig())
+	full := corpus.Build(corpus.Config{Scale: 1})
 	var target *corpus.Handler
 	for _, h := range full.Incomplete(corpus.KindDriver) {
 		if h.Quirks.Has(corpus.QuirkIndirectCall) {
@@ -364,7 +364,7 @@ func TestFamilySharesFlagsSet(t *testing.T) {
 resource fd_kvm_vm[fd]
 openat$kvm(fd const[AT_FDCWD], file ptr[in, string["/dev/kvm"]], flags const[O_RDWR], mode const[0]) fd_kvm
 ioctl$KVM_CREATE_VM(fd fd_kvm, cmd const[KVM_CREATE_VM], type flags[` + set.Name + `, int32]) fd_kvm_vm
-` + syzlang.FormatFlags(set))
+` + syzlang.Format(&syzlang.File{Flags: []*syzlang.FlagsDef{set}}))
 	if len(errs) > 0 {
 		t.Fatal(errs)
 	}

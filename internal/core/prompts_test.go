@@ -161,7 +161,7 @@ var recordedPrompts = map[string]string{
 //   - the traced transcript of each exchange is that text, and all of
 //     them hash to what the single-message layout traced.
 func TestPromptLayoutMatchesReference(t *testing.T) {
-	c := corpus.Build(corpus.DefaultConfig())
+	c := corpus.Build(corpus.Config{Scale: 1})
 	opts := core.DefaultOptions()
 	opts.Trace = true
 	layouts := map[string]int{}

@@ -16,9 +16,6 @@ type Config struct {
 	Scale float64
 }
 
-// DefaultConfig is the full paper-scale corpus.
-func DefaultConfig() Config { return Config{Scale: 1.0} }
-
 // TestConfig is a small corpus for unit tests: all hand-modeled
 // handlers plus a thin filler population.
 func TestConfig() Config { return Config{Scale: 0.05} }
@@ -327,9 +324,6 @@ func specState(h *Handler) SpecState {
 	return statePartial
 }
 
-// SpecStateOf exposes specState for other packages.
-func SpecStateOf(h *Handler) SpecState { return specState(h) }
-
 // MissingFraction is the fraction of the handler's syscalls lacking
 // existing descriptions (the x-axis of Figure 7).
 func MissingFraction(h *Handler) float64 {
@@ -359,18 +353,6 @@ func (c *Corpus) Loaded(kind Kind) []*Handler {
 	var out []*Handler
 	for _, h := range c.Handlers {
 		if h.Loaded && h.Kind == kind {
-			out = append(out, h)
-		}
-	}
-	return out
-}
-
-// Scanned returns every handler of the given kind (the allyesconfig
-// scan population of Table 1).
-func (c *Corpus) Scanned(kind Kind) []*Handler {
-	var out []*Handler
-	for _, h := range c.Handlers {
-		if h.Kind == kind {
 			out = append(out, h)
 		}
 	}

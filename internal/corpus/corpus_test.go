@@ -10,17 +10,29 @@ import (
 )
 
 // fullCorpus is built once; tests share it read-only.
-var fullCorpus = Build(DefaultConfig())
+var fullCorpus = Build(Config{Scale: 1})
+
+// scanned counts every handler of the given kind: the allyesconfig
+// scan population of Table 1.
+func scanned(c *Corpus, kind Kind) int {
+	n := 0
+	for _, h := range c.Handlers {
+		if h.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
 
 func TestScaleTargets(t *testing.T) {
 	c := fullCorpus
-	if got := len(c.Scanned(KindDriver)); got != targetDriversScanned {
+	if got := scanned(c, KindDriver); got != targetDriversScanned {
 		t.Errorf("scanned drivers = %d, want %d", got, targetDriversScanned)
 	}
 	if got := len(c.Loaded(KindDriver)); got != targetDriversLoaded {
 		t.Errorf("loaded drivers = %d, want %d", got, targetDriversLoaded)
 	}
-	if got := len(c.Scanned(KindSocket)); got != targetSocketsScanned {
+	if got := scanned(c, KindSocket); got != targetSocketsScanned {
 		t.Errorf("scanned sockets = %d, want %d", got, targetSocketsScanned)
 	}
 	if got := len(c.Loaded(KindSocket)); got != targetSocketsLoaded {
@@ -40,7 +52,7 @@ func TestNoSpecDriverCount(t *testing.T) {
 	// (60%, per §5.1).
 	n := 0
 	for _, h := range fullCorpus.Incomplete(KindDriver) {
-		if SpecStateOf(h) == stateNoSpec {
+		if specState(h) == stateNoSpec {
 			n++
 		}
 	}
@@ -139,11 +151,22 @@ func TestEveryLoadedHandlerRenders(t *testing.T) {
 }
 
 func findFopsFor(ix *ccode.Index, h *Handler) *ccode.Registration {
-	return ix.RegistrationByVar(h.Ident() + "_fops")
+	return registrationOf(ix, "file_operations", h.Ident()+"_fops")
 }
 
 func findProtoOpsFor(ix *ccode.Index, h *Handler) *ccode.Registration {
-	return ix.RegistrationByVar(h.Ident() + "_proto_ops")
+	return registrationOf(ix, "proto_ops", h.Ident()+"_proto_ops")
+}
+
+// registrationOf finds a structType registration by its variable name,
+// the way the generators walk ix.Registrations.
+func registrationOf(ix *ccode.Index, structType, varName string) *ccode.Registration {
+	for _, r := range ix.Registrations(structType) {
+		if r.VarName == varName {
+			return r
+		}
+	}
+	return nil
 }
 
 func TestOracleSpecsValidate(t *testing.T) {

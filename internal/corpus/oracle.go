@@ -13,9 +13,6 @@ import (
 // human-written Syzkaller suite (the paper's first baseline), which
 // covers only the commands listed in Handler.SyzkallerCmds.
 
-// SizeofFunc reports the byte size of a payload struct by name.
-type SizeofFunc func(structName string) int
-
 // OracleSpec returns the complete, correct specification for a
 // handler: every command, exact identifier values (via macro names),
 // exact payload layouts including len-relations, ranges, out fields,

@@ -15,7 +15,7 @@ var raceEnabled bool
 
 // fullCorpus is the full-scale corpus, built once for the tests that
 // need it.
-var fullCorpus = sync.OnceValue(func() *corpus.Corpus { return corpus.Build(corpus.DefaultConfig()) })
+var fullCorpus = sync.OnceValue(func() *corpus.Corpus { return corpus.Build(corpus.Config{Scale: 1}) })
 
 // TestSuiteAllocsPerHandler is the allocation budget of the path the
 // kernelgpt command and the specgen_full benchmark take: one Suite

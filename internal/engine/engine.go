@@ -164,9 +164,6 @@ func New(c *corpus.Corpus, options ...Option) *Engine {
 	}
 }
 
-// Client returns the composed client (outermost middleware).
-func (e *Engine) Client() llm.Client { return e.client }
-
 // Usage reports cumulative token accounting for all generation done
 // through this engine.
 func (e *Engine) Usage() llm.Usage { return e.client.Usage() }

@@ -96,7 +96,7 @@ func TestEngineTelemetryDisabledIsDefault(t *testing.T) {
 	if e.metrics != nil {
 		t.Error("metrics bundle allocated without WithTelemetry")
 	}
-	if _, ok := llm.FindCache(e.Client()); !ok {
+	if _, ok := llm.FindCache(e.client); !ok {
 		t.Error("cache missing from default chain")
 	}
 }

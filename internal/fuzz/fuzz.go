@@ -300,17 +300,6 @@ type Stats struct {
 	Syncs    int
 }
 
-// OpByName returns the named operator's campaign outcome, or a zero
-// OpStat when the operator never ran.
-func (s *Stats) OpByName(name string) OpStat {
-	for _, o := range s.Ops {
-		if o.Name == name {
-			return o
-		}
-	}
-	return OpStat{Name: name}
-}
-
 // CoverCount returns the number of covered blocks.
 func (s *Stats) CoverCount() int { return s.Cover.Count() }
 

@@ -30,12 +30,14 @@ func TestPooledSeedsImmutable(t *testing.T) {
 	var cov []vkernel.BlockID
 
 	texts := map[*prog.Prog]string{} // pooled seed → text at admission
+	evicted := 0
 	// sweep checks every pooled seed against its admission text,
-	// records newcomers (returning the last one), and forgets evictees.
+	// records newcomers (returning the last one), and forgets (and
+	// counts) evictees.
 	sweep := func(step int) *prog.Prog {
 		var fresh *prog.Prog
 		live := map[*prog.Prog]bool{}
-		pool.ForEach(func(s seedpool.Seed) {
+		for _, s := range pool.Export() {
 			live[s.Prog] = true
 			got := s.Prog.Serialize()
 			want, known := texts[s.Prog]
@@ -44,13 +46,14 @@ func TestPooledSeedsImmutable(t *testing.T) {
 			} else if got != want {
 				t.Fatalf("step %d: pooled seed changed after admission:\n%s\nwas\n%s", step, got, want)
 			}
-			if err := sameLowering(prog.CompileExec(s.Prog), prog.CompileExec(s.Prog.Clone())); err != nil {
+			if err := sameLowering(compileExec(s.Prog), compileExec(s.Prog.Clone())); err != nil {
 				t.Fatalf("step %d: pooled seed's cached lowering is stale: %v\n%s", step, err, got)
 			}
-		})
+		}
 		for p := range texts {
 			if !live[p] {
 				delete(texts, p)
+				evicted++
 			}
 		}
 		return fresh
@@ -101,9 +104,16 @@ func TestPooledSeedsImmutable(t *testing.T) {
 			t.Errorf("operator %s never applied", op.Name())
 		}
 	}
-	if _, evicted, _ := pool.Stats(); evicted == 0 {
+	if evicted == 0 {
 		t.Error("no seed was ever evicted; the until-eviction half went untested")
 	}
+}
+
+// compileExec lowers p into a fresh ExecProg.
+func compileExec(p *prog.Prog) *prog.ExecProg {
+	ep := &prog.ExecProg{}
+	prog.CompileExecInto(p, ep)
+	return ep
 }
 
 // sameLowering compares what an executor reads of two compiled
@@ -163,8 +173,7 @@ func TestStaleLensSeedStaysUnfrozen(t *testing.T) {
 	if n := pool.Import([]seedpool.SeedState{{Prog: loaded, Text: text, Prio: 3}}); n != 1 {
 		t.Fatalf("imported %d seeds, want 1", n)
 	}
-	var pooled *prog.Prog
-	pool.ForEach(func(s seedpool.Seed) { pooled = s.Prog })
+	pooled := pool.Export()[0].Prog
 	if pooled != loaded {
 		t.Fatal("a heap-owned import must be retained by pointer")
 	}
@@ -213,13 +222,13 @@ func TestAdmittedSeedOutlivesScratch(t *testing.T) {
 	}
 	var kept *prog.Prog
 	heapKept := false
-	pool.ForEach(func(s seedpool.Seed) {
+	for _, s := range pool.Export() {
 		if s.Prog == heap {
 			heapKept = true
 		} else {
 			kept = s.Prog
 		}
-	})
+	}
 	if !heapKept {
 		t.Fatal("a heap-owned program must be retained by pointer")
 	}

@@ -91,8 +91,6 @@ type Pool struct {
 	seq   uint64
 	// slot maps a seed's stable ref (seq) to its current heap slot.
 	slot map[uint64]int
-
-	added, evicted, rejected int
 }
 
 // New returns an empty pool bounded to capacity seeds (DefaultCapacity
@@ -106,20 +104,6 @@ func New(capacity int) *Pool {
 
 // Len returns the number of retained seeds.
 func (p *Pool) Len() int { return len(p.seeds) }
-
-// Cap returns the pool bound.
-func (p *Pool) Cap() int { return p.cap }
-
-// TotalPrio returns the summed scheduling weight of the retained
-// seeds (base priorities plus lineage bonuses).
-func (p *Pool) TotalPrio() int64 { return p.total }
-
-// Stats reports lifetime admission counters: seeds admitted, seeds
-// evicted to make room, and candidates rejected for ranking below the
-// current eviction victim.
-func (p *Pool) Stats() (added, evicted, rejected int) {
-	return p.added, p.evicted, p.rejected
-}
 
 // Add offers a program with the given priority (its new-coverage
 // contribution) and the name of the mutation operator that produced
@@ -160,12 +144,10 @@ func (p *Pool) admit(s Seed) bool {
 		p.fenAdd(i, w)
 		p.total += w
 		p.siftUp(i)
-		p.added++
 		return true
 	}
 	if !less(p.seeds[0], s) {
 		// The victim outranks (or ties) the offer: keep the corpus.
-		p.rejected++
 		return false
 	}
 	delete(p.slot, p.seeds[0].seq)
@@ -176,8 +158,6 @@ func (p *Pool) admit(s Seed) bool {
 	p.seeds[0] = s
 	p.slot[s.seq] = 0
 	p.siftDown(0)
-	p.added++
-	p.evicted++
 	return true
 }
 
@@ -247,13 +227,6 @@ func (p *Pool) Reward(ref uint64, newBlocks int) {
 		p.siftDown(i)
 	} else {
 		p.siftUp(i)
-	}
-}
-
-// ForEach visits the retained seeds in unspecified order.
-func (p *Pool) ForEach(fn func(Seed)) {
-	for _, s := range p.seeds {
-		fn(s)
 	}
 }
 

@@ -10,10 +10,29 @@ import (
 // mkProg builds a distinguishable empty program.
 func mkProg() *prog.Prog { return &prog.Prog{} }
 
+// mass is the summed scheduling weight of the exported seeds (base
+// priorities plus lineage bonuses).
+func mass(p *Pool) int64 {
+	var m int64
+	for _, s := range p.Export() {
+		m += int64(s.Weight())
+	}
+	return m
+}
+
+// held is the set of programs the pool exports.
+func held(p *Pool) map[*prog.Prog]bool {
+	out := map[*prog.Prog]bool{}
+	for _, s := range p.Export() {
+		out[s.Prog] = true
+	}
+	return out
+}
+
 func TestPoolAddAndLen(t *testing.T) {
 	p := New(4)
-	if p.Len() != 0 || p.Cap() != 4 {
-		t.Fatalf("fresh pool: len=%d cap=%d", p.Len(), p.Cap())
+	if p.Len() != 0 {
+		t.Fatalf("fresh pool: len=%d", p.Len())
 	}
 	if p.Add(mkProg(), 0, "") || p.Add(mkProg(), -3, "") {
 		t.Fatal("non-positive priority admitted")
@@ -23,8 +42,11 @@ func TestPoolAddAndLen(t *testing.T) {
 			t.Fatalf("Add #%d rejected below capacity", i)
 		}
 	}
-	if p.Len() != 4 || p.TotalPrio() != 10 {
-		t.Fatalf("len=%d total=%d", p.Len(), p.TotalPrio())
+	if p.Len() != 4 || mass(p) != 10 {
+		t.Fatalf("len=%d total=%d", p.Len(), mass(p))
+	}
+	if p.Add(mkProg(), 1, "") || p.Len() != 4 {
+		t.Fatalf("full pool admitted a tying offer: len=%d", p.Len())
 	}
 }
 
@@ -38,24 +60,22 @@ func TestPoolEvictsLowestPriority(t *testing.T) {
 	if !p.Add(d, 2, "") {
 		t.Fatal("stronger offer rejected")
 	}
-	if p.Len() != 3 || p.TotalPrio() != 10 {
-		t.Fatalf("after eviction: len=%d total=%d", p.Len(), p.TotalPrio())
+	if p.Len() != 3 || mass(p) != 10 {
+		t.Fatalf("after eviction: len=%d total=%d", p.Len(), mass(p))
 	}
-	held := map[*prog.Prog]bool{}
-	p.ForEach(func(s Seed) { held[s.Prog] = true })
-	if held[b] || !held[a] || !held[c] || !held[d] {
-		t.Fatalf("wrong eviction victim: %v", held)
+	if h := held(p); h[b] || !h[a] || !h[c] || !h[d] {
+		t.Fatalf("wrong eviction victim: %v", h)
 	}
-	// An offer weaker than (or tying) the weakest is rejected.
+	// An offer weaker than (or tying) the weakest is rejected and
+	// leaves the corpus as it was.
 	if p.Add(mkProg(), 2, "") {
 		t.Fatal("tying offer should be rejected (older seed sticky)")
 	}
 	if p.Add(mkProg(), 1, "") {
 		t.Fatal("weaker offer admitted")
 	}
-	added, evicted, rejected := p.Stats()
-	if added != 4 || evicted != 1 || rejected != 2 {
-		t.Fatalf("stats = %d/%d/%d", added, evicted, rejected)
+	if h := held(p); p.Len() != 3 || len(h) != 3 || !h[a] || !h[c] || !h[d] {
+		t.Fatalf("rejected offers changed the corpus: len=%d %v", p.Len(), h)
 	}
 }
 
@@ -121,6 +141,15 @@ func TestPoolDeterministic(t *testing.T) {
 	}
 }
 
+// fenPrefix sums the Fenwick tree's weights over the first n slots.
+func fenPrefix(p *Pool, n int) int64 {
+	var s int64
+	for i := n; i > 0; i -= i & -i {
+		s += p.fen[i]
+	}
+	return s
+}
+
 // TestPoolFenwickConsistency hammers the pool with churn and checks
 // the Fenwick mass always matches the heap contents, and that every
 // pick lands on a live slot.
@@ -129,10 +158,8 @@ func TestPoolFenwickConsistency(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		p.Add(mkProg(), r.Intn(40)+1, "")
-		var sum int64
-		p.ForEach(func(s Seed) { sum += int64(s.Prio) })
-		if sum != p.TotalPrio() {
-			t.Fatalf("iter %d: total %d != sum %d", i, p.TotalPrio(), sum)
+		if sum := mass(p); sum != p.total || sum != fenPrefix(p, p.Len()) {
+			t.Fatalf("iter %d: total %d, fenwick %d != sum %d", i, p.total, fenPrefix(p, p.Len()), sum)
 		}
 		if p.Pick(r) == nil {
 			t.Fatalf("iter %d: pick failed on non-empty pool", i)
@@ -151,11 +178,10 @@ func TestPoolHeapProperty(t *testing.T) {
 	live := map[*prog.Prog]int{}
 	for i := 0; i < 500; i++ {
 		pr, prio := mkProg(), r.Intn(100)+1
-		before := map[*prog.Prog]bool{}
-		p.ForEach(func(s Seed) { before[s.Prog] = true })
+		before := held(p)
 		if p.Add(pr, prio, "") {
 			live[pr] = prio
-			if len(before) == p.Cap() {
+			if len(before) == 16 {
 				// Someone was evicted; it must have had the minimum
 				// priority among the pre-add seeds.
 				minPrio := 1 << 30
@@ -165,7 +191,9 @@ func TestPoolHeapProperty(t *testing.T) {
 					}
 				}
 				var evicted *prog.Prog
-				p.ForEach(func(s Seed) { delete(before, s.Prog) })
+				for q := range held(p) {
+					delete(before, q)
+				}
 				for q := range before {
 					evicted = q
 				}
@@ -197,8 +225,8 @@ func TestPoolLineageReward(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		p.Reward(hotRef, 3)
 	}
-	if p.TotalPrio() <= 4 {
-		t.Fatalf("lineage bonus not applied: total=%d", p.TotalPrio())
+	if mass(p) <= 4 {
+		t.Fatalf("lineage bonus not applied: total=%d", mass(p))
 	}
 	counts := map[*prog.Prog]int{}
 	for i := 0; i < 4000; i++ {
@@ -208,12 +236,12 @@ func TestPoolLineageReward(t *testing.T) {
 		t.Fatalf("productive lineage not favored: hot=%d cold=%d", counts[hot], counts[cold])
 	}
 	// A long dry streak decays the bonus back toward the base weight.
-	before := p.TotalPrio()
+	before := mass(p)
 	for i := 0; i < 200; i++ {
 		p.Reward(hotRef, 0)
 	}
-	if p.TotalPrio() >= before {
-		t.Fatalf("dry lineage did not decay: %d -> %d", before, p.TotalPrio())
+	if mass(p) >= before {
+		t.Fatalf("dry lineage did not decay: %d -> %d", before, mass(p))
 	}
 	// Rewards on dead refs are no-ops.
 	p.Reward(9999, 5)
@@ -229,7 +257,7 @@ func TestPoolLineageBonusCapped(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		p.Reward(ref, 50)
 	}
-	if got := p.TotalPrio(); got != 1+64 {
+	if got := mass(p); got != 1+64 {
 		t.Fatalf("bonus not capped: total=%d", got)
 	}
 }
@@ -240,7 +268,9 @@ func TestPoolOpProvenance(t *testing.T) {
 	p.Add(mkProg(), 1, "shuffle")
 	p.Add(mkProg(), 2, "")
 	ops := map[string]int{}
-	p.ForEach(func(s Seed) { ops[s.Op]++ })
+	for _, s := range p.Export() {
+		ops[s.Op]++
+	}
 	if ops["shuffle"] != 1 || ops[""] != 1 {
 		t.Fatalf("provenance lost: %v", ops)
 	}
@@ -272,8 +302,8 @@ func TestPoolExportImportRoundTrip(t *testing.T) {
 	if n := q.Import(exp); n != 3 {
 		t.Fatalf("imported %d of 3", n)
 	}
-	if q.TotalPrio() != p.TotalPrio() {
-		t.Fatalf("weight mass not preserved: %d vs %d", q.TotalPrio(), p.TotalPrio())
+	if mass(q) != mass(p) {
+		t.Fatalf("weight mass not preserved: %d vs %d", mass(q), mass(p))
 	}
 	if !equalExports(q.Export(), exp) {
 		t.Fatalf("round trip diverged:\n%+v\nvs\n%+v", q.Export(), exp)
@@ -368,15 +398,15 @@ func TestReconcileDedupsByTextAndRaisesWeight(t *testing.T) {
 		t.Fatalf("pool holds %d seeds, want 3 (no duplicate copies)", p.Len())
 	}
 	weights := map[string]int{}
-	held := map[string]*prog.Prog{}
-	p.ForEach(func(s Seed) {
+	byName := map[string]*prog.Prog{}
+	for _, s := range p.Export() {
 		weights[s.Prog.Calls[0].Sc.Name] = s.Weight()
-		held[s.Prog.Calls[0].Sc.Name] = s.Prog
-	})
+		byName[s.Prog.Calls[0].Sc.Name] = s.Prog
+	}
 	if weights["a"] != 10 {
 		t.Fatalf(`seed "a" weight %d, want 10 (raised to remote copy)`, weights["a"])
 	}
-	if held["a"] != local {
+	if byName["a"] != local {
 		t.Fatal("reconciliation must keep the local program, not swap in the remote copy")
 	}
 	if weights["b"] != 2 {
@@ -385,8 +415,8 @@ func TestReconcileDedupsByTextAndRaisesWeight(t *testing.T) {
 	if weights["c"] != 4 {
 		t.Fatalf(`seed "c" weight %d, want 4 (heavier batch copy first)`, weights["c"])
 	}
-	if p.TotalPrio() != int64(10+2+4) {
-		t.Fatalf("weight mass %d, want 16", p.TotalPrio())
+	if mass(p) != int64(10+2+4) {
+		t.Fatalf("weight mass %d, want 16", mass(p))
 	}
 }
 
@@ -421,7 +451,9 @@ func TestReconcileAdmissionFollowsPolicy(t *testing.T) {
 		t.Fatalf("added=%d, want 1 (only the outranking offer)", added)
 	}
 	names := map[string]bool{}
-	p.ForEach(func(s Seed) { names[s.Prog.Calls[0].Sc.Name] = true })
+	for _, s := range p.Export() {
+		names[s.Prog.Calls[0].Sc.Name] = true
+	}
 	if !names["a"] || !names["d"] || names["b"] || names["c"] {
 		t.Fatalf("wrong survivors: %v", names)
 	}

@@ -120,26 +120,12 @@ func (c *Client) register(ctx context.Context) (RegisterResponse, error) {
 	return resp, nil
 }
 
-// LeaseID returns the current lease.
-func (c *Client) LeaseID() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.leaseID
-}
-
 // WorkerID returns the hub-assigned identity (it can change after a
 // transparent re-registration).
 func (c *Client) WorkerID() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.workerID
-}
-
-// Generation returns the last store generation pulled.
-func (c *Client) Generation() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
 }
 
 // Sync implements fuzz.HubSync: one push/pull exchange at a campaign

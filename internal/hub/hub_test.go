@@ -109,8 +109,8 @@ func TestRegisterSyncPullRoundTrip(t *testing.T) {
 	if len(remote2) != 3 {
 		t.Fatalf("worker 2 pulled %d seeds, want 3", len(remote2))
 	}
-	if c2.Generation() != hub.Stats().Generation {
-		t.Fatalf("client gen %d != hub gen %d", c2.Generation(), hub.Stats().Generation)
+	if c2.gen != hub.Stats().Generation {
+		t.Fatalf("client gen %d != hub gen %d", c2.gen, hub.Stats().Generation)
 	}
 
 	// A second pull with nothing new ships nothing.
@@ -280,8 +280,8 @@ func TestHubRestartClientReregisters(t *testing.T) {
 	if st.Crashes != 1 || h2.Crashes()[0].Count != 3 {
 		t.Fatalf("pre-restart crashes not re-pushed: %+v", h2.Crashes())
 	}
-	if c.Generation() != st.Generation {
-		t.Fatalf("client gen %d not resynced to restarted hub's %d", c.Generation(), st.Generation)
+	if c.gen != st.Generation {
+		t.Fatalf("client gen %d not resynced to restarted hub's %d", c.gen, st.Generation)
 	}
 }
 
@@ -320,7 +320,7 @@ func TestHubRestartResumesByDefault(t *testing.T) {
 	if _, err := c.Sync(ctx, fuzz.SyncState{Cover: coverOf(1, 4, 9), Execs: 200, Crashes: crash(3)}); err != nil {
 		t.Fatal(err)
 	}
-	id0, lease0 := c.WorkerID(), c.LeaseID()
+	id0, lease0 := c.WorkerID(), c.leaseID
 	before := h1.Stats()
 
 	h2 := open()
@@ -334,8 +334,8 @@ func TestHubRestartResumesByDefault(t *testing.T) {
 	if _, err := c.Sync(ctx, fuzz.SyncState{Cover: coverOf(1, 4, 9, 16), Execs: 300, Crashes: crash(4)}); err != nil {
 		t.Fatalf("sync across hub restart: %v", err)
 	}
-	if c.WorkerID() != id0 || c.LeaseID() != lease0 {
-		t.Fatalf("client re-registered: %s/%s -> %s/%s", id0, lease0, c.WorkerID(), c.LeaseID())
+	if c.WorkerID() != id0 || c.leaseID != lease0 {
+		t.Fatalf("client re-registered: %s/%s -> %s/%s", id0, lease0, c.WorkerID(), c.leaseID)
 	}
 	st := h2.Stats()
 	if len(st.Workers) != 1 || st.UnionCover != 4 {

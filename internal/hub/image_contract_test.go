@@ -365,7 +365,7 @@ func TestImageContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log.addf("gamma sync %d: pulled=%d client gen=%d", i, len(pulled), gamma.Generation())
+		log.addf("gamma sync %d: pulled=%d client gen=%d", i, len(pulled), gamma.gen)
 	}
 	log.stats("after gamma", srv.URL)
 

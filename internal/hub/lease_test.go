@@ -60,7 +60,7 @@ func TestLeaseExpiryUnderPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id0, lease0 := c.WorkerID(), c.LeaseID()
+	id0, lease0 := c.WorkerID(), c.leaseID
 	if lease0 == "" {
 		t.Fatal("registration granted no lease")
 	}
@@ -88,8 +88,8 @@ func TestLeaseExpiryUnderPartition(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("sync across lease expiry: %v", err)
 	}
-	if c.WorkerID() != id0 || c.LeaseID() != lease0 {
-		t.Fatalf("resume changed identity: %s/%s -> %s/%s", id0, lease0, c.WorkerID(), c.LeaseID())
+	if c.WorkerID() != id0 || c.leaseID != lease0 {
+		t.Fatalf("resume changed identity: %s/%s -> %s/%s", id0, lease0, c.WorkerID(), c.leaseID)
 	}
 	st = hub.Stats()
 	if len(st.Workers) != 1 {

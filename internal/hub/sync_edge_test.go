@@ -133,8 +133,8 @@ func TestClientRejectsNonBinaryReply(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), BinaryContentType) {
 		t.Fatalf("JSON 200 reply: got %d seeds, err %v; want an error naming %s", len(seeds), err, BinaryContentType)
 	}
-	if c.Generation() != 0 {
-		t.Errorf("failed sync advanced the client generation to %d", c.Generation())
+	if c.gen != 0 {
+		t.Errorf("failed sync advanced the client generation to %d", c.gen)
 	}
 }
 

@@ -46,7 +46,7 @@ func joinedRequest(req llm.Request) (string, llm.Request) {
 // returns for the same messages joined into one, and the prompt costs
 // what CountTokens gives for the join.
 func TestSimReadsMessagesInPlace(t *testing.T) {
-	c := corpus.Build(corpus.DefaultConfig())
+	c := corpus.Build(corpus.Config{Scale: 1})
 	ctx := context.Background()
 	for _, model := range llm.ModelNames() {
 		rec := &logClient{Client: llm.NewSim(model, 1)}

@@ -270,7 +270,8 @@ func TestDetachOwnership(t *testing.T) {
 // TestMutateOwnScratchMatchesDetached: handing a Gen its own scratch
 // result as the next seed must behave exactly like handing it a
 // detached copy — same candidates, same RNG consumption — for every
-// operator, including splice with a donor and chained Mutate.
+// operator, including splice with a donor and a drawn operator with
+// none.
 func TestMutateOwnScratchMatchesDetached(t *testing.T) {
 	tgt := plumbedTarget(t)
 	g1, g2 := NewGen(tgt, 8), NewGen(tgt, 8)
@@ -284,8 +285,8 @@ func TestMutateOwnScratchMatchesDetached(t *testing.T) {
 	ops := DefaultOperators()
 	for i := 0; i < 400; i++ {
 		if i%10 == 9 {
-			s1 = g1.Mutate(s1, 8)
-			s2 = g2.Mutate(s2, 8).Detach()
+			s1 = mutateOnce(g1, s1, 8)
+			s2 = mutateOnce(g2, s2, 8).Detach()
 		} else {
 			op := ops[i%len(ops)]
 			var a1, a2 Operator

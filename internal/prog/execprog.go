@@ -63,13 +63,6 @@ type ExecArg struct {
 	blobOff, blobLen int32
 }
 
-// CompileExec lowers a validated program into a fresh ExecProg.
-func CompileExec(p *Prog) *ExecProg {
-	ep := &ExecProg{}
-	CompileExecInto(p, ep)
-	return ep
-}
-
 // CompileExecInto lowers p into ep, reusing ep's arenas. Any previous
 // contents (and any executor cache keyed to the previous generation)
 // are invalidated. Only the calls p owns are encoded; a frozen call's

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// compileExec lowers p into a fresh ExecProg.
+func compileExec(p *Prog) *ExecProg {
+	ep := &ExecProg{}
+	CompileExecInto(p, ep)
+	return ep
+}
+
 // execTestProg hand-builds a program exercising every lowering case:
 // scalar args, bound and unbound resources, encoded pointer payloads,
 // and a device-path string.
@@ -38,7 +45,7 @@ func execTestProg() *Prog {
 
 func TestCompileExecLowering(t *testing.T) {
 	p := execTestProg()
-	ep := CompileExec(p)
+	ep := compileExec(p)
 	if len(ep.Calls) != len(p.Calls) {
 		t.Fatalf("call count: got %d want %d", len(ep.Calls), len(p.Calls))
 	}
@@ -97,7 +104,7 @@ func TestCompileExecLowering(t *testing.T) {
 		{Sc: &Syscall{Name: "socket$x", CallName: "socket"}},
 	}}
 	checkLowering(t, edges)
-	if ec := CompileExec(edges).Calls; string(ec[0].Path) != "/dev/x" || ec[1].Args[1].Res != 99 || len(ec[2].Args) != 0 {
+	if ec := compileExec(edges).Calls; string(ec[0].Path) != "/dev/x" || ec[1].Args[1].Res != 99 || len(ec[2].Args) != 0 {
 		t.Fatalf("edge lowering: path %q, out-of-range res %d, socket args %d", ec[0].Path, ec[1].Args[1].Res, len(ec[2].Args))
 	}
 }
@@ -107,7 +114,7 @@ func TestCompileExecLowering(t *testing.T) {
 // itself would see for each argument.
 func checkLowering(t *testing.T, p *Prog) {
 	t.Helper()
-	ep := CompileExec(p)
+	ep := compileExec(p)
 	if len(ep.Calls) != len(p.Calls) {
 		t.Fatalf("call count: got %d want %d", len(ep.Calls), len(p.Calls))
 	}
@@ -154,7 +161,7 @@ func TestCompileExecIntoReusesArenas(t *testing.T) {
 	// must not grow them and must bump the generation (so executors
 	// invalidate the cache themselves).
 	callCap, argCap, blobCap := cap(ep.Calls), cap(ep.args), cap(ep.blob)
-	first := CompileExec(p)
+	first := compileExec(p)
 	CompileExecInto(p, &ep)
 	if ep.Gen() <= g1 {
 		t.Fatalf("generation must advance: %d -> %d", g1, ep.Gen())
@@ -181,7 +188,7 @@ func TestCompileExecIntoReusesArenas(t *testing.T) {
 }
 
 func TestCompileExecNilAndEmpty(t *testing.T) {
-	ep := CompileExec(&Prog{})
+	ep := compileExec(&Prog{})
 	if len(ep.Calls) != 0 {
 		t.Fatal("empty program must compile to no instructions")
 	}
@@ -190,7 +197,7 @@ func TestCompileExecNilAndEmpty(t *testing.T) {
 		Sc:   &Syscall{Name: "close", CallName: "close"},
 		Args: []*Value{nil},
 	}}}
-	ep = CompileExec(p)
+	ep = compileExec(p)
 	a := ep.Calls[0].Args[0]
 	if a.Scalar != 0 || a.Res != -1 || a.Blob != nil {
 		t.Fatalf("nil arg must lower to zero/none: %+v", a)

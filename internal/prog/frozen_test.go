@@ -20,20 +20,21 @@ func newMutationSide(tgt *Target, seed *Prog, donors []*Prog, mutSeed int64) *mu
 }
 
 // mutate applies first and then stacked-1 operators drawn from the
-// side's RNG to one scratch copy of the seed, the way Gen.Mutate
-// stacks them, so a later operator lands on calls an earlier one
-// already partly owns. first == nil runs Gen.Mutate itself.
+// side's RNG to one scratch copy of the seed, so a later operator
+// lands on calls an earlier one already partly owns. first == nil
+// draws the first operator from the side's RNG too.
 func (s *mutationSide) mutate(first Operator, stacked int) *Prog {
-	if first == nil {
-		return s.g.Mutate(s.seed, 8)
-	}
+	ops := DefaultOperators()
 	m := s.g.scratchCopy(s.seed)
 	op := first
 	for i := 0; i < stacked; i++ {
+		if op == nil {
+			op = ops[s.g.R.Intn(len(ops))]
+		}
 		if !op.Apply(s.g, m, s.ctx) {
 			s.g.fallbackMutate(m, s.ctx)
 		}
-		op = defaultOps[s.g.R.Intn(len(defaultOps))]
+		op = nil
 	}
 	return s.g.finishMutation(m, 8)
 }
@@ -46,7 +47,7 @@ func (s *mutationSide) mutate(first Operator, stacked int) *Prog {
 // payloads may have changed.
 func frozenVsClone(t *testing.T, tgt *Target, genSeed, mutSeed int64, first Operator, stacked int) {
 	t.Helper()
-	name := "Mutate"
+	name := "random"
 	if first != nil {
 		name = first.Name()
 	}
@@ -94,8 +95,8 @@ func frozenVsClone(t *testing.T, tgt *Target, genSeed, mutSeed int64, first Oper
 
 // TestFrozenMutationMatchesDeepCopy runs the oracle for every operator
 // (single, then stacked, so a second operator meets partly owned
-// calls) and for Gen.Mutate over 200 seeds of the deep and the plumbed
-// target. It fails when any operator writes a value it does not own —
+// calls) and for randomly drawn operators over 200 seeds of the deep
+// and the plumbed target. It fails when any operator writes a value it does not own —
 // the write shows in the seed — or skips a len it should own.
 func TestFrozenMutationMatchesDeepCopy(t *testing.T) {
 	for _, bt := range benchTargets {
@@ -110,7 +111,8 @@ func TestFrozenMutationMatchesDeepCopy(t *testing.T) {
 
 // FuzzMutateFrozen searches (generator seed, operator, mutation seed,
 // stacked-operator count) for a mutation the oracle rejects; the
-// committed corpus has one entry per operator and one for Gen.Mutate.
+// committed corpus has one entry per operator and one for a randomly
+// drawn first operator.
 func FuzzMutateFrozen(f *testing.F) {
 	tgt := deepTarget(f)
 	f.Fuzz(func(t *testing.T, genSeed int64, opIdx uint8, mutSeed int64, stacked uint8) {

@@ -82,8 +82,8 @@ func (g *Gen) enabledSyscalls() []*Syscall {
 
 // Generate produces a program of up to maxCalls calls, inserting
 // resource-creator calls as needed so dependencies are satisfied.
-// The result is scratch: valid until g's next Generate/Mutate/
-// MutateOp; Detach it to keep it.
+// The result is scratch: valid until g's next Generate or MutateOp;
+// Detach it to keep it.
 func (g *Gen) Generate(maxCalls int) *Prog {
 	g.a.reset()
 	p := g.a.newProg(maxCalls+scratchSpare, true)

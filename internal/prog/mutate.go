@@ -1,34 +1,9 @@
 package prog
 
-// Mutation entry points. The individual transformations live in
+// Mutation entry point. The individual transformations live in
 // operator.go as named Operator implementations; this file holds the
-// generic drivers (Mutate for uniform selection, MutateOp for
-// scheduler-driven selection) and the shared call-level helpers.
-
-// Mutate returns a mutated copy of p (p itself is never modified),
-// applying 1–3 uniformly chosen operators. It is the
-// feedback-agnostic path; scheduler-driven campaigns use MutateOp.
-// The result is scratch: valid until g's next Generate/Mutate/
-// MutateOp; Detach it to keep it. p may be g's own previous result.
-func (g *Gen) Mutate(p *Prog, maxCalls int) *Prog {
-	m := g.scratchCopy(p)
-	if len(m.Calls) == 0 {
-		return g.Generate(maxCalls)
-	}
-	ops := defaultOps
-	ctx := &MutateCtx{MaxCalls: maxCalls}
-	nops := 1 + g.R.Intn(3)
-	for i := 0; i < nops; i++ {
-		if !ops[g.R.Intn(len(ops))].Apply(g, m, ctx) {
-			g.fallbackMutate(m, ctx)
-		}
-	}
-	return g.finishMutation(m, maxCalls)
-}
-
-// defaultOps backs Mutate; operator values are stateless, so sharing
-// the slice across goroutines is safe.
-var defaultOps = DefaultOperators()
+// driver (MutateOp, which applies the operator a Scheduler picked)
+// and the shared call-level helpers.
 
 // MutateOp returns a copy of p mutated by one specific operator —
 // the scheduler-driven path, where each mutation is credited to
@@ -38,8 +13,8 @@ var defaultOps = DefaultOperators()
 // the operator that actually mutated the program — the requested op,
 // the fallback, or nil when nothing applied (coverage credit must
 // follow the operator that did the work, not the one that was asked).
-// The returned program is scratch: valid until g's next Generate/
-// Mutate/MutateOp; Detach it to keep it. p may be g's own previous
+// The returned program is scratch: valid until g's next Generate or
+// MutateOp; Detach it to keep it. p may be g's own previous
 // result.
 func (g *Gen) MutateOp(p *Prog, op Operator, ctx *MutateCtx) (*Prog, Operator) {
 	m := g.scratchCopy(p)

@@ -7,6 +7,15 @@ import (
 	"kernelgpt/internal/syzlang"
 )
 
+// mutateOnce is one campaign mutation without feedback: an operator
+// drawn uniformly from DefaultOperators, applied through MutateOp with
+// no splice donor. The result is g's scratch, like MutateOp's.
+func mutateOnce(g *Gen, p *Prog, maxCalls int) *Prog {
+	ops := DefaultOperators()
+	m, _ := g.MutateOp(p, ops[g.R.Intn(len(ops))], &MutateCtx{MaxCalls: maxCalls})
+	return m
+}
+
 // resSpec embeds resources inside unions and arrays — the shapes
 // whose mid-program regeneration historically minted forward
 // references (a creator appended after its consumer).
@@ -206,36 +215,33 @@ func TestSchedulerAdapts(t *testing.T) {
 	sched := NewScheduler()
 	n := len(sched.Ops())
 	const hot = 2
-	for i := 0; i < 8000; i++ {
-		idx := sched.Pick(r)
-		reward := 0
-		if idx == hot {
-			reward = 4
+	// drive feeds s 8000 picks, rewarding only the hot operator, and
+	// returns how often each operator was picked.
+	drive := func(s *Scheduler) []int {
+		picks := make([]int, n)
+		for i := 0; i < 8000; i++ {
+			idx := s.Pick(r)
+			picks[idx]++
+			reward := 0
+			if idx == hot {
+				reward = 4
+			}
+			s.Reward(idx, reward)
 		}
-		sched.Reward(idx, reward)
+		return picks
 	}
-	snap := sched.Snapshot()
+	picks := drive(sched)
 	uniformShare := 8000 / n
-	if snap[hot].Picks < 2*uniformShare {
-		t.Fatalf("adaptive scheduler did not favor the hot operator: %+v", snap)
+	if picks[hot] < 2*uniformShare {
+		t.Fatalf("adaptive scheduler did not favor the hot operator: %v", picks)
 	}
-	if snap[hot].Weight < 2.0/float64(n) {
-		t.Fatalf("hot operator weight too low: %+v", snap)
+	if weights, total := sched.weights(); weights[hot]/total < 2.0/float64(n) {
+		t.Fatalf("hot operator weight too low: %v of %v", weights[hot], total)
 	}
 
 	r = rand.New(rand.NewSource(3))
-	flat := NewUniformScheduler()
-	for i := 0; i < 8000; i++ {
-		idx := flat.Pick(r)
-		reward := 0
-		if idx == hot {
-			reward = 4
-		}
-		flat.Reward(idx, reward)
-	}
-	fsnap := flat.Snapshot()
-	if fsnap[hot].Picks > 2*uniformShare {
-		t.Fatalf("uniform scheduler reacted to feedback: %+v", fsnap)
+	if picks := drive(NewUniformScheduler()); picks[hot] > 2*uniformShare {
+		t.Fatalf("uniform scheduler reacted to feedback: %v", picks)
 	}
 }
 

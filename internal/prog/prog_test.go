@@ -229,7 +229,7 @@ func TestMutatePreservesValidity(t *testing.T) {
 	g := NewGen(tgt, 42)
 	p := g.Generate(5)
 	for i := 0; i < 500; i++ {
-		p = g.Mutate(p, 8)
+		p = mutateOnce(g, p, 8)
 		if err := p.Validate(tgt); err != nil {
 			t.Fatalf("mutation %d broke program: %v\n%s", i, err, p)
 		}
@@ -242,7 +242,7 @@ func TestMutateChangesPrograms(t *testing.T) {
 	p := g.Generate(5).Detach() // compared against every later candidate
 	changed := 0
 	for i := 0; i < 50; i++ {
-		m := g.Mutate(p, 8)
+		m := mutateOnce(g, p, 8)
 		if m.Serialize() != p.Serialize() {
 			changed++
 		}
@@ -255,12 +255,12 @@ func TestMutateChangesPrograms(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	tgt := testTarget(t)
 	g := NewGen(tgt, 5)
-	p := g.Generate(5).Detach() // must survive the Mutate calls below
+	p := g.Generate(5).Detach() // must survive the mutations below
 	c := p.Clone()
 	before := p.String()
 	for i := 0; i < 20; i++ {
-		g.Mutate(c, 8) // mutate returns copies, but also mutate c in place via returned discard
-		c = g.Mutate(c, 8)
+		mutateOnce(g, c, 8) // a discarded candidate of c
+		c = mutateOnce(g, c, 8)
 	}
 	if p.String() != before {
 		t.Fatal("mutating the clone changed the original")
@@ -314,7 +314,7 @@ func TestQuickMutationChainsStayValid(t *testing.T) {
 		g := NewGen(tgt, seed)
 		p := g.Generate(4)
 		for i := 0; i < 10; i++ {
-			p = g.Mutate(p, 8)
+			p = mutateOnce(g, p, 8)
 		}
 		return p.Validate(tgt) == nil
 	}

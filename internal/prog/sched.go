@@ -17,15 +17,13 @@ import "math/rand"
 type Scheduler struct {
 	ops      []Operator
 	adaptive bool
-	// picks counts selections (lifetime, for reporting); trials and
-	// rewards are the decayed bandit state.
-	picks   []int
+	// trials and rewards are the decayed bandit state.
 	trials  []float64
 	rewards []float64
 	// sinceDecay counts rewards since the last halving.
 	sinceDecay int
 	// wbuf is what weights fills and returns: valid until the next
-	// Pick or Snapshot, never handed to a caller.
+	// Pick, never handed to a caller.
 	wbuf []float64
 }
 
@@ -58,7 +56,6 @@ func newScheduler(adaptive bool, ops []Operator) *Scheduler {
 	return &Scheduler{
 		ops:      ops,
 		adaptive: adaptive,
-		picks:    make([]int, len(ops)),
 		trials:   make([]float64, len(ops)),
 		rewards:  make([]float64, len(ops)),
 		wbuf:     make([]float64, len(ops)),
@@ -85,7 +82,6 @@ func (s *Scheduler) Pick(r *rand.Rand) int {
 			t -= w
 		}
 	}
-	s.picks[idx]++
 	return idx
 }
 
@@ -122,38 +118,4 @@ func (s *Scheduler) Reward(op int, newBlocks int) {
 			s.rewards[i] /= 2
 		}
 	}
-}
-
-// OperatorStat is one operator's snapshot entry.
-type OperatorStat struct {
-	// Name is the operator name.
-	Name string
-	// Picks is the lifetime selection count.
-	Picks int
-	// Reward is the decayed new-coverage mass credited to the
-	// operator.
-	Reward float64
-	// Weight is the operator's current share of selection probability
-	// (sums to 1 across the snapshot).
-	Weight float64
-}
-
-// Snapshot reports the per-operator scheduler state in canonical
-// operator order.
-func (s *Scheduler) Snapshot() []OperatorStat {
-	weights, total := s.weights()
-	out := make([]OperatorStat, len(s.ops))
-	for i, op := range s.ops {
-		w := 1 / float64(len(s.ops))
-		if s.adaptive && total > 0 {
-			w = weights[i] / total
-		}
-		out[i] = OperatorStat{
-			Name:   op.Name(),
-			Picks:  s.picks[i],
-			Reward: s.rewards[i],
-			Weight: w,
-		}
-	}
-	return out
 }

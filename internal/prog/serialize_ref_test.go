@@ -123,7 +123,7 @@ func FuzzSerializeMatchesReference(f *testing.F) {
 			g := NewGen(tgt, seed)
 			p := g.Generate(1 + int(calls%16))
 			checkSerialize(t, p)
-			checkSerialize(t, g.Mutate(p, 8))
+			checkSerialize(t, mutateOnce(g, p, 8))
 			if q, err := Deserialize(tgt, text); err == nil {
 				checkSerialize(t, q)
 			}

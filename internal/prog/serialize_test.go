@@ -135,7 +135,7 @@ func TestQuickSerializeRoundTrip(t *testing.T) {
 		g := NewGen(tgt, seed)
 		p := g.Generate(5)
 		for i := 0; i < 3; i++ {
-			p = g.Mutate(p, 6)
+			p = mutateOnce(g, p, 6)
 		}
 		q, err := Deserialize(tgt, p.Serialize())
 		return err == nil && q.Serialize() == p.Serialize()

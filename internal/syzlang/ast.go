@@ -216,59 +216,3 @@ func (f *File) Merge(other *File) {
 	f.Unions = append(f.Unions, other.Unions...)
 	f.Flags = append(f.Flags, other.Flags...)
 }
-
-// Clone returns a deep copy of the file.
-func (f *File) Clone() *File {
-	c := &File{}
-	for _, r := range f.Resources {
-		rc := *r
-		c.Resources = append(c.Resources, &rc)
-	}
-	for _, s := range f.Syscalls {
-		sc := *s
-		sc.Args = cloneFields(s.Args)
-		c.Syscalls = append(c.Syscalls, &sc)
-	}
-	for _, s := range f.Structs {
-		sc := *s
-		sc.Fields = cloneFields(s.Fields)
-		c.Structs = append(c.Structs, &sc)
-	}
-	for _, u := range f.Unions {
-		uc := *u
-		uc.Fields = cloneFields(u.Fields)
-		c.Unions = append(c.Unions, &uc)
-	}
-	for _, fl := range f.Flags {
-		flc := *fl
-		flc.Values = append([]FlagValue(nil), fl.Values...)
-		c.Flags = append(c.Flags, &flc)
-	}
-	return c
-}
-
-func cloneFields(fields []*Field) []*Field {
-	out := make([]*Field, len(fields))
-	for i, f := range fields {
-		fc := *f
-		fc.Type = f.Type.Clone()
-		fc.Attrs = append([]string(nil), f.Attrs...)
-		out[i] = &fc
-	}
-	return out
-}
-
-// Clone returns a deep copy of the type expression.
-func (t *TypeExpr) Clone() *TypeExpr {
-	if t == nil {
-		return nil
-	}
-	c := *t
-	c.Args = make([]*TypeArg, len(t.Args))
-	for i, a := range t.Args {
-		ac := *a
-		ac.Type = a.Type.Clone()
-		c.Args[i] = &ac
-	}
-	return &c
-}

@@ -42,13 +42,6 @@ func Format(f *File) string {
 	return b.String()
 }
 
-// FormatSyscall renders one syscall description line.
-func FormatSyscall(s *SyscallDef) string {
-	var b strings.Builder
-	writeSyscall(&b, s)
-	return b.String()
-}
-
 func writeSyscall(b *strings.Builder, s *SyscallDef) {
 	b.WriteString(s.CallName)
 	if s.Variant != "" {
@@ -72,13 +65,6 @@ func writeSyscall(b *strings.Builder, s *SyscallDef) {
 	}
 }
 
-// FormatStruct renders a struct definition block.
-func FormatStruct(st *StructDef) string {
-	var b strings.Builder
-	writeStruct(&b, st)
-	return b.String()
-}
-
 func writeStruct(b *strings.Builder, st *StructDef) {
 	b.WriteString(st.Name)
 	b.WriteString(" {\n")
@@ -90,13 +76,6 @@ func writeStruct(b *strings.Builder, st *StructDef) {
 		b.WriteByte(']')
 	}
 	b.WriteByte('\n')
-}
-
-// FormatUnion renders a union definition block.
-func FormatUnion(u *UnionDef) string {
-	var b strings.Builder
-	writeUnion(&b, u)
-	return b.String()
 }
 
 func writeUnion(b *strings.Builder, u *UnionDef) {
@@ -116,13 +95,6 @@ func writeFields(b *strings.Builder, fields []*Field) {
 		writeAttrs(b, f.Attrs)
 		b.WriteByte('\n')
 	}
-}
-
-// FormatFlags renders a flag-set definition line.
-func FormatFlags(fl *FlagsDef) string {
-	var b strings.Builder
-	writeFlags(&b, fl)
-	return b.String()
 }
 
 func writeFlags(b *strings.Builder, fl *FlagsDef) {

@@ -12,8 +12,8 @@ import (
 )
 
 // The reference formatter: the Sprintf/Join form the one-builder
-// formatter replaced. Every formatting entry point must print what it
-// prints.
+// formatter replaced. Format and the String methods must print what it
+// prints, for whole files and for one declaration at a time.
 
 func refFormat(f *syzlang.File) string {
 	var b strings.Builder
@@ -133,42 +133,40 @@ func refEscape(s string) string {
 	return r.Replace(s)
 }
 
-// checkFormat compares every formatting entry point on f with the
-// reference.
+// checkFormat compares Format on f, and on each of f's declarations
+// alone, with the reference.
 func checkFormat(t *testing.T, f *syzlang.File) {
 	t.Helper()
 	if got, want := syzlang.Format(f), refFormat(f); got != want {
 		t.Fatalf("Format:\n got %q\nwant %q", got, want)
 	}
+	one := func(kind string, g *syzlang.File, want string) {
+		t.Helper()
+		if got := syzlang.Format(g); got != want {
+			t.Fatalf("Format of one %s: got %q, want %q", kind, got, want)
+		}
+	}
 	var types []*syzlang.TypeExpr
 	for _, s := range f.Syscalls {
-		if got, want := syzlang.FormatSyscall(s), refFormatSyscall(s); got != want {
-			t.Fatalf("FormatSyscall: got %q, want %q", got, want)
-		}
+		one("syscall", &syzlang.File{Syscalls: []*syzlang.SyscallDef{s}}, refFormatSyscall(s)+"\n")
 		for _, a := range s.Args {
 			types = append(types, a.Type)
 		}
 	}
 	for _, st := range f.Structs {
-		if got, want := syzlang.FormatStruct(st), refFormatStruct(st); got != want {
-			t.Fatalf("FormatStruct: got %q, want %q", got, want)
-		}
+		one("struct", &syzlang.File{Structs: []*syzlang.StructDef{st}}, "\n"+refFormatStruct(st))
 		for _, fl := range st.Fields {
 			types = append(types, fl.Type)
 		}
 	}
 	for _, u := range f.Unions {
-		if got, want := syzlang.FormatUnion(u), refFormatUnion(u); got != want {
-			t.Fatalf("FormatUnion: got %q, want %q", got, want)
-		}
+		one("union", &syzlang.File{Unions: []*syzlang.UnionDef{u}}, "\n"+refFormatUnion(u))
 		for _, fl := range u.Fields {
 			types = append(types, fl.Type)
 		}
 	}
 	for _, fl := range f.Flags {
-		if got, want := syzlang.FormatFlags(fl), refFormatFlags(fl); got != want {
-			t.Fatalf("FormatFlags: got %q, want %q", got, want)
-		}
+		one("flags", &syzlang.File{Flags: []*syzlang.FlagsDef{fl}}, "\n"+refFormatFlags(fl)+"\n")
 	}
 	for len(types) > 0 {
 		te := types[0]
@@ -193,7 +191,7 @@ func checkFormat(t *testing.T, f *syzlang.File) {
 // oracleSuite is every handler's ground-truth spec of the full-scale
 // corpus, merged into one file.
 var oracleSuite = sync.OnceValue(func() *syzlang.File {
-	c := corpus.Build(corpus.DefaultConfig())
+	c := corpus.Build(corpus.Config{Scale: 1})
 	merged := &syzlang.File{}
 	for _, h := range c.Handlers {
 		merged.Merge(corpus.OracleSpec(h))

@@ -182,15 +182,6 @@ func TestFormatRoundTripPreservesCounts(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	f := MustParse(dmSpec)
-	c := f.Clone()
-	c.Syscalls[0].Args[1].Type.Ident = "mutated"
-	if f.Syscalls[0].Args[1].Type.Ident == "mutated" {
-		t.Fatal("Clone shares TypeExpr memory with original")
-	}
-}
-
 func TestParseTypeExpr(t *testing.T) {
 	te, err := ParseTypeExpr("ptr[inout, array[int8, 0:16]]")
 	if err != nil {

@@ -96,12 +96,6 @@ var builtinScalar = map[string]bool{
 	"filename": true, "void": true,
 }
 
-var builtinParam = map[string]bool{
-	"const": true, "flags": true, "ptr": true, "array": true,
-	"string": true, "len": true, "bytesize": true, "vma": true,
-	"buffer": true,
-}
-
 type validator struct {
 	env     *Env
 	file    *File

@@ -147,19 +147,6 @@ func (f *FlightRecorder) Dump(reason string) (string, error) {
 	return path, nil
 }
 
-// Len returns the number of buffered events.
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.full {
-		return len(f.ring)
-	}
-	return f.next
-}
-
 // sanitizeReason keeps dump filenames portable: anything outside
 // [a-zA-Z0-9._-] becomes '_', and the reason is capped at 48 bytes.
 func sanitizeReason(reason string) string {

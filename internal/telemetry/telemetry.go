@@ -259,14 +259,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
 // Add moves the gauge by n (negative to decrement).
 func (g *Gauge) Add(n int64) {
 	if g == nil {

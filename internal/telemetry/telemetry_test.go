@@ -20,7 +20,6 @@ func TestNilInstrumentsAreInert(t *testing.T) {
 	var h *Histogram
 	c.Add(5)
 	c.Inc()
-	g.Set(3)
 	g.Add(-1)
 	h.Observe(42)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
@@ -87,7 +86,7 @@ func TestExpositionSortedAndLabeled(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`bytes_total{proto="json"}`).Add(10)
 	r.Counter(`bytes_total{proto="binary"}`).Add(20)
-	r.Gauge("workers").Set(4)
+	r.Gauge("workers").Add(4)
 	r.Histogram(`svc_ns{kind="sync"}`, []int64{100}).Observe(50)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {

@@ -45,7 +45,7 @@ func benchExecProgs(b *testing.B, vm *VM) []*prog.ExecProg {
 	progs := benchProgs(b)
 	eps := make([]*prog.ExecProg, len(progs))
 	for i, p := range progs {
-		eps[i] = prog.CompileExec(p)
+		eps[i] = compileExec(p)
 		vm.RunCompiled(eps[i])
 	}
 	return eps

@@ -59,6 +59,13 @@ func sameCrash(a, b *Crash) bool {
 	return a == nil || a.Title == b.Title
 }
 
+// compileExec lowers p into a fresh ExecProg.
+func compileExec(p *prog.Prog) *prog.ExecProg {
+	ep := &prog.ExecProg{}
+	prog.CompileExecInto(p, ep)
+	return ep
+}
+
 // TestCompiledStatefulCrash pins the stateful-bug path: the CEC
 // PriorCmds chain must crash when run from a caller-held ExecProg
 // exactly as it does through VM.Run (how cecChainProg found it),
@@ -66,7 +73,7 @@ func sameCrash(a, b *Crash) bool {
 func TestCompiledStatefulCrash(t *testing.T) {
 	_, p := cecChainProg(t)
 	vm := testKernel.NewVM()
-	ep := prog.CompileExec(p)
+	ep := compileExec(p)
 	crash, _ := vm.RunCompiled(ep)
 	if crash == nil || crash.Title != "WARNING in cec_data_cancel" {
 		t.Fatalf("compiled chain did not crash: %+v", crash)
@@ -79,7 +86,7 @@ func TestCompiledStatefulCrash(t *testing.T) {
 		}
 	}
 	stripped.Calls = calls
-	if crash, _ := vm.RunCompiled(prog.CompileExec(stripped)); crash != nil {
+	if crash, _ := vm.RunCompiled(compileExec(stripped)); crash != nil {
 		t.Fatalf("compiled bug fired without its PriorCmds: %v", crash.Title)
 	}
 }
@@ -111,7 +118,7 @@ func TestRunCompiledIsolation(t *testing.T) {
 	out := make([]Result, len(progs))
 	vm := testKernel.NewVM()
 	for i, p := range progs {
-		out[i].Crash, out[i].Errno = vm.RunCompiled(prog.CompileExec(p))
+		out[i].Crash, out[i].Errno = vm.RunCompiled(compileExec(p))
 		out[i].Cov = vm.AppendCover(nil)
 	}
 	for i, p := range progs {
@@ -142,7 +149,7 @@ func TestRunCompiledZeroAllocs(t *testing.T) {
 	var cov []BlockID
 	for len(eps) < 32 {
 		p := g.Generate(2 + len(eps)%10)
-		ep := prog.CompileExec(p)
+		ep := compileExec(p)
 		// Keep the non-crash path honest: crashing programs allocate
 		// the Crash report by design.
 		if crash, _ := vm.RunCompiled(ep); crash == nil {

@@ -158,7 +158,7 @@ func FuzzDeserializeExec(f *testing.F) {
 		}
 		want := testKernel.NewVM().Run(p)
 		vm := testKernel.NewVM()
-		crash, errno := vm.RunCompiled(prog.CompileExec(p))
+		crash, errno := vm.RunCompiled(compileExec(p))
 		if cov := vm.AppendCover(nil); !sameCov(want.Cov, cov) || !sameCrash(want.Crash, crash) || want.Errno != errno {
 			t.Fatalf("VM.Run and RunCompiled disagree on:\n%s\nRun {cov %d, crash %+v, errno %d} vs RunCompiled {cov %d, crash %+v, errno %d}",
 				p.Serialize(), len(want.Cov), want.Crash, want.Errno, len(cov), crash, errno)

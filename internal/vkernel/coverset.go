@@ -50,15 +50,6 @@ func (s *CoverSet) Add(b BlockID) bool {
 	return true
 }
 
-// Has reports whether block b is covered.
-func (s *CoverSet) Has(b BlockID) bool {
-	if s == nil {
-		return false
-	}
-	w := int(b >> 6)
-	return w < len(s.words) && s.words[w]&(1<<(b&63)) != 0
-}
-
 // Count returns the number of covered blocks in O(1).
 func (s *CoverSet) Count() int {
 	if s == nil {

@@ -22,9 +22,11 @@ func deltaRoundTrip(t *testing.T, s, base *CoverSet) []byte {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	inBase := map[BlockID]bool{}
+	base.ForEach(func(b BlockID) { inBase[b] = true })
 	want := []BlockID{}
 	s.ForEach(func(b BlockID) {
-		if !base.Has(b) {
+		if !inBase[b] {
 			want = append(want, b)
 		}
 	})

@@ -6,35 +6,46 @@ import (
 	"testing"
 )
 
-func TestCoverSetAddHasCount(t *testing.T) {
+// checkBlocks fails the test unless s holds exactly want, ascending.
+func checkBlocks(t *testing.T, s *CoverSet, want ...BlockID) {
+	t.Helper()
+	got := s.Blocks()
+	if len(got) != len(want) {
+		t.Fatalf("blocks %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("blocks %v, want %v", got, want)
+		}
+	}
+}
+
+func TestCoverSetAddCount(t *testing.T) {
 	s := NewCoverSet(256)
-	if s.Count() != 0 || s.Has(0) {
+	if s.Count() != 0 || len(s.Blocks()) != 0 {
 		t.Fatal("new set not empty")
 	}
-	for _, b := range []BlockID{0, 63, 64, 65, 200} {
+	blocks := []BlockID{0, 63, 64, 65, 200}
+	for _, b := range blocks {
 		if !s.Add(b) {
 			t.Fatalf("Add(%d) not new", b)
 		}
 		if s.Add(b) {
 			t.Fatalf("Add(%d) twice reported new", b)
 		}
-		if !s.Has(b) {
-			t.Fatalf("Has(%d) false after Add", b)
-		}
 	}
 	if s.Count() != 5 {
 		t.Fatalf("Count = %d, want 5", s.Count())
 	}
-	if s.Has(1) || s.Has(255) {
-		t.Fatal("Has reports uncovered block")
-	}
+	checkBlocks(t, s, blocks...)
 }
 
 func TestCoverSetGrowsBeyondBound(t *testing.T) {
 	s := NewCoverSet(8)
-	if !s.Add(1000) || !s.Has(1000) {
+	if !s.Add(1000) {
 		t.Fatal("set did not grow past its initial bound")
 	}
+	checkBlocks(t, s, 1000)
 	var zero CoverSet
 	if !zero.Add(77) || zero.Count() != 1 {
 		t.Fatal("zero-value set unusable")
@@ -76,9 +87,10 @@ func TestCoverSetUnionDiff(t *testing.T) {
 		t.Fatalf("reverse Diff = %d, want 1", got)
 	}
 	added := a.Union(b)
-	if added != 1 || a.Count() != 5 || !a.Has(150) {
+	if added != 1 || a.Count() != 5 {
 		t.Fatalf("Union added %d, count %d", added, a.Count())
 	}
+	checkBlocks(t, a, 1, 2, 3, 100, 150)
 	// Union with a longer set grows the receiver.
 	c := NewCoverSet(0)
 	if c.Union(a) != 5 || !c.Equal(a) {
@@ -92,12 +104,10 @@ func TestCoverSetClearClone(t *testing.T) {
 	s.Add(99)
 	c := s.Clone()
 	s.Clear()
-	if s.Count() != 0 || s.Has(5) {
+	if s.Count() != 0 || len(s.Blocks()) != 0 {
 		t.Fatal("Clear left residue")
 	}
-	if c.Count() != 2 || !c.Has(5) || !c.Has(99) {
-		t.Fatal("Clone shares state with original")
-	}
+	checkBlocks(t, c, 5, 99) // Clone shares no state with the original
 	if s.Equal(c) {
 		t.Fatal("cleared set equal to clone")
 	}

@@ -21,7 +21,6 @@ type BlockID = uint32
 // per-handler dispatch tables, and ground-truth layouts. Executors
 // (one per fuzzing "VM") carry the mutable state.
 type Kernel struct {
-	c *corpus.Corpus
 	// byPath maps device paths to driver handlers.
 	byPath map[string]*khandler
 	// byDomain maps socket domain values to socket handlers.
@@ -165,7 +164,6 @@ var opOf = map[string]exop{
 // order.
 func New(c *corpus.Corpus) *Kernel {
 	k := &Kernel{
-		c:             c,
 		byPath:        map[string]*khandler{},
 		byDomain:      map[int]*khandler{},
 		byName:        map[string]*khandler{},
@@ -363,45 +361,17 @@ func New(c *corpus.Corpus) *Kernel {
 	return k
 }
 
-// Corpus returns the corpus this kernel was built from.
-func (k *Kernel) Corpus() *corpus.Corpus { return k.c }
-
 // NumBlocks bounds the block-ID space: every BlockID the kernel can
 // report is in [0, NumBlocks). Dense coverage structures (CoverSet)
 // size themselves from this.
 func (k *Kernel) NumBlocks() uint32 { return k.TotalBlocks }
 
-// ReachableBlocks reports, for diagnostics, the number of blocks
-// belonging to the named handler.
-func (k *Kernel) ReachableBlocks(handler string) int {
-	kh := k.byName[handler]
-	if kh == nil {
-		return 0
-	}
-	n := len(kh.open)
-	for _, kc := range kh.cmds {
-		n += 1 + len(kc.body)
-		for _, g := range kc.gates {
-			n += len(g.blocks)
-		}
-		if kc.c.Bug != nil {
-			n++
-		}
-	}
-	for _, kc := range kh.calls {
-		n += 1 + len(kc.body)
-	}
-	n += 2 // dup + epoll registration
-	if kh.mappable {
-		n += 2 + len(kh.mmapBody) // mmap entry + body + munmap
-	}
-	return n
-}
-
 // BlockRange returns the half-open block-id range [lo, hi) assigned
-// to the named handler's code. Block numbering is contiguous per
-// handler, which gives the benchmarks cheap per-handler coverage
-// attribution.
+// to the named handler's code ([0, 0) for an unknown handler). Block
+// numbering is contiguous per handler and the ranges are disjoint, so
+// a campaign's coverage can be explained per handler: the blocks it
+// covered inside [lo, hi) against the hi-lo blocks the handler can
+// reach.
 func (k *Kernel) BlockRange(handler string) (lo, hi BlockID) {
 	kh := k.byName[handler]
 	if kh == nil {

@@ -1,6 +1,7 @@
 package vkernel
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -200,6 +201,34 @@ func TestStatefulBugNeedsPriorCmds(t *testing.T) {
 	}
 }
 
+// TestHandlerBlockRanges: every handler owns a non-empty block range,
+// no two ranges overlap, and all lie within [0, NumBlocks()) — so the
+// coverage inside a handler's range is that handler's coverage, and the
+// range's width is the number of blocks it could reach.
+func TestHandlerBlockRanges(t *testing.T) {
+	type span struct {
+		name   string
+		lo, hi BlockID
+	}
+	spans := make([]span, 0, len(testCorpus.Handlers))
+	for _, h := range testCorpus.Handlers {
+		lo, hi := testKernel.BlockRange(h.Name)
+		if lo >= hi || hi > testKernel.NumBlocks() {
+			t.Errorf("%s: block range [%d, %d) is empty or outside [0, %d)", h.Name, lo, hi, testKernel.NumBlocks())
+		}
+		spans = append(spans, span{h.Name, lo, hi})
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	for i := 1; i < len(spans); i++ {
+		if prev := spans[i-1]; spans[i].lo < prev.hi {
+			t.Errorf("%s [%d, %d) overlaps %s [%d, %d)", spans[i].name, spans[i].lo, spans[i].hi, prev.name, prev.lo, prev.hi)
+		}
+	}
+	if lo, hi := testKernel.BlockRange("no_such_handler"); lo != hi {
+		t.Errorf("unknown handler has block range [%d, %d)", lo, hi)
+	}
+}
+
 func TestKVMResourceChainCoversChildren(t *testing.T) {
 	tgt := targetFor(t, "kvm", "kvm_vm", "kvm_vcpu")
 	g := prog.NewGen(tgt, 7)
@@ -279,12 +308,13 @@ func TestBlockNumberingDisjoint(t *testing.T) {
 
 func TestQuickRunNeverPanics(t *testing.T) {
 	tgt := targetFor(t, "dm", "cec", "rds")
+	ops := prog.DefaultOperators()
 	f := func(seed int64) bool {
 		g := prog.NewGen(tgt, seed)
 		p := g.Generate(8)
 		for i := 0; i < 3; i++ {
 			testKernel.NewVM().Run(p)
-			p = g.Mutate(p, 8)
+			p, _ = g.MutateOp(p, ops[g.R.Intn(len(ops))], &prog.MutateCtx{MaxCalls: 8})
 		}
 		return true
 	}
