@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"kernelgpt/internal/bench"
@@ -27,7 +28,8 @@ import (
 
 func main() {
 	quick := flag.Bool("quick", false, "small corpus and budgets (smoke run)")
-	only := flag.String("only", "", "comma-separated experiment ids (table1..table6, figure7, ablation-iterative, ablation-model, ablation-repair, ablation-locality, audit, tokens)")
+	ids := bench.ExperimentIDs()
+	only := flag.String("only", "", "comma-separated experiment ids ("+strings.Join(ids, ", ")+")")
 	execs := flag.Int("execs", 0, "override whole-suite campaign budget")
 	perDriver := flag.Int("perdriver", 0, "override per-driver campaign budget")
 	reps := flag.Int("reps", 0, "override repetition count")
@@ -36,6 +38,18 @@ func main() {
 	workers := flag.Int("workers", 0, "override generation worker-pool size")
 	jsonOut := flag.String("json", "", "also write the tables that ran as JSON to FILE (\"-\" = stdout)")
 	flag.Parse()
+
+	want := map[string]bool{}
+	if *only != "" {
+		for _, id := range strings.Split(*only, ",") {
+			id = strings.TrimSpace(id)
+			if !slices.Contains(ids, id) {
+				fmt.Fprintf(os.Stderr, "benchtables: unknown experiment %q in -only (valid: %s)\n", id, strings.Join(ids, ", "))
+				os.Exit(2)
+			}
+			want[id] = true
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -67,24 +81,13 @@ func main() {
 	r.Ctx = ctx
 	fmt.Printf("corpus: %d handlers, kernel: %s\n\n", len(r.Corpus.Handlers), r.Kernel)
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
 	var tables []*bench.Table
-	ran, err := r.All(want, func(t *bench.Table) {
+	if err := r.All(want, func(t *bench.Table) {
 		fmt.Println(t)
 		tables = append(tables, t)
-	})
-	if err != nil {
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "interrupted — remaining experiments skipped; tables already printed may be partial")
 		os.Exit(1)
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched -only=%s\n", *only)
-		os.Exit(2)
 	}
 	if *jsonOut != "" {
 		if err := exportJSON(*jsonOut, tables); err != nil {

@@ -15,10 +15,10 @@
 // all pool into one store; each worker re-validates pulled seeds
 // against its own target and skips what it cannot parse.
 //
-// Workers hold leases (granted at registration, renewed by every sync,
-// expiring after -lease-ttl without one); -max-inflight
-// and -min-sync-interval shed load with 429 + Retry-After when the
-// fleet outruns the hub.
+// Every sync presents its worker's lease (expired in /v1/stats a minute
+// after the last sync, a label that refuses nothing); -max-inflight and
+// -min-sync-interval shed load with 429 + Retry-After when the fleet
+// outruns the hub.
 //
 // With -parent URL the hub runs as a leaf in a hierarchical topology:
 // it registers with the root hub as one worker and periodically syncs
@@ -66,7 +66,6 @@ func main() {
 	capacity := flag.Int("cap", 0, "merged corpus bound (0 = seedpool default)")
 	scale := flag.Float64("scale", 1.0, "corpus scale (must match the workers')")
 	statePath := flag.String("state", "", "hub state sidecar file (default <store>/hubstate.json)")
-	leaseTTL := flag.Duration("lease-ttl", hub.DefaultLeaseTTL, "worker lease expiry after the last sync")
 	maxInflight := flag.Int("max-inflight", 0, "sync backpressure: concurrent exchanges before 429 (0 = unlimited)")
 	minSyncInterval := flag.Duration("min-sync-interval", 0, "per-worker sync rate limit (0 = unlimited)")
 	parent := flag.String("parent", "", "root hub URL: run as a leaf and sync aggregates upward")
@@ -97,7 +96,6 @@ func main() {
 	}
 	opts := []hub.Option{
 		hub.WithCapacity(*capacity),
-		hub.WithLeaseTTL(*leaseTTL),
 		hub.WithMaxInflight(*maxInflight),
 		hub.WithMinSyncInterval(*minSyncInterval),
 		hub.WithStatePath(*statePath),

@@ -626,23 +626,30 @@ var experiments = []struct {
 	{"tokens", (*Runner).TokenCost},
 }
 
+// ExperimentIDs lists every experiment id in paper order.
+func ExperimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
 // All runs the experiments whose ids are in only (every experiment
 // when only is empty) in paper order, handing each table to emit as
 // soon as it is built; the others are not run. Once r.Ctx is done it
-// starts no further experiment and returns the context's error. ran
-// counts the experiments that ran.
-func (r *Runner) All(only map[string]bool, emit func(*Table)) (ran int, err error) {
+// starts no further experiment and returns the context's error.
+func (r *Runner) All(only map[string]bool, emit func(*Table)) error {
 	for _, e := range experiments {
 		if len(only) > 0 && !only[e.id] {
 			continue
 		}
 		if err := r.Ctx.Err(); err != nil {
-			return ran, err
+			return err
 		}
 		emit(e.run(r))
-		ran++
 	}
-	return ran, nil
+	return nil
 }
 
 // AblationRepair quantifies the validation-and-repair phase (§3.2):

@@ -118,7 +118,7 @@ func addFillers(add func(...*Handler), c *Corpus, scale float64) {
 		switch h.Kind {
 		case KindDriver:
 			drvLoaded++
-			switch specState(h) {
+			switch specStateOf(h) {
 			case stateNoSpec:
 				drvNoSpec++
 			case statePartial:
@@ -126,7 +126,7 @@ func addFillers(add func(...*Handler), c *Corpus, scale float64) {
 			}
 		case KindSocket:
 			sckLoaded++
-			switch specState(h) {
+			switch specStateOf(h) {
 			case stateNoSpec:
 				sckNoSpec++
 			case statePartial:
@@ -296,17 +296,17 @@ func addFillers(add func(...*Handler), c *Corpus, scale float64) {
 	}
 }
 
-// SpecState classifies a handler's existing-description coverage.
-type SpecState int
+// specState classifies a handler's existing-description coverage.
+type specState int
 
 // Spec states.
 const (
-	stateNoSpec SpecState = iota
+	stateNoSpec specState = iota
 	statePartial
 	stateComplete
 )
 
-func specState(h *Handler) SpecState {
+func specStateOf(h *Handler) specState {
 	if h.SyzkallerComplete {
 		return stateComplete
 	}
@@ -364,7 +364,7 @@ func (c *Corpus) Loaded(kind Kind) []*Handler {
 func (c *Corpus) Incomplete(kind Kind) []*Handler {
 	var out []*Handler
 	for _, h := range c.Loaded(kind) {
-		if specState(h) != stateComplete {
+		if specStateOf(h) != stateComplete {
 			out = append(out, h)
 		}
 	}

@@ -52,7 +52,7 @@ func TestNoSpecDriverCount(t *testing.T) {
 	// (60%, per §5.1).
 	n := 0
 	for _, h := range fullCorpus.Incomplete(KindDriver) {
-		if specState(h) == stateNoSpec {
+		if specStateOf(h) == stateNoSpec {
 			n++
 		}
 	}

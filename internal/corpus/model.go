@@ -76,9 +76,6 @@ const (
 	// QuirkDebug marks debug-only devices (… _test) that are
 	// likewise filtered.
 	QuirkDebug
-	// QuirkNestedStruct nests a second struct inside the primary arg
-	// struct.
-	QuirkNestedStruct
 	// QuirkIndirectCall dispatches sub-commands through a function
 	// pointer array — the pattern §5.1.3 reports even LLMs missing
 	// for 3 drivers.
@@ -174,7 +171,6 @@ const (
 	BugODebug
 	BugListCorrupt
 	BugDivide
-	BugInfo
 )
 
 // Bug is a planted vulnerability reachable only under a specific

@@ -145,10 +145,9 @@ type Config struct {
 	// an unreachable hub never fails the campaign.
 	//
 	// Each sync also renews the worker's hub lease — the only renewal
-	// there is: keep the inter-sync gap under the hub's lease TTL
-	// (default one minute), or the hub reaps the lease and the
-	// client's next sync costs an extra round trip to re-register and
-	// resume it.
+	// there is. A gap longer than the hub's lease TTL (one minute)
+	// shows the worker's lease as expired in the hub's stats until its
+	// next sync, which the hub serves as usual.
 	//
 	// Imported remote seeds change subsequent mutation picks, so a
 	// hub-attached campaign is deterministic only if the hub's

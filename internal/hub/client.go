@@ -23,9 +23,11 @@ import (
 // the hub has already seen — seeds are pushed once (deduplicated by
 // their text), coverage as new-block deltas, crashes as count deltas — and
 // imports the merged corpus diff the hub returns. Transient transport
-// and server errors are retried with doubling backoff; a lapsed lease,
-// or a hub restarted without its state, is survived by transparent
-// re-registration (and, for the latter, a generation reset).
+// and server errors are retried with doubling backoff. The lease the
+// client holds stays good however long it goes without a sync; a hub
+// restarted without its state answers 404, which is survived by
+// transparent re-registration, a full cover/crash replay and a
+// generation reset.
 //
 // Client is safe for concurrent use; syncs serialize on an internal
 // mutex (parallel campaign units share one connection).
@@ -96,21 +98,18 @@ func Dial(ctx context.Context, baseURL, name string, t *prog.Target, opts ...Cli
 	return c, nil
 }
 
-// register performs the /v1/register exchange, presenting the current
-// lease for resumption when one is held. The returned response tells
-// the caller whether the hub resumed the lease (our delta bookkeeping
-// is still valid hub-side). It deliberately does not touch the
-// exported HubFingerprint/HubSeeds fields: those are documented
-// read-only after Dial, and register also runs during transparent
-// re-registration inside Sync, where rewriting them would race with
-// concurrent readers.
+// register performs the /v1/register exchange and adopts the granted
+// identity and lease. It deliberately does not touch the exported
+// HubFingerprint/HubSeeds fields: those are documented read-only after
+// Dial, and register also runs during transparent re-registration
+// inside Sync, where rewriting them would race with concurrent
+// readers.
 //
 //syzlint:locked mu
 func (c *Client) register(ctx context.Context) (RegisterResponse, error) {
 	var resp RegisterResponse
 	err := c.post(ctx, "/v1/register", RegisterRequest{
 		Version: ProtoVersion, Name: c.name, Fingerprint: c.fingerprint,
-		LeaseID: c.leaseID,
 	}, &resp)
 	if err != nil {
 		return RegisterResponse{}, fmt.Errorf("hub register: %w", err)
@@ -177,30 +176,21 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 		if !isUnknownWorker(err) {
 			return nil, err
 		}
-		// Our registration is gone (a hub restarted without its state
-		// sidecar) or our lease lapsed (no sync within the TTL, as in
-		// a partition): re-register, presenting the lease for
-		// resumption.
-		reg, err := c.register(ctx)
-		if err != nil {
+		// The hub holds no state for us (it restarted without its
+		// state sidecar): re-register. The content-addressed push
+		// dedup stays valid — the hub reloaded its corpus from the
+		// store — but union coverage and the crash table restarted
+		// empty, so those deltas replay from zero: rebuild the request
+		// with the full cumulative state.
+		if _, err := c.register(ctx); err != nil {
 			return nil, err
 		}
 		req.WorkerID = c.workerID
 		req.LeaseID = c.leaseID
-		if !reg.Resumed {
-			// The hub holds no state for us. The content-addressed
-			// push dedup stays valid — the hub reloaded its corpus
-			// from the store — but union coverage and the crash table
-			// restarted empty, so those deltas replay from zero:
-			// rebuild the request with the full cumulative state.
-			c.lastCov = &vkernel.CoverSet{}
-			c.crashes = map[string]int{}
-			req.SinceGen = 0
-			deltas()
-		}
-		// A resumed lease keeps all delta bookkeeping: the hub still
-		// holds our cover/crash attribution, so the original request
-		// is retried as-is.
+		c.lastCov = &vkernel.CoverSet{}
+		c.crashes = map[string]int{}
+		req.SinceGen = 0
+		deltas()
 		if resp, err = c.postSync(ctx, &req); err != nil {
 			return nil, err
 		}

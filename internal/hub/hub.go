@@ -21,13 +21,14 @@ import (
 	"kernelgpt/internal/vkernel"
 )
 
-// DefaultLeaseTTL is the lease time-to-live granted at registration
-// and refreshed by every sync. Campaigns sync at checkpoint cadence
+// leaseTTL is how long after its grant or last sync a worker's lease
+// reads as expired in /v1/stats. Campaigns sync at checkpoint cadence
 // (well under a minute), so a worker that goes this long without one
-// is treated as dead.
-const DefaultLeaseTTL = time.Minute
+// is probably gone; the label refuses nothing — a sync presenting the
+// lease is served whenever it comes.
+const leaseTTL = time.Minute
 
-// Lease states (WorkerJSON.Lease).
+// Lease labels (WorkerJSON.Lease).
 const (
 	LeaseActive   = "active"
 	LeaseExpired  = "expired"
@@ -50,7 +51,6 @@ type Hub struct {
 	logf   func(format string, args ...any)
 	now    telemetry.Clock
 
-	leaseTTL        time.Duration
 	maxInflight     int
 	minSyncInterval time.Duration
 	statePath       string
@@ -95,15 +95,13 @@ type worker struct {
 	lastSync    time.Time
 	final       bool
 	stats       WorkerStats
-	// leaseID names the worker's lease; leaseExpiry is when it lapses
-	// unless a sync renews it first; leaseState tracks
-	// active → expired (reaped) or released (Final sync).
-	leaseID     string
-	leaseExpiry time.Time
-	leaseState  string
-	// gen stamps the store generation of the worker's last exchange;
-	// persisted with the lease so a resumed worker's replay window is
-	// bounded by what the store already holds.
+	// leaseID is the credential every sync of the worker presents;
+	// leaseDeadline is leaseTTL after its grant or last non-final sync,
+	// and only the lease label reads it.
+	leaseID       string
+	leaseDeadline time.Time
+	// gen stamps the store generation of the worker's last exchange,
+	// persisted with the lease.
 	gen int
 	// sync aggregates the worker's per-sync service time and payload
 	// size (count/sum/max), the operator-facing cost of keeping this
@@ -113,6 +111,18 @@ type worker struct {
 	// per crash title — the unit the client counts in; recordCrash
 	// differences against it so retried reports fold in exactly once.
 	crashCounts map[string]int
+}
+
+// lease labels the worker's lease at now: released once a Final sync
+// came, expired once the deadline has passed, active otherwise.
+func (wk *worker) lease(now time.Time) string {
+	switch {
+	case wk.final:
+		return LeaseReleased
+	case now.After(wk.leaseDeadline):
+		return LeaseExpired
+	}
+	return LeaseActive
 }
 
 // observeSync folds one exchange's service time and wire payload size
@@ -152,12 +162,6 @@ func WithLog(logf func(format string, args ...any)) Option {
 	return func(h *Hub) { h.logf = logf }
 }
 
-// WithLeaseTTL overrides the worker lease time-to-live (<= 0 selects
-// DefaultLeaseTTL).
-func WithLeaseTTL(d time.Duration) Option {
-	return func(h *Hub) { h.leaseTTL = d }
-}
-
 // WithMaxInflight bounds concurrent /v1/sync requests; excess load is
 // shed with 429 + Retry-After before it queues on the hub mutex
 // (0 = unbounded).
@@ -181,7 +185,7 @@ func WithParent(url string) Option { return func(h *Hub) { h.parentURL = url } }
 // WithClock injects the hub's time source — the same
 // telemetry.Clock the campaigns thread through fuzz.Config.Clock, so
 // worker traces and hub-side aggregates (SyncAggJSON service times,
-// lease expiries) are measured against one clock. Nil reads the
+// lease labels) are measured against one clock. Nil reads the
 // system wall clock.
 func WithClock(c telemetry.Clock) Option {
 	return func(h *Hub) {
@@ -235,9 +239,6 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 	}
 	if h.cap <= 0 {
 		h.cap = seedpool.DefaultCapacity
-	}
-	if h.leaseTTL <= 0 {
-		h.leaseTTL = DefaultLeaseTTL
 	}
 	if h.statePath == "" {
 		h.statePath = filepath.Join(store.Dir(), stateFile)
@@ -385,39 +386,16 @@ func decode(w http.ResponseWriter, r *http.Request, version *int, body any) bool
 	return true
 }
 
-// reapLocked expires leases whose TTL lapsed. Expired workers keep
-// their bookkeeping (so a LeaseID resume needs no replay and crash
-// differencing stays exact) but their syncs are rejected until they
-// re-register. An expiry is persisted at once: the stats or the 404
-// that report it must not be undone by a restart. Callers hold h.mu.
-func (h *Hub) reapLocked() {
-	now := h.now()
-	expired := false
-	for _, wk := range h.workers {
-		if wk.leaseState == LeaseActive && wk.leaseExpiry.Before(now) {
-			wk.leaseState = LeaseExpired
-			expired = true
-			h.metrics.lease("expire")
-			h.flight.RecordNow("lease-expire", 0, wk.id)
-			h.logf("hub: lease for %s (%s) expired", wk.id, wk.name)
-		}
-	}
-	if expired {
-		h.persistLocked()
-	}
-}
-
 // grantLease issues a fresh lease on wk. The ID is unique per hub
 // lifetime (counter) and across restarts (start-time suffix), so a
-// stale client resuming against a restarted hub cannot collide with
-// a newly issued lease. Callers hold h.mu.
+// stale client's lease cannot collide with one a restarted hub issued.
+// Callers hold h.mu.
 //
 //syzlint:locked mu
 func (h *Hub) grantLease(wk *worker) {
 	h.nextLease++
 	wk.leaseID = fmt.Sprintf("L%d.%x", h.nextLease, h.start.UnixNano())
-	wk.leaseState = LeaseActive
-	wk.leaseExpiry = h.now().Add(h.leaseTTL)
+	wk.leaseDeadline = h.now().Add(leaseTTL)
 	h.metrics.lease("grant")
 }
 
@@ -428,30 +406,6 @@ func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.reapLocked()
-	hubFP := Fingerprint(h.target)
-	// Resume: if the presented lease matches a worker we still hold
-	// state for (in memory, or restored from the state sidecar after
-	// a restart), revive it — the worker keeps its identity and the
-	// client keeps its delta bookkeeping.
-	if req.LeaseID != "" {
-		for _, wk := range h.workers {
-			if wk.leaseID == req.LeaseID && wk.leaseState != LeaseReleased {
-				wk.leaseState = LeaseActive
-				wk.leaseExpiry = h.now().Add(h.leaseTTL)
-				h.metrics.lease("resume")
-				h.persistLocked()
-				h.logf("hub: resumed %s (%s, lease %s)", wk.id, wk.name, wk.leaseID)
-				writeJSON(w, http.StatusOK, RegisterResponse{
-					Version: ProtoVersion, WorkerID: wk.id, Generation: h.genLocked(),
-					Seeds: len(h.states), HubFingerprint: hubFP,
-					LeaseID: wk.leaseID, LeaseTTLMs: h.leaseTTL.Milliseconds(),
-					Resumed: true,
-				})
-				return
-			}
-		}
-	}
 	h.nextWorker++
 	id := fmt.Sprintf("w%d", h.nextWorker)
 	wk := &worker{id: id, name: req.Name, fingerprint: req.Fingerprint, crashCounts: map[string]int{}}
@@ -461,17 +415,17 @@ func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
 	h.logf("hub: registered %s (%s, fingerprint %s, lease %s)", id, req.Name, req.Fingerprint, wk.leaseID)
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		Version: ProtoVersion, WorkerID: id, Generation: h.genLocked(),
-		Seeds: len(h.states), HubFingerprint: hubFP,
-		LeaseID: wk.leaseID, LeaseTTLMs: h.leaseTTL.Milliseconds(),
+		Seeds: len(h.states), HubFingerprint: Fingerprint(h.target),
+		LeaseID: wk.leaseID, LeaseTTLMs: leaseTTL.Milliseconds(),
 	})
 }
 
 // leasedWorkerLocked looks a worker up and validates the presented
 // lease against its own, writing the 404 re-register hint itself (and
-// returning nil) when the worker is unknown or the lease is missing,
-// stale or expired: worker ids are guessable (w1, w2, …), the lease is
-// what keeps one worker from pushing into, renewing or releasing
-// another's. Callers hold h.mu.
+// returning nil) when the worker is unknown or the lease is missing or
+// stale: worker ids are guessable (w1, w2, …), the lease is what keeps
+// one worker from pushing into, renewing or releasing another's. A
+// lease past its deadline is still the worker's own. Callers hold h.mu.
 func (h *Hub) leasedWorkerLocked(w http.ResponseWriter, id, leaseID string) *worker {
 	wk := h.workers[id]
 	switch {
@@ -479,8 +433,6 @@ func (h *Hub) leasedWorkerLocked(w http.ResponseWriter, id, leaseID string) *wor
 		writeError(w, http.StatusNotFound, "unknown worker %q (hub restarted? re-register)", id)
 	case leaseID != wk.leaseID:
 		writeError(w, http.StatusNotFound, "missing or stale lease for %q: re-register", id)
-	case wk.leaseState == LeaseExpired:
-		writeError(w, http.StatusNotFound, "lease for %q expired: re-register (send lease_id to resume)", id)
 	default:
 		return wk
 	}
@@ -547,7 +499,6 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	// derives FROM this number, so baking it in would double-count —
 	// and the sidecar write that records it.
 	svcStart := h.now()
-	h.reapLocked()
 	wk := h.leasedWorkerLocked(w, req.WorkerID, req.LeaseID)
 	if wk == nil {
 		return
@@ -612,22 +563,21 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 		wk.stats = req.Stats
 	}
 	wk.lastSync = h.now()
-	wk.final = wk.final || req.Final
 	// Lease lifecycle: a Final sync releases the lease (the campaign
 	// is done — the CI fleet check asserts zero active leases at
 	// exit); any other successful sync renews it.
 	if req.Final {
-		wk.leaseState = LeaseReleased
 		h.metrics.lease("release")
-	} else if wk.leaseState == LeaseActive {
-		wk.leaseExpiry = h.now().Add(h.leaseTTL)
+	} else if !wk.final {
+		wk.leaseDeadline = wk.lastSync.Add(leaseTTL)
 		h.metrics.lease("renew")
 	}
+	wk.final = wk.final || req.Final
 	seeds, gen := h.diff(req.SinceGen)
 	wk.gen = gen
 	body := EncodeSyncResponse(&SyncResponse{
 		Version: ProtoVersion, Generation: gen, Seeds: seeds, RejectedSeeds: rejected,
-		LeaseTTLMs: h.leaseTTL.Milliseconds(),
+		LeaseTTLMs: leaseTTL.Milliseconds(),
 	})
 	commit()
 	h.logf("hub: sync %s: +%d seeds (%d rejected), +%d blocks, %d crash reports -> %d seeds at gen %d",
@@ -743,7 +693,7 @@ func (h *Hub) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // statsLocked builds the monitoring document. Callers hold h.mu.
 func (h *Hub) statsLocked() HubStats {
-	h.reapLocked()
+	now := h.now()
 	st := HubStats{
 		Version:       ProtoVersion,
 		Generation:    h.genLocked(),
@@ -769,13 +719,13 @@ func (h *Hub) statsLocked() HubStats {
 		wk := h.workers[id]
 		wj := WorkerJSON{
 			ID: wk.id, Name: wk.name, Fingerprint: wk.fingerprint,
-			Final: wk.final, Lease: wk.leaseState, Stats: wk.stats, Sync: wk.sync,
+			Final: wk.final, Lease: wk.lease(now), Stats: wk.stats, Sync: wk.sync,
 		}
 		if !wk.lastSync.IsZero() {
 			wj.LastSyncUnix = wk.lastSync.Unix()
 		}
 		st.Workers = append(st.Workers, wj)
-		switch wk.leaseState {
+		switch wj.Lease {
 		case LeaseActive:
 			st.ActiveLeases++
 		case LeaseExpired:
@@ -795,7 +745,7 @@ func (h *Hub) statsLocked() HubStats {
 			st.Sync.BytesMax = wk.sync.BytesMax
 		}
 	}
-	if up := h.now().Sub(h.start).Seconds(); up > 0 {
+	if up := now.Sub(h.start).Seconds(); up > 0 {
 		st.ExecsPerSec = float64(st.Execs) / up
 	}
 	return st

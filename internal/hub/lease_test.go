@@ -18,6 +18,7 @@ import (
 	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
+	"kernelgpt/internal/telemetry"
 	"kernelgpt/internal/vkernel"
 )
 
@@ -39,6 +40,16 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// openStore opens the corpus store in dir.
+func openStore(t *testing.T, dir string) *corpusstore.Store {
+	t.Helper()
+	store, err := corpusstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
 func coverOf(blocks ...vkernel.BlockID) *vkernel.CoverSet {
 	s := &vkernel.CoverSet{}
 	for _, b := range blocks {
@@ -47,14 +58,35 @@ func coverOf(blocks ...vkernel.BlockID) *vkernel.CoverSet {
 	return s
 }
 
-// TestLeaseExpiryUnderPartition: a worker partitioned past its TTL
-// loses the lease, its in-flight sync is rejected with a re-register
-// hint, and the client recovers transparently by resuming the lease —
-// same identity, no replay, no double-counted crashes.
-func TestLeaseExpiryUnderPartition(t *testing.T) {
+// TestLapsedLeaseSyncsInOneRequest: a worker that goes past its
+// lease's deadline between two syncs — a partition, a slow checkpoint —
+// still holds its lease. Its next sync is served as one /v1/sync, with
+// no re-registration: same identity, deltas only, crash counts
+// differenced against what the hub already holds.
+func TestLapsedLeaseSyncsInOneRequest(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	hub, srv := newHub(t, tgt, WithClock(clock.Now), WithLeaseTTL(time.Second))
+	hub, err := New(tgt, openStore(t, t.TempDir()), WithClock(clock.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	requests := map[string]int{}
+	inner := hub.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests[r.URL.Path]++
+		mu.Unlock()
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	counted := func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		out := requests
+		requests = map[string]int{}
+		return out
+	}
 	ctx := context.Background()
 	c, err := Dial(ctx, srv.URL, "w", tgt)
 	if err != nil {
@@ -73,38 +105,37 @@ func TestLeaseExpiryUnderPartition(t *testing.T) {
 	}
 
 	// Partition: the worker goes several TTLs without a sync.
-	clock.Advance(5 * time.Second)
+	clock.Advance(5 * leaseTTL)
 	st := hub.Stats()
-	if st.ActiveLeases != 0 || st.ExpiredLeases != 1 {
-		t.Fatalf("lease not reaped: active %d expired %d", st.ActiveLeases, st.ExpiredLeases)
+	if st.ActiveLeases != 0 || st.ExpiredLeases != 1 || st.Workers[0].Lease != LeaseExpired {
+		t.Fatalf("lapsed lease labelled active %d expired %d (%q)", st.ActiveLeases, st.ExpiredLeases, st.Workers[0].Lease)
 	}
 
-	// The worker returns with grown cumulative state. The sync is
-	// rejected (404 + hint), the client re-registers presenting its
-	// lease, the hub resumes it, and the retry carries only deltas.
+	// The worker returns with grown cumulative state.
+	counted()
 	if _, err := c.Sync(ctx, fuzz.SyncState{
 		Cover: coverOf(1, 4, 9, 16), Execs: 200,
 		Crashes: []fuzz.CrashReport{{Title: "bug-p", Repro: repro, Count: 2}},
 	}); err != nil {
-		t.Fatalf("sync across lease expiry: %v", err)
+		t.Fatalf("sync past the lease deadline: %v", err)
+	}
+	if got := counted(); got["/v1/sync"] != 1 || got["/v1/register"] != 0 || len(got) != 1 {
+		t.Fatalf("sync past the deadline took requests %v, want one /v1/sync", got)
 	}
 	if c.WorkerID() != id0 || c.leaseID != lease0 {
-		t.Fatalf("resume changed identity: %s/%s -> %s/%s", id0, lease0, c.WorkerID(), c.leaseID)
+		t.Fatalf("identity changed: %s/%s -> %s/%s", id0, lease0, c.WorkerID(), c.leaseID)
 	}
 	st = hub.Stats()
-	if len(st.Workers) != 1 {
-		t.Fatalf("resume created a second worker: %+v", st.Workers)
-	}
-	if st.ActiveLeases != 1 || st.ExpiredLeases != 0 {
-		t.Fatalf("lease not revived: active %d expired %d", st.ActiveLeases, st.ExpiredLeases)
+	if len(st.Workers) != 1 || st.ActiveLeases != 1 || st.ExpiredLeases != 0 {
+		t.Fatalf("after the sync: %d workers, active %d expired %d, want 1, 1, 0",
+			len(st.Workers), st.ActiveLeases, st.ExpiredLeases)
 	}
 	if st.UnionCover != 4 {
 		t.Fatalf("union cover %d, want 4", st.UnionCover)
 	}
-	// The resumed lease kept crash attribution: cumulative count 2 was
-	// differenced against the retained 1, not replayed in full.
+	// Cumulative count 2 differenced against the held 1, not replayed.
 	if got := hub.Crashes(); len(got) != 1 || got[0].Count != 2 {
-		t.Fatalf("crash count double-counted across resume: %+v", got)
+		t.Fatalf("crash count double-counted past the deadline: %+v", got)
 	}
 
 	// A Final sync releases the lease.
@@ -117,21 +148,66 @@ func TestLeaseExpiryUnderPartition(t *testing.T) {
 	}
 }
 
-// TestExpiredLeaseSurvivesRestart: a lapsed lease that the hub has
-// already reported expired stays expired across a restart — the
-// sidecar is written when the lease is reaped, not only at the next
-// sync — instead of coming back active with a fresh TTL.
+// TestReadsNeverWrite: labelling a lease expired is a read. After the
+// deadline passes, GET /v1/stats and /v1/crashes change neither the
+// state sidecar nor what /metrics reports. The GET handlers are called
+// without the request-counting middleware, which counts every request
+// by design.
+func TestReadsNeverWrite(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	h, err := New(tgt, openStore(t, dir), WithClock(clock.Now), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w RegisterResponse
+	serve(t, h.Handler(), "/v1/register", JSONContentType,
+		[]byte(`{"version":1,"name":"w","fingerprint":"fp"}`), &w)
+	snapshot := func() (sidecar, metrics []byte) {
+		t.Helper()
+		sidecar, err := os.ReadFile(filepath.Join(dir, stateFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		return sidecar, rec.Body.Bytes()
+	}
+	sidecar0, metrics0 := snapshot()
+	clock.Advance(5 * leaseTTL)
+	for i := 0; i < 2; i++ {
+		for path, handle := range map[string]http.HandlerFunc{"/v1/stats": h.handleStats, "/v1/crashes": h.handleCrashes} {
+			rec := httptest.NewRecorder()
+			handle(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s answered %d", path, rec.Code)
+			}
+		}
+	}
+	if st := h.Stats(); st.ExpiredLeases != 1 {
+		t.Fatalf("lease past its deadline not labelled expired: %+v", st)
+	}
+	sidecar1, metrics1 := snapshot()
+	if !bytes.Equal(sidecar0, sidecar1) {
+		t.Errorf("reads rewrote the sidecar:\nbefore: %s\nafter:  %s", sidecar0, sidecar1)
+	}
+	if !bytes.Equal(metrics0, metrics1) {
+		t.Errorf("reads changed /metrics:\nbefore:\n%s\nafter:\n%s", metrics0, metrics1)
+	}
+}
+
+// TestExpiredLeaseSurvivesRestart: a lease labelled expired stays
+// expired across a restart — the sidecar stores its deadline, and the
+// downtime counts toward the label — instead of coming back active.
 func TestExpiredLeaseSurvivesRestart(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	dir := t.TempDir()
 	open := func() *Hub {
 		t.Helper()
-		store, err := corpusstore.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := New(tgt, store, WithClock(clock.Now), WithLeaseTTL(time.Second))
+		h, err := New(tgt, openStore(t, dir), WithClock(clock.Now))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,9 +217,9 @@ func TestExpiredLeaseSurvivesRestart(t *testing.T) {
 	var reg RegisterResponse
 	serve(t, h1.Handler(), "/v1/register", JSONContentType,
 		[]byte(`{"version":1,"name":"w","fingerprint":"fp"}`), &reg)
-	clock.Advance(5 * time.Second)
+	clock.Advance(5 * leaseTTL)
 	if st := h1.Stats(); st.ActiveLeases != 0 || st.ExpiredLeases != 1 {
-		t.Fatalf("lease not reaped: active %d expired %d", st.ActiveLeases, st.ExpiredLeases)
+		t.Fatalf("lease past its deadline: active %d expired %d", st.ActiveLeases, st.ExpiredLeases)
 	}
 
 	st := open().Stats()

@@ -24,7 +24,7 @@ type hubMetrics struct {
 	// wire (syzhub_sync_bytes_total); it reconciles with /v1/stats
 	// sync.bytes_sum.
 	syncBytes *telemetry.Counter
-	// leaseEvents counts lease lifecycle transitions
+	// leaseEvents counts lease grants, renewals and releases
 	// (syzhub_lease_events_total{event=...}).
 	leaseEvents map[string]*telemetry.Counter
 	// sheds counts backpressure rejections
@@ -47,7 +47,7 @@ func newHubMetrics(reg *telemetry.Registry) *hubMetrics {
 		sheds:       map[string]*telemetry.Counter{},
 		reqNs:       reg.Histogram("syzhub_request_ns", nil),
 	}
-	for _, ev := range []string{"grant", "renew", "expire", "release", "resume"} {
+	for _, ev := range []string{"grant", "renew", "release"} {
 		m.leaseEvents[ev] = reg.Counter(fmt.Sprintf("syzhub_lease_events_total{event=%q}", ev))
 	}
 	for _, kind := range []string{"inflight", "rate"} {
@@ -65,7 +65,7 @@ func (m *hubMetrics) syncObserved(serviceNs, payloadBytes int64) {
 	m.syncBytes.Add(payloadBytes)
 }
 
-// lease records one lease lifecycle transition.
+// lease records one lease grant, renewal or release.
 func (m *hubMetrics) lease(event string) {
 	if m == nil {
 		return

@@ -15,6 +15,12 @@
 // leases — lives in a sidecar beside the store (state.go), so a
 // restarted hub resumes its workers where they left off.
 //
+// A lease is a credential, not a timer: registration grants it, every
+// sync presents it, and a sync that presents the worker's own lease is
+// served however long ago the last one came. Expiry is only a label
+// that /v1/stats computes from the lease's deadline; nothing is
+// reclaimed and nothing refused when it passes.
+//
 // The wire protocol is versioned and runs over HTTP. POST /v1/register
 // carries the JSON types below; POST /v1/sync, the one lease renewal,
 // carries SyncRequest/SyncResponse as the binary frame stream of
@@ -59,12 +65,6 @@ type RegisterRequest struct {
 	// a hub: seeds are validated against each side's own target, so a
 	// narrower worker simply skips seeds it cannot parse.
 	Fingerprint string `json:"fingerprint"`
-	// LeaseID, when set, asks to resume a prior lease (after a hub
-	// restart or a lease expiry during a partition). A hub that still
-	// holds the lease's generation-stamped state revives it and sets
-	// Resumed in the response, sparing the client a full cover/crash
-	// replay.
-	LeaseID string `json:"lease_id,omitempty"`
 }
 
 // RegisterResponse assigns the worker its hub identity and lease.
@@ -79,18 +79,12 @@ type RegisterResponse struct {
 	// HubFingerprint is the hub target's fingerprint, so a worker can
 	// warn when its spec surface differs from the hub's.
 	HubFingerprint string `json:"hub_fingerprint"`
-	// LeaseID names the worker's lease. Every sync must present it;
-	// each sync renews it, and it expires LeaseTTLMs after the last
-	// one, at which point the hub stops charging state to the worker
-	// and syncs are rejected until re-registration.
+	// LeaseID names the worker's lease. Every sync must present it,
+	// and each sync renews it.
 	LeaseID string `json:"lease_id,omitempty"`
-	// LeaseTTLMs is the lease time-to-live in milliseconds.
+	// LeaseTTLMs is how long after its last renewal, in milliseconds,
+	// /v1/stats labels the lease expired.
 	LeaseTTLMs int64 `json:"lease_ttl_ms,omitempty"`
-	// Resumed reports that LeaseID in the request matched persisted
-	// lease state: the hub still holds the worker's cover/crash
-	// attribution, so the client keeps its delta bookkeeping instead
-	// of replaying its full history.
-	Resumed bool `json:"resumed,omitempty"`
 }
 
 // WireSeed is one corpus entry in flight: the serialized program plus
@@ -222,8 +216,8 @@ type HubStats struct {
 	// Sync is the hub-wide sync cost aggregate (sums over workers;
 	// maxes are the worst single sync seen anywhere).
 	Sync SyncAggJSON `json:"sync"`
-	// ActiveLeases/ExpiredLeases/ReleasedLeases count the lease table:
-	// live workers, leases reaped after missing their TTL, and leases
+	// ActiveLeases/ExpiredLeases/ReleasedLeases count the workers by
+	// lease label: renewed within the TTL, not renewed for longer, and
 	// released by a Final sync. ActiveLeases == 0 after a clean
 	// campaign end.
 	ActiveLeases   int `json:"active_leases"`
@@ -278,8 +272,9 @@ type WorkerJSON struct {
 	// sync, in Unix seconds (0 = registered but never synced).
 	LastSyncUnix int64 `json:"last_sync_unix,omitempty"`
 	Final        bool  `json:"final,omitempty"`
-	// Lease is the worker's lease state: "active", "expired", or
-	// "released".
+	// Lease labels the worker's lease: "released" after a Final sync,
+	// "expired" once the TTL has passed since the last renewal,
+	// "active" otherwise.
 	Lease string      `json:"lease,omitempty"`
 	Stats WorkerStats `json:"stats"`
 	// Sync aggregates the worker's sync service times and payloads.

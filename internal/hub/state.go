@@ -17,18 +17,20 @@ import (
 // authoritative state — union coverage, the crash-dedup table, and
 // per-worker leases with their cumulative crash counts — goes to a
 // JSON sidecar (atomic temp+rename) whenever it changes: every
-// register, sync and lease expiry. New restores it, and a restarted
-// hub then accepts existing workers' leases as if nothing happened.
+// register and sync. Reads never write it. New restores it, and a
+// restarted hub then accepts existing workers' leases as if nothing
+// happened.
 
 // stateFile is the sidecar's name in the store directory, where New
 // puts it unless WithStatePath moves it.
 const stateFile = "hubstate.json"
 
-// stateVersion is the sidecar format this build writes. Version 1 (read
-// and migrated, never written) keyed each worker's crash_counts by
-// normalized repro text; 2 keys them by crash title, the unit the
-// client differences its cumulative counts in.
-const stateVersion = 2
+// stateVersion is the sidecar format this build writes. Versions 1 and
+// 2 are read and migrated, never written: 1 keyed each worker's
+// crash_counts by normalized repro text, where 2 and 3 key them by
+// crash title, the unit the client differences its cumulative counts
+// in; 1 and 2 stored a lease state, where 3 stores the lease deadline.
+const stateVersion = 3
 
 // hubStateJSON is the sidecar document.
 type hubStateJSON struct {
@@ -55,10 +57,13 @@ type crashStateJSON struct {
 }
 
 type workerStateJSON struct {
-	ID          string         `json:"id"`
-	Name        string         `json:"name,omitempty"`
-	Fingerprint string         `json:"fingerprint,omitempty"`
-	LeaseID     string         `json:"lease_id,omitempty"`
+	ID          string `json:"id"`
+	Name        string `json:"name,omitempty"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	LeaseID     string `json:"lease_id,omitempty"`
+	// LeaseDeadlineNs is the lease deadline in Unix ns (version 3).
+	LeaseDeadlineNs int64 `json:"lease_deadline_ns,omitempty"`
+	// LeaseState is "active", "expired" or "released" (versions 1 and 2).
 	LeaseState  string         `json:"lease_state,omitempty"`
 	Gen         int            `json:"gen,omitempty"`
 	LastSyncNs  int64          `json:"last_sync_ns,omitempty"`
@@ -111,7 +116,7 @@ func (h *Hub) persistLocked() {
 		wk := h.workers[id]
 		ws := workerStateJSON{
 			ID: wk.id, Name: wk.name, Fingerprint: wk.fingerprint,
-			LeaseID: wk.leaseID, LeaseState: wk.leaseState, Gen: wk.gen,
+			LeaseID: wk.leaseID, LeaseDeadlineNs: wk.leaseDeadline.UnixNano(), Gen: wk.gen,
 			Final: wk.final, Stats: wk.stats, Sync: wk.sync,
 			CrashCounts: wk.crashCounts,
 		}
@@ -133,9 +138,12 @@ func (h *Hub) persistLocked() {
 // loadState restores the sidecar written by persistLocked. A missing
 // file is a fresh start; a corrupt one is an error (silently starting
 // empty would double-count crash reports from clients that trust
-// their resumed leases). Restored active leases get a fresh TTL from
-// load time, since the downtime should not count against workers.
-// Callers have exclusive access (New, pre-publication).
+// their restored leases). A lease keeps its stored deadline, so the
+// downtime counts toward its label, which refuses nothing. A lease
+// state of version 1 or 2 becomes a deadline: "active" gets a fresh
+// TTL from load time, "expired" the Unix epoch, and "released" needs
+// none (final says it). Callers have exclusive access (New,
+// pre-publication).
 //
 //syzlint:locked mu
 func (h *Hub) loadState() error {
@@ -150,7 +158,7 @@ func (h *Hub) loadState() error {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("hub: state %s: %w", filepath.Base(h.statePath), err)
 	}
-	if doc.Version != stateVersion && doc.Version != 1 {
+	if doc.Version < 1 || doc.Version > stateVersion {
 		return fmt.Errorf("hub: state version %d not supported (this build speaks %d)", doc.Version, stateVersion)
 	}
 	h.nextWorker = doc.NextWorker
@@ -181,7 +189,7 @@ func (h *Hub) loadState() error {
 	for _, ws := range doc.Workers {
 		wk := &worker{
 			id: ws.ID, name: ws.Name, fingerprint: ws.Fingerprint,
-			leaseID: ws.LeaseID, leaseState: ws.LeaseState, gen: ws.Gen,
+			leaseID: ws.LeaseID, leaseDeadline: time.Unix(0, ws.LeaseDeadlineNs), gen: ws.Gen,
 			final: ws.Final, stats: ws.Stats, sync: ws.Sync,
 			crashCounts: map[string]int{},
 		}
@@ -200,8 +208,8 @@ func (h *Hub) loadState() error {
 		if ws.LastSyncNs != 0 {
 			wk.lastSync = time.Unix(0, ws.LastSyncNs)
 		}
-		if wk.leaseState == LeaseActive {
-			wk.leaseExpiry = now.Add(h.leaseTTL)
+		if doc.Version < 3 && ws.LeaseState == LeaseActive {
+			wk.leaseDeadline = now.Add(leaseTTL)
 		}
 		h.workers[wk.id] = wk
 	}

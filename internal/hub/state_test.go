@@ -3,6 +3,7 @@ package hub
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,7 +36,7 @@ func restoreFrom(t testing.TB, tgt *prog.Target, sidecar []byte) (*Hub, string, 
 // cumulative crash counts by repro. Restored by this build they are
 // keyed by title, so the worker's next report of the same title — under
 // another repro, as a sharded campaign sends it — is credited with the
-// growth only, and the sidecar is rewritten as version 2.
+// growth only, and the sidecar is rewritten in the current version.
 func TestStateV1CrashCountsMigrate(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	old, err := os.ReadFile(filepath.Join("testdata", "hubstate_pr12.json"))
@@ -74,10 +75,37 @@ func TestStateV1CrashCountsMigrate(t *testing.T) {
 	if doc.Version != stateVersion || len(doc.Workers[0].CrashCounts) != 1 || doc.Workers[0].CrashCounts["bug-a"] != 5 {
 		t.Fatalf("sidecar rewritten as version %d with crash counts %v", doc.Version, doc.Workers[0].CrashCounts)
 	}
-	for _, v := range []string{`{"version":0}`, `{"version":3}`} {
+	for _, v := range []string{`{"version":0}`, `{"version":4}`} {
 		if _, _, err := restoreFrom(t, tgt, []byte(v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("sidecar %s: err = %v, want the version refused", v, err)
 		}
+	}
+}
+
+// TestStateV2LeaseStatesLoad: a version-2 sidecar stored each lease's
+// state, not its deadline. Restored by this build, "active" is active
+// (a fresh TTL from load time), "expired" expired, and "released"
+// released, and a sync of each lease is served.
+func TestStateV2LeaseStatesLoad(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	for _, state := range []string{LeaseActive, LeaseExpired, LeaseReleased} {
+		sidecar := fmt.Sprintf(`{"version":2,"next_worker":1,"next_lease":1,"start_unix_ns":1690000000000000000,`+
+			`"workers":[{"id":"w1","name":"w","lease_id":"L1.1","lease_state":%q,"final":%v,"last_sync_ns":1690000000000000000,"stats":{"execs":5},"sync":{"count":1}}]}`,
+			state, state == LeaseReleased)
+		h, _, err := restoreFrom(t, tgt, []byte(sidecar))
+		if err != nil {
+			t.Fatalf("%s: %v", state, err)
+		}
+		st := h.Stats()
+		if len(st.Workers) != 1 || st.Workers[0].Lease != state {
+			t.Fatalf("version-2 lease %q restored as %+v", state, st.Workers)
+		}
+		counts := map[string]int{LeaseActive: st.ActiveLeases, LeaseExpired: st.ExpiredLeases, LeaseReleased: st.ReleasedLeases}
+		if counts[state] != 1 || st.ActiveLeases+st.ExpiredLeases+st.ReleasedLeases != 1 {
+			t.Fatalf("version-2 lease %q counted as %v", state, counts)
+		}
+		req := SyncRequest{Version: ProtoVersion, WorkerID: "w1", LeaseID: "L1.1", Stats: WorkerStats{Execs: 6}}
+		serve(t, h.Handler(), "/v1/sync", BinaryContentType, EncodeSyncRequest(&req), nil)
 	}
 }
 

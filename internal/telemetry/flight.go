@@ -60,8 +60,7 @@ func NewFlightRecorder(dir string, size int, clock Clock) *FlightRecorder {
 }
 
 // Record appends one event to the ring verbatim, evicting the oldest
-// when full. Callers with a meaningful stream offset set ElapsedNs
-// themselves; use RecordNow for bare wall-stamped events.
+// when full.
 func (f *FlightRecorder) Record(ev Event) {
 	if f == nil {
 		return
@@ -74,16 +73,6 @@ func (f *FlightRecorder) Record(ev Event) {
 		f.full = true
 	}
 	f.mu.Unlock()
-}
-
-// RecordNow records an instantaneous event stamped from the
-// recorder's clock (nanoseconds since the Unix epoch) — for callers
-// with no stream-relative offset, like hub request handlers.
-func (f *FlightRecorder) RecordNow(span string, execs int64, detail string) {
-	if f == nil {
-		return
-	}
-	f.Record(Event{Span: span, ElapsedNs: f.clock.Now().UnixNano(), Execs: execs, Detail: detail})
 }
 
 // snapshotLocked returns the ring contents oldest-first; f.mu held.

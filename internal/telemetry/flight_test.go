@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -73,18 +76,22 @@ func TestFlightNilAndEmpty(t *testing.T) {
 	}
 }
 
-func TestFlightStampsElapsedFromClock(t *testing.T) {
+func TestFlightDumpStampedFromClock(t *testing.T) {
 	fr := NewFlightRecorder(t.TempDir(), 4, fixedClock(1_700_000_000))
-	fr.RecordNow("bare", 0, "")
+	fr.Record(Event{Span: "x", ElapsedNs: 1})
 	path, err := fr.Dump("ok")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, events, err := ReadFlightDump(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events[0].ElapsedNs != 1_700_000_000*1_000_000_000 {
-		t.Fatalf("bare event not stamped from clock: %d", events[0].ElapsedNs)
+	var hdr flightHeader
+	if err := json.Unmarshal(data[:bytes.IndexByte(data, '\n')], &hdr); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.UnixNs != 1_700_000_000*1_000_000_000 {
+		t.Fatalf("dump header not stamped from clock: %d", hdr.UnixNs)
 	}
 }
