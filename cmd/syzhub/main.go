@@ -6,8 +6,8 @@
 // the generation lineage and restores its lease table, crash counts,
 // and union coverage from the state sidecar beside the store (or at
 // -state PATH), so surviving workers keep syncing deltas without a
-// full corpus replay — a global crash table deduplicated by
-// normalized repro text, and live aggregated stats.
+// full corpus replay — a global crash table with one record per crash
+// title, and live aggregated stats.
 //
 // The hub validates pushed programs against the widest target the
 // synthetic kernel supports (every loaded handler's oracle spec plus

@@ -100,12 +100,8 @@ func TestRetriedCrashAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { h.recordCrash(wk, wc) }); n != 0 {
 		t.Errorf("a retried crash report allocates %.0f times, want 0", n)
 	}
-	if len(h.crashes) != 1 || h.crashReports != 1 {
-		t.Fatalf("retries changed the table: %d records from %d reports", len(h.crashes), h.crashReports)
-	}
-	for _, rec := range h.crashes {
-		if rec.count != 2 || rec.reports != 1 {
-			t.Fatalf("record counts %d in %d reports, want 2 in 1", rec.count, rec.reports)
-		}
+	rec := h.crashes[wc.Title]
+	if len(h.crashes) != 1 || rec.Count != 2 || rec.Reports != 1 {
+		t.Fatalf("retries changed the table: %d records, %+v", len(h.crashes), rec)
 	}
 }

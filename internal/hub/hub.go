@@ -76,14 +76,14 @@ type Hub struct {
 	cover  *vkernel.CoverSet    // guarded by mu
 	// coverEnc is cover's encoding as the sidecar stores it; nil once a
 	// sync added blocks, until persistLocked encodes it again.
-	coverEnc []byte                  // guarded by mu
-	crashes  map[string]*crashRecord // guarded by mu
-	workers  map[string]*worker      // guarded by mu
+	coverEnc []byte // guarded by mu
+	// crashes is the crash table, keyed by title.
+	crashes map[string]*crashStateJSON // guarded by mu
+	workers map[string]*worker         // guarded by mu
 
 	nextWorker    int // guarded by mu
 	nextLease     int // guarded by mu
 	rejectedSeeds int // guarded by mu
-	crashReports  int // guarded by mu
 	start         time.Time
 }
 
@@ -100,9 +100,6 @@ type worker struct {
 	// and only the lease label reads it.
 	leaseID       string
 	leaseDeadline time.Time
-	// gen stamps the store generation of the worker's last exchange,
-	// persisted with the lease.
-	gen int
 	// sync aggregates the worker's per-sync service time and payload
 	// size (count/sum/max), the operator-facing cost of keeping this
 	// worker attached.
@@ -137,17 +134,6 @@ func observeSync(a *SyncAggJSON, serviceNs, payloadBytes int64) {
 	if payloadBytes > a.BytesMax {
 		a.BytesMax = payloadBytes
 	}
-}
-
-// crashRecord is one globally deduplicated crash, keyed in
-// Hub.crashes by normalized repro text.
-type crashRecord struct {
-	title       string
-	repro       string // normalized
-	firstWorker string
-	count       int
-	reports     int
-	workers     map[string]bool
 }
 
 // Option configures a Hub.
@@ -231,7 +217,7 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 		logf:    func(string, ...any) {},
 		now:     telemetry.SystemClock,
 		cover:   &vkernel.CoverSet{},
-		crashes: map[string]*crashRecord{},
+		crashes: map[string]*crashStateJSON{},
 		workers: map[string]*worker{},
 	}
 	for _, o := range opts {
@@ -574,7 +560,6 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	wk.final = wk.final || req.Final
 	seeds, gen := h.diff(req.SinceGen)
-	wk.gen = gen
 	body := EncodeSyncResponse(&SyncResponse{
 		Version: ProtoVersion, Generation: gen, Seeds: seeds, RejectedSeeds: rejected,
 		LeaseTTLMs: leaseTTL.Milliseconds(),
@@ -643,19 +628,15 @@ func (h *Hub) diff(since int) ([]WireSeed, int) {
 	return out, reached
 }
 
-// recordCrash folds one report into the global dedup table. The key
-// is the normalized repro text — re-serialized through the hub target
-// when it parses, raw otherwise — so the same crash reported by
-// different workers (or in cosmetically different formatting)
-// collapses into one record. The first reporter keeps attribution.
-// Counts arrive cumulative per worker and title and are differenced
-// against the worker's previous report for that title — not for that
-// repro: a sharded campaign's surviving repro for a title can change,
-// and the title's whole count must not be credited again under the new
-// one — so a retried sync folds in exactly once, and is dropped before
-// its repro is parsed. A repro that already is a key needs no
-// normalizing: a normalized text renders to itself, and a raw key
-// still does not parse. Callers hold h.mu.
+// recordCrash folds one report into the global crash table, keyed by
+// title: the same crash reported by different workers, under whatever
+// repro each holds for it, is one record. Counts arrive cumulative per
+// worker and title and are differenced against the worker's previous
+// report, so a retried sync folds in exactly once, and is dropped
+// before its repro is parsed. The first reporter keeps attribution and
+// its repro, normalized through the hub target when it parses (raw
+// otherwise); a later report of a known title parses nothing. Callers
+// hold h.mu.
 //
 //syzlint:locked mu
 func (h *Hub) recordCrash(wk *worker, wc WireCrash) {
@@ -664,25 +645,18 @@ func (h *Hub) recordCrash(wk *worker, wc WireCrash) {
 		return // retry of a committed report, or a stale snapshot
 	}
 	wk.crashCounts[wc.Title] = wc.Count
-	h.crashReports++
-	key := wc.Repro
-	rec := h.crashes[key]
+	rec := h.crashes[wc.Title]
 	if rec == nil {
+		repro := wc.Repro
 		if p, err := prog.Deserialize(h.target, wc.Repro); err == nil {
-			key = p.Serialize()
-			rec = h.crashes[key]
+			repro = p.Serialize()
 		}
+		rec = &crashStateJSON{Title: wc.Title, Repro: repro, FirstWorker: wk.id}
+		h.crashes[wc.Title] = rec
 	}
-	if rec == nil {
-		rec = &crashRecord{
-			title: wc.Title, repro: key, firstWorker: wk.id,
-			workers: map[string]bool{},
-		}
-		h.crashes[key] = rec
-	}
-	rec.count += delta
-	rec.reports++
-	rec.workers[wk.id] = true
+	rec.Count += delta
+	rec.Reports++
+	rec.addWorker(wk.id)
 }
 
 func (h *Hub) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -700,9 +674,11 @@ func (h *Hub) statsLocked() HubStats {
 		Seeds:         len(h.states),
 		UnionCover:    h.cover.Count(),
 		Crashes:       len(h.crashes),
-		CrashReports:  h.crashReports,
 		RejectedSeeds: h.rejectedSeeds,
 		Parent:        h.parentURL,
+	}
+	for _, rec := range h.crashes {
+		st.CrashReports += rec.Reports
 	}
 	st.Execs, st.Ops = h.totalsLocked()
 	ids := make([]string, 0, len(h.workers))
@@ -776,22 +752,16 @@ func (h *Hub) handleCrashes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.crashesLocked())
 }
 
-// crashesLocked renders the dedup table sorted by title then repro.
-// Callers hold h.mu.
+// crashesLocked renders the crash table sorted by title. Callers hold
+// h.mu.
 func (h *Hub) crashesLocked() []CrashJSON {
 	out := make([]CrashJSON, 0, len(h.crashes))
-	for _, rec := range h.crashes {
+	for _, rec := range h.sortedCrashesLocked() {
 		out = append(out, CrashJSON{
-			Title: rec.title, Repro: rec.repro, FirstWorker: rec.firstWorker,
-			Count: rec.count, Reports: rec.reports, Workers: len(rec.workers),
+			Title: rec.Title, Repro: rec.Repro, FirstWorker: rec.FirstWorker,
+			Count: rec.Count, Reports: rec.Reports, Workers: len(rec.Workers),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Title != out[j].Title {
-			return out[i].Title < out[j].Title
-		}
-		return out[i].Repro < out[j].Repro
-	})
 	return out
 }
 

@@ -172,6 +172,9 @@ func TestHubRejectsWrongFixedArrayCount(t *testing.T) {
 	}
 }
 
+// TestCrashDedupFirstReporterWins: two workers report one title, each
+// with its own repro. The hub holds one record for the title, with the
+// first reporter's repro and attribution and both workers' hits.
 func TestCrashDedupFirstReporterWins(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	hub, srv := newHub(t, tgt)
@@ -179,33 +182,37 @@ func TestCrashDedupFirstReporterWins(t *testing.T) {
 	c1, _ := Dial(ctx, srv.URL, "first", tgt)
 	c2, _ := Dial(ctx, srv.URL, "second", tgt)
 
-	repro := prog.NewGen(tgt, 3).Generate(2).Serialize()
-	push := func(c *Client, title string, count int) {
+	g := prog.NewGen(tgt, 3)
+	repro1, repro2 := g.Generate(2).Serialize(), g.Generate(3).Serialize()
+	if repro1 == repro2 {
+		t.Fatal("the two repros are one program, the test checks nothing")
+	}
+	push := func(c *Client, repro string, count int) {
 		t.Helper()
 		_, err := c.Sync(ctx, fuzz.SyncState{
 			Cover:   &vkernel.CoverSet{},
-			Crashes: []fuzz.CrashReport{{Title: title, Repro: repro, Count: count}},
+			Crashes: []fuzz.CrashReport{{Title: "bug-x", Repro: repro, Count: count}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	push(c1, "bug-x", 3)
-	push(c2, "bug-x", 4)
+	push(c1, repro1, 3)
+	push(c2, repro2, 4)
 
 	crashes := hub.Crashes()
-	if len(crashes) != 1 {
-		t.Fatalf("duplicate normalized repro not deduplicated: %+v", crashes)
+	if len(crashes) != 1 || hub.Stats().Crashes != 1 {
+		t.Fatalf("one title reported under two repros is not one record: %+v", crashes)
 	}
 	cr := crashes[0]
-	if cr.FirstWorker != c1.WorkerID() {
-		t.Fatalf("first reporter lost: %q, want %q", cr.FirstWorker, c1.WorkerID())
+	if cr.FirstWorker != c1.WorkerID() || cr.Repro != repro1 {
+		t.Fatalf("first reporter lost: %q with repro %q, want %q with %q", cr.FirstWorker, cr.Repro, c1.WorkerID(), repro1)
 	}
 	if cr.Count != 7 || cr.Workers != 2 || cr.Reports != 2 {
 		t.Fatalf("duplicate accounting wrong: %+v", cr)
 	}
 	// Client-side dedup: re-syncing an unchanged crash pushes nothing.
-	push(c1, "bug-x", 3)
+	push(c1, repro1, 3)
 	if got := hub.Crashes()[0]; got.Reports != 2 || got.Count != 7 {
 		t.Fatalf("unchanged crash re-pushed: %+v", got)
 	}
@@ -353,7 +360,8 @@ func TestHubRestartResumesByDefault(t *testing.T) {
 // pooling via the hub recovers what halving the budget loses. The
 // workers run sequentially, so the whole exchange is deterministic
 // per seed; the run is repeated to prove it. The hub's crash table
-// must hold no duplicate normalized repros across the workers.
+// must hold no duplicate normalized repros across the workers, and one
+// record for each title the two campaigns found.
 func TestTwoHalfBudgetWorkersMatchLoneWorker(t *testing.T) {
 	tgt := targetFor(t, "dm", "cec", "kvm", "kvm_vm", "kvm_vcpu")
 	f := fuzz.New(tgt, testKernel)
@@ -364,6 +372,7 @@ func TestTwoHalfBudgetWorkersMatchLoneWorker(t *testing.T) {
 	runWorkers := func() (int, []int, []CrashJSON) {
 		hub, srv := newHub(t, tgt)
 		ctx := context.Background()
+		titles := map[string]bool{}
 		var covers []int
 		for i, seed := range []int64{2, 3} {
 			c, err := Dial(ctx, srv.URL, []string{"w-a", "w-b"}[i], tgt)
@@ -377,8 +386,23 @@ func TestTwoHalfBudgetWorkersMatchLoneWorker(t *testing.T) {
 				t.Fatal(err)
 			}
 			covers = append(covers, s.CoverCount())
+			for title := range s.Crashes {
+				titles[title] = true
+			}
 		}
-		return hub.Stats().UnionCover, covers, hub.Crashes()
+		crashes := hub.Crashes()
+		if len(titles) == 0 {
+			t.Fatal("the campaigns found no crash, the crash checks check nothing")
+		}
+		if len(crashes) != len(titles) || hub.Stats().Crashes != len(titles) {
+			t.Fatalf("hub holds %d crash records for the campaigns' %d titles", len(crashes), len(titles))
+		}
+		for _, cr := range crashes {
+			if !titles[cr.Title] {
+				t.Fatalf("hub holds a crash no campaign found: %q", cr.Title)
+			}
+		}
+		return hub.Stats().UnionCover, covers, crashes
 	}
 
 	union, covers, crashes := runWorkers()

@@ -2,7 +2,6 @@ package hub
 
 import (
 	"context"
-	"sort"
 
 	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/fuzz/seedpool"
@@ -28,24 +27,9 @@ func (h *Hub) parentState(final bool) fuzz.SyncState {
 		Cover: h.cover.Clone(),
 		Final: final,
 	}
-	keys := make([]string, 0, len(h.crashes))
-	for k := range h.crashes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	// One report per title, as a campaign sends: counts on the wire are
-	// cumulative per title, so the records the leaf holds under a title's
-	// several repros travel as their sum.
-	byTitle := map[string]int{}
-	for _, k := range keys {
-		rec := h.crashes[k]
-		if i, ok := byTitle[rec.title]; ok {
-			st.Crashes[i].Count += rec.count
-			continue
-		}
-		byTitle[rec.title] = len(st.Crashes)
+	for _, rec := range h.sortedCrashesLocked() {
 		st.Crashes = append(st.Crashes, fuzz.CrashReport{
-			Title: rec.title, Repro: rec.repro, Count: rec.count,
+			Title: rec.Title, Repro: rec.Repro, Count: rec.Count,
 		})
 	}
 	execs, ops := h.totalsLocked()

@@ -4,9 +4,10 @@
 // push their corpus deltas, new coverage, and crashes, and pull the
 // merged global corpus diff since their last sync. The hub maintains
 // an authoritative on-disk corpus store (fuzz/corpusstore), a global
-// crash-dedup table keyed by normalized repro text (first reporter
-// wins, duplicate reports tracked; hit counts arrive cumulative per
-// title and are differenced per worker and title), and live aggregated
+// crash-dedup table keyed by crash title, the unit campaigns count
+// bugs in (first reporter wins, duplicate reports tracked; hit counts
+// arrive cumulative per title and are differenced per worker and
+// title), and live aggregated
 // stats served as JSON for monitoring. The hub is its store's one
 // writer: the corpus index it serves from — generation, entries, their
 // texts — is the store handle's own image (corpusstore.Store.Image),
@@ -175,7 +176,8 @@ type ErrorResponse struct {
 // views (/v1/crashes and -stats-json dumps).
 type CrashJSON struct {
 	Title string `json:"title"`
-	// Repro is the normalized repro text the dedup table keys on.
+	// Repro is the first reporter's repro text, normalized through the
+	// hub target when it parses; the dedup table keys on Title.
 	Repro string `json:"repro"`
 	// FirstWorker is the worker that reported the crash first
 	// (first-reporter-wins attribution).
@@ -183,8 +185,9 @@ type CrashJSON struct {
 	// Count is the total hits summed across workers.
 	Count int `json:"count"`
 	// Reports counts sync reports that mentioned the crash; Workers
-	// counts distinct reporting workers (Workers > 1 means the crash
-	// was independently rediscovered — a deduplicated duplicate).
+	// counts distinct reporting workers (Workers > 1 means the title
+	// was independently rediscovered, under any repro — a deduplicated
+	// duplicate).
 	Reports int `json:"reports,omitempty"`
 	Workers int `json:"workers,omitempty"`
 	// FirstExec is the exec index of the first local discovery (only
@@ -204,9 +207,9 @@ type HubStats struct {
 	// ExecsPerSec divides by the hub's uptime.
 	Execs       int     `json:"execs"`
 	ExecsPerSec float64 `json:"execs_per_sec"`
-	// Crashes counts deduplicated crashes; CrashReports the sync
-	// reports folded into them; RejectedSeeds pushes the hub's target
-	// could not parse.
+	// Crashes counts deduplicated crashes, one per title;
+	// CrashReports sums the sync reports folded into them;
+	// RejectedSeeds counts pushes the hub's target could not parse.
 	Crashes       int `json:"crashes"`
 	CrashReports  int `json:"crash_reports"`
 	RejectedSeeds int `json:"rejected_seeds"`

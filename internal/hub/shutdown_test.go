@@ -85,7 +85,7 @@ func TestCancelledCampaignDeliversFinal(t *testing.T) {
 // order, so a title's repro (the one from the earliest FirstExec) is
 // replaced whenever a lower unit completes late; the counts stay
 // cumulative per title, which is the unit the client differences in and
-// the hub must difference in too.
+// the hub must difference in too. The hub holds one record per title.
 func TestShardedCrashCountsMatchHub(t *testing.T) {
 	tgt := targetFor(t, "dm", "cec")
 	ctx := context.Background()
@@ -108,6 +108,9 @@ func TestShardedCrashCountsMatchHub(t *testing.T) {
 		}
 		if len(stats.Crashes) == 0 {
 			t.Fatalf("seed %d: campaign found no crash, the test checks nothing", seed)
+		}
+		if n := len(hub.Crashes()); n != len(stats.Crashes) || hub.Stats().Crashes != n {
+			t.Errorf("seed %d: hub holds %d crash records for the campaign's %d titles", seed, n, len(stats.Crashes))
 		}
 		for title, cr := range stats.Crashes {
 			if hits[title] != cr.Count {

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -30,6 +31,9 @@ const stateFile = "hubstate.json"
 // crash_counts by normalized repro text, where 2 and 3 key them by
 // crash title, the unit the client differences its cumulative counts
 // in; 1 and 2 stored a lease state, where 3 stores the lease deadline.
+// This build writes one crash record per title; a sidecar written
+// while the table was keyed by repro can hold several under one title,
+// and they load as one (see loadState).
 const stateVersion = 3
 
 // hubStateJSON is the sidecar document.
@@ -38,7 +42,6 @@ type hubStateJSON struct {
 	NextWorker    int   `json:"next_worker"`
 	NextLease     int   `json:"next_lease"`
 	RejectedSeeds int   `json:"rejected_seeds"`
-	CrashReports  int   `json:"crash_reports"`
 	StartUnixNs   int64 `json:"start_unix_ns"`
 	// Cover is the union coverage as a vkernel compressed-bitmap
 	// container stream (EncodeDelta against nothing).
@@ -47,6 +50,10 @@ type hubStateJSON struct {
 	Workers []workerStateJSON `json:"workers,omitempty"`
 }
 
+// crashStateJSON is one record of the crash table, in memory
+// (Hub.crashes) and in the sidecar alike: the first reporter's repro
+// and id, the hits summed across workers, the sync reports folded in,
+// and the sorted ids of every reporting worker.
 type crashStateJSON struct {
 	Title       string   `json:"title"`
 	Repro       string   `json:"repro"`
@@ -54,6 +61,25 @@ type crashStateJSON struct {
 	Count       int      `json:"count"`
 	Reports     int      `json:"reports"`
 	Workers     []string `json:"workers,omitempty"`
+}
+
+// addWorker adds id to the record's reporting workers, keeping them
+// sorted and unique.
+func (rec *crashStateJSON) addWorker(id string) {
+	if i, found := slices.BinarySearch(rec.Workers, id); !found {
+		rec.Workers = slices.Insert(rec.Workers, i, id)
+	}
+}
+
+// sortedCrashesLocked returns the crash table's records by title.
+// Callers hold h.mu.
+func (h *Hub) sortedCrashesLocked() []crashStateJSON {
+	out := make([]crashStateJSON, 0, len(h.crashes))
+	for _, rec := range h.crashes {
+		out = append(out, *rec)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Title < out[j].Title })
+	return out
 }
 
 type workerStateJSON struct {
@@ -65,7 +91,6 @@ type workerStateJSON struct {
 	LeaseDeadlineNs int64 `json:"lease_deadline_ns,omitempty"`
 	// LeaseState is "active", "expired" or "released" (versions 1 and 2).
 	LeaseState  string         `json:"lease_state,omitempty"`
-	Gen         int            `json:"gen,omitempty"`
 	LastSyncNs  int64          `json:"last_sync_ns,omitempty"`
 	Final       bool           `json:"final,omitempty"`
 	Stats       WorkerStats    `json:"stats"`
@@ -86,26 +111,9 @@ func (h *Hub) persistLocked() {
 		NextWorker:    h.nextWorker,
 		NextLease:     h.nextLease,
 		RejectedSeeds: h.rejectedSeeds,
-		CrashReports:  h.crashReports,
 		StartUnixNs:   h.start.UnixNano(),
 		Cover:         h.coverEnc,
-	}
-	keys := make([]string, 0, len(h.crashes))
-	for k := range h.crashes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		rec := h.crashes[k]
-		cs := crashStateJSON{
-			Title: rec.title, Repro: rec.repro, FirstWorker: rec.firstWorker,
-			Count: rec.count, Reports: rec.reports,
-		}
-		for id := range rec.workers {
-			cs.Workers = append(cs.Workers, id)
-		}
-		sort.Strings(cs.Workers)
-		doc.Crashes = append(doc.Crashes, cs)
+		Crashes:       h.sortedCrashesLocked(),
 	}
 	ids := make([]string, 0, len(h.workers))
 	for id := range h.workers {
@@ -116,7 +124,7 @@ func (h *Hub) persistLocked() {
 		wk := h.workers[id]
 		ws := workerStateJSON{
 			ID: wk.id, Name: wk.name, Fingerprint: wk.fingerprint,
-			LeaseID: wk.leaseID, LeaseDeadlineNs: wk.leaseDeadline.UnixNano(), Gen: wk.gen,
+			LeaseID: wk.leaseID, LeaseDeadlineNs: wk.leaseDeadline.UnixNano(),
 			Final: wk.final, Stats: wk.stats, Sync: wk.sync,
 			CrashCounts: wk.crashCounts,
 		}
@@ -142,8 +150,10 @@ func (h *Hub) persistLocked() {
 // downtime counts toward its label, which refuses nothing. A lease
 // state of version 1 or 2 becomes a deadline: "active" gets a fresh
 // TTL from load time, "expired" the Unix epoch, and "released" needs
-// none (final says it). Callers have exclusive access (New,
-// pre-publication).
+// none (final says it). Records stored under one title (as a hub keyed
+// by repro wrote them) merge into one: counts, reports and worker sets
+// add up, and the first listed keeps its repro and first worker.
+// Callers have exclusive access (New, pre-publication).
 //
 //syzlint:locked mu
 func (h *Hub) loadState() error {
@@ -164,7 +174,6 @@ func (h *Hub) loadState() error {
 	h.nextWorker = doc.NextWorker
 	h.nextLease = doc.NextLease
 	h.rejectedSeeds = doc.RejectedSeeds
-	h.crashReports = doc.CrashReports
 	if doc.StartUnixNs != 0 {
 		// Keep the original campaign epoch so execs/sec stays honest
 		// across restarts (worker exec counters are cumulative).
@@ -175,21 +184,25 @@ func (h *Hub) loadState() error {
 			return fmt.Errorf("hub: state cover: %w", err)
 		}
 	}
+	titleOf := map[string]string{} // version 1: repro -> title
 	for _, cs := range doc.Crashes {
-		rec := &crashRecord{
-			title: cs.Title, repro: cs.Repro, firstWorker: cs.FirstWorker,
-			count: cs.Count, reports: cs.Reports, workers: map[string]bool{},
+		titleOf[cs.Repro] = cs.Title
+		rec := h.crashes[cs.Title]
+		if rec == nil {
+			rec = &crashStateJSON{Title: cs.Title, Repro: cs.Repro, FirstWorker: cs.FirstWorker}
+			h.crashes[cs.Title] = rec
 		}
+		rec.Count += cs.Count
+		rec.Reports += cs.Reports
 		for _, id := range cs.Workers {
-			rec.workers[id] = true
+			rec.addWorker(id)
 		}
-		h.crashes[cs.Repro] = rec
 	}
 	now := h.now()
 	for _, ws := range doc.Workers {
 		wk := &worker{
 			id: ws.ID, name: ws.Name, fingerprint: ws.Fingerprint,
-			leaseID: ws.LeaseID, leaseDeadline: time.Unix(0, ws.LeaseDeadlineNs), gen: ws.Gen,
+			leaseID: ws.LeaseID, leaseDeadline: time.Unix(0, ws.LeaseDeadlineNs),
 			final: ws.Final, stats: ws.Stats, sync: ws.Sync,
 			crashCounts: map[string]int{},
 		}
@@ -197,11 +210,11 @@ func (h *Hub) loadState() error {
 			if doc.Version == 1 {
 				// Keyed by repro then. Counts are cumulative per title, so
 				// a title's count is the largest under any of its repros.
-				rec := h.crashes[key]
-				if rec == nil {
+				title, ok := titleOf[key]
+				if !ok {
 					continue
 				}
-				key, n = rec.title, max(n, wk.crashCounts[rec.title])
+				key, n = title, max(n, wk.crashCounts[title])
 			}
 			wk.crashCounts[key] = n
 		}
@@ -214,6 +227,6 @@ func (h *Hub) loadState() error {
 		h.workers[wk.id] = wk
 	}
 	h.logf("hub: restored state: %d workers, %d crashes, %d cover blocks",
-		len(doc.Workers), len(doc.Crashes), h.cover.Count())
+		len(doc.Workers), len(h.crashes), h.cover.Count())
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -34,9 +35,11 @@ func restoreFrom(t testing.TB, tgt *prog.Target, sidecar []byte) (*Hub, string, 
 
 // TestStateV1CrashCountsMigrate: a version-1 sidecar keyed each worker's
 // cumulative crash counts by repro. Restored by this build they are
-// keyed by title, so the worker's next report of the same title — under
-// another repro, as a sharded campaign sends it — is credited with the
-// growth only, and the sidecar is rewritten in the current version.
+// keyed by title, and the crash table, the worker bookkeeping and the
+// hub-wide counts are what the fixture held. The worker's next report
+// of the same title — under another repro, as a sharded campaign sends
+// it — is credited with the growth only, and the sidecar is rewritten
+// in the current version.
 func TestStateV1CrashCountsMigrate(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	old, err := os.ReadFile(filepath.Join("testdata", "hubstate_pr12.json"))
@@ -50,6 +53,18 @@ func TestStateV1CrashCountsMigrate(t *testing.T) {
 	var doc hubStateJSON
 	if err := json.Unmarshal(old, &doc); err != nil {
 		t.Fatal(err)
+	}
+	want := CrashJSON{Title: "bug-a", Repro: doc.Crashes[0].Repro, FirstWorker: "w1", Count: 2, Reports: 1, Workers: 1}
+	if got := h.Crashes(); len(got) != 1 || got[0] != want {
+		t.Fatalf("version-1 crash table restored as %+v, want %+v", got, want)
+	}
+	st := h.Stats()
+	if st.Crashes != 1 || st.CrashReports != 1 || st.UnionCover != 3 || st.Execs != 150 ||
+		st.Sync.Count != 1 || st.Sync.BytesSum != 19616 || st.ActiveLeases != 2 {
+		t.Fatalf("version-1 sidecar restored as %+v", st)
+	}
+	if c1, c2 := h.workers["w1"].crashCounts, h.workers["w2"].crashCounts; len(c1) != 1 || c1["bug-a"] != 2 || len(c2) != 0 {
+		t.Fatalf("version-1 crash counts restored as w1 %v, w2 %v", c1, c2)
 	}
 	w1 := doc.Workers[0]
 	grown := SyncRequest{
@@ -78,6 +93,59 @@ func TestStateV1CrashCountsMigrate(t *testing.T) {
 	for _, v := range []string{`{"version":0}`, `{"version":4}`} {
 		if _, _, err := restoreFrom(t, tgt, []byte(v)); err == nil || !strings.Contains(err.Error(), "not supported") {
 			t.Errorf("sidecar %s: err = %v, want the version refused", v, err)
+		}
+	}
+}
+
+// TestStateMergesRecordsUnderOneTitle: a version-3 sidecar written while
+// the crash table was keyed by repro holds one record per repro, so a
+// title found under two repros has two records. It loads as one record
+// per title: counts, reports and workers add up, the record listed
+// first keeps its repro and first worker, and the sidecar is rewritten
+// with the merged record.
+func TestStateMergesRecordsUnderOneTitle(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	sidecar := `{"version":3,"next_worker":3,"next_lease":3,"crash_reports":4,"start_unix_ns":1690000000000000000,"crashes":[` +
+		`{"title":"bug-a","repro":"repro 1","first_worker":"w2","count":3,"reports":2,"workers":["w2","w3"]},` +
+		`{"title":"bug-b","repro":"repro 2","first_worker":"w1","count":1,"reports":1,"workers":["w1"]},` +
+		`{"title":"bug-a","repro":"repro 3","first_worker":"w1","count":4,"reports":1,"workers":["w1","w2"]}],` +
+		`"workers":[{"id":"w1","lease_id":"L1.1","lease_deadline_ns":1690000000000000000,"gen":4,"stats":{"execs":5},"sync":{"count":1},"crash_counts":{"bug-a":4,"bug-b":1}}]}`
+	h, path, err := restoreFrom(t, tgt, []byte(sidecar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []CrashJSON{
+		{Title: "bug-a", Repro: "repro 1", FirstWorker: "w2", Count: 7, Reports: 3, Workers: 3},
+		{Title: "bug-b", Repro: "repro 2", FirstWorker: "w1", Count: 1, Reports: 1, Workers: 1},
+	}
+	if got := h.Crashes(); !slices.Equal(got, want) {
+		t.Fatalf("records under one title restored as %+v, want %+v", got, want)
+	}
+	if st := h.Stats(); st.Crashes != 2 || st.CrashReports != 4 {
+		t.Fatalf("restored table counts %d crashes from %d reports, want 2 from 4", st.Crashes, st.CrashReports)
+	}
+	if got := h.crashes["bug-a"].Workers; !slices.Equal(got, []string{"w1", "w2", "w3"}) {
+		t.Fatalf("merged workers %v, want w1 w2 w3", got)
+	}
+	grown := SyncRequest{
+		Version: ProtoVersion, WorkerID: "w1", LeaseID: "L1.1",
+		Crashes: []WireCrash{{Title: "bug-a", Repro: "repro 3", Count: 6}},
+	}
+	serve(t, h.Handler(), "/v1/sync", BinaryContentType, EncodeSyncRequest(&grown), nil)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc hubStateJSON
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Crashes) != 2 || doc.Crashes[0].Count != 9 || doc.Crashes[0].Reports != 4 || doc.Crashes[0].Repro != "repro 1" {
+		t.Fatalf("sidecar rewritten with crash records %+v", doc.Crashes)
+	}
+	for _, field := range []string{`"gen"`, `"crash_reports"`} {
+		if bytes.Contains(data, []byte(field)) {
+			t.Errorf("rewritten sidecar still carries %s", field)
 		}
 	}
 }
@@ -122,6 +190,7 @@ func FuzzHubStateLoad(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"version":2,"cover":"xQEA","workers":[{"id":"w1","lease_state":"active","crash_counts":{"t":1}},{"id":"w1"}],"crashes":[{"title":"t","repro":"r","workers":["w9","w9"]}]}`))
+	f.Add([]byte(`{"version":3,"crashes":[{"title":"t","repro":"r2","count":1,"reports":1,"workers":["w2"]},{"title":"t","repro":"r1","count":2,"workers":["w1","w2"]}]}`))
 	f.Fuzz(func(t *testing.T, sidecar []byte) {
 		h, path, err := restoreFrom(t, tgt, sidecar)
 		if err != nil {

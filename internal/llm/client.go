@@ -141,7 +141,6 @@ func CountTokens(s string) int { return (len(s) + 3) / 4 }
 const (
 	SecInstruction = "## Instruction"
 	SecUnknown     = "## Unknown"
-	SecUsage       = "## Usage"
 	SecSource      = "## Source Code of Relative Functions"
 	SecFewShot     = "## Examples"
 	SecErrors      = "## Validation Errors"

@@ -14,9 +14,10 @@ import (
 	"kernelgpt/internal/analysis"
 )
 
-// unreachedGolden pins the exported functions and methods that no
-// non-test code calls, one per line: the symbol, then the reason it
-// stays. A line starting with # is a comment.
+// unreachedGolden pins the exported functions, methods and
+// package-level types, constants and variables that no non-test code
+// names, one per line: the symbol, then the reason it stays. A line
+// starting with # is a comment.
 const unreachedGolden = "testdata/unreached.txt"
 
 // unreachedReasons are the reasons an unreached name may stay: API
@@ -56,6 +57,21 @@ func funcKey(fn *types.Func) string {
 		typ = "(*" + typ + ")"
 	}
 	return fn.Pkg().Path() + "." + typ + "." + fn.Name()
+}
+
+// objKey names a package-level object the way funcKey names a
+// function: pkgpath.Name for a type, constant or variable declared at
+// package scope, "" for anything else (a field, a local, a builtin).
+func objKey(obj types.Object) string {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return funcKey(obj)
+	case *types.TypeName, *types.Const, *types.Var:
+		if pkg := obj.Pkg(); pkg != nil && pkg.Scope().Lookup(obj.Name()) == obj {
+			return pkg.Path() + "." + obj.Name()
+		}
+	}
+	return ""
 }
 
 // methodSig renders a method as its name and the types of its
@@ -134,9 +150,10 @@ func interfaceSigs(pkgs []*analysis.Package) [][]string {
 }
 
 // unreachedExported loads the module's non-test code and returns the
-// exported functions and methods that nothing outside their own body
-// and outside benchmark/ refers to, leaving out methods that implement
-// an interface.
+// exported functions, methods and package-level types, constants and
+// variables that nothing outside their own declaration and outside
+// benchmark/ refers to, leaving out methods that implement an
+// interface. A use in the declaring package counts.
 func unreachedExported(t *testing.T) []string {
 	t.Helper()
 	pkgs, err := analysis.Load(".", "./...")
@@ -147,31 +164,50 @@ func unreachedExported(t *testing.T) []string {
 	declared := map[string]bool{}
 	used := map[string]bool{}
 	for _, pkg := range pkgs {
+		if pkg.ImportPath == benchmarkPkg {
+			continue
+		}
+		// scan records the uses in node of anything but self.
+		scan := func(node ast.Node, self string) {
+			ast.Inspect(node, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if k := objKey(pkg.TypesInfo.Uses[id]); k != "" && k != self {
+						used[k] = true
+					}
+				}
+				return true
+			})
+		}
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				var self string
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					fn := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-					self = funcKey(fn)
-					if pkg.ImportPath != benchmarkPkg && fn.Exported() && !isImpl(fn, ifaces) {
-						declared[self] = true
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					fn := pkg.TypesInfo.Defs[decl.Name].(*types.Func)
+					if fn.Exported() && !isImpl(fn, ifaces) {
+						declared[funcKey(fn)] = true
 					}
-				}
-				if pkg.ImportPath == benchmarkPkg {
-					continue
-				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					if fn, ok := pkg.TypesInfo.Uses[id].(*types.Func); ok {
-						if k := funcKey(fn); k != self {
-							used[k] = true
+					scan(decl, funcKey(fn))
+				case *ast.GenDecl:
+					for _, spec := range decl.Specs {
+						var names []*ast.Ident
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names = []*ast.Ident{spec.Name}
+						case *ast.ValueSpec:
+							names = spec.Names
 						}
+						// A spec's own name is not a use of it. Only a type
+						// spec can name itself, and it declares one name.
+						self := ""
+						for _, name := range names {
+							if obj := pkg.TypesInfo.Defs[name]; obj != nil && obj.Exported() {
+								self = objKey(obj)
+								declared[self] = true
+							}
+						}
+						scan(spec, self)
 					}
-					return true
-				})
+				}
 			}
 		}
 	}
@@ -250,11 +286,12 @@ func readUnreachedGolden(t *testing.T) map[string]string {
 }
 
 // TestExportedNamesHaveCallers is the ratchet on unreached surface:
-// every exported function and method needs a non-test caller outside
-// benchmark/, or a pinned line in testdata/unreached.txt saying why it
-// stays. It fails both ways, so the golden cannot go stale: a new
-// unreached name must be pinned (and the change say why), and a pinned
-// name that gains a caller or is deleted must be unpinned.
+// every exported function, method and package-level type, constant and
+// variable needs a non-test use outside benchmark/, or a pinned line in
+// testdata/unreached.txt saying why it stays. It fails both ways, so
+// the golden cannot go stale: a new unreached name must be pinned (and
+// the change say why), and a pinned name that gains a use or is
+// deleted must be unpinned.
 func TestExportedNamesHaveCallers(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skipf("the loader needs the go command: %v", err)
@@ -265,7 +302,7 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	for _, sym := range unreached {
 		found[sym] = true
 		if _, ok := pinned[sym]; !ok {
-			t.Errorf("%s is exported but nothing outside tests and benchmark/ calls it: delete it, give it a caller, or pin it with a reason in %s", sym, unreachedGolden)
+			t.Errorf("%s is exported but nothing outside tests and benchmark/ names it: delete it, give it a use, or pin it with a reason in %s", sym, unreachedGolden)
 		}
 	}
 	for sym := range pinned {
