@@ -192,7 +192,9 @@ func (s *Store) Image() *Manifest {
 }
 
 // Save atomically replaces the store contents with the given seeds
-// (typically a Merge result). Program files are written first, the
+// (typically a Merge result); a state is stored by its Key, so one
+// that carries its Text needs no Prog (the hub's corpus is text only).
+// Program files are written first, the
 // manifest is renamed into place last, and prog files no longer
 // referenced are removed best-effort — so a reader always sees a
 // consistent (old or new) store. Files are content-addressed and never
@@ -216,7 +218,7 @@ func (s *Store) Save(seeds []seedpool.SeedState, coverBlocks int) error {
 	m := &Manifest{Version: Version, Generation: gen, CoverBlocks: coverBlocks}
 	keep := map[string]bool{}
 	for _, st := range seeds {
-		if st.Prog == nil || st.Prio <= 0 {
+		if st.Prog == nil && st.Text == "" || st.Prio <= 0 {
 			continue
 		}
 		text := st.Key()
@@ -361,7 +363,8 @@ func (s *Store) loadEntry(t *prog.Target, e *Entry) (seedpool.SeedState, string)
 // text, and truncated to capacity (<= 0 selects
 // seedpool.DefaultCapacity) — fully deterministic for a fixed
 // argument order, independent of map iteration or completion order.
-// Every state of the result carries its Text.
+// Every state of the result carries its Text; a state that carries its
+// Text needs no Prog, and keeps none it did not bring.
 func Merge(capacity int, sets ...[]seedpool.SeedState) []seedpool.SeedState {
 	if capacity <= 0 {
 		capacity = seedpool.DefaultCapacity
@@ -370,7 +373,7 @@ func Merge(capacity int, sets ...[]seedpool.SeedState) []seedpool.SeedState {
 	var out []seedpool.SeedState
 	for _, set := range sets {
 		for _, st := range set {
-			if st.Prog == nil || st.Prio <= 0 {
+			if st.Prog == nil && st.Text == "" || st.Prio <= 0 {
 				continue
 			}
 			st.Text = st.Key()

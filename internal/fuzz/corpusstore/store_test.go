@@ -256,6 +256,45 @@ func TestMergeDeduplicatesAndBounds(t *testing.T) {
 	}
 }
 
+// TestTextOnlyStatesMergeAndSave: a state that carries its Text and no
+// Prog (the hub's corpus) merges with program states by that text and
+// is saved under it, and the store loads it back as that program. A
+// state with neither is dropped.
+func TestTextOnlyStatesMergeAndSave(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	seeds := genSeeds(t, tgt, 4)
+	var textOnly []seedpool.SeedState
+	for _, s := range seeds[:3] {
+		textOnly = append(textOnly, seedpool.SeedState{Text: s.Prog.Serialize(), Prio: s.Prio + 10, Op: s.Op})
+	}
+	textOnly = append(textOnly, seedpool.SeedState{Prio: 99})
+	merged := Merge(0, seeds, textOnly)
+	if len(merged) != len(seeds) {
+		t.Fatalf("merged %d states, want %d distinct programs", len(merged), len(seeds))
+	}
+	for _, s := range merged[:3] {
+		if s.Prog != nil || s.Prio <= 10 {
+			t.Fatalf("the heavier text-only copy lost: %+v", s)
+		}
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(merged, 0); err != nil {
+		t.Fatal(err)
+	}
+	got, rep, err := st.Load(tgt)
+	if err != nil || len(rep.Skipped) != 0 || len(got) != len(merged) {
+		t.Fatalf("loaded %d of %d, report %+v, err %v", len(got), len(merged), rep, err)
+	}
+	for i, s := range got {
+		if s.Text != merged[i].Text || s.Prog.Serialize() != s.Text || s.Prio != merged[i].Prio {
+			t.Fatalf("entry %d loads as %+v, saved as %+v", i, s, merged[i])
+		}
+	}
+}
+
 // TestMergeOrderIndependentOnDisjointSets is the determinism
 // property the sharded flush relies on: for sets merged in a fixed
 // order the output is reproducible, and disjoint sets commute.

@@ -17,8 +17,9 @@
 package seedpool
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"kernelgpt/internal/prog"
 )
@@ -234,14 +235,18 @@ func (p *Pool) Reward(ref uint64, newBlocks int) {
 // scheduling weights that Export/Import carry across campaigns (and
 // that the corpus store serializes to disk).
 type SeedState struct {
+	// Prog is the program; nil in a text-only state (see Text).
 	Prog *prog.Prog
 	// Text is the seed's identity: Prog.Serialize(), rendered once where
-	// the program enters the process (a store load, a hub push or pull
-	// decode) or first leaves a pool (Export), and carried from there on
-	// — the store's file name and content, every dedupe key. Either
-	// empty (a hand-built literal; Key renders it) or exactly
-	// Prog.Serialize(): whoever parses text must set the canonical
-	// re-rendering, not what was parsed.
+	// the program enters the process (a store load, a hub pull decode)
+	// or first leaves a pool (Export), and carried from there on — the
+	// store's file name and content, every dedupe key. Either empty (a
+	// hand-built literal; Key renders it) or exactly Prog.Serialize():
+	// whoever parses text must set the canonical re-rendering, not what
+	// was parsed. A text-only state (Prog nil: the hub's corpus, whose
+	// pushes it checks with prog.Canonical without keeping a tree)
+	// carries the canonical text itself, Text == Canonical(Text); the
+	// corpusstore Merge and Save take it, a pool skips it.
 	Text string
 	// Prio is the base scheduling weight (new blocks at admission).
 	Prio int
@@ -269,18 +274,18 @@ func (s SeedState) Key() string {
 // must not mutate them. Every state carries its Text; a seed is
 // rendered by the first Export after its admission and never again.
 func (p *Pool) Export() []SeedState {
+	order := make([]int32, len(p.seeds))
 	for i := range p.seeds {
 		p.seeds[i].identity()
+		order[i] = int32(i)
 	}
-	ordered := append([]Seed(nil), p.seeds...)
-	sort.Slice(ordered, func(i, j int) bool {
-		if wi, wj := ordered[i].Weight(), ordered[j].Weight(); wi != wj {
-			return wi > wj
-		}
-		return ordered[i].seq < ordered[j].seq
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &p.seeds[i], &p.seeds[j]
+		return cmp.Or(cmp.Compare(b.Weight(), a.Weight()), cmp.Compare(a.seq, b.seq))
 	})
-	out := make([]SeedState, len(ordered))
-	for i, s := range ordered {
+	out := make([]SeedState, len(order))
+	for i, k := range order {
+		s := &p.seeds[k]
 		out[i] = SeedState{Prog: s.Prog, Text: s.text, Prio: s.Prio, Bonus: s.bonus, Op: s.Op}
 	}
 	return out
@@ -294,7 +299,9 @@ func (p *Pool) Export() []SeedState {
 // are heap-owned (exports, store loads, hub pulls): they are retained
 // as is and frozen, and must not be mutated afterwards. Freezing writes
 // to the program once, so a snapshot handed to several pools at a time
-// (a sharded campaign's warm start) is frozen by its owner first.
+// (a sharded campaign's warm start) is frozen by its owner first. A
+// text-only state (no Prog) is skipped like a non-positive priority: a
+// pool holds programs to run.
 func (p *Pool) Import(seeds []SeedState) int {
 	n := 0
 	for _, st := range seeds {

@@ -2,6 +2,7 @@ package seedpool
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"kernelgpt/internal/prog"
@@ -456,5 +457,35 @@ func TestReconcileAdmissionFollowsPolicy(t *testing.T) {
 	}
 	if !names["a"] || !names["d"] || names["b"] || names["c"] {
 		t.Fatalf("wrong survivors: %v", names)
+	}
+}
+
+// TestExportOrder: Export lists the seeds by descending weight, ties in
+// admission order, as a sort of a copy of the seeds by those keys does —
+// through evictions and lineage rewards that reorder the heap.
+func TestExportOrder(t *testing.T) {
+	p := New(32)
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 80; i++ {
+		p.Add(mkProg(), 1+r.Intn(4), "")
+		if _, ref := p.PickRef(r); i%3 == 0 {
+			p.Reward(ref, r.Intn(3))
+		}
+	}
+	want := append([]Seed(nil), p.seeds...)
+	sort.Slice(want, func(i, j int) bool {
+		if wi, wj := want[i].Weight(), want[j].Weight(); wi != wj {
+			return wi > wj
+		}
+		return want[i].seq < want[j].seq
+	})
+	got := p.Export()
+	if len(got) != len(want) {
+		t.Fatalf("exported %d of %d seeds", len(got), len(want))
+	}
+	for i, s := range got {
+		if s.Prog != want[i].Prog || s.Weight() != want[i].Weight() {
+			t.Fatalf("export position %d holds weight %d, want the seed of weight %d admitted %d", i, s.Weight(), want[i].Weight(), want[i].seq)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"kernelgpt/internal/fuzz/corpusstore"
+	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
 )
 
@@ -49,7 +50,24 @@ func TestHubSyncAllocs(t *testing.T) {
 	body := EncodeSyncRequest(req)
 	serve(t, handler, "/v1/sync", BinaryContentType, body, nil)
 
-	const n = 50
+	bytesPer, allocsPer := exchangeAllocs(t, handler, body, 50)
+	t.Logf("one exchange: %.0f bytes, %.0f allocations", bytesPer, allocsPer)
+	// 10% above the measured 18.2 KB and 275. The same exchange took
+	// 21.3 KB and 339 while the hub built and rendered a program tree
+	// per pushed seed, and 47.3 KB and 409 while the cover, the request
+	// and the reply were encoded into growing buffers, the body was
+	// read through io.ReadAll and each decoded frame was a heap cursor.
+	const maxBytes, maxAllocs = 20_000, 302
+	if bytesPer > maxBytes || allocsPer > maxAllocs {
+		t.Errorf("one exchange allocates %.0f bytes in %.0f allocations, budget %d in %d", bytesPer, allocsPer, maxBytes, maxAllocs)
+	}
+}
+
+// exchangeAllocs serves n syncs of body through handler and returns the
+// bytes and allocations per exchange. Building the requests is off the
+// books.
+func exchangeAllocs(t *testing.T, handler http.Handler, body []byte, n int) (bytesPer, allocsPer float64) {
+	t.Helper()
 	reqs := make([]*http.Request, n)
 	recs := make([]*httptest.ResponseRecorder, n)
 	for i := range reqs {
@@ -70,16 +88,45 @@ func TestHubSyncAllocs(t *testing.T) {
 			t.Fatalf("sync: HTTP %d %s", rec.Code, rec.Body.Bytes())
 		}
 	}
-	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / n
-	allocsPer := float64(after.Mallocs-before.Mallocs) / n
-	t.Logf("one exchange: %.0f bytes, %.0f allocations", bytesPer, allocsPer)
-	// 10% above the measured 21.3 KB and 339. The same exchange took
-	// 47.3 KB and 409 while the cover, the request and the reply were
-	// encoded into growing buffers, the body was read through
-	// io.ReadAll and each decoded frame was a heap cursor.
-	const maxBytes, maxAllocs = 23_400, 373
-	if bytesPer > maxBytes || allocsPer > maxAllocs {
-		t.Errorf("one exchange allocates %.0f bytes in %.0f allocations, budget %d in %d", bytesPer, allocsPer, maxBytes, maxAllocs)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n), float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// TestPushValidationAllocatesNothing: the hub checks pushed canonical
+// text in place (prog.Canonical) instead of building and rendering a
+// program per seed, so past the wire decode a sync that pushes seeds
+// the hub holds costs the same however many it pushes. A tree per seed
+// costs dozens of allocations each.
+func TestPushValidationAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocates")
+	}
+	tgt := targetFor(t, "dm")
+	h, _, reg := fullHub(t, tgt)
+	handler := h.Handler()
+	h.mu.Lock()
+	held := append([]seedpool.SeedState(nil), h.states...)
+	h.mu.Unlock()
+	// costs is the allocations of one sync pushing k held seeds, and of
+	// decoding its request.
+	costs := func(k int) (sync, decode float64) {
+		req := SyncRequest{Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, SinceGen: 1 << 30}
+		for _, st := range held[:k] {
+			req.Seeds = append(req.Seeds, WireSeed{Text: st.Text, Prio: st.Prio, Bonus: st.Bonus, Op: st.Op})
+		}
+		body := EncodeSyncRequest(&req)
+		serve(t, handler, "/v1/sync", BinaryContentType, body, nil)
+		_, sync = exchangeAllocs(t, handler, body, 20)
+		decode = testing.AllocsPerRun(20, func() { DecodeSyncRequest(body) })
+		return sync, decode
+	}
+	const few, many = 8, 64
+	fewSync, fewDecode := costs(few)
+	manySync, manyDecode := costs(many)
+	perSeed := ((manySync - manyDecode) - (fewSync - fewDecode)) / (many - few)
+	t.Logf("a sync pushing %d held seeds allocates %.0f times (decode %.0f), pushing %d %.0f (decode %.0f): %.2f per seed past the decode",
+		few, fewSync, fewDecode, many, manySync, manyDecode, perSeed)
+	if perSeed >= 0.5 {
+		t.Errorf("pushed seeds cost %.2f allocations each past the wire decode, want none", perSeed)
 	}
 }
 

@@ -69,7 +69,7 @@ type Hub struct {
 	inflight atomic.Int64
 
 	mu sync.Mutex
-	// states is the merged corpus as programs — what the last Save (or
+	// states is the merged corpus, as text only — what the last Save (or
 	// the initial Load) handed the store, kept because the next Merge
 	// and a leaf's upward push need them. store is guarded by mu too.
 	states []seedpool.SeedState // guarded by mu
@@ -127,13 +127,9 @@ func (wk *worker) lease(now time.Time) string {
 func observeSync(a *SyncAggJSON, serviceNs, payloadBytes int64) {
 	a.Count++
 	a.ServiceNsSum += serviceNs
-	if serviceNs > a.ServiceNsMax {
-		a.ServiceNsMax = serviceNs
-	}
+	a.ServiceNsMax = max(a.ServiceNsMax, serviceNs)
 	a.BytesSum += payloadBytes
-	if payloadBytes > a.BytesMax {
-		a.BytesMax = payloadBytes
-	}
+	a.BytesMax = max(a.BytesMax, payloadBytes)
 }
 
 // Option configures a Hub.
@@ -234,7 +230,7 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 	if err != nil {
 		return nil, fmt.Errorf("hub: %w", err)
 	}
-	h.states = states
+	h.states = textOnly(states)
 	if len(rep.Skipped) > 0 {
 		h.logf("hub: store load skipped %d entries", len(rep.Skipped))
 	}
@@ -446,6 +442,14 @@ func decodeSync(w http.ResponseWriter, r *http.Request) (*SyncRequest, int64, bo
 	return req, int64(len(data)), true
 }
 
+// textOnly drops the states' programs: the hub keeps its corpus as text.
+func textOnly(states []seedpool.SeedState) []seedpool.SeedState {
+	for i := range states {
+		states[i].Prog = nil
+	}
+	return states
+}
+
 // mergeLocked folds incoming seeds into the authoritative corpus and
 // persists it. Memory is committed only after the store accepts the
 // corpus — the store installs its new image on the same condition — so
@@ -517,12 +521,12 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	var incoming []seedpool.SeedState
 	rejected := 0
 	for _, ws := range req.Seeds {
-		p, err := prog.Deserialize(h.target, ws.Text)
+		text, err := prog.Canonical(h.target, ws.Text)
 		if err != nil || ws.Prio <= 0 {
 			rejected++
 			continue
 		}
-		incoming = append(incoming, seedpool.SeedState{Prog: p, Text: p.Serialize(), Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
+		incoming = append(incoming, seedpool.SeedState{Text: text, Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
 	}
 	h.rejectedSeeds += rejected
 	if len(incoming) > 0 {
@@ -647,9 +651,9 @@ func (h *Hub) recordCrash(wk *worker, wc WireCrash) {
 	wk.crashCounts[wc.Title] = wc.Count
 	rec := h.crashes[wc.Title]
 	if rec == nil {
-		repro := wc.Repro
-		if p, err := prog.Deserialize(h.target, wc.Repro); err == nil {
-			repro = p.Serialize()
+		repro, err := prog.Canonical(h.target, wc.Repro)
+		if err != nil {
+			repro = wc.Repro
 		}
 		rec = &crashStateJSON{Title: wc.Title, Repro: repro, FirstWorker: wk.id}
 		h.crashes[wc.Title] = rec
@@ -714,12 +718,8 @@ func (h *Hub) statsLocked() HubStats {
 		st.Sync.Count += wk.sync.Count
 		st.Sync.ServiceNsSum += wk.sync.ServiceNsSum
 		st.Sync.BytesSum += wk.sync.BytesSum
-		if wk.sync.ServiceNsMax > st.Sync.ServiceNsMax {
-			st.Sync.ServiceNsMax = wk.sync.ServiceNsMax
-		}
-		if wk.sync.BytesMax > st.Sync.BytesMax {
-			st.Sync.BytesMax = wk.sync.BytesMax
-		}
+		st.Sync.ServiceNsMax = max(st.Sync.ServiceNsMax, wk.sync.ServiceNsMax)
+		st.Sync.BytesMax = max(st.Sync.BytesMax, wk.sync.BytesMax)
 	}
 	if up := now.Sub(h.start).Seconds(); up > 0 {
 		st.ExecsPerSec = float64(st.Execs) / up

@@ -16,23 +16,45 @@ import (
 )
 
 // checkTexts fails unless every state carries exactly its program's
-// rendering.
-func checkTexts(t *testing.T, where string, states []seedpool.SeedState) {
+// rendering; a text-only state (no Prog) must carry canonical text.
+func checkTexts(t *testing.T, where string, tgt *prog.Target, states []seedpool.SeedState) {
 	t.Helper()
 	if len(states) == 0 {
 		t.Fatalf("%s: no states, the check is vacuous", where)
 	}
 	for i, st := range states {
-		if st.Text == "" || st.Text != st.Prog.Serialize() {
-			t.Fatalf("%s: state %d carries Text %q, its program renders %q", where, i, st.Text, st.Prog.Serialize())
+		var want string
+		var err error
+		if st.Prog != nil {
+			want = st.Prog.Serialize()
+		} else {
+			want, err = prog.Canonical(tgt, st.Text)
+		}
+		if st.Text == "" || err != nil || st.Text != want {
+			t.Fatalf("%s: state %d carries Text %q, its program renders %q (%v)", where, i, st.Text, want, err)
+		}
+	}
+}
+
+// checkHubTexts holds the hub's corpus to checkTexts and to being text
+// only, the form the hub keeps it in.
+func checkHubTexts(t *testing.T, where string, h *Hub) {
+	t.Helper()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	checkTexts(t, where, h.target, h.states)
+	for i, st := range h.states {
+		if st.Prog != nil {
+			t.Fatalf("%s: hub state %d holds a program tree", where, i)
 		}
 	}
 }
 
 // TestSeedTextIsSerialize: Text == Prog.Serialize() for every state
-// that leaves a pool, a store, the hub's push decode or the client's
-// pull decode — including when what was parsed was some other
-// rendering of the program.
+// that leaves a pool, a store or the client's pull decode, and
+// Text == prog.Canonical(Text) for the hub's text-only corpus, whether
+// pushed, loaded by New or imported from a parent — including when
+// what was parsed was some other rendering of the program.
 func TestSeedTextIsSerialize(t *testing.T) {
 	tgt := targetFor(t, "dm", "cec")
 	g := prog.NewGen(tgt, 3)
@@ -48,7 +70,7 @@ func TestSeedTextIsSerialize(t *testing.T) {
 			pool.Reward(ref, i%4)
 		}
 	}
-	checkTexts(t, "Export", pool.Export())
+	checkTexts(t, "Export", tgt, pool.Export())
 	foreign := g.Generate(3).Detach()
 	pool.Reconcile([]seedpool.SeedState{
 		{Prog: foreign, Text: foreign.Serialize(), Prio: 50},
@@ -56,7 +78,7 @@ func TestSeedTextIsSerialize(t *testing.T) {
 		{Prog: pool.Export()[0].Prog, Prio: 70},
 	})
 	exported := pool.Export()
-	checkTexts(t, "Export after Reconcile", exported)
+	checkTexts(t, "Export after Reconcile", tgt, exported)
 
 	// A store holding, beside what Save wrote, a file in a rendering
 	// Save would never write.
@@ -84,7 +106,7 @@ func TestSeedTextIsSerialize(t *testing.T) {
 	if err != nil || len(rep.Skipped) != 0 || len(loaded) != len(exported)+1 {
 		t.Fatalf("load: %d seeds, report %+v, err %v", len(loaded), rep, err)
 	}
-	checkTexts(t, "Load", loaded)
+	checkTexts(t, "Load", tgt, loaded)
 	if e := store.Image().Seeds[0]; e.Text != "" {
 		t.Fatalf("image vouches for %s, which does not hold the text a Save would write", e.File)
 	}
@@ -92,7 +114,7 @@ func TestSeedTextIsSerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTexts(t, "Diff", diffed)
+	checkTexts(t, "Diff", tgt, diffed)
 
 	// The hub's push decode, fed canonical and hand-written text; the
 	// client's pull decode of what the hub then serves.
@@ -110,12 +132,28 @@ func TestSeedTextIsSerialize(t *testing.T) {
 	if code, _ := rawSync(t, srv.URL, push); code != http.StatusOK {
 		t.Fatalf("push answered %d", code)
 	}
-	h.mu.Lock()
-	checkTexts(t, "hub push decode", h.states)
-	if len(h.states) != len(exported) {
-		t.Fatalf("hub holds %d seeds, %d distinct programs were pushed", len(h.states), len(exported))
+	checkHubTexts(t, "hub push decode", h)
+	if n := h.Stats().Seeds; n != len(exported) {
+		t.Fatalf("hub holds %d seeds, %d distinct programs were pushed", n, len(exported))
 	}
-	h.mu.Unlock()
+	reopened, err := corpusstore.Open(h.store.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := New(tgt, reopened, WithStatePath(filepath.Join(t.TempDir(), stateFile)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkHubTexts(t, "hub load", restarted)
+	leaf, _ := newHub(t, tgt)
+	pc, err := Dial(ctx, srv.URL, "leaf", tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := leaf.SyncParent(ctx, pc, false); err != nil || n != len(exported) {
+		t.Fatalf("leaf imported %d of %d seeds, err %v", n, len(exported), err)
+	}
+	checkHubTexts(t, "hub parent import", leaf)
 	c, err := Dial(ctx, srv.URL, "puller", tgt)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +162,7 @@ func TestSeedTextIsSerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkTexts(t, "client pull decode", pulled)
+	checkTexts(t, "client pull decode", tgt, pulled)
 	if len(pulled) != len(exported) {
 		t.Fatalf("pulled %d of %d seeds", len(pulled), len(exported))
 	}

@@ -59,7 +59,7 @@ func (h *Hub) SyncParent(ctx context.Context, client *Client, final bool) (int, 
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := h.mergeLocked(imported); err != nil {
+	if err := h.mergeLocked(textOnly(imported)); err != nil {
 		return 0, err
 	}
 	h.logf("hub: parent sync imported %d seeds -> %d seeds at gen %d", len(imported), len(h.states), h.genLocked())

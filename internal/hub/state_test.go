@@ -2,6 +2,7 @@ package hub
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -191,6 +192,9 @@ func FuzzHubStateLoad(f *testing.F) {
 	}
 	f.Add([]byte(`{"version":2,"cover":"xQEA","workers":[{"id":"w1","lease_state":"active","crash_counts":{"t":1}},{"id":"w1"}],"crashes":[{"title":"t","repro":"r","workers":["w9","w9"]}]}`))
 	f.Add([]byte(`{"version":3,"crashes":[{"title":"t","repro":"r2","count":1,"reports":1,"workers":["w2"]},{"title":"t","repro":"r1","count":2,"workers":["w1","w2"]}]}`))
+	// A cover past the kernel's block space must be refused, not grown
+	// into a 512 MB bitmap.
+	f.Add(fmt.Appendf(nil, `{"version":3,"cover":%q}`, base64.StdEncoding.EncodeToString(topBlockDelta())))
 	f.Fuzz(func(t *testing.T, sidecar []byte) {
 		h, path, err := restoreFrom(t, tgt, sidecar)
 		if err != nil {

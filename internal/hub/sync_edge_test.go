@@ -3,6 +3,7 @@ package hub
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -173,5 +174,36 @@ func TestOversizedBodiesRejected(t *testing.T) {
 	}
 	if n := hub.inflight.Load(); n != 0 {
 		t.Errorf("in-flight counter stuck at %d after the rejected sync", n)
+	}
+}
+
+// topBlockDelta is a cover delta, canonical in every other respect,
+// naming block 2³²−1: one array container at key 65535, where the
+// kernel's block space ends at key 255.
+func topBlockDelta() []byte {
+	enc := coverOf(0xffff).EncodeDelta(nil) // magic, version, one container, key 0, ...
+	return append(append(append([]byte{}, enc[:3]...), binary.AppendUvarint(nil, 0xffff)...), enc[4:]...)
+}
+
+// TestSyncRefusesCoverPastBlockSpace: a sync whose cover delta names a
+// block past the kernel's block space is refused with 400 and leaves
+// the hub's cover as it was, instead of growing it into a 512 MB
+// bitmap that every later persist encodes under the hub mutex.
+func TestSyncRefusesCoverPastBlockSpace(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	h, srv := newHub(t, tgt)
+	var reg RegisterResponse
+	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
+	req := SyncRequest{Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, CoverDelta: coverOf(1, 2, 3).EncodeDelta(nil)}
+	if code, msg := rawSync(t, srv.URL, req); code != http.StatusOK {
+		t.Fatalf("sync: HTTP %d %s", code, msg)
+	}
+	before := h.UnionCover().EncodeDelta(nil)
+	req.CoverDelta = topBlockDelta()
+	if code, msg := rawSync(t, srv.URL, req); code != http.StatusBadRequest {
+		t.Fatalf("a cover delta naming block 2^32-1: HTTP %d %s, want 400", code, msg)
+	}
+	if after := h.UnionCover().EncodeDelta(nil); !bytes.Equal(after, before) {
+		t.Fatalf("a refused cover delta changed the hub's cover: %x, was %x", after, before)
 	}
 }

@@ -70,7 +70,10 @@ const (
 // together.
 // A Gen owns one arena for its lifetime and resets it at the top of
 // Generate/Mutate/MutateOp, so every candidate it returns is scratch
-// that the next such call overwrites (see Prog.Detach).
+// that the next such call overwrites (see Prog.Detach). A pooled
+// deserializer owns one too and resets it at every parse: Deserialize
+// copies the parsed program out of it as Clone would, and Canonical
+// renders it and keeps nothing.
 type arena struct {
 	nodes    slab[Value]
 	ptrs     slab[*Value]

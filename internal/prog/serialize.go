@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -135,19 +136,97 @@ func appendHex(dst []byte, x uint64) []byte {
 
 // Deserialize parses repro text back into a program against the
 // target. Unknown syscalls or malformed values are errors (a repro is
-// useless if reinterpreted loosely).
+// useless if reinterpreted loosely). The text is parsed into a pooled
+// scratch arena and the program copied out of it once, into an arena
+// of its own sized to fit (the path Clone takes): a handful of
+// allocations per program, however many values it holds.
 func Deserialize(t *Target, text string) (*Prog, error) {
-	p := &Prog{}
-	for lineNo, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	d := deserializers.Get().(*deserializer)
+	defer d.release(text)
+	p, err := d.parse(t, text)
+	if err != nil {
+		return nil, err
+	}
+	a := new(arena)
+	a.reserve(p, false)
+	return a.cloneProg(p, false), nil
+}
+
+// Canonical returns the canonical rendering of program text, what
+// Serialize gives for the program Deserialize builds from it, with
+// Deserialize's errors. Canonical text is returned as is, and the check
+// allocates nothing; other text costs the one new string. It is the
+// form for a holder of text that needs no program: the hub names,
+// stores and serves seeds by it.
+func Canonical(t *Target, text string) (string, error) {
+	d := deserializers.Get().(*deserializer)
+	defer d.release(text)
+	p, err := d.parse(t, text)
+	if err != nil {
+		return "", err
+	}
+	buf := textBufs.Get().(*[]byte)
+	*buf = p.appendText((*buf)[:0])
+	if string(*buf) != text {
+		text = string(*buf)
+	}
+	if cap(*buf) <= maxPooledText {
+		textBufs.Put(buf)
+	}
+	return text, nil
+}
+
+// deserializers recycles parsers with their scratch arenas.
+var deserializers = sync.Pool{New: func() any { return new(deserializer) }}
+
+// deserializer parses program text into its own scratch arena, rewound
+// at every parse; what it builds is valid until its next parse. A
+// failed parse may leave entries on its stacks; the next parse empties
+// them.
+type deserializer struct {
+	a arena
+	// elems and buf are stacks the open arrays push onto: the element
+	// nodes of arrays that are not runs, and the elements of a run (or
+	// the bytes of the string being unquoted). A closed array's share
+	// is copied into the arena at its exact size and popped.
+	elems []*Value
+	buf   []byte
+	// src is the argument list of the call line being parsed and i the
+	// read position in it.
+	src string
+	i   int
+	// calls is the number of calls parsed before this line; a
+	// resource reference rN is only valid for N < calls.
+	calls int
+}
+
+// release returns d to the pool, unless text was one far beyond any
+// the generator builds: its arena is left to the collector instead.
+func (d *deserializer) release(text string) {
+	if len(text) <= maxPooledText {
+		deserializers.Put(d)
+	}
+}
+
+// parse builds and validates the program text describes.
+func (d *deserializer) parse(t *Target, text string) (*Prog, error) {
+	d.a.reset()
+	d.elems, d.buf = d.elems[:0], d.buf[:0]
+	p := d.a.newProg(0, true)
+	rest := text
+	for lineNo := 1; ; lineNo++ {
+		line, tail, more := strings.Cut(rest, "\n")
+		if line = strings.TrimSpace(line); line != "" && line[0] != '#' {
+			call, err := d.callLine(t, p, line)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			}
+			p.Calls = d.a.appendCall(p.Calls, call)
 		}
-		call, err := parseCallLine(t, p, line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo+1, err)
+		if !more {
+			break
 		}
-		p.Calls = append(p.Calls, call)
+		rest = tail
 	}
 	if err := p.Validate(t); err != nil {
 		return nil, err
@@ -155,11 +234,10 @@ func Deserialize(t *Target, text string) (*Prog, error) {
 	return p, nil
 }
 
-func parseCallLine(t *Target, p *Prog, line string) (*Call, error) {
+func (d *deserializer) callLine(t *Target, p *Prog, line string) (*Call, error) {
 	// Optional "rN = " prefix.
-	if eq := strings.Index(line, " = "); eq > 0 && strings.HasPrefix(line, "r") {
-		idxText := line[1:eq]
-		if n, err := strconv.Atoi(idxText); err == nil {
+	if eq := strings.Index(line, " = "); eq > 0 && line[0] == 'r' {
+		if n, ok := atoi(line[1:eq]); ok {
 			if n != len(p.Calls) {
 				return nil, fmt.Errorf("result index r%d out of order (expected r%d)", n, len(p.Calls))
 			}
@@ -175,8 +253,8 @@ func parseCallLine(t *Target, p *Prog, line string) (*Call, error) {
 	if sc == nil {
 		return nil, fmt.Errorf("unknown syscall %q", name)
 	}
-	d := &deserializer{src: line[open+1 : len(line)-1], calls: len(p.Calls)}
-	call := &Call{Sc: sc}
+	d.src, d.i, d.calls = line[open+1:len(line)-1], 0, len(p.Calls)
+	call := d.a.call(sc, len(sc.Args))
 	for i, f := range sc.Args {
 		if i > 0 {
 			if err := d.expect(','); err != nil {
@@ -187,7 +265,7 @@ func parseCallLine(t *Target, p *Prog, line string) (*Call, error) {
 		if err != nil {
 			return nil, fmt.Errorf("arg %s: %w", f.Name, err)
 		}
-		call.Args = append(call.Args, v)
+		call.Args[i] = v
 	}
 	d.skipSpace()
 	if d.i < len(d.src) {
@@ -196,12 +274,19 @@ func parseCallLine(t *Target, p *Prog, line string) (*Call, error) {
 	return call, nil
 }
 
-type deserializer struct {
-	src string
-	i   int
-	// calls is the number of calls parsed before this line; a
-	// resource reference rN is only valid for N < calls.
-	calls int
+// atoi is strconv.Atoi without the error value: text that is not a
+// signed decimal is refused before Atoi is asked, so a line whose
+// " = " sits in a string literal costs no allocation.
+func atoi(s string) (int, bool) {
+	digits := s
+	if digits != "" && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
+	}
+	if digits == "" || strings.TrimLeft(digits, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }
 
 func (d *deserializer) skipSpace() {
@@ -230,9 +315,11 @@ func (d *deserializer) rest() string {
 	return r
 }
 
+// value parses one value of type ty into the arena.
 func (d *deserializer) value(ty *Type) (*Value, error) {
 	d.skipSpace()
-	v := &Value{Type: ty, ResultOf: -1}
+	v := d.a.node()
+	*v = Value{Type: ty, ResultOf: -1}
 	switch ty.Kind {
 	case KindInt, KindConst, KindFlags, KindLen:
 		n, err := d.number()
@@ -262,11 +349,11 @@ func (d *deserializer) value(ty *Type) (*Value, error) {
 		}
 		return v, nil // bad-fd sentinel
 	case KindString:
-		s, err := d.quoted()
+		data, err := d.quoted()
 		if err != nil {
 			return nil, err
 		}
-		v.Data = []byte(s)
+		v.Data = data
 		return v, nil
 	case KindBuffer:
 		data, err := d.hexBlob()
@@ -295,6 +382,7 @@ func (d *deserializer) value(ty *Type) (*Value, error) {
 		if err := d.expect('{'); err != nil {
 			return nil, err
 		}
+		v.Fields = d.a.fields(len(ty.Fields))
 		for i := range ty.Fields {
 			if i > 0 {
 				if err := d.expect(','); err != nil {
@@ -305,7 +393,7 @@ func (d *deserializer) value(ty *Type) (*Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			v.Fields = append(v.Fields, f)
+			v.Fields[i] = f
 		}
 		return v, d.expect('}')
 	case KindUnion:
@@ -327,16 +415,15 @@ func (d *deserializer) value(ty *Type) (*Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		v.Fields = []*Value{f}
+		v.Fields = d.a.fields(1)
+		v.Fields[0] = f
 		return v, d.expect('}')
 	case KindArray:
 		if err := d.expect('['); err != nil {
 			return nil, err
 		}
 		d.skipSpace()
-		if ty.isRun() && ty.FixedLen > 0 {
-			v.Data = make([]byte, 0, 8*ty.FixedLen)
-		}
+		elems, data := len(d.elems), len(d.buf)
 		for n := 0; d.i < len(d.src) && d.src[d.i] != ']'; n++ {
 			if n > 0 {
 				if err := d.expect(','); err != nil {
@@ -348,19 +435,23 @@ func (d *deserializer) value(ty *Type) (*Value, error) {
 				if err != nil {
 					return nil, err
 				}
-				v.Data = binary.LittleEndian.AppendUint64(v.Data, x)
+				d.buf = binary.LittleEndian.AppendUint64(d.buf, x)
 			} else {
 				f, err := d.value(ty.Elem)
 				if err != nil {
 					return nil, err
 				}
-				v.Fields = append(v.Fields, f)
+				d.elems = append(d.elems, f)
 			}
 			d.skipSpace()
 		}
 		if err := d.expect(']'); err != nil {
 			return nil, err
 		}
+		v.Fields = d.a.fields(len(d.elems) - elems)
+		copy(v.Fields, d.elems[elems:])
+		d.elems = d.elems[:elems]
+		v.Data = d.popBytes(data)
 		// Nothing but text builds a fixed array of another length, and
 		// its payload would be short or long at every later offset.
 		if n := v.elems(); ty.FixedLen >= 0 && n != ty.FixedLen {
@@ -369,6 +460,14 @@ func (d *deserializer) value(ty *Type) (*Value, error) {
 		return v, nil
 	}
 	return nil, fmt.Errorf("unsupported type %v", ty)
+}
+
+// popBytes moves buf[from:] into the arena and pops it off buf.
+func (d *deserializer) popBytes(from int) []byte {
+	out := d.a.bytes(len(d.buf) - from)
+	copy(out, d.buf[from:])
+	d.buf = d.buf[:from]
+	return out
 }
 
 func (d *deserializer) number() (uint64, error) {
@@ -395,10 +494,13 @@ func isHex(c byte) bool {
 	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
 }
 
-func (d *deserializer) quoted() (string, error) {
+// quoted parses a double-quoted string literal into the arena. It
+// accepts exactly what strconv.Unquote accepts of the literal, decodes
+// it the same way, and fails with the same ErrSyntax.
+func (d *deserializer) quoted() ([]byte, error) {
 	d.skipSpace()
 	if d.i >= len(d.src) || d.src[d.i] != '"' {
-		return "", fmt.Errorf("expected string at %q", d.rest())
+		return nil, fmt.Errorf("expected string at %q", d.rest())
 	}
 	end := d.i + 1
 	for end < len(d.src) {
@@ -412,16 +514,30 @@ func (d *deserializer) quoted() (string, error) {
 		end++
 	}
 	if end >= len(d.src) {
-		return "", fmt.Errorf("unterminated string")
+		return nil, fmt.Errorf("unterminated string")
 	}
-	s, err := strconv.Unquote(d.src[d.i : end+1])
-	if err != nil {
-		return "", err
+	from := len(d.buf)
+	in := d.src[d.i+1 : end+1]
+	for len(in) > 0 && in[0] != '"' {
+		r, multibyte, rest, err := strconv.UnquoteChar(in, '"')
+		if in[0] == '\n' || err != nil {
+			return nil, strconv.ErrSyntax
+		}
+		in = rest
+		if r < utf8.RuneSelf || !multibyte {
+			d.buf = append(d.buf, byte(r))
+		} else {
+			d.buf = utf8.AppendRune(d.buf, r)
+		}
+	}
+	if len(in) != 1 {
+		return nil, strconv.ErrSyntax
 	}
 	d.i = end + 1
-	return s, nil
+	return d.popBytes(from), nil
 }
 
+// hexBlob parses a #hex# buffer literal into the arena.
 func (d *deserializer) hexBlob() ([]byte, error) {
 	if err := d.expect('#'); err != nil {
 		return nil, err
@@ -437,8 +553,8 @@ func (d *deserializer) hexBlob() ([]byte, error) {
 	if len(hexText)%2 != 0 {
 		return nil, fmt.Errorf("odd hex blob length")
 	}
-	out := make([]byte, len(hexText)/2)
-	for i := 0; i < len(out); i++ {
+	out := d.a.bytes(len(hexText) / 2)
+	for i := range out {
 		hi, lo := unhex(hexText[2*i]), unhex(hexText[2*i+1])
 		out[i] = hi<<4 | lo
 	}

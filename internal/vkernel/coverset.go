@@ -21,6 +21,12 @@ type CoverSet struct {
 	n     int
 }
 
+// maxBlocks bounds the block-ID space. The kernel numbers no more
+// blocks (the widest suite numbers about 24k) and DecodeDelta refuses
+// a container past it, so no set a peer sends can grow a bitmap beyond
+// 2 MB.
+const maxBlocks = 1 << 24
+
 // NewCoverSet returns an empty set pre-sized for block IDs in
 // [0, bound).
 func NewCoverSet(bound uint32) *CoverSet {
@@ -346,7 +352,7 @@ func strictUvarint(data []byte) (uint64, int) {
 // DecodeDelta parses an EncodeDelta stream, invoking fn for every
 // encoded block in ascending ID order. It rejects malformed and
 // non-canonical input, so a successful decode re-encodes to exactly
-// the input bytes.
+// the input bytes, and blocks at or past maxBlocks.
 func DecodeDelta(data []byte, fn func(BlockID)) error {
 	if len(data) < 2 || data[0] != deltaMagic || data[1] != deltaVersion {
 		return fmt.Errorf("coverset delta: bad header")
@@ -360,7 +366,7 @@ func DecodeDelta(data []byte, fn func(BlockID)) error {
 	prevKey := -1
 	for c := uint64(0); c < containers; c++ {
 		key, n := strictUvarint(data)
-		if n <= 0 || key > (1<<16)-1 {
+		if n <= 0 || key >= maxBlocks>>16 {
 			return fmt.Errorf("coverset delta: bad container key")
 		}
 		data = data[n:]

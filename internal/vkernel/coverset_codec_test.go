@@ -2,6 +2,7 @@ package vkernel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -157,6 +158,30 @@ func TestCoverDeltaRejectsMalformed(t *testing.T) {
 	for name, data := range cases {
 		if _, err := decodeBlocks(data); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
+		}
+	}
+}
+
+// TestCoverDeltaRefusesBlocksPastBound: the last block below maxBlocks
+// decodes; a container one key further, or at the top of the 32-bit
+// space, is refused before any block of it is applied.
+func TestCoverDeltaRefusesBlocksPastBound(t *testing.T) {
+	s := &CoverSet{}
+	s.Add(maxBlocks - 1)
+	enc := s.EncodeDelta(nil)
+	if got, err := decodeBlocks(enc); err != nil || len(got) != 1 || got[0] != maxBlocks-1 {
+		t.Fatalf("block %d decodes as %v, %v", maxBlocks-1, got, err)
+	}
+	// enc is magic, version, one container, then its one-byte key.
+	lastKey := byte(maxBlocks>>16 - 1)
+	if enc[3] != lastKey {
+		t.Fatalf("unexpected encoding %x", enc)
+	}
+	for _, key := range [][]byte{binary.AppendUvarint(nil, maxBlocks>>16), binary.AppendUvarint(nil, 1<<16-1)} {
+		data := append(append(append([]byte{}, enc[:3]...), key...), enc[4:]...)
+		var n int
+		if err := DecodeDelta(data, func(BlockID) { n++ }); err == nil || n != 0 {
+			t.Errorf("container key %x decoded %d blocks, err %v", key, n, err)
 		}
 	}
 }

@@ -171,6 +171,9 @@ func New(c *corpus.Corpus) *Kernel {
 	}
 	var next uint32
 	alloc := func(n int) []BlockID {
+		if int(next)+n > maxBlocks {
+			panic(fmt.Sprintf("vkernel: corpus needs more than %d basic blocks", maxBlocks))
+		}
 		out := make([]BlockID, n)
 		for i := range out {
 			out[i] = next
