@@ -269,11 +269,12 @@ func addToStore(c *corpus.Corpus, st *corpusstore.Store, tgt *prog.Target, path 
 	}
 	// Bound the merge by what it holds: a store built with a larger
 	// capacity (or by a lossless -merge) keeps every seed.
-	merged := corpusstore.Merge(len(seeds)+1, seeds, []seedpool.SeedState{{Prog: p, Prio: prio}})
+	text := p.Serialize()
+	merged := corpusstore.Merge(len(seeds)+1, seeds, []seedpool.SeedState{{Text: text, Prio: prio}})
 	if err := st.Save(merged, rep.CoverBlocks); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("added %s to %s (prio %d, %d calls); store now %d seeds\n",
-		corpusstore.FileFor(p.Serialize()), st.Dir(), prio, len(p.Calls), len(merged))
+		corpusstore.FileFor(text), st.Dir(), prio, len(p.Calls), len(merged))
 }

@@ -58,7 +58,8 @@ func BenchmarkStoreSave(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			next[0] = seedpool.SeedState{Prog: g.Generate(4).Detach(), Prio: 1}
+			p := g.Generate(4).Detach()
+			next[0] = seedpool.SeedState{Prog: p, Text: p.Serialize(), Prio: 1}
 			b.StartTimer()
 			if err := st.Save(next, 0); err != nil {
 				b.Fatal(err)

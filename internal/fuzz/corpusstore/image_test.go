@@ -86,7 +86,7 @@ func TestSaveWritesOnlyNewFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := dirFiles(t, dir)
-	want := []string{FileFor(extra[0].Key()), manifestName}
+	want := []string{FileFor(extra[0].Text), manifestName}
 	sort.Strings(want)
 	if got := replaced(unchanged, after); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("admitting one seed into a full corpus replaced %v, want %v", got, want)
@@ -128,7 +128,7 @@ func TestSaveRewritesWhatItHasNotVerified(t *testing.T) {
 	}
 
 	// Rot while no handle vouches for the file.
-	victim := FileFor(held[2].Key())
+	victim := FileFor(held[2].Text)
 	if err := os.WriteFile(filepath.Join(dir, victim), []byte("garbage\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +155,14 @@ func TestSaveRewritesWhatItHasNotVerified(t *testing.T) {
 	if got := replaced(second, third); strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("save after a skipped entry replaced %v, want %v", got, want)
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, victim)); err != nil || string(data) != held[2].Key() {
+	if data, err := os.ReadFile(filepath.Join(dir, victim)); err != nil || string(data) != held[2].Text {
 		t.Fatalf("corrupted file not rewritten: %q, err %v", data, err)
 	}
 
 	// A Save that fails before its manifest lands changes nothing the
 	// handle believes: a directory squats on the new program's temp name.
 	before := st.Image()
-	squat := filepath.Join(dir, FileFor(late.Key())+".tmp")
+	squat := filepath.Join(dir, FileFor(late.Text)+".tmp")
 	if err := os.Mkdir(squat, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func FuzzStoreLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	name := FileFor(stored[0].Key())
+	name := FileFor(stored[0].Text)
 	f.Add(good)
 	f.Add([]byte(strings.ReplaceAll(string(good), name, "../outside.prog")))
 	f.Add([]byte(strings.ReplaceAll(string(good), `"gen": 1`, `"gen": 0`)))
@@ -224,7 +224,7 @@ func FuzzStoreLoad(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), manifest, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(root, "outside.prog"), []byte(outside.Key()), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(root, "outside.prog"), []byte(outside.Text), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st := openStore(t, dir)
@@ -235,7 +235,7 @@ func FuzzStoreLoad(f *testing.F) {
 		var want []seedpool.SeedState
 		seen := map[string]bool{}
 		for _, s := range loaded {
-			if s.Text != s.Prog.Serialize() || s.Text == outside.Key() || s.Prio <= 0 {
+			if s.Text != s.Prog.Serialize() || s.Text == outside.Text || s.Prio <= 0 {
 				t.Fatalf("load produced %+v", s)
 			}
 			if !seen[s.Text] { // Save keeps a program's first entry
@@ -269,7 +269,7 @@ func FuzzStoreLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if data, err := os.ReadFile(filepath.Join(root, "outside.prog")); len(around) != 2 || err != nil || string(data) != outside.Key() {
+		if data, err := os.ReadFile(filepath.Join(root, "outside.prog")); len(around) != 2 || err != nil || string(data) != outside.Text {
 			t.Fatalf("the store's surroundings changed: %d entries, outside.prog %q, err %v", len(around), data, err)
 		}
 	})

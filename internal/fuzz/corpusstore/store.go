@@ -192,9 +192,9 @@ func (s *Store) Image() *Manifest {
 }
 
 // Save atomically replaces the store contents with the given seeds
-// (typically a Merge result); a state is stored by its Key, so one
-// that carries its Text needs no Prog (the hub's corpus is text only).
-// Program files are written first, the
+// (typically a Merge result); a state is stored by its Text and needs
+// no Prog (the hub's corpus is text only), and one without Text is
+// skipped. Program files are written first, the
 // manifest is renamed into place last, and prog files no longer
 // referenced are removed best-effort — so a reader always sees a
 // consistent (old or new) store. Files are content-addressed and never
@@ -218,17 +218,16 @@ func (s *Store) Save(seeds []seedpool.SeedState, coverBlocks int) error {
 	m := &Manifest{Version: Version, Generation: gen, CoverBlocks: coverBlocks}
 	keep := map[string]bool{}
 	for _, st := range seeds {
-		if st.Prog == nil && st.Text == "" || st.Prio <= 0 {
+		if st.Text == "" || st.Prio <= 0 {
 			continue
 		}
-		text := st.Key()
-		name := FileFor(text)
+		name := FileFor(st.Text)
 		if keep[name] {
 			continue // duplicate program; first (highest-ranked) entry wins
 		}
 		old := prev[name]
-		if old.Text != text {
-			if err := WriteAtomic(filepath.Join(s.dir, name), []byte(text)); err != nil {
+		if old.Text != st.Text {
+			if err := WriteAtomic(filepath.Join(s.dir, name), []byte(st.Text)); err != nil {
 				return fmt.Errorf("corpusstore: %w", err)
 			}
 		}
@@ -237,7 +236,7 @@ func (s *Store) Save(seeds []seedpool.SeedState, coverBlocks int) error {
 		if old.Gen > 0 {
 			eg = old.Gen
 		}
-		m.Seeds = append(m.Seeds, Entry{File: name, Prio: st.Prio, Bonus: st.Bonus, Op: st.Op, Gen: eg, Text: text})
+		m.Seeds = append(m.Seeds, Entry{File: name, Prio: st.Prio, Bonus: st.Bonus, Op: st.Op, Gen: eg, Text: st.Text})
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -363,8 +362,8 @@ func (s *Store) loadEntry(t *prog.Target, e *Entry) (seedpool.SeedState, string)
 // text, and truncated to capacity (<= 0 selects
 // seedpool.DefaultCapacity) — fully deterministic for a fixed
 // argument order, independent of map iteration or completion order.
-// Every state of the result carries its Text; a state that carries its
-// Text needs no Prog, and keeps none it did not bring.
+// A state without Text is skipped; one with it needs no Prog, and the
+// result keeps only the programs its states brought.
 func Merge(capacity int, sets ...[]seedpool.SeedState) []seedpool.SeedState {
 	if capacity <= 0 {
 		capacity = seedpool.DefaultCapacity
@@ -373,10 +372,9 @@ func Merge(capacity int, sets ...[]seedpool.SeedState) []seedpool.SeedState {
 	var out []seedpool.SeedState
 	for _, set := range sets {
 		for _, st := range set {
-			if st.Prog == nil && st.Text == "" || st.Prio <= 0 {
+			if st.Text == "" || st.Prio <= 0 {
 				continue
 			}
-			st.Text = st.Key()
 			if i, ok := index[st.Text]; ok {
 				if st.Weight() > out[i].Weight() {
 					out[i] = st

@@ -47,6 +47,7 @@ func genSeeds(t testing.TB, tgt *prog.Target, n int) []seedpool.SeedState {
 		seen[text] = true
 		out = append(out, seedpool.SeedState{
 			Prog:  p.Detach(),
+			Text:  text,
 			Prio:  len(out) + 1,
 			Bonus: len(out) % 3,
 			Op:    []string{"", "splice", "insert"}[len(out)%3],
@@ -233,7 +234,7 @@ func TestMergeDeduplicatesAndBounds(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	seeds := genSeeds(t, tgt, 5)
 	// A duplicate of seeds[0] with a higher weight must win.
-	dup := seedpool.SeedState{Prog: seeds[0].Prog, Prio: 40}
+	dup := seedpool.SeedState{Prog: seeds[0].Prog, Text: seeds[0].Text, Prio: 40}
 	merged := Merge(4, seeds, []seedpool.SeedState{dup})
 	if len(merged) != 4 {
 		t.Fatalf("capacity not enforced: %d", len(merged))

@@ -160,7 +160,7 @@ func TestDriverContract(t *testing.T) {
 	var remote []seedpool.SeedState
 	g := prog.NewGen(tgt, 999)
 	for i := range 5 {
-		remote = append(remote, seedpool.SeedState{Prog: g.Generate(4).Detach(), Prio: 100 + i})
+		remote = append(remote, remoteSeed(g.Generate(4), 100+i))
 	}
 
 	type driver struct {

@@ -234,13 +234,14 @@ type Progress struct {
 // OpStat is one mutation operator's campaign outcome: how often the
 // scheduler picked it and how much new coverage its mutations found.
 // Per-operator yield (NewBlocks/Picks) is the feedback signal the
-// adaptive scheduler turns into selection weights.
+// adaptive scheduler turns into selection weights. The tags are its
+// form in the hub's JSON views and the -stats-json dump.
 type OpStat struct {
-	Name string
+	Name string `json:"name"`
 	// Picks is the number of mutations credited to the operator.
-	Picks int
+	Picks int `json:"picks"`
 	// NewBlocks is the total new-coverage yield of those mutations.
-	NewBlocks int
+	NewBlocks int `json:"new_blocks"`
 }
 
 // DefaultShardExecs is the per-unit budget RunParallel uses when
@@ -385,7 +386,7 @@ func (f *Fuzzer) openStore(cfg Config) (*corpusstore.Store, []seedpool.SeedState
 // freeze freezes programs that are about to be shared between units.
 func freeze(seeds []seedpool.SeedState) {
 	for _, st := range seeds {
-		if st.Prog != nil { // Import skips such a state too
+		if st.Prog != nil { // Reconcile skips such a state too
 			st.Prog.Freeze()
 		}
 	}
@@ -537,7 +538,7 @@ func (f *Fuzzer) run(ctx context.Context, d *driver, unit int) (*Stats, *seedpoo
 	// coverage baseline includes the stored corpus. Replays spend
 	// budget and can (re)discover crashes like any other execution.
 	if len(seeds) > 0 {
-		corpus.Import(seeds)
+		corpus.Reconcile(seeds)
 		for _, st := range seeds {
 			if stats.Execs >= cfg.Execs || ctx.Err() != nil {
 				break

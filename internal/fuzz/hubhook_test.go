@@ -19,6 +19,13 @@ type recordingHub struct {
 	served bool
 }
 
+// remoteSeed is what a hub client returns for a pulled program: its
+// own copy, rendered.
+func remoteSeed(p *prog.Prog, prio int) seedpool.SeedState {
+	p = p.Detach()
+	return seedpool.SeedState{Prog: p, Text: p.Serialize(), Prio: prio}
+}
+
 func (h *recordingHub) Sync(ctx context.Context, st SyncState) ([]seedpool.SeedState, error) {
 	h.syncs = append(h.syncs, st)
 	if st.Final || h.served {
@@ -75,7 +82,7 @@ func TestHubSyncImportsRemoteSeeds(t *testing.T) {
 	remoteTexts := map[string]bool{}
 	for i := 0; i < 5; i++ {
 		p := g.Generate(4)
-		hub.remote = append(hub.remote, seedpool.SeedState{Prog: p.Detach(), Prio: 100 + i})
+		hub.remote = append(hub.remote, remoteSeed(p, 100+i))
 		remoteTexts[p.Serialize()] = true
 	}
 	cfg := DefaultConfig(2000, 5)
@@ -137,7 +144,7 @@ func TestRunParallelHubSyncsMergedState(t *testing.T) {
 	remoteTexts := map[string]bool{}
 	for i := 0; i < 4; i++ {
 		p := g.Generate(4)
-		hub.remote = append(hub.remote, seedpool.SeedState{Prog: p.Detach(), Prio: 100 + i})
+		hub.remote = append(hub.remote, remoteSeed(p, 100+i))
 		remoteTexts[p.Serialize()] = true
 	}
 	cfg := DefaultConfig(4096, 9)

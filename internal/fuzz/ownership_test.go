@@ -170,7 +170,7 @@ func TestStaleLensSeedStaysUnfrozen(t *testing.T) {
 		t.Fatal("the stale len did not survive the text round trip")
 	}
 	pool := seedpool.New(4)
-	if n := pool.Import([]seedpool.SeedState{{Prog: loaded, Text: text, Prio: 3}}); n != 1 {
+	if n, _ := pool.Reconcile([]seedpool.SeedState{{Prog: loaded, Text: text, Prio: 3}}); n != 1 {
 		t.Fatalf("imported %d seeds, want 1", n)
 	}
 	pooled := pool.Export()[0].Prog

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,6 +94,56 @@ func TestCampaignResumeWarmStart(t *testing.T) {
 	if resumed.CoverCount() <= coldSmall.CoverCount() {
 		t.Fatalf("warm start (%d blocks) did not beat cold start (%d blocks)",
 			resumed.CoverCount(), coldSmall.CoverCount())
+	}
+}
+
+// TestWarmStartPoolsAProgramOnce: a store can list one program under
+// two files — its canonical file and an older or hand-made rendering —
+// and both load as the program's one text. The warm start pools the
+// program once, so the second file does not double its pick weight.
+func TestWarmStartPoolsAProgramOnce(t *testing.T) {
+	dir := t.TempDir()
+	tgt := targetFor(t, "dm")
+	text := prog.NewGen(tgt, 3).Generate(4).Serialize()
+	store, err := corpusstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save([]seedpool.SeedState{{Text: text, Prio: 5}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	m, err := store.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := "# the same program, rendered by hand\n" + text
+	file := corpusstore.FileFor(hand)
+	if err := os.WriteFile(filepath.Join(dir, file), []byte(hand), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.Seeds = append(m.Seeds, corpusstore.Entry{File: file, Prio: 5, Gen: m.Generation})
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var rep corpusstore.Report
+	cfg := DefaultConfig(2, 1) // the two replays, nothing after them
+	cfg.CorpusDir = dir
+	cfg.ReadOnlyCorpus = true
+	cfg.StoreReport = func(r corpusstore.Report) { rep = r }
+	stats, err := New(tgt, testKernel).RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Loaded != 2 || len(rep.Skipped) != 0 {
+		t.Fatalf("store fixture did not load both files: %+v", rep)
+	}
+	if stats.Execs != 2 || stats.CorpusSize != 1 {
+		t.Fatalf("warm start pooled %d seeds after %d execs, want the one program once", stats.CorpusSize, stats.Execs)
 	}
 }
 
@@ -285,7 +336,7 @@ func TestFreezeBeforeFanOut(t *testing.T) {
 
 	hub := &sharedHub{}
 	for i := 0; i < 4; i++ {
-		hub.remote = append(hub.remote, seedpool.SeedState{Prog: g.Generate(4).Detach(), Prio: 100 * i})
+		hub.remote = append(hub.remote, remoteSeed(g.Generate(4), 100*i))
 	}
 	cfg.Hub = hub
 	stats, err := f.RunParallel(context.Background(), cfg, 4)

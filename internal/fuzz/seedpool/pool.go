@@ -57,7 +57,7 @@ type Seed struct {
 	// evicted first, so long-lived discoveries are sticky. It doubles
 	// as the seed's stable ref for Reward.
 	seq uint64
-	// text memoises Prog.Serialize(): carried in by Import/Reconcile, or
+	// text memoises Prog.Serialize(): carried in by Reconcile, or
 	// rendered by the first Export/Reconcile that needs it. Pooled
 	// programs are immutable, so it never goes stale.
 	text string
@@ -119,7 +119,7 @@ func (p *Pool) Len() int { return len(p.seeds) }
 // may let the Gen overwrite pr either way. The copy holds only the
 // calls the candidate owns; the frozen calls it shares with its seed
 // and donor are kept by pointer. A heap-owned program is
-// retained as is, like the ones Import and Reconcile take ownership
+// retained as is, like the ones Reconcile takes ownership
 // of. What the pool retains it freezes (prog.Prog.Freeze): from then
 // on the program is read-only for everyone, the caller that built it
 // included.
@@ -232,21 +232,15 @@ func (p *Pool) Reward(ref uint64, newBlocks int) {
 }
 
 // SeedState is one seed's persistable state: the program plus the
-// scheduling weights that Export/Import carry across campaigns (and
+// scheduling weights that Export/Reconcile carry across campaigns (and
 // that the corpus store serializes to disk).
 type SeedState struct {
-	// Prog is the program; nil in a text-only state (see Text).
+	// Prog is the program; nil in a text-only state (the hub's corpus).
 	Prog *prog.Prog
-	// Text is the seed's identity: Prog.Serialize(), rendered once where
-	// the program enters the process (a store load, a hub pull decode)
-	// or first leaves a pool (Export), and carried from there on — the
-	// store's file name and content, every dedupe key. Either empty (a
-	// hand-built literal; Key renders it) or exactly Prog.Serialize():
-	// whoever parses text must set the canonical re-rendering, not what
-	// was parsed. A text-only state (Prog nil: the hub's corpus, whose
-	// pushes it checks with prog.Canonical without keeping a tree)
-	// carries the canonical text itself, Text == Canonical(Text); the
-	// corpusstore Merge and Save take it, a pool skips it.
+	// Text is the seed's identity and is always set: the store's file
+	// name and content, every dedupe key. It is the canonical rendering
+	// (Prog.Serialize(), or prog.Canonical of itself in a text-only
+	// state), never the text as parsed.
 	Text string
 	// Prio is the base scheduling weight (new blocks at admission).
 	Prio int
@@ -258,15 +252,6 @@ type SeedState struct {
 
 // Weight is the state's total scheduling weight.
 func (s SeedState) Weight() int { return s.Prio + s.Bonus }
-
-// Key returns the seed's identity text: Text, rendered here only for a
-// state built without one.
-func (s SeedState) Key() string {
-	if s.Text != "" {
-		return s.Text
-	}
-	return s.Prog.Serialize()
-}
 
 // Export snapshots the retained seeds with their priority and lineage
 // state, in deterministic order: descending weight, then admission
@@ -291,49 +276,26 @@ func (p *Pool) Export() []SeedState {
 	return out
 }
 
-// Import offers exported seeds back to the pool, preserving priority
-// and lineage state (bonuses are clamped to the lineage cap).
-// Admission follows the normal policy — a full pool keeps only offers
-// that outrank its current victim — and the number admitted is
-// returned. The pool takes ownership of the admitted programs, which
-// are heap-owned (exports, store loads, hub pulls): they are retained
-// as is and frozen, and must not be mutated afterwards. Freezing writes
-// to the program once, so a snapshot handed to several pools at a time
-// (a sharded campaign's warm start) is frozen by its owner first. A
-// text-only state (no Prog) is skipped like a non-positive priority: a
-// pool holds programs to run.
-func (p *Pool) Import(seeds []SeedState) int {
-	n := 0
-	for _, st := range seeds {
-		if st.Prog == nil || st.Prio <= 0 {
-			continue
-		}
-		bonus := st.Bonus
-		if bonus < 0 {
-			bonus = 0
-		}
-		if bonus > maxLineageBonus {
-			bonus = maxLineageBonus
-		}
-		if p.admit(Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus, text: st.Text}) {
-			n++
-		}
-	}
-	return n
-}
-
-// Reconcile imports seeds that may duplicate programs the pool
-// already holds — the hub-sync import path, where remote workers keep
-// rediscovering the same programs. Seeds are deduplicated by
-// serialized program text (within the batch and against the pool):
-// a duplicate of a retained seed reconciles weights instead of
-// admitting a second copy, raising the retained seed's priority and
-// bonus to the incoming copy's when the incoming copy weighs more
-// (weights never decrease — a remote's colder view must not demote a
-// locally productive lineage). New programs go through the normal
-// admission policy, and like Import the pool takes ownership of the
-// programs it admits. Returns seeds admitted and seeds reconciled
-// upward.
+// Reconcile offers seeds to the pool — exports, store loads, hub
+// pulls: its one way in besides Add — preserving priority and lineage
+// state (bonuses are clamped to the lineage cap). Seeds are
+// deduplicated by Text, within the batch and against the pool: a
+// duplicate of a retained seed reconciles weights instead of admitting
+// a second copy, raising the retained seed's priority and bonus to the
+// incoming copy's when the incoming copy weighs more (weights never
+// decrease — a remote's colder view must not demote a locally
+// productive lineage). New programs go through the normal admission
+// policy — a full pool keeps only offers that outrank its current
+// victim. Into an empty pool, seeds with distinct texts are admitted
+// exactly as offered, in order. A state without a program or Text is
+// skipped like a non-positive priority: a pool holds programs to run.
+// Returns seeds admitted and seeds reconciled upward.
+//
+// The pool takes ownership of the admitted programs, which are
+// heap-owned: they are retained as is and frozen, and must not be
+// mutated afterwards. Freezing writes to the program once, so a
+// snapshot handed to several pools at a time (a sharded campaign's
+// warm start) is frozen by its owner first.
 //
 // The text index is built from the seeds' memoised texts — the same
 // memo Export fills, so a retained seed is rendered at most once in its
@@ -343,32 +305,24 @@ func (p *Pool) Reconcile(seeds []SeedState) (added, reconciled int) {
 	if len(seeds) == 0 {
 		return 0, 0
 	}
-	index := make(map[string]uint64, len(p.seeds))
+	index := make(map[string]uint64, len(p.seeds)+len(seeds))
 	for i := range p.seeds {
 		index[p.seeds[i].identity()] = p.seeds[i].seq
 	}
 	for _, st := range seeds {
-		if st.Prog == nil || st.Prio <= 0 {
+		if st.Prog == nil || st.Text == "" || st.Prio <= 0 {
 			continue
 		}
-		bonus := st.Bonus
-		if bonus < 0 {
-			bonus = 0
-		}
-		if bonus > maxLineageBonus {
-			bonus = maxLineageBonus
-		}
-		text := st.Key()
-		if ref, ok := index[text]; ok {
+		bonus := min(max(st.Bonus, 0), maxLineageBonus)
+		if ref, ok := index[st.Text]; ok {
 			if p.raiseWeight(ref, st.Prio, bonus) {
 				reconciled++
 			}
 			continue
 		}
-		s := Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus, text: text}
 		seq := p.seq // admit assigns this seq
-		if p.admit(s) {
-			index[text] = seq
+		if p.admit(Seed{Prog: st.Prog, Prio: st.Prio, Op: st.Op, bonus: bonus, text: st.Text}) {
+			index[st.Text] = seq
 			added++
 		}
 	}

@@ -279,11 +279,11 @@ func TestPoolOpProvenance(t *testing.T) {
 
 func TestPoolExportImportRoundTrip(t *testing.T) {
 	p := New(8)
-	progs := []*prog.Prog{mkProg(), mkProg(), mkProg()}
+	progs := []*prog.Prog{namedProg("a"), namedProg("b"), namedProg("c")}
 	p.Add(progs[0], 5, "splice")
 	p.Add(progs[1], 2, "")
 	p.Add(progs[2], 9, "insert")
-	// Grow a lineage bonus on the weakest seed so Import must carry
+	// Grow a lineage bonus on the weakest seed so Reconcile must carry
 	// more than base priorities.
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
@@ -300,7 +300,7 @@ func TestPoolExportImportRoundTrip(t *testing.T) {
 		}
 	}
 	q := New(8)
-	if n := q.Import(exp); n != 3 {
+	if n, _ := q.Reconcile(exp); n != 3 {
 		t.Fatalf("imported %d of 3", n)
 	}
 	if mass(q) != mass(p) {
@@ -326,31 +326,46 @@ func equalExports(a, b []SeedState) bool {
 }
 
 func TestPoolImportRespectsCapacityAndRanking(t *testing.T) {
-	exp := []SeedState{
-		{Prog: mkProg(), Prio: 9},
-		{Prog: mkProg(), Prio: 7, Bonus: 1},
-		{Prog: mkProg(), Prio: 1},
-	}
+	exp := withText(
+		SeedState{Prog: namedProg("a"), Prio: 9},
+		SeedState{Prog: namedProg("b"), Prio: 7, Bonus: 1},
+		SeedState{Prog: namedProg("c"), Prio: 1},
+	)
 	p := New(2)
-	if n := p.Import(exp); n != 2 {
+	if n, _ := p.Reconcile(exp); n != 2 {
 		t.Fatalf("imported %d into cap-2 pool", n)
 	}
 	got := p.Export()
 	if got[0].Prio != 9 || got[1].Prio != 7 {
 		t.Fatalf("wrong survivors: %+v", got)
 	}
-	// Invalid states are skipped, not admitted.
-	if p.Import([]SeedState{{Prog: nil, Prio: 5}, {Prog: mkProg(), Prio: 0}}) != 0 {
+	// Invalid states are skipped, not admitted: no program, no text, a
+	// non-positive priority.
+	invalid := []SeedState{
+		{Text: "d()\n", Prio: 50},
+		{Prog: namedProg("e"), Prio: 50},
+		withText(SeedState{Prog: namedProg("f"), Prio: 0})[0],
+	}
+	if n, _ := p.Reconcile(invalid); n != 0 {
 		t.Fatal("invalid states admitted")
 	}
 }
 
+// withText sets each state's Text to its program's rendering, as every
+// producer of a state does.
+func withText(states ...SeedState) []SeedState {
+	for i := range states {
+		states[i].Text = states[i].Prog.Serialize()
+	}
+	return states
+}
+
 func TestPoolImportClampsBonus(t *testing.T) {
 	p := New(4)
-	p.Import([]SeedState{
-		{Prog: mkProg(), Prio: 3, Bonus: 10 * maxLineageBonus},
-		{Prog: mkProg(), Prio: 3, Bonus: -17},
-	})
+	p.Reconcile(withText(
+		SeedState{Prog: namedProg("a"), Prio: 3, Bonus: 10 * maxLineageBonus},
+		SeedState{Prog: namedProg("b"), Prio: 3, Bonus: -17},
+	))
 	exp := p.Export()
 	if exp[0].Bonus != maxLineageBonus || exp[1].Bonus != 0 {
 		t.Fatalf("bonuses not clamped: %+v", exp)
@@ -359,7 +374,7 @@ func TestPoolImportClampsBonus(t *testing.T) {
 
 func TestPoolImportedLineageStaysRewardable(t *testing.T) {
 	p := New(4)
-	p.Import([]SeedState{{Prog: mkProg(), Prio: 4, Bonus: 2, Op: "splice"}})
+	p.Reconcile(withText(SeedState{Prog: namedProg("a"), Prio: 4, Bonus: 2, Op: "splice"}))
 	r := rand.New(rand.NewSource(3))
 	_, ref := p.PickRef(r)
 	p.Reward(ref, 5)
@@ -385,12 +400,12 @@ func TestReconcileDedupsByTextAndRaisesWeight(t *testing.T) {
 	p.Add(local, 5, "")
 	p.Add(namedProg("b"), 2, "")
 
-	remote := []SeedState{
-		{Prog: namedProg("a"), Prio: 9, Bonus: 1}, // duplicate, heavier: reconcile up
-		{Prog: namedProg("b"), Prio: 1},           // duplicate, lighter: no demotion
-		{Prog: namedProg("c"), Prio: 4, Op: "splice"},
-		{Prog: namedProg("c"), Prio: 3}, // batch-internal duplicate, lighter
-	}
+	remote := withText(
+		SeedState{Prog: namedProg("a"), Prio: 9, Bonus: 1}, // duplicate, heavier: reconcile up
+		SeedState{Prog: namedProg("b"), Prio: 1},           // duplicate, lighter: no demotion
+		SeedState{Prog: namedProg("c"), Prio: 4, Op: "splice"},
+		SeedState{Prog: namedProg("c"), Prio: 3}, // batch-internal duplicate, lighter
+	)
 	added, reconciled := p.Reconcile(remote)
 	if added != 1 || reconciled != 1 {
 		t.Fatalf("added=%d reconciled=%d, want 1/1", added, reconciled)
@@ -425,7 +440,7 @@ func TestReconcilePickRespectsRaisedWeight(t *testing.T) {
 	p := New(4)
 	p.Add(namedProg("cold"), 1, "")
 	p.Add(namedProg("hot"), 1, "")
-	p.Reconcile([]SeedState{{Prog: namedProg("hot"), Prio: 50}})
+	p.Reconcile(withText(SeedState{Prog: namedProg("hot"), Prio: 50}))
 	r := rand.New(rand.NewSource(3))
 	hot := 0
 	for i := 0; i < 500; i++ {
@@ -444,10 +459,10 @@ func TestReconcileAdmissionFollowsPolicy(t *testing.T) {
 	p.Add(namedProg("a"), 5, "")
 	p.Add(namedProg("b"), 4, "")
 	// A weaker offer is rejected; a stronger one evicts the victim.
-	added, _ := p.Reconcile([]SeedState{
-		{Prog: namedProg("c"), Prio: 3},
-		{Prog: namedProg("d"), Prio: 6},
-	})
+	added, _ := p.Reconcile(withText(
+		SeedState{Prog: namedProg("c"), Prio: 3},
+		SeedState{Prog: namedProg("d"), Prio: 6},
+	))
 	if added != 1 {
 		t.Fatalf("added=%d, want 1 (only the outranking offer)", added)
 	}

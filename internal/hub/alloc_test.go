@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
@@ -109,10 +110,7 @@ func TestPushValidationAllocatesNothing(t *testing.T) {
 	// costs is the allocations of one sync pushing k held seeds, and of
 	// decoding its request.
 	costs := func(k int) (sync, decode float64) {
-		req := SyncRequest{Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, SinceGen: 1 << 30}
-		for _, st := range held[:k] {
-			req.Seeds = append(req.Seeds, WireSeed{Text: st.Text, Prio: st.Prio, Bonus: st.Bonus, Op: st.Op})
-		}
+		req := SyncRequest{WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, SinceGen: 1 << 30, Seeds: held[:k]}
 		body := EncodeSyncRequest(&req)
 		serve(t, handler, "/v1/sync", BinaryContentType, body, nil)
 		_, sync = exchangeAllocs(t, handler, body, 20)
@@ -139,7 +137,7 @@ func TestRetriedCrashAllocatesNothing(t *testing.T) {
 	}
 	tgt := targetFor(t, "dm")
 	h, _ := newHub(t, tgt)
-	wc := WireCrash{Title: "KASAN: use-after-free in dm_ioctl", Repro: prog.NewGen(tgt, 3).Generate(3).Serialize(), Count: 2}
+	wc := fuzz.CrashReport{Title: "KASAN: use-after-free in dm_ioctl", Repro: prog.NewGen(tgt, 3).Generate(3).Serialize(), Count: 2}
 	wk := &worker{id: "w1", crashCounts: map[string]int{}}
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
@@ -20,13 +21,12 @@ import (
 // worth of fresh seeds, a clustered cover delta, and one crash.
 func benchSyncRequest() *SyncRequest {
 	req := &SyncRequest{
-		Version:  ProtoVersion,
 		WorkerID: "w17",
 		LeaseID:  "L17.abcdef",
 		SinceGen: 9,
 		Stats: WorkerStats{
 			Execs: 120000, Cover: 4800, Crashes: 2,
-			Ops: []OpJSON{
+			Ops: []fuzz.OpStat{
 				{Name: "insert", Picks: 400, NewBlocks: 90},
 				{Name: "mutate-arg", Picks: 700, NewBlocks: 40},
 				{Name: "splice", Picks: 300, NewBlocks: 25},
@@ -34,7 +34,7 @@ func benchSyncRequest() *SyncRequest {
 		},
 	}
 	for i := 0; i < 32; i++ {
-		req.Seeds = append(req.Seeds, WireSeed{
+		req.Seeds = append(req.Seeds, seedpool.SeedState{
 			Text: fmt.Sprintf("r0 = open(dev%d)\nioctl(r0, CMD%d, %d)\nclose(r0)\n", i, i%7, i*13),
 			Prio: 100 + i, Bonus: i % 3, Op: "insert",
 		})
@@ -47,7 +47,7 @@ func benchSyncRequest() *SyncRequest {
 		cover.Add(b)
 	}
 	req.CoverDelta = cover.EncodeDelta(nil)
-	req.Crashes = []WireCrash{
+	req.Crashes = []fuzz.CrashReport{
 		{Title: "KASAN: slab-out-of-bounds in cec_transmit", Repro: "r0 = open(cec)\n", Count: 4},
 	}
 	return req
@@ -121,9 +121,9 @@ func fullHub(t testing.TB, tgt *prog.Target) (*Hub, string, RegisterResponse) {
 	}
 	var reg RegisterResponse
 	serve(t, handler, "/v1/register", JSONContentType, register, &reg)
-	push := SyncRequest{Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID}
+	push := SyncRequest{WorkerID: reg.WorkerID, LeaseID: reg.LeaseID}
 	for _, st := range fullPool(tgt, seedpool.DefaultCapacity).Export() {
-		push.Seeds = append(push.Seeds, WireSeed{Text: st.Prog.Serialize(), Prio: st.Prio})
+		push.Seeds = append(push.Seeds, seedpool.SeedState{Text: st.Text, Prio: st.Prio})
 	}
 	serve(t, handler, "/v1/sync", BinaryContentType, EncodeSyncRequest(&push), nil)
 	if n := h.Stats().Seeds; n != seedpool.DefaultCapacity {
@@ -164,8 +164,8 @@ func BenchmarkHubMergeOneSeed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		body := EncodeSyncRequest(&SyncRequest{
-			Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, SinceGen: i + 1,
-			Seeds: []WireSeed{{Text: g.Generate(4).Serialize(), Prio: 10_000 + i}},
+			WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, SinceGen: i + 1,
+			Seeds: []seedpool.SeedState{{Text: g.Generate(4).Serialize(), Prio: 10_000 + i}},
 		})
 		b.StartTimer()
 		serve(b, handler, "/v1/sync", BinaryContentType, body, nil)

@@ -134,14 +134,13 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 	defer c.mu.Unlock()
 
 	req := SyncRequest{
-		Version:  ProtoVersion,
 		WorkerID: c.workerID,
 		LeaseID:  c.leaseID,
 		SinceGen: c.gen,
 		Final:    st.Final,
 		Stats: WorkerStats{
 			Execs: st.Execs, Cover: st.Cover.Count(), Crashes: len(st.Crashes),
-			Ops: opsJSON(st.Ops),
+			Ops: ranOps(st.Ops),
 		},
 	}
 	// Corpus delta: seeds whose text the hub has not seen from us
@@ -150,8 +149,8 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 		if len(req.Seeds) >= MaxPushBatch {
 			break // remainder ships at the next boundary
 		}
-		if text := s.Key(); !c.pushed[text] {
-			req.Seeds = append(req.Seeds, WireSeed{Text: text, Prio: s.Prio, Bonus: s.Bonus, Op: s.Op})
+		if !c.pushed[s.Text] {
+			req.Seeds = append(req.Seeds, s)
 		}
 	}
 	// Coverage delta: blocks covered since the previous successful
@@ -165,7 +164,7 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 		}
 		for _, cr := range st.Crashes {
 			if cr.Count > c.crashes[cr.Title] {
-				req.Crashes = append(req.Crashes, WireCrash{Title: cr.Title, Repro: cr.Repro, Count: cr.Count})
+				req.Crashes = append(req.Crashes, cr)
 			}
 		}
 	}
@@ -197,8 +196,8 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 	}
 
 	// The exchange succeeded: commit the local dedup state.
-	for _, ws := range req.Seeds {
-		c.pushed[ws.Text] = true
+	for _, s := range req.Seeds {
+		c.pushed[s.Text] = true
 	}
 	c.lastCov = st.Cover.Clone()
 	for _, cr := range st.Crashes {
@@ -211,20 +210,20 @@ func (c *Client) Sync(ctx context.Context, st fuzz.SyncState) ([]seedpool.SeedSt
 	} else {
 		c.gen = resp.Generation
 	}
-	// Import the pulled diff: deserialize against our own (possibly
-	// narrower) target, skip what does not parse, and remember the
-	// hub already holds these — under the text our own target renders
-	// them to, the one an export will carry — so we never push them
-	// back.
-	var out []seedpool.SeedState
-	for _, ws := range resp.Seeds {
-		p, err := prog.Deserialize(c.target, ws.Text)
+	// Import the pulled diff: attach a tree parsed against our own
+	// (possibly narrower) target, skip what does not parse, and remember
+	// the hub already holds these — under the text our own target
+	// renders them to, the one an export will carry — so we never push
+	// them back.
+	out := resp.Seeds[:0]
+	for _, s := range resp.Seeds {
+		p, err := prog.Deserialize(c.target, s.Text)
 		if err != nil {
 			continue
 		}
-		text := p.Serialize()
-		c.pushed[text] = true
-		out = append(out, seedpool.SeedState{Prog: p, Text: text, Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
+		s.Prog, s.Text = p, p.Serialize()
+		c.pushed[s.Text] = true
+		out = append(out, s)
 	}
 	return out, nil
 }

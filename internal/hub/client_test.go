@@ -156,7 +156,7 @@ func TestSyncFailureLeavesDeltasPending(t *testing.T) {
 	}
 	g := prog.NewGen(tgt, 9)
 	st := fuzz.SyncState{
-		Seeds: []seedpool.SeedState{{Prog: g.Generate(3), Prio: 2}},
+		Seeds: []seedpool.SeedState{stateOf(g.Generate(3), 2)},
 		Cover: vkernel.NewCoverSet(8),
 	}
 	st.Cover.Add(3)
@@ -187,7 +187,7 @@ func TestReRegistrationPreservesDialSnapshot(t *testing.T) {
 	mux.HandleFunc("/v1/register", func(w http.ResponseWriter, r *http.Request) {
 		n := registers.Add(1)
 		resp := RegisterResponse{
-			Version: ProtoVersion, WorkerID: "w1", LeaseID: "L1",
+			WorkerID: "w1", LeaseID: "L1",
 			LeaseTTLMs: 60_000, HubFingerprint: "fp-dial", Seeds: 7,
 		}
 		if n > 1 { // the hub "restarted" with different state
@@ -201,7 +201,7 @@ func TestReRegistrationPreservesDialSnapshot(t *testing.T) {
 			writeError(w, http.StatusNotFound, "unknown worker")
 			return
 		}
-		writeSyncResponse(w, SyncResponse{Version: ProtoVersion, Generation: 1, LeaseTTLMs: 60_000})
+		writeSyncResponse(w, SyncResponse{Generation: 1, LeaseTTLMs: 60_000})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

@@ -55,7 +55,7 @@ func runGoldenScenario(t *testing.T) (statsBody, stateBody, metrics1, metrics2 [
 	g := prog.NewGen(tgt, 1)
 	var seeds []seedpool.SeedState
 	for i := 0; i < 3; i++ {
-		seeds = append(seeds, seedpool.SeedState{Prog: g.Generate(3).Detach(), Prio: i + 1})
+		seeds = append(seeds, stateOf(g.Generate(3).Detach(), i+1))
 	}
 	cover := vkernel.NewCoverSet(16)
 	for _, b := range []vkernel.BlockID{1, 2, 5} {

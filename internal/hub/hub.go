@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
@@ -517,17 +518,18 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	}
 	// Push: validate incoming programs against the hub target (a seed's
 	// identity is the hub's own rendering of it, never the text as sent),
-	// merge into the authoritative corpus, persist.
-	var incoming []seedpool.SeedState
-	rejected := 0
-	for _, ws := range req.Seeds {
-		text, err := prog.Canonical(h.target, ws.Text)
-		if err != nil || ws.Prio <= 0 {
-			rejected++
+	// merge into the authoritative corpus, persist. The decoded seeds
+	// are text only already, so they are filtered in place.
+	incoming := req.Seeds[:0]
+	for _, st := range req.Seeds {
+		text, err := prog.Canonical(h.target, st.Text)
+		if err != nil || st.Prio <= 0 {
 			continue
 		}
-		incoming = append(incoming, seedpool.SeedState{Text: text, Prio: ws.Prio, Bonus: ws.Bonus, Op: ws.Op})
+		st.Text = text
+		incoming = append(incoming, st)
 	}
+	rejected := len(req.Seeds) - len(incoming)
 	h.rejectedSeeds += rejected
 	if len(incoming) > 0 {
 		if err := h.mergeLocked(incoming); err != nil {
@@ -543,8 +545,8 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 			h.coverEnc = nil
 		}
 	}
-	for _, wc := range req.Crashes {
-		h.recordCrash(wk, wc)
+	for _, cr := range req.Crashes {
+		h.recordCrash(wk, cr)
 	}
 	// Concurrent unit completions can deliver snapshots out of order
 	// (they post outside the campaign's merge lock); keep the stats
@@ -565,8 +567,7 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	wk.final = wk.final || req.Final
 	seeds, gen := h.diff(req.SinceGen)
 	body := EncodeSyncResponse(&SyncResponse{
-		Version: ProtoVersion, Generation: gen, Seeds: seeds, RejectedSeeds: rejected,
-		LeaseTTLMs: leaseTTL.Milliseconds(),
+		Generation: gen, Seeds: seeds, RejectedSeeds: rejected, LeaseTTLMs: leaseTTL.Milliseconds(),
 	})
 	commit()
 	h.logf("hub: sync %s: +%d seeds (%d rejected), +%d blocks, %d crash reports -> %d seeds at gen %d",
@@ -585,7 +586,7 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 // Callers hold h.mu.
 //
 //syzlint:locked mu
-func (h *Hub) diff(since int) ([]WireSeed, int) {
+func (h *Hub) diff(since int) ([]seedpool.SeedState, int) {
 	img := h.store.Image()
 	var cands []corpusstore.Entry
 	for _, e := range img.Seeds {
@@ -607,7 +608,7 @@ func (h *Hub) diff(since int) ([]WireSeed, int) {
 		}
 		return cands[i].Text < cands[j].Text
 	})
-	out := make([]WireSeed, 0, len(cands))
+	out := make([]seedpool.SeedState, 0, len(cands))
 	reached := since
 	for i := 0; i < len(cands); {
 		g := cands[i].Gen
@@ -622,7 +623,7 @@ func (h *Hub) diff(since int) ([]WireSeed, int) {
 		}
 		for ; i < j; i++ {
 			e := cands[i]
-			out = append(out, WireSeed{Text: e.Text, Prio: e.Prio, Bonus: e.Bonus, Op: e.Op})
+			out = append(out, seedpool.SeedState{Text: e.Text, Prio: e.Prio, Bonus: e.Bonus, Op: e.Op})
 		}
 		reached = g
 	}
@@ -643,20 +644,20 @@ func (h *Hub) diff(since int) ([]WireSeed, int) {
 // hold h.mu.
 //
 //syzlint:locked mu
-func (h *Hub) recordCrash(wk *worker, wc WireCrash) {
-	delta := wc.Count - wk.crashCounts[wc.Title]
+func (h *Hub) recordCrash(wk *worker, cr fuzz.CrashReport) {
+	delta := cr.Count - wk.crashCounts[cr.Title]
 	if delta <= 0 {
 		return // retry of a committed report, or a stale snapshot
 	}
-	wk.crashCounts[wc.Title] = wc.Count
-	rec := h.crashes[wc.Title]
+	wk.crashCounts[cr.Title] = cr.Count
+	rec := h.crashes[cr.Title]
 	if rec == nil {
-		repro, err := prog.Canonical(h.target, wc.Repro)
+		repro, err := prog.Canonical(h.target, cr.Repro)
 		if err != nil {
-			repro = wc.Repro
+			repro = cr.Repro
 		}
-		rec = &crashStateJSON{Title: wc.Title, Repro: repro, FirstWorker: wk.id}
-		h.crashes[wc.Title] = rec
+		rec = &crashStateJSON{Title: cr.Title, Repro: repro, FirstWorker: wk.id}
+		h.crashes[cr.Title] = rec
 	}
 	rec.Count += delta
 	rec.Reports++
@@ -685,18 +686,7 @@ func (h *Hub) statsLocked() HubStats {
 		st.CrashReports += rec.Reports
 	}
 	st.Execs, st.Ops = h.totalsLocked()
-	ids := make([]string, 0, len(h.workers))
-	for id := range h.workers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if len(ids[i]) != len(ids[j]) {
-			return len(ids[i]) < len(ids[j]) // w2 before w10
-		}
-		return ids[i] < ids[j]
-	})
-	for _, id := range ids {
-		wk := h.workers[id]
+	for _, wk := range h.sortedWorkersLocked() {
 		wj := WorkerJSON{
 			ID: wk.id, Name: wk.name, Fingerprint: wk.fingerprint,
 			Final: wk.final, Lease: wk.lease(now), Stats: wk.stats, Sync: wk.sync,
@@ -730,13 +720,13 @@ func (h *Hub) statsLocked() HubStats {
 // totalsLocked sums the workers' latest cumulative exec counts and
 // their per-operator yields, the latter as a name-sorted slice.
 // Callers hold h.mu.
-func (h *Hub) totalsLocked() (execs int, ops []OpJSON) {
-	sum := map[string]OpJSON{}
+func (h *Hub) totalsLocked() (execs int, ops []fuzz.OpStat) {
+	sum := map[string]fuzz.OpStat{}
 	for _, wk := range h.workers {
 		execs += wk.stats.Execs
 		for _, op := range wk.stats.Ops {
 			o := sum[op.Name]
-			sum[op.Name] = OpJSON{Name: op.Name, Picks: o.Picks + op.Picks, NewBlocks: o.NewBlocks + op.NewBlocks}
+			sum[op.Name] = fuzz.OpStat{Name: op.Name, Picks: o.Picks + op.Picks, NewBlocks: o.NewBlocks + op.NewBlocks}
 		}
 	}
 	for _, o := range sum {

@@ -43,6 +43,11 @@ func targetFor(t testing.TB, names ...string) *prog.Target {
 	return tgt
 }
 
+// stateOf is p's seed state as a campaign exports it: rendered.
+func stateOf(p *prog.Prog, prio int) seedpool.SeedState {
+	return seedpool.SeedState{Prog: p, Text: p.Serialize(), Prio: prio}
+}
+
 // newHub spins up a hub over a fresh store and its HTTP server.
 func newHub(t *testing.T, tgt *prog.Target, opts ...Option) (*Hub, *httptest.Server) {
 	t.Helper()
@@ -87,7 +92,7 @@ func TestRegisterSyncPullRoundTrip(t *testing.T) {
 		cover.Add(b)
 	}
 	for i := 0; i < 3; i++ {
-		seeds = append(seeds, seedpool.SeedState{Prog: g.Generate(3).Detach(), Prio: i + 1})
+		seeds = append(seeds, stateOf(g.Generate(3).Detach(), i+1))
 	}
 	crash := fuzz.CrashReport{Title: "bug-a", Repro: seeds[0].Prog.Serialize(), Count: 2}
 	remote, err := c1.Sync(ctx, fuzz.SyncState{
@@ -242,7 +247,7 @@ func TestHubRestartClientReregisters(t *testing.T) {
 		cover.Add(b)
 	}
 	state := fuzz.SyncState{
-		Seeds:   []seedpool.SeedState{{Prog: g.Generate(3).Detach(), Prio: 2}},
+		Seeds:   []seedpool.SeedState{stateOf(g.Generate(3).Detach(), 2)},
 		Cover:   cover,
 		Execs:   200,
 		Crashes: []fuzz.CrashReport{{Title: "bug-r", Repro: g.Generate(2).Serialize(), Count: 3}},
@@ -467,7 +472,7 @@ func TestHubServesLegacyGenZeroStore(t *testing.T) {
 	g := prog.NewGen(tgt, 21)
 	var seeds []seedpool.SeedState
 	for i := 0; i < 3; i++ {
-		seeds = append(seeds, seedpool.SeedState{Prog: g.Generate(3).Detach(), Prio: i + 1})
+		seeds = append(seeds, stateOf(g.Generate(3).Detach(), i+1))
 	}
 	if err := store.Save(seeds, 7); err != nil {
 		t.Fatal(err)
@@ -521,8 +526,8 @@ func TestCrashReportRetryIdempotent(t *testing.T) {
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
 	repro := prog.NewGen(tgt, 31).Generate(2).Serialize()
 	req := SyncRequest{
-		Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID,
-		Crashes: []WireCrash{{Title: "bug-i", Repro: repro, Count: 5}},
+		WorkerID: reg.WorkerID, LeaseID: reg.LeaseID,
+		Crashes: []fuzz.CrashReport{{Title: "bug-i", Repro: repro, Count: 5}},
 		Stats:   WorkerStats{Execs: 100},
 	}
 	sync := func() {
@@ -587,7 +592,7 @@ func TestSyncServiceAggregates(t *testing.T) {
 	cover.Add(2)
 	for i := 0; i < 2; i++ {
 		st := fuzz.SyncState{
-			Seeds: []seedpool.SeedState{{Prog: g.Generate(3), Prio: i + 1}},
+			Seeds: []seedpool.SeedState{stateOf(g.Generate(3), i+1)},
 			Cover: cover, Execs: 100 * (i + 1),
 		}
 		if _, err := c.Sync(ctx, st); err != nil {

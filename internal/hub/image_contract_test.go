@@ -106,7 +106,6 @@ func (l *imageLog) response(step string, code int, body []byte) {
 // sync POSTs one raw sync request and logs the reply.
 func (l *imageLog) sync(step, base string, req SyncRequest) {
 	l.t.Helper()
-	req.Version = ProtoVersion
 	resp, err := http.Post(base+"/v1/sync", BinaryContentType, bytes.NewReader(EncodeSyncRequest(&req)))
 	if err != nil {
 		l.t.Fatal(err)
@@ -168,8 +167,9 @@ func TestImageContract(t *testing.T) {
 	gen := func(n, prioBase int) []seedpool.SeedState {
 		out := make([]seedpool.SeedState, n)
 		for i := range out {
+			p := g.Generate(2 + i%4).Detach()
 			out[i] = seedpool.SeedState{
-				Prog: g.Generate(2 + i%4).Detach(), Prio: prioBase + (i*7)%13,
+				Prog: p, Text: p.Serialize(), Prio: prioBase + (i*7)%13,
 				Bonus: (i * 5) % 9, Op: ops[i%len(ops)],
 			}
 		}
@@ -215,7 +215,7 @@ func TestImageContract(t *testing.T) {
 	save("save fresh", st, seeds[:6], 10)
 	save("save unchanged", st, seeds[:6], 10)
 	save("save one-new", st, seeds[:7], 11)
-	save("save reweighted", st, append([]seedpool.SeedState{{Prog: seeds[3].Prog, Prio: 40, Op: "splice"}}, seeds[:7]...), 11)
+	save("save reweighted", st, append([]seedpool.SeedState{{Prog: seeds[3].Prog, Text: seeds[3].Text, Prio: 40, Op: "splice"}}, seeds[:7]...), 11)
 	save("save evicting", st, corpusstore.Merge(6, seeds[:7], seeds[7:10]), 12)
 	diff("diff", st, 0)
 	diff("diff", st, 3)
@@ -286,18 +286,11 @@ func TestImageContract(t *testing.T) {
 		log.addf("register %s: id=%s lease=%s gen=%d seeds=%d", name, reg.WorkerID, reg.LeaseID, reg.Generation, reg.Seeds)
 		return reg
 	}
-	wire := func(seeds []seedpool.SeedState) []WireSeed {
-		out := make([]WireSeed, len(seeds))
-		for i, s := range seeds {
-			out[i] = WireSeed{Text: s.Prog.Serialize(), Prio: s.Prio, Bonus: s.Bonus, Op: s.Op}
-		}
-		return out
-	}
 	w1, w2 := register(srv.URL, "alpha"), register(srv.URL, "beta")
 	req := func(reg RegisterResponse, since int) SyncRequest {
 		return SyncRequest{WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, SinceGen: since}
 	}
-	batchA, batchB := wire(gen(300, 2)), wire(gen(300, 4))
+	batchA, batchB := gen(300, 2), gen(300, 4)
 
 	// alpha: 300 seeds with a duplicate (heavier copy later in the
 	// batch), an unparsable seed, a non-positive priority and a
@@ -307,11 +300,11 @@ func TestImageContract(t *testing.T) {
 	heavier := batchA[5]
 	heavier.Prio += 50
 	push.Seeds = append(push.Seeds, heavier,
-		WireSeed{Text: "frob$nosuchcall(0x0)\n", Prio: 5},
-		WireSeed{Text: batchA[6].Text, Prio: 0},
-		WireSeed{Text: sloppy(t, tgt, batchA[7].Text), Prio: batchA[7].Prio + batchA[7].Bonus + 1, Op: "by-hand"})
-	push.Stats = WorkerStats{Execs: 1000, Cover: 40, Crashes: 1, Ops: []OpJSON{{Name: "insert", Picks: 10, NewBlocks: 4}}}
-	push.Crashes = []WireCrash{{Title: "bug-a", Repro: sloppy(t, tgt, batchA[0].Text), Count: 2}}
+		seedpool.SeedState{Text: "frob$nosuchcall(0x0)\n", Prio: 5},
+		seedpool.SeedState{Text: batchA[6].Text, Prio: 0},
+		seedpool.SeedState{Text: sloppy(t, tgt, batchA[7].Text), Prio: batchA[7].Prio + batchA[7].Bonus + 1, Op: "by-hand"})
+	push.Stats = WorkerStats{Execs: 1000, Cover: 40, Crashes: 1, Ops: []fuzz.OpStat{{Name: "insert", Picks: 10, NewBlocks: 4}}}
+	push.Crashes = []fuzz.CrashReport{{Title: "bug-a", Repro: sloppy(t, tgt, batchA[0].Text), Count: 2}}
 	log.sync("alpha push 300+4", srv.URL, push)
 	log.stats("after alpha push", srv.URL)
 
@@ -331,14 +324,14 @@ func TestImageContract(t *testing.T) {
 		push.Seeds = append(push.Seeds, dup)
 	}
 	push.Stats = WorkerStats{Execs: 500, Cover: 30}
-	push.Crashes = []WireCrash{{Title: "bug-a", Repro: batchA[0].Text, Count: 3}, {Title: "bug-b", Repro: "not a program", Count: 1}}
+	push.Crashes = []fuzz.CrashReport{{Title: "bug-a", Repro: batchA[0].Text, Count: 3}, {Title: "bug-b", Repro: "not a program", Count: 1}}
 	log.sync("beta push 300+10 pull since 0", srv.URL, push)
 	log.sync("beta pull since 1", srv.URL, req(w2, 1))
 	log.sync("beta pull since 2", srv.URL, req(w2, 2))
 	log.sync("alpha pull since 1", srv.URL, req(w1, 1))
 	log.sync("alpha pull since 99", srv.URL, req(w1, 99))
 	retry := req(w1, 2)
-	retry.Crashes = []WireCrash{{Title: "bug-a", Repro: batchA[0].Text, Count: 2}}
+	retry.Crashes = []fuzz.CrashReport{{Title: "bug-a", Repro: batchA[0].Text, Count: 2}}
 	log.sync("alpha crash retry", srv.URL, retry)
 	retry.Crashes[0].Count = 5
 	log.sync("alpha crash grown", srv.URL, retry)
@@ -382,12 +375,12 @@ func TestImageContract(t *testing.T) {
 	defer leafSrv.Close()
 	lw := register(leafSrv.URL, "leaf-worker")
 	push = req(lw, 0)
-	push.Seeds = wire(gen(20, 60))
+	push.Seeds = gen(20, 60)
 	push.Stats = WorkerStats{Execs: 70, Cover: 5}
-	push.Crashes = []WireCrash{{Title: "bug-leaf", Repro: push.Seeds[0].Text, Count: 4}}
+	push.Crashes = []fuzz.CrashReport{{Title: "bug-leaf", Repro: push.Seeds[0].Text, Count: 4}}
 	log.sync("leaf worker push 20 into capacity 16", leafSrv.URL, push)
 	more := req(lw, 1)
-	more.Seeds = wire(gen(3, 90))
+	more.Seeds = gen(3, 90)
 	log.sync("leaf worker push 3 evicting", leafSrv.URL, more)
 	log.sync("leaf worker pull since 0", leafSrv.URL, req(lw, 0))
 	pc, err := Dial(ctx, srv.URL, "leaf-1", tgt, rec("leaf parent sync"))
@@ -422,8 +415,8 @@ func TestImageContract(t *testing.T) {
 	log.sync("alpha pull since 2 after restart", srv2.URL, req(w1, 2))
 	log.sync("beta pull since 0 after restart", srv2.URL, req(w2, 0))
 	grown := req(w1, 4)
-	grown.Crashes = []WireCrash{{Title: "bug-a", Repro: batchA[0].Text, Count: 6}}
-	grown.Seeds = wire(gen(2, 70))
+	grown.Crashes = []fuzz.CrashReport{{Title: "bug-a", Repro: batchA[0].Text, Count: 6}}
+	grown.Seeds = gen(2, 70)
 	grown.Final = true
 	log.sync("alpha final after restart", srv2.URL, grown)
 	log.stats("end", srv2.URL)

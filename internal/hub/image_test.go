@@ -73,9 +73,7 @@ func TestSeedTextIsSerialize(t *testing.T) {
 	checkTexts(t, "Export", tgt, pool.Export())
 	foreign := g.Generate(3).Detach()
 	pool.Reconcile([]seedpool.SeedState{
-		{Prog: foreign, Text: foreign.Serialize(), Prio: 50},
-		{Prog: g.Generate(4).Detach(), Prio: 60},
-		{Prog: pool.Export()[0].Prog, Prio: 70},
+		stateOf(foreign, 50), stateOf(g.Generate(4).Detach(), 60), stateOf(pool.Export()[0].Prog, 70),
 	})
 	exported := pool.Export()
 	checkTexts(t, "Export after Reconcile", tgt, exported)
@@ -121,13 +119,13 @@ func TestSeedTextIsSerialize(t *testing.T) {
 	h, srv := newHub(t, tgt)
 	var reg RegisterResponse
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
-	push := SyncRequest{Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID}
+	push := SyncRequest{WorkerID: reg.WorkerID, LeaseID: reg.LeaseID}
 	for i, st := range exported {
 		text := st.Text
 		if i%2 == 0 {
 			text = sloppy(t, tgt, text)
 		}
-		push.Seeds = append(push.Seeds, WireSeed{Text: text, Prio: st.Prio, Bonus: st.Bonus, Op: st.Op})
+		push.Seeds = append(push.Seeds, seedpool.SeedState{Text: text, Prio: st.Prio, Bonus: st.Bonus, Op: st.Op})
 	}
 	if code, _ := rawSync(t, srv.URL, push); code != http.StatusOK {
 		t.Fatalf("push answered %d", code)
@@ -219,8 +217,8 @@ func TestHubMergeWritesOnlyNewFiles(t *testing.T) {
 	handler := h.Handler()
 	before := storeFiles(t, dir)
 	one := SyncRequest{
-		Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, SinceGen: 1,
-		Seeds: []WireSeed{{Text: prog.NewGen(tgt, 99).Generate(4).Serialize(), Prio: 10_000}},
+		WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, SinceGen: 1,
+		Seeds: []seedpool.SeedState{{Text: prog.NewGen(tgt, 99).Generate(4).Serialize(), Prio: 10_000}},
 	}
 	serve(t, handler, "/v1/sync", BinaryContentType, EncodeSyncRequest(&one), nil)
 	after := storeFiles(t, dir)

@@ -245,9 +245,9 @@ func TestLeaseRequired(t *testing.T) {
 	for _, lease := range []string{"", other.LeaseID} {
 		for _, final := range []bool{false, true} {
 			req := SyncRequest{
-				Version: ProtoVersion, WorkerID: victim.WorkerID, LeaseID: lease, Final: final,
+				WorkerID: victim.WorkerID, LeaseID: lease, Final: final,
 				CoverDelta: coverOf(1, 2, 3).EncodeDelta(nil),
-				Crashes:    []WireCrash{{Title: "forged", Repro: "x", Count: 9}},
+				Crashes:    []fuzz.CrashReport{{Title: "forged", Repro: "x", Count: 9}},
 				Stats:      WorkerStats{Execs: 1 << 20},
 			}
 			code, msg := postRaw(t, srv.URL+"/v1/sync", BinaryContentType, bytes.NewReader(EncodeSyncRequest(&req)))
@@ -261,7 +261,7 @@ func TestLeaseRequired(t *testing.T) {
 		t.Errorf("lease-less requests changed /v1/stats:\nbefore: %s\nafter:  %s", before, after)
 	}
 	// The rightful owner is unaffected.
-	ok := SyncRequest{Version: ProtoVersion, WorkerID: victim.WorkerID, LeaseID: victim.LeaseID, Final: true}
+	ok := SyncRequest{WorkerID: victim.WorkerID, LeaseID: victim.LeaseID, Final: true}
 	if code, _ := rawSync(t, srv.URL, ok); code != http.StatusOK {
 		t.Fatalf("sync with the worker's own lease answered %d", code)
 	}
@@ -310,7 +310,7 @@ func TestSyncBackpressure(t *testing.T) {
 		WithMaxInflight(2), WithMinSyncInterval(10*time.Second))
 	var reg RegisterResponse
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
-	req := SyncRequest{Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID}
+	req := SyncRequest{WorkerID: reg.WorkerID, LeaseID: reg.LeaseID}
 
 	// Occupy both in-flight slots; the next sync is shed before it
 	// queues.
@@ -356,7 +356,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 			writeError(w, http.StatusTooManyRequests, "busy")
 			return
 		}
-		writeSyncResponse(w, SyncResponse{Version: ProtoVersion})
+		writeSyncResponse(w, SyncResponse{})
 	}))
 	defer srv.Close()
 	c, err := Dial(context.Background(), srv.URL, "w", tgt)
@@ -402,7 +402,7 @@ func TestHubRestartWithStateSidecar(t *testing.T) {
 	g := prog.NewGen(tgt, 5)
 	repro := g.Generate(2).Serialize()
 	if _, err := c.Sync(ctx, fuzz.SyncState{
-		Seeds:   []seedpool.SeedState{{Prog: g.Generate(3), Prio: 2}},
+		Seeds:   []seedpool.SeedState{stateOf(g.Generate(3), 2)},
 		Cover:   coverOf(1, 4, 9),
 		Execs:   200,
 		Crashes: []fuzz.CrashReport{{Title: "bug-r", Repro: repro, Count: 3}},
@@ -504,7 +504,7 @@ func TestHierarchicalHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c1.Sync(ctx, fuzz.SyncState{
-		Seeds:   []seedpool.SeedState{{Prog: g.Generate(3), Prio: 3}},
+		Seeds:   []seedpool.SeedState{stateOf(g.Generate(3), 3)},
 		Cover:   coverOf(1, 2),
 		Execs:   50,
 		Crashes: []fuzz.CrashReport{{Title: "bug-h", Repro: repro, Count: 2}},
@@ -516,7 +516,7 @@ func TestHierarchicalHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := c2.Sync(ctx, fuzz.SyncState{
-		Seeds: []seedpool.SeedState{{Prog: g.Generate(4), Prio: 2}},
+		Seeds: []seedpool.SeedState{stateOf(g.Generate(4), 2)},
 		Cover: coverOf(2, 3),
 		Execs: 60,
 	}); err != nil {
@@ -554,7 +554,7 @@ func TestHierarchicalHub(t *testing.T) {
 	}
 	downProg := g.Generate(5).Detach()
 	if _, err := c3.Sync(ctx, fuzz.SyncState{
-		Seeds: []seedpool.SeedState{{Prog: downProg, Prio: 4}},
+		Seeds: []seedpool.SeedState{stateOf(downProg, 4)},
 		Cover: coverOf(7),
 	}); err != nil {
 		t.Fatal(err)

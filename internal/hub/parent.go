@@ -32,11 +32,7 @@ func (h *Hub) parentState(final bool) fuzz.SyncState {
 			Title: rec.Title, Repro: rec.Repro, Count: rec.Count,
 		})
 	}
-	execs, ops := h.totalsLocked()
-	st.Execs = execs
-	for _, op := range ops {
-		st.Ops = append(st.Ops, fuzz.OpStat(op))
-	}
+	st.Execs, st.Ops = h.totalsLocked()
 	return st
 }
 

@@ -25,21 +25,26 @@
 // The wire protocol is versioned and runs over HTTP. POST /v1/register
 // carries the JSON types below; POST /v1/sync, the one lease renewal,
 // carries SyncRequest/SyncResponse as the binary frame stream of
-// wire.go, its only encoding (error replies are JSON everywhere);
-// GET /v1/stats and /v1/crashes serve the monitoring views as JSON;
-// GET /healthz answers liveness probes. Syncs are batched in both directions — a push ships
-// at most MaxPushBatch seeds (the client keeps the rest for the next
-// boundary) and a pull response ships whole store generations up to
-// MaxPullBatch seeds, returning the generation the client should
-// resume from.
+// wire.go, its only encoding (error replies are JSON everywhere). A
+// sync carries the campaign's own records — seedpool.SeedState,
+// fuzz.CrashReport, fuzz.OpStat — and the stream names the fields of
+// each that travel, so a record's campaign-side fields (a seed's Prog,
+// a crash's FirstExec) never do. GET /v1/stats and /v1/crashes serve
+// the monitoring views as JSON; GET /healthz answers liveness probes.
+// Syncs are batched in both directions — a push ships at most
+// MaxPushBatch seeds (the client keeps the rest for the next boundary)
+// and a pull response ships whole store generations up to MaxPullBatch
+// seeds, returning the generation the client should resume from.
 package hub
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 
 	"kernelgpt/internal/fuzz"
+	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/prog"
 )
 
@@ -88,83 +93,64 @@ type RegisterResponse struct {
 	LeaseTTLMs int64 `json:"lease_ttl_ms,omitempty"`
 }
 
-// WireSeed is one corpus entry in flight: the serialized program plus
-// the seedpool scheduling state the corpusstore manifest persists.
-type WireSeed struct {
-	Text  string `json:"text"`
-	Prio  int    `json:"prio"`
-	Bonus int    `json:"bonus,omitempty"`
-	Op    string `json:"op,omitempty"`
-}
-
-// WireCrash is one crash report in flight. Count is the worker's
-// cumulative local hit count; the hub differences it against the
-// worker's previous report, which keeps retried syncs idempotent — a
-// delta encoding would double-count whenever a response is lost
-// after the server already committed the exchange.
-type WireCrash struct {
-	Title string `json:"title"`
-	Repro string `json:"repro"`
-	Count int    `json:"count"`
-}
-
-// OpJSON is one mutation operator's outcome (fuzz.OpStat on the
-// wire).
-type OpJSON struct {
-	Name      string `json:"name"`
-	Picks     int    `json:"picks"`
-	NewBlocks int    `json:"new_blocks"`
-}
-
 // WorkerStats is a worker's cumulative campaign counters, refreshed
 // on every sync.
 type WorkerStats struct {
-	Execs   int      `json:"execs"`
-	Cover   int      `json:"cover"`
-	Crashes int      `json:"crashes"`
-	Ops     []OpJSON `json:"ops,omitempty"`
+	Execs   int           `json:"execs"`
+	Cover   int           `json:"cover"`
+	Crashes int           `json:"crashes"`
+	Ops     []fuzz.OpStat `json:"ops,omitempty"`
 }
 
 // SyncRequest is one worker→hub exchange: push the deltas, pull the
-// merged corpus diff since SinceGen.
+// merged corpus diff since SinceGen. It travels only as the binary
+// frame stream of wire.go.
 type SyncRequest struct {
-	Version  int    `json:"version"`
-	WorkerID string `json:"worker_id"`
+	WorkerID string
 	// LeaseID authenticates the exchange against the worker's lease
 	// and renews it; a sync without the worker's current lease gets
 	// the 404 re-register hint.
-	LeaseID string `json:"lease_id,omitempty"`
+	LeaseID string
 	// SinceGen is the last store generation the worker has pulled.
-	SinceGen int `json:"since_gen"`
-	// Seeds are corpus entries the worker has not pushed before.
-	Seeds []WireSeed `json:"seeds,omitempty"`
+	SinceGen int
+	// Seeds are corpus entries the worker has not pushed before. Each
+	// travels as its Text, Prio, Bonus and Op; Prog stays behind, and a
+	// decoded seed is text only.
+	Seeds []seedpool.SeedState
 	// CoverDelta is the coverage gained since the previous sync, as the
 	// vkernel.CoverSet.EncodeDelta stream the cover frame carries
 	// verbatim (empty = nothing new). A decoded request's delta has
 	// been validated and is safe to ApplyDelta.
-	CoverDelta []byte `json:"cover_delta,omitempty"`
+	CoverDelta []byte
 	// Crashes are crash reports new or grown since the previous sync.
-	Crashes []WireCrash `json:"crashes,omitempty"`
+	// Each travels as its Title, Repro and Count; FirstExec stays
+	// behind. Count is the worker's cumulative hit count; the hub
+	// differences it against the worker's previous report, which keeps
+	// retried syncs idempotent — a delta encoding would double-count
+	// whenever a response is lost after the server already committed
+	// the exchange.
+	Crashes []fuzz.CrashReport
 	// Stats is the worker's cumulative campaign snapshot.
-	Stats WorkerStats `json:"stats"`
+	Stats WorkerStats
 	// Final marks the worker's campaign-end sync.
-	Final bool `json:"final,omitempty"`
+	Final bool
 }
 
-// SyncResponse carries the merged corpus diff back.
+// SyncResponse carries the merged corpus diff back, as the binary
+// frame stream of wire.go.
 type SyncResponse struct {
-	Version int `json:"version"`
 	// Generation is the store generation the returned seeds reach;
 	// the client resumes from it. It can be lower than the request's
 	// SinceGen after a hub restart — clients must then restart from 0.
-	Generation int `json:"generation"`
-	// Seeds is the corpus diff (SinceGen, Generation].
-	Seeds []WireSeed `json:"seeds,omitempty"`
+	Generation int
+	// Seeds is the corpus diff (SinceGen, Generation], text only on
+	// the wire as in a request.
+	Seeds []seedpool.SeedState
 	// RejectedSeeds counts pushed seeds the hub's target could not
 	// parse (stale or out-of-surface programs).
-	RejectedSeeds int `json:"rejected_seeds,omitempty"`
+	RejectedSeeds int
 	// LeaseTTLMs echoes the renewed lease's time-to-live.
-	LeaseTTLMs int64 `json:"lease_ttl_ms,omitempty"`
+	LeaseTTLMs int64
 }
 
 // ErrorResponse is the JSON body of every non-2xx reply.
@@ -214,8 +200,8 @@ type HubStats struct {
 	CrashReports  int `json:"crash_reports"`
 	RejectedSeeds int `json:"rejected_seeds"`
 	// Ops is the per-operator yield summed across workers.
-	Ops     []OpJSON     `json:"ops,omitempty"`
-	Workers []WorkerJSON `json:"workers"`
+	Ops     []fuzz.OpStat `json:"ops,omitempty"`
+	Workers []WorkerJSON  `json:"workers"`
 	// Sync is the hub-wide sync cost aggregate (sums over workers;
 	// maxes are the worst single sync seen anywhere).
 	Sync SyncAggJSON `json:"sync"`
@@ -288,11 +274,11 @@ type WorkerJSON struct {
 // schema syzfuzz -stats-json writes, shared with the hub's monitoring
 // views so scripts parse one format everywhere.
 type CampaignStats struct {
-	Execs      int         `json:"execs"`
-	Cover      int         `json:"cover"`
-	CorpusSize int         `json:"corpus_size"`
-	Crashes    []CrashJSON `json:"crashes,omitempty"`
-	Ops        []OpJSON    `json:"ops,omitempty"`
+	Execs      int           `json:"execs"`
+	Cover      int           `json:"cover"`
+	CorpusSize int           `json:"corpus_size"`
+	Crashes    []CrashJSON   `json:"crashes,omitempty"`
+	Ops        []fuzz.OpStat `json:"ops,omitempty"`
 	// Wall-clock ground truth (fuzz.Stats timing fields, in
 	// nanoseconds): campaign elapsed, summed per-unit work time,
 	// triage share, and hub-sync cost. `syzplan fit` calibrates its
@@ -320,7 +306,7 @@ func FromStats(s *fuzz.Stats) CampaignStats {
 		Execs:      s.Execs,
 		Cover:      s.CoverCount(),
 		CorpusSize: s.CorpusSize,
-		Ops:        opsJSON(s.Ops),
+		Ops:        ranOps(s.Ops),
 		ElapsedNs:  s.Elapsed.Nanoseconds(),
 		WorkNs:     s.WorkTime.Nanoseconds(),
 		TriageNs:   s.TriageTime.Nanoseconds(),
@@ -349,16 +335,9 @@ func DumpStats(reps []*fuzz.Stats) CampaignDump {
 	return d
 }
 
-// opsJSON converts operator stats, dropping operators that never ran.
-func opsJSON(ops []fuzz.OpStat) []OpJSON {
-	var out []OpJSON
-	for _, op := range ops {
-		if op.Picks == 0 && op.NewBlocks == 0 {
-			continue
-		}
-		out = append(out, OpJSON{Name: op.Name, Picks: op.Picks, NewBlocks: op.NewBlocks})
-	}
-	return out
+// ranOps copies operator stats without the operators that never ran.
+func ranOps(ops []fuzz.OpStat) []fuzz.OpStat {
+	return slices.DeleteFunc(slices.Clone(ops), func(op fuzz.OpStat) bool { return op.Picks == 0 && op.NewBlocks == 0 })
 }
 
 // Fingerprint digests a compiled target's syscall surface: the sorted

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"kernelgpt/internal/fuzz/corpusstore"
@@ -82,6 +84,19 @@ func (h *Hub) sortedCrashesLocked() []crashStateJSON {
 	return out
 }
 
+// sortedWorkersLocked returns the workers in id order, w2 before w10:
+// the order of /v1/stats and of the sidecar. Callers hold h.mu.
+func (h *Hub) sortedWorkersLocked() []*worker {
+	out := make([]*worker, 0, len(h.workers))
+	for _, wk := range h.workers {
+		out = append(out, wk)
+	}
+	slices.SortFunc(out, func(a, b *worker) int {
+		return cmp.Or(cmp.Compare(len(a.id), len(b.id)), strings.Compare(a.id, b.id))
+	})
+	return out
+}
+
 type workerStateJSON struct {
 	ID          string `json:"id"`
 	Name        string `json:"name,omitempty"`
@@ -115,13 +130,7 @@ func (h *Hub) persistLocked() {
 		Cover:         h.coverEnc,
 		Crashes:       h.sortedCrashesLocked(),
 	}
-	ids := make([]string, 0, len(h.workers))
-	for id := range h.workers {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		wk := h.workers[id]
+	for _, wk := range h.sortedWorkersLocked() {
 		ws := workerStateJSON{
 			ID: wk.id, Name: wk.name, Fingerprint: wk.fingerprint,
 			LeaseID: wk.leaseID, LeaseDeadlineNs: wk.leaseDeadline.UnixNano(),

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/fuzz/corpusstore"
 	"kernelgpt/internal/prog"
 )
@@ -69,8 +70,8 @@ func TestStateV1CrashCountsMigrate(t *testing.T) {
 	}
 	w1 := doc.Workers[0]
 	grown := SyncRequest{
-		Version: ProtoVersion, WorkerID: w1.ID, LeaseID: w1.LeaseID,
-		Crashes: []WireCrash{{Title: "bug-a", Repro: "another repro of the same bug", Count: 5}},
+		WorkerID: w1.ID, LeaseID: w1.LeaseID,
+		Crashes: []fuzz.CrashReport{{Title: "bug-a", Repro: "another repro of the same bug", Count: 5}},
 	}
 	serve(t, h.Handler(), "/v1/sync", BinaryContentType, EncodeSyncRequest(&grown), nil)
 	total := 0
@@ -129,8 +130,8 @@ func TestStateMergesRecordsUnderOneTitle(t *testing.T) {
 		t.Fatalf("merged workers %v, want w1 w2 w3", got)
 	}
 	grown := SyncRequest{
-		Version: ProtoVersion, WorkerID: "w1", LeaseID: "L1.1",
-		Crashes: []WireCrash{{Title: "bug-a", Repro: "repro 3", Count: 6}},
+		WorkerID: "w1", LeaseID: "L1.1",
+		Crashes: []fuzz.CrashReport{{Title: "bug-a", Repro: "repro 3", Count: 6}},
 	}
 	serve(t, h.Handler(), "/v1/sync", BinaryContentType, EncodeSyncRequest(&grown), nil)
 	data, err := os.ReadFile(path)
@@ -173,7 +174,7 @@ func TestStateV2LeaseStatesLoad(t *testing.T) {
 		if counts[state] != 1 || st.ActiveLeases+st.ExpiredLeases+st.ReleasedLeases != 1 {
 			t.Fatalf("version-2 lease %q counted as %v", state, counts)
 		}
-		req := SyncRequest{Version: ProtoVersion, WorkerID: "w1", LeaseID: "L1.1", Stats: WorkerStats{Execs: 6}}
+		req := SyncRequest{WorkerID: "w1", LeaseID: "L1.1", Stats: WorkerStats{Execs: 6}}
 		serve(t, h.Handler(), "/v1/sync", BinaryContentType, EncodeSyncRequest(&req), nil)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kernelgpt/internal/fuzz"
+	"kernelgpt/internal/fuzz/seedpool"
 )
 
 // statsBytes fetches GET /v1/stats verbatim.
@@ -66,7 +67,7 @@ func TestSyncRejectsNonBinary(t *testing.T) {
 	var reg RegisterResponse
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
 	body, err := json.Marshal(SyncRequest{
-		Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID,
+		WorkerID: reg.WorkerID, LeaseID: reg.LeaseID,
 		CoverDelta: coverOf(1, 2, 3).EncodeDelta(nil), Stats: WorkerStats{Execs: 100},
 	})
 	if err != nil {
@@ -122,7 +123,7 @@ func TestClientRejectsNonBinaryReply(t *testing.T) {
 			writeJSON(w, http.StatusOK, RegisterResponse{Version: ProtoVersion, WorkerID: "w1", LeaseID: "L1"})
 			return
 		}
-		writeJSON(w, http.StatusOK, SyncResponse{Version: ProtoVersion, Generation: 3, Seeds: []WireSeed{{Text: "x", Prio: 1}}})
+		writeJSON(w, http.StatusOK, SyncResponse{Generation: 3, Seeds: []seedpool.SeedState{{Text: "x", Prio: 1}}})
 	}))
 	defer srv.Close()
 	ctx := context.Background()
@@ -194,7 +195,7 @@ func TestSyncRefusesCoverPastBlockSpace(t *testing.T) {
 	h, srv := newHub(t, tgt)
 	var reg RegisterResponse
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
-	req := SyncRequest{Version: ProtoVersion, WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, CoverDelta: coverOf(1, 2, 3).EncodeDelta(nil)}
+	req := SyncRequest{WorkerID: reg.WorkerID, LeaseID: reg.LeaseID, CoverDelta: coverOf(1, 2, 3).EncodeDelta(nil)}
 	if code, msg := rawSync(t, srv.URL, req); code != http.StatusOK {
 		t.Fatalf("sync: HTTP %d %s", code, msg)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"kernelgpt/internal/fuzz"
+	"kernelgpt/internal/fuzz/seedpool"
 	"kernelgpt/internal/vkernel"
 )
 
@@ -45,9 +47,9 @@ var wireMagic = [4]byte{'S', 'H', 'B', ProtoVersion}
 // Frame types.
 const (
 	frameReqHeader  = 0x01 // SyncRequest scalars + worker stats
-	frameSeed       = 0x02 // one WireSeed (either direction)
+	frameSeed       = 0x02 // one seed (either direction)
 	frameCover      = 0x03 // vkernel.EncodeDelta cover payload
-	frameCrash      = 0x04 // one WireCrash
+	frameCrash      = 0x04 // one crash report
 	frameRespHeader = 0x05 // SyncResponse scalars
 	frameEnd        = 0x06 // end of stream
 )
@@ -182,23 +184,23 @@ func appendFrameHeader(dst []byte, typ byte, n int) []byte {
 	return binary.AppendUvarint(append(dst, typ), uint64(n))
 }
 
-// seedLen is the payload length of ws's seed frame.
-func seedLen(ws *WireSeed) int {
-	return stringLen(ws.Text) + intLen(ws.Prio) + intLen(ws.Bonus) + stringLen(ws.Op)
+// seedLen is the payload length of st's seed frame.
+func seedLen(st *seedpool.SeedState) int {
+	return stringLen(st.Text) + intLen(st.Prio) + intLen(st.Bonus) + stringLen(st.Op)
 }
 
-// appendSeedFrame encodes one WireSeed frame.
-func appendSeedFrame(dst []byte, ws *WireSeed) []byte {
-	dst = appendFrameHeader(dst, frameSeed, seedLen(ws))
-	dst = appendString(dst, ws.Text)
-	dst = appendInt(dst, ws.Prio)
-	dst = appendInt(dst, ws.Bonus)
-	return appendString(dst, ws.Op)
+// appendSeedFrame encodes one seed frame.
+func appendSeedFrame(dst []byte, st *seedpool.SeedState) []byte {
+	dst = appendFrameHeader(dst, frameSeed, seedLen(st))
+	dst = appendString(dst, st.Text)
+	dst = appendInt(dst, st.Prio)
+	dst = appendInt(dst, st.Bonus)
+	return appendString(dst, st.Op)
 }
 
-// crashLen is the payload length of wc's crash frame.
-func crashLen(wc *WireCrash) int {
-	return stringLen(wc.Title) + stringLen(wc.Repro) + intLen(wc.Count)
+// crashLen is the payload length of cr's crash frame.
+func crashLen(cr *fuzz.CrashReport) int {
+	return stringLen(cr.Title) + stringLen(cr.Repro) + intLen(cr.Count)
 }
 
 // reqHeaderLen is the payload length of req's header frame.
@@ -212,12 +214,12 @@ func reqHeaderLen(req *SyncRequest) int {
 	return n
 }
 
-func readSeed(p *wireReader) (WireSeed, error) {
-	ws := WireSeed{Text: p.string()}
-	ws.Prio = p.int()
-	ws.Bonus = p.int()
-	ws.Op = p.string()
-	return ws, p.done()
+func readSeed(p *wireReader) (seedpool.SeedState, error) {
+	st := seedpool.SeedState{Text: p.string()}
+	st.Prio = p.int()
+	st.Bonus = p.int()
+	st.Op = p.string()
+	return st, p.done()
 }
 
 // EncodeSyncRequest serializes a sync request as a binary frame
@@ -262,11 +264,11 @@ func EncodeSyncRequest(req *SyncRequest) []byte {
 		dst = appendSeedFrame(dst, &req.Seeds[i])
 	}
 	for i := range req.Crashes {
-		wc := &req.Crashes[i]
-		dst = appendFrameHeader(dst, frameCrash, crashLen(wc))
-		dst = appendString(dst, wc.Title)
-		dst = appendString(dst, wc.Repro)
-		dst = appendInt(dst, wc.Count)
+		cr := &req.Crashes[i]
+		dst = appendFrameHeader(dst, frameCrash, crashLen(cr))
+		dst = appendString(dst, cr.Title)
+		dst = appendString(dst, cr.Repro)
+		dst = appendInt(dst, cr.Count)
 	}
 	return appendFrameHeader(dst, frameEnd, 0)
 }
@@ -277,7 +279,7 @@ func DecodeSyncRequest(data []byte) (*SyncRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := &SyncRequest{Version: ProtoVersion}
+	req := &SyncRequest{}
 	sawHeader, sawCover := false, false
 	for {
 		typ, p := r.frame()
@@ -307,7 +309,7 @@ func DecodeSyncRequest(data []byte) (*SyncRequest, error) {
 				p.fail("op count %d overruns payload", nops)
 			}
 			for i := uint64(0); i < nops && p.err == nil; i++ {
-				op := OpJSON{Name: p.string()}
+				op := fuzz.OpStat{Name: p.string()}
 				op.Picks = p.int()
 				op.NewBlocks = p.int()
 				req.Stats.Ops = append(req.Stats.Ops, op)
@@ -327,19 +329,19 @@ func DecodeSyncRequest(data []byte) (*SyncRequest, error) {
 			}
 			req.CoverDelta = p.data
 		case frameSeed:
-			ws, err := readSeed(&p)
+			st, err := readSeed(&p)
 			if err != nil {
 				return nil, err
 			}
-			req.Seeds = append(req.Seeds, ws)
+			req.Seeds = append(req.Seeds, st)
 		case frameCrash:
-			wc := WireCrash{Title: p.string()}
-			wc.Repro = p.string()
-			wc.Count = p.int()
+			cr := fuzz.CrashReport{Title: p.string()}
+			cr.Repro = p.string()
+			cr.Count = p.int()
 			if err := p.done(); err != nil {
 				return nil, err
 			}
-			req.Crashes = append(req.Crashes, wc)
+			req.Crashes = append(req.Crashes, cr)
 		case frameEnd:
 			if err := p.done(); err != nil {
 				return nil, err
@@ -383,7 +385,7 @@ func DecodeSyncResponse(data []byte) (*SyncResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &SyncResponse{Version: ProtoVersion}
+	resp := &SyncResponse{}
 	sawHeader := false
 	for {
 		typ, p := r.frame()
@@ -403,11 +405,11 @@ func DecodeSyncResponse(data []byte) (*SyncResponse, error) {
 				return nil, err
 			}
 		case frameSeed:
-			ws, err := readSeed(&p)
+			st, err := readSeed(&p)
 			if err != nil {
 				return nil, err
 			}
-			resp.Seeds = append(resp.Seeds, ws)
+			resp.Seeds = append(resp.Seeds, st)
 		case frameEnd:
 			if err := p.done(); err != nil {
 				return nil, err

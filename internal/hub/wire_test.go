@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"kernelgpt/internal/fuzz"
+	"kernelgpt/internal/fuzz/seedpool"
+	"kernelgpt/internal/prog"
 	"kernelgpt/internal/vkernel"
 )
 
@@ -29,21 +32,20 @@ var updateGolden = flag.Bool("update", false, "rewrite golden wire frames")
 // type, signed and unsigned varints, multi-container cover.
 func goldenSyncRequest() *SyncRequest {
 	return &SyncRequest{
-		Version:  ProtoVersion,
 		WorkerID: "w7",
 		LeaseID:  "L7.1a2b3c",
 		SinceGen: 42,
-		Seeds: []WireSeed{
+		Seeds: []seedpool.SeedState{
 			{Text: "r0 = open(dev)\nioctl(r0, CMD, 3)\n", Prio: 120, Bonus: -4, Op: "splice"},
 			{Text: "mmap(kvm)\n", Prio: 1},
 		},
 		CoverDelta: coverOf(1, 2, 3, 900, 70000, 70001, 1<<20).EncodeDelta(nil),
-		Crashes: []WireCrash{
+		Crashes: []fuzz.CrashReport{
 			{Title: "KASAN: use-after-free in dm_resume", Repro: "r0 = open(dev)\n", Count: 3},
 		},
 		Stats: WorkerStats{
 			Execs: 5000, Cover: 321, Crashes: 1,
-			Ops: []OpJSON{{Name: "insert", Picks: 10, NewBlocks: 4}, {Name: "splice", Picks: 7}},
+			Ops: []fuzz.OpStat{{Name: "insert", Picks: 10, NewBlocks: 4}, {Name: "splice", Picks: 7}},
 		},
 		Final: true,
 	}
@@ -55,28 +57,26 @@ func goldenSyncRequest() *SyncRequest {
 // slip.
 func edgeSyncRequest() *SyncRequest {
 	return &SyncRequest{
-		Version:  ProtoVersion,
 		WorkerID: strings.Repeat("w", 128),
 		SinceGen: math.MaxInt,
-		Seeds: []WireSeed{
+		Seeds: []seedpool.SeedState{
 			{Text: strings.Repeat("x", 200), Prio: -1, Bonus: math.MinInt},
 			{Prio: math.MaxInt, Bonus: 64, Op: "o"},
 			{Prio: -65, Bonus: 63},
 		},
 		CoverDelta: coverOf(5).EncodeDelta(nil),
-		Crashes:    []WireCrash{{Title: "t", Count: -1}, {Repro: strings.Repeat("r", 1<<14), Count: 1 << 20}},
+		Crashes:    []fuzz.CrashReport{{Title: "t", Count: -1}, {Repro: strings.Repeat("r", 1<<14), Count: 1 << 20}},
 		Stats: WorkerStats{
 			Execs: math.MinInt, Cover: -64, Crashes: 127,
-			Ops: []OpJSON{{Name: "", Picks: 128, NewBlocks: -128}},
+			Ops: []fuzz.OpStat{{Name: "", Picks: 128, NewBlocks: -128}},
 		},
 	}
 }
 
 func goldenSyncResponse() *SyncResponse {
 	return &SyncResponse{
-		Version:    ProtoVersion,
 		Generation: 43,
-		Seeds: []WireSeed{
+		Seeds: []seedpool.SeedState{
 			{Text: "close(r0)\n", Prio: 55, Bonus: 2, Op: "insert"},
 		},
 		RejectedSeeds: 1,
@@ -131,8 +131,49 @@ func TestWireSyncResponseGolden(t *testing.T) {
 	}
 }
 
+// TestWireCarriesOnlyItsFields: the stream names the fields it writes,
+// so the campaign-side fields of the records a sync carries — a seed's
+// Prog, a crash's FirstExec — change no byte of it and never come back
+// out of a decode.
+func TestWireCarriesOnlyItsFields(t *testing.T) {
+	g := prog.NewGen(targetFor(t, "dm"), 1)
+	req, resp := goldenSyncRequest(), goldenSyncResponse()
+	for i := range req.Seeds {
+		req.Seeds[i].Prog = g.Generate(3).Detach()
+	}
+	for i := range req.Crashes {
+		req.Crashes[i].FirstExec = 77 + i
+	}
+	resp.Seeds[0].Prog = g.Generate(3).Detach()
+	reqEnc, respEnc := EncodeSyncRequest(req), EncodeSyncResponse(resp)
+	if !bytes.Equal(reqEnc, EncodeSyncRequest(goldenSyncRequest())) {
+		t.Error("a seed's Prog or a crash's FirstExec changed the request bytes")
+	}
+	if !bytes.Equal(respEnc, EncodeSyncResponse(goldenSyncResponse())) {
+		t.Error("a seed's Prog changed the response bytes")
+	}
+	decReq, err := DecodeSyncRequest(reqEnc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decResp, err := DecodeSyncResponse(respEnc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range append(decReq.Seeds, decResp.Seeds...) {
+		if st.Prog != nil {
+			t.Errorf("decoded seed %q carries a program", st.Text)
+		}
+	}
+	for _, cr := range decReq.Crashes {
+		if cr.FirstExec != 0 {
+			t.Errorf("decoded crash %q carries FirstExec %d", cr.Title, cr.FirstExec)
+		}
+	}
+}
+
 func TestWireEmptyRequest(t *testing.T) {
-	req := &SyncRequest{Version: ProtoVersion, WorkerID: "w1"}
+	req := &SyncRequest{WorkerID: "w1"}
 	dec, err := DecodeSyncRequest(EncodeSyncRequest(req))
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +188,10 @@ func TestWireSmallerThanJSON(t *testing.T) {
 	// must be measurably smaller on the binary wire than in JSON.
 	// The JSON protocol this wire replaced listed new blocks by ID; the
 	// request struct now carries them in wire form already, so the JSON
-	// side of the comparison spells the list out.
+	// side of the comparison spells the list out. The struct has no JSON
+	// tags any more, so its JSON form uses the Go field names: 503 bytes
+	// for the golden request without its cover, where the replaced
+	// protocol's took 444.
 	jsonLen := func(req *SyncRequest) int {
 		var blocks []vkernel.BlockID
 		if err := vkernel.DecodeDelta(req.CoverDelta, func(b vkernel.BlockID) { blocks = append(blocks, b) }); err != nil {
@@ -215,7 +259,7 @@ func TestWireRejectsMalformed(t *testing.T) {
 // what was encoded.
 func TestWireEncodersSizeExactly(t *testing.T) {
 	edge := edgeSyncRequest()
-	for _, req := range []*SyncRequest{goldenSyncRequest(), edge, {Version: ProtoVersion}} {
+	for _, req := range []*SyncRequest{goldenSyncRequest(), edge, {}} {
 		enc := EncodeSyncRequest(req)
 		if len(enc) != cap(enc) {
 			t.Errorf("request encoder sized %d bytes for a %d-byte stream", cap(enc), len(enc))
@@ -226,8 +270,8 @@ func TestWireEncodersSizeExactly(t *testing.T) {
 	}
 	for _, resp := range []*SyncResponse{
 		goldenSyncResponse(),
-		{Version: ProtoVersion, Generation: math.MaxInt, RejectedSeeds: -1, LeaseTTLMs: 1 << 40, Seeds: edge.Seeds},
-		{Version: ProtoVersion},
+		{Generation: math.MaxInt, RejectedSeeds: -1, LeaseTTLMs: 1 << 40, Seeds: edge.Seeds},
+		{},
 	} {
 		enc := EncodeSyncResponse(resp)
 		if len(enc) != cap(enc) {
@@ -241,7 +285,7 @@ func TestWireEncodersSizeExactly(t *testing.T) {
 
 func FuzzWireSyncRequest(f *testing.F) {
 	f.Add(EncodeSyncRequest(goldenSyncRequest()))
-	f.Add(EncodeSyncRequest(&SyncRequest{Version: ProtoVersion}))
+	f.Add(EncodeSyncRequest(&SyncRequest{}))
 	f.Add(EncodeSyncRequest(edgeSyncRequest()))
 	f.Add([]byte{'S', 'H', 'B', ProtoVersion, frameEnd, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -268,8 +312,8 @@ func FuzzWireSyncRequest(f *testing.F) {
 
 func FuzzWireSyncResponse(f *testing.F) {
 	f.Add(EncodeSyncResponse(goldenSyncResponse()))
-	f.Add(EncodeSyncResponse(&SyncResponse{Version: ProtoVersion}))
-	f.Add(EncodeSyncResponse(&SyncResponse{Version: ProtoVersion, Generation: math.MaxInt, RejectedSeeds: -1, LeaseTTLMs: 1 << 40, Seeds: edgeSyncRequest().Seeds}))
+	f.Add(EncodeSyncResponse(&SyncResponse{}))
+	f.Add(EncodeSyncResponse(&SyncResponse{Generation: math.MaxInt, RejectedSeeds: -1, LeaseTTLMs: 1 << 40, Seeds: edgeSyncRequest().Seeds}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeSyncResponse(data)
 		if err != nil {
