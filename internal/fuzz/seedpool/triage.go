@@ -1,15 +1,18 @@
 package seedpool
 
 import (
+	"slices"
+
 	"kernelgpt/internal/prog"
 	"kernelgpt/internal/vkernel"
 )
 
 // Minimize shrinks a crashing program while preserving the crash
 // title — the triage step applied to every repro before reporting.
-// It runs against any Executor; a reusable VM keeps its machine state
-// across trials, though every Run still returns a fresh Result with
-// its own cover slice. Two passes run to a fixed point:
+// It runs against any Executor and edits only its own clone of p, one
+// trial at a time in place; on a *vkernel.VM every trial runs
+// crash-only (Reproduces), so a warm VM allocates nothing per trial.
+// Two passes run to a fixed point:
 //
 //  1. call removal: drop each call (rebinding resource indices) and
 //     keep the removal if the crash still reproduces;
@@ -24,109 +27,69 @@ func Minimize(x vkernel.Executor, p *prog.Prog, title string) *prog.Prog {
 	if !Reproduces(x, cur, title) {
 		return cur // not reproducible as given; return unchanged
 	}
-	for {
-		next, changed := removeOneCall(x, cur, title)
-		if !changed {
-			break
-		}
-		cur = next
+	for removeOneCall(x, cur, title) {
 	}
 	simplifyPayloads(x, cur, title)
 	return cur
 }
 
 // Reproduces reports whether executing p yields a crash with the
-// given title.
+// given title. A VM runs p crash-only; any other Executor runs it.
 func Reproduces(x vkernel.Executor, p *prog.Prog, title string) bool {
-	res := x.Run(p)
-	return res.Crash != nil && res.Crash.Title == title
+	var crash *vkernel.Crash
+	if vm, ok := x.(*vkernel.VM); ok {
+		crash = vm.RunCrash(p)
+	} else {
+		crash = x.Run(p).Crash
+	}
+	return crash != nil && crash.Title == title
 }
 
-// removeOneCall tries dropping each call in turn; the first removal
-// that still crashes is kept.
-func removeOneCall(x vkernel.Executor, p *prog.Prog, title string) (*prog.Prog, bool) {
+// removeOneCall tries dropping each call of p in turn, in place: a
+// call no other call binds a resource to is spliced out and the
+// bindings above it shift down. The first removal that still crashes
+// is kept; every other is undone, leaving p as it was.
+func removeOneCall(x vkernel.Executor, p *prog.Prog, title string) bool {
 	if len(p.Calls) <= 1 {
-		return p, false
+		return false
 	}
-	for drop := 0; drop < len(p.Calls); drop++ {
-		trial, ok := withoutCall(p, drop)
-		if !ok {
+	for drop := range len(p.Calls) {
+		if referenced(p, drop) {
 			continue
 		}
-		if Reproduces(x, trial, title) {
-			return trial, true
+		call := p.Calls[drop]
+		p.Calls = slices.Delete(p.Calls, drop, drop+1)
+		shiftResults(p, drop+1, -1)
+		if Reproduces(x, p, title) {
+			return true
 		}
+		shiftResults(p, drop, +1)
+		p.Calls = slices.Insert(p.Calls, drop, call)
 	}
-	return p, false
+	return false
 }
 
-// withoutCall is p minus call #drop, with resource indices rebound.
-// Returns false when a later call references the dropped result (the
-// dependency makes the removal structurally invalid); that is checked
-// on p itself, so an illegal trial costs no copy. A legal trial shares
-// with p every call the removal leaves untouched and deep-copies, into
-// one arena sized to them (prog.Prog.Clone), only the calls whose
-// ResultOf shifts down; p itself is never written. p and every trial
-// are Minimize's own memory, so simplifyPayloads may edit whichever
-// program the removal pass ends on.
-func withoutCall(p *prog.Prog, drop int) (*prog.Prog, bool) {
-	shifts := 0
-	for i, call := range p.Calls {
-		if i == drop {
-			continue
-		}
-		uses, after := resultUse(call, drop)
-		if uses {
-			return nil, false
-		}
-		if after {
-			shifts++
-		}
+// referenced reports whether a call of p binds a resource to the
+// result of call #i.
+func referenced(p *prog.Prog, i int) (used bool) {
+	for _, call := range p.Calls {
+		call.ForEachValue(func(v *prog.Value) {
+			used = used || v.Type.Kind == prog.KindResource && v.ResultOf == i
+		})
 	}
-	// One allocation holds the trial's calls and, behind them, the ones
-	// to copy.
-	n := len(p.Calls) - 1
-	buf := make([]*prog.Call, n, n+shifts)
-	copy(buf, p.Calls[:drop])
-	copy(buf[drop:], p.Calls[drop+1:])
-	if shifts == 0 {
-		return &prog.Prog{Calls: buf}, true
-	}
-	shifted := prog.Prog{Calls: buf[n:n]}
-	for _, call := range buf {
-		if _, after := resultUse(call, drop); after {
-			shifted.Calls = append(shifted.Calls, call)
-		}
-	}
-	// The copies' program header becomes the trial's.
-	trial := shifted.Clone()
-	for i, j := 0, 0; j < len(trial.Calls); i++ {
-		if buf[i] != shifted.Calls[j] {
-			continue
-		}
-		c := trial.Calls[j]
-		c.ForEachValue(func(v *prog.Value) {
-			if v.Type.Kind == prog.KindResource && v.ResultOf > drop {
-				v.ResultOf--
+	return used
+}
+
+// shiftResults adds by to every resource binding of p to call #from or
+// later.
+func shiftResults(p *prog.Prog, from, by int) {
+	for _, call := range p.Calls {
+		call.ForEachValue(func(v *prog.Value) {
+			if v.Type.Kind == prog.KindResource && v.ResultOf >= from {
+				v.ResultOf += by
 			}
 		})
-		buf[i] = c
-		j++
 	}
-	trial.Calls = buf
-	return trial, true
-}
-
-// resultUse reports whether call binds a resource to the result of call
-// #drop, and whether it binds one to a later call's.
-func resultUse(call *prog.Call, drop int) (uses, after bool) {
-	call.ForEachValue(func(v *prog.Value) {
-		if v.Type.Kind == prog.KindResource {
-			uses = uses || v.ResultOf == drop
-			after = after || v.ResultOf > drop
-		}
-	})
-	return uses, after
 }
 
 // simplifyPayloads zeroes non-essential scalars and shrinks arrays in

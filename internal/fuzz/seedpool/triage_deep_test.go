@@ -57,68 +57,122 @@ func deepCrashSet(t *testing.T) (*vkernel.Kernel, []*prog.Prog, []string) {
 	return kernel, repros, titles
 }
 
-// TestMinimizeMatchesReference: Minimize, whose removal trials share
-// the calls a removal leaves alone, returns the repro the
-// clone-every-trial reference returns, byte for byte, for every crash
-// of the deep set.
+// runOnly hides the VM's crash-only run from Reproduces: triage
+// through it takes the path every non-VM Executor takes.
+type runOnly struct{ vm *vkernel.VM }
+
+func (x runOnly) Run(p *prog.Prog) *vkernel.Result { return x.vm.Run(p) }
+
+// TestMinimizeMatchesReference: Minimize, whose removal trials edit its
+// clone in place, returns the repro the clone-every-trial reference
+// returns, byte for byte, for every crash of the deep set — on a VM,
+// whose trials run crash-only, and on an Executor that offers only Run.
 func TestMinimizeMatchesReference(t *testing.T) {
 	kernel, repros, titles := deepCrashSet(t)
 	vm := kernel.NewVM()
 	for i, p := range repros {
-		got := seedpool.Minimize(vm, p, titles[i]).Serialize()
-		if want := seedpool.MinimizeReference(vm, p, titles[i]).Serialize(); got != want {
-			t.Fatalf("%s: Minimize gave\n%s\nthe reference gave\n%s", titles[i], got, want)
+		want := seedpool.MinimizeReference(runOnly{kernel.NewVM()}, p, titles[i]).Serialize()
+		for _, x := range []vkernel.Executor{vm, runOnly{vm}} {
+			if got := seedpool.Minimize(x, p, titles[i]).Serialize(); got != want {
+				t.Fatalf("%s, %T: Minimize gave\n%s\nthe reference gave\n%s", titles[i], x, got, want)
+			}
 		}
 	}
 }
 
-// TestWithoutCallLeavesSourceUnchanged walks each deep repro's removal
-// chain the way Minimize does and tries every removal at every step:
-// each trial must equal the reference trial, and its source — which
-// already shares calls with the trial before it — must serialize as it
-// did before the trial was built.
-func TestWithoutCallLeavesSourceUnchanged(t *testing.T) {
+// TestRejectedRemovalRestoresCur walks each deep repro's removal chain
+// the way Minimize does. At every step a pass of rejected trials must
+// run exactly the reference's legal trials, in order, and leave the
+// program serializing byte-identically with its bindings unchanged;
+// and Minimize must never write its input.
+func TestRejectedRemovalRestoresCur(t *testing.T) {
 	kernel, repros, titles := deepCrashSet(t)
 	vm := kernel.NewVM()
-	trials, copied := 0, 0
+	steps, shifted := 0, 0
 	for i, p := range repros {
+		input, inputBindings := p.Serialize(), seedpool.Bindings(p)
 		cur := p.Clone()
-		for len(cur.Calls) > 1 {
-			text := cur.Serialize()
-			var next *prog.Prog
+		for {
+			text, binds := cur.Serialize(), seedpool.Bindings(cur)
+			var want []string
 			for drop := range cur.Calls {
-				trial, ok := seedpool.WithoutCall(cur, drop)
-				ref, refOK := seedpool.WithoutCallReference(cur, drop)
-				if ok != refOK {
-					t.Fatalf("%s, drop %d: legal=%v, the reference says %v", titles[i], drop, ok, refOK)
-				}
-				if got := cur.Serialize(); got != text {
-					t.Fatalf("%s, drop %d: the trial changed its source:\n%s\nwas\n%s", titles[i], drop, got, text)
-				}
-				if !ok {
-					continue
-				}
-				trials++
-				for _, c := range trial.Calls {
-					if !slices.Contains(cur.Calls, c) {
-						copied++ // a call whose bindings shifted
-						break
+				if ref, ok := seedpool.WithoutCallReference(cur, drop); ok && len(cur.Calls) > 1 {
+					want = append(want, ref.Serialize())
+					if slices.ContainsFunc(binds, func(b int) bool { return b > drop }) {
+						shifted++ // a later call's binding shifts down
 					}
 				}
-				if got, want := trial.Serialize(), ref.Serialize(); got != want {
-					t.Fatalf("%s, drop %d: trial\n%s\nreference\n%s", titles[i], drop, got, want)
-				}
-				if next == nil && seedpool.Reproduces(vm, trial, titles[i]) {
-					next = trial
-				}
 			}
-			if next == nil {
+			var trials []string
+			if seedpool.RemoveOneCall(seedpool.Rejecting(&trials), cur, titles[i]) {
+				t.Fatalf("%s: a removal no trial reproduces was kept", titles[i])
+			}
+			if !slices.Equal(trials, want) {
+				t.Fatalf("%s: the trials ran\n%q\nthe reference's legal trials are\n%q", titles[i], trials, want)
+			}
+			if got := cur.Serialize(); got != text {
+				t.Fatalf("%s: rejected trials left\n%s\nwas\n%s", titles[i], got, text)
+			}
+			if got := seedpool.Bindings(cur); !slices.Equal(got, binds) {
+				t.Fatalf("%s: rejected trials left bindings %v, were %v", titles[i], got, binds)
+			}
+			steps++
+			if !seedpool.RemoveOneCall(vm, cur, titles[i]) {
 				break
 			}
-			cur = next
+		}
+		seedpool.Minimize(vm, p, titles[i])
+		if p.Serialize() != input || !slices.Equal(seedpool.Bindings(p), inputBindings) {
+			t.Fatalf("%s: Minimize wrote its input", titles[i])
 		}
 	}
-	if trials == 0 || copied == 0 || copied == trials {
-		t.Fatalf("%d legal removal trials, %d of them with a copied call: both kinds must be tried", trials, copied)
+	if steps <= len(repros) || shifted == 0 {
+		t.Fatalf("%d removal steps over %d repros, %d trials with shifted bindings: the chains must be walked and shifts tried", steps, len(repros), shifted)
+	}
+}
+
+// counting counts the trials a minimization runs.
+type counting struct {
+	vm     *vkernel.VM
+	trials int
+}
+
+func (x *counting) Run(p *prog.Prog) *vkernel.Result {
+	x.trials++
+	return x.vm.Run(p)
+}
+
+// TestMinimizeAllocs: on a warm VM, minimizing a deep crash allocates
+// its clone of the repro and nothing per trial: every crash stays
+// within a small bound, and the crash with the most trials allocates no
+// more than the one with the fewest.
+func TestMinimizeAllocs(t *testing.T) {
+	kernel, repros, titles := deepCrashSet(t)
+	vm := kernel.NewVM()
+	const budget = 8 // the clone reads 6
+	fewest, most := -1, -1
+	trials, allocs := make([]int, len(repros)), make([]float64, len(repros))
+	for i, p := range repros {
+		x := &counting{vm: kernel.NewVM()}
+		seedpool.Minimize(x, p, titles[i])
+		trials[i] = x.trials
+		seedpool.Minimize(vm, p, titles[i]) // the VM reaches this repro's sizes
+		allocs[i] = testing.AllocsPerRun(5, func() { seedpool.Minimize(vm, p, titles[i]) })
+		if allocs[i] > budget {
+			t.Errorf("%s: %.0f allocations over %d trials, budget %d", titles[i], allocs[i], trials[i], budget)
+		}
+		if fewest < 0 || trials[i] < trials[fewest] {
+			fewest = i
+		}
+		if most < 0 || trials[i] > trials[most] {
+			most = i
+		}
+	}
+	if trials[most] < 4*trials[fewest] {
+		t.Fatalf("%d-%d trials per crash: too narrow a spread to show independence", trials[fewest], trials[most])
+	}
+	if allocs[most] > allocs[fewest] {
+		t.Fatalf("%.0f allocations over %d trials, %.0f over %d: the cost grows with the trials",
+			allocs[most], trials[most], allocs[fewest], trials[fewest])
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"kernelgpt/internal/vkernel"
 )
 
-// withoutCallReference is the removal trial withoutCall replaced: a
-// whole clone of p minus call #drop, rebound in the copy. It is kept
-// as the oracle the sharing trial must match byte for byte.
+// withoutCallReference is the removal trial Minimize's in-place splice
+// replaced: a whole clone of p minus call #drop, rebound in the copy.
+// It is kept as the oracle the in-place trials must match byte for
+// byte.
 func withoutCallReference(p *prog.Prog, drop int) (*prog.Prog, bool) {
 	referenced := false
 	for i, call := range p.Calls {
@@ -58,7 +59,9 @@ func minimizeReference(x vkernel.Executor, p *prog.Prog, title string) *prog.Pro
 // package, so the tests over it live in package seedpool_test and
 // reach the trials through these.
 var (
-	WithoutCall          = withoutCall
+	RemoveOneCall        = removeOneCall
 	WithoutCallReference = withoutCallReference
 	MinimizeReference    = minimizeReference
+	Bindings             = bindings
+	Rejecting            = func(trials *[]string) vkernel.Executor { return rejecting{trials} }
 )

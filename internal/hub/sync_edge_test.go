@@ -15,6 +15,8 @@ import (
 
 	"kernelgpt/internal/fuzz"
 	"kernelgpt/internal/fuzz/seedpool"
+	"kernelgpt/internal/prog"
+	"kernelgpt/internal/vkernel"
 )
 
 // statsBytes fetches GET /v1/stats verbatim.
@@ -206,5 +208,79 @@ func TestSyncRefusesCoverPastBlockSpace(t *testing.T) {
 	}
 	if after := h.UnionCover().EncodeDelta(nil); !bytes.Equal(after, before) {
 		t.Fatalf("a refused cover delta changed the hub's cover: %x, was %x", after, before)
+	}
+}
+
+// TestOneNewBlockReachesSidecar: a sync that adds exactly one block
+// to the union cover re-encodes the sidecar's copy of it, so the block
+// is in the persisted state and survives a restart.
+func TestOneNewBlockReachesSidecar(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	dir := t.TempDir()
+	open := func() *Hub {
+		t.Helper()
+		h, err := New(tgt, openStore(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	srv := httptest.NewServer(open().Handler())
+	defer srv.Close()
+	var reg RegisterResponse
+	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "w", Fingerprint: "fp"}, &reg)
+	req := SyncRequest{WorkerID: reg.WorkerID, LeaseID: reg.LeaseID}
+	for _, cover := range [][]vkernel.BlockID{{1, 4, 9}, {1, 4, 9, 16}} {
+		req.CoverDelta = coverOf(cover...).EncodeDelta(nil)
+		if code, msg := rawSync(t, srv.URL, req); code != http.StatusOK {
+			t.Fatalf("sync: HTTP %d %s", code, msg)
+		}
+	}
+	if got := open().Stats().UnionCover; got != 4 {
+		t.Fatalf("the restarted hub's union cover holds %d blocks, want 4: the one-block sync never reached the sidecar", got)
+	}
+}
+
+// TestPullServesOversizedGeneration: a pull whose first pending
+// generation holds more than MaxPullBatch seeds gets that generation
+// whole — a batch takes at least one generation, or the puller could
+// never get past it.
+func TestPullServesOversizedGeneration(t *testing.T) {
+	tgt := targetFor(t, "dm")
+	h, srv := newHub(t, tgt, WithCapacity(2*MaxPullBatch))
+	register := func(name string) SyncRequest {
+		var reg RegisterResponse
+		postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: name, Fingerprint: "fp"}, &reg)
+		return SyncRequest{WorkerID: reg.WorkerID, LeaseID: reg.LeaseID}
+	}
+	push, pull := register("pusher"), register("puller")
+	g := prog.NewGen(tgt, 7)
+	texts := map[string]bool{}
+	for len(texts) <= MaxPullBatch {
+		text := g.Generate(4).Serialize()
+		if !texts[text] {
+			texts[text] = true
+			push.Seeds = append(push.Seeds, seedpool.SeedState{Text: text, Prio: 1 + len(texts)%7})
+		}
+	}
+	if code, msg := rawSync(t, srv.URL, push); code != http.StatusOK {
+		t.Fatalf("push: HTTP %d %s", code, msg)
+	}
+	resp, err := http.Post(srv.URL+"/v1/sync", BinaryContentType, bytes.NewReader(EncodeSyncRequest(&pull)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSyncResponse(data)
+	if err != nil {
+		t.Fatalf("pull: HTTP %d: %v", resp.StatusCode, err)
+	}
+	if st := h.Stats(); len(got.Seeds) != len(texts) || got.Generation != st.Generation || st.Seeds != len(texts) {
+		t.Fatalf("pull from 0 got %d seeds reaching gen %d; the hub holds %d of the %d pushed at gen %d",
+			len(got.Seeds), got.Generation, st.Seeds, len(texts), st.Generation)
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"kernelgpt/internal/prog"
 )
 
-// Crash is a sanitizer report from the virtual kernel.
+// Crash is a sanitizer report from the virtual kernel. The kernel
+// image builds one per planted bug and every run that fires the bug
+// returns that record: it is kernel-owned, shared by every VM and
+// every run, and read-only.
 type Crash struct {
 	// Title is the dedup key, e.g. "kmalloc bug in ctl_ioctl".
 	Title string
@@ -16,8 +19,8 @@ type Crash struct {
 type Result struct {
 	// Cov lists the basic blocks covered, deduplicated and sorted.
 	Cov []BlockID
-	// Crash is non-nil if a planted bug fired; execution stops at the
-	// crashing call.
+	// Crash is the kernel's shared, read-only report of the planted bug
+	// that fired, nil if none did; execution stops at the crashing call.
 	Crash *Crash
 	// Errno counts calls that failed (bad fd, unknown command, ...).
 	Errno int
@@ -248,14 +251,10 @@ func (e *exec) evalGatesAndBug(kc *kcmd, payload []byte) {
 			e.cover(g.blocks...)
 		}
 	}
-	bug := kc.c.Bug
-	if bug == nil {
+	if kc.crash == nil || kc.priorImpossible || !e.seenBits(kc.prior) {
 		return
 	}
-	if kc.priorImpossible || !e.seenBits(kc.prior) {
-		return
-	}
-	if bug.TriggerField != "" {
+	if bug := kc.c.Bug; bug.TriggerField != "" {
 		if kc.layout == nil {
 			return
 		}
@@ -265,7 +264,7 @@ func (e *exec) evalGatesAndBug(kc *kcmd, payload []byte) {
 		}
 	}
 	e.cover(kc.bugBlk)
-	e.crash = &Crash{Title: bug.Title, Bug: bug}
+	e.crash = kc.crash
 }
 
 func (e *exec) runSockopt(c *prog.ExecCall) {
@@ -559,12 +558,7 @@ func (e *exec) addrValid(kh *khandler, kc *kcall, addr []byte, addrlen uint64) b
 }
 
 func (e *exec) fireSockBug(kc *kcall) {
-	bug := kc.sc.Bug
-	if bug == nil {
-		return
+	if kc.crash != nil && !kc.priorImpossible && e.seenBits(kc.prior) {
+		e.crash = kc.crash
 	}
-	if kc.priorImpossible || !e.seenBits(kc.prior) {
-		return
-	}
-	e.crash = &Crash{Title: bug.Title, Bug: bug}
 }

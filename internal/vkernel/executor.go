@@ -12,13 +12,13 @@ import (
 // prog.CompileExecInto + RunCompiled on a VM-owned scratch ExecProg.
 //
 // Run must be deterministic for a given program, and the returned
-// Result must not alias executor-internal state (callers retain it
-// across subsequent runs). Run must not retain p, or anything
-// reachable from it, past its return: campaign candidates are a
-// prog.Gen's scratch, overwritten by the next generation or mutation
-// (an executor that needs the program later keeps p.Detach(), whose
-// frozen calls stay shared and read-only; p.Clone() is a copy it may
-// edit).
+// Result must not alias per-run executor state (callers retain it
+// across subsequent runs; its Crash is the kernel's shared, read-only
+// record). Run must not retain p, or anything reachable from it, past
+// its return: campaign candidates are a prog.Gen's scratch,
+// overwritten by the next generation or mutation (an executor that
+// needs the program later keeps p.Detach(), whose frozen calls stay
+// shared and read-only; p.Clone() is a copy it may edit).
 type Executor interface {
 	Run(p *prog.Prog) *Result
 }
@@ -30,9 +30,9 @@ type Executor interface {
 // allocating fresh maps per execution.
 //
 // Every program runs compiled: RunCompiled executes a prog.ExecProg
-// with zero allocations on the non-crash path — coverage stays in the
-// VM's internal CoverSet (Cover/AppendCover) and the outcome is
-// returned directly — and Run is the convenience form that lowers a
+// with zero allocations, crash or not — coverage stays in the VM's
+// internal CoverSet (Cover/AppendCover) and the outcome is returned
+// directly — and Run and RunCrash are the forms that lower a
 // *prog.Prog into a VM-owned scratch ExecProg first.
 //
 // A VM is not safe for concurrent use; run one VM per goroutine (the
@@ -61,6 +61,15 @@ func (v *VM) Run(p *prog.Prog) *Result {
 	prog.CompileExecInto(p, &v.ep)
 	crash, errs := v.RunCompiled(&v.ep)
 	return &Result{Cov: v.st.cov.Blocks(), Crash: crash, Errno: errs}
+}
+
+// RunCrash is Run for a caller that wants only the crash (triage): it
+// builds no Result and reads no coverage, so a warm VM runs it with
+// zero allocations.
+func (v *VM) RunCrash(p *prog.Prog) *Crash {
+	prog.CompileExecInto(p, &v.ep)
+	crash, _ := v.RunCompiled(&v.ep)
+	return crash
 }
 
 // rprog is a compiled program resolved against one kernel image: the
@@ -121,8 +130,8 @@ func (k *Kernel) resolve(ep *prog.ExecProg) *rprog {
 // RunCompiled executes a compiled program. Coverage is left in the
 // VM's internal CoverSet — read it with Cover or AppendCover before
 // the next run — and the crash/errno outcome is returned directly, so
-// the non-crash path performs zero allocations once the program's
-// resolution cache is warm.
+// a run performs zero allocations once the program's resolution
+// cache is warm.
 func (v *VM) RunCompiled(ep *prog.ExecProg) (*Crash, int) {
 	e := &v.st
 	rp := e.k.resolve(ep)

@@ -83,6 +83,7 @@ type kcmd struct {
 	body   []BlockID
 	gates  []kgate
 	bugBlk BlockID
+	crash  *Crash         // the planted bug's report, nil if none
 	layout *corpus.Layout // payload layout, nil if no struct arg
 	// recBit is the command's history bit; prior holds the planted
 	// bug's precondition bits (priorImpossible: a precondition names
@@ -103,6 +104,7 @@ type kcall struct {
 	sc     *corpus.SockCall
 	entry  BlockID
 	body   []BlockID
+	crash  *Crash         // as on kcmd
 	layout *corpus.Layout // sockaddr layout
 	// recBit/prior mirror kcmd's history bits for socket-call bugs.
 	recBit          uint32
@@ -321,6 +323,7 @@ func New(c *corpus.Corpus) *Kernel {
 			}
 			if cmd.Bug != nil {
 				kc.bugBlk = alloc(1)[0]
+				kc.crash = &Crash{Title: cmd.Bug.Title, Bug: cmd.Bug}
 			}
 			val := h.CmdValue(cmd, c.Index.Sizeof)
 			kh.cmds[val] = kc
@@ -334,6 +337,9 @@ func New(c *corpus.Corpus) *Kernel {
 				entry:  alloc(1)[0],
 				body:   alloc(sc.Blocks),
 				layout: layout(sc.Addr),
+			}
+			if sc.Bug != nil {
+				kc.crash = &Crash{Title: sc.Bug.Title, Bug: sc.Bug}
 			}
 			kh.calls[sc.Kind] = kc
 			kcalls = append(kcalls, kc)
