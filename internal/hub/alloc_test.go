@@ -138,7 +138,7 @@ func TestRetriedCrashAllocatesNothing(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	h, _ := newHub(t, tgt)
 	wc := fuzz.CrashReport{Title: "KASAN: use-after-free in dm_ioctl", Repro: prog.NewGen(tgt, 3).Generate(3).Serialize(), Count: 2}
-	wk := &worker{id: "w1", crashCounts: map[string]int{}}
+	wk := &workerStateJSON{ID: "w1"}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.recordCrash(wk, wc)

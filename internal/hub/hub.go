@@ -44,7 +44,8 @@ const (
 // generation and every pull diff are read from it, and the hub keeps
 // no copy of the manifest or of any program text. All request handling
 // serializes on one mutex — the hub's unit of work is a batch exchange
-// at checkpoint cadence, not a hot path.
+// at checkpoint cadence, not a hot path — and every state change is one
+// apply under it.
 type Hub struct {
 	target *prog.Target
 	store  *corpusstore.Store
@@ -80,7 +81,9 @@ type Hub struct {
 	coverEnc []byte // guarded by mu
 	// crashes is the crash table, keyed by title.
 	crashes map[string]*crashStateJSON // guarded by mu
-	workers map[string]*worker         // guarded by mu
+	// workers is the worker table, keyed by id; a record is what the
+	// sidecar stores.
+	workers map[string]*workerStateJSON // guarded by mu
 
 	nextWorker    int // guarded by mu
 	nextLease     int // guarded by mu
@@ -88,49 +91,20 @@ type Hub struct {
 	start         time.Time
 }
 
-// worker is one registered campaign's bookkeeping.
-type worker struct {
-	id          string
-	name        string
-	fingerprint string
-	lastSync    time.Time
-	final       bool
-	stats       WorkerStats
-	// leaseID is the credential every sync of the worker presents;
-	// leaseDeadline is leaseTTL after its grant or last non-final sync,
-	// and only the lease label reads it.
-	leaseID       string
-	leaseDeadline time.Time
-	// sync aggregates the worker's per-sync service time and payload
-	// size (count/sum/max), the operator-facing cost of keeping this
-	// worker attached.
-	sync SyncAggJSON
-	// crashCounts is the worker's last reported cumulative hit count
-	// per crash title — the unit the client counts in; recordCrash
-	// differences against it so retried reports fold in exactly once.
-	crashCounts map[string]int
-}
-
-// lease labels the worker's lease at now: released once a Final sync
-// came, expired once the deadline has passed, active otherwise.
-func (wk *worker) lease(now time.Time) string {
-	switch {
-	case wk.final:
-		return LeaseReleased
-	case now.After(wk.leaseDeadline):
-		return LeaseExpired
-	}
-	return LeaseActive
-}
-
-// observeSync folds one exchange's service time and wire payload size
-// into a sync aggregate.
-func observeSync(a *SyncAggJSON, serviceNs, payloadBytes int64) {
+// observeSync folds one exchange's measured service time and wire
+// payload size into its worker's sync aggregate (count/sum/max), the
+// operator-facing cost of keeping that worker attached, and into the
+// sync metrics.
+//
+//syzlint:locked mu
+func (h *Hub) observeSync(id string, serviceNs, payloadBytes int64) {
+	a := &h.workers[id].Sync
 	a.Count++
 	a.ServiceNsSum += serviceNs
 	a.ServiceNsMax = max(a.ServiceNsMax, serviceNs)
 	a.BytesSum += payloadBytes
 	a.BytesMax = max(a.BytesMax, payloadBytes)
+	h.metrics.syncObserved(serviceNs, payloadBytes)
 }
 
 // Option configures a Hub.
@@ -215,7 +189,7 @@ func New(t *prog.Target, store *corpusstore.Store, opts ...Option) (*Hub, error)
 		now:     telemetry.SystemClock,
 		cover:   &vkernel.CoverSet{},
 		crashes: map[string]*crashStateJSON{},
-		workers: map[string]*worker{},
+		workers: map[string]*workerStateJSON{},
 	}
 	for _, o := range opts {
 		o(h)
@@ -350,76 +324,35 @@ func readLimited(body io.Reader, n, limit int64) ([]byte, error) {
 	return data, nil
 }
 
-// decode parses a JSON control request (register) and
-// enforces the protocol version, writing the error response itself on
-// failure.
-func decode(w http.ResponseWriter, r *http.Request, version *int, body any) bool {
-	data, ok := readBody(w, r, maxControlBody)
-	if !ok {
-		return false
+// writeStatus writes a refusal or failure from apply (a *statusError)
+// as its JSON error reply, with its Retry-After hint in whole seconds.
+func writeStatus(w http.ResponseWriter, err error) {
+	se := err.(*statusError)
+	if se.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(se.retryAfter/time.Second)))
 	}
-	if err := json.Unmarshal(data, body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	if *version != ProtoVersion {
-		writeError(w, http.StatusBadRequest, "protocol version %d not supported (hub speaks %d)", *version, ProtoVersion)
-		return false
-	}
-	return true
-}
-
-// grantLease issues a fresh lease on wk. The ID is unique per hub
-// lifetime (counter) and across restarts (start-time suffix), so a
-// stale client's lease cannot collide with one a restarted hub issued.
-// Callers hold h.mu.
-//
-//syzlint:locked mu
-func (h *Hub) grantLease(wk *worker) {
-	h.nextLease++
-	wk.leaseID = fmt.Sprintf("L%d.%x", h.nextLease, h.start.UnixNano())
-	wk.leaseDeadline = h.now().Add(leaseTTL)
-	h.metrics.lease("grant")
+	writeError(w, se.code, "%s", se.msg)
 }
 
 func (h *Hub) handleRegister(w http.ResponseWriter, r *http.Request) {
+	data, ok := readBody(w, r, maxControlBody)
+	if !ok {
+		return
+	}
 	var req RegisterRequest
-	if !decode(w, r, &req.Version, &req) {
+	if err := json.Unmarshal(data, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.nextWorker++
-	id := fmt.Sprintf("w%d", h.nextWorker)
-	wk := &worker{id: id, name: req.Name, fingerprint: req.Fingerprint, crashCounts: map[string]int{}}
-	h.grantLease(wk)
-	h.workers[id] = wk
-	h.persistLocked()
-	h.logf("hub: registered %s (%s, fingerprint %s, lease %s)", id, req.Name, req.Fingerprint, wk.leaseID)
-	writeJSON(w, http.StatusOK, RegisterResponse{
-		Version: ProtoVersion, WorkerID: id, Generation: h.genLocked(),
-		Seeds: len(h.states), HubFingerprint: Fingerprint(h.target),
-		LeaseID: wk.leaseID, LeaseTTLMs: leaseTTL.Milliseconds(),
-	})
-}
-
-// leasedWorkerLocked looks a worker up and validates the presented
-// lease against its own, writing the 404 re-register hint itself (and
-// returning nil) when the worker is unknown or the lease is missing or
-// stale: worker ids are guessable (w1, w2, …), the lease is what keeps
-// one worker from pushing into, renewing or releasing another's. A
-// lease past its deadline is still the worker's own. Callers hold h.mu.
-func (h *Hub) leasedWorkerLocked(w http.ResponseWriter, id, leaseID string) *worker {
-	wk := h.workers[id]
-	switch {
-	case wk == nil:
-		writeError(w, http.StatusNotFound, "unknown worker %q (hub restarted? re-register)", id)
-	case leaseID != wk.leaseID:
-		writeError(w, http.StatusNotFound, "missing or stale lease for %q: re-register", id)
-	default:
-		return wk
+	reply, err := h.apply(h.now(), &req)
+	if err != nil {
+		writeStatus(w, err)
+		return
 	}
-	return nil
+	h.persistLocked()
+	writeJSON(w, http.StatusOK, reply)
 }
 
 // decodeSync reads and parses a /v1/sync body. The binary frame
@@ -441,6 +374,55 @@ func decodeSync(w http.ResponseWriter, r *http.Request) (*SyncRequest, int64, bo
 		return nil, 0, false
 	}
 	return req, int64(len(data)), true
+}
+
+func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
+	// Backpressure: shed load before the body is read or the request
+	// queues on the hub mutex. The client's retry loop honors
+	// Retry-After.
+	if h.maxInflight > 0 {
+		if n := h.inflight.Add(1); n > int64(h.maxInflight) {
+			h.inflight.Add(-1)
+			h.metrics.shed("inflight")
+			writeStatus(w, &statusError{code: http.StatusTooManyRequests,
+				msg: fmt.Sprintf("hub at capacity (%d syncs in flight)", h.maxInflight), retryAfter: time.Second})
+			return
+		}
+		defer h.inflight.Add(-1)
+	}
+	req, payload, ok := decodeSync(w, r)
+	if !ok {
+		return
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// Service time is measured from lock acquisition: the hub's own
+	// work (validate, merge, save, diff, encode), excluding queueing
+	// behind other syncs — the queueing delay is what capacity planning
+	// derives FROM this number, so baking it in would double-count —
+	// and the sidecar write that records it.
+	now := h.now()
+	reply, err := h.apply(now, req)
+	var body []byte
+	if err == nil {
+		body = EncodeSyncResponse(reply.(*SyncResponse))
+	}
+	// A served sync, and one whose store save failed after it had
+	// counted its rejected seeds, are folded and persisted.
+	if se, _ := err.(*statusError); se == nil || se.code >= http.StatusInternalServerError {
+		h.observeSync(req.WorkerID, h.now().Sub(now).Nanoseconds(), payload)
+		h.persistLocked()
+	}
+	if err != nil {
+		writeStatus(w, err)
+		return
+	}
+	// A declared length lets the client read the reply into one buffer
+	// of its size.
+	w.Header().Set("Content-Type", BinaryContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // textOnly drops the states' programs: the hub keeps its corpus as text.
@@ -465,56 +447,71 @@ func (h *Hub) mergeLocked(incoming []seedpool.SeedState) error {
 	return nil
 }
 
-func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
-	// Backpressure: shed load before decoding or queueing on the hub
-	// mutex. The client's retry loop honors Retry-After.
-	if h.maxInflight > 0 {
-		if n := h.inflight.Add(1); n > int64(h.maxInflight) {
-			h.inflight.Add(-1)
-			h.metrics.shed("inflight")
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "hub at capacity (%d syncs in flight)", h.maxInflight)
-			return
+// apply is the hub's one state change: it applies one event at time
+// now and returns the event's reply, unencoded. The events are the
+// values the hub decodes: a *RegisterRequest (reply *RegisterResponse),
+// a *SyncRequest (reply *SyncResponse) and a parent import, the pulled
+// []seedpool.SeedState (reply nil, error the store's). now is the
+// caller's one clock reading, taken when it acquired h.mu; apply and
+// everything it calls read no clock and write no reply, so the same
+// events at the same times leave the same state. A register or sync
+// that fails returns a *statusError with the HTTP status and
+// Retry-After: a refusal (4xx) has changed nothing, a failed store save
+// (500) has counted the sync's rejected seeds.
+//
+//syzlint:locked mu
+func (h *Hub) apply(now time.Time, ev any) (any, error) {
+	switch ev := ev.(type) {
+	case *RegisterRequest:
+		if ev.Version != ProtoVersion {
+			return nil, &statusError{code: 400, msg: fmt.Sprintf("protocol version %d not supported (hub speaks %d)", ev.Version, ProtoVersion)}
 		}
-		defer h.inflight.Add(-1)
+		// A lease ID is unique per hub lifetime (counter) and across
+		// restarts (start-time suffix), so a stale client's lease cannot
+		// collide with one a restarted hub issued.
+		h.nextWorker++
+		h.nextLease++
+		wk := &workerStateJSON{
+			ID: fmt.Sprintf("w%d", h.nextWorker), Name: ev.Name, Fingerprint: ev.Fingerprint,
+			LeaseID:         fmt.Sprintf("L%d.%x", h.nextLease, h.start.UnixNano()),
+			LeaseDeadlineNs: now.Add(leaseTTL).UnixNano(),
+		}
+		h.workers[wk.ID] = wk
+		h.metrics.lease("grant")
+		h.logf("hub: registered %s (%s, fingerprint %s, lease %s)", wk.ID, ev.Name, ev.Fingerprint, wk.LeaseID)
+		return &RegisterResponse{
+			Version: ProtoVersion, WorkerID: wk.ID, Generation: h.genLocked(),
+			Seeds: len(h.states), HubFingerprint: Fingerprint(h.target),
+			LeaseID: wk.LeaseID, LeaseTTLMs: leaseTTL.Milliseconds(),
+		}, nil
+	case []seedpool.SeedState:
+		if err := h.mergeLocked(textOnly(ev)); err != nil {
+			return nil, err
+		}
+		h.logf("hub: parent sync imported %d seeds -> %d seeds at gen %d", len(ev), len(h.states), h.genLocked())
+		return nil, nil
 	}
-	req, payload, ok := decodeSync(w, r)
-	if !ok {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	// Service time is measured from lock acquisition: the hub's own
-	// work (validate, merge, save, diff, encode), excluding queueing
-	// behind other syncs — the queueing delay is what capacity planning
-	// derives FROM this number, so baking it in would double-count —
-	// and the sidecar write that records it.
-	svcStart := h.now()
-	wk := h.leasedWorkerLocked(w, req.WorkerID, req.LeaseID)
-	if wk == nil {
-		return
+	req := ev.(*SyncRequest)
+	// The presented lease must be the worker's own: worker ids are
+	// guessable (w1, w2, …), the lease is what keeps one worker from
+	// pushing into, renewing or releasing another's. A lease past its
+	// deadline is still the worker's own.
+	wk := h.workers[req.WorkerID]
+	switch {
+	case wk == nil:
+		return nil, &statusError{code: 404, msg: fmt.Sprintf("unknown worker %q (hub restarted? re-register)", req.WorkerID)}
+	case req.LeaseID != wk.LeaseID:
+		return nil, &statusError{code: 404, msg: fmt.Sprintf("missing or stale lease for %q: re-register", req.WorkerID)}
 	}
 	// Per-worker rate limit. Final syncs are exempt — a campaign must
 	// always be able to deliver its last exchange and release its
 	// lease.
-	if h.minSyncInterval > 0 && !req.Final && !wk.lastSync.IsZero() {
-		if elapsed := svcStart.Sub(wk.lastSync); elapsed < h.minSyncInterval {
-			wait := h.minSyncInterval - elapsed
-			secs := int(wait/time.Second) + 1
+	if h.minSyncInterval > 0 && !req.Final && wk.LastSyncNs != 0 {
+		if wait := h.minSyncInterval - now.Sub(time.Unix(0, wk.LastSyncNs)); wait > 0 {
 			h.metrics.shed("rate")
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
-			writeError(w, http.StatusTooManyRequests, "sync rate limit for %q: retry in %v", wk.id, wait)
-			return
+			return nil, &statusError{code: 429, msg: fmt.Sprintf("sync rate limit for %q: retry in %v", wk.ID, wait),
+				retryAfter: wait.Truncate(time.Second) + time.Second}
 		}
-	}
-	// commit folds the exchange into the worker's sync aggregate and
-	// persists the hub state, that aggregate included; every exit from
-	// here on runs it before replying.
-	commit := func() {
-		serviceNs := h.now().Sub(svcStart).Nanoseconds()
-		observeSync(&wk.sync, serviceNs, payload)
-		h.metrics.syncObserved(serviceNs, payload)
-		h.persistLocked()
 	}
 	// Push: validate incoming programs against the hub target (a seed's
 	// identity is the hub's own rendering of it, never the text as sent),
@@ -533,9 +530,7 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	h.rejectedSeeds += rejected
 	if len(incoming) > 0 {
 		if err := h.mergeLocked(incoming); err != nil {
-			commit()
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
+			return nil, &statusError{code: 500, msg: err.Error()}
 		}
 	}
 	newBlocks := 0
@@ -551,33 +546,26 @@ func (h *Hub) handleSync(w http.ResponseWriter, r *http.Request) {
 	// Concurrent unit completions can deliver snapshots out of order
 	// (they post outside the campaign's merge lock); keep the stats
 	// monotone by ignoring a snapshot older than the recorded one.
-	if req.Stats.Execs >= wk.stats.Execs {
-		wk.stats = req.Stats
+	if req.Stats.Execs >= wk.Stats.Execs {
+		wk.Stats = req.Stats
 	}
-	wk.lastSync = h.now()
+	wk.LastSyncNs = now.UnixNano()
 	// Lease lifecycle: a Final sync releases the lease (the campaign
 	// is done — the CI fleet check asserts zero active leases at
 	// exit); any other successful sync renews it.
 	if req.Final {
 		h.metrics.lease("release")
-	} else if !wk.final {
-		wk.leaseDeadline = wk.lastSync.Add(leaseTTL)
+	} else if !wk.Final {
+		wk.LeaseDeadlineNs = now.Add(leaseTTL).UnixNano()
 		h.metrics.lease("renew")
 	}
-	wk.final = wk.final || req.Final
+	wk.Final = wk.Final || req.Final
 	seeds, gen := h.diff(req.SinceGen)
-	body := EncodeSyncResponse(&SyncResponse{
-		Generation: gen, Seeds: seeds, RejectedSeeds: rejected, LeaseTTLMs: leaseTTL.Milliseconds(),
-	})
-	commit()
 	h.logf("hub: sync %s: +%d seeds (%d rejected), +%d blocks, %d crash reports -> %d seeds at gen %d",
 		req.WorkerID, len(incoming), rejected, newBlocks, len(req.Crashes), len(seeds), gen)
-	// A declared length lets the client read the reply into one buffer
-	// of its size.
-	w.Header().Set("Content-Type", BinaryContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	return &SyncResponse{
+		Generation: gen, Seeds: seeds, RejectedSeeds: rejected, LeaseTTLMs: leaseTTL.Milliseconds(),
+	}, nil
 }
 
 // diff collects the corpus entries admitted after generation since,
@@ -644,24 +632,27 @@ func (h *Hub) diff(since int) ([]seedpool.SeedState, int) {
 // hold h.mu.
 //
 //syzlint:locked mu
-func (h *Hub) recordCrash(wk *worker, cr fuzz.CrashReport) {
-	delta := cr.Count - wk.crashCounts[cr.Title]
+func (h *Hub) recordCrash(wk *workerStateJSON, cr fuzz.CrashReport) {
+	delta := cr.Count - wk.CrashCounts[cr.Title]
 	if delta <= 0 {
 		return // retry of a committed report, or a stale snapshot
 	}
-	wk.crashCounts[cr.Title] = cr.Count
+	if wk.CrashCounts == nil {
+		wk.CrashCounts = map[string]int{}
+	}
+	wk.CrashCounts[cr.Title] = cr.Count
 	rec := h.crashes[cr.Title]
 	if rec == nil {
 		repro, err := prog.Canonical(h.target, cr.Repro)
 		if err != nil {
 			repro = cr.Repro
 		}
-		rec = &crashStateJSON{Title: cr.Title, Repro: repro, FirstWorker: wk.id}
+		rec = &crashStateJSON{Title: cr.Title, Repro: repro, FirstWorker: wk.ID}
 		h.crashes[cr.Title] = rec
 	}
 	rec.Count += delta
 	rec.Reports++
-	rec.addWorker(wk.id)
+	rec.addWorker(wk.ID)
 }
 
 func (h *Hub) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -688,28 +679,32 @@ func (h *Hub) statsLocked() HubStats {
 	st.Execs, st.Ops = h.totalsLocked()
 	for _, wk := range h.sortedWorkersLocked() {
 		wj := WorkerJSON{
-			ID: wk.id, Name: wk.name, Fingerprint: wk.fingerprint,
-			Final: wk.final, Lease: wk.lease(now), Stats: wk.stats, Sync: wk.sync,
+			ID: wk.ID, Name: wk.Name, Fingerprint: wk.Fingerprint,
+			Final: wk.Final, Lease: LeaseActive, Stats: wk.Stats, Sync: wk.Sync,
 		}
-		if !wk.lastSync.IsZero() {
-			wj.LastSyncUnix = wk.lastSync.Unix()
+		if wk.LastSyncNs != 0 {
+			wj.LastSyncUnix = time.Unix(0, wk.LastSyncNs).Unix()
+		}
+		// The lease label: released once a Final sync came, expired once
+		// the deadline has passed, active otherwise.
+		switch {
+		case wk.Final:
+			wj.Lease = LeaseReleased
+			st.ReleasedLeases++
+		case now.After(time.Unix(0, wk.LeaseDeadlineNs)):
+			wj.Lease = LeaseExpired
+			st.ExpiredLeases++
+		default:
+			st.ActiveLeases++
 		}
 		st.Workers = append(st.Workers, wj)
-		switch wj.Lease {
-		case LeaseActive:
-			st.ActiveLeases++
-		case LeaseExpired:
-			st.ExpiredLeases++
-		case LeaseReleased:
-			st.ReleasedLeases++
-		}
 		// Hub-wide sync load: totals across workers, worst single
 		// exchange anywhere.
-		st.Sync.Count += wk.sync.Count
-		st.Sync.ServiceNsSum += wk.sync.ServiceNsSum
-		st.Sync.BytesSum += wk.sync.BytesSum
-		st.Sync.ServiceNsMax = max(st.Sync.ServiceNsMax, wk.sync.ServiceNsMax)
-		st.Sync.BytesMax = max(st.Sync.BytesMax, wk.sync.BytesMax)
+		st.Sync.Count += wk.Sync.Count
+		st.Sync.ServiceNsSum += wk.Sync.ServiceNsSum
+		st.Sync.BytesSum += wk.Sync.BytesSum
+		st.Sync.ServiceNsMax = max(st.Sync.ServiceNsMax, wk.Sync.ServiceNsMax)
+		st.Sync.BytesMax = max(st.Sync.BytesMax, wk.Sync.BytesMax)
 	}
 	if up := now.Sub(h.start).Seconds(); up > 0 {
 		st.ExecsPerSec = float64(st.Execs) / up
@@ -723,8 +718,8 @@ func (h *Hub) statsLocked() HubStats {
 func (h *Hub) totalsLocked() (execs int, ops []fuzz.OpStat) {
 	sum := map[string]fuzz.OpStat{}
 	for _, wk := range h.workers {
-		execs += wk.stats.Execs
-		for _, op := range wk.stats.Ops {
+		execs += wk.Stats.Execs
+		for _, op := range wk.Stats.Ops {
 			o := sum[op.Name]
 			sum[op.Name] = fuzz.OpStat{Name: op.Name, Picks: o.Picks + op.Picks, NewBlocks: o.NewBlocks + op.NewBlocks}
 		}

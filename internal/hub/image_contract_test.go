@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,10 +75,12 @@ func (l *imageLog) states(step string, seeds []seedpool.SeedState, rep *corpusst
 	l.addf("%s: seeds=%d states=%x loaded=%d cover=%d gen=%d skipped=%q", step, len(seeds), h.Sum(nil)[:8], rep.Loaded, rep.CoverBlocks, gen, skips)
 }
 
-// recordingTransport logs every /v1/sync reply body a hub.Client reads.
+// recordingTransport logs every /v1/sync reply body a hub.Client reads
+// and hands it to tap, when set.
 type recordingTransport struct {
 	log  *imageLog
 	name string
+	tap  func(body []byte)
 }
 
 func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -90,6 +94,9 @@ func (rt *recordingTransport) RoundTrip(r *http.Request) (*http.Response, error)
 		return nil, err
 	}
 	rt.log.response(rt.name, resp.StatusCode, body)
+	if rt.tap != nil {
+		rt.tap(body)
+	}
 	resp.Body = io.NopCloser(bytes.NewReader(body))
 	return resp, nil
 }
@@ -162,31 +169,11 @@ func sloppy(t *testing.T, tgt *prog.Target, text string) string {
 func TestImageContract(t *testing.T) {
 	tgt := targetFor(t, "dm", "cec")
 	log := &imageLog{t: t}
-	g := prog.NewGen(tgt, 18)
-	ops := []string{"", "insert", "mutate-arg", "splice"}
-	gen := func(n, prioBase int) []seedpool.SeedState {
-		out := make([]seedpool.SeedState, n)
-		for i := range out {
-			p := g.Generate(2 + i%4).Detach()
-			out[i] = seedpool.SeedState{
-				Prog: p, Text: p.Serialize(), Prio: prioBase + (i*7)%13,
-				Bonus: (i * 5) % 9, Op: ops[i%len(ops)],
-			}
-		}
-		return out
-	}
+	gen := seedGen(prog.NewGen(tgt, 18))
 
 	// Part 1: the store.
 	seeds := gen(12, 3)
 	dir := filepath.Join(t.TempDir(), "store")
-	open := func(dir string) *corpusstore.Store {
-		t.Helper()
-		st, err := corpusstore.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
 	save := func(step string, st *corpusstore.Store, seeds []seedpool.SeedState, cover int) {
 		t.Helper()
 		if err := st.Save(seeds, cover); err != nil {
@@ -211,7 +198,7 @@ func TestImageContract(t *testing.T) {
 		}
 		log.states(fmt.Sprintf("%s since=%d", step, since), got, rep, gen)
 	}
-	st := open(dir)
+	st := openStore(t, dir)
 	save("save fresh", st, seeds[:6], 10)
 	save("save unchanged", st, seeds[:6], 10)
 	save("save one-new", st, seeds[:7], 11)
@@ -222,7 +209,7 @@ func TestImageContract(t *testing.T) {
 	diff("diff", st, 5)
 	load("load same handle", st)
 
-	st = open(dir)
+	st = openStore(t, dir)
 	held := load("reopen load", st)
 	held = corpusstore.Merge(0, held, seeds[10:11])
 	save("reopen save", st, held, 13)
@@ -238,14 +225,14 @@ func TestImageContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	log.dir("corrupted", dir)
-	st = open(dir)
+	st = openStore(t, dir)
 	load("corrupted load", st)
 	save("corrupted save held", st, held, 13)
 	load("healed load", st)
 
 	// A manifest from before generations existed.
 	legacy := filepath.Join(t.TempDir(), "legacy")
-	st = open(legacy)
+	st = openStore(t, legacy)
 	var manifest strings.Builder
 	manifest.WriteString(`{"version":1,"cover_blocks":9,"seeds":[`)
 	for i, s := range seeds[:4] {
@@ -268,16 +255,72 @@ func TestImageContract(t *testing.T) {
 	save("legacy save", st, append(old, seeds[4]), 9)
 	diff("legacy diff after save", st, 0)
 
-	// Part 2: the hub, over real HTTP on a fixed clock.
-	fixed := time.Unix(1_700_000_000, 0).UTC()
-	clock := WithClock(func() time.Time { return fixed })
-	hubDir := t.TempDir()
-	statePath := filepath.Join(hubDir, "hubstate.json")
-	h, err := New(tgt, open(filepath.Join(hubDir, "store")), clock, WithStatePath(statePath), WithCapacity(1024))
+	// Part 2: the hub.
+	hubSession(t, tgt, log, gen, t.TempDir(), nil)
+
+	path := filepath.Join("testdata", "image_contract.txt")
+	text := strings.Join(log.lines, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(h.Handler())
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	for i := range want {
+		if i >= len(log.lines) || log.lines[i] != want[i] {
+			got := "<missing>"
+			if i < len(log.lines) {
+				got = log.lines[i]
+			}
+			t.Fatalf("image contract diverged at line %d:\n got %s\nwant %s", i+1, got, want[i])
+		}
+	}
+	if len(log.lines) != len(want) {
+		t.Fatalf("image log has %d lines, contract has %d; first extra: %s", len(log.lines), len(want), log.lines[len(want)])
+	}
+}
+
+// imageNow is the image contract's fixed hub clock reading.
+var (
+	imageNow   = time.Unix(1_700_000_000, 0).UTC()
+	imageClock = WithClock(func() time.Time { return imageNow })
+)
+
+// seedGen returns the image contract's seed generator over g: n seeds
+// of 2-5 calls, with priorities, bonuses and operators cycling from
+// prioBase.
+func seedGen(g *prog.Gen) func(n, prioBase int) []seedpool.SeedState {
+	ops := []string{"", "insert", "mutate-arg", "splice"}
+	return func(n, prioBase int) []seedpool.SeedState {
+		out := make([]seedpool.SeedState, n)
+		for i := range out {
+			p := g.Generate(2 + i%4).Detach()
+			out[i] = seedpool.SeedState{
+				Prog: p, Text: p.Serialize(), Prio: prioBase + (i*7)%13,
+				Bonus: (i * 5) % 9, Op: ops[i%len(ops)],
+			}
+		}
+		return out
+	}
+}
+
+// hubSession is the image contract's scripted hub session, over real
+// HTTP on the fixed clock, with its stores and sidecars under hubDir: a
+// root hub, a leaf hub that syncs with it as a parent, and the root
+// restarted from its store and sidecar. tp, when set, sees every event
+// each hub applies. It returns the restarted root and the leaf.
+func hubSession(t *testing.T, tgt *prog.Target, log *imageLog, gen func(n, prioBase int) []seedpool.SeedState, hubDir string, tp *tap) (root, leaf *Hub) {
+	statePath := filepath.Join(hubDir, "hubstate.json")
+	h, err := New(tgt, openStore(t, filepath.Join(hubDir, "store")), imageClock, WithStatePath(statePath), WithCapacity(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(tp.wrap("root", h))
 	defer srv.Close()
 	register := func(base, name string) RegisterResponse {
 		t.Helper()
@@ -366,12 +409,12 @@ func TestImageContract(t *testing.T) {
 	// pulls the root's corpus down. Its sidecar sits beside its store,
 	// as the root's does, so the store listing logged below is the
 	// store's own.
-	leaf, err := New(tgt, open(filepath.Join(hubDir, "leaf")), clock, WithParent(srv.URL), WithCapacity(16),
+	leaf, err = New(tgt, openStore(t, filepath.Join(hubDir, "leaf")), imageClock, WithParent(srv.URL), WithCapacity(16),
 		WithStatePath(filepath.Join(hubDir, "leaf-hubstate.json")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	leafSrv := httptest.NewServer(leaf.Handler())
+	leafSrv := httptest.NewServer(tp.wrap("leaf", leaf))
 	defer leafSrv.Close()
 	lw := register(leafSrv.URL, "leaf-worker")
 	push = req(lw, 0)
@@ -383,7 +426,11 @@ func TestImageContract(t *testing.T) {
 	more.Seeds = gen(3, 90)
 	log.sync("leaf worker push 3 evicting", leafSrv.URL, more)
 	log.sync("leaf worker pull since 0", leafSrv.URL, req(lw, 0))
-	pc, err := Dial(ctx, srv.URL, "leaf-1", tgt, rec("leaf parent sync"))
+	pt := &recordingTransport{log: log, name: "leaf parent sync"}
+	if tp != nil {
+		pt.tap = func(body []byte) { tp.add("leaf", "import", body) }
+	}
+	pc, err := Dial(ctx, srv.URL, "leaf-1", tgt, WithHTTPClient(&http.Client{Transport: pt}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +452,11 @@ func TestImageContract(t *testing.T) {
 
 	// Restart from store + sidecar: same view, leases still good.
 	srv.Close()
-	h2, err := New(tgt, open(filepath.Join(hubDir, "store")), clock, WithStatePath(statePath), WithCapacity(1024))
+	root, err = New(tgt, openStore(t, filepath.Join(hubDir, "store")), imageClock, WithStatePath(statePath), WithCapacity(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := httptest.NewServer(h2.Handler())
+	srv2 := httptest.NewServer(tp.wrap("restarted root", root))
 	defer srv2.Close()
 	log.stats("restarted", srv2.URL)
 	log.sync("alpha pull since 2 after restart", srv2.URL, req(w1, 2))
@@ -420,33 +467,145 @@ func TestImageContract(t *testing.T) {
 	grown.Final = true
 	log.sync("alpha final after restart", srv2.URL, grown)
 	log.stats("end", srv2.URL)
-	for _, cr := range h2.Crashes() {
+	for _, cr := range root.Crashes() {
 		log.addf("crash %q repro=%s first=%s count=%d reports=%d workers=%d", cr.Title, short([]byte(cr.Repro)), cr.FirstWorker, cr.Count, cr.Reports, cr.Workers)
 	}
 
-	path := filepath.Join("testdata", "image_contract.txt")
-	text := strings.Join(log.lines, "\n") + "\n"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+	return root, leaf
+}
+
+// tapped is one event a hub applied in a hubSession: the body of a POST
+// to path, or, for path "import", the parent's sync reply a leaf
+// imported.
+type tapped struct {
+	hub, path string
+	body      []byte
+}
+
+// tap records the events of a hubSession in the order the hubs applied
+// them.
+type tap struct {
+	mu     sync.Mutex
+	events []tapped
+}
+
+func (tp *tap) add(hub, path string, body []byte) {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	tp.events = append(tp.events, tapped{hub, path, body})
+}
+
+// wrap serves h, recording the body of every POST it serves.
+func (tp *tap) wrap(name string, h *Hub) http.Handler {
+	if tp == nil {
+		return h.Handler()
+	}
+	next := h.Handler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			body, _ := io.ReadAll(r.Body) // a short read fails the replay's decode
+			tp.add(name, r.URL.Path, body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// hubImage renders what a hub leaves behind: its store directory, its
+// sidecar and its /v1/stats.
+func hubImage(t *testing.T, h *Hub) string {
+	t.Helper()
+	l := &imageLog{t: t}
+	l.dir("store", h.store.Dir())
+	w := httptest.NewRecorder()
+	h.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	return fmt.Sprintf("%s\nsidecar: %s\nstats: %s", l.lines[0], sidecarBytes(t, h), w.Body.Bytes())
+}
+
+// TestApplyReplaysImageContract: the image contract's hub session, run
+// once over HTTP and once as the same events handed to apply directly,
+// leaves every hub's store directory, sidecar and /v1/stats
+// byte-identical. The replay decodes each request as its handler does,
+// applies it at the session's fixed clock, folds a served or failed sync
+// with the measurement the handler takes on that clock (0 ns, and the
+// request's wire length), and persists; a leaf's parent import is the
+// reply its parent client read, parsed as the client parses it.
+func TestApplyReplaysImageContract(t *testing.T) {
+	tgt := targetFor(t, "dm", "cec")
+	tp := &tap{}
+	root, leaf := hubSession(t, tgt, &imageLog{t: t}, seedGen(prog.NewGen(tgt, 18)), t.TempDir(), tp)
+
+	dir := t.TempDir()
+	open := func(store, sidecar string, opts ...Option) *Hub {
+		t.Helper()
+		opts = append(opts, imageClock, WithStatePath(filepath.Join(dir, sidecar)))
+		h, err := New(tgt, openStore(t, filepath.Join(dir, store)), opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
+		return h
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	hubs := map[string]*Hub{
+		"root": open("store", "hubstate.json", WithCapacity(1024)),
+		"leaf": open("leaf", "leaf-hubstate.json", WithCapacity(16), WithParent(leaf.parentURL)),
 	}
-	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	for i := range want {
-		if i >= len(log.lines) || log.lines[i] != want[i] {
-			got := "<missing>"
-			if i < len(log.lines) {
-				got = log.lines[i]
+	for _, ev := range tp.events {
+		h := hubs[ev.hub]
+		if h == nil { // the root's restart
+			h = open("store", "hubstate.json", WithCapacity(1024))
+			hubs[ev.hub] = h
+		}
+		var event any
+		switch ev.path {
+		case "/v1/register":
+			var req RegisterRequest
+			if err := json.Unmarshal(ev.body, &req); err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("image contract diverged at line %d:\n got %s\nwant %s", i+1, got, want[i])
+			event = &req
+		case "/v1/sync":
+			req, err := DecodeSyncRequest(ev.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			event = req
+		case "import":
+			resp, err := DecodeSyncResponse(ev.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var imported []seedpool.SeedState
+			for _, s := range resp.Seeds {
+				if p, err := prog.Deserialize(tgt, s.Text); err == nil {
+					s.Prog, s.Text = p, p.Serialize()
+					imported = append(imported, s)
+				}
+			}
+			if len(imported) == 0 {
+				continue
+			}
+			event = imported
+		default:
+			t.Fatalf("%s: unexpected event %s", ev.hub, ev.path)
+		}
+		h.mu.Lock()
+		_, err := h.apply(imageNow, event)
+		// The handlers' fold and persist: a refusal changes nothing, and
+		// an import writes no sidecar.
+		if se, _ := err.(*statusError); ev.path != "import" && (se == nil || se.code >= http.StatusInternalServerError) {
+			if req, ok := event.(*SyncRequest); ok {
+				h.observeSync(req.WorkerID, 0, int64(len(ev.body)))
+			}
+			h.persistLocked()
+		}
+		h.mu.Unlock()
+		if err != nil && ev.path == "import" {
+			t.Fatal(err)
 		}
 	}
-	if len(log.lines) != len(want) {
-		t.Fatalf("image log has %d lines, contract has %d; first extra: %s", len(log.lines), len(want), log.lines[len(want)])
+	for name, want := range map[string]*Hub{"restarted root": root, "leaf": leaf} {
+		if got, want := hubImage(t, hubs[name]), hubImage(t, want); got != want {
+			t.Errorf("%s replayed through apply:\n%s\nover HTTP:\n%s", name, got, want)
+		}
 	}
 }

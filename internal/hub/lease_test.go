@@ -229,19 +229,30 @@ func TestExpiredLeaseSurvivesRestart(t *testing.T) {
 	}
 }
 
+// sidecarBytes reads the hub's state sidecar as it is on disk.
+func sidecarBytes(t *testing.T, h *Hub) []byte {
+	t.Helper()
+	data, err := os.ReadFile(h.statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestLeaseRequired: worker ids are guessable (w1, w2, …), so a sync
 // that names a worker without presenting that worker's current lease —
 // none at all, or another worker's — must get the 404
-// re-register hint and leave the hub untouched: it may not push into,
-// renew or Final-release somebody else's lease.
+// re-register hint and leave the hub untouched, its sidecar byte for
+// byte: it may not push into, renew or Final-release somebody else's
+// lease.
 func TestLeaseRequired(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	fixed := time.Unix(1_700_000_000, 0)
-	_, srv := newHub(t, tgt, WithClock(func() time.Time { return fixed }))
+	hub, srv := newHub(t, tgt, WithClock(func() time.Time { return fixed }))
 	var victim, other RegisterResponse
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "victim", Fingerprint: "fp"}, &victim)
 	postJSON(t, srv.URL+"/v1/register", RegisterRequest{Version: ProtoVersion, Name: "other", Fingerprint: "fp"}, &other)
-	before := statsBytes(t, srv.URL)
+	before, sidecar := statsBytes(t, srv.URL), sidecarBytes(t, hub)
 	for _, lease := range []string{"", other.LeaseID} {
 		for _, final := range []bool{false, true} {
 			req := SyncRequest{
@@ -259,6 +270,9 @@ func TestLeaseRequired(t *testing.T) {
 	}
 	if after := statsBytes(t, srv.URL); !bytes.Equal(before, after) {
 		t.Errorf("lease-less requests changed /v1/stats:\nbefore: %s\nafter:  %s", before, after)
+	}
+	if after := sidecarBytes(t, hub); !bytes.Equal(sidecar, after) {
+		t.Errorf("lease-less requests rewrote the sidecar:\nbefore: %s\nafter:  %s", sidecar, after)
 	}
 	// The rightful owner is unaffected.
 	ok := SyncRequest{WorkerID: victim.WorkerID, LeaseID: victim.LeaseID, Final: true}
@@ -302,7 +316,10 @@ func writeSyncResponse(w http.ResponseWriter, resp SyncResponse) {
 
 // TestSyncBackpressure: a hub at its in-flight bound sheds syncs with
 // 429 + Retry-After, and the per-worker rate limit rejects arrivals
-// faster than the configured interval (Final syncs exempt).
+// faster than the configured interval (Final syncs exempt) with the
+// wait rounded up to whole seconds. A shed sync changes nothing, its
+// sidecar byte for byte; a sync whose store save fails is still folded
+// into the worker's sync aggregate and persisted before its 500.
 func TestSyncBackpressure(t *testing.T) {
 	tgt := targetFor(t, "dm")
 	clock := &fakeClock{t: time.Unix(3000, 0)}
@@ -314,19 +331,27 @@ func TestSyncBackpressure(t *testing.T) {
 
 	// Occupy both in-flight slots; the next sync is shed before it
 	// queues.
+	sidecar := sidecarBytes(t, hub)
 	hub.inflight.Add(2)
-	if code, ra := rawSync(t, srv.URL, req); code != http.StatusTooManyRequests || ra == "" {
-		t.Fatalf("full hub answered %d (Retry-After %q), want 429 with hint", code, ra)
+	if code, ra := rawSync(t, srv.URL, req); code != http.StatusTooManyRequests || ra != "1" {
+		t.Fatalf("full hub answered %d (Retry-After %q), want 429 with Retry-After 1", code, ra)
 	}
 	hub.inflight.Add(-2)
+	if !bytes.Equal(sidecar, sidecarBytes(t, hub)) {
+		t.Fatal("an in-flight shed rewrote the sidecar")
+	}
 
 	if code, _ := rawSync(t, srv.URL, req); code != http.StatusOK {
 		t.Fatalf("first sync answered %d", code)
 	}
-	// Too soon: rate-limited with a Retry-After hint.
+	// Too soon: 7 s of the 10 s interval are left, so the hint is 8.
+	sidecar = sidecarBytes(t, hub)
 	clock.Advance(3 * time.Second)
-	if code, ra := rawSync(t, srv.URL, req); code != http.StatusTooManyRequests || ra == "" {
-		t.Fatalf("rapid re-sync answered %d (Retry-After %q), want 429 with hint", code, ra)
+	if code, ra := rawSync(t, srv.URL, req); code != http.StatusTooManyRequests || ra != "8" {
+		t.Fatalf("rapid re-sync answered %d (Retry-After %q), want 429 with Retry-After 8", code, ra)
+	}
+	if !bytes.Equal(sidecar, sidecarBytes(t, hub)) {
+		t.Fatal("a rate-limited sync rewrote the sidecar")
 	}
 	// A Final sync is never rate-limited — campaigns must be able to
 	// deliver their last exchange.
@@ -337,6 +362,28 @@ func TestSyncBackpressure(t *testing.T) {
 	}
 	if st := hub.Stats(); st.Sync.Count != 2 {
 		t.Fatalf("shed syncs leaked into the aggregates: %+v", st.Sync)
+	}
+
+	// A directory where the store writes the pushed seed's file makes the
+	// save fail.
+	text := prog.NewGen(tgt, 5).Generate(3).Serialize()
+	if err := os.Mkdir(filepath.Join(hub.store.Dir(), corpusstore.FileFor(text)+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	failing := final
+	failing.Seeds = []seedpool.SeedState{{Text: text, Prio: 1}}
+	before := hub.Stats().Sync
+	if code, _ := rawSync(t, srv.URL, failing); code != http.StatusInternalServerError {
+		t.Fatalf("sync whose store save fails answered %d, want 500", code)
+	}
+	var doc hubStateJSON
+	if err := json.Unmarshal(sidecarBytes(t, hub), &doc); err != nil {
+		t.Fatal(err)
+	}
+	got, payload := doc.Workers[0].Sync, int64(len(EncodeSyncRequest(&failing)))
+	if got.Count != before.Count+1 || got.BytesSum != before.BytesSum+payload || hub.Stats().Sync != got {
+		t.Fatalf("failed save persisted sync aggregate %+v, want count %d and %d bytes more than %+v",
+			got, before.Count+1, payload, before)
 	}
 }
 

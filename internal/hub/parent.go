@@ -38,26 +38,21 @@ func (h *Hub) parentState(final bool) fuzz.SyncState {
 
 // SyncParent runs one upward exchange against a parent hub through
 // client (a Client dialed at the parent's URL): push this hub's
-// aggregate deltas, merge the pulled corpus diff back into the local
-// store. It returns the number of seeds imported from the parent.
+// aggregate deltas, then apply the pulled corpus diff as one parent
+// import. It returns the number of seeds imported from the parent.
 // final releases the leaf's lease on the parent (shutdown). The hub
 // mutex is not held across the network exchange, so local worker
 // syncs proceed while the parent round-trips. An import changes only
 // the store, so the state sidecar is not rewritten.
 func (h *Hub) SyncParent(ctx context.Context, client *Client, final bool) (int, error) {
-	st := h.parentState(final)
-	imported, err := client.Sync(ctx, st)
-	if err != nil {
+	imported, err := client.Sync(ctx, h.parentState(final))
+	if err != nil || len(imported) == 0 {
 		return 0, err
-	}
-	if len(imported) == 0 {
-		return 0, nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := h.mergeLocked(textOnly(imported)); err != nil {
+	if _, err := h.apply(h.now(), imported); err != nil {
 		return 0, err
 	}
-	h.logf("hub: parent sync imported %d seeds -> %d seeds at gen %d", len(imported), len(h.states), h.genLocked())
 	return len(imported), nil
 }

@@ -22,6 +22,14 @@
 // that /v1/stats computes from the lease's deadline; nothing is
 // reclaimed and nothing refused when it passes.
 //
+// Every request that changes the hub's state runs one sequence: shed
+// it if the hub is over its in-flight bound (syncs only), decode it,
+// lock the hub and read the clock once, apply the event, encode the
+// reply, fold the measured service time into the worker's sync
+// aggregate (syncs only), persist the sidecar, and write the reply.
+// apply, the one state change, is handed that clock reading: it reads
+// no clock and writes no reply. A parent import is applied the same way.
+//
 // The wire protocol is versioned and runs over HTTP. POST /v1/register
 // carries the JSON types below; POST /v1/sync, the one lease renewal,
 // carries SyncRequest/SyncResponse as the binary frame stream of

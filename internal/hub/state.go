@@ -47,9 +47,9 @@ type hubStateJSON struct {
 	StartUnixNs   int64 `json:"start_unix_ns"`
 	// Cover is the union coverage as a vkernel compressed-bitmap
 	// container stream (EncodeDelta against nothing).
-	Cover   []byte            `json:"cover,omitempty"`
-	Crashes []crashStateJSON  `json:"crashes,omitempty"`
-	Workers []workerStateJSON `json:"workers,omitempty"`
+	Cover   []byte             `json:"cover,omitempty"`
+	Crashes []crashStateJSON   `json:"crashes,omitempty"`
+	Workers []*workerStateJSON `json:"workers,omitempty"`
 }
 
 // crashStateJSON is one record of the crash table, in memory
@@ -86,30 +86,44 @@ func (h *Hub) sortedCrashesLocked() []crashStateJSON {
 
 // sortedWorkersLocked returns the workers in id order, w2 before w10:
 // the order of /v1/stats and of the sidecar. Callers hold h.mu.
-func (h *Hub) sortedWorkersLocked() []*worker {
-	out := make([]*worker, 0, len(h.workers))
+func (h *Hub) sortedWorkersLocked() []*workerStateJSON {
+	out := make([]*workerStateJSON, 0, len(h.workers))
 	for _, wk := range h.workers {
 		out = append(out, wk)
 	}
-	slices.SortFunc(out, func(a, b *worker) int {
-		return cmp.Or(cmp.Compare(len(a.id), len(b.id)), strings.Compare(a.id, b.id))
+	slices.SortFunc(out, func(a, b *workerStateJSON) int {
+		return cmp.Or(cmp.Compare(len(a.ID), len(b.ID)), strings.Compare(a.ID, b.ID))
 	})
 	return out
 }
 
+// workerStateJSON is one registered campaign's record, in memory
+// (Hub.workers) and in the sidecar alike. /v1/stats shows it as a
+// WorkerJSON, which carries no lease ID.
 type workerStateJSON struct {
 	ID          string `json:"id"`
 	Name        string `json:"name,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"`
-	LeaseID     string `json:"lease_id,omitempty"`
-	// LeaseDeadlineNs is the lease deadline in Unix ns (version 3).
+	// LeaseID is the credential every sync of the worker presents.
+	LeaseID string `json:"lease_id,omitempty"`
+	// LeaseDeadlineNs is leaseTTL after the lease's grant or last
+	// non-final sync, in Unix ns (version 3); only the lease label reads
+	// it.
 	LeaseDeadlineNs int64 `json:"lease_deadline_ns,omitempty"`
-	// LeaseState is "active", "expired" or "released" (versions 1 and 2).
-	LeaseState  string         `json:"lease_state,omitempty"`
-	LastSyncNs  int64          `json:"last_sync_ns,omitempty"`
-	Final       bool           `json:"final,omitempty"`
-	Stats       WorkerStats    `json:"stats"`
-	Sync        SyncAggJSON    `json:"sync"`
+	// LeaseState is "active", "expired" or "released" (versions 1 and
+	// 2); loadState turns it into a deadline.
+	LeaseState string `json:"lease_state,omitempty"`
+	// LastSyncNs is the lock-acquisition time of the worker's latest
+	// served sync, in Unix ns (0: none yet).
+	LastSyncNs int64       `json:"last_sync_ns,omitempty"`
+	Final      bool        `json:"final,omitempty"`
+	Stats      WorkerStats `json:"stats"`
+	// Sync aggregates the worker's per-sync service time and payload
+	// size (see observeSync).
+	Sync SyncAggJSON `json:"sync"`
+	// CrashCounts is the worker's last reported cumulative hit count
+	// per crash title — the unit the client counts in; recordCrash
+	// differences against it so retried reports fold in exactly once.
 	CrashCounts map[string]int `json:"crash_counts,omitempty"`
 }
 
@@ -129,18 +143,7 @@ func (h *Hub) persistLocked() {
 		StartUnixNs:   h.start.UnixNano(),
 		Cover:         h.coverEnc,
 		Crashes:       h.sortedCrashesLocked(),
-	}
-	for _, wk := range h.sortedWorkersLocked() {
-		ws := workerStateJSON{
-			ID: wk.id, Name: wk.name, Fingerprint: wk.fingerprint,
-			LeaseID: wk.leaseID, LeaseDeadlineNs: wk.leaseDeadline.UnixNano(),
-			Final: wk.final, Stats: wk.stats, Sync: wk.sync,
-			CrashCounts: wk.crashCounts,
-		}
-		if !wk.lastSync.IsZero() {
-			ws.LastSyncNs = wk.lastSync.UnixNano()
-		}
-		doc.Workers = append(doc.Workers, ws)
+		Workers:       h.sortedWorkersLocked(),
 	}
 	data, err := json.Marshal(&doc)
 	if err != nil {
@@ -208,32 +211,26 @@ func (h *Hub) loadState() error {
 		}
 	}
 	now := h.now()
-	for _, ws := range doc.Workers {
-		wk := &worker{
-			id: ws.ID, name: ws.Name, fingerprint: ws.Fingerprint,
-			leaseID: ws.LeaseID, leaseDeadline: time.Unix(0, ws.LeaseDeadlineNs),
-			final: ws.Final, stats: ws.Stats, sync: ws.Sync,
-			crashCounts: map[string]int{},
+	for _, wk := range doc.Workers {
+		if wk == nil {
+			wk = &workerStateJSON{}
 		}
-		for key, n := range ws.CrashCounts {
-			if doc.Version == 1 {
-				// Keyed by repro then. Counts are cumulative per title, so
-				// a title's count is the largest under any of its repros.
-				title, ok := titleOf[key]
-				if !ok {
-					continue
+		if doc.Version == 1 {
+			// Keyed by repro then. Counts are cumulative per title, so a
+			// title's count is the largest under any of its repros.
+			byTitle := map[string]int{}
+			for repro, n := range wk.CrashCounts {
+				if title, ok := titleOf[repro]; ok {
+					byTitle[title] = max(n, byTitle[title])
 				}
-				key, n = title, max(n, wk.crashCounts[title])
 			}
-			wk.crashCounts[key] = n
+			wk.CrashCounts = byTitle
 		}
-		if ws.LastSyncNs != 0 {
-			wk.lastSync = time.Unix(0, ws.LastSyncNs)
+		if doc.Version < 3 && wk.LeaseState == LeaseActive {
+			wk.LeaseDeadlineNs = now.Add(leaseTTL).UnixNano()
 		}
-		if doc.Version < 3 && ws.LeaseState == LeaseActive {
-			wk.leaseDeadline = now.Add(leaseTTL)
-		}
-		h.workers[wk.id] = wk
+		wk.LeaseState = ""
+		h.workers[wk.ID] = wk
 	}
 	h.logf("hub: restored state: %d workers, %d crashes, %d cover blocks",
 		len(doc.Workers), len(h.crashes), h.cover.Count())

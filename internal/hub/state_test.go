@@ -65,7 +65,7 @@ func TestStateV1CrashCountsMigrate(t *testing.T) {
 		st.Sync.Count != 1 || st.Sync.BytesSum != 19616 || st.ActiveLeases != 2 {
 		t.Fatalf("version-1 sidecar restored as %+v", st)
 	}
-	if c1, c2 := h.workers["w1"].crashCounts, h.workers["w2"].crashCounts; len(c1) != 1 || c1["bug-a"] != 2 || len(c2) != 0 {
+	if c1, c2 := h.workers["w1"].CrashCounts, h.workers["w2"].CrashCounts; len(c1) != 1 || c1["bug-a"] != 2 || len(c2) != 0 {
 		t.Fatalf("version-1 crash counts restored as w1 %v, w2 %v", c1, c2)
 	}
 	w1 := doc.Workers[0]
